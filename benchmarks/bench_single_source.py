@@ -183,7 +183,8 @@ def run_benchmark(
         )
     ]
 
-    views = {node: index._query_view(node) for node in set(sources)}
+    state = index._serving()
+    views = {node: state.query_view(node) for node in set(sources)}
     budget = params.epsilon / 4.0
 
     # -- guards (before any timing is trusted) ---------------------------- #

@@ -4,9 +4,9 @@ This package puts one execution surface in front of all the ways the
 repository can answer a SimRank query:
 
 * :mod:`repro.engine.backends` — the :class:`SimilarityBackend` protocol, a
-  string-keyed registry, and adapter classes wrapping :class:`SlingIndex`,
-  :class:`DiskBackedIndex`, and the naive / power / Monte-Carlo / linearize
-  baselines;
+  string-keyed registry, and adapter classes wrapping :class:`SlingIndex`
+  (built in memory, or saved and memory-mapped back by the ``sling-disk``
+  backend) and the naive / power / Monte-Carlo / linearize baselines;
 * :mod:`repro.engine.engine` — :class:`QueryEngine`, which executes single
   and batched queries with an LRU cache of single-source score vectors and
   per-query / aggregate statistics;

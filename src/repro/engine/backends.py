@@ -1,7 +1,7 @@
 """Similarity backends: one protocol, many SimRank computation strategies.
 
 Every way this repository can answer a SimRank query — the SLING index
-(Algorithms 3/6), its disk-backed variant, and the four baselines — is
+(Algorithms 3/6), in memory or memory-mapped from disk, and the baselines — is
 wrapped in a :class:`SimilarityBackend` adapter exposing the same four
 operations (``build``, ``single_pair``, ``single_source``, ``top_k``) plus
 capability/cost flags (:class:`BackendInfo`) that the planner and the engine
@@ -35,11 +35,11 @@ from ..exceptions import IndexNotBuiltError, ParameterError
 from ..graphs import DiGraph
 from ..ranking import rank_top_k
 from ..sling import (
-    DiskBackedIndex,
     DynamicSlingIndex,
     MutationReport,
     SlingIndex,
     has_saved_index,
+    load_index,
     save_index,
 )
 
@@ -401,6 +401,8 @@ class SlingBackend(SimilarityBackend):
         intact; the engine is told what changed via the returned report's
         ``affected_sources`` and ``version``.
         """
+        if not self.supports_mutation:
+            return super().apply_mutation(added, removed)
         self._require_built()
         if not isinstance(self._index, DynamicSlingIndex):
             self._index = DynamicSlingIndex.from_index(self._index)
@@ -448,9 +450,16 @@ class SlingBackend(SimilarityBackend):
 
 
 @register_backend
-class DiskSlingBackend(SimilarityBackend):
-    """SLING with hitting sets on disk: build, persist, then query via
-    :class:`DiskBackedIndex` so only the correction factors stay resident."""
+class DiskSlingBackend(SlingBackend):
+    """SLING served from a saved, memory-mapped index.
+
+    ``build`` saves the index and loads it back with
+    ``load_index(..., mmap_mode="r")`` — or, with
+    ``config.reuse_saved_index``, attaches to an index already saved in
+    ``config.work_directory`` — so only the correction factors stay resident.
+    Queries run through the same :class:`SlingIndex` as the in-memory
+    backend.  Shared on-disk indexes are read-only: no mutation.
+    """
 
     info = BackendInfo(
         name="sling-disk",
@@ -460,32 +469,7 @@ class DiskSlingBackend(SimilarityBackend):
         build_cost="index",
         query_cost="constant",
     )
-
-    def __init__(self, graph: DiGraph, config: BackendConfig | None = None) -> None:
-        super().__init__(graph, config)
-        self._tempdir: tempfile.TemporaryDirectory | None = None
-        self._directory: Path | None = None
-        self._disk_index: DiskBackedIndex | None = None
-        self._total_index_bytes = 0
-
-    @property
-    def directory(self) -> Path:
-        """Where the packed index lives on disk."""
-        self._require_built()
-        assert self._directory is not None
-        return self._directory
-
-    @property
-    def disk_index(self) -> DiskBackedIndex:
-        """The wrapped disk-backed reader (I/O accounting, parameters)."""
-        self._require_built()
-        assert self._disk_index is not None
-        return self._disk_index
-
-    @property
-    def packed_store(self):
-        """The memory-mapped columnar store backing the disk index."""
-        return self.disk_index.store
+    supports_mutation = False
 
     def build(self) -> "DiskSlingBackend":
         cfg = self._config
@@ -494,46 +478,13 @@ class DiskSlingBackend(SimilarityBackend):
         else:
             self._tempdir = tempfile.TemporaryDirectory(prefix="repro-sling-disk-")
             directory = Path(self._tempdir.name)
-        if cfg.reuse_saved_index and has_saved_index(directory):
-            # Zero-copy attach: mmap the already-saved columns; the only
-            # per-process cost is the 8n bytes of correction factors.
-            self._total_index_bytes = sum(
-                path.stat().st_size for path in directory.glob("*.npy")
-            )
-        else:
-            index = SlingIndex(
-                self._graph, c=cfg.c, epsilon=cfg.epsilon, seed=cfg.seed
-            ).build()
-            save_index(index, directory)
-            self._total_index_bytes = index.index_size_bytes()
-        self._directory = directory
-        self._disk_index = DiskBackedIndex(directory, self._graph)
+        if not (cfg.reuse_saved_index and has_saved_index(directory)):
+            save_index(self._index.build(), directory)
+        # Zero-copy attach: the packed columns are memory-mapped; the only
+        # per-process cost is the 8n bytes of correction factors.
+        self._index = load_index(directory, self._graph, mmap_mode="r")
         self._built = True
         return self
-
-    def single_pair(self, node_u: int, node_v: int) -> float:
-        self._require_built()
-        assert self._disk_index is not None
-        return self._disk_index.single_pair(node_u, node_v)
-
-    def single_source(self, node: int) -> np.ndarray:
-        self._require_built()
-        assert self._disk_index is not None
-        return self._disk_index.single_source(node)
-
-    def top_k(self, node: int, k: int) -> list[tuple[int, float]]:
-        """Top-k honouring ``config.sling_topk_mode`` ("exact" or "bounded")."""
-        self._require_built()
-        assert self._disk_index is not None
-        mode = self._config.sling_topk_mode
-        return self._disk_index.top_k(
-            node, k, method="bounded" if mode == "bounded" else "local_push"
-        )
-
-    def index_size_bytes(self) -> int:
-        """Total size of the packed index, like every other backend."""
-        self._require_built()
-        return self._total_index_bytes
 
     def resident_bytes(self) -> int:
         """Main-memory footprint: only the ``8n`` bytes of correction factors.

@@ -20,9 +20,9 @@ def rank_top_k(scores: np.ndarray, source: int, k: int) -> list[tuple[int, float
     entry is masked in place).  ``k`` is clamped to ``n - 1``.
 
     Caller audit (kept current when adding call sites): the SLING query
-    paths (``SlingIndex.top_k``, ``DiskBackedIndex.top_k``, the bounded
-    cascade) all rank vectors their ``single_source`` kernels freshly
-    allocated, so they pass them straight in with no copy; only the generic
+    core (``SlingQueries.top_k`` and ``top_k_bounded``, the bounded
+    cascade) ranks vectors its single-source kernels freshly allocated, so
+    it passes them straight in with no copy; only the generic
     ``SimilarityBackend.top_k`` copies first, because its ``single_source``
     protocol allows subclasses to return views into index storage.
     """

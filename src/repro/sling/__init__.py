@@ -26,7 +26,6 @@ from .packed import (
     QueryView,
     intersect_views,
     pack_keys,
-    view_from_hitting_set,
 )
 from .single_source import (
     BoundedTopK,
@@ -39,7 +38,6 @@ from .optimizations import AccuracyEnhancer, SpaceReduction
 from .index import BuildStatistics, SlingIndex
 from .dynamic import DynamicSlingIndex, MutationReport
 from .storage import (
-    DiskBackedIndex,
     OutOfCoreBuildReport,
     has_saved_index,
     load_index,
@@ -74,7 +72,6 @@ __all__ = [
     "QueryView",
     "intersect_views",
     "pack_keys",
-    "view_from_hitting_set",
     "BoundedTopK",
     "bounded_top_k",
     "single_source_cascade",
@@ -87,7 +84,6 @@ __all__ = [
     "SlingIndex",
     "DynamicSlingIndex",
     "MutationReport",
-    "DiskBackedIndex",
     "OutOfCoreBuildReport",
     "has_saved_index",
     "load_index",

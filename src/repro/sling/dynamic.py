@@ -32,8 +32,9 @@ mutation batch in three local steps:
    per-node RNG stream.
 
 3. **Bounded-staleness serving.**  Queries read an immutable *generation*
-   object ``(graph, store, corrections, overlay, version)`` grabbed once
-   per query; mutations and re-freezes publish a new generation atomically
+   — a :class:`~repro.sling.query.ServingState` ``(graph, store,
+   corrections, overlay, version)`` — grabbed once per query by the shared
+   query core; mutations and re-freezes publish a new generation atomically
    and never touch an old one, so readers are never blocked and an old
    generation is retired by the garbage collector once its in-flight
    queries drain.  While deltas are outstanding the repaired hitting
@@ -62,29 +63,24 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from ..exceptions import IndexNotBuiltError, ParameterError
+from ..exceptions import ParameterError
 from ..graphs import DiGraph
-from ..ranking import rank_top_k
 from .correction import (
     estimate_all_correction_factors,
     estimate_correction_factor,
 )
 from .hitting import reverse_push
 from .index import SlingIndex
-from .packed import PackedHittingStore, QueryView, intersect_views
+from .packed import PackedHittingStore
 from .parameters import SlingParameters
-from .single_source import single_source_cascade, single_source_local_push
+from .query import ServingState, SlingQueries
 from .walks import SqrtCWalker
 
 __all__ = ["DynamicSlingIndex", "MutationReport"]
-
-#: Overlay patches map ``source -> {(level, target): value}``; a value of
-#: exactly ``0.0`` is a tombstone (stored values are always ``> θ > 0``).
-_Overlay = dict[int, dict[tuple[int, int], float]]
 
 
 @dataclass(frozen=True)
@@ -107,43 +103,19 @@ class MutationReport:
     seconds: float
 
 
-class _Generation:
-    """One immutable serving state; queries hold a reference, never a lock."""
-
-    __slots__ = ("graph", "store", "corrections", "overlay", "version", "dirty")
-
-    def __init__(
-        self,
-        graph: DiGraph,
-        store: PackedHittingStore,
-        corrections: np.ndarray,
-        overlay: _Overlay,
-        version: int,
-        dirty: bool,
-    ) -> None:
-        self.graph = graph
-        self.store = store
-        self.corrections = corrections
-        self.overlay = overlay
-        self.version = version
-        #: Whether any mutation has landed since the last (re-)freeze —
-        #: drives the reported staleness bound even when a batch produced
-        #: an empty overlay (e.g. only a correction factor changed).
-        self.dirty = dirty
-
-
-class DynamicSlingIndex:
+class DynamicSlingIndex(SlingQueries):
     """A SLING index that stays queryable while its graph mutates.
 
-    Wraps a plain (no space-reduction / accuracy-enhancement) in-memory
-    :class:`SlingIndex` build and exposes the same query surface —
-    ``single_pair`` / ``single_source`` / ``top_k`` plus the size accessors
-    the backend adapter needs — with three additions: :meth:`add_edges` /
+    Wraps a plain (no space-reduction / accuracy-enhancement)
+    :class:`SlingIndex` build and serves the same query core — every query
+    reads one generation — with three additions: :meth:`add_edges` /
     :meth:`remove_edges` / :meth:`mutate` apply edge deltas incrementally,
     :meth:`refreeze` compacts them back into a frozen store with bitwise
     rebuild parity, and :attr:`version` / :meth:`staleness_bound` report
     the serving state for cache scoping and per-query staleness.
     """
+
+    _kind = "dynamic SLING index"
 
     def __init__(
         self,
@@ -168,7 +140,7 @@ class DynamicSlingIndex:
         self._seed = seed
         self._adaptive = adaptive_correction
         self._mutex = threading.Lock()
-        self._gen: _Generation | None = None
+        self._state: ServingState | None = None
         self._mutation_count = 0
         self._refreeze_count = 0
 
@@ -193,11 +165,9 @@ class DynamicSlingIndex:
         dynamic._seed = getattr(index, "_seed", None)
         dynamic._adaptive = getattr(index, "_adaptive_correction", True)
         dynamic._mutex = threading.Lock()
-        dynamic._gen = None
+        dynamic._state = index._state
         dynamic._mutation_count = 0
         dynamic._refreeze_count = 0
-        if index.is_built:
-            dynamic._adopt_base()
         return dynamic
 
     # ------------------------------------------------------------------ #
@@ -206,38 +176,17 @@ class DynamicSlingIndex:
     def build(self, *, workers: int = 1) -> "DynamicSlingIndex":
         """Build the base index (if needed) and open generation 0."""
         with self._mutex:
-            if self._gen is not None:
+            if self._state is not None:
                 return self
             if not self._base.is_built:
                 self._base.build(workers=workers)
-            self._adopt_base()
+            self._state = self._base._state
         return self
-
-    def _adopt_base(self) -> None:
-        self._gen = _Generation(
-            graph=self._base.graph,
-            store=self._base.packed_store,
-            corrections=self._base.correction_factors,
-            overlay={},
-            version=0,
-            dirty=False,
-        )
-
-    def _generation(self) -> _Generation:
-        gen = self._gen
-        if gen is None:
-            raise IndexNotBuiltError("dynamic SLING index")
-        return gen
-
-    @property
-    def is_built(self) -> bool:
-        """Whether a serving generation exists."""
-        return self._gen is not None
 
     @property
     def graph(self) -> DiGraph:
         """The *current* (post-mutation) graph."""
-        return self._generation().graph
+        return self._serving().graph
 
     @property
     def parameters(self) -> SlingParameters:
@@ -245,25 +194,15 @@ class DynamicSlingIndex:
         return self._base.parameters
 
     @property
-    def packed_store(self) -> PackedHittingStore:
-        """The frozen store of the current generation (overlay not applied)."""
-        return self._generation().store
-
-    @property
-    def correction_factors(self) -> np.ndarray:
-        """Correction factors of the current generation."""
-        return self._generation().corrections
-
-    @property
     def version(self) -> int:
         """Monotonically increasing index version; bumped per mutation
         batch and per re-freeze."""
-        return self._generation().version
+        return self._serving().version
 
     @property
     def is_dirty(self) -> bool:
         """Whether un-compacted deltas are outstanding."""
-        return self._generation().dirty
+        return self._serving().dirty
 
     def staleness_bound(self) -> float:
         """The certified per-query staleness bound ``ε_stale``.
@@ -273,18 +212,17 @@ class DynamicSlingIndex:
         the mutated graph's SimRank, so they differ by at most ``2ε``),
         ``0.0`` once re-frozen — then answers are bitwise rebuild-identical.
         """
-        gen = self._generation()
-        return 2.0 * self._base.parameters.epsilon if gen.dirty else 0.0
+        return 2.0 * self._base.parameters.epsilon if self._serving().dirty else 0.0
 
     def statistics(self) -> dict:
         """Serving-state snapshot: version, dirtiness, overlay size."""
-        gen = self._generation()
+        gen = self._serving()
         return {
             "index_version": gen.version,
             "dirty": gen.dirty,
             "epsilon_stale": self.staleness_bound(),
             "overlay_nodes": len(gen.overlay),
-            "overlay_entries": sum(len(p) for p in gen.overlay.values()),
+            "overlay_entries": gen.overlay_entries,
             "mutations": self._mutation_count,
             "refreezes": self._refreeze_count,
         }
@@ -320,7 +258,7 @@ class DynamicSlingIndex:
         added = list(added)
         removed = list(removed)
         with self._mutex:
-            gen = self._generation()
+            gen = self._serving()
             old_graph = gen.graph
             new_graph = old_graph.with_edges(added, removed)
             if new_graph is old_graph:
@@ -361,7 +299,7 @@ class DynamicSlingIndex:
 
             affected_targets: set[int] = set()
             for node in detect:
-                view = self._compose_view(gen, node)
+                view = gen.query_view(node)
                 values = np.asarray(view.values)
                 targets = np.asarray(view.targets)
                 affected_targets.update(
@@ -409,7 +347,7 @@ class DynamicSlingIndex:
                         else:
                             entries[(int(source), int(level))] = value
 
-            patches: _Overlay = {}
+            patches: dict[int, dict[tuple[int, int], float]] = {}
             affected_sources: set[int] = set()
             scratch = np.zeros(new_graph.num_nodes, dtype=np.float64)
             for target in sorted(affected_targets):
@@ -442,16 +380,17 @@ class DynamicSlingIndex:
                 )
             corrections.flags.writeable = False
 
-            overlay: _Overlay = dict(gen.overlay)
+            overlay = dict(gen.overlay)
             for source, entries in patches.items():
                 merged = dict(overlay.get(source, ()))
                 merged.update(entries)
                 overlay[source] = merged
 
-            self._gen = _Generation(
-                graph=new_graph,
-                store=gen.store,
-                corrections=corrections,
+            self._state = ServingState(
+                new_graph,
+                params,
+                corrections,
+                gen.store,
                 overlay=overlay,
                 version=new_version,
                 dirty=True,
@@ -511,7 +450,7 @@ class DynamicSlingIndex:
         from-scratch rebuild exactly.
         """
         for _ in range(max_attempts):
-            snapshot = self._generation()
+            snapshot = self._serving()
             if not snapshot.dirty:
                 return True
             params = self._base.parameters
@@ -525,15 +464,14 @@ class DynamicSlingIndex:
             )
             corrections.flags.writeable = False
             with self._mutex:
-                if self._gen is not snapshot:
+                if self._state is not snapshot:
                     continue  # a mutation raced the compaction; recompute
-                self._gen = _Generation(
-                    graph=snapshot.graph,
-                    store=store,
-                    corrections=corrections,
-                    overlay={},
+                self._state = ServingState(
+                    snapshot.graph,
+                    params,
+                    corrections,
+                    store,
                     version=snapshot.version + 1,
-                    dirty=False,
                 )
                 self._refreeze_count += 1
                 return True
@@ -554,7 +492,7 @@ class DynamicSlingIndex:
         return thread
 
     @staticmethod
-    def _merge_store(gen: _Generation) -> PackedHittingStore:
+    def _merge_store(gen: ServingState) -> PackedHittingStore:
         """Base columns + overlay (tombstones dropped) as a fresh store."""
         store = gen.store
         if not gen.overlay:
@@ -573,10 +511,7 @@ class DynamicSlingIndex:
                 values_parts.append(store.values[lo:hi])
                 counts[node] = hi - lo
                 continue
-            view = store.node_view(node).override(
-                (level, target, value)
-                for (level, target), value in patch.items()
-            )
+            view = gen.query_view(node)
             values = np.asarray(view.values)
             keep = values > 0.0
             levels_parts.append(np.asarray(view.levels)[keep])
@@ -592,114 +527,10 @@ class DynamicSlingIndex:
             np.concatenate(values_parts),
         )
 
-    # ------------------------------------------------------------------ #
-    # Queries (read one generation, never a lock)
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _compose_view(gen: _Generation, node: int) -> QueryView:
-        view = gen.store.node_view(node)
-        patch = gen.overlay.get(node)
-        if patch:
-            view = view.override(
-                (level, target, value)
-                for (level, target), value in patch.items()
-            )
-        return view
-
-    def _query_view(self, gen: _Generation, node: int) -> QueryView:
-        node = int(node)
-        gen.graph.in_degree(node)  # validates the node id
-        return self._compose_view(gen, node)
-
-    def single_pair(self, node_u: int, node_v: int) -> float:
-        """Approximate SimRank ``s̃(u, v)`` on the current generation."""
-        gen = self._generation()
-        return intersect_views(
-            self._query_view(gen, node_u),
-            self._query_view(gen, node_v),
-            gen.corrections,
-        )
-
-    def single_source(
-        self, node: int, *, method: str = "local_push"
-    ) -> np.ndarray:
-        """Approximate SimRank from ``node`` to every node, as ``(n,)``.
-
-        Supports the ``"local_push"`` (bitwise-stable reference) and
-        ``"cascade"`` kernels; both run on the current graph with the
-        overlay-composed view, so tombstoned entries push no mass.
-        """
-        gen = self._generation()
-        params = self._base.parameters
-        view = self._query_view(gen, node)
-        if method == "local_push":
-            return single_source_local_push(
-                gen.graph, view, gen.corrections, params.sqrt_c, params.theta
-            )
-        if method == "cascade":
-            return single_source_cascade(
-                gen.graph, view, gen.corrections, params.sqrt_c, params.theta
-            )
-        raise ParameterError(
-            f"unknown single-source method {method!r}; "
-            "expected 'local_push' or 'cascade'"
-        )
-
-    def top_k(
-        self, node: int, k: int, *, method: str = "local_push",
-        budget: float | None = None,
-    ) -> list[tuple[int, float]]:
-        """The ``k`` nodes most similar to ``node`` (excluding itself).
-
-        ``"bounded"`` falls back to the exact local-push ranking: the
-        packed store's per-level pruning metadata describes the *frozen*
-        columns, so its bounds are not trustworthy while overlay deltas are
-        outstanding.  (``budget`` is accepted for interface compatibility.)
-        """
-        del budget
-        if k <= 0:
-            raise ParameterError(f"k must be positive, got {k}")
-        if method == "bounded":
-            method = "local_push"
-        scores = self.single_source(node, method=method)
-        return rank_top_k(scores, int(node), k)
-
-    # ------------------------------------------------------------------ #
-    # Size accounting (backend-adapter surface)
-    # ------------------------------------------------------------------ #
-    def index_size_bytes(self) -> int:
-        """Figure-4 accounting: corrections + packed entries + overlay."""
-        gen = self._generation()
-        overlay_entries = sum(len(p) for p in gen.overlay.values())
-        return (
-            8 * gen.graph.num_nodes
-            + gen.store.size_bytes()
-            + 12 * overlay_entries
-        )
-
-    def resident_bytes(self) -> int:
-        """In-memory footprint of the current generation's arrays."""
-        gen = self._generation()
-        overlay_entries = sum(len(p) for p in gen.overlay.values())
-        return int(
-            np.asarray(gen.corrections).nbytes
-            + gen.store.nbytes
-            # dict-of-dicts overlay: ~3 pointers-worth per entry is a floor,
-            # reported so capacity planning sees the delta at all.
-            + 24 * overlay_entries
-        )
-
-    def average_set_size(self) -> float:
-        """Average stored hitting probabilities per node (Table-1 style)."""
-        gen = self._generation()
-        if gen.store.num_nodes == 0:
-            return 0.0
-        return gen.store.num_entries / gen.store.num_nodes
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self._gen is None:
+        gen = self._state
+        if gen is None:
             return "DynamicSlingIndex(not built)"
-        gen = self._gen
         return (
             f"DynamicSlingIndex(n={gen.graph.num_nodes}, "
             f"version={gen.version}, dirty={gen.dirty})"

@@ -9,7 +9,8 @@
 * the optional space-reduction and accuracy-enhancement optimizations
   (:mod:`repro.sling.optimizations`, Sections 5.2 / 5.3),
 
-and exposes the two query primitives of the paper:
+and serves the paper's query primitives through the shared query core of
+:mod:`repro.sling.query`:
 
 * :meth:`SlingIndex.single_pair` — Algorithm 3, ``O(1/ε)`` time,
 * :meth:`SlingIndex.single_source` — Algorithm 6 (local push) or the naive
@@ -28,23 +29,12 @@ import numpy as np
 
 from ..exceptions import IndexNotBuiltError, ParameterError
 from ..graphs import DiGraph
-from ..ranking import rank_top_k
 from .correction import estimate_all_correction_factors
-from .hitting import HittingProbabilitySet, build_hitting_sets, exact_near_hops
+from .hitting import build_hitting_sets
 from .optimizations import AccuracyEnhancer, SpaceReduction
-from .packed import (
-    PackedHittingStore,
-    QueryView,
-    intersect_views,
-    view_from_hitting_set,
-)
+from .packed import PackedHittingStore
 from .parameters import SlingParameters
-from .single_source import (
-    BoundedTopK,
-    bounded_top_k,
-    single_source_cascade,
-    single_source_local_push,
-)
+from .query import ServingState, SlingQueries
 from .walks import SqrtCWalker
 
 __all__ = ["SlingIndex", "BuildStatistics"]
@@ -76,7 +66,7 @@ class BuildStatistics:
         )
 
 
-class SlingIndex:
+class SlingIndex(SlingQueries):
     """SimRank index with near-optimal query time and provable accuracy.
 
     Parameters
@@ -148,14 +138,7 @@ class SlingIndex:
         self._reduce_space = reduce_space
         self._enhance_accuracy = enhance_accuracy
 
-        self._corrections: np.ndarray | None = None
-        self._correction_max: float | None = None
-        self._store: PackedHittingStore | None = None
-        #: Lazy dict-based compatibility view of the packed store.
-        self._hitting_sets: list[HittingProbabilitySet] | None = None
-        self._reduced: np.ndarray | None = None
-        self._space_reduction: SpaceReduction | None = None
-        self._enhancer: AccuracyEnhancer | None = None
+        self._state: ServingState | None = None
         self._build_stats: BuildStatistics | None = None
 
     # ------------------------------------------------------------------ #
@@ -172,52 +155,11 @@ class SlingIndex:
         return self._params
 
     @property
-    def is_built(self) -> bool:
-        """Whether :meth:`build` has completed."""
-        return self._corrections is not None and (
-            self._store is not None or self._hitting_sets is not None
-        )
-
-    @property
     def build_statistics(self) -> BuildStatistics:
         """Timings and sizes from the last :meth:`build` call."""
         if self._build_stats is None:
             raise IndexNotBuiltError("SLING index")
         return self._build_stats
-
-    @property
-    def correction_factors(self) -> np.ndarray:
-        """The estimated correction factors ``d̃_k`` as an ``(n,)`` array."""
-        self._require_built()
-        assert self._corrections is not None
-        return self._corrections
-
-    @property
-    def packed_store(self) -> PackedHittingStore:
-        """The frozen columnar store all queries read (the real index)."""
-        self._require_built()
-        if self._store is None:
-            # Legacy path: hitting sets were attached directly; freeze them.
-            assert self._hitting_sets is not None
-            self._store = PackedHittingStore.from_hitting_sets(self._hitting_sets)
-        return self._store
-
-    @property
-    def hitting_sets(self) -> list[HittingProbabilitySet]:
-        """Dict-based compatibility view of the stored sets ``H(v)``.
-
-        Materialised lazily from :attr:`packed_store` on first access; it is
-        a read-only snapshot — mutating the returned sets does not affect
-        queries, which run on the packed columns.
-        """
-        self._require_built()
-        if self._hitting_sets is None:
-            self._hitting_sets = self.packed_store.to_hitting_sets()
-        return self._hitting_sets
-
-    def _require_built(self) -> None:
-        if not self.is_built:
-            raise IndexNotBuiltError("SLING index")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "built" if self.is_built else "not built"
@@ -275,8 +217,7 @@ class SlingIndex:
         reduced = None
         num_reduced = 0
         if self._reduce_space:
-            self._space_reduction = SpaceReduction(theta=params.theta)
-            reduced = self._space_reduction.apply(self._graph, hitting_sets)
+            reduced = SpaceReduction(theta=params.theta).apply(self._graph, hitting_sets)
             num_reduced = int(reduced.sum())
 
         # Freeze the mutable build-time dicts into the packed columnar store;
@@ -286,17 +227,8 @@ class SlingIndex:
         store = PackedHittingStore.from_hitting_sets(hitting_sets)
         pack_seconds = time.perf_counter() - start_pack
 
-        enhancer = None
-        if self._enhance_accuracy:
-            enhancer = AccuracyEnhancer(self._graph, params.epsilon, params.sqrt_c)
-            enhancer.mark_all_packed(store)
+        self._attach(corrections, store, reduced)
         optimization_seconds = time.perf_counter() - start
-
-        self._corrections = corrections
-        self._store = store
-        self._hitting_sets = None  # compatibility view rematerialises lazily
-        self._reduced = reduced
-        self._enhancer = enhancer
         self._build_stats = BuildStatistics(
             correction_seconds=correction_seconds,
             hitting_seconds=hitting_seconds,
@@ -309,287 +241,28 @@ class SlingIndex:
         )
         return self
 
-    # ------------------------------------------------------------------ #
-    # Query-time hitting sets (with optimizations applied)
-    # ------------------------------------------------------------------ #
-    def _query_view(self, node: int) -> QueryView:
-        """The packed view actually used to answer a query from ``node``.
+    def _attach(
+        self,
+        corrections: np.ndarray,
+        store: PackedHittingStore,
+        reduced: np.ndarray | None,
+    ) -> None:
+        """Start serving ``store`` (built here, loaded or merged from disk).
 
-        Starts from a zero-copy slice of the store and composes, in order,
-        the space-reduction reconstruction (exact step-0/1/2 values via
-        Algorithm 5) and the accuracy enhancement ``H*(v)`` as small
-        copy-on-write overlays — no dicts are rebuilt on the hot path.
+        Marks the accuracy-enhancement entries from the store's canonical
+        key order when enabled, so an index built in memory and the same
+        index loaded from disk answer bitwise-identically.
         """
-        self._require_built()
-        node = int(node)
-        self._graph.in_degree(node)  # validates the node id
-        view = self.packed_store.node_view(node)
-        if (
-            self._reduced is not None
-            and self._space_reduction is not None
-            and self._reduced[node]
-        ):
-            exact = exact_near_hops(self._graph, node, self._params.sqrt_c)
-            view = view.override(
-                (level, target, value)
-                for level, entries in exact.items()
-                for target, value in entries.items()
-            )
-        if self._enhancer is not None:
-            generated = self._enhancer.generated_entries(node, view.contains)
-            if generated:
-                view = view.override(
-                    (level, target, value)
-                    for (level, target), value in generated.items()
-                )
-        return view
-
-    def query_hitting_set(self, node: int) -> HittingProbabilitySet:
-        """The hitting set actually used to answer a query from ``node``.
-
-        Applies, in order, the space-reduction reconstruction (exact step-1/2
-        values via Algorithm 5) and the accuracy enhancement ``H*(v)``.  This
-        is the dict-based compatibility twin of :meth:`_query_view`; the two
-        compose identical entries (the parity suite asserts it).
-        """
-        self._require_built()
-        node = int(node)
-        self._graph.in_degree(node)  # validates the node id
-        # Materialise only the requested node's set; the full hitting_sets
-        # list is built lazily elsewhere and reused here once it exists.
-        if self._hitting_sets is not None:
-            effective = self._hitting_sets[node]
-        else:
-            effective = self.packed_store.hitting_set(node)
-        if (
-            self._reduced is not None
-            and self._space_reduction is not None
-            and self._reduced[node]
-        ):
-            effective = self._space_reduction.reconstruct(
-                self._graph, node, effective, self._params.sqrt_c
-            )
-        if self._enhancer is not None:
-            effective = self._enhancer.enhance(node, effective)
-        return effective
-
-    # ------------------------------------------------------------------ #
-    # Single-pair queries (Algorithm 3)
-    # ------------------------------------------------------------------ #
-    def single_pair(self, node_u: int, node_v: int) -> float:
-        """Approximate SimRank ``s̃(u, v)`` with at most ``ε`` additive error.
-
-        Implements Algorithm 3 on the packed store: one sorted-key
-        intersection of the two views' combined-key columns, then a single
-        dot product with ``corrections[targets]``.
-        """
-        self._require_built()
-        assert self._corrections is not None
-        return intersect_views(
-            self._query_view(node_u), self._query_view(node_v), self._corrections
-        )
-
-    def _intersect_score(
-        self, set_u: HittingProbabilitySet, set_v: HittingProbabilitySet
-    ) -> float:
-        """Algorithm 3 over dict-based sets (compatibility/reference path)."""
-        assert self._corrections is not None
-        return intersect_views(
-            view_from_hitting_set(set_u),
-            view_from_hitting_set(set_v),
-            self._corrections,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Single-source queries (Section 6)
-    # ------------------------------------------------------------------ #
-    def single_source(self, node: int, *, method: str = "local_push") -> np.ndarray:
-        """Approximate SimRank from ``node`` to every node, as an ``(n,)`` array.
-
-        Parameters
-        ----------
-        node:
-            The query (source) node.
-        method:
-            ``"local_push"`` runs Algorithm 6 (the default; bitwise-stable
-            reference kernel); ``"cascade"`` runs the level-cascade kernel —
-            ``max ℓ`` push steps instead of ``Σℓ``, several times faster and
-            within the same ``ε`` guarantee of the reference (but not bitwise
-            identical to it); ``"pairwise"`` applies Algorithm 3 once per
-            node — asymptotically ``O(n/ε)`` but slower in practice, exactly
-            as Figure 2 shows.
-        """
-        if method == "local_push":
-            return self._single_source_local_push(node)
-        if method == "cascade":
-            return self._single_source_cascade(node)
-        if method == "pairwise":
-            return self._single_source_pairwise(node)
-        raise ParameterError(
-            f"unknown single-source method {method!r}; "
-            "expected 'local_push', 'cascade' or 'pairwise'"
-        )
-
-    def _single_source_pairwise(self, node: int) -> np.ndarray:
-        self._require_built()
-        assert self._corrections is not None
-        scores = np.zeros(self._graph.num_nodes, dtype=np.float64)
-        view_u = self._query_view(node)
-        for other in self._graph.nodes():
-            scores[other] = intersect_views(
-                view_u, self._query_view(other), self._corrections
-            )
-        return scores
-
-    def _single_source_local_push(self, node: int) -> np.ndarray:
-        """Algorithm 6: rebuild the relevant inverted lists on the fly."""
-        self._require_built()
-        assert self._corrections is not None
-        return single_source_local_push(
+        params = self._params
+        enhancer = None
+        if self._enhance_accuracy:
+            enhancer = AccuracyEnhancer(self._graph, params.epsilon, params.sqrt_c)
+            enhancer.mark_all_packed(store)
+        self._state = ServingState(
             self._graph,
-            self._query_view(node),
-            self._corrections,
-            self._params.sqrt_c,
-            self._params.theta,
+            params,
+            corrections,
+            store,
+            reduced=reduced if self._reduce_space else None,
+            enhancer=enhancer,
         )
-
-    def _single_source_cascade(self, node: int) -> np.ndarray:
-        """The level-cascade kernel over the same per-query view."""
-        self._require_built()
-        assert self._corrections is not None
-        return single_source_cascade(
-            self._graph,
-            self._query_view(node),
-            self._corrections,
-            self._params.sqrt_c,
-            self._params.theta,
-        )
-
-    def _correction_upper_bound(self) -> float:
-        """Cached ``max_j d̃_j``, used to scale store-side pruning bounds."""
-        assert self._corrections is not None
-        if self._correction_max is None:
-            self._correction_max = float(
-                np.asarray(self._corrections).max(initial=0.0)
-            )
-        return self._correction_max
-
-    def _store_level_bounds(self, node: int) -> dict[int, float]:
-        """Per-level residual-mass bounds from the packed store's metadata.
-
-        ``B_ℓ = (√c)^ℓ · max_k h̃^(ℓ)(node, k) · max_j d̃_j`` — an upper bound
-        on the per-query corrected frontier maximum that needs no column
-        reads at query time (the store stats are computed once and cached).
-        Only consulted for levels above the overlay floor, where the raw
-        store values are authoritative for every flag combination.
-        """
-        sqrt_c = self._params.sqrt_c
-        correction_max = self._correction_upper_bound()
-        stat_levels, _totals, stat_maxima = self.packed_store.node_level_stats(
-            int(node)
-        )
-        return {
-            int(level): (sqrt_c ** int(level)) * float(maximum) * correction_max
-            for level, maximum in zip(stat_levels, stat_maxima)
-        }
-
-    # ------------------------------------------------------------------ #
-    # Derived queries
-    # ------------------------------------------------------------------ #
-    def top_k(
-        self, node: int, k: int, *, method: str = "local_push",
-        budget: float | None = None,
-    ) -> list[tuple[int, float]]:
-        """The ``k`` nodes most similar to ``node`` (excluding ``node`` itself).
-
-        ``method`` accepts every :meth:`single_source` method plus
-        ``"bounded"``, the pruned top-k path of :meth:`top_k_bounded`
-        (``budget`` is only meaningful there).  Every ``single_source``
-        variant returns a fresh array, so the ranking consumes it directly —
-        no defensive copy.
-        """
-        if k <= 0:
-            raise ParameterError(f"k must be positive, got {k}")
-        if method == "bounded":
-            return self.top_k_bounded(node, k, budget=budget).ranked
-        return rank_top_k(self.single_source(node, method=method), int(node), k)
-
-    def top_k_bounded(
-        self, node: int, k: int, *, budget: float | None = None
-    ) -> BoundedTopK:
-        """Top-k via the truncated cascade with residual-mass pruning bounds.
-
-        The cascade stops at the shallowest stored level whose undelivered
-        tail (bounded per level by the packed store's precomputed
-        residual-mass metadata) fits ``budget``, and the truncated ranking
-        is kept only when the k-th candidate's lower bound dominates that
-        tail; otherwise the full cascade runs.  Returned scores are within
-        ``tail_bound ≤ budget ≤ ε`` of the full cascade's values, so the
-        Theorem-1 additive guarantee degrades by at most the budget.
-
-        ``budget`` defaults to ``ε/4``, which on the benchmark workload
-        keeps exact top-k set agreement while stopping 2-3x shallower than
-        the full depth.
-        """
-        self._require_built()
-        assert self._corrections is not None
-        if budget is None:
-            budget = self._params.epsilon / 4.0
-        return bounded_top_k(
-            self._graph,
-            self._query_view(node),
-            self._corrections,
-            self._params.sqrt_c,
-            self._params.theta,
-            int(node),
-            k,
-            budget=budget,
-            level_bounds=self._store_level_bounds(node),
-        )
-
-    def all_pairs(self, *, method: str = "local_push") -> np.ndarray:
-        """All-pairs SimRank matrix computed one single-source query per node.
-
-        Intended for the accuracy experiments on small graphs (Figures 5-7);
-        memory is Θ(n²).
-        """
-        self._require_built()
-        n = self._graph.num_nodes
-        matrix = np.zeros((n, n), dtype=np.float64)
-        for node in self._graph.nodes():
-            matrix[node] = self.single_source(node, method=method)
-        return matrix
-
-    # ------------------------------------------------------------------ #
-    # Size accounting
-    # ------------------------------------------------------------------ #
-    def index_size_bytes(self) -> int:
-        """Serialized index size: correction factors plus all stored HP entries.
-
-        Matches the packed on-disk layout of :mod:`repro.sling.storage`
-        (8 bytes per correction factor, 12 bytes per hitting-probability
-        entry), which is the quantity Figure 4 of the paper reports.  O(1):
-        read straight off the packed store's array lengths.
-        """
-        self._require_built()
-        correction_bytes = 8 * self._graph.num_nodes
-        return correction_bytes + self.packed_store.size_bytes()
-
-    def resident_bytes(self) -> int:
-        """Actual in-memory footprint of the built index's arrays.
-
-        Correction factors plus every packed column (including the combined
-        keys column).  For an index loaded with ``mmap_mode`` this counts the
-        mapped extent, not resident pages.
-        """
-        self._require_built()
-        assert self._corrections is not None
-        return int(self._corrections.nbytes) + self.packed_store.nbytes
-
-    def average_set_size(self) -> float:
-        """Average number of stored hitting probabilities per node (O(1))."""
-        self._require_built()
-        store = self.packed_store
-        if store.num_nodes == 0:
-            return 0.0
-        return store.num_entries / store.num_nodes

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..exceptions import ParameterError
 from ..graphs import DiGraph
-from .hitting import HittingProbabilitySet, exact_near_hops, neighborhood_weight
+from .hitting import HittingProbabilitySet, neighborhood_weight
 
 __all__ = ["SpaceReduction", "AccuracyEnhancer", "DEFAULT_GAMMA"]
 
@@ -77,7 +77,8 @@ class SpaceReduction:
         """Drop step-1/2 entries in place for every reducible node.
 
         Returns a boolean array marking which nodes were reduced; the index
-        keeps it so queries know when to call :func:`exact_near_hops`.
+        keeps it so queries know when to overlay
+        :func:`~repro.sling.hitting.exact_near_hops`.
         """
         reduced = np.zeros(graph.num_nodes, dtype=bool)
         for node in graph.nodes():
@@ -85,26 +86,6 @@ class SpaceReduction:
                 hitting_sets[node].drop_levels(_REDUCIBLE_LEVELS)
                 reduced[node] = True
         return reduced
-
-    def reconstruct(
-        self,
-        graph: DiGraph,
-        node: int,
-        stored: HittingProbabilitySet,
-        sqrt_c: float,
-    ) -> HittingProbabilitySet:
-        """Rebuild the full hitting set of a reduced node for one query.
-
-        The stored levels are combined with the *exact* step-0/1/2 values of
-        Algorithm 5; exact values take precedence over any stored
-        approximation at the same position.
-        """
-        exact = exact_near_hops(graph, node, sqrt_c)
-        rebuilt = stored.copy()
-        for level, entries in exact.items():
-            for target, value in entries.items():
-                rebuilt.set(level, target, value)
-        return rebuilt
 
 
 class AccuracyEnhancer:
@@ -146,27 +127,16 @@ class AccuracyEnhancer:
         return bool(self._marks)
 
     # ------------------------------------------------------------------ #
-    def mark_all(self, hitting_sets: list[HittingProbabilitySet]) -> None:
-        """Select the marked entries of every node (done once, at build time).
+    def mark_all_packed(self, store) -> None:
+        """Select the marked entries of every node (once, at build or load).
 
         Only entries whose target has in-degree at most ``1/√ε`` are eligible
         (expanding a high-in-degree target would blow the query budget); among
-        those the ``1/√ε`` largest are marked.  Delegates to
-        :meth:`mark_all_packed` over a frozen copy of the sets, so value ties
-        break identically no matter which API selected the marks.
-        """
-        from .packed import PackedHittingStore
-
-        self.mark_all_packed(PackedHittingStore.from_hitting_sets(hitting_sets))
-
-    def mark_all_packed(self, store) -> None:
-        """Select the marked entries of every node from a packed store.
-
-        Same policy as :meth:`mark_all`, but reading the frozen
-        :class:`~repro.sling.packed.PackedHittingStore` columns.  Candidate
-        entries are visited in canonical (key-sorted) order, so an index
-        built in memory and one loaded from disk mark identical entries —
-        including value ties — and answer queries bitwise-identically.
+        those the ``1/√ε`` largest are marked.  Candidate entries are visited
+        in canonical (key-sorted) order of the frozen
+        :class:`~repro.sling.packed.PackedHittingStore`, so an index built in
+        memory and one loaded from disk mark identical entries — including
+        value ties — and answer queries bitwise-identically.
         """
         in_degrees = self._graph.in_degrees()
         for node in range(store.num_nodes):
@@ -190,15 +160,15 @@ class AccuracyEnhancer:
     def generated_entries(
         self, node: int, contains
     ) -> dict[tuple[int, int], float]:
-        """The positions the enhancement would generate for one query.
+        """The positions the enhancement ``H*(v)`` generates for one query.
 
-        ``contains(level, target)`` reports whether the query's current set
-        already stores a positive probability at that position (those are
-        left untouched — the stored approximation is at least as good).  The
-        returned mapping accumulates ``√c · h̃^(ℓ)(v, v_j) / |I(v_j)|`` per
-        generated position, in mark order, and is shared by the dict-based
-        :meth:`enhance` and the packed overlay path so both produce identical
-        values.
+        Every marked entry ``h̃^(ℓ)(v, v_j)`` is pushed one step backwards
+        along the in-edges of ``v_j``.  ``contains(level, target)`` reports
+        whether the query's current set already stores a positive probability
+        at that position (those are left untouched — the stored approximation
+        is at least as good).  The returned mapping accumulates
+        ``√c · h̃^(ℓ)(v, v_j) / |I(v_j)|`` per generated position, in mark
+        order; the query core overlays it on the node's view.
         """
         marks = self._marks.get(int(node))
         if not marks:
@@ -219,25 +189,3 @@ class AccuracyEnhancer:
                 else:
                     generated[key] = contribution
         return generated
-
-    def enhance(
-        self, node: int, hitting_set: HittingProbabilitySet
-    ) -> HittingProbabilitySet:
-        """Return the enhanced set ``H*(v)`` used to answer one query.
-
-        Every marked entry ``h̃^(ℓ)(v, v_j)`` is pushed one step backwards
-        along the in-edges of ``v_j``: positions already present in the stored
-        set are left untouched (the stored approximation is at least as good),
-        new positions accumulate ``√c · h̃^(ℓ)(v, v_j) / |I(v_j)|``.
-        """
-        if not self._marks.get(int(node)):
-            return hitting_set
-        generated = self.generated_entries(
-            node, lambda level, target: hitting_set.get(level, target) > 0.0
-        )
-        if not generated:
-            return hitting_set.copy()
-        enhanced = hitting_set.copy()
-        for (level, target), value in generated.items():
-            enhanced.set(level, target, value)
-        return enhanced

@@ -20,13 +20,9 @@ layout both query algorithms actually want:
   intersection (binary-search formulation of ``np.intersect1d`` on the
   combined keys) followed by a single dot product with
   ``corrections[targets]``.
-* :func:`view_from_hitting_set` — canonical (key-sorted) conversion of a
-  dict-based set, used by the compatibility query path and the parity tests.
 
-Because the dict-based reference path converts through
-:func:`view_from_hitting_set` and then runs the *same* kernels over the same
-canonical ordering, packed and dict answers are bitwise identical — which is
-what ``tests/sling/test_packed.py`` asserts.
+Dict-based sets exist only at build time: :meth:`PackedHittingStore.from_hitting_sets`
+freezes them, and every query reads the columns.
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ __all__ = [
     "PackedHittingStore",
     "QueryView",
     "pack_keys",
-    "view_from_hitting_set",
     "intersect_views",
 ]
 
@@ -114,8 +109,7 @@ class QueryView:
     def contains(self, level: int, target: int) -> bool:
         """Whether a positive probability is stored at ``(level, target)``.
 
-        Mirrors the dict path's ``hitting_set.get(level, target) > 0.0``
-        membership test (the accuracy enhancement uses exactly this check).
+        The accuracy enhancement uses exactly this membership test.
         """
         key = (np.int64(level) << LEVEL_SHIFT) | np.int64(target)
         pos = int(np.searchsorted(self.keys, key))
@@ -146,8 +140,7 @@ class QueryView:
         """Yield ``(level, targets, values)`` per level, ascending.
 
         Levels are contiguous runs because the view is sorted level-major;
-        targets within a level are ascending.  This is the canonical entry
-        order shared by the packed and dict query paths.
+        targets within a level are ascending.
         """
         run_levels, starts, stops = self.level_segments()
         for level, start, stop in zip(run_levels, starts, stops):
@@ -201,43 +194,8 @@ class QueryView:
             np.insert(values, where, new_values[miss]),
         )
 
-    def to_hitting_set(self) -> HittingProbabilitySet:
-        """Materialise the view as a dict-based :class:`HittingProbabilitySet`."""
-        hitting_set = HittingProbabilitySet()
-        for level, target, value in zip(self.levels, self.targets, self.values):
-            hitting_set.set(int(level), int(target), float(value))
-        return hitting_set
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"QueryView(num_entries={self.num_entries})"
-
-
-def view_from_hitting_set(hitting_set: HittingProbabilitySet) -> QueryView:
-    """Canonical (key-sorted) columnar view of a dict-based hitting set.
-
-    This is the bridge between the mutable build-time container and the
-    packed query kernels: the dict-based compatibility path converts through
-    here, so both paths run the same kernels over identically ordered arrays
-    and produce bitwise-identical answers.
-    """
-    total = len(hitting_set)
-    levels = np.empty(total, dtype=_LEVEL_DTYPE)
-    targets = np.empty(total, dtype=_TARGET_DTYPE)
-    values = np.empty(total, dtype=_VALUE_DTYPE)
-    cursor = 0
-    for level, entries in hitting_set.levels.items():
-        count = len(entries)
-        levels[cursor : cursor + count] = level
-        targets[cursor : cursor + count] = np.fromiter(
-            entries.keys(), dtype=np.int64, count=count
-        )
-        values[cursor : cursor + count] = np.fromiter(
-            entries.values(), dtype=np.float64, count=count
-        )
-        cursor += count
-    keys = pack_keys(levels, targets)
-    order = np.argsort(keys)
-    return QueryView(keys[order], levels[order], targets[order], values[order])
 
 
 def intersect_views(
@@ -452,10 +410,6 @@ class PackedHittingStore:
             self.values[start:stop],
         )
 
-    def hitting_set(self, node: int) -> HittingProbabilitySet:
-        """Materialise one node's entries as a dict-based set (compat path)."""
-        return self.node_view(node).to_hitting_set()
-
     # ------------------------------------------------------------------ #
     # Per-level residual-mass metadata (bounded top-k pruning)
     # ------------------------------------------------------------------ #
@@ -527,10 +481,6 @@ class PackedHittingStore:
             stat_totals[start:stop],
             stat_maxima[start:stop],
         )
-
-    def to_hitting_sets(self) -> list[HittingProbabilitySet]:
-        """Materialise every node's set (the lazy ``hitting_sets`` view)."""
-        return [self.hitting_set(node) for node in range(self.num_nodes)]
 
     # ------------------------------------------------------------------ #
     # Persistence

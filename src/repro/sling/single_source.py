@@ -32,15 +32,10 @@ This module provides three kernels over that idea:
   undelivered tail fits an error budget, and the returned ranking is kept
   only when the k-th candidate's lower bound dominates that tail.
 
-The query set may be a packed :class:`~repro.sling.packed.QueryView` — the
-native representation, whose per-level frontiers are zero-copy column slices —
-or a dict-based :class:`~repro.sling.hitting.HittingProbabilitySet`, which is
-first converted to the same canonical (key-sorted) ordering.  Both paths
-therefore execute identical numpy operations on identically ordered arrays
-and return bitwise-identical scores for the same entries.
-
-The kernels are shared by :class:`repro.sling.index.SlingIndex` and by the
-disk-backed query engine in :mod:`repro.sling.storage`.
+The query set is a packed :class:`~repro.sling.packed.QueryView`, whose
+per-level frontiers are zero-copy column slices of the store (in memory or
+memory-mapped).  The kernels are called from exactly one place, the query
+core of :mod:`repro.sling.query`.
 """
 
 from __future__ import annotations
@@ -52,8 +47,8 @@ import numpy as np
 from ..exceptions import ParameterError
 from ..graphs import DiGraph
 from ..ranking import rank_top_k
-from .hitting import HittingProbabilitySet, concatenated_ranges, push_frontier
-from .packed import QueryView, view_from_hitting_set
+from .hitting import concatenated_ranges, push_frontier
+from .packed import QueryView
 
 __all__ = [
     "single_source_local_push",
@@ -63,15 +58,9 @@ __all__ = [
 ]
 
 
-def _as_view(query_set: HittingProbabilitySet | QueryView) -> QueryView:
-    if isinstance(query_set, HittingProbabilitySet):
-        return view_from_hitting_set(query_set)
-    return query_set
-
-
 def single_source_local_push(
     graph: DiGraph,
-    query_set: HittingProbabilitySet | QueryView,
+    view: QueryView,
     corrections: np.ndarray,
     sqrt_c: float,
     theta: float,
@@ -93,10 +82,9 @@ def single_source_local_push(
     ----------
     graph:
         The indexed graph.
-    query_set:
+    view:
         The (possibly reconstructed / enhanced) hitting set of the query
-        node — either a packed :class:`QueryView` (zero-copy frontier
-        initialisation) or a dict-based :class:`HittingProbabilitySet`.
+        node as a packed :class:`QueryView`.
     corrections:
         The ``(n,)`` array of correction factors ``d̃_k``.
     sqrt_c, theta:
@@ -110,7 +98,6 @@ def single_source_local_push(
     numpy.ndarray
         An ``(n,)`` array of approximate SimRank scores, clamped to ``[0, 1]``.
     """
-    view = _as_view(query_set)
     delivered_nodes: list[np.ndarray] = []
     delivered_values: list[np.ndarray] = []
     for level, targets, values in view.iter_levels():
@@ -226,7 +213,7 @@ def _cascade_scores(
 
 def single_source_cascade(
     graph: DiGraph,
-    query_set: HittingProbabilitySet | QueryView,
+    view: QueryView,
     corrections: np.ndarray,
     sqrt_c: float,
     theta: float,
@@ -245,7 +232,6 @@ def single_source_cascade(
     this).  Scores are *not* bitwise identical to the reference: the exact
     path is the default and this kernel is the opt-in fast path.
     """
-    view = _as_view(query_set)
     scores = _cascade_scores(graph, view, corrections, sqrt_c, theta)
     return np.minimum(scores, 1.0)
 
@@ -283,7 +269,7 @@ class BoundedTopK:
 
 def bounded_top_k(
     graph: DiGraph,
-    query_set: HittingProbabilitySet | QueryView,
+    view: QueryView,
     corrections: np.ndarray,
     sqrt_c: float,
     theta: float,
@@ -318,7 +304,6 @@ def bounded_top_k(
         raise ParameterError(f"k must be positive, got {k}")
     if budget < 0.0:
         raise ParameterError(f"budget must be non-negative, got {budget}")
-    view = _as_view(query_set)
     num_nodes = graph.num_nodes
     run_levels, seg_starts, seg_stops = view.level_segments()
     if run_levels.shape[0] == 0:

@@ -13,16 +13,17 @@ This module implements both sides on top of the packed columnar store of
 * :func:`save_index` / :func:`load_index` — the store's flat arrays are
   written as individual ``.npy`` files (format version 2) and loaded back
   with ``np.load(..., mmap_mode="r")``: **no dict round-trip**, so loading is
-  O(1)-ish in index size and queries fault in only the pages they slice,
-* :class:`DiskBackedIndex` — answers single-pair and single-source queries by
-  slicing the memory-mapped columns directly (two slices per pair query),
+  O(1)-ish in index size.  The loaded :class:`SlingIndex` is the disk-backed
+  index: it answers through the same query core as an in-memory build,
+  overlays included, and a pair query slices exactly two node segments out
+  of the mapped columns,
 * :func:`out_of_core_build` — Algorithm 2 with a bounded in-memory buffer:
   records are spilled to sorted run files and merged straight into the packed
   store, mimicking the Figure-10 experiment where the memory buffer is varied
   from 256 MB down.
 
-Version-1 directories (one compressed ``sling_data.npz``) are still readable;
-their columns are re-sorted into the packed key order at load time.
+Directories written in any other format version are rejected with a
+:class:`~repro.exceptions.StorageError`; re-save them with this version.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import heapq
 import json
 import struct
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,31 +40,21 @@ import numpy as np
 from ..exceptions import ParameterError, StorageError
 from ..graphs import DiGraph
 from .correction import estimate_all_correction_factors
-from .hitting import HittingProbabilitySet, reverse_push
+from .hitting import reverse_push
 from .index import SlingIndex
-from ..ranking import rank_top_k
-from .packed import PackedHittingStore, intersect_views
+from .packed import PackedHittingStore
 from .parameters import SlingParameters
-from .single_source import (
-    BoundedTopK,
-    bounded_top_k,
-    single_source_cascade,
-    single_source_local_push,
-)
 from .walks import SqrtCWalker
 
 __all__ = [
     "save_index",
     "load_index",
     "has_saved_index",
-    "DiskBackedIndex",
     "out_of_core_build",
     "OutOfCoreBuildReport",
 ]
 
 _META_FILE = "sling_meta.json"
-#: Version-1 archive (kept readable for old index directories).
-_LEGACY_DATA_FILE = "sling_data.npz"
 _CORRECTIONS_FILE = "sling_corrections.npy"
 _REDUCED_FILE = "sling_reduced.npy"
 #: Current on-disk format: per-column ``.npy`` files, memory-mappable.
@@ -89,11 +79,12 @@ def save_index(index: SlingIndex, directory: str | Path) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    index.packed_store.save(directory)
-    np.save(directory / _CORRECTIONS_FILE, index.correction_factors)
+    state = index._serving()
+    state.store.save(directory)
+    np.save(directory / _CORRECTIONS_FILE, state.corrections)
     reduced = (
-        index._reduced
-        if index._reduced is not None
+        state.reduced
+        if state.reduced is not None
         else np.zeros(index.graph.num_nodes, dtype=bool)
     )
     np.save(directory / _REDUCED_FILE, reduced)
@@ -108,8 +99,8 @@ def save_index(index: SlingIndex, directory: str | Path) -> Path:
         "epsilon_d": params.epsilon_d,
         "theta": params.theta,
         "delta_d": params.delta_d,
-        "reduce_space": index._reduced is not None,
-        "enhance_accuracy": index._enhancer is not None,
+        "reduce_space": state.reduced is not None,
+        "enhance_accuracy": state.enhancer is not None,
     }
     (directory / _META_FILE).write_text(json.dumps(meta, indent=2), encoding="utf-8")
     return directory
@@ -149,28 +140,23 @@ def _params_from_meta(meta: dict) -> SlingParameters:
 def _load_arrays(
     directory: Path, meta: dict, *, mmap_mode: str | None
 ) -> tuple[np.ndarray, PackedHittingStore, np.ndarray]:
-    """Read ``(corrections, store, reduced)`` for either format version."""
-    version = int(meta.get("format_version", 1))
-    if version >= 2:
-        corrections_path = directory / _CORRECTIONS_FILE
-        if not corrections_path.exists():
-            raise StorageError(f"missing correction factors at {corrections_path}")
-        corrections = np.load(corrections_path)
-        store = PackedHittingStore.load(directory, mmap_mode=mmap_mode)
-        reduced = np.load(directory / _REDUCED_FILE)
-        return corrections, store, np.asarray(reduced, dtype=bool)
-    # Version 1: one compressed npz with node-grouped but key-unsorted columns.
-    data_path = directory / _LEGACY_DATA_FILE
-    if not data_path.exists():
-        raise StorageError(f"missing packed index data at {data_path}")
-    data = np.load(data_path)
-    store = PackedHittingStore.from_columns(
-        data["offsets"], data["levels"], data["targets"], data["values"]
-    )
-    reduced = data["reduced"]
-    if reduced.shape[0] == 0:
-        reduced = np.zeros(store.num_nodes, dtype=bool)
-    return data["corrections"], store, np.asarray(reduced, dtype=bool)
+    """Read ``(corrections, store, reduced)`` of a current-format directory."""
+    version = meta.get("format_version", 1)
+    if version != FORMAT_VERSION:
+        raise StorageError(
+            f"index at {directory} has on-disk format version {version}, but "
+            f"only version {FORMAT_VERSION} is supported; re-save with this "
+            "version (build the index and call save_index)"
+        )
+    arrays = []
+    for filename in (_CORRECTIONS_FILE, _REDUCED_FILE):
+        path = directory / filename
+        if not path.exists():
+            raise StorageError(f"missing index data at {path}")
+        arrays.append(np.load(path))
+    corrections, reduced = arrays
+    store = PackedHittingStore.load(directory, mmap_mode=mmap_mode)
+    return corrections, store, np.asarray(reduced, dtype=bool)
 
 
 def load_index(
@@ -201,169 +187,11 @@ def load_index(
         reduce_space=meta["reduce_space"],
         enhance_accuracy=meta["enhance_accuracy"],
     )
-    index._corrections = corrections
-    index._store = store
-    if meta["reduce_space"]:
-        from .optimizations import SpaceReduction
-
-        index._space_reduction = SpaceReduction(theta=index.parameters.theta)
-        index._reduced = reduced
-    if meta["enhance_accuracy"]:
-        from .optimizations import AccuracyEnhancer
-
-        enhancer = AccuracyEnhancer(
-            graph, index.parameters.epsilon, index.parameters.sqrt_c
-        )
-        # Marks are selected from the store in canonical key order, exactly
-        # as SlingIndex.build does — a loaded index answers queries
-        # bitwise-identically to the index that was saved.
-        enhancer.mark_all_packed(store)
-        index._enhancer = enhancer
+    # The same attach step as SlingIndex.build: the reconstruction and
+    # enhancement overlays are restored, so a loaded index answers queries
+    # bitwise-identically to the index that was saved.
+    index._attach(corrections, store, reduced)
     return index
-
-
-# --------------------------------------------------------------------------- #
-# Disk-backed query processing
-# --------------------------------------------------------------------------- #
-class DiskBackedIndex:
-    """Answer SimRank queries while keeping hitting sets on disk.
-
-    Only the correction factors (8 bytes per node) are held in memory; the
-    packed columns stay memory-mapped, and every single-pair query slices
-    exactly two per-node segments out of them — the constant-I/O argument of
-    Section 5.4, now with zero per-query deserialisation.
-    """
-
-    def __init__(self, directory: str | Path, graph: DiGraph) -> None:
-        directory = Path(directory)
-        meta = _read_meta(directory)
-        if meta["num_nodes"] != graph.num_nodes:
-            raise StorageError(
-                "graph mismatch between the stored index and the supplied graph"
-            )
-        self._graph = graph
-        self._params = _params_from_meta(meta)
-        self._corrections, self._store, _ = _load_arrays(
-            directory, meta, mmap_mode="r"
-        )
-        self._reads = 0
-        # The packed arrays are read-only at query time, so concurrent queries
-        # are safe; only this I/O counter is mutable and needs the lock.
-        self._reads_lock = threading.Lock()
-        self._correction_max: float | None = None
-
-    @property
-    def parameters(self) -> SlingParameters:
-        """The parameter set the stored index was built with."""
-        return self._params
-
-    @property
-    def store(self) -> PackedHittingStore:
-        """The memory-mapped packed store backing all queries."""
-        return self._store
-
-    @property
-    def num_set_reads(self) -> int:
-        """Number of hitting sets fetched so far (I/O accounting)."""
-        return self._reads
-
-    def _load_view(self, node: int):
-        self._graph.in_degree(node)  # validates the node id
-        with self._reads_lock:
-            self._reads += 1
-        return self._store.node_view(int(node))
-
-    def _load_set(self, node: int) -> HittingProbabilitySet:
-        """Materialise one node's set as a dict (compatibility helper)."""
-        self._graph.in_degree(node)  # validates the node id
-        with self._reads_lock:
-            self._reads += 1
-        return self._store.hitting_set(int(node))
-
-    def single_pair(self, node_u: int, node_v: int) -> float:
-        """Algorithm 3 over two mmap-backed column slices."""
-        view_u = self._load_view(node_u)
-        view_v = self._load_view(node_v)
-        return intersect_views(view_u, view_v, self._corrections)
-
-    def single_source(self, node: int, *, method: str = "local_push") -> np.ndarray:
-        """Algorithm 6 over a mmap-backed column slice for the query node.
-
-        ``method="cascade"`` runs the level-cascade kernel instead of the
-        per-level local push; the two agree within the index's ε budget.
-        """
-        view = self._load_view(node)
-        if method == "cascade":
-            return single_source_cascade(
-                self._graph,
-                view,
-                self._corrections,
-                self._params.sqrt_c,
-                self._params.theta,
-            )
-        if method != "local_push":
-            raise ParameterError(
-                f"unknown single-source method {method!r}; "
-                "expected 'local_push' or 'cascade'"
-            )
-        return single_source_local_push(
-            self._graph,
-            view,
-            self._corrections,
-            self._params.sqrt_c,
-            self._params.theta,
-        )
-
-    def top_k(
-        self, node: int, k: int, *, method: str = "local_push",
-        budget: float | None = None,
-    ) -> list[tuple[int, float]]:
-        """The ``k`` nodes most similar to ``node`` (excluding itself).
-
-        Mirrors :meth:`SlingIndex.top_k`: any :meth:`single_source` method
-        plus ``"bounded"`` for the pruned cascade of :meth:`top_k_bounded`.
-        """
-        if k <= 0:
-            raise ParameterError(f"k must be positive, got {k}")
-        if method == "bounded":
-            return self.top_k_bounded(node, k, budget=budget).ranked
-        return rank_top_k(self.single_source(node, method=method), int(node), k)
-
-    def top_k_bounded(
-        self, node: int, k: int, *, budget: float | None = None
-    ) -> BoundedTopK:
-        """Pruned top-k over the mmap-backed store (see ``SlingIndex``).
-
-        The per-level residual-mass bounds come from the store's
-        :meth:`~repro.sling.packed.PackedHittingStore.level_stats` metadata;
-        computing it faults every column in once, after which bounded queries
-        touch only the levels the truncated cascade actually replays.
-        """
-        if k <= 0:
-            raise ParameterError(f"k must be positive, got {k}")
-        if budget is None:
-            budget = self._params.epsilon / 4.0
-        if self._correction_max is None:
-            self._correction_max = (
-                float(self._corrections.max()) if self._corrections.size else 0.0
-            )
-        sqrt_c = self._params.sqrt_c
-        stat_levels, _, stat_maxima = self._store.node_level_stats(int(node))
-        level_bounds = {
-            int(level): (sqrt_c ** int(level)) * float(maximum) * self._correction_max
-            for level, maximum in zip(stat_levels, stat_maxima)
-        }
-        return bounded_top_k(
-            self._graph,
-            self._load_view(node),
-            self._corrections,
-            sqrt_c,
-            self._params.theta,
-            int(node),
-            k,
-            budget=budget,
-            level_bounds=level_bounds,
-        )
 
 
 # --------------------------------------------------------------------------- #
@@ -418,7 +246,7 @@ def out_of_core_build(
     merged stream never materialises per-node dicts.
 
     Returns an :class:`OutOfCoreBuildReport`; the finished index can then be
-    queried via :class:`DiskBackedIndex` or loaded with :func:`load_index`.
+    loaded (memory-mapped) with :func:`load_index`.
     """
     if buffer_bytes < RECORD_BYTES:
         raise ParameterError(
@@ -484,8 +312,7 @@ def out_of_core_build(
     merge_seconds = time.perf_counter() - start
 
     index = SlingIndex(graph, parameters=params, seed=seed)
-    index._corrections = corrections
-    index._store = store
+    index._attach(corrections, store, None)
     save_index(index, work_directory / "index")
 
     for path in run_paths:

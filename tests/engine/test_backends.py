@@ -4,6 +4,8 @@ ground truth."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.engine import (
 )
 from repro.exceptions import IndexNotBuiltError, ParameterError
 from repro.graphs import generators
+from repro.sling import PackedHittingStore
 
 #: Accuracy target shared by every backend in these tests; with the seeded
 #: 400-walk Monte-Carlo budget, every method lands comfortably inside it.
@@ -138,11 +141,17 @@ class TestAdapters:
         assert backend.index.is_built
         assert backend.average_set_size() > 0
 
-    def test_disk_backend_reads_sets_from_disk(self, built_backends):
+    def test_disk_backend_reads_sets_from_disk(self, built_backends, monkeypatch):
         backend = built_backends["sling-disk"]
-        before = backend.disk_index.num_set_reads
+        assert isinstance(backend.packed_store.values, np.memmap)
+        sliced = []
+        node_view = PackedHittingStore.node_view
+        monkeypatch.setattr(
+            PackedHittingStore, "node_view",
+            lambda store, node: sliced.append(node) or node_view(store, node),
+        )
         backend.single_pair(0, 1)
-        assert backend.disk_index.num_set_reads == before + 2
+        assert sliced == [0, 1]  # exactly two node segments per pair query
         # Resident footprint is just the correction factors; the full packed
         # index (reported like every other backend) is strictly larger.
         assert backend.resident_bytes() == 8 * backend.graph.num_nodes
@@ -155,6 +164,24 @@ class TestAdapters:
             assert disk.single_pair(node_u, node_v) == pytest.approx(
                 memory.single_pair(node_u, node_v), abs=1e-9
             )
+
+    def test_sling_size_accounting_agrees_across_backends(self, parity_graph, tmp_path):
+        # One index, one Figure-4 size: in memory, freshly saved to disk,
+        # and re-attached from the saved directory.
+        memory = create_backend("sling", parity_graph, CONFIG)
+        config = dataclasses.replace(CONFIG, work_directory=str(tmp_path))
+        fresh = create_backend("sling-disk", parity_graph, config)
+        reattached = create_backend(
+            "sling-disk", parity_graph,
+            dataclasses.replace(config, reuse_saved_index=True),
+        )
+        with pytest.raises(IndexNotBuiltError):
+            reattached.index.build_statistics  # attached, not rebuilt
+        store = memory.packed_store
+        expected = 8 * parity_graph.num_nodes + 12 * store.num_entries
+        assert memory.index_size_bytes() == expected
+        assert fresh.index_size_bytes() == expected
+        assert reattached.index_size_bytes() == expected
 
     def test_top_k_rejects_nonpositive_k(self, built_backends):
         with pytest.raises(ParameterError):
@@ -183,5 +210,5 @@ class TestSlingTopKMode:
             epsilon=EPSILON, seed=0, sling_topk_mode="bounded"
         )
         backend = DiskSlingBackend(parity_graph, config).build()
-        expected = backend.disk_index.top_k_bounded(0, 5).ranked
+        expected = backend.index.top_k_bounded(0, 5).ranked
         assert backend.top_k(0, 5) == expected

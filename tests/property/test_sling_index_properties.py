@@ -78,8 +78,12 @@ def test_correction_factors_and_hitting_sets_are_structurally_sound(graph, seed)
     index = SlingIndex(graph, c=C, epsilon=EPSILON, seed=seed).build()
     corrections = index.correction_factors
     assert np.all((corrections >= 0.0) & (corrections <= 1.0))
-    for node, hitting_set in enumerate(index.hitting_sets):
+    store = index.packed_store
+    for node in graph.nodes():
         # Level 0 always contains the node itself with probability 1.
-        assert hitting_set.get(0, node) == 1.0
-        for level in hitting_set.levels:
-            assert hitting_set.total_mass(level) <= (C**0.5) ** level + 1e-9
+        view = store.node_view(node)
+        assert view.contains(0, node)
+        # (a level-0 entry's combined key is its target id)
+        assert view.values[np.searchsorted(view.keys, node)] == 1.0
+        for level, _targets, values in view.iter_levels():
+            assert values.sum() <= (C**0.5) ** level + 1e-9

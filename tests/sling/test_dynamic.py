@@ -222,6 +222,18 @@ class TestQuerySurface:
             0, 5, method="local_push"
         )
 
+    def test_top_k_bounded_on_clean_generation_matches_rebuild(self, community_dynamic):
+        # A re-frozen generation reports store bounds again, so the pruned
+        # path runs exactly as on a from-scratch index.
+        index = community_dynamic
+        index.mutate(added=[(0, 17), (3, 28)], removed=[(1, 2)])
+        assert index.refreeze()
+        fresh = rebuilt(index.graph)
+        for node in (0, 17, 29):
+            expected = fresh.top_k_bounded(node, 5)
+            assert index.top_k(node, 5, method="bounded") == expected.ranked
+            assert index.top_k_bounded(node, 5) == expected
+
     def test_top_k_rejects_nonpositive_k(self, community_dynamic):
         with pytest.raises(ParameterError):
             community_dynamic.top_k(0, 0)

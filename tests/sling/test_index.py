@@ -170,9 +170,9 @@ class TestSizeAccounting:
         assert np.all((corrections >= 0.0) & (corrections <= 1.0))
 
     def test_hitting_sets_exposed(self, community_index):
-        hitting_sets = community_index.hitting_sets
-        assert len(hitting_sets) == 30
-        assert all(hs.get(0, node) > 0 for node, hs in enumerate(hitting_sets))
+        store = community_index.packed_store
+        assert store.num_nodes == 30
+        assert all(store.node_view(node).contains(0, node) for node in range(30))
 
 
 class TestReproducibility:

@@ -9,15 +9,35 @@ from repro.exceptions import ParameterError
 from repro.graphs import generators
 from repro.sling import (
     AccuracyEnhancer,
+    PackedHittingStore,
     SlingIndex,
     SpaceReduction,
     build_hitting_sets,
     exact_near_hops,
     neighborhood_weight,
 )
+from repro.sling.query import ServingState
 
 EPS = 0.05
 SQRT_C = 0.6**0.5
+
+
+def marked_enhancer(graph, hitting_sets) -> AccuracyEnhancer:
+    """An enhancer with every node's marks selected from ``hitting_sets``."""
+    enhancer = AccuracyEnhancer(graph, epsilon=EPS, sqrt_c=SQRT_C)
+    enhancer.mark_all_packed(PackedHittingStore.from_hitting_sets(hitting_sets))
+    return enhancer
+
+
+def enhanced_set(enhancer, node, hitting_set):
+    """``H*(node)``: the stored set plus the generated entries."""
+    generated = enhancer.generated_entries(
+        node, lambda level, target: hitting_set.get(level, target) > 0.0
+    )
+    enhanced = hitting_set.copy()
+    for (level, target), value in generated.items():
+        enhanced.set(level, target, value)
+    return enhanced
 
 
 @pytest.fixture(scope="module")
@@ -63,15 +83,22 @@ class TestSpaceReduction:
         assert sum(len(hs) for hs in reduced_sets) < sum(len(hs) for hs in baseline)
 
     def test_reconstruct_restores_exact_near_hops(self, graph):
-        hitting_sets = build_hitting_sets(graph, SQRT_C, theta=0.01)
-        reduction = SpaceReduction(theta=0.01, gamma=1e9)
-        reduction.apply(graph, hitting_sets)
-        node = 5
-        rebuilt = reduction.reconstruct(graph, node, hitting_sets[node], SQRT_C)
-        exact = exact_near_hops(graph, node, SQRT_C)
+        # A reduced node's stored set lacks levels 1-2; the view a query
+        # reads carries the exact Algorithm-5 values there.
+        index = SlingIndex(graph, epsilon=EPS, seed=1, reduce_space=True).build()
+        state = index._serving()
+        node = int(np.flatnonzero(state.reduced)[0])
+        stored_levels = set(index.packed_store.node_view(node).levels.tolist())
+        assert not stored_levels & {1, 2}
+        view = state.query_view(node)
+        entries = {
+            (int(level), int(target)): float(value)
+            for level, target, value in zip(view.levels, view.targets, view.values)
+        }
+        exact = exact_near_hops(graph, node, index.parameters.sqrt_c)
         for level in (1, 2):
             for target, value in exact.get(level, {}).items():
-                assert rebuilt.get(level, target) == pytest.approx(value)
+                assert entries[(level, target)] == value
 
     def test_index_with_reduction_stays_within_epsilon(self, graph, truth):
         index = SlingIndex(graph, epsilon=EPS, seed=1, reduce_space=True).build()
@@ -103,8 +130,7 @@ class TestAccuracyEnhancer:
 
     def test_marks_respect_budget_and_degree_cutoff(self, graph):
         hitting_sets = build_hitting_sets(graph, SQRT_C, theta=0.01)
-        enhancer = AccuracyEnhancer(graph, epsilon=EPS, sqrt_c=SQRT_C)
-        enhancer.mark_all(hitting_sets)
+        enhancer = marked_enhancer(graph, hitting_sets)
         in_degrees = graph.in_degrees()
         for node in graph.nodes():
             marks = enhancer.marks_for(node)
@@ -114,10 +140,9 @@ class TestAccuracyEnhancer:
 
     def test_enhanced_set_is_superset(self, graph):
         hitting_sets = build_hitting_sets(graph, SQRT_C, theta=0.01)
-        enhancer = AccuracyEnhancer(graph, epsilon=EPS, sqrt_c=SQRT_C)
-        enhancer.mark_all(hitting_sets)
+        enhancer = marked_enhancer(graph, hitting_sets)
         node = 4
-        enhanced = enhancer.enhance(node, hitting_sets[node])
+        enhanced = enhanced_set(enhancer, node, hitting_sets[node])
         assert len(enhanced) >= len(hitting_sets[node])
         for level, target, value in hitting_sets[node].items():
             assert enhanced.get(level, target) == pytest.approx(value)
@@ -127,11 +152,10 @@ class TestAccuracyEnhancer:
         # hitting probabilities; verify against the exact matrix values.
         theta = 0.02
         hitting_sets = build_hitting_sets(graph, SQRT_C, theta)
-        enhancer = AccuracyEnhancer(graph, epsilon=EPS, sqrt_c=SQRT_C)
-        enhancer.mark_all(hitting_sets)
+        enhancer = marked_enhancer(graph, hitting_sets)
         scaled_transition = graph.transition_matrix().toarray() * SQRT_C
         node = 7
-        enhanced = enhancer.enhance(node, hitting_sets[node])
+        enhanced = enhanced_set(enhancer, node, hitting_sets[node])
         # h^(l)(node, k) = (R^l e_node)[k] with R = sqrt(c) P  (Lemma 5).
         exact_level = np.eye(graph.num_nodes)[node]
         for level in range(enhanced.max_level() + 1):
@@ -159,7 +183,13 @@ class TestAccuracyEnhancer:
         assert np.abs(index.all_pairs() - truth).max() <= EPS
 
     def test_no_marks_returns_same_object(self, graph):
-        hitting_sets = build_hitting_sets(graph, SQRT_C, theta=0.01)
         enhancer = AccuracyEnhancer(graph, epsilon=EPS, sqrt_c=SQRT_C)
-        # mark_all was never called, so every node is unmarked.
-        assert enhancer.enhance(0, hitting_sets[0]) is hitting_sets[0]
+        # mark_all_packed was never called, so every node is unmarked and
+        # generates nothing: the query reads the zero-copy store slice.
+        assert enhancer.generated_entries(0, lambda level, target: False) == {}
+        index = SlingIndex(graph, epsilon=EPS, seed=3).build()
+        state = ServingState(
+            graph, index.parameters, index.correction_factors, index.packed_store,
+            enhancer=enhancer,
+        )
+        assert state.query_view(0).values.base is not None  # a slice, not a copy

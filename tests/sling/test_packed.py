@@ -1,10 +1,11 @@
 """Bitwise parity and layout-invariant tests for the packed hitting-set store.
 
-The packed query paths (sorted-key intersection, zero-copy frontier slices)
-and the dict-based compatibility path (``query_hitting_set`` +
-``view_from_hitting_set``) must agree *bitwise*: both funnel through the same
-kernels over identically ordered arrays, so any difference means the packed
-columns or the per-query overlays disagree with the dict contents.
+The query core (packed store slices plus copy-on-write overlays) must agree
+*bitwise* with a test-local reference that composes each query's hitting set
+with dicts — ``build_hitting_sets`` + ``exact_near_hops`` +
+``AccuracyEnhancer.generated_entries`` — and runs the same kernels on it: any
+difference means the packed columns or the per-query overlays disagree with
+the paper's definition of the set a query reads.
 """
 
 from __future__ import annotations
@@ -15,18 +16,21 @@ import pytest
 from repro.exceptions import ParameterError
 from repro.graphs import generators
 from repro.ranking import rank_top_k
+from repro.engine import BackendConfig, create_backend
 from repro.sling import (
-    DiskBackedIndex,
+    AccuracyEnhancer,
     HittingProbabilitySet,
     PackedHittingStore,
     QueryView,
     SlingIndex,
+    SpaceReduction,
+    build_hitting_sets,
+    exact_near_hops,
     intersect_views,
     load_index,
     pack_keys,
     save_index,
     single_source_local_push,
-    view_from_hitting_set,
 )
 from repro.sling.hitting import push_frontier
 
@@ -65,24 +69,88 @@ def index_cache(graph):
     return build
 
 
-def reference_single_pair(index: SlingIndex, node_u: int, node_v: int) -> float:
-    """Algorithm 3 through the dict-based compatibility path."""
-    return intersect_views(
-        view_from_hitting_set(index.query_hitting_set(node_u)),
-        view_from_hitting_set(index.query_hitting_set(node_v)),
-        index.correction_factors,
-    )
+def as_view(hitting_set: HittingProbabilitySet) -> QueryView:
+    """A dict-based set as a canonical (key-sorted) packed view."""
+    return PackedHittingStore.from_hitting_sets([hitting_set]).node_view(0)
 
 
-def reference_single_source(index: SlingIndex, node: int) -> np.ndarray:
-    """Algorithm 6 through the dict-based compatibility path."""
-    return single_source_local_push(
-        index.graph,
-        index.query_hitting_set(node),
-        index.correction_factors,
-        index.parameters.sqrt_c,
-        index.parameters.theta,
-    )
+def view_entries(view: QueryView) -> dict[tuple[int, int], float]:
+    """A view's entries as ``{(level, target): value}``."""
+    return {
+        (int(level), int(target)): float(value)
+        for level, target, value in zip(view.levels, view.targets, view.values)
+    }
+
+
+class DictReference:
+    """Each query's hitting set, composed with dicts from the build-time sets.
+
+    The stored sets come from ``build_hitting_sets`` (with the Section-5.2
+    reduction applied when enabled); a query from a reduced node overwrites
+    them with the exact ``exact_near_hops`` values, then adds the Section-5.3
+    ``generated_entries`` — the definition the packed overlays implement.
+    """
+
+    def __init__(self, index: SlingIndex, reduce_space: bool, enhance_accuracy: bool):
+        graph, params = index.graph, index.parameters
+        self.index = index
+        self.stored = build_hitting_sets(graph, params.sqrt_c, params.theta)
+        self.reduced = np.zeros(graph.num_nodes, dtype=bool)
+        if reduce_space:
+            self.reduced = SpaceReduction(theta=params.theta).apply(graph, self.stored)
+        self.enhancer = None
+        if enhance_accuracy:
+            self.enhancer = AccuracyEnhancer(graph, params.epsilon, params.sqrt_c)
+            self.enhancer.mark_all_packed(
+                PackedHittingStore.from_hitting_sets(self.stored)
+            )
+
+    def hitting_set(self, node: int) -> HittingProbabilitySet:
+        graph, sqrt_c = self.index.graph, self.index.parameters.sqrt_c
+        composed = self.stored[node].copy()
+        if self.reduced[node]:
+            for level, entries in exact_near_hops(graph, node, sqrt_c).items():
+                for target, value in entries.items():
+                    composed.set(level, target, value)
+        if self.enhancer is not None:
+            generated = self.enhancer.generated_entries(
+                node, lambda level, target: composed.get(level, target) > 0.0
+            )
+            for (level, target), value in generated.items():
+                composed.set(level, target, value)
+        return composed
+
+    def single_pair(self, node_u: int, node_v: int) -> float:
+        """Algorithm 3 over the dict-composed sets."""
+        return intersect_views(
+            as_view(self.hitting_set(node_u)),
+            as_view(self.hitting_set(node_v)),
+            self.index.correction_factors,
+        )
+
+    def single_source(self, node: int) -> np.ndarray:
+        """Algorithm 6 over the dict-composed set."""
+        params = self.index.parameters
+        return single_source_local_push(
+            self.index.graph,
+            as_view(self.hitting_set(node)),
+            self.index.correction_factors,
+            params.sqrt_c,
+            params.theta,
+        )
+
+
+@pytest.fixture(scope="module")
+def reference_cache(index_cache):
+    cache: dict[tuple[bool, bool], DictReference] = {}
+
+    def build(reduce_space: bool, enhance_accuracy: bool) -> DictReference:
+        key = (reduce_space, enhance_accuracy)
+        if key not in cache:
+            cache[key] = DictReference(index_cache(*key), *key)
+        return cache[key]
+
+    return build
 
 
 def legacy_intersect(
@@ -109,75 +177,86 @@ def legacy_intersect(
 class TestQueryParity:
     @pytest.mark.parametrize("reduce_space,enhance_accuracy", FLAG_COMBOS)
     def test_single_pair_bitwise_identical(
-        self, graph, index_cache, reduce_space, enhance_accuracy
+        self, graph, index_cache, reference_cache, reduce_space, enhance_accuracy
     ):
         index = index_cache(reduce_space, enhance_accuracy)
+        reference = reference_cache(reduce_space, enhance_accuracy)
         rng = np.random.default_rng(0)
         pairs = [(int(u), int(v)) for u, v in rng.integers(0, graph.num_nodes, (40, 2))]
         pairs += [(node, node) for node in range(0, graph.num_nodes, 5)]
         for node_u, node_v in pairs:
-            assert index.single_pair(node_u, node_v) == reference_single_pair(
-                index, node_u, node_v
+            assert index.single_pair(node_u, node_v) == reference.single_pair(
+                node_u, node_v
             )
 
     @pytest.mark.parametrize("reduce_space,enhance_accuracy", FLAG_COMBOS)
     def test_single_source_bitwise_identical(
-        self, graph, index_cache, reduce_space, enhance_accuracy
+        self, graph, index_cache, reference_cache, reduce_space, enhance_accuracy
     ):
         index = index_cache(reduce_space, enhance_accuracy)
+        reference = reference_cache(reduce_space, enhance_accuracy)
         for node in range(graph.num_nodes):
             assert np.array_equal(
-                index.single_source(node), reference_single_source(index, node)
+                index.single_source(node), reference.single_source(node)
             )
 
     @pytest.mark.parametrize("reduce_space,enhance_accuracy", FLAG_COMBOS)
     def test_top_k_bitwise_identical(
-        self, graph, index_cache, reduce_space, enhance_accuracy
+        self, graph, index_cache, reference_cache, reduce_space, enhance_accuracy
     ):
         index = index_cache(reduce_space, enhance_accuracy)
+        reference = reference_cache(reduce_space, enhance_accuracy)
         for node in (0, 7, 19):
             expected = rank_top_k(
-                reference_single_source(index, node).copy(), node, 5
+                reference.single_source(node), node, 5
             )
             assert index.top_k(node, 5) == expected
 
     @pytest.mark.parametrize("reduce_space,enhance_accuracy", FLAG_COMBOS)
     def test_all_pairs_bitwise_identical(
-        self, graph, index_cache, reduce_space, enhance_accuracy
+        self, graph, index_cache, reference_cache, reduce_space, enhance_accuracy
     ):
         index = index_cache(reduce_space, enhance_accuracy)
+        reference = reference_cache(reduce_space, enhance_accuracy)
         reference = np.stack(
-            [reference_single_source(index, node) for node in graph.nodes()]
+            [reference.single_source(node) for node in graph.nodes()]
         )
         assert np.array_equal(index.all_pairs(), reference)
 
     @pytest.mark.parametrize("reduce_space,enhance_accuracy", FLAG_COMBOS)
     def test_pairwise_single_source_bitwise_identical(
-        self, graph, index_cache, reduce_space, enhance_accuracy
+        self, graph, index_cache, reference_cache, reduce_space, enhance_accuracy
     ):
         index = index_cache(reduce_space, enhance_accuracy)
+        reference = reference_cache(reduce_space, enhance_accuracy)
         scores = index.single_source(3, method="pairwise")
         expected = np.array(
-            [reference_single_pair(index, 3, other) for other in graph.nodes()]
+            [reference.single_pair(3, other) for other in graph.nodes()]
         )
         assert np.array_equal(scores, expected)
 
-    def test_matches_legacy_dict_loop_closely(self, graph, index_cache):
+    def test_matches_legacy_dict_loop_closely(self, graph, index_cache, reference_cache):
         # The legacy Python loop sums in dict-insertion order, so agreement
         # is up to floating-point reassociation, not bitwise.
         index = index_cache(False, False)
+        reference = reference_cache(False, False)
         for node_u, node_v in [(0, 1), (3, 20), (7, 7), (2, 15)]:
             legacy = legacy_intersect(
-                index.query_hitting_set(node_u),
-                index.query_hitting_set(node_v),
+                reference.hitting_set(node_u),
+                reference.hitting_set(node_v),
                 index.correction_factors,
             )
             assert index.single_pair(node_u, node_v) == pytest.approx(
                 legacy, abs=1e-12
             )
 
-    def test_kernel_accepts_dict_and_view_identically(self, graph, index_cache):
+    def test_kernel_accepts_dict_and_view_identically(
+        self, graph, index_cache, reference_cache
+    ):
+        # A store slice and the build-time dict set, converted to a view,
+        # run through the kernel to the same bits.
         index = index_cache(False, False)
+        reference = reference_cache(False, False)
         params = index.parameters
         for node in (0, 11, 23):
             from_view = single_source_local_push(
@@ -189,7 +268,7 @@ class TestQueryParity:
             )
             from_dict = single_source_local_push(
                 graph,
-                index.packed_store.hitting_set(node),
+                as_view(reference.stored[node]),
                 index.correction_factors,
                 params.sqrt_c,
                 params.theta,
@@ -222,13 +301,14 @@ class TestStoreInvariants:
                 pack_keys(store.levels[start:stop], store.targets[start:stop]),
             )
 
-    def test_store_matches_dict_sets_exactly(self, index_cache):
-        index = index_cache(False, False)
-        store = index.packed_store
-        for node, hitting_set in enumerate(index.hitting_sets):
-            assert store.hitting_set(node) == hitting_set
+    def test_store_matches_dict_sets_exactly(self, index_cache, reference_cache):
+        store = index_cache(False, False).packed_store
+        stored = reference_cache(False, False).stored
+        for node, hitting_set in enumerate(stored):
+            expected = {(level, target): value for level, target, value in hitting_set.items()}
+            assert view_entries(store.node_view(node)) == expected
             assert store.entry_counts()[node] == len(hitting_set)
-        assert store.num_entries == sum(len(hs) for hs in index.hitting_sets)
+        assert store.num_entries == sum(len(hs) for hs in stored)
 
     def test_size_accounting_is_o1_and_matches_dicts(self, index_cache):
         index = index_cache(False, False)
@@ -264,28 +344,26 @@ class TestStoreInvariants:
 # --------------------------------------------------------------------------- #
 class TestQueryView:
     def test_override_replaces_and_inserts_in_key_order(self):
-        base = view_from_hitting_set(
-            HittingProbabilitySet({0: {4: 1.0}, 2: {1: 0.25, 6: 0.5}})
-        )
+        base = as_view(HittingProbabilitySet({0: {4: 1.0}, 2: {1: 0.25, 6: 0.5}}))
         composed = base.override([(2, 6, 0.75), (1, 3, 0.125), (2, 9, 0.0625)])
         assert composed.num_entries == 5
         assert np.all(np.diff(composed.keys) > 0)
-        rebuilt = composed.to_hitting_set()
-        assert rebuilt.get(2, 6) == 0.75  # replaced
-        assert rebuilt.get(1, 3) == 0.125  # inserted
-        assert rebuilt.get(2, 9) == 0.0625  # inserted
-        assert rebuilt.get(0, 4) == 1.0  # untouched
+        rebuilt = view_entries(composed)
+        assert rebuilt[(2, 6)] == 0.75  # replaced
+        assert rebuilt[(1, 3)] == 0.125  # inserted
+        assert rebuilt[(2, 9)] == 0.0625  # inserted
+        assert rebuilt[(0, 4)] == 1.0  # untouched
         # the receiver is copy-on-write: the base view is unchanged
-        assert base.to_hitting_set().get(2, 6) == 0.5
+        assert view_entries(base)[(2, 6)] == 0.5
 
     def test_override_on_empty_view(self):
-        empty = view_from_hitting_set(HittingProbabilitySet())
+        empty = as_view(HittingProbabilitySet())
         composed = empty.override([(0, 2, 1.0)])
         assert composed.num_entries == 1
         assert composed.contains(0, 2)
 
     def test_contains_and_iter_levels(self):
-        view = view_from_hitting_set(
+        view = as_view(
             HittingProbabilitySet({1: {5: 0.5, 2: 0.25}, 3: {0: 0.125}})
         )
         assert view.contains(1, 5)
@@ -298,8 +376,8 @@ class TestQueryView:
         assert observed == [(1, [2, 5], [0.25, 0.5]), (3, [0], [0.125])]
 
     def test_intersect_empty_views(self):
-        empty = view_from_hitting_set(HittingProbabilitySet())
-        other = view_from_hitting_set(HittingProbabilitySet({0: {0: 1.0}}))
+        empty = as_view(HittingProbabilitySet())
+        other = as_view(HittingProbabilitySet({0: {0: 1.0}}))
         corrections = np.ones(4)
         assert intersect_views(empty, other, corrections) == 0.0
         assert intersect_views(other, empty, corrections) == 0.0
@@ -360,27 +438,32 @@ class TestRoundTrip:
     def test_disk_backed_queries_bitwise_exact(
         self, graph, index_cache, tmp_path, reduce_space, enhance_accuracy
     ):
-        # DiskBackedIndex serves the *stored* sets (no per-query overlays),
-        # so compare against the stored-set reference, not the optimized one.
+        # Regression: the disk-backed reader used to skip the Section-5.2/5.3
+        # overlays, answering reduced-space queries off by up to 0.6.  The
+        # sling-disk backend re-attaching to a saved index must answer
+        # exactly like the in-memory build, on every query path.
         index = index_cache(reduce_space, enhance_accuracy)
         directory = save_index(index, tmp_path / "index")
-        disk = DiskBackedIndex(directory, graph)
-        store = index.packed_store
-        for u, v in [(0, 1), (5, 18), (10, 10), (3, 22)]:
-            expected = intersect_views(
-                store.node_view(u), store.node_view(v), index.correction_factors
-            )
-            assert disk.single_pair(u, v) == expected
-        params = index.parameters
+        backend = create_backend(
+            "sling-disk",
+            graph,
+            BackendConfig(
+                epsilon=EPS, seed=5, work_directory=str(directory),
+                reuse_saved_index=True,
+            ),
+        )
+        assert isinstance(backend.packed_store.values, np.memmap)
+        for u, v in [(0, 1), (5, 18), (10, 10), (3, 22), (7, 2)]:
+            assert backend.single_pair(u, v) == index.single_pair(u, v)
+        for node in range(graph.num_nodes):
+            assert np.array_equal(backend.single_source(node), index.single_source(node))
+            assert backend.top_k(node, 5) == index.top_k(node, 5)
         for node in (2, 17):
-            expected = single_source_local_push(
-                graph,
-                store.node_view(node),
-                index.correction_factors,
-                params.sqrt_c,
-                params.theta,
+            assert np.array_equal(
+                backend.single_source(node, method="cascade"),
+                index.single_source(node, method="cascade"),
             )
-            assert np.array_equal(disk.single_source(node), expected)
+            assert backend.index.top_k_bounded(node, 5) == index.top_k_bounded(node, 5)
 
 
 # --------------------------------------------------------------------------- #
@@ -460,18 +543,18 @@ class TestLevelSegments:
                 assert np.array_equal(view.values[starts[idx] : stops[idx]], values)
 
     def test_empty_view(self):
-        view = view_from_hitting_set(HittingProbabilitySet())
+        view = as_view(HittingProbabilitySet())
         levels, starts, stops = view.level_segments()
         assert levels.size == starts.size == stops.size == 0
 
 
 class TestLevelStats:
-    def test_matches_hitting_set_aggregates(self, index_cache):
-        index = index_cache(False, False)
-        store = index.packed_store
+    def test_matches_hitting_set_aggregates(self, index_cache, reference_cache):
+        store = index_cache(False, False).packed_store
+        stored = reference_cache(False, False).stored
         for node in (0, 5, 17, 23):
             levels, totals, maxima = store.node_level_stats(node)
-            expected = index.hitting_sets[node].levels
+            expected = stored[node].levels
             present = sorted(level for level, entries in expected.items() if entries)
             assert [int(level) for level in levels] == present
             for level, total, maximum in zip(levels, totals, maxima):

@@ -7,10 +7,15 @@ import pytest
 
 from repro.exceptions import ParameterError
 from repro.graphs import generators
-from repro.sling import SlingIndex
+from repro.sling import HittingProbabilitySet, PackedHittingStore, SlingIndex
 from repro.sling.single_source import single_source_local_push
 
 EPS = 0.05
+
+
+def empty_view():
+    """A query view with no stored entries."""
+    return PackedHittingStore.from_hitting_sets([HittingProbabilitySet()]).node_view(0)
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +81,14 @@ class TestLocalPush:
 
 class TestSharedKernel:
     def test_kernel_accepts_arbitrary_hitting_set(self, built_index):
+        # Any key-sorted view works, not just a store slice: here a copy
+        # composed through an (identity) override.
         graph = built_index.graph
-        query_set = built_index.query_hitting_set(4)
+        stored = built_index.packed_store.node_view(4)
+        query_set = stored.override(
+            [(int(stored.levels[0]), int(stored.targets[0]), float(stored.values[0]))]
+        )
+        assert query_set.values is not stored.values
         scores = single_source_local_push(
             graph,
             query_set,
@@ -88,11 +99,9 @@ class TestSharedKernel:
         assert np.allclose(scores, built_index.single_source(4))
 
     def test_empty_hitting_set_gives_zero_vector(self, built_index):
-        from repro.sling import HittingProbabilitySet
-
         scores = single_source_local_push(
             built_index.graph,
-            HittingProbabilitySet(),
+            empty_view(),
             built_index.correction_factors,
             built_index.parameters.sqrt_c,
             built_index.parameters.theta,
@@ -110,11 +119,11 @@ class TestCascade:
             assert np.all(cascade <= 1.0)
 
     def test_empty_hitting_set_gives_zero_vector(self, built_index):
-        from repro.sling import HittingProbabilitySet, single_source_cascade
+        from repro.sling import single_source_cascade
 
         scores = single_source_cascade(
             built_index.graph,
-            HittingProbabilitySet(),
+            empty_view(),
             built_index.correction_factors,
             built_index.parameters.sqrt_c,
             built_index.parameters.theta,

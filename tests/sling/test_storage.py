@@ -1,4 +1,4 @@
-"""Unit tests for index persistence, disk-backed queries, out-of-core builds."""
+"""Unit tests for index persistence, mmap-loaded queries, out-of-core builds."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import pytest
 from repro.exceptions import ParameterError, StorageError
 from repro.graphs import generators
 from repro.sling import (
-    DiskBackedIndex,
+    PackedHittingStore,
     SlingIndex,
     SlingParameters,
     load_index,
@@ -70,27 +70,27 @@ class TestSaveLoad:
     def test_missing_data_file_rejected(self, graph, built_index, tmp_path):
         directory = save_index(built_index, tmp_path / "index")
         (directory / "sling_values.npy").unlink()
-        with pytest.raises((StorageError, FileNotFoundError)):
+        with pytest.raises(StorageError):
             load_index(directory, graph)
 
     def test_missing_corrections_rejected(self, graph, built_index, tmp_path):
         directory = save_index(built_index, tmp_path / "index")
         (directory / "sling_corrections.npy").unlink()
-        with pytest.raises((StorageError, FileNotFoundError)):
+        with pytest.raises(StorageError):
             load_index(directory, graph)
 
     def test_metadata_only_directory_rejected_for_disk_backed(self, graph, built_index, tmp_path):
         directory = save_index(built_index, tmp_path / "index")
         for column in directory.glob("sling_*.npy"):
             column.unlink()
-        with pytest.raises((StorageError, FileNotFoundError)):
-            DiskBackedIndex(directory, graph)
+        with pytest.raises(StorageError):
+            load_index(directory, graph, mmap_mode="r")
 
-    def test_legacy_v1_npz_directory_still_loads(self, graph, built_index, tmp_path):
-        """A format-version-1 directory (one compressed npz) stays readable."""
+    def test_unsupported_format_version_rejected(self, graph, built_index, tmp_path):
+        """A format-version-1 directory (one compressed npz) is refused with a
+        typed error that says how to recover, not a KeyError or a missing
+        file."""
         import json
-
-        import numpy as np
 
         directory = tmp_path / "v1"
         directory.mkdir()
@@ -119,11 +119,12 @@ class TestSaveLoad:
             "enhance_accuracy": False,
         }
         (directory / "sling_meta.json").write_text(json.dumps(meta))
-        loaded = load_index(directory, graph)
-        for pair in [(0, 1), (3, 20), (7, 7)]:
-            assert loaded.single_pair(*pair) == built_index.single_pair(*pair)
-        disk = DiskBackedIndex(directory, graph)
-        assert disk.single_pair(0, 1) == built_index.single_pair(0, 1)
+        with pytest.raises(StorageError, match="re-save with this version"):
+            load_index(directory, graph)
+        del meta["format_version"]  # pre-versioning metadata
+        (directory / "sling_meta.json").write_text(json.dumps(meta))
+        with pytest.raises(StorageError, match="re-save with this version"):
+            load_index(directory, graph, mmap_mode=None)
 
     def test_roundtrip_with_optimizations(self, graph, tmp_path, ground_truth_cache):
         index = SlingIndex(
@@ -136,47 +137,49 @@ class TestSaveLoad:
 
 
 class TestDiskBackedIndex:
-    def test_single_pair_matches_in_memory(self, graph, built_index, tmp_path):
+    """An index loaded with ``mmap_mode="r"`` serves from the mapped columns."""
+
+    @pytest.fixture()
+    def disk(self, graph, built_index, tmp_path):
         directory = save_index(built_index, tmp_path / "index")
-        disk = DiskBackedIndex(directory, graph)
+        return load_index(directory, graph, mmap_mode="r")
+
+    def test_single_pair_matches_in_memory(self, built_index, disk):
         for pair in [(0, 1), (5, 18), (10, 10)]:
-            assert disk.single_pair(*pair) == pytest.approx(
-                built_index.single_pair(*pair), abs=1e-9
-            )
+            assert disk.single_pair(*pair) == built_index.single_pair(*pair)
 
-    def test_single_source_matches_in_memory(self, graph, built_index, tmp_path):
-        directory = save_index(built_index, tmp_path / "index")
-        disk = DiskBackedIndex(directory, graph)
-        assert np.allclose(disk.single_source(2), built_index.single_source(2))
+    def test_single_source_matches_in_memory(self, built_index, disk):
+        assert np.array_equal(disk.single_source(2), built_index.single_source(2))
 
-    def test_io_accounting(self, graph, built_index, tmp_path):
-        directory = save_index(built_index, tmp_path / "index")
-        disk = DiskBackedIndex(directory, graph)
-        assert disk.num_set_reads == 0
+    def test_io_accounting(self, disk, monkeypatch):
+        """Section 5.4: a pair query slices exactly two node segments of the
+        store, a single-source query one."""
+        sliced: list[int] = []
+        node_view = PackedHittingStore.node_view
+
+        def spy(store, node):
+            sliced.append(int(node))
+            return node_view(store, node)
+
+        monkeypatch.setattr(PackedHittingStore, "node_view", spy)
         disk.single_pair(0, 1)
-        assert disk.num_set_reads == 2  # exactly two hitting sets per pair query
-        disk.single_source(0)
-        assert disk.num_set_reads == 3
+        assert sliced == [0, 1]
+        disk.single_source(3)
+        assert sliced == [0, 1, 3]
 
-    def test_io_accounting_has_no_lost_updates_under_threads(
-        self, graph, built_index, tmp_path
-    ):
-        """Regression: the read counter used to be an unlocked ``+= 1``.
-
-        Hammering one disk-backed index from several threads must account
-        every hitting-set read exactly once (two per pair query), and the
-        concurrently-computed scores must match the sequential answers.
-        """
+    def test_mmap_index_matches_serial_answers_under_threads(self, graph, disk):
+        """Eight threads querying one mmap-loaded index must reproduce the
+        serial answers exactly."""
         import threading
 
-        directory = save_index(built_index, tmp_path / "index")
-        disk = DiskBackedIndex(directory, graph)
         pairs = [(u, (u + 7) % graph.num_nodes) for u in range(graph.num_nodes)]
-        expected = {pair: disk.single_pair(*pair) for pair in pairs}
-        baseline_reads = disk.num_set_reads
+        sources = list(range(0, graph.num_nodes, 5))
+        expected_pairs = {pair: disk.single_pair(*pair) for pair in pairs}
+        expected_sources = {node: disk.single_source(node) for node in sources}
 
-        num_threads, rounds = 8, 25
+        num_threads, rounds = 8, 10
         observed: list[dict] = [dict() for _ in range(num_threads)]
+        mismatches: list[int] = []
         barrier = threading.Barrier(num_threads)
 
         def hammer(slot: int) -> None:
@@ -184,6 +187,11 @@ class TestDiskBackedIndex:
             for _ in range(rounds):
                 for pair in pairs:
                     observed[slot][pair] = disk.single_pair(*pair)
+                for node in sources:
+                    if not np.array_equal(
+                        disk.single_source(node), expected_sources[node]
+                    ):
+                        mismatches.append(node)
 
         threads = [
             threading.Thread(target=hammer, args=(slot,))
@@ -194,57 +202,40 @@ class TestDiskBackedIndex:
         for thread in threads:
             thread.join()
 
-        assert disk.num_set_reads == baseline_reads + 2 * num_threads * rounds * len(pairs)
+        assert mismatches == []
         for slot in range(num_threads):
-            assert observed[slot] == expected
+            assert observed[slot] == expected_pairs
 
     def test_graph_mismatch_rejected(self, built_index, tmp_path):
         directory = save_index(built_index, tmp_path / "index")
         with pytest.raises(StorageError):
-            DiskBackedIndex(directory, generators.cycle(5))
+            load_index(directory, generators.cycle(5), mmap_mode="r")
 
-    def test_parameters_exposed(self, graph, built_index, tmp_path):
-        directory = save_index(built_index, tmp_path / "index")
-        disk = DiskBackedIndex(directory, graph)
-        assert disk.parameters.epsilon == built_index.parameters.epsilon
+    def test_parameters_exposed(self, built_index, disk):
+        assert disk.parameters == built_index.parameters
 
-    def test_cascade_matches_in_memory_bitwise(self, graph, built_index, tmp_path):
-        directory = save_index(built_index, tmp_path / "index")
-        disk = DiskBackedIndex(directory, graph)
+    def test_cascade_matches_in_memory_bitwise(self, built_index, disk):
         for node in (0, 7, 19):
             assert np.array_equal(
                 disk.single_source(node, method="cascade"),
                 built_index.single_source(node, method="cascade"),
             )
 
-    def test_unknown_single_source_method_rejected(
-        self, graph, built_index, tmp_path
-    ):
-        directory = save_index(built_index, tmp_path / "index")
-        disk = DiskBackedIndex(directory, graph)
+    def test_unknown_single_source_method_rejected(self, disk):
         with pytest.raises(ParameterError):
             disk.single_source(0, method="bogus")
 
-    def test_top_k_matches_in_memory(self, graph, built_index, tmp_path):
-        directory = save_index(built_index, tmp_path / "index")
-        disk = DiskBackedIndex(directory, graph)
+    def test_top_k_matches_in_memory(self, built_index, disk):
         for node in (0, 4, 21):
             assert disk.top_k(node, 6) == built_index.top_k(node, 6)
         with pytest.raises(ParameterError):
             disk.top_k(0, 0)
 
-    def test_top_k_bounded_matches_in_memory(self, graph, built_index, tmp_path):
-        directory = save_index(built_index, tmp_path / "index")
-        disk = DiskBackedIndex(directory, graph)
+    def test_top_k_bounded_matches_in_memory(self, built_index, disk):
         for node in (0, 4, 21):
-            from_disk = disk.top_k_bounded(node, 6)
-            from_memory = built_index.top_k_bounded(node, 6)
             # Same store metadata, same corrections → same truncation
             # decision and same ranking on both paths.
-            assert from_disk.ranked == from_memory.ranked
-            assert from_disk.stop_level == from_memory.stop_level
-            assert from_disk.truncated == from_memory.truncated
-            assert from_disk.tail_bound == pytest.approx(from_memory.tail_bound)
+            assert disk.top_k_bounded(node, 6) == built_index.top_k_bounded(node, 6)
         assert (
             disk.top_k(2, 6, method="bounded") == disk.top_k_bounded(2, 6).ranked
         )
@@ -287,10 +278,12 @@ class TestOutOfCoreBuild:
         large = out_of_core_build(
             graph, params, tmp_path / "b", buffer_bytes=1 << 22, seed=0
         )
-        small_index = load_index(small.directory, graph)
-        large_index = load_index(large.directory, graph)
-        for node in range(graph.num_nodes):
-            assert small_index.hitting_sets[node] == large_index.hitting_sets[node]
+        small_store = load_index(small.directory, graph).packed_store
+        large_store = load_index(large.directory, graph).packed_store
+        for column in ("offsets", "levels", "targets", "values", "keys"):
+            assert np.array_equal(
+                getattr(small_store, column), getattr(large_store, column)
+            )
 
     def test_invalid_buffer_rejected(self, graph, params, tmp_path):
         with pytest.raises(ParameterError):
