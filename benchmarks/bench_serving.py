@@ -59,6 +59,7 @@ from repro.service import (
     SimRankClient,
     SinglePairQuery,
     SingleSourceQuery,
+    SparseScores,
     TopKQuery,
     WorkerPool,
 )
@@ -137,6 +138,8 @@ def build_workload(
 
 def _normalise(value: object) -> str:
     """Canonical JSON form of a result value, for cross-config comparison."""
+    if isinstance(value, SparseScores):
+        value = value.to_wire()
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 

@@ -8,11 +8,11 @@ measured:
   line and one response line, for a small (``top_k``) and a large
   (``single_source``) envelope.  These sit on the serve loop's hot path
   in front of every query;
-* **chunked vs monolithic streaming** — a chunked ``single_source``
-  response trades a little encoding overhead (one envelope's metadata per
-  ``partial`` frame) for a bounded peak line size.  The benchmark measures
-  both sides of that trade on a real service answer and records the
-  targets: peak line size must shrink by at least ``--peak-factor``
+* **chunked vs monolithic streaming** — a ``single_source`` response
+  chunked by nonzeros trades a little encoding overhead (one envelope's
+  metadata per ``partial`` frame) for a bounded peak line size.  The
+  benchmark measures both sides of that trade on a real service answer and
+  records the targets: peak line size must shrink by at least ``--peak-factor``
   (default 4x) while the total encode cost stays within
   ``--latency-factor`` (default 3x) of the monolithic line.  The latency
   factor is dominated by fixed per-frame metadata, so it *falls* as the
@@ -104,11 +104,13 @@ def run_benchmark(
     top_k_result = service.execute(TopKQuery(dataset, node=3, k=10))
     source_result = service.execute(SingleSourceQuery(dataset, node=3))
     assert top_k_result.ok and source_result.ok
-    n = len(source_result.value)
+    n = source_result.value.n
+    # single_source values travel (and chunk) as their nonzeros.
+    nonzeros = len(source_result.value.index)
     if chunk_size is None:
         # Sixteen frames per response by default, so the peak-line target
         # is meaningful at any --scale.
-        chunk_size = max(4, n // 16)
+        chunk_size = max(4, nonzeros // 16)
 
     request = TopKQuery(dataset, node=3, k=10)
     codec_cells = [
@@ -161,6 +163,7 @@ def run_benchmark(
     chunk_peak = max(len(line) for line in chunk_lines)
     streaming = {
         "num_nodes": n,
+        "nonzeros": nonzeros,
         "chunk_size": chunk_size,
         "monolithic_lines": len(mono_lines),
         "chunked_lines": len(chunk_lines),
@@ -203,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--epsilon", type=float, default=0.1)
     parser.add_argument(
         "--chunk-size", type=int, default=None,
-        help="partial-frame size (default: num_nodes/16)",
+        help="nonzeros per partial frame (default: nonzeros/16)",
     )
     parser.add_argument("--iterations", type=int, default=2000)
     parser.add_argument("--repeats", type=int, default=5)

@@ -48,8 +48,8 @@ def tour(client: SimRankClient, label: str) -> dict:
     monolithic = client.single_source("GrQc", 0)
     streamed = client.single_source("GrQc", 0, chunk_size=8)
     assert streamed == monolithic, "chunking must not change the answer"
-    print(f"single_source(0): {len(streamed)} scores "
-          "(streamed in 8-score chunks, reassembled exactly)")
+    print(f"single_source(0): {len(streamed.index)} of {streamed.n} scores "
+          "nonzero (streamed in 8-nonzero chunks, reassembled exactly)")
 
     top = client.top_k("GrQc", 3, k=5)
     print("top-5 for node 3: "

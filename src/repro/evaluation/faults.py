@@ -52,6 +52,8 @@ import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from ..engine import BackendConfig
 from ..exceptions import ParameterError
 from ..graphs import datasets
@@ -66,6 +68,7 @@ from ..service.results import (
     ERROR_OVERLOADED,
     ERROR_TIMEOUT,
     ERROR_UNAVAILABLE,
+    SparseScores,
 )
 from ..service.wal import FAIL_AFTER_ENV, MutationWAL
 from .traffic import TrafficPattern, chaos_pattern_overrides, generate_traffic
@@ -411,7 +414,7 @@ def run_storm(
             if refreeze_result.ok:
                 acked.append(final_refreeze.mutation_id)
             probe_nodes = _probe_nodes(events, _node_count(profile))
-            probes: dict[int, list[float]] = {}
+            probes: dict[int, SparseScores] = {}
             for node in probe_nodes:
                 result = client.execute(
                     SingleSourceQuery(dataset=profile.dataset, node=node)
@@ -483,7 +486,7 @@ def _verify_wal(
     profile: ChaosProfile,
     wal_dir: str,
     acked: list[str],
-    probes: dict[int, list[float]],
+    probes: dict[int, SparseScores],
 ) -> tuple[dict, dict]:
     """The two durability invariants, evaluated against the WAL on disk.
 
@@ -529,8 +532,8 @@ def _verify_wal(
                 max_diff = float("inf")
                 continue
             compared += 1
-            for live, recovered in zip(live_vector, result.value):
-                max_diff = max(max_diff, abs(live - recovered))
+            diff = np.abs(np.asarray(live_vector) - np.asarray(result.value))
+            max_diff = max(max_diff, float(diff.max(initial=0.0)))
     finally:
         reference.close_all()
     # Both sides are re-frozen stores over (what must be) the same graph
@@ -594,8 +597,8 @@ def run_disk_full(profile: ChaosProfile | None = None) -> dict:
         after = service.execute(SingleSourceQuery(dataset=dataset, node=1))
         # The failed mutate rolled back: reads still answer, within the
         # staleness the extra apply+rollback layer is certified to cost.
-        drift = max(
-            abs(a - b) for a, b in zip(before.value, after.value)
+        drift = float(
+            np.max(np.abs(np.asarray(before.value) - np.asarray(after.value)))
         ) if before.ok and after.ok else float("inf")
         report["reads_survive"] = after.ok
         report["rollback_drift"] = drift

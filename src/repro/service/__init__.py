@@ -25,7 +25,8 @@ strictly::
   cache invalidation, optional re-freeze);
 * :mod:`repro.service.results` — the :class:`QueryResult` envelope (value +
   dataset + backend + plan + latency + cache-hit flag, or a structured
-  :class:`QueryError` — bad requests never raise across the boundary);
+  :class:`QueryError` — bad requests never raise across the boundary), and
+  :class:`SparseScores`, the nonzeros form ``single_source`` values take;
 * :mod:`repro.service.service` — :class:`SimRankService`, which manages named
   dataset sessions (lazy open via the planner and memory budget, per-backend
   engines, close / list / describe / aggregate statistics) and dispatches
@@ -97,6 +98,7 @@ from .results import (
     RETRYABLE_ERROR_CODES,
     QueryError,
     QueryResult,
+    SparseScores,
     result_from_wire,
 )
 from .service import DatasetSession, ServiceConfig, SimRankService
@@ -143,6 +145,7 @@ __all__ = [
     "FAIL_AFTER_ENV",
     "QueryError",
     "QueryResult",
+    "SparseScores",
     "result_from_wire",
     "ERROR_BAD_REQUEST",
     "ERROR_UNKNOWN_DATASET",

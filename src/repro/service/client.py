@@ -18,7 +18,8 @@ Typical use::
     from repro.service import SimRankClient
 
     with SimRankClient.in_process(scale=0.1) as client:
-        scores = client.single_source("GrQc", 3, chunk_size=512)
+        # single_source answers its nonzeros; np.asarray densifies them.
+        scores = np.asarray(client.single_source("GrQc", 3, chunk_size=512))
         top = client.top_k("GrQc", 3, k=5)
         print(client.list_datasets(), client.stats()["totals"])
 
@@ -79,6 +80,7 @@ from .results import (
     ERROR_UNAVAILABLE,
     RETRYABLE_ERROR_CODES,
     QueryResult,
+    SparseScores,
 )
 from .service import ServiceConfig, SimRankService
 from .wire import (
@@ -862,8 +864,9 @@ class SimRankClient:
 
     def single_source(
         self, dataset: str, node: int, *, chunk_size: int | None = None
-    ) -> list:
-        """SimRank from ``node`` to every node (optionally streamed)."""
+    ) -> SparseScores:
+        """SimRank from ``node`` to every node (optionally streamed), as
+        its nonzeros; ``np.asarray`` of the answer is the dense vector."""
         return self._value(
             SingleSourceQuery(dataset, node), chunk_size=chunk_size
         )

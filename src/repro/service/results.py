@@ -4,22 +4,36 @@ A :class:`QueryResult` is the *only* thing that crosses the service boundary:
 successful queries carry their value plus provenance (dataset, backend, the
 planner's routing decision, latency, whether the engine's cache answered);
 failed ones carry a structured :class:`QueryError` instead of an exception.
-``value`` is always plain JSON-able Python (floats, lists, dicts) so the
-envelope serialises to one JSONL line without further conversion.
+``value`` is plain JSON-able Python (floats, lists, dicts), except for
+``single_source``, whose :class:`SparseScores` has a JSON-able
+:meth:`~SparseScores.to_wire` form; :meth:`QueryResult.to_wire` applies it,
+so the envelope still serialises to one JSONL line.
 
-Value shapes by kind:
+Value shapes by kind (in-process type, then wire form):
 
 =============== ==========================================================
 ``single_pair``   ``float``
-``single_source`` ``list[float]`` (index = node id)
+``single_source`` :class:`SparseScores`; on the wire its nonzeros,
+                  ``{"n": int, "index": [int, ...], "value": [float, ...]}``
+                  with strictly increasing node ids.  ``np.asarray`` of it
+                  is the dense length-``n`` vector (index = node id).
 ``top_k``         ``list[{"rank": int, "node": int, "score": float}]``
 ``all_pairs``     ``list[list[float]]`` (row = source node)
 =============== ==========================================================
+
+A SimRank single-source vector is mostly zeros on sparse graphs: on the
+6,000-node Google stand-in (epsilon 0.025) the median answer has ~14
+nonzeros, and its response line is ~650 B instead of ~24.5 KB dense.  The
+worst case, a vector with no zero at all, adds one id per full-precision
+score: at most 1.5x the dense list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
+
+import numpy as np
 
 from ..exceptions import WireFormatError
 
@@ -35,6 +49,7 @@ __all__ = [
     "RETRYABLE_ERROR_CODES",
     "QueryError",
     "QueryResult",
+    "SparseScores",
     "result_from_wire",
 ]
 
@@ -64,6 +79,92 @@ ERROR_TIMEOUT = "timeout"
 RETRYABLE_ERROR_CODES = frozenset(
     {ERROR_UNAVAILABLE, ERROR_OVERLOADED, ERROR_TIMEOUT}
 )
+
+
+@dataclass(frozen=True)
+class SparseScores:
+    """A ``single_source`` answer kept as its nonzeros.
+
+    ``index`` holds the node ids with a nonzero score, strictly increasing,
+    and ``value`` their scores; every other of the ``n`` nodes scores 0.
+    ``np.asarray(scores)`` (or :meth:`to_dense`) rebuilds the length-``n``
+    vector bit for bit — a ``-0.0`` counts as nonzero and is kept.
+
+    Deliberately not a sequence (no ``len``, iteration or indexing): code
+    that zipped the old dense list against another vector would silently
+    pair up nonzeros; densify first.
+    """
+
+    n: int
+    index: list[int]
+    value: list[float]
+
+    @classmethod
+    def from_dense(cls, vector: np.ndarray) -> "SparseScores":
+        """The nonzeros of a dense float vector (index = node id)."""
+        vector = np.ascontiguousarray(vector, dtype=np.float64)
+        # Nonzero by bit pattern, so ``-0.0`` survives the round trip.
+        index = np.flatnonzero(vector.view(np.int64))
+        return cls(vector.shape[0], index.tolist(), vector[index].tolist())
+
+    def to_wire(self) -> dict:
+        """The JSON-able ``{"n", "index", "value"}`` form."""
+        return {"n": self.n, "index": self.index, "value": self.value}
+
+    def to_dense(self) -> np.ndarray:
+        """The dense length-``n`` float64 vector."""
+        dense = np.zeros(self.n, dtype=np.float64)
+        dense[self.index] = self.value
+        return dense
+
+    def tolist(self) -> list[float]:
+        """The dense vector as a plain list (the pre-sparse value shape)."""
+        return self.to_dense().tolist()
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        dense = self.to_dense()
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
+def _sparse_from_wire(payload: object) -> SparseScores:
+    """Decode and validate the wire form of a :class:`SparseScores`.
+
+    Raises :class:`~repro.exceptions.WireFormatError` unless ``n`` is a
+    non-negative int, ``index``/``value`` are equal-length lists, every id
+    is an int in ``[0, n)`` and the ids strictly increase, and every score
+    is a number.
+    """
+    if not isinstance(payload, dict):
+        raise WireFormatError(
+            "single_source value must be an object with n/index/value, "
+            f"got {type(payload).__name__}"
+        )
+    n, index, value = payload.get("n"), payload.get("index"), payload.get("value")
+    if type(n) is not int or n < 0:
+        raise WireFormatError(f"single_source n must be a non-negative int, got {n!r}")
+    if type(index) is not list or type(value) is not list:
+        raise WireFormatError("single_source index and value must be lists")
+    if len(index) != len(value):
+        raise WireFormatError(
+            f"single_source has {len(index)} indexes but {len(value)} values"
+        )
+    if index:
+        # Whole-list checks in C (type sets, pairwise ``<``) instead of a
+        # Python loop: this runs once per decoded answer.
+        if not set(map(type, index)) <= {int}:
+            raise WireFormatError("single_source indexes must be ints")
+        if not set(map(type, value)) <= {float, int}:
+            raise WireFormatError("single_source values must be numbers")
+        if index[0] < 0 or index[-1] >= n:
+            raise WireFormatError(
+                f"single_source index out of range [0, {n}): "
+                f"{index[0] if index[0] < 0 else index[-1]}"
+            )
+        if not all(map(lt, index, index[1:])):
+            raise WireFormatError(
+                "single_source indexes must be strictly increasing"
+            )
+    return SparseScores(n, index, value)
 
 
 @dataclass(frozen=True)
@@ -122,7 +223,8 @@ class QueryResult:
         index_version: int | None = None,
         degraded: bool = False,
     ) -> "QueryResult":
-        """A successful envelope; ``value`` must already be JSON-able.
+        """A successful envelope; ``value`` must already be JSON-able (or a
+        :class:`SparseScores`).
 
         Built by populating ``__dict__`` directly instead of the generated
         ``__init__``: the frozen dataclass assigns fields one
@@ -194,7 +296,10 @@ class QueryResult:
             "seconds": self.seconds,
         }
         if self.ok:
-            payload["value"] = self.value
+            value = self.value
+            payload["value"] = (
+                value.to_wire() if type(value) is SparseScores else value
+            )
             payload["backend"] = self.backend
             payload["plan"] = self.plan
             payload["cache_hit"] = self.cache_hit
@@ -227,9 +332,12 @@ def result_from_wire(payload: object) -> QueryResult:
     }
     if payload["ok"]:
         version = payload.get("index_version")
+        value = payload.get("value")
+        if common["kind"] == "single_source":
+            value = _sparse_from_wire(value)
         return QueryResult(
             ok=True,
-            value=payload.get("value"),
+            value=value,
             backend=payload.get("backend"),
             plan=payload.get("plan"),
             cache_hit=payload.get("cache_hit"),

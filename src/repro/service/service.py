@@ -56,6 +56,7 @@ from .results import (
     ERROR_NODE_OUT_OF_RANGE,
     ERROR_UNKNOWN_DATASET,
     QueryResult,
+    SparseScores,
 )
 from .wire import PROTOCOL_VERSION, decode_envelope
 
@@ -584,15 +585,16 @@ class SimRankService:
                         # kernel answers within the backend's certified
                         # accuracy at a fraction of the cost.  Bypasses the
                         # engine cache, so no hit attribution.
-                        value = engine.backend.single_source(
+                        vector = engine.backend.single_source(
                             query.node, method="cascade"
-                        ).tolist()
+                        )
                         degraded = True
                     except TypeError:
                         # Backend without a method switch: no cheaper path.
-                        value = engine.single_source(query.node).tolist()
+                        vector = engine.single_source(query.node)
                 else:
-                    value = engine.single_source(query.node).tolist()
+                    vector = engine.single_source(query.node)
+                value = SparseScores.from_dense(vector)
             elif kind == "top_k":
                 if query.node >= n:
                     return self._out_of_range(query, session, start)

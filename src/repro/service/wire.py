@@ -20,17 +20,31 @@ The envelope keys are:
 * ``v`` — the protocol version the client speaks (``1`` or ``2``).  Bare
   v1 lines (no envelope keys at all) keep working: they decode as v2 with
   ``id: null`` and are answered unchunked.
-* ``chunk_size`` — ask for a large list-valued result (``single_source``,
+* ``chunk_size`` — ask for a large result (``single_source``,
   ``all_pairs``) to be streamed as bounded ``partial`` frames followed by a
-  terminal ``done`` frame instead of one giant line::
+  terminal ``done`` frame instead of one giant line.  ``all_pairs`` is
+  chunked by rows::
+
+      {"v":2,"frame":"partial","id":7,"kind":"all_pairs", ...,
+       "seq":0,"offset":0,"value":[...at most chunk_size rows...]}
+      {"v":2,"frame":"done","id":7,"ok":true, ..., "chunks":4,"total":2048}
+
+  ``single_source`` values travel as their nonzeros
+  (``{"n":..,"index":[..],"value":[..]}``, see
+  :class:`~repro.service.results.SparseScores`), so they are chunked by
+  nonzeros: each partial carries at most ``chunk_size`` ``(index, value)``
+  pairs, ``offset`` counts the nonzeros already sent, and the ``done``
+  frame adds ``n`` while ``total`` counts the nonzeros::
 
       {"v":2,"frame":"partial","id":7,"kind":"single_source", ...,
-       "seq":0,"offset":0,"value":[...at most chunk_size items...]}
-      {"v":2,"frame":"done","id":7,"ok":true, ..., "chunks":4,"total":2048}
+       "seq":0,"offset":0,"value":{"index":[...],"value":[...]}}
+      {"v":2,"frame":"done","id":7,"ok":true, ..., "n":6000,
+       "chunks":2,"total":300}
 
   The ``done`` frame carries everything a monolithic response does except
   ``value``; concatenating the partials in ``seq`` order reconstructs the
-  value exactly (:func:`result_from_frames`).
+  value exactly (:func:`result_from_frames`).  A result with at most
+  ``chunk_size`` rows or nonzeros goes out as one monolithic line.
 
 A serve loop additionally opens with a ``hello`` frame (``{"v":2,
 "frame":"hello","protocol":2,...}``) advertising the protocol version,
@@ -57,7 +71,7 @@ from typing import Iterator, Sequence
 from ..exceptions import ParameterError, WireFormatError
 from .control import ControlRequest, request_from_wire
 from .queries import Query, query_from_wire
-from .results import ERROR_BAD_REQUEST, QueryResult, result_from_wire
+from .results import ERROR_BAD_REQUEST, QueryResult, SparseScores, result_from_wire
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -319,25 +333,28 @@ def response_frames(
 
     Without ``chunk_size`` (or for error envelopes and non-chunkable
     kinds) this is exactly one monolithic line from :func:`encode_response`.
-    With it, a list-valued ``single_source`` / ``all_pairs`` result longer
-    than ``chunk_size`` streams as ``partial`` frames of at most
-    ``chunk_size`` items each, then a terminal ``done`` frame — so the
+    With it, an ``all_pairs`` result with more than ``chunk_size`` rows, or
+    a ``single_source`` result with more than ``chunk_size`` nonzeros,
+    streams as ``partial`` frames of at most ``chunk_size`` rows (or
+    ``(index, value)`` pairs) each, then a terminal ``done`` frame — so the
     peak line size is bounded by the chunk, not the graph.
     """
     value = result.value
+    sparse = type(value) is SparseScores
+    items = value.index if sparse else value
+    total = len(items) if isinstance(items, list) else 0
     if (
         not chunk_size
         or not result.ok
         or result.kind not in CHUNKABLE_KINDS
-        or not isinstance(value, list)
-        or len(value) <= chunk_size
+        or total <= chunk_size
     ):
         yield encode_response(result, id=id)
         return
-    total = len(value)
     chunks = (total + chunk_size - 1) // chunk_size
     for seq in range(chunks):
         offset = seq * chunk_size
+        stop = offset + chunk_size
         yield _dumps(
             {
                 "v": PROTOCOL_VERSION,
@@ -347,11 +364,17 @@ def response_frames(
                 "dataset": result.dataset,
                 "seq": seq,
                 "offset": offset,
-                "value": value[offset : offset + chunk_size],
+                "value": (
+                    {"index": items[offset:stop], "value": value.value[offset:stop]}
+                    if sparse
+                    else items[offset:stop]
+                ),
             }
         )
     done = {"v": PROTOCOL_VERSION, "frame": "done", "id": id, **result.to_wire()}
     del done["value"]
+    if sparse:
+        done["n"] = value.n
     done["chunks"] = chunks
     done["total"] = total
     yield _dumps(done)
@@ -390,7 +413,9 @@ def result_from_frames(frames: Sequence[dict]) -> QueryResult:
         raise WireFormatError(
             f"chunked response must end with a done frame, got {done.get('frame')!r}"
         )
-    value: list = []
+    sparse = done.get("kind") == "single_source"
+    items: list = []
+    scores: list = []
     for seq, frame in enumerate(partials):
         if frame.get("frame") != "partial":
             raise WireFormatError(
@@ -401,24 +426,41 @@ def result_from_frames(frames: Sequence[dict]) -> QueryResult:
                 f"partial frames out of order: expected seq {seq}, "
                 f"got {frame.get('seq')!r}"
             )
-        if frame.get("offset") != len(value):
+        if frame.get("offset") != len(items):
             raise WireFormatError(
                 f"partial frame offset {frame.get('offset')!r} does not match "
-                f"{len(value)} items received"
+                f"{len(items)} items received"
             )
         chunk = frame.get("value")
-        if not isinstance(chunk, list):
-            raise WireFormatError("partial frame value must be a list")
-        value.extend(chunk)
+        if sparse:
+            index = chunk.get("index") if isinstance(chunk, dict) else None
+            value = chunk.get("value") if isinstance(chunk, dict) else None
+            if not (
+                isinstance(index, list)
+                and isinstance(value, list)
+                and len(index) == len(value)
+            ):
+                raise WireFormatError(
+                    "single_source partial frame value must be an object "
+                    "with equal-length index and value lists"
+                )
+            items.extend(index)
+            scores.extend(value)
+        else:
+            if not isinstance(chunk, list):
+                raise WireFormatError("partial frame value must be a list")
+            items.extend(chunk)
     expected = done.get("total")
-    if expected is not None and expected != len(value):
+    if expected is not None and expected != len(items):
         raise WireFormatError(
-            f"done frame claims {expected} items, received {len(value)}"
+            f"done frame claims {expected} items, received {len(items)}"
         )
     payload = {
         key: val
         for key, val in done.items()
-        if key not in ("v", "id", "frame", "chunks", "total")
+        if key not in ("v", "id", "frame", "chunks", "total", "n")
     }
-    payload["value"] = value
+    payload["value"] = (
+        {"n": done.get("n"), "index": items, "value": scores} if sparse else items
+    )
     return result_from_wire(payload)

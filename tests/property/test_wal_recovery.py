@@ -84,7 +84,7 @@ def test_recovered_service_matches_live(tmp_path_factory, ops):
     assert final.ok, final.error
 
     live = {
-        node: list(service.execute(SingleSourceQuery(DATASET, node=node)).value)
+        node: service.execute(SingleSourceQuery(DATASET, node=node)).value.tolist()
         for node in PROBES
     }
 
@@ -94,4 +94,4 @@ def test_recovered_service_matches_live(tmp_path_factory, ops):
     for node in PROBES:
         replayed = recovered.execute(SingleSourceQuery(DATASET, node=node))
         assert replayed.ok
-        assert list(replayed.value) == pytest.approx(live[node], abs=1e-6), node
+        assert replayed.value.tolist() == pytest.approx(live[node], abs=1e-6), node

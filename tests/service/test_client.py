@@ -18,15 +18,22 @@ import signal
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.engine import BackendConfig
+from repro.graphs import datasets
 from repro.service import (
+    Address,
+    Router,
     ServiceConfig,
     ServiceError,
     SimRankClient,
+    SingleSourceQuery,
     TopKQuery,
+    WorkerPool,
 )
+from repro.sling import SlingIndex
 
 #: Settings shared by both transports — must stay in lockstep so values
 #: are reproducible across processes.
@@ -136,6 +143,64 @@ class TestTransportParity:
                 "describe-dataset", "shutdown"} <= labels
 
 
+class TestSingleSourceParity:
+    """Every transport's densified ``single_source`` answer is bitwise the
+    vector ``SlingIndex.single_source`` computes, chunked or not."""
+
+    #: Sparse at this scale (median ~6 of 300 nodes nonzero, some sources
+    #: score only themselves), so the nonzero encoding is exercised.
+    DATASET = "Google"
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        graph = datasets.load_dataset(self.DATASET, scale=SCALE, seed=SEED)
+        return SlingIndex(
+            graph, c=BackendConfig().c, epsilon=EPSILON, seed=SEED
+        ).build()
+
+    @pytest.fixture(params=["in_process", "subprocess", "socket", "router"])
+    def transport(self, request):
+        if request.param != "router":
+            client = make_client(request.param)
+            yield client
+            client.close()
+            return
+        pool = WorkerPool(
+            2,
+            serve_args=[
+                "--scale", str(SCALE), "--epsilon", str(EPSILON),
+                "--seed", str(SEED), "--mc-walks", str(MC_WALKS),
+            ],
+        )
+        pool.start()
+        router = Router(pool, address=Address(family="tcp", host="127.0.0.1", port=0))
+        router.start()
+        client = SimRankClient(address=str(router.address))
+        try:
+            yield client
+        finally:
+            client.close()
+            router.stop()
+
+    def test_densified_values_are_bitwise_the_index(self, transport, reference):
+        nonzeros = []
+        # Every third source: includes self-only node 18 and keeps the
+        # router leg short.
+        for node in range(0, reference.graph.num_nodes, 3):
+            expected = reference.single_source(node).view(np.int64)
+            unchunked = transport.execute(SingleSourceQuery(self.DATASET, node))
+            chunked = transport.execute(
+                SingleSourceQuery(self.DATASET, node), chunk_size=16
+            )
+            assert unchunked.ok and chunked.ok
+            assert chunked.value == unchunked.value
+            dense = np.asarray(unchunked.value, dtype=np.float64)
+            assert np.array_equal(dense.view(np.int64), expected), node
+            nonzeros.append(len(unchunked.value.index))
+        assert min(nonzeros) == 1  # a self-only vector is in the sample
+        assert max(nonzeros) > 16  # and some answers really were chunked
+
+
 def assert_records_identical(local_record, remote_record):
     """Same labels in the same order, identical values at every step —
     shared with the socket and router suites."""
@@ -200,7 +265,7 @@ class TestClientBehavior:
         unchunked = client.single_source("GrQc", 2)
         chunked = client.single_source("GrQc", 2, chunk_size=5)
         assert chunked == unchunked
-        assert len(chunked) == client.describe("GrQc")["num_nodes"]
+        assert chunked.n == client.describe("GrQc")["num_nodes"]
 
     def test_value_helpers_raise_service_error(self, client):
         with pytest.raises(ServiceError) as excinfo:

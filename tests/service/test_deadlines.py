@@ -219,8 +219,8 @@ class TestGracefulDegradation:
         assert degraded.cache_hit is None  # bypasses the engine cache
         # The cascade path answers within the backend's accuracy target —
         # the values stay sane, just not bitwise equal to the exact path.
-        assert len(degraded.value) == len(exact.value)
-        assert all(-1e-9 <= v <= 1.0 + 1e-9 for v in degraded.value)
+        assert degraded.value.n == exact.value.n
+        assert all(-1e-9 <= v <= 1.0 + 1e-9 for v in degraded.value.value)
 
 
 class TestRetryPolicy:

@@ -3,7 +3,8 @@
 Covers the wire-level tentpole pieces — versioned envelopes with id echo,
 ``partial``/``done`` streaming with exact reassembly, compact encoding —
 plus the v1 back-compat guarantee: a recorded v1 JSONL transcript replayed
-through ``repro serve`` yields byte-equivalent ``value`` fields.
+through ``repro serve`` yields byte-equivalent ``value`` fields, and the
+sparse ``single_source`` encoding (nonzero chunking, exact densification).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 
+import numpy as np
 import pytest
 
 from repro.exceptions import WireFormatError
@@ -23,6 +25,7 @@ from repro.service import (
     SimRankService,
     SinglePairQuery,
     SingleSourceQuery,
+    SparseScores,
     TopKQuery,
     decode_envelope,
     decode_envelope_line,
@@ -149,7 +152,8 @@ class TestCompactEncoding:
 
     def test_frames_encode_compactly(self):
         result = QueryResult.success(
-            kind="single_source", dataset="GrQc", value=[0.1] * 64,
+            kind="single_source", dataset="GrQc",
+            value=SparseScores.from_dense(np.full(64, 0.1)),
             backend="sling", plan=None, seconds=0.01, cache_hit=False,
         )
         for line in response_frames(result, id=2, chunk_size=16):
@@ -159,7 +163,7 @@ class TestCompactEncoding:
 def _success_single_source(n=100):
     return QueryResult.success(
         kind="single_source", dataset="GrQc",
-        value=[float(i) / n for i in range(n)],
+        value=SparseScores.from_dense(np.arange(1, n + 1) / n),
         backend="sling", plan={"backend": "sling"}, seconds=0.5,
         cache_hit=False,
     )
@@ -173,7 +177,7 @@ class TestResponseFrames:
         assert payload["v"] == PROTOCOL_VERSION
         assert payload["id"] == "r1"
         assert payload["ok"] is True
-        assert payload["value"] == result.value
+        assert payload["value"] == result.value.to_wire()
         assert "frame" not in payload
 
     def test_chunked_frames_are_bounded_and_ordered(self):
@@ -185,10 +189,11 @@ class TestResponseFrames:
         assert all(f["frame"] == "partial" for f in partials)
         assert [f["seq"] for f in partials] == list(range(7))
         assert [f["offset"] for f in partials] == [16 * i for i in range(7)]
-        assert all(len(f["value"]) <= 16 for f in partials)
+        assert all(len(f["value"]["index"]) <= 16 for f in partials)
         assert all(f["id"] == 7 for f in frames)
         assert done["frame"] == "done"
         assert done["chunks"] == 7 and done["total"] == 100
+        assert done["n"] == 100
         assert "value" not in done
         # Every frame line is far smaller than the monolithic line.
         (monolithic,) = response_frames(result, id=7)
@@ -246,6 +251,116 @@ class TestResponseFrames:
             result_from_frames(mutate(frames))
 
 
+def _frames(result, **kwargs) -> list[dict]:
+    return [json.loads(line) for line in response_frames(result, id=1, **kwargs)]
+
+
+def _bits(vector) -> np.ndarray:
+    return np.asarray(vector, dtype=np.float64).view(np.int64)
+
+
+class TestSparseSingleSource:
+    """``single_source`` travels as its nonzeros and densifies bit for bit."""
+
+    #: Zeros between the nonzeros, a ``-0.0`` (kept: nonzero by bits) and
+    #: a score at the last node.
+    DENSE = np.array([0.0, 0.5, 0.0, 0.0, 1e-300, -0.0, 0.0, 0.25, 0.0, 1.0 / 3])
+
+    def _result(self, vector):
+        return QueryResult.success(
+            kind="single_source", dataset="GrQc",
+            value=SparseScores.from_dense(vector),
+            backend="sling", plan=None, seconds=0.01, cache_hit=False,
+        )
+
+    def test_nonzeros_are_sent_and_densify_bitwise(self):
+        result = self._result(self.DENSE)
+        (monolithic,) = _frames(result)
+        assert monolithic["value"] == {
+            "n": 10,
+            "index": [1, 4, 5, 7, 9],
+            "value": [0.5, 1e-300, -0.0, 0.25, 1.0 / 3],
+        }
+        rebuilt = result_from_frames([monolithic])
+        assert np.array_equal(_bits(rebuilt.value), _bits(self.DENSE))
+
+    def test_self_only_vector(self):
+        vector = np.zeros(50)
+        vector[17] = 1.0
+        result = self._result(vector)
+        assert result.value.to_wire() == {"n": 50, "index": [17], "value": [1.0]}
+        for chunk_size in (None, 1):
+            rebuilt = result_from_frames(_frames(result, chunk_size=chunk_size))
+            assert rebuilt.value == result.value
+            assert np.array_equal(_bits(rebuilt.value), _bits(vector))
+
+    def test_fully_dense_vector_stays_within_one_and_a_half_dense(self):
+        vector = np.random.default_rng(0).random(6000)
+        value = SparseScores.from_dense(vector)
+        assert len(value.index) == 6000
+        sparse_bytes = len(json.dumps(value.to_wire(), separators=(",", ":")))
+        dense_bytes = len(json.dumps(vector.tolist(), separators=(",", ":")))
+        assert sparse_bytes <= 1.5 * dense_bytes
+        assert np.array_equal(_bits(value), _bits(vector))
+
+    def test_chunks_count_nonzeros(self):
+        result = self._result(self.DENSE)
+        frames = _frames(result, chunk_size=2)
+        partials, done = frames[:-1], frames[-1]
+        assert [f["offset"] for f in partials] == [0, 2, 4]
+        assert [f["value"]["index"] for f in partials] == [[1, 4], [5, 7], [9]]
+        assert done["frame"] == "done"
+        assert done["n"] == 10 and done["total"] == 5 and done["chunks"] == 3
+        chunked = result_from_frames(frames)
+        assert chunked.value == result_from_frames(_frames(result)).value
+        assert np.array_equal(_bits(chunked.value), _bits(self.DENSE))
+
+    def test_few_nonzeros_never_chunk(self):
+        vector = np.zeros(1000)
+        vector[[3, 500]] = 0.5
+        assert len(_frames(self._result(vector), chunk_size=2)) == 1
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda frames: [{**frames[0], "value": [0.5, 0.0]}, *frames[1:]],
+            lambda frames: [
+                {**frames[0], "value": {"index": [1, 4], "value": [0.5]}},
+                *frames[1:],
+            ],
+            lambda frames: [
+                {**frames[0], "value": {**frames[1]["value"]}},
+                {**frames[1], "value": {**frames[0]["value"]}},
+                *frames[2:],
+            ],
+            lambda frames: [*frames[:-1], {**frames[-1], "n": 9}],
+            lambda frames: [
+                *frames[:-1],
+                {k: v for k, v in frames[-1].items() if k != "n"},
+            ],
+        ],
+        ids=[
+            "dense-partial", "ragged-partial", "swapped-payloads",
+            "n-too-small", "n-missing",
+        ],
+    )
+    def test_corrupt_sparse_frames_raise(self, mutate):
+        frames = _frames(self._result(self.DENSE), chunk_size=2)
+        with pytest.raises(WireFormatError):
+            result_from_frames(mutate(frames))
+
+    def test_value_is_not_a_sequence(self):
+        value = SparseScores.from_dense(self.DENSE)
+        with pytest.raises(TypeError):
+            len(value)
+        with pytest.raises(TypeError):
+            iter(value)
+        with pytest.raises(TypeError):
+            value[0]
+        assert value.tolist() == self.DENSE.tolist()
+        assert np.asarray(value, dtype=np.float32).dtype == np.float32
+
+
 class TestServeV2:
     """The serve loop end of the protocol: hello, id echo, chunking."""
 
@@ -284,7 +399,7 @@ class TestServeV2:
         streamed = [f for f in frames if f.get("id") == 2]
         assert streamed[-1]["frame"] == "done"
         rebuilt = result_from_frames(streamed)
-        assert rebuilt.value == monolithic["value"]
+        assert rebuilt.value.to_wire() == monolithic["value"]
 
     def test_server_side_chunk_size_default(self, capsys):
         lines = ['{"v":2,"id":1,"kind":"single_source","dataset":"GrQc","node":0}']
@@ -296,7 +411,7 @@ class TestServeV2:
 
 class TestV1TranscriptReplay:
     """A recorded v1 transcript replayed through the v2 serve loop yields
-    byte-equivalent ``value`` fields (the PR acceptance criterion)."""
+    the service's own wire ``value`` fields byte for byte."""
 
     TRANSCRIPT = [
         '{"kind":"top_k","dataset":"GrQc","node":3,"k":5}',
@@ -318,7 +433,7 @@ class TestV1TranscriptReplay:
             )
         )
         expected = [
-            json.dumps(service.execute_wire(json.loads(line)).value,
+            json.dumps(service.execute_wire(json.loads(line)).to_wire()["value"],
                        separators=(",", ":"))
             for line in self.TRANSCRIPT
         ]

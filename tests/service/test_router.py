@@ -290,7 +290,7 @@ class TestMutationRouting:
             for source in sources:
                 result = client.execute(SingleSourceQuery("GrQc", source))
                 assert result.ok and result.index_version is None
-                canon[(source, 0)] = tuple(result.value)
+                canon[(source, 0)] = tuple(result.value.tolist())
 
             records: list[list] = [[], []]
             errors: list[object] = []
@@ -311,7 +311,7 @@ class TestMutationRouting:
                                 (
                                     source,
                                     result.index_version or 0,
-                                    tuple(result.value),
+                                    tuple(result.value.tolist()),
                                 )
                             )
                     mine.close()
@@ -338,7 +338,7 @@ class TestMutationRouting:
                         )
                         assert result.ok
                         assert result.index_version == step
-                        canon[(source, step)] = tuple(result.value)
+                        canon[(source, step)] = tuple(result.value.tolist())
                     time.sleep(0.2)
             finally:
                 stop.set()

@@ -93,7 +93,7 @@ def run_crash_scenario(wal_dir=None) -> tuple[dict, list, list]:
         after = client.execute(SingleSourceQuery(DATASET, node=1))
         assert after.ok
         client.close()
-        return stats, list(before.value), list(after.value)
+        return stats, before.value.tolist(), after.value.tolist()
     finally:
         router.stop()
 

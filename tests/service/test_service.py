@@ -17,6 +17,7 @@ from repro.service import (
     SimRankService,
     SinglePairQuery,
     SingleSourceQuery,
+    SparseScores,
     TopKQuery,
 )
 
@@ -96,12 +97,17 @@ class TestExecute:
         assert result.seconds >= 0.0
         assert result.error is None
 
-    def test_single_source_value_is_plain_list(self, service):
+    def test_single_source_value_is_sparse_scores(self, service):
         result = service.execute(SingleSourceQuery("GrQc", 0))
         assert result.ok
-        assert isinstance(result.value, list)
-        assert len(result.value) == service.open_dataset("GrQc").num_nodes
-        assert all(isinstance(score, float) for score in result.value)
+        value = result.value
+        assert isinstance(value, SparseScores)
+        assert value.n == service.open_dataset("GrQc").num_nodes
+        assert all(type(node) is int for node in value.index)
+        assert all(type(score) is float and score != 0.0 for score in value.value)
+        dense = np.asarray(value, dtype=np.float64)
+        assert dense.shape == (value.n,)
+        assert value.tolist() == dense.tolist()
 
     def test_top_k_value_shape(self, service):
         result = service.execute(TopKQuery("GrQc", node=0, k=4))

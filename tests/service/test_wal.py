@@ -214,7 +214,7 @@ class TestServiceDurability:
     def probe(self, service: SimRankService, node: int = 0) -> list:
         result = service.execute(SingleSourceQuery(DATASET, node=node))
         assert result.ok
-        return list(result.value)
+        return result.value.tolist()
 
     def test_acked_mutation_survives_restart(self, tmp_path):
         service = make_service(tmp_path)

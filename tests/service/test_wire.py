@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.exceptions import WireFormatError
@@ -13,6 +14,7 @@ from repro.service import (
     QueryResult,
     SinglePairQuery,
     SingleSourceQuery,
+    SparseScores,
     TopKQuery,
     decode_request,
     decode_result,
@@ -27,7 +29,8 @@ SUCCESS_ENVELOPES = [
         plan={"backend": "sling", "reason": "r"}, seconds=0.001, cache_hit=True,
     ),
     QueryResult.success(
-        kind="single_source", dataset="GrQc", value=[0.0, 0.5, 1.0],
+        kind="single_source", dataset="GrQc",
+        value=SparseScores.from_dense(np.array([0.0, 0.5, 1.0])),
         backend="power", plan=None, seconds=0.2, cache_hit=False,
     ),
     QueryResult.success(
@@ -112,5 +115,75 @@ class TestResultLines:
         ],
     )
     def test_malformed_result_payloads_raise(self, payload):
+        with pytest.raises(WireFormatError):
+            result_from_wire(payload)
+
+    def test_single_source_wire_shape_is_its_nonzeros(self):
+        payload = SUCCESS_ENVELOPES[1].to_wire()
+        assert payload["value"] == {"n": 3, "index": [1, 2], "value": [0.5, 1.0]}
+
+
+def _sparse_payload(**value) -> dict:
+    base = {"n": 4, "index": [0, 2], "value": [1.0, 0.25]}
+    return {"ok": True, "kind": "single_source", "dataset": "GrQc",
+            "value": {**base, **value}}
+
+
+class TestHostileSparseValues:
+    """A malformed ``single_source`` value is a typed decode failure."""
+
+    def test_well_formed_payload_decodes(self):
+        result = result_from_wire(_sparse_payload())
+        assert result.value == SparseScores(4, [0, 2], [1.0, 0.25])
+        assert np.asarray(result.value).tolist() == [1.0, 0.0, 0.25, 0.0]
+
+    def test_empty_vector_decodes(self):
+        result = result_from_wire(_sparse_payload(n=0, index=[], value=[]))
+        assert np.asarray(result.value).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"n": -1},
+            {"n": "4"},
+            {"n": 4.0},
+            {"n": True},
+            {"n": None},
+            {"index": "0,2"},
+            {"index": {"0": 1}},
+            {"value": "1.0,0.25"},
+            {"value": None},
+            {"index": [0]},
+            {"value": [1.0, 0.25, 0.5]},
+            {"index": [0, 4]},
+            {"index": [-1, 2]},
+            {"index": [2, 0]},
+            {"index": [2, 2]},
+            {"index": [0, 2.0]},
+            {"index": [False, 2]},
+            {"value": [1.0, "0.25"]},
+            {"value": [1.0, None]},
+            {"value": [True, 0.25]},
+        ],
+        ids=[
+            "n-negative", "n-string", "n-float", "n-bool", "n-null",
+            "index-string", "index-object", "value-string-list", "value-null",
+            "length-short", "length-long", "index-at-n", "index-negative",
+            "index-unsorted", "index-duplicate", "index-float", "index-bool",
+            "value-string", "value-null-item", "value-bool",
+        ],
+    )
+    def test_malformed_sparse_value_raises_wire_format_error(self, value):
+        payload = _sparse_payload(**value)
+        with pytest.raises(WireFormatError):
+            result_from_wire(payload)
+        # The same payload arriving as a JSON line fails the same way.
+        line = json.dumps(payload)
+        with pytest.raises(WireFormatError):
+            decode_result(line)
+
+    @pytest.mark.parametrize("value", [[1.0, 0.0, 0.25, 0.0], "dense", None])
+    def test_non_object_value_raises(self, value):
+        payload = {**_sparse_payload(), "value": value}
         with pytest.raises(WireFormatError):
             result_from_wire(payload)
