@@ -6,10 +6,10 @@ One client surface, two transports.  The script runs the same tour twice:
 1. **in-process** — the client wraps a :class:`~repro.service.SimRankService`
    in this interpreter (requests still round-trip through the protocol-v2
    envelope and frame codecs, so nothing is faked);
-2. **subprocess** — the client spawns ``repro serve`` as a child process and
-   speaks v2 JSONL to it over pipes: hello handshake, id-correlated
-   requests, chunked ``partial``/``done`` streaming, and a clean
-   ``shutdown``.
+2. **socket** — the client spawns a private ``repro serve --unix`` child
+   and speaks v2 JSONL to it over a Unix-domain socket: hello handshake,
+   id-correlated requests, chunked ``partial``/``done`` streaming, and a
+   clean ``shutdown``.
 
 The tour exercises both planes: the four query kinds (single-pair,
 single-source — once monolithic, once streamed in chunks — top-k, and
@@ -92,7 +92,7 @@ def main() -> int:
     with SimRankClient.connect(
         scale=args.scale, epsilon=args.epsilon, seed=args.seed
     ) as remote:
-        remote_values = tour(remote, "subprocess transport (repro serve child)")
+        remote_values = tour(remote, "socket transport (repro serve --unix child)")
 
     assert local_values == remote_values, "transports diverged!"
     print("\nboth transports returned identical values — parity holds")

@@ -3,12 +3,11 @@
 
 Two tours of the network layer (`repro.service.net`):
 
-1. **socket transport** — ``SimRankClient.connect_socket()`` spawns a
-   private ``repro serve --unix`` child and speaks protocol v2 to it over
-   a Unix-domain socket; a *second* client then attaches to the same
-   server by address (``SimRankClient(address=...)``) and reads the warm
-   state the first one created, which is what distinguishes a socket
-   server from the per-client stdio pipe.
+1. **socket transport** — ``SimRankClient.connect()`` spawns a private
+   ``repro serve --unix`` child and speaks protocol v2 to it over a
+   Unix-domain socket; a *second* client then attaches to the same server
+   by address (``SimRankClient(address=...)``) and reads the warm state
+   the first one created: one server, any number of clients.
 2. **router** — a :class:`~repro.service.WorkerPool` of two real worker
    processes fronted by a :class:`~repro.service.Router`: each dataset is
    owned by one worker (consistent hashing, here overridden with pins),
@@ -30,7 +29,7 @@ from repro.service import Address, Router, SimRankClient, WorkerPool
 
 def socket_tour(scale: float, epsilon: float, seed: int) -> None:
     print("=== socket transport (owned `repro serve --unix` child) ===")
-    with SimRankClient.connect_socket(
+    with SimRankClient.connect(
         scale=scale, epsilon=epsilon, seed=seed
     ) as owner:
         address = owner.address

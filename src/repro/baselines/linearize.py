@@ -13,7 +13,8 @@ Preprocessing estimates ``D``:
 1. sample ``R`` reverse random walks of length ``T`` from every node and use
    their empirical step distributions ``p̃^(ℓ)_{k,i}`` to assemble the
    truncated linear system  Σ_ℓ Σ_i c^ℓ (p̃^(ℓ)_{k,i})² D(i,i) = 1  (Eq. 19),
-2. run ``L`` Gauss–Seidel sweeps on that system.
+2. run ``L`` Gauss–Seidel sweeps on that system, visiting the nodes in
+   topological order of the graph (see :meth:`LinearizeIndex._sweep_order`).
 
 As the paper stresses (Appendix A), this yields *no* worst-case accuracy
 guarantee — the sampling error, the truncation, and the possible
@@ -161,6 +162,38 @@ class LinearizeIndex(SimRankMethod):
                 data.append(value)
         return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
 
+    def _sweep_order(self) -> np.ndarray:
+        """Nodes in reverse DFS postorder of the out-edges.
+
+        For every edge ``u -> v`` across strongly connected components, ``u``
+        comes before ``v``.  Row ``k`` of ``M`` couples ``D(k,k)`` only to the
+        nodes that reverse walks from ``k`` reach, i.e. to ``k``'s ancestors,
+        so sweeping in this order solves an acyclic graph's (triangular)
+        system in one sweep; forward id order would need one sweep per level
+        of a directed path and leave ``s(u, u)`` far from 1 after ``L``.
+        """
+        indptr, indices = self._graph.out_csr()
+        n = self._graph.num_nodes
+        visited = np.zeros(n, dtype=bool)
+        postorder: list[int] = []
+        for root in range(n):
+            if visited[root]:
+                continue
+            visited[root] = True
+            stack = [(root, int(indptr[root]))]
+            while stack:
+                node, cursor = stack[-1]
+                if cursor < indptr[node + 1]:
+                    stack[-1] = (node, cursor + 1)
+                    child = int(indices[cursor])
+                    if not visited[child]:
+                        visited[child] = True
+                        stack.append((child, int(indptr[child])))
+                else:
+                    stack.pop()
+                    postorder.append(node)
+        return np.asarray(postorder[::-1], dtype=np.int64)
+
     def _gauss_seidel(self, coefficients: sparse.csr_matrix) -> np.ndarray:
         """``L`` Gauss–Seidel sweeps on ``M · diag = 1`` (Equation 19)."""
         n = self._graph.num_nodes
@@ -168,8 +201,9 @@ class LinearizeIndex(SimRankMethod):
         indptr = coefficients.indptr
         indices = coefficients.indices
         values = coefficients.data
+        order = self._sweep_order()
         for _ in range(self._num_sweeps):
-            for k in range(n):
+            for k in order:
                 row_slice = slice(indptr[k], indptr[k + 1])
                 row_cols = indices[row_slice]
                 row_vals = values[row_slice]

@@ -24,12 +24,11 @@ Queries go through the :class:`~repro.service.SimRankService` layer:
 unanswerable requests become error envelopes, never tracebacks (with
 ``--input FILE`` the envelope carries the bad line's number in
 ``error.detail.line``), and the exit status is non-zero when any line
-failed.  ``batch --workers N`` runs the batch over a
-:class:`~repro.service.ParallelExecutor` worker pool (ordered output,
-identical envelopes-per-line contract); ``serve`` is the long-lived variant
-— a stdin/stdout JSONL loop that keeps every touched dataset session open,
-answers requests in arrival order with up to ``--workers`` in flight, and
-exits 0 on EOF.
+failed.  ``serve`` is the long-lived variant — a stdin/stdout JSONL loop
+that keeps every touched dataset session open and exits 0 on EOF.  Both
+run the one ordered connection pump every socket connection runs too
+(:mod:`repro.service.net.pump`): responses in arrival order with up to
+``--workers`` requests executing behind the head of the line.
 
 Both JSONL commands speak **wire protocol v2** (see the README reference):
 requests may wrap the v1 body with ``v``/``id``/``chunk_size`` envelope
@@ -48,13 +47,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import queue
-import select
 import signal
 import sys
 import threading
-from dataclasses import replace
-from typing import Sequence, TextIO
+from typing import Sequence
 
 from .engine import PAIR_AMORTIZE_THRESHOLD, BackendConfig, backend_names
 from .evaluation import experiments, reporting
@@ -72,7 +68,6 @@ from .service import (
     MutateRequest,
     ParallelExecutor,
     QueryResult,
-    RequestEnvelope,
     Router,
     ServiceConfig,
     SimRankService,
@@ -80,12 +75,10 @@ from .service import (
     SocketServer,
     TopKQuery,
     WorkerPool,
-    decode_envelope_line,
-    encode_frame,
     parse_address,
-    response_frames,
 )
 from .service.net.channel import Address
+from .service.net.pump import serve_stream
 
 __all__ = ["main", "build_parser"]
 
@@ -156,22 +149,14 @@ def _positive_float(value: str) -> float:
     return parsed
 
 
-def _add_workers_option(
-    parser: argparse.ArgumentParser, *, windowed_note: bool = False
-) -> None:
-    note = (
-        "; dedupes duplicate requests per window when reading --input FILE, "
-        "and streams per line (engine cache still serving duplicates) when "
-        "reading stdin"
-        if windowed_note
-        else ""
-    )
+def _add_workers_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=_positive_int,
         default=1,
         metavar="N",
-        help=f"worker threads executing requests concurrently (default: 1){note}",
+        help="worker threads executing requests concurrently, up to 4 per "
+        "worker in flight behind the head of the line (default: 1)",
     )
 
 
@@ -330,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="dump aggregate service statistics as JSON on stderr afterwards",
     )
-    _add_workers_option(batch, windowed_note=True)
+    _add_workers_option(batch)
 
     serve = subparsers.add_parser(
         "serve",
@@ -804,161 +789,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 1  # pragma: no cover - unreachable with required=True
 
 
-def _pump_jsonl(
-    executor: ParallelExecutor,
-    input_stream: TextIO,
-    output_stream: TextIO,
-    *,
-    chunk_size: int | None = None,
-) -> tuple[int, int, list[BaseException]]:
-    """Pipelined ordered request/response pump shared by ``serve`` and the
-    stdin path of ``batch --workers``.
-
-    One response per request line — a monolithic v2 envelope, or
-    ``partial``/``done`` frames when the request (or the server's
-    ``chunk_size`` default) asked for streaming — written **in arrival
-    order** and flushed as soon as it is ready, with up to ``workers``
-    requests executing behind the head of the line, so a lockstep producer
-    (write one request, wait for its response) never deadlocks.  Every
-    response echoes its request's ``id``.  An acknowledged ``shutdown``
-    control request stops the reader: requests already in flight drain,
-    later input is not read.  Returns ``(ok_count, error_count,
-    writer_errors)``; a failed write (the consumer closed the output) stops
-    the pump instead of killing it.  When the input has a real file
-    descriptor, the reader polls it, so an output failure also unblocks a
-    reader waiting on a producer that will never send another line.
-    """
-    ok_count = 0
-    error_count = 0
-    # Bounded handoff: the reader blocks once enough requests are in flight,
-    # and the writer emits responses strictly in arrival order.
-    pending: queue.Queue = queue.Queue(maxsize=executor.workers * 4)
-    writer_errors: list[BaseException] = []
-    writer_failed = threading.Event()
-    stop_reading = threading.Event()
-
-    def write_responses() -> None:
-        nonlocal ok_count, error_count
-        # After a write failure the writer must keep *draining* the queue
-        # rather than die: a dead consumer would leave the reader blocked in
-        # ``put()`` on a full queue with nothing ever taking items out.
-        while True:
-            item = pending.get()
-            if item is None:
-                return
-            if writer_failed.is_set():
-                continue
-            envelope, future = item
-            try:
-                result = future.result()
-                for frame in response_frames(
-                    result,
-                    id=envelope.id,
-                    chunk_size=envelope.chunk_size or chunk_size,
-                ):
-                    print(frame, file=output_stream, flush=True)
-            except BaseException as exc:  # noqa: BLE001 - must keep draining
-                writer_errors.append(exc)
-                writer_failed.set()
-                continue
-            if result.ok:
-                ok_count += 1
-            else:
-                error_count += 1
-            if result.ok and result.kind == "shutdown":
-                stop_reading.set()
-
-    def submit(line: str) -> None:
-        if line.strip():
-            envelope = decode_envelope_line(line)
-            pending.put((envelope, executor.submit(envelope.request)))
-
-    def _reader_done() -> bool:
-        return writer_failed.is_set() or stop_reading.is_set()
-
-    def read_requests() -> None:
-        try:
-            fd = input_stream.fileno()
-        except (OSError, ValueError, AttributeError):
-            fd = None  # test harness streams; plain iteration is fine there
-        if fd is not None:
-            # Probe the polling machinery: on Windows select() only accepts
-            # sockets (and set_blocking can reject console handles), so fall
-            # back to plain blocking iteration there rather than crash.
-            try:
-                os.set_blocking(fd, False)
-                select.select([fd], [], [], 0)
-            except (OSError, ValueError):
-                try:
-                    os.set_blocking(fd, True)
-                except OSError:
-                    pass
-                fd = None
-        if fd is None:
-            # No pollable descriptor (Windows pipes, in-process test
-            # streams): read on a daemon thread so an output failure still
-            # unblocks shutdown — the daemon may stay parked in its blocking
-            # read, but the process no longer waits on it.
-            def blocking_reader() -> None:
-                for line in input_stream:
-                    if _reader_done():
-                        return
-                    try:
-                        submit(line)
-                    except Exception:  # noqa: BLE001 - raced executor close
-                        # The pump already returned and shut the executor
-                        # down; we are in teardown, and a daemon-thread
-                        # traceback would break the no-traceback contract.
-                        return
-
-            reader = threading.Thread(
-                target=blocking_reader, name="repro-jsonl-reader", daemon=True
-            )
-            reader.start()
-            while reader.is_alive() and not _reader_done():
-                reader.join(timeout=0.1)
-            return
-        # Poll the raw descriptor so a dead consumer (writer_failed) or an
-        # acknowledged shutdown interrupts a reader that would otherwise
-        # block forever on a producer waiting for the response we can no
-        # longer deliver.  Lines are split here, at the byte level:
-        # select() only reports the kernel buffer, so mixing it with a
-        # buffered readline() would stall on lines already sitting in the
-        # TextIO buffer.
-        tail = b""
-        try:
-            while not _reader_done():
-                ready, _, _ = select.select([fd], [], [], 0.1)
-                if not ready:
-                    continue
-                try:
-                    chunk = os.read(fd, 65536)
-                except BlockingIOError:  # raced another consumer; re-poll
-                    continue
-                if chunk == b"":  # EOF
-                    break
-                tail += chunk
-                *lines, tail = tail.split(b"\n")
-                for raw in lines:
-                    submit(raw.decode("utf-8", errors="replace"))
-            if tail and not _reader_done():  # unterminated last line
-                submit(tail.decode("utf-8", errors="replace"))
-        finally:
-            try:
-                os.set_blocking(fd, True)
-            except OSError:  # pragma: no cover - fd already gone
-                pass
-
-    writer = threading.Thread(target=write_responses, name="repro-jsonl-writer")
-    writer.start()
-    try:
-        read_requests()
-    finally:
-        pending.put(None)
-        writer.join()
-    return ok_count, error_count, writer_errors
-
-
 def _detach_stdout_after_broken_pipe() -> None:
     """Point the stdout file descriptor at /dev/null after a broken pipe so
     the interpreter-exit flush cannot raise a second time (best effort —
@@ -1084,109 +914,21 @@ def _run_mutate(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Window size for the parallel file-input path of ``repro batch``:
-#: duplicates dedupe within a window and memory stays bounded.
-_BATCH_WINDOW = 1024
-
-
-def _batch_envelopes(input_stream: TextIO):
-    """Yield one decoded :class:`RequestEnvelope` per non-blank input line.
-
-    When the input is a real file (not stdin), decode failures are stamped
-    with the 1-based input line number (``error.detail.line``) so users can
-    find the bad request in large JSONL files.
-    """
-    number_lines = input_stream is not sys.stdin
-    for lineno, line in enumerate(input_stream, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        envelope = decode_envelope_line(stripped)
-        if number_lines and isinstance(envelope.request, QueryResult):
-            envelope = replace(
-                envelope, request=envelope.request.with_error_detail(line=lineno)
-            )
-        yield envelope
-
-
 def _run_batch(args: argparse.Namespace) -> int:
     """The ``batch`` sub-command: JSONL requests in, JSONL responses out.
 
     Every input line yields exactly one response (monolithic, or
-    ``partial``/``done`` frames when the request set a ``chunk_size``);
-    lines that cannot be parsed or answered become error envelopes — with
-    ``--input FILE``, decode failures carry the offending 1-based line
-    number in ``error.detail.line``.  Control requests work exactly as in
-    ``repro serve``; an acknowledged ``shutdown`` stops the batch after its
-    response (in-window requests still drain under ``--workers``).  With
-    ``--workers N > 1`` the batch runs over a
-    :class:`~repro.service.ParallelExecutor` — the output order and the
-    response-per-line contract are identical to the sequential path.
+    ``partial``/``done`` frames when the request set a ``chunk_size``), in
+    input order; lines that cannot be parsed or answered become error
+    envelopes — with ``--input FILE``, decode failures carry the offending
+    1-based line number in ``error.detail.line``.  The lines run through the
+    same ordered pump as ``repro serve`` (up to ``--workers`` requests in
+    flight), so control requests and ``deadline_ms`` work exactly as there;
+    an acknowledged ``shutdown`` stops the batch after its response.
     Returns 0 when every request succeeded, 1 otherwise (a summary goes to
     stderr either way).
     """
     service = _service(args)
-    ok_count = 0
-    error_count = 0
-    output_failed = False
-
-    def emit(envelope: RequestEnvelope, result: QueryResult, out: TextIO) -> bool:
-        """Write one response; returns True when it acknowledged a shutdown."""
-        nonlocal ok_count, error_count
-        for frame in response_frames(
-            result, id=envelope.id, chunk_size=envelope.chunk_size
-        ):
-            print(frame, file=out, flush=True)
-        if result.ok:
-            ok_count += 1
-        else:
-            error_count += 1
-        return result.ok and result.kind == "shutdown"
-
-    def run(input_stream: TextIO, output_stream: TextIO) -> None:
-        nonlocal ok_count, error_count, output_failed
-        if args.workers > 1:
-            with ParallelExecutor(service, workers=args.workers) as executor:
-                if input_stream is sys.stdin:
-                    # A pipe producer may be lockstep (send one request, wait
-                    # for its response), so stream per line via the pump;
-                    # in-flight concurrency still comes from the pool.
-                    ok_count, error_count, writer_errors = _pump_jsonl(
-                        executor, input_stream, output_stream
-                    )
-                    if writer_errors:
-                        _report_output_failure(
-                            "batch",
-                            writer_errors[0],
-                            stdout_target=output_stream is sys.stdout,
-                        )
-                        output_failed = True
-                    return
-                # File input cannot deadlock on the producer side: process
-                # it in bounded windows so duplicates dedupe within each
-                # window and memory stays bounded.
-                window: list[RequestEnvelope] = []
-
-                def flush_window() -> bool:
-                    results = executor.run([env.request for env in window])
-                    stopping = False
-                    for env, result in zip(window, results):
-                        stopping = emit(env, result, output_stream) or stopping
-                    window.clear()
-                    return stopping
-
-                for envelope in _batch_envelopes(input_stream):
-                    window.append(envelope)
-                    if len(window) >= _BATCH_WINDOW and flush_window():
-                        return
-                if window:
-                    flush_window()
-            return
-        for envelope in _batch_envelopes(input_stream):
-            result = service.execute_request(envelope.request)
-            if emit(envelope, result, output_stream):
-                return
-
     try:
         input_stream = (
             sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
@@ -1208,16 +950,13 @@ def _run_batch(args: argparse.Namespace) -> int:
             )
             return 1
         try:
-            try:
-                run(input_stream, output_stream)
-            except BrokenPipeError:
-                # The consumer closed the output early (``repro batch | head``):
-                # stop cleanly — the contract is envelopes or a message on
-                # stderr, never a traceback.
-                if output_stream is sys.stdout:
-                    _detach_stdout_after_broken_pipe()
-                print("batch: output stream closed early", file=sys.stderr)
-                return 1
+            with ParallelExecutor(service, workers=args.workers) as executor:
+                pump = serve_stream(
+                    executor,
+                    input_stream,
+                    output_stream,
+                    number_lines=input_stream is not sys.stdin,
+                )
         finally:
             if output_stream is not sys.stdout:
                 output_stream.close()
@@ -1225,17 +964,20 @@ def _run_batch(args: argparse.Namespace) -> int:
         if input_stream is not sys.stdin:
             input_stream.close()
 
-    if output_failed:
+    if pump.write_error is not None:
+        _report_output_failure(
+            "batch", pump.write_error, stdout_target=output_stream is sys.stdout
+        )
         return 1
-    total = ok_count + error_count
+    total = pump.ok_count + pump.error_count
     print(
-        f"batch: {ok_count}/{total} ok, {error_count} error(s); "
+        f"batch: {pump.ok_count}/{total} ok, {pump.error_count} error(s); "
         f"datasets: {', '.join(service.list_datasets()) or 'none'}",
         file=sys.stderr,
     )
     if args.stats:
         print(json.dumps(service.statistics(), indent=2), file=sys.stderr)
-    return 0 if error_count == 0 else 1
+    return 0 if pump.error_count == 0 else 1
 
 
 def _run_serve(args: argparse.Namespace) -> int:
@@ -1260,29 +1002,27 @@ def _run_serve(args: argparse.Namespace) -> int:
     if args.listen is not None or args.unix is not None:
         return _run_serve_socket(args)
     service = _service(args)
-    if not args.no_hello:
-        try:
-            print(encode_frame(service.hello_payload()), flush=True)
-        except BaseException as exc:  # noqa: BLE001 - consumer already gone
-            _report_output_failure("serve", exc, stdout_target=True)
-            return 1
     with ParallelExecutor(
         service,
         workers=args.workers,
         max_pending=args.max_pending,
         degrade_pending=args.degrade_pending,
     ) as executor:
-        ok_count, error_count, writer_errors = _pump_jsonl(
-            executor, sys.stdin, sys.stdout, chunk_size=args.chunk_size
+        pump = serve_stream(
+            executor,
+            sys.stdin,
+            sys.stdout,
+            chunk_size=args.chunk_size,
+            hello=None if args.no_hello else service.hello_payload(),
         )
 
-    if writer_errors:
-        _report_output_failure("serve", writer_errors[0], stdout_target=True)
+    if pump.write_error is not None:
+        _report_output_failure("serve", pump.write_error, stdout_target=True)
         return 1
 
-    total = ok_count + error_count
+    total = pump.ok_count + pump.error_count
     print(
-        f"serve: {ok_count}/{total} ok, {error_count} error(s); "
+        f"serve: {pump.ok_count}/{total} ok, {pump.error_count} error(s); "
         f"workers: {args.workers}; "
         f"datasets: {', '.join(service.list_datasets()) or 'none'}",
         file=sys.stderr,

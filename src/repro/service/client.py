@@ -1,17 +1,18 @@
 """`SimRankClient`: the typed client library for protocol v2.
 
-One client surface, three transports:
+One client surface, two transports:
 
 * **in-process** — wraps a :class:`~repro.service.SimRankService` directly.
   Zero-copy of the service's guarantees, but requests still round-trip
   through the same envelope decode / frame encode / reassembly code the
   wire uses, so the transports cannot drift apart behaviourally;
-* **subprocess** — speaks v2 JSONL to a ``repro serve`` child over
-  stdin/stdout pipes: reads the opening ``hello`` frame, assigns a
-  monotonically increasing ``id`` to every request, and verifies the echo;
-* **socket** — the same JSONL conversation over TCP or a Unix-domain
-  socket, against a ``repro serve --listen/--unix`` server or a
-  ``repro router`` front end.
+* **socket** — speaks v2 JSONL over TCP or a Unix-domain socket: reads the
+  opening ``hello`` frame, assigns a monotonically increasing ``id`` to
+  every request, and verifies the echo.  The peer is either a private
+  ``repro serve --unix`` child the client spawned
+  (:meth:`SimRankClient.connect`) or a shared ``repro serve
+  --listen/--unix`` server or ``repro router``
+  (``SimRankClient(address=...)``).
 
 Typical use::
 
@@ -23,7 +24,7 @@ Typical use::
         top = client.top_k("GrQc", 3, k=5)
         print(client.list_datasets(), client.stats()["totals"])
 
-    with SimRankClient.connect(scale=0.1) as client:   # spawns repro serve
+    with SimRankClient.connect(scale=0.1) as client:   # spawns repro serve --unix
         print(client.hello()["protocol"])              # -> 2
         print(client.single_pair("GrQc", 1, 2))
 
@@ -44,9 +45,9 @@ from __future__ import annotations
 import json
 import os
 import random
+import shutil
 import socket
 import subprocess
-import sys
 import tempfile
 import threading
 import time
@@ -57,6 +58,7 @@ from typing import Sequence
 
 from ..exceptions import ParameterError, ReproError, WireFormatError
 from .net.channel import Address, LineChannel, parse_address
+from .net.spawn import spawn_serve, wait_for_hello
 from .control import (
     CloseDatasetRequest,
     ControlRequest,
@@ -161,7 +163,7 @@ class _InProcessTransport:
 
     The request payload is decoded with the same envelope decoder and the
     result is re-encoded into frames and reassembled with the same
-    functions the serve loop and the subprocess transport use — so
+    functions the serve loop and the socket transport use — so
     chunking, id echo, and error shaping are *proven* identical rather
     than merely similar.
     """
@@ -172,7 +174,7 @@ class _InProcessTransport:
         #: on close) or merely wraps one the caller still owns.
         self._owns_service = owns_service
         self._shut_down = False
-        # Snapshot hello at connect time, exactly like the subprocess
+        # Snapshot hello at connect time, exactly like the socket
         # transport reading the serve loop's opening frame — hello is the
         # handshake, not a live status endpoint (that is ``describe``).
         self._hello = service.hello_payload()
@@ -190,7 +192,7 @@ class _InProcessTransport:
 
     def roundtrip(self, payload: dict) -> QueryResult:
         if self._shut_down:
-            # Mirror the subprocess transport: a server that acknowledged
+            # Mirror the socket transport: a server that acknowledged
             # shutdown answers nothing further.
             raise ServiceError(
                 QueryResult.failure("server_gone", "server has shut down")
@@ -225,25 +227,6 @@ class _TransportGone(Exception):
     """Internal: the server's stream ended where a frame was expected."""
 
 
-def _spawn_serve(
-    serve_args: Sequence[str], **popen_kwargs: object
-) -> subprocess.Popen:
-    """Spawn ``repro serve`` with this interpreter and the package's
-    ``src`` directory on ``PYTHONPATH``, so clients work from a checkout
-    without installation."""
-    src_dir = str(Path(__file__).resolve().parents[2])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src_dir, env["PYTHONPATH"]] if env.get("PYTHONPATH") else [src_dir]
-    )
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve", *serve_args],
-        stderr=subprocess.DEVNULL,
-        env=env,
-        **popen_kwargs,
-    )
-
-
 def _died_envelope(payload: dict, message: str) -> QueryResult:
     """The structured ``unavailable`` envelope a dead transport answers
     with, echoing the request's kind/dataset where they were present."""
@@ -257,124 +240,13 @@ def _died_envelope(payload: dict, message: str) -> QueryResult:
     )
 
 
-class _SubprocessTransport:
-    """Speak v2 JSONL to a ``repro serve`` child process.
-
-    Requests are written one line at a time and responses read back in
-    lockstep — the serve loop's ordered writer guarantees the next response
-    line(s) belong to the request just sent.  A child that dies mid-request
-    (crash, OOM kill, operator ``kill -9``) does not hang the caller or
-    leak a zombie: the in-flight request resolves to an ``unavailable``
-    error envelope, the corpse is reaped, and later requests fail fast
-    with :class:`ServiceError`.
-    """
-
-    def __init__(self, serve_args: Sequence[str]) -> None:
-        self._process = _spawn_serve(
-            serve_args,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            encoding="utf-8",
-        )
-        self._lock = threading.Lock()
-        self._shut_down = False
-        try:
-            self._hello = self._read_frame()
-        except _TransportGone:
-            self._reap()
-            raise ServiceError(
-                QueryResult.failure(
-                    "server_gone", "repro serve closed its output stream"
-                )
-            ) from None
-        if self._hello.get("frame") != "hello":
-            raise WireFormatError(
-                f"expected a hello frame from repro serve, got {self._hello!r}"
-            )
-
-    def _read_frame(self) -> dict:
-        assert self._process.stdout is not None
-        line = self._process.stdout.readline()
-        if not line:
-            raise _TransportGone()
-        payload = json.loads(line)
-        if not isinstance(payload, dict):
-            raise WireFormatError(f"expected a frame object, got {payload!r}")
-        return payload
-
-    def hello(self) -> dict:
-        return self._hello
-
-    def roundtrip(self, payload: dict) -> QueryResult:
-        with self._lock:
-            if self._shut_down or self._process.poll() is not None:
-                raise ServiceError(
-                    QueryResult.failure("server_gone", "server has shut down")
-                )
-            assert self._process.stdin is not None
-            try:
-                self._process.stdin.write(encode_frame(payload) + "\n")
-                self._process.stdin.flush()
-                frames = [self._read_frame()]
-                while frames[-1].get("frame") == "partial":
-                    frames.append(self._read_frame())
-            except (_TransportGone, OSError, ValueError):
-                # ValueError covers "I/O operation on closed file" from a
-                # pipe torn down under us; OSError covers BrokenPipeError.
-                return self._died(payload)
-            _check_echo(frames, payload.get("id"))
-            result = result_from_frames(frames)
-            if result.ok and result.kind == "shutdown":
-                self._shut_down = True
-                self._finish()
-            return result
-
-    def _died(self, payload: dict) -> QueryResult:
-        self._shut_down = True
-        self._reap()
-        code = self._process.returncode
-        return _died_envelope(
-            payload,
-            f"repro serve child died mid-request (exit code {code})",
-        )
-
-    def _reap(self) -> None:
-        try:
-            self._process.kill()
-        except OSError:  # pragma: no cover - already gone
-            pass
-        self._finish()
-
-    @property
-    def closed(self) -> bool:
-        return self._shut_down or self._process.poll() is not None
-
-    def _finish(self) -> None:
-        if self._process.stdin is not None:
-            try:
-                self._process.stdin.close()
-            except (OSError, ValueError):  # pragma: no cover - pipe gone
-                pass
-        try:
-            self._process.wait(timeout=10)
-        except subprocess.TimeoutExpired:  # pragma: no cover - defensive
-            self._process.kill()
-            self._process.wait()
-
-    def close(self) -> None:
-        with self._lock:
-            self._finish()
-
-
 class _SocketTransport:
     """Speak v2 JSONL over TCP or a Unix-domain socket.
 
     The peer is any protocol-v2 socket endpoint — ``repro serve --listen``,
-    ``repro serve --unix``, or a ``repro router`` — and the conversation is
-    the subprocess transport's, byte for byte: read the opening ``hello``,
-    then lockstep request/response lines.  When the transport itself
-    spawned the server (``SimRankClient.connect_socket``) it owns the
+    ``repro serve --unix``, or a ``repro router``: read the opening
+    ``hello``, then lockstep request/response lines.  When the client
+    spawned the server (``SimRankClient.connect``) the transport owns the
     child: ``close`` tears it down and a death mid-request is reaped; a
     transport pointed at a shared server (``SimRankClient(address=...)``)
     owns only its connection.
@@ -582,17 +454,18 @@ def _check_echo(frames: Sequence[dict], request_id: object) -> None:
 class SimRankClient:
     """Typed protocol-v2 client: queries and control over either transport.
 
-    Construct via :meth:`in_process` (wrap a service in this interpreter)
-    or :meth:`connect` (spawn and drive a ``repro serve`` subprocess); both
-    speak the same envelopes, so code written against one runs unchanged
-    against the other.  Instances are context managers; :meth:`close`
-    shuts the transport down (and, for :meth:`connect`, sends ``shutdown``
-    to the child first so it exits cleanly).
+    Construct via :meth:`in_process` (wrap a service in this interpreter),
+    :meth:`connect` (spawn and drive a private ``repro serve --unix``
+    child) or ``SimRankClient(address=...)`` (attach to a shared server);
+    all speak the same envelopes, so code written against one runs
+    unchanged against the others.  Instances are context managers;
+    :meth:`close` shuts the transport down (and, for :meth:`connect`,
+    sends ``shutdown`` to the child first so it exits cleanly).
     """
 
     def __init__(
         self,
-        transport: "_InProcessTransport | _SubprocessTransport | _SocketTransport | None" = None,
+        transport: "_InProcessTransport | _SocketTransport | None" = None,
         *,
         address: Address | str | None = None,
         connect_timeout: float = 30.0,
@@ -626,8 +499,8 @@ class SimRankClient:
     @property
     def address(self) -> str | None:
         """The server endpoint for a socket transport (a string another
-        client can pass as ``address=``); ``None`` for the in-process and
-        subprocess transports, which are not shareable."""
+        client can pass as ``address=``); ``None`` for the in-process
+        transport, which is not shareable."""
         return getattr(self._transport, "address", None)
 
     # ------------------------------------------------------------------ #
@@ -666,73 +539,28 @@ class SimRankClient:
         workers: int = 1,
         mc_walks: int = 200,
         extra_args: Sequence[str] = (),
-    ) -> "SimRankClient":
-        """Spawn ``repro serve`` as a child process and connect to it."""
-        serve_args = cls._serve_args(
-            scale=scale, epsilon=epsilon, seed=seed, backend=backend,
-            workers=workers, mc_walks=mc_walks, extra_args=extra_args,
-        )
-        return cls(_SubprocessTransport(serve_args))
-
-    @classmethod
-    def connect_socket(
-        cls,
-        *,
-        scale: float = 1.0,
-        epsilon: float = 0.05,
-        seed: int = 0,
-        backend: str = "auto",
-        workers: int = 1,
-        mc_walks: int = 200,
-        extra_args: Sequence[str] = (),
         spawn_timeout: float = 120.0,
     ) -> "SimRankClient":
         """Spawn ``repro serve --unix`` on a private socket and connect.
 
-        The subprocess twin for the socket transport: same options, same
-        ownership (``close`` shuts the child down), but the conversation
-        crosses a real socket — which is what the transport-parity tests
-        lean on.  To attach to an already-running server instead, use
+        The client owns the child: :meth:`close` shuts it down.  To attach
+        to an already-running server instead, use
         ``SimRankClient(address=...)``.
         """
         run_dir = tempfile.mkdtemp(prefix="repro-socket-")
-        socket_path = os.path.join(run_dir, "serve.sock")
+        address = Address(family="unix", path=os.path.join(run_dir, "serve.sock"))
         serve_args = cls._serve_args(
             scale=scale, epsilon=epsilon, seed=seed, backend=backend,
-            workers=workers, mc_walks=mc_walks,
-            extra_args=("--unix", socket_path, *extra_args),
+            workers=workers, mc_walks=mc_walks, extra_args=extra_args,
         )
-        process = _spawn_serve(
-            serve_args, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL
-        )
-        address = Address(family="unix", path=socket_path)
-        deadline = time.monotonic() + spawn_timeout
-        while True:
-            if process.poll() is not None:
-                raise ServiceError(
-                    QueryResult.failure(
-                        "server_gone",
-                        "repro serve exited with code "
-                        f"{process.returncode} before listening",
-                    )
-                )
-            try:
-                probe = address.connect(timeout=1.0)
-            except OSError:
-                if time.monotonic() > deadline:
-                    process.kill()
-                    process.wait()
-                    raise ServiceError(
-                        QueryResult.failure(
-                            "server_gone",
-                            f"repro serve did not listen on {address} within "
-                            f"{spawn_timeout:.0f}s",
-                        )
-                    ) from None
-                time.sleep(0.05)
-                continue
-            probe.close()
-            break
+        process = spawn_serve(address.path, serve_args)
+        try:
+            wait_for_hello(process, address, timeout=spawn_timeout)
+        except RuntimeError as exc:
+            process.kill()
+            process.wait()
+            shutil.rmtree(run_dir, ignore_errors=True)
+            raise ServiceError(QueryResult.failure("server_gone", str(exc))) from None
         return cls(
             _SocketTransport(address, process=process, run_dir=run_dir)
         )

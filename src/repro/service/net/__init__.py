@@ -3,9 +3,14 @@
 Layers, bottom up:
 
 * :mod:`~repro.service.net.channel` — addresses (TCP / Unix-domain) and
-  newline-framed socket channels with a per-line byte cap;
+  newline-framed line readers and socket channels with a per-line byte cap;
+* :mod:`~repro.service.net.pump` — :class:`Pump`, the one ordered
+  request/response pump every serve loop runs (stdin/stdout ``repro
+  serve``, ``repro batch``, each socket connection);
 * :mod:`~repro.service.net.socket_server` — :class:`SocketServer`, the
   wire-protocol-v2 serve loop over sockets (``repro serve --listen/--unix``);
+* :mod:`~repro.service.net.spawn` — spawn a ``repro serve --unix`` child
+  and wait for its hello;
 * :mod:`~repro.service.net.router` — :class:`WorkerPool` (spawn,
   health-check, restart ``repro serve`` children) and :class:`Router`
   (per-dataset sharding, control-plane fan-out, failover envelopes), the
@@ -19,6 +24,7 @@ from .channel import (
     OversizedLineError,
     parse_address,
 )
+from .pump import Pump
 from .router import HashRing, Router, WorkerPool
 from .socket_server import SocketServer
 
@@ -28,6 +34,7 @@ __all__ = [
     "parse_address",
     "LineChannel",
     "OversizedLineError",
+    "Pump",
     "SocketServer",
     "HashRing",
     "WorkerPool",

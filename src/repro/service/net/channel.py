@@ -2,10 +2,11 @@
 
 Everything that moves over a socket in this package is one JSONL line at a
 time — the same frames the stdin/stdout serve loop speaks.  This module owns
-the two primitives under that: :class:`Address` (parse / listen / connect for
-TCP and Unix-domain endpoints) and :class:`LineChannel` (a buffered,
-newline-framed reader/writer over a connected socket with a hard per-line
-byte limit, so one hostile peer cannot balloon the server's memory).
+the primitives under that: :class:`Address` (parse / listen / connect for
+TCP and Unix-domain endpoints), :class:`LineReader` (newline framing with a
+hard per-line byte limit over any byte source, so one hostile peer cannot
+balloon the server's memory) and :class:`LineChannel` (that reader plus a
+line writer over a connected socket).
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 import socket
 import threading
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from ...exceptions import ParameterError
 
@@ -21,6 +24,7 @@ __all__ = [
     "DEFAULT_MAX_LINE_BYTES",
     "Address",
     "parse_address",
+    "LineReader",
     "LineChannel",
     "OversizedLineError",
 ]
@@ -146,48 +150,40 @@ def parse_address(spec: str) -> Address:
     return Address(family="unix", path=spec)
 
 
-class LineChannel:
-    """Newline-framed text I/O over one connected socket.
+class LineReader:
+    """Newline framing with a hard per-line byte cap over any byte source.
 
-    Reads are single-threaded by design (one reader per connection); writes
-    take an internal lock so response frames from concurrent callers never
-    interleave mid-line.  ``read_line`` honours the socket timeout set via
-    :meth:`settimeout` (``socket.timeout`` propagates — the server loops use
-    short timeouts as their stop-polling mechanism).
+    ``recv`` returns the next chunk of bytes (``b""`` at EOF) and may raise
+    ``TimeoutError`` when nothing arrived in time — the pump's readers use
+    that as their stop-polling tick; ``close`` (optional) releases the
+    source.  Reads are single-threaded by design (one reader per
+    connection).
     """
 
     def __init__(
         self,
-        sock: socket.socket,
+        recv: Callable[[], bytes],
         *,
         max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
+        close: Callable[[], None] | None = None,
     ) -> None:
-        self._sock = sock
+        self._recv = recv
+        self._close = close
         self._buffer = bytearray()
         self._eof = False
         #: True while an oversized line is being discarded — survives a
-        #: ``socket.timeout`` mid-discard so the next ``read_line`` resumes
-        #: discarding instead of returning the line's tail as a frame.
+        #: timeout mid-discard so the next ``read_line`` resumes discarding
+        #: instead of returning the line's tail as a frame.
         self._discarding = False
-        self._send_lock = threading.Lock()
         self.max_line_bytes = max_line_bytes
 
-    def settimeout(self, timeout: float | None) -> None:
-        """Set the socket timeout governing subsequent reads."""
-        self._sock.settimeout(timeout)
-
-    def fileno(self) -> int:
-        """The underlying socket's descriptor (for select/poll callers)."""
-        return self._sock.fileno()
-
-    # ------------------------------------------------------------------ #
     def read_line(self) -> str | None:
         """The next line (newline stripped), or ``None`` at EOF.
 
         Raises :class:`OversizedLineError` when a line exceeds the limit —
         after discarding through its newline, so the next call reads the
         following line.  An unterminated final line before EOF is returned
-        as-is (matching the stdin pump's tolerance).
+        as-is.
         """
         if self._discarding:
             # A timeout interrupted a previous discard; finish it before
@@ -215,11 +211,14 @@ class LineChannel:
             if len(self._buffer) > self.max_line_bytes:
                 self._discard_current_line()
                 raise OversizedLineError(self.max_line_bytes)
-            chunk = self._sock.recv(65536)
-            if not chunk:
-                self._eof = True
-            else:
-                self._buffer.extend(chunk)
+            self._fill()
+
+    def _fill(self) -> None:
+        chunk = self._recv()
+        if not chunk:
+            self._eof = True
+        else:
+            self._buffer.extend(chunk)
 
     def _discard_current_line(self) -> None:
         """Throw away buffered bytes up to and including the next newline,
@@ -237,11 +236,40 @@ class LineChannel:
             if self._eof:
                 self._discarding = False
                 return
-            chunk = self._sock.recv(65536)
-            if not chunk:
-                self._eof = True
-            else:
-                self._buffer.extend(chunk)
+            self._fill()
+
+    def close(self) -> None:
+        """Release the byte source (never raises)."""
+        if self._close is not None:
+            self._close()
+
+
+class LineChannel(LineReader):
+    """Newline-framed text I/O over one connected socket.
+
+    Writes take an internal lock so response frames from concurrent callers
+    never interleave mid-line.  ``read_line`` honours the socket timeout set
+    via :meth:`settimeout` (``socket.timeout`` propagates — the pump uses
+    short timeouts as its stop-polling mechanism).
+    """
+
+    def __init__(
+        self,
+        sock: socket.socket,
+        *,
+        max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
+    ) -> None:
+        super().__init__(partial(sock.recv, 65536), max_line_bytes=max_line_bytes)
+        self._sock = sock
+        self._send_lock = threading.Lock()
+
+    def settimeout(self, timeout: float | None) -> None:
+        """Set the socket timeout governing subsequent reads."""
+        self._sock.settimeout(timeout)
+
+    def fileno(self) -> int:
+        """The underlying socket's descriptor (for select/poll callers)."""
+        return self._sock.fileno()
 
     def send_line(self, line: str) -> None:
         """Write one line (newline appended), atomically w.r.t. other

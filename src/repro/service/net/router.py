@@ -35,10 +35,8 @@ import bisect
 import hashlib
 import json
 import math
-import os
 import socket
 import subprocess
-import sys
 import tempfile
 import threading
 import time
@@ -57,6 +55,7 @@ from ..results import (
 )
 from ..wire import decode_envelope_line, encode_frame, response_frames
 from .channel import DEFAULT_MAX_LINE_BYTES, Address, LineChannel, OversizedLineError
+from .spawn import spawn_serve, wait_for_hello
 
 __all__ = ["HashRing", "WorkerPool", "Router"]
 
@@ -200,63 +199,17 @@ class WorkerPool:
         self._health_thread.start()
 
     def _spawn(self, worker: _Worker) -> None:
-        try:
-            Path(worker.address.path).unlink()
-        except FileNotFoundError:
-            pass
-        src_dir = str(Path(__file__).resolve().parents[3])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src_dir, env["PYTHONPATH"]] if env.get("PYTHONPATH") else [src_dir]
-        )
-        worker.process = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli", "serve",
-                "--unix", worker.address.path,
-                *self._serve_args,
-            ],
-            stdin=subprocess.DEVNULL,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-            env=env,
-        )
+        worker.process = spawn_serve(worker.address.path, self._serve_args)
         worker.generation += 1
 
     def _wait_ready(self, worker: _Worker) -> None:
         """Block until the worker accepts a connection and says hello."""
-        deadline = time.monotonic() + self._spawn_timeout
-        while True:
-            process = worker.process
-            if process is not None and process.poll() is not None:
-                raise RuntimeError(
-                    f"worker {worker.index} exited with code "
-                    f"{process.returncode} before becoming ready"
-                )
-            try:
-                sock = worker.address.connect(timeout=1.0)
-            except OSError:
-                if time.monotonic() > deadline:
-                    raise RuntimeError(
-                        f"worker {worker.index} did not become ready within "
-                        f"{self._spawn_timeout:.0f}s"
-                    ) from None
-                time.sleep(0.05)
-                continue
-            channel = LineChannel(sock)
-            try:
-                channel.settimeout(self._spawn_timeout)
-                hello = channel.read_line()
-            except OSError:
-                hello = None
-            finally:
-                channel.close()
-            if hello and '"frame":"hello"' in hello:
-                return
-            if time.monotonic() > deadline:
-                raise RuntimeError(
-                    f"worker {worker.index} connected but never said hello"
-                )
-            time.sleep(0.05)
+        wait_for_hello(
+            worker.process,
+            worker.address,
+            timeout=self._spawn_timeout,
+            name=f"worker {worker.index}",
+        )
 
     # ------------------------------------------------------------------ #
     def _ping(self, worker: _Worker) -> bool:

@@ -1,52 +1,35 @@
 """A socket front end for :class:`~repro.service.SimRankService`.
 
 :class:`SocketServer` serves wire protocol v2 over TCP or Unix-domain
-sockets.  Each accepted connection gets exactly the stdin/stdout serve
-loop's contract — an opening ``hello`` frame, one response per request line
-**in arrival order** (monolithic envelopes or ``partial``/``done`` streams),
-``id`` echo on every frame — with up to ``workers`` requests of a
-connection executing behind the head of its line.  All connections share
-one :class:`~repro.service.ParallelExecutor` and therefore one warm
-service: sessions opened by one client answer every client.  ``ping``
-alone bypasses the executor — it is answered from the connection's reader
-thread — so liveness probes (the worker pool's health checks) stay
-responsive while every executor thread is deep in a long query.
+sockets.  Each accepted connection runs the shared ordered pump
+(:class:`~repro.service.net.pump.Pump`) over its socket, so it gets
+exactly the stdin/stdout serve loop's contract — an opening ``hello``
+frame, one response per request line **in arrival order**, ``id`` echo,
+deadlines, ``ping`` ahead of the executor, ``bad_request`` for oversized
+lines.  All connections share one
+:class:`~repro.service.ParallelExecutor` and therefore one warm service:
+sessions opened by one client answer every client.
 
-Hostile peers are contained per connection: lines over the byte limit are
-answered with a ``bad_request`` envelope (the connection survives), garbage
-lines decode into error envelopes exactly as on stdin, and a client that
-disconnects mid-stream takes down only its own connection threads.  An
-acknowledged ``shutdown`` control request stops the whole server: the
-listener closes, in-flight requests drain, every connection is told to
-stop, and :meth:`serve_forever` returns — which is how one ``shutdown``
-line through any transport stops a worker process.
+Hostile peers are contained per connection: a client that sends garbage,
+oversized lines or disconnects mid-stream takes down at most its own
+pump.  An acknowledged ``shutdown`` control request stops the whole
+server: the listener closes, in-flight requests drain, every connection is
+told to stop, and :meth:`serve_forever` returns — which is how one
+``shutdown`` line through any transport stops a worker process.
 """
 
 from __future__ import annotations
 
-import queue
 import socket
 import threading
-from concurrent.futures import Future
 
 from ...exceptions import ParameterError
-from ..control import PingRequest
 from ..parallel import ParallelExecutor
-from ..results import ERROR_BAD_REQUEST, QueryResult
 from ..service import SimRankService
-from ..wire import RequestEnvelope, decode_envelope_line, encode_frame, response_frames
-from .channel import DEFAULT_MAX_LINE_BYTES, Address, LineChannel, OversizedLineError
+from .channel import DEFAULT_MAX_LINE_BYTES, Address, LineChannel
+from .pump import POLL_SECONDS, Pump
 
 __all__ = ["SocketServer"]
-
-#: How often blocked reads wake up to notice a stop request, in seconds.
-_POLL_SECONDS = 0.2
-
-#: How long a torn-down connection's full response queue may sit unmoved
-#: while the writer is inside a send before the socket is closed under it —
-#: breaking a ``sendall`` wedged on a client that stopped reading, so
-#: :meth:`SocketServer.stop` is never held hostage by one hostile peer.
-_SEND_STALL_SECONDS = 5.0
 
 
 class SocketServer:
@@ -61,7 +44,7 @@ class SocketServer:
         :attr:`address` tells callers what was actually bound.
     workers:
         Threads in the shared executor pool (the per-connection in-flight
-        window is ``4 * workers``, like the stdin pump).
+        window is ``4 * workers``).
     chunk_size:
         Server-side default for streaming large ``single_source`` /
         ``all_pairs`` values; a request's own ``chunk_size`` wins.
@@ -109,7 +92,7 @@ class SocketServer:
         self._listener = address.listen()
         #: The bound endpoint (with the real port when TCP port 0 was asked).
         self.address = address.resolved(self._listener)
-        self._connections: set[_Connection] = set()
+        self._connections: set[Pump] = set()
         self._connections_lock = threading.Lock()
         self._stopping = threading.Event()
         self._stopped = threading.Event()
@@ -157,15 +140,15 @@ class SocketServer:
                 self._accept_thread.join()
             with self._connections_lock:
                 connections = list(self._connections)
-            for connection in connections:
-                connection.join()
+            for pump in connections:
+                pump.join()
             self._executor.close()
             self._stopped.set()
 
     def _initiate_shutdown(self) -> None:
-        """Asynchronously run :meth:`stop` — called from a connection's
-        writer thread after it delivered a ``shutdown`` acknowledgement
-        (the writer cannot join itself)."""
+        """Asynchronously run :meth:`stop` — called from a connection
+        pump's writer thread after it delivered a ``shutdown``
+        acknowledgement (the writer cannot join itself)."""
         threading.Thread(
             target=self.stop, name="repro-socket-stop", daemon=True
         ).start()
@@ -173,7 +156,7 @@ class SocketServer:
     # ------------------------------------------------------------------ #
     def _accept_loop(self) -> None:
         try:
-            self._listener.settimeout(_POLL_SECONDS)
+            self._listener.settimeout(POLL_SECONDS)
         except OSError:  # stop() closed the listener before we started
             return
         while not self._stopping.is_set():
@@ -183,14 +166,23 @@ class SocketServer:
                 continue
             except OSError:  # listener closed under us — stopping
                 break
-            connection = _Connection(self, sock)
+            channel = LineChannel(sock, max_line_bytes=self._max_line_bytes)
+            channel.settimeout(POLL_SECONDS)
+            pump = Pump(
+                self._executor,
+                channel,
+                channel,
+                chunk_size=self._chunk_size,
+                hello=self._service.hello_payload() if self._hello else None,
+                stopping=self._stopping.is_set,
+                on_shutdown=self._initiate_shutdown,
+            )
             with self._connections_lock:
-                self._connections.add(connection)
-            connection.start()
-
-    def _forget(self, connection: "_Connection") -> None:
-        with self._connections_lock:
-            self._connections.discard(connection)
+                self._connections = {
+                    live for live in self._connections if not live.done
+                }
+                self._connections.add(pump)
+            pump.start()
 
     def __enter__(self) -> "SocketServer":
         self.start()
@@ -201,174 +193,3 @@ class SocketServer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SocketServer(address={str(self.address)!r})"
-
-
-class _Connection:
-    """One accepted socket: a reader thread feeding the shared executor and
-    a writer thread emitting ordered response frames — the socket twin of
-    the stdin pump in ``repro.cli``."""
-
-    def __init__(self, server: SocketServer, sock: socket.socket) -> None:
-        self._server = server
-        self._channel = LineChannel(
-            sock, max_line_bytes=server._max_line_bytes
-        )
-        self._pending: queue.Queue = queue.Queue(
-            maxsize=server._executor.workers * 4
-        )
-        self._stop = threading.Event()
-        self._send_failed = threading.Event()
-        #: True while the writer is inside a socket send — the only state in
-        #: which a full queue during teardown justifies closing the socket
-        #: under it (a writer waiting on a slow query must be left to drain).
-        self._sending = False
-        self._reader = threading.Thread(
-            target=self._read_loop, name="repro-socket-reader", daemon=True
-        )
-        self._writer = threading.Thread(
-            target=self._write_loop, name="repro-socket-writer", daemon=True
-        )
-
-    def start(self) -> None:
-        self._writer.start()
-        self._reader.start()
-
-    def join(self) -> None:
-        """Stop this connection and wait for both its threads."""
-        self._stop.set()
-        self._reader.join()
-        self._writer.join()
-
-    # ------------------------------------------------------------------ #
-    def _done_reading(self) -> bool:
-        return (
-            self._stop.is_set()
-            or self._send_failed.is_set()
-            or self._server._stopping.is_set()
-        )
-
-    def _read_loop(self) -> None:
-        self._channel.settimeout(_POLL_SECONDS)
-        try:
-            while not self._done_reading():
-                try:
-                    line = self._channel.read_line()
-                except socket.timeout:
-                    continue
-                except OversizedLineError as exc:
-                    if not self._enqueue_failure(
-                        QueryResult.failure(ERROR_BAD_REQUEST, str(exc))
-                    ):
-                        break
-                    continue
-                except OSError:
-                    break
-                if line is None:  # client EOF
-                    break
-                if not line.strip():
-                    continue
-                envelope = decode_envelope_line(line)
-                if isinstance(envelope.request, PingRequest):
-                    # Answer pings out-of-band: ping is O(1) and must stay
-                    # responsive while the shared executor is deep in a long
-                    # query, or the pool's health checker would mistake a
-                    # busy worker for a wedged one and kill it mid-request.
-                    # Routing the pre-completed future through the same
-                    # queue keeps this connection's responses ordered.
-                    future: Future = Future()
-                    future.set_result(
-                        self._server._service.execute_request(envelope.request)
-                    )
-                else:
-                    # The whole envelope goes in so the executor sees the
-                    # request's deadline and can shed expired work.
-                    future = self._server._executor.submit(envelope)
-                if not self._offer((envelope, future)):
-                    break
-        except Exception:  # noqa: BLE001 - raced executor close at shutdown
-            pass
-        finally:
-            self._finish_writer()
-            self._channel.close()
-            self._server._forget(self)
-
-    def _enqueue_failure(self, failure: QueryResult) -> bool:
-        future: Future = Future()
-        future.set_result(failure)
-        return self._offer((RequestEnvelope(request=failure), future))
-
-    def _offer(self, item: tuple) -> bool:
-        """Queue ``item`` for the writer, never blocking past teardown: the
-        bounded put is retried on a short timeout so a writer wedged in a
-        send to a stalled client cannot pin the reader (and through it
-        ``join()``) forever; ``False`` once the connection is going down."""
-        while True:
-            try:
-                self._pending.put(item, timeout=_POLL_SECONDS)
-                return True
-            except queue.Full:
-                if self._done_reading():
-                    return False
-
-    def _finish_writer(self) -> None:
-        """Hand the writer its end-of-queue sentinel and wait for it.
-
-        If the queue stays full during teardown while the writer sits in a
-        socket send (a client that submits requests but never reads its
-        responses), the socket is closed under the writer after
-        ``_SEND_STALL_SECONDS`` — its send raises, it drains the queue
-        without writing, and the sentinel goes through.  A writer merely
-        waiting on a slow in-flight query is left alone: those futures
-        resolve, which is the in-flight drain ``stop()`` promises.
-        """
-        stalled = 0.0
-        while True:
-            try:
-                self._pending.put(None, timeout=_POLL_SECONDS)
-                break
-            except queue.Full:
-                if not (self._done_reading() and self._sending):
-                    stalled = 0.0
-                    continue
-                stalled += _POLL_SECONDS
-                if stalled >= _SEND_STALL_SECONDS:
-                    self._send_failed.set()
-                    self._channel.close()
-        # The writer drains what is queued, then this connection is done.
-        self._writer.join()
-
-    def _write_loop(self) -> None:
-        if self._server._hello:
-            self._sending = True
-            try:
-                self._channel.send_line(
-                    encode_frame(self._server._service.hello_payload())
-                )
-            except OSError:
-                self._send_failed.set()
-            finally:
-                self._sending = False
-        while True:
-            item = self._pending.get()
-            if item is None:
-                return
-            envelope, future = item
-            result = future.result()  # executor futures never raise
-            if not self._send_failed.is_set():
-                self._sending = True
-                try:
-                    for frame in response_frames(
-                        result,
-                        id=envelope.id,
-                        chunk_size=envelope.chunk_size or self._server._chunk_size,
-                    ):
-                        self._channel.send_line(frame)
-                except OSError:
-                    # The client went away mid-response: keep draining so the
-                    # reader never blocks on a full queue, but write nothing.
-                    self._send_failed.set()
-                    continue
-                finally:
-                    self._sending = False
-                if result.ok and result.kind == "shutdown":
-                    self._server._initiate_shutdown()

@@ -31,19 +31,19 @@ Locking hierarchy (acquired strictly top-down, so no cycles):
 2. session lock — lazy engine/index builds;
 3. engine lock — LRU cache and statistics (never held across backend work).
 
-``run`` is for batch jobs (``repro batch --workers N``); :meth:`submit` is
-the streaming interface behind the long-lived ``repro serve`` loop, which
-needs one future per request to write responses in arrival order while up to
-``workers`` requests execute behind the head of the line.
+``run`` answers a whole batch at once (the batch benchmarks measure it);
+:meth:`submit` is the streaming interface behind every serve loop — the
+shared connection pump (:mod:`repro.service.net.pump`) needs one future per
+request to write responses in arrival order while up to ``workers``
+requests execute behind the head of the line.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..exceptions import ParameterError, ReproError
 from ..sling.parallel import even_chunks, resolve_worker_count
@@ -210,7 +210,7 @@ class ParallelExecutor:
             if not isinstance(request, (Query, ControlRequest)):
                 # Decode wire payloads up front (rather than delegating to
                 # execute_wire) so deduplication and a pinned backend apply
-                # to the JSONL path — the only path the CLI uses — too.
+                # to decoded wire dicts too.
                 # The envelope decoder accepts v2 keys and control kinds.
                 envelope = decode_envelope(request)
                 if deadline is None:
@@ -296,48 +296,6 @@ class ParallelExecutor:
             )
         return [result for chunk in results_per_chunk for result in chunk]
 
-    def run_lines(self, lines: Iterable[str]) -> list[QueryResult]:
-        """Answer a batch of JSONL request lines (blank lines are skipped).
-
-        Invalid JSON becomes a ``bad_request`` envelope in the corresponding
-        slot — the same guarantee ``repro batch`` gives line by line.
-        """
-        payloads: list[object] = []
-        for line in lines:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                payloads.append(json.loads(stripped))
-            except json.JSONDecodeError as exc:
-                payloads.append(
-                    QueryResult.failure(ERROR_BAD_REQUEST, f"invalid JSON: {exc}")
-                )
-        return self.run(payloads)
-
-    def run_stream(self, lines: Iterable[str], *, window: int = 1024):
-        """Yield ordered results for JSONL lines, one window at a time.
-
-        The streaming sibling of :meth:`run_lines` for unbounded inputs
-        (``repro batch --workers N`` on a pipe): at most ``window`` requests
-        and their envelopes are in memory at once, and results start flowing
-        after the first window instead of after EOF.  Ordering and envelopes
-        are identical to :meth:`run_lines`; deduplication applies within
-        each window.
-        """
-        if window < 1:
-            raise ParameterError(f"window must be >= 1, got {window}")
-        batch: list[str] = []
-        for line in lines:
-            if not line.strip():
-                continue
-            batch.append(line)
-            if len(batch) >= window:
-                yield from self.run_lines(batch)
-                batch.clear()
-        if batch:
-            yield from self.run_lines(batch)
-
     # ------------------------------------------------------------------ #
     # Streaming execution (the serve loop)
     # ------------------------------------------------------------------ #
@@ -363,10 +321,10 @@ class ParallelExecutor:
     def submit(self, request: Query | ControlRequest | object) -> "Future[QueryResult]":
         """Schedule one request on the pool; the future never raises.
 
-        The streaming interface: callers (``repro serve``,
-        :class:`~repro.service.net.SocketServer`) keep a FIFO of futures and
-        write each result as its turn comes, giving ordered responses with
-        up to ``workers`` requests in flight.  ``request`` may also be a
+        The streaming interface: the connection pump behind ``repro
+        serve``, ``repro batch`` and every socket connection keeps a FIFO
+        of futures and writes each result as its turn comes, giving ordered
+        responses with up to ``workers`` requests in flight.  ``request`` may also be a
         decoded :class:`~repro.service.wire.RequestEnvelope`, which carries
         the request's deadline into the pool.
 
@@ -408,20 +366,6 @@ class ParallelExecutor:
         future = pool.submit(self._execute_one, request)
         future.add_done_callback(self._release_slot)
         return future
-
-    def submit_line(self, line: str) -> "Future[QueryResult]":
-        """Schedule one JSONL request line; undecodable lines resolve to
-        ``bad_request`` envelopes."""
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            failure = QueryResult.failure(
-                ERROR_BAD_REQUEST, f"invalid JSON: {exc}"
-            )
-            future: Future[QueryResult] = Future()
-            future.set_result(failure)
-            return future
-        return self.submit(payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

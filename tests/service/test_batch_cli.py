@@ -268,3 +268,19 @@ class TestBatchWorkers:
     def test_workers_must_be_positive(self):
         with pytest.raises(SystemExit):
             main(["batch", "--workers", "0"])
+
+
+class TestBatchDeadlines:
+    def test_queued_request_past_its_deadline_is_shed(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_SLOW_MS", "400")
+        exit_code, envelopes, _ = run_batch(
+            capsys,
+            [
+                '{"kind":"single_pair","dataset":"GrQc","node_u":1,"node_v":2}',
+                '{"kind":"single_pair","dataset":"GrQc","node_u":3,"node_v":4,'
+                '"deadline_ms":50}',
+            ],
+        )
+        assert exit_code == 1
+        assert envelopes[0]["ok"] is True
+        assert envelopes[1]["error"]["code"] == "deadline_exceeded"

@@ -1,26 +1,34 @@
-"""`SimRankClient` parity: in-process, subprocess, and socket transports
-agree.
+"""`SimRankClient` parity: the in-process and socket transports agree.
 
 The shared scenario drives every query kind and every control operation
 through every transport with identical settings and asserts the *values*
 are identical (timing fields are normalised away — they are the only
-thing allowed to differ).  The subprocess half doubles as the
-client↔server smoke suite CI runs against a real ``repro serve`` child
-(select it with ``-k subprocess``); the socket half runs the same
-scenario across a real Unix-domain socket (``-k socket``), and
-``tests/service/test_router.py`` reuses it against a multi-worker router.
+thing allowed to differ).  The socket half spawns a real ``repro serve
+--unix`` child through ``SimRankClient.connect`` (select it with
+``-k socket``); the tcp half starts ``repro serve --listen 127.0.0.1:0``,
+reads its ``listening`` announce and attaches with
+``SimRankClient(address=...)`` (``-k tcp``); and
+``tests/service/test_router.py`` reuses the scenario against a
+multi-worker router.
 """
 
 from __future__ import annotations
 
+import contextlib
+import json
 import os
+import select
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.engine import BackendConfig
 from repro.graphs import datasets
 from repro.service import (
@@ -61,13 +69,66 @@ def make_client(transport: str) -> SimRankClient:
                 ),
             )
         )
-    if transport == "socket":
-        return SimRankClient.connect_socket(
-            scale=SCALE, epsilon=EPSILON, seed=SEED, mc_walks=MC_WALKS
-        )
     return SimRankClient.connect(
         scale=SCALE, epsilon=EPSILON, seed=SEED, mc_walks=MC_WALKS
     )
+
+
+def spawn_tcp_server() -> tuple[subprocess.Popen, str]:
+    """Start ``repro serve --listen 127.0.0.1:0`` with the shared settings;
+    return the child and the address its ``listening`` announce names."""
+    env = dict(os.environ)
+    src_dir = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src_dir, env["PYTHONPATH"]] if env.get("PYTHONPATH") else [src_dir]
+    )
+    process = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "serve",
+            "--listen", "127.0.0.1:0",
+            "--scale", str(SCALE), "--epsilon", str(EPSILON),
+            "--seed", str(SEED), "--mc-walks", str(MC_WALKS),
+        ],
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env=env,
+    )
+    ready, _, _ = select.select([process.stdout], [], [], 60)
+    announce = json.loads(process.stdout.readline()) if ready else None
+    if not announce or announce.get("frame") != "listening":
+        stop_server(process)
+        raise RuntimeError(f"repro serve --listen did not announce: {announce!r}")
+    return process, announce["address"]
+
+
+def stop_server(process: subprocess.Popen) -> None:
+    """SIGTERM a server child (a no-op once it has shut down), then reap it."""
+    if process.poll() is None:
+        process.terminate()
+    try:
+        process.wait(timeout=30)
+    except subprocess.TimeoutExpired:
+        process.kill()
+        process.wait()
+    process.stdout.close()
+
+
+@contextlib.contextmanager
+def open_client(transport: str):
+    """A client on ``transport`` (``make_client``'s, or ``"tcp"``: attached
+    by address to a ``repro serve --listen`` child this stops afterwards)."""
+    if transport != "tcp":
+        with make_client(transport) as client:
+            yield client
+        return
+    process, address = spawn_tcp_server()
+    try:
+        with SimRankClient(address=address) as client:
+            yield client
+    finally:
+        stop_server(process)
 
 
 def normalize(value):
@@ -121,17 +182,17 @@ def run_scenario(client: SimRankClient) -> list:
 
 
 class TestTransportParity:
-    def test_in_process_and_subprocess_records_are_identical(self):
-        with make_client("in_process") as local:
-            local_record = run_scenario(local)
-        with make_client("subprocess") as remote:
-            remote_record = run_scenario(remote)
-        assert_records_identical(local_record, remote_record)
-
     def test_socket_transport_record_is_identical_too(self):
         with make_client("in_process") as local:
             local_record = run_scenario(local)
         with make_client("socket") as remote:
+            remote_record = run_scenario(remote)
+        assert_records_identical(local_record, remote_record)
+
+    def test_tcp_transport_record_is_identical_too(self):
+        with make_client("in_process") as local:
+            local_record = run_scenario(local)
+        with open_client("tcp") as remote:
             remote_record = run_scenario(remote)
         assert_records_identical(local_record, remote_record)
 
@@ -158,12 +219,11 @@ class TestSingleSourceParity:
             graph, c=BackendConfig().c, epsilon=EPSILON, seed=SEED
         ).build()
 
-    @pytest.fixture(params=["in_process", "subprocess", "socket", "router"])
+    @pytest.fixture(params=["in_process", "socket", "tcp", "router"])
     def transport(self, request):
         if request.param != "router":
-            client = make_client(request.param)
-            yield client
-            client.close()
+            with open_client(request.param) as client:
+                yield client
             return
         pool = WorkerPool(
             2,
@@ -213,11 +273,10 @@ def assert_records_identical(local_record, remote_record):
         assert local_value == remote_value, f"transports diverge at {label!r}"
 
 
-@pytest.fixture(params=["in_process", "subprocess", "socket"])
+@pytest.fixture(params=["in_process", "socket", "tcp"])
 def client(request):
-    instance = make_client(request.param)
-    yield instance
-    instance.close()
+    with open_client(request.param) as instance:
+        yield instance
 
 
 class TestBorrowedService:
@@ -252,7 +311,7 @@ class TestBorrowedService:
 
 
 class TestClientBehavior:
-    """Per-transport behavior; ``-k subprocess`` is the CI smoke selection."""
+    """Per-transport behavior, for each transport."""
 
     def test_hello_advertises_protocol_and_backends(self, client):
         hello = client.hello()
@@ -280,7 +339,7 @@ class TestClientBehavior:
             client.ping()
 
     def test_hello_is_a_connect_time_snapshot(self, client):
-        # hello is the handshake, identically on both transports: opening a
+        # hello is the handshake, identically on every transport: opening a
         # dataset afterwards must not change it (live state is describe()).
         assert client.hello()["datasets"] == []
         client.open_dataset("GrQc")
@@ -309,19 +368,24 @@ class TestClientBehavior:
 
 class TestDeadChildMidRequest:
     """A server child dying mid-request must resolve the in-flight request
-    to a structured ``unavailable`` envelope and reap the corpse — never
-    hang the caller on a pipe read or leak a zombie."""
+    to a structured ``unavailable`` envelope — never hang the caller on a
+    socket read — and a child the client spawned must be reaped, leaving
+    no zombie."""
 
-    @pytest.mark.parametrize("transport", ["subprocess", "socket"])
+    @pytest.mark.parametrize("transport", ["socket", "tcp"])
     def test_killed_child_surfaces_error_envelope_and_is_reaped(
         self, transport
     ):
         from repro.service import SinglePairQuery
 
-        client = make_client(transport)
+        if transport == "socket":
+            client = make_client("socket")
+            process = client._transport._process
+        else:
+            process, address = spawn_tcp_server()
+            client = SimRankClient(address=address)
         try:
             client.open_dataset("GrQc")
-            process = client._transport._process
             # Freeze the child so the query is genuinely in flight (written,
             # unanswered) at the moment of death.
             os.kill(process.pid, signal.SIGSTOP)
@@ -341,8 +405,11 @@ class TestDeadChildMidRequest:
             assert result.error.code == "unavailable"
             assert result.kind == "single_pair"
             assert result.dataset == "GrQc"
-            assert process.poll() is not None  # reaped — no zombie left
+            if transport == "socket":
+                assert process.poll() is not None  # reaped — no zombie left
             with pytest.raises(ServiceError):  # later calls fail fast
                 client.ping()
         finally:
             client.close()
+            if transport == "tcp":
+                stop_server(process)  # a shared server's owner reaps it

@@ -114,43 +114,6 @@ class TestErrorIsolation:
         ]
         assert results[0].ok and results[5].ok
 
-    def test_run_lines_turns_bad_json_into_envelopes(self):
-        service = make_service()
-        lines = [
-            '{"kind": "top_k", "dataset": "%s", "node": 2, "k": 3}' % DATASET,
-            "",  # blank lines are skipped, not answered
-            "{not json",
-            '{"kind": "single_pair", "dataset": "%s", "node_u": 0, "node_v": 1}'
-            % DATASET,
-        ]
-        with ParallelExecutor(service, workers=2) as executor:
-            results = executor.run_lines(lines)
-        assert len(results) == 3  # the blank line produced nothing
-        assert results[0].ok
-        assert not results[1].ok and results[1].error.code == "bad_request"
-        assert results[2].ok
-
-    def test_run_stream_windows_preserve_order_and_envelopes(self):
-        service = make_service()
-        n = service.open_dataset(DATASET).num_nodes
-        lines = [
-            '{"kind": "top_k", "dataset": "%s", "node": %d, "k": 3}'
-            % (DATASET, i % n)
-            for i in range(17)
-        ]
-        lines.insert(5, "{bad json")
-        lines.insert(9, "   ")  # skipped, not answered
-        with ParallelExecutor(service, workers=2) as executor:
-            whole = executor.run_lines(lines)
-            windowed = list(executor.run_stream(iter(lines), window=4))
-        assert [essence(result) for result in windowed] == [
-            essence(result) for result in whole
-        ]
-        assert len(windowed) == 18  # 17 requests + 1 bad line, no blank
-        with ParallelExecutor(service, workers=2) as executor:
-            with pytest.raises(ParameterError):
-                list(executor.run_stream(lines, window=0))
-
     def test_closed_executor_rejects_work(self):
         service = make_service()
         executor = ParallelExecutor(service, workers=2)
@@ -212,13 +175,6 @@ class TestStreaming:
             futures = [executor.submit(query) for query in queries]
             results = [future.result() for future in futures]
         assert [essence(result) for result in results] == sequential
-
-    def test_submit_line_handles_bad_json(self):
-        service = make_service()
-        with ParallelExecutor(service, workers=2) as executor:
-            future = executor.submit_line("{broken")
-            result = future.result()
-        assert not result.ok and result.error.code == "bad_request"
 
 
 class TestServiceStress:

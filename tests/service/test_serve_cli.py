@@ -155,3 +155,23 @@ class TestServeLoop:
         stats = json.loads(err[err.index("{"):])
         assert "GrQc" in stats["datasets"]
         assert stats["totals"]["total_queries"] == 3
+
+
+class TestServeDeadlines:
+    def test_queued_request_past_its_deadline_is_shed(self, capsys, monkeypatch):
+        """``deadline_ms`` holds on the stdin loop as on sockets: a pair query
+        queued behind a slow one on the only worker answers
+        ``deadline_exceeded`` instead of running late."""
+        monkeypatch.setenv("REPRO_FAULT_SLOW_MS", "400")
+        lines = [
+            '{"v":2,"id":1,"kind":"single_pair","dataset":"GrQc",'
+            '"node_u":1,"node_v":2}',
+            '{"v":2,"id":2,"kind":"single_pair","dataset":"GrQc",'
+            '"node_u":3,"node_v":4,"deadline_ms":50}',
+        ]
+        exit_code, envelopes, _ = run_serve(capsys, lines, "--workers", "1")
+        assert exit_code == 0
+        assert [e["id"] for e in envelopes] == [1, 2]
+        assert envelopes[0]["ok"] is True
+        assert envelopes[1]["ok"] is False
+        assert envelopes[1]["error"]["code"] == "deadline_exceeded"
