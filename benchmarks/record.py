@@ -31,7 +31,6 @@ from pathlib import Path
 
 import bench_cache_traffic
 import bench_dynamic
-import bench_packed_query
 import bench_resilience
 import bench_serving
 import bench_single_source
@@ -43,32 +42,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: ``cell_fields``, and ``required_true`` — guard booleans that must be
 #: exactly ``True`` for the recorded numbers to be trustworthy.
 RECORDED_BENCHMARKS = {
-    "packed_query": {
-        "run": lambda smoke: bench_packed_query.run_benchmark(
-            **(
-                {"scale": 0.05, "num_pairs": 400, "num_sources": 10, "repeats": 2}
-                if smoke
-                # Recorded runs take best-of-7: the exact-path cells sit near
-                # their 1.0x no-regression floors, so best-of-3 noise on
-                # ~100ms timings can flip them.
-                else {"repeats": 7}
-            )
-        ),
-        "required_keys": (
-            "benchmark",
-            "dataset",
-            "num_nodes",
-            "num_hitting_entries",
-            "cells",
-            "speedups",
-            "targets",
-            "meets_targets",
-            "parity_ok",
-        ),
-        "required_cells": ("single_pair", "single_source", "top_k", "load"),
-        "cell_fields": ("dict_seconds", "packed_seconds", "speedup"),
-        "required_true": ("parity_ok",),
-    },
     "single_source": {
         "run": lambda smoke: bench_single_source.run_benchmark(
             **(

@@ -7,9 +7,9 @@ repository can answer a SimRank query:
   string-keyed registry, and adapter classes wrapping :class:`SlingIndex`
   (built in memory, or saved and memory-mapped back by the ``sling-disk``
   backend) and the naive / power / Monte-Carlo / linearize baselines;
-* :mod:`repro.engine.engine` — :class:`QueryEngine`, which executes single
-  and batched queries with an LRU cache of single-source score vectors and
-  per-query / aggregate statistics;
+* :mod:`repro.engine.engine` — :class:`QueryEngine`, which executes
+  queries with an LRU cache of single-source score vectors and per-query /
+  aggregate statistics;
 * :mod:`repro.engine.planner` — a small router that picks the in-memory or
   disk-backed SLING backend from a memory budget, falling back to a baseline
   when no index can be built.
@@ -18,7 +18,7 @@ This package is the *middle* layer of the serving stack::
 
     repro.service   SimRankService: typed requests -> QueryResult envelopes,
        |            named dataset sessions, JSONL wire protocol
-    repro.engine    QueryEngine: batching, LRU cache, statistics; planner
+    repro.engine    QueryEngine: LRU cache, statistics; planner
        |            routing under a memory budget
     backends        SLING index, disk-backed SLING, baselines
 

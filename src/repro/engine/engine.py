@@ -1,12 +1,8 @@
-"""The query engine: single + batched execution, caching, statistics.
+"""The query engine: query execution, caching, statistics.
 
-:class:`QueryEngine` fronts one :class:`SimilarityBackend` and adds the three
+:class:`QueryEngine` fronts one :class:`SimilarityBackend` and adds the
 things no individual backend provides:
 
-* **batched execution** — ``single_pair_many`` / ``single_source_many`` /
-  ``top_k_many`` deduplicate work inside a batch (a single-source vector is
-  computed once per distinct source and reused for every query that needs
-  it), amortizing the per-query walker / local-push setup;
 * **an LRU cache** of single-source score vectors, so repeated and
   overlapping workloads (top-k dashboards, all-pairs sweeps, skewed query
   mixes) skip recomputation entirely;
@@ -18,7 +14,7 @@ Derived queries route through the cache: ``top_k`` ranks a cached
 single-source vector, and a ``single_pair`` whose source vector is already
 cached is answered from it without touching the backend.  The cache is
 shared *across* query kinds with explicit cross-kind admission — a source
-probed by enough standalone pair queries (``pair_admission_threshold``)
+probed by enough pair queries (``pair_admission_threshold``)
 gets its vector computed and admitted so subsequent traffic of every kind
 hits — and an optional TTL (``cache_ttl_seconds``) bounds staleness.
 :func:`merge_statistics_totals` is the single definition of aggregated
@@ -76,14 +72,13 @@ __all__ = [
     "merge_statistics_totals",
 ]
 
-#: In a batch of pair queries, compute one single-source vector instead of
-#: repeated pair queries once a source occurs at least this many times.  The
-#: same threshold is the default for cross-kind admission: a source probed
-#: this many times by *standalone* pair queries gets its vector admitted to
-#: the shared single-source cache (see :class:`QueryEngine`).
+#: The default ``pair_admission_threshold`` for cross-kind cache admission:
+#: a source probed this many times by ``single_pair`` queries gets its
+#: vector computed and admitted to the shared single-source cache (see
+#: :class:`QueryEngine`).
 PAIR_AMORTIZE_THRESHOLD = 4
 
-#: Bound on the table tracking standalone-pair probe misses per source
+#: Bound on the table tracking pair probe misses per source
 #: (admission pressure); oldest entries are dropped beyond this.
 _PAIR_COUNT_LIMIT = 4096
 
@@ -171,7 +166,6 @@ ENGINE_TOTAL_COUNTERS = (
     "single_pair_queries",
     "single_source_queries",
     "top_k_queries",
-    "batch_calls",
     "cache_hits",
     "cache_misses",
     "cache_evictions",
@@ -255,32 +249,31 @@ class EngineStatistics:
     single_pair_queries: int = 0
     single_source_queries: int = 0
     top_k_queries: int = 0
-    batch_calls: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     cache_evictions: int = 0
     #: Vectors stored into the LRU (misses that completed, plus cross-kind
     #: pair admissions; concurrent misses on one source may store twice).
     cache_admissions: int = 0
-    #: Cross-kind admissions: vectors computed because standalone pair
-    #: probes of their source crossed the admission threshold.
+    #: Cross-kind admissions: vectors computed because pair probes of their
+    #: source crossed the admission threshold.
     pair_admissions: int = 0
     #: Entries dropped because they outlived ``cache_ttl_seconds``.
     cache_expirations: int = 0
-    #: Standalone pair queries answered from a cached source vector.  These
-    #: also count into :attr:`cache_hits` — a pair served without touching
-    #: the backend is cacheable work the cache absorbed.
+    #: Pair queries answered from a cached source vector.  These also count
+    #: into :attr:`cache_hits` — a pair served without touching the backend
+    #: is cacheable work the cache absorbed.
     pair_probe_hits: int = 0
     #: Cached vectors dropped because the index they were computed against
     #: was mutated (see :meth:`QueryEngine.invalidate_cache`) — either
     #: explicitly named as affected, or caught by the defensive version
     #: check on lookup.
     cache_invalidations: int = 0
-    #: Standalone pair queries whose canonical source was not cached.  These
-    #: deliberately do NOT count into :attr:`cache_misses`: the scalar
-    #: read-through never asked the cache to do vector work, so counting it
-    #: as a miss would deflate :attr:`cache_hit_rate` on pair-heavy traffic
-    #: without the cache ever having a chance to serve it.
+    #: Pair queries whose canonical source was not cached.  These deliberately
+    #: do NOT count into :attr:`cache_misses`: the scalar read-through never
+    #: asked the cache to do vector work, so counting it as a miss would
+    #: deflate :attr:`cache_hit_rate` on pair-heavy traffic without the cache
+    #: ever having a chance to serve it.
     pair_probe_misses: int = 0
     #: Per query kind: queries answered from the cache / not answered from
     #: the cache.  ``misses_by_kind`` includes pair read-throughs, so the
@@ -314,7 +307,6 @@ class EngineStatistics:
             "single_pair_queries": self.single_pair_queries,
             "single_source_queries": self.single_source_queries,
             "top_k_queries": self.top_k_queries,
-            "batch_calls": self.batch_calls,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_evictions": self.cache_evictions,
@@ -373,7 +365,7 @@ class EngineStatistics:
 
 
 class QueryEngine:
-    """Execute SimRank queries — singly or in batches — over one backend.
+    """Execute SimRank queries over one backend.
 
     Parameters
     ----------
@@ -389,16 +381,14 @@ class QueryEngine:
         when an operator wants the cache re-validated under drifting
         workloads; expirations are counted separately from evictions.
     pair_admission_threshold:
-        Cross-kind admission: once this many *standalone* ``single_pair``
-        queries have probe-missed on the same canonical source, the next one
-        computes that source's full vector, admits it to the shared cache,
-        and answers from it — so a hot pair source starts serving ``top_k``
-        and ``single_source`` traffic too.  ``None`` disables admission.
-        Batched pair queries are excluded: ``single_pair_many`` has its own
-        per-batch amortization, and ``amortize=False`` promises one backend
-        call per pair.  Note the switch is observable in values within the
-        backend's self-consistency: an admitted source's pairs are read from
-        its vector rather than the scalar estimator (for SLING the two agree
+        Cross-kind admission: once this many ``single_pair`` queries have
+        probe-missed on the same canonical source, the next one computes
+        that source's full vector, admits it to the shared cache, and
+        answers from it — so a hot pair source starts serving ``top_k`` and
+        ``single_source`` traffic too.  ``None`` disables admission.  Note
+        the switch is observable in values within the backend's
+        self-consistency: an admitted source's pairs are read from its
+        vector rather than the scalar estimator (for SLING the two agree
         only within the accuracy target), deterministically as a function of
         the engine's query history.
 
@@ -408,7 +398,7 @@ class QueryEngine:
     >>> from repro.engine import create_backend, QueryEngine
     >>> graph = generators.two_level_community(2, 8, seed=1)
     >>> engine = QueryEngine(create_backend("power", graph))
-    >>> scores = engine.single_source_many([0, 1, 0])
+    >>> scores = [engine.single_source(node) for node in (0, 1, 0)]
     >>> engine.statistics.cache_hits
     1
     """
@@ -450,7 +440,7 @@ class QueryEngine:
         #: graph mutates.  A cached entry stamped with an older version can
         #: never be served (defensive check in :meth:`_cache_get_locked`).
         self._index_version = 0
-        #: Admission pressure: canonical source -> standalone pair probe
+        #: Admission pressure: canonical source -> pair probe
         #: misses so far (bounded; reset when the source is admitted).
         self._pair_counts: OrderedDict[int, int] = OrderedDict()
         self._stats = EngineStatistics(backend=backend.name)
@@ -485,7 +475,7 @@ class QueryEngine:
 
     @property
     def pair_admission_threshold(self) -> int | None:
-        """Standalone pair probe misses on one source before its vector is
+        """Pair probe misses on one source before its vector is
         admitted to the cache (``None`` = cross-kind admission disabled)."""
         return self._pair_admission_threshold
 
@@ -720,30 +710,6 @@ class QueryEngine:
         self._cache_store(node, vector, version)
         return vector, False
 
-    def _batch_source_vector(
-        self, node: int, local: dict[int, np.ndarray]
-    ) -> tuple[np.ndarray, bool]:
-        """``(vector, cache_hit)`` for one member of a batch.
-
-        With the cache enabled this is just :meth:`_source_vector`; with it
-        disabled, duplicates within the batch are still served from the
-        batch-local table (and counted as hits/misses) so per-batch
-        deduplication survives ``cache_size=0``.  Shared by every ``_many``
-        method so their accounting cannot drift apart.
-        """
-        if self._cache_size == 0:
-            vector = local.get(node)
-            if vector is not None:
-                with self._lock:
-                    self._stats.cache_hits += 1
-                return vector, True
-            with self._lock:
-                self._stats.cache_misses += 1
-            vector = self._backend_single_source(node)
-            local[node] = vector
-            return vector, False
-        return self._source_vector(node)
-
     # ------------------------------------------------------------------ #
     # Single queries
     # ------------------------------------------------------------------ #
@@ -770,11 +736,6 @@ class QueryEngine:
         ``cache_miss`` (plus a ``pair_admission``) and the pair is answered
         from the newly admitted vector.
         """
-        return self._single_pair_impl(node_u, node_v, allow_admission=True)
-
-    def _single_pair_impl(
-        self, node_u: int, node_v: int, *, allow_admission: bool
-    ) -> float:
         start = time.perf_counter()
         node_u, node_v = int(node_u), int(node_v)
         if node_v < node_u:
@@ -792,7 +753,7 @@ class QueryEngine:
                     hit = True
                 else:
                     self._stats.pair_probe_misses += 1
-                    if allow_admission and self._note_pair_probe_miss(node_u):
+                    if self._note_pair_probe_miss(node_u):
                         self._stats.cache_misses += 1
                         self._stats.pair_admissions += 1
                         admit = True
@@ -811,7 +772,7 @@ class QueryEngine:
         return score
 
     def _note_pair_probe_miss(self, node: int) -> bool:
-        """Record one standalone probe miss against ``node``; ``True`` when
+        """Record one pair probe miss against ``node``; ``True`` when
         it crossed the admission threshold (which resets the count).  The
         caller must hold the lock."""
         threshold = self._pair_admission_threshold
@@ -843,104 +804,6 @@ class QueryEngine:
         ranked = rank_top_k(vector.copy(), int(node), k)
         self._finish("top_k", start, cache_hit=hit)
         return ranked
-
-    # ------------------------------------------------------------------ #
-    # Batched queries
-    # ------------------------------------------------------------------ #
-    def single_pair_many(
-        self,
-        pairs: Sequence[tuple[int, int]] | Iterable[tuple[int, int]],
-        *,
-        amortize: bool = True,
-    ) -> list[float]:
-        """Answer a batch of pair queries.
-
-        With ``amortize`` (the default), sources occurring at least
-        ``PAIR_AMORTIZE_THRESHOLD`` times in the batch are materialised as one
-        single-source vector and every pair sharing that source is read out
-        of it — one walker/push setup instead of many.  Pass ``False`` to
-        force one backend call per pair (the evaluation drivers do, so the
-        figure timings stay per-query).
-
-        Amortization is a performance mode: a hot pair is read from its
-        *batch-hot* endpoint's vector in the orientation given, so its value
-        can differ from :meth:`single_pair`'s canonical answer within the
-        backend's self-consistency (last-ulp for the exact backends' score
-        matrices, accuracy-target order for SLING).  The result is still
-        deterministic for a given batch — hot sources are a pure function of
-        the batch contents — but callers needing bitwise agreement with
-        :meth:`single_pair` should pass ``amortize=False``.
-        """
-        pairs = [(int(u), int(v)) for u, v in pairs]
-        with self._lock:
-            self._stats.batch_calls += 1
-        hot_sources: set[int] = set()
-        if amortize:
-            counts: dict[int, int] = {}
-            for node_u, _ in pairs:
-                counts[node_u] = counts.get(node_u, 0) + 1
-            hot_sources = {
-                node for node, count in counts.items()
-                if count >= PAIR_AMORTIZE_THRESHOLD
-            }
-        # With the cache disabled, hot-source vectors still must be computed
-        # only once per batch, or the amortization would invert into a
-        # per-pair single-source recomputation.
-        local: dict[int, np.ndarray] = {}
-        results: list[float] = []
-        for node_u, node_v in pairs:
-            if node_u in hot_sources:
-                start = time.perf_counter()
-                vector, hit = self._batch_source_vector(node_u, local)
-                results.append(float(vector[node_v]))
-                self._finish("single_pair", start, cache_hit=hit)
-            else:
-                # Batch members never build cross-kind admission pressure:
-                # the batch has its own amortization above, and
-                # ``amortize=False`` promises one backend call per pair.
-                results.append(
-                    self._single_pair_impl(node_u, node_v, allow_admission=False)
-                )
-        return results
-
-    def single_source_many(
-        self, nodes: Sequence[int] | Iterable[int]
-    ) -> list[np.ndarray]:
-        """Answer a batch of single-source queries, one computation per
-        distinct source; duplicates within the batch are served from cache
-        (or, with caching disabled, from a batch-local table)."""
-        nodes = [int(node) for node in nodes]
-        with self._lock:
-            self._stats.batch_calls += 1
-        local: dict[int, np.ndarray] = {}
-        results: list[np.ndarray] = []
-        for node in nodes:
-            start = time.perf_counter()
-            vector, hit = self._batch_source_vector(node, local)
-            self._finish("single_source", start, cache_hit=hit)
-            results.append(vector.copy())
-        return results
-
-    def top_k_many(
-        self, nodes: Sequence[int] | Iterable[int], k: int
-    ) -> list[list[tuple[int, float]]]:
-        """Answer a batch of top-k queries, one single-source computation per
-        distinct source; duplicates within the batch are served from cache
-        (or, with caching disabled, from a batch-local table)."""
-        if k <= 0:
-            raise ParameterError(f"k must be positive, got {k}")
-        nodes = [int(node) for node in nodes]
-        with self._lock:
-            self._stats.batch_calls += 1
-        local: dict[int, np.ndarray] = {}
-        results: list[list[tuple[int, float]]] = []
-        for node in nodes:
-            start = time.perf_counter()
-            vector, hit = self._batch_source_vector(node, local)
-            ranked = rank_top_k(vector.copy(), node, k)
-            self._finish("top_k", start, cache_hit=hit)
-            results.append(ranked)
-        return results
 
     # ------------------------------------------------------------------ #
     def _finish(self, kind: str, start: float, *, cache_hit: bool) -> None:

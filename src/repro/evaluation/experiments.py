@@ -155,9 +155,10 @@ def single_pair_experiment(
         session = service.open_dataset(dataset)
         pairs = random_pairs(session.graph, num_queries, seed=config.seed)
         for method_name in methods:
-            engine = session.engine(method_name)
+            backend = session.engine(method_name).backend
             start = time.perf_counter()
-            engine.single_pair_many(pairs, amortize=False)
+            for node_u, node_v in pairs:
+                backend.single_pair(node_u, node_v)
             elapsed = time.perf_counter() - start
             rows.append(
                 QueryCostRow(
@@ -546,11 +547,11 @@ def epsilon_scaling_experiment(
         # Each ε needs its own index: attach the already-loaded graph to a
         # fresh service session configured at that accuracy.
         session = _service(scale, scaled_config).open_dataset(dataset, graph=graph)
-        engine = session.engine("sling")
-        backend = engine.backend
+        backend = session.engine("sling").backend
         assert isinstance(backend, SlingBackend)
         start = time.perf_counter()
-        engine.single_pair_many(pairs, amortize=False)
+        for node_u, node_v in pairs:
+            backend.single_pair(node_u, node_v)
         elapsed = time.perf_counter() - start
         rows.append(
             ScalingRow(

@@ -40,9 +40,9 @@ strictly::
   library with in-process, ``repro serve``-subprocess, and socket
   transports;
 * :mod:`repro.service.parallel` — :class:`ParallelExecutor`, the worker pool
-  behind ``repro batch --workers N`` and the ``repro serve`` loop: chunked
-  concurrent execution with deterministic ordered output, per-request error
-  envelopes, and per-chunk deduplication of identical read queries;
+  behind ``repro batch --workers N``, ``repro serve`` and every socket
+  connection: one future per request, per-request error envelopes, load
+  shedding and deadlines;
 * :mod:`repro.service.net` — the socket layer: :class:`SocketServer`
   (``repro serve --listen/--unix``), and :class:`WorkerPool` +
   :class:`Router` (``repro router``) for multi-process sharded serving

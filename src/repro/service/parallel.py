@@ -1,29 +1,23 @@
 """Concurrent request execution: a worker pool over the service facade.
 
-:class:`ParallelExecutor` runs batches of service requests over a thread
-pool while keeping the sequential path's contract intact:
+:class:`ParallelExecutor` runs service requests over a thread pool while
+keeping the sequential path's contract intact:
 
-* **deterministic ordered output** — ``run`` returns exactly one
-  :class:`~repro.service.results.QueryResult` per request, in request order,
-  regardless of how many workers raced to produce them;
-* **per-request error envelopes** — a request that cannot be decoded or
-  answered becomes an error envelope in its slot; it never raises out of the
-  pool and never affects its neighbours;
+* **one future per request** — :meth:`~ParallelExecutor.submit` resolves to
+  exactly one :class:`~repro.service.results.QueryResult`; callers that keep
+  their futures in arrival order get ordered output for any worker count;
+* **per-request error envelopes** — a request that cannot be answered
+  becomes an error envelope; it never raises out of the pool and never
+  affects its neighbours;
 * **identical values** — backends are read-only after build and the engine
   layer is thread-safe, so for exact / path-consistent backends the *values*
-  returned for a batch are bitwise identical for any worker count (latency
-  fields and cache-hit flags naturally vary).  The one caveat is an
-  approximate backend (SLING) serving a *mixed* workload: a ``single_pair``
-  answered from its source's cached vector and one answered by Algorithm 3
-  agree only within the accuracy target, and which path runs depends on
-  whether another worker cached that vector first — so such values may vary
-  across runs by accuracy-target order (never more);
-* **batch-aware scheduling** — within one worker's chunk, textually
-  identical read queries (same kind, dataset, backend, and arguments) are
-  answered once and the envelope is shared by every duplicate.  Skewed
-  workloads (top-k dashboards hammering hot sources) are where a batch
-  scheduler earns its keep even on one core; on multi-core machines the
-  chunks additionally run in parallel.
+  returned are bitwise identical for any worker count (latency fields and
+  cache-hit flags naturally vary).  The one caveat is an approximate backend
+  (SLING) serving a *mixed* workload: a ``single_pair`` answered from its
+  source's cached vector and one answered by Algorithm 3 agree only within
+  the accuracy target, and which path runs depends on whether another
+  worker cached that vector first — so such values may vary across runs by
+  accuracy-target order (never more).
 
 Locking hierarchy (acquired strictly top-down, so no cycles):
 
@@ -31,10 +25,9 @@ Locking hierarchy (acquired strictly top-down, so no cycles):
 2. session lock — lazy engine/index builds;
 3. engine lock — LRU cache and statistics (never held across backend work).
 
-``run`` answers a whole batch at once (the batch benchmarks measure it);
-:meth:`submit` is the streaming interface behind every serve loop — the
-shared connection pump (:mod:`repro.service.net.pump`) needs one future per
-request to write responses in arrival order while up to ``workers``
+:meth:`~ParallelExecutor.submit` is the interface behind every serve loop —
+the shared connection pump (:mod:`repro.service.net.pump`) keeps a FIFO of
+futures to write responses in arrival order while up to ``workers``
 requests execute behind the head of the line.
 """
 
@@ -43,18 +36,11 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Sequence
 
 from ..exceptions import ParameterError, ReproError
-from ..sling.parallel import even_chunks, resolve_worker_count
+from ..sling.parallel import resolve_worker_count
 from .control import ControlRequest
-from .queries import (
-    AllPairsQuery,
-    Query,
-    SinglePairQuery,
-    SingleSourceQuery,
-    TopKQuery,
-)
+from .queries import Query
 from .results import (
     ERROR_BAD_REQUEST,
     ERROR_DEADLINE_EXCEEDED,
@@ -63,35 +49,9 @@ from .results import (
     QueryResult,
 )
 from .service import SimRankService
-from .wire import RequestEnvelope, decode_envelope
+from .wire import RequestEnvelope
 
 __all__ = ["ParallelExecutor"]
-
-#: Chunks handed to the pool per worker; more than one so an unlucky chunk
-#: full of slow (cold) requests does not leave the other workers idle.
-CHUNKS_PER_WORKER = 4
-
-
-def _dedupe_key(query: Query, backend: str | None) -> tuple | None:
-    """A hashable identity for read queries that may share one envelope.
-
-    Only queries whose answers depend on nothing but the built backend are
-    deduplicated; anything unrecognised returns ``None`` and is executed
-    individually.
-    """
-    if type(query) is TopKQuery:
-        return ("top_k", query.dataset, backend, query.node, query.k)
-    if type(query) is SinglePairQuery:
-        # The engine canonicalises pairs and answers both orientations
-        # bitwise-identically, so (u, v) and (v, u) may share one envelope.
-        low, high = sorted((query.node_u, query.node_v))
-        return ("single_pair", query.dataset, backend, low, high)
-    if type(query) is SingleSourceQuery:
-        return ("single_source", query.dataset, backend, query.node)
-    if type(query) is AllPairsQuery:
-        return ("all_pairs", query.dataset, backend)
-    return None
-
 
 class ParallelExecutor:
     """Execute service requests concurrently with ordered, enveloped output.
@@ -183,22 +143,17 @@ class ParallelExecutor:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # Single-request execution (shared by every entry point)
+    # Single-request execution
     # ------------------------------------------------------------------ #
     def _execute_one(
-        self,
-        request: Query | ControlRequest | object,
-        shared: dict[tuple, QueryResult] | None = None,
+        self, request: Query | ControlRequest | RequestEnvelope
     ) -> QueryResult:
-        """Answer one request — typed query or wire payload — as an envelope.
+        """Answer one typed request or decoded envelope as a result envelope.
 
-        ``shared`` is a chunk-local memo of completed read queries; it is
-        only ever touched by the one worker thread that owns the chunk.
-        A request that is already a :class:`QueryResult` (a pre-failed
-        envelope from line decoding) passes through untouched; a
+        An envelope whose request is already a :class:`QueryResult` (a
+        pre-failed decode) passes through untouched; a
         :class:`~repro.service.control.ControlRequest` dispatches to the
-        service's control plane (control operations are never deduplicated
-        — ``close_dataset`` twice must close twice).
+        service's control plane.
         """
         try:
             deadline = None
@@ -207,17 +162,6 @@ class ParallelExecutor:
                 request = request.request
             if isinstance(request, QueryResult):
                 return request
-            if not isinstance(request, (Query, ControlRequest)):
-                # Decode wire payloads up front (rather than delegating to
-                # execute_wire) so deduplication and a pinned backend apply
-                # to decoded wire dicts too.
-                # The envelope decoder accepts v2 keys and control kinds.
-                envelope = decode_envelope(request)
-                if deadline is None:
-                    deadline = envelope.deadline
-                request = envelope.request
-                if isinstance(request, QueryResult):
-                    return request
             if deadline is not None and time.monotonic() >= deadline:
                 # The budget ran out while this request sat in the queue:
                 # computing the answer now would only waste a worker on a
@@ -230,18 +174,10 @@ class ParallelExecutor:
                 )
             if isinstance(request, ControlRequest):
                 return self._service.execute_control(request)
-            degrade = (
+            if (
                 self._degrade_pending is not None
                 and self._pending >= self._degrade_pending
-            )
-            key = None if degrade else _dedupe_key(request, self._backend)
-            if shared is not None and key is not None:
-                result = shared.get(key)
-                if result is None:
-                    result = self._service.execute(request, backend=self._backend)
-                    shared[key] = result
-                return result
-            if degrade:
+            ):
                 return self._service.execute(
                     request, backend=self._backend, degrade=True
                 )
@@ -257,47 +193,8 @@ class ParallelExecutor:
                 ERROR_INTERNAL, f"{type(exc).__name__}: {exc}"
             )
 
-    def _run_chunk(
-        self, requests: Sequence[Query | ControlRequest | object], chunk: range
-    ) -> list[QueryResult]:
-        shared: dict[tuple, QueryResult] = {}
-        return [self._execute_one(requests[index], shared) for index in chunk]
-
     # ------------------------------------------------------------------ #
-    # Batch execution
-    # ------------------------------------------------------------------ #
-    def run(self, requests: Sequence[Query | ControlRequest | object]) -> list[QueryResult]:
-        """Answer a batch; result ``i`` always belongs to request ``i``.
-
-        Requests may be typed :class:`~repro.service.queries.Query` objects
-        or decoded wire payloads (dicts); malformed payloads yield
-        ``bad_request`` envelopes in their slots.  The batch is split into
-        contiguous chunks processed by the worker pool; chunk results are
-        reassembled in order, so the output is deterministic for any worker
-        count.
-        """
-        if self._closed:  # same contract as submit(), for any worker count
-            raise ParameterError("executor is closed")
-        requests = list(requests)
-        if not requests:
-            return []
-        # One worker runs inline with a single batch-wide chunk: splitting
-        # would only fragment the dedupe memo with no parallelism to gain.
-        num_chunks = 1 if self._workers == 1 else self._workers * CHUNKS_PER_WORKER
-        chunks = even_chunks(len(requests), num_chunks)
-        if self._workers == 1 or len(chunks) == 1:
-            results_per_chunk = [
-                self._run_chunk(requests, chunk) for chunk in chunks
-            ]
-        else:
-            pool = self._ensure_pool()
-            results_per_chunk = list(
-                pool.map(lambda chunk: self._run_chunk(requests, chunk), chunks)
-            )
-        return [result for chunk in results_per_chunk for result in chunk]
-
-    # ------------------------------------------------------------------ #
-    # Streaming execution (the serve loop)
+    # Submission (every serve loop)
     # ------------------------------------------------------------------ #
     @property
     def pending(self) -> int:
@@ -318,15 +215,20 @@ class ParallelExecutor:
             "ping", "shutdown"
         )
 
-    def submit(self, request: Query | ControlRequest | object) -> "Future[QueryResult]":
+    def submit(
+        self, request: Query | ControlRequest | RequestEnvelope
+    ) -> "Future[QueryResult]":
         """Schedule one request on the pool; the future never raises.
 
-        The streaming interface: the connection pump behind ``repro
-        serve``, ``repro batch`` and every socket connection keeps a FIFO
-        of futures and writes each result as its turn comes, giving ordered
-        responses with up to ``workers`` requests in flight.  ``request`` may also be a
-        decoded :class:`~repro.service.wire.RequestEnvelope`, which carries
-        the request's deadline into the pool.
+        The connection pump behind ``repro serve``, ``repro batch`` and
+        every socket connection keeps a FIFO of futures and writes each
+        result as its turn comes, giving ordered responses with up to
+        ``workers`` requests in flight.  ``request`` is a typed query or
+        control request, or a decoded
+        :class:`~repro.service.wire.RequestEnvelope` (see
+        :func:`~repro.service.wire.decode_envelope`), which carries the
+        request's deadline into the pool.  Wire dicts are decoded by the
+        caller, not here.
 
         With ``max_pending`` set, a submission past the bound resolves
         immediately to an ``overloaded`` envelope — explicit load shedding

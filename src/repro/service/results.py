@@ -229,8 +229,8 @@ class QueryResult:
         Built by populating ``__dict__`` directly instead of the generated
         ``__init__``: the frozen dataclass assigns fields one
         ``object.__setattr__`` at a time, which is the single largest cost on
-        the service's warm-cache hot path (see
-        ``benchmarks/bench_service_overhead.py``).
+        the service's warm-cache hot path (``service.*_self_ms`` in
+        perfbench's traced ladder).
         """
         self = object.__new__(cls)
         object.__setattr__(self, "__dict__", {

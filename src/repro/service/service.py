@@ -606,8 +606,8 @@ class SimRankService:
                 ]
             elif kind == "all_pairs":
                 value = [
-                    vector.tolist()
-                    for vector in engine.single_source_many(session.graph.nodes())
+                    engine.single_source(node).tolist()
+                    for node in session.graph.nodes()
                 ]
             else:
                 return self._fail(
@@ -834,8 +834,7 @@ class SimRankService:
         Speaks the full v2 surface: envelope keys (``v``/``id``/
         ``chunk_size``) are accepted and ignored here — they shape the
         *frames*, which are the transport's concern — and control kinds
-        dispatch to :meth:`execute_control`, so batch, serve, and the
-        parallel executor all gain the control plane through this one door.
+        dispatch to :meth:`execute_control`.
         """
         return self.execute_request(decode_envelope(payload).request)
 

@@ -79,7 +79,6 @@ __all__ = [
     "RequestEnvelope",
     "encode_request",
     "decode_request",
-    "decode_query_or_failure",
     "decode_envelope",
     "decode_envelope_line",
     "encode_result",
@@ -129,24 +128,10 @@ def decode_request(line: str) -> Query:
     return query_from_wire(payload)
 
 
-def decode_query_or_failure(payload: object) -> Query | QueryResult:
-    """Decode one wire payload into a typed query, or a ``bad_request``
-    envelope when it cannot be decoded.
-
-    The query-plane-only sibling of :func:`decode_envelope` — kept for
-    embedders that speak the PR 2 protocol; the service and executor now
-    route through the envelope decoder so control requests work everywhere.
-    """
-    try:
-        return query_from_wire(payload)
-    except (WireFormatError, ParameterError) as exc:
-        return _decode_failure(payload, exc)
-
-
 def _decode_failure(payload: object, exc: Exception) -> QueryResult:
     """The one place decode-failure envelopes are shaped (best-effort
     ``kind``/``dataset`` context included), so they can never diverge
-    between the service, the executor, and the serve loop."""
+    between the service and the serve loop."""
     kind = payload.get("kind") if isinstance(payload, dict) else None
     dataset = payload.get("dataset") if isinstance(payload, dict) else None
     return QueryResult.failure(

@@ -119,12 +119,23 @@ class TestCrossKindAdmission:
         assert engine.backend.source_calls == 0
         assert engine.cached_nodes() == []
 
-    def test_batch_pairs_build_no_admission_pressure(self, engine):
-        pairs = [(5, 11)] * (PAIR_AMORTIZE_THRESHOLD - 1)
-        engine.single_pair_many(pairs, amortize=False)
-        engine.single_pair(5, 11)  # standalone probe #1, not #threshold
-        assert engine.statistics.pair_admissions == 0
+    def test_probes_below_threshold_admit_nothing(self, engine):
+        for _ in range(PAIR_AMORTIZE_THRESHOLD - 1):
+            engine.single_pair(5, 11)
+        stats = engine.statistics
+        assert stats.pair_admissions == 0
+        assert stats.pair_probe_misses == PAIR_AMORTIZE_THRESHOLD - 1
+        assert engine.backend.pair_calls == PAIR_AMORTIZE_THRESHOLD - 1
         assert engine.cached_nodes() == []
+
+    def test_threshold_one_admits_on_first_probe(self, graph):
+        engine = QueryEngine(
+            CountingBackend(graph), cache_size=4, pair_admission_threshold=1
+        )
+        engine.single_pair(6, 2)
+        assert engine.cached_nodes() == [2]
+        assert engine.backend.pair_calls == 0
+        assert engine.statistics.pair_admissions == 1
 
     def test_invalid_threshold_rejected(self, graph):
         with pytest.raises(ParameterError):

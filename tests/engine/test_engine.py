@@ -1,8 +1,8 @@
-"""Cache-behaviour and batching tests for :class:`QueryEngine`.
+"""Cache-behaviour tests for :class:`QueryEngine`.
 
 A counting stub backend makes backend-call amortization observable: the
-cache and batching guarantees are asserted as exact hit/miss/eviction and
-call counts, not timings.
+cache guarantees are asserted as exact hit/miss/eviction and call counts,
+not timings.
 """
 
 from __future__ import annotations
@@ -12,8 +12,14 @@ import json
 import numpy as np
 import pytest
 
-from repro.engine import BackendInfo, QueryEngine, SimilarityBackend
-from repro.engine.engine import PAIR_AMORTIZE_THRESHOLD
+from repro.engine import (
+    PAIR_AMORTIZE_THRESHOLD,
+    BackendConfig,
+    BackendInfo,
+    QueryEngine,
+    SimilarityBackend,
+    create_engine,
+)
 from repro.exceptions import ParameterError
 from repro.graphs import generators
 
@@ -96,6 +102,10 @@ class TestCacheBehaviour:
         # Nearest neighbours of 5 under the stub metric, id tie-break.
         assert [node for node, _ in ranked] == [4, 6, 3]
 
+    def test_top_k_rejects_bad_k(self, engine):
+        with pytest.raises(ParameterError):
+            engine.top_k(1, 0)
+
     def test_single_pair_served_from_cached_vector(self, engine):
         engine.single_source(2)
         score = engine.single_pair(2, 7)
@@ -123,70 +133,115 @@ class TestCacheBehaviour:
             QueryEngine(CountingBackend(graph), cache_size=-1)
 
 
-class TestBatchedExecution:
-    def test_single_source_many_computes_each_distinct_source_once(self, engine):
-        results = engine.single_source_many([0, 1, 0, 1, 0])
+class TestRepeatedQueries:
+    """Every request takes the single-query path; the only sharing between
+    repeated requests is the source-vector cache (and pair admission)."""
+
+    def test_repeated_sources_compute_each_distinct_source_once(self, engine):
+        results = [engine.single_source(node) for node in (0, 1, 0, 1, 0)]
         assert len(results) == 5
         assert engine.backend.source_calls == 2
         assert engine.statistics.cache_hits == 3
-        assert engine.statistics.batch_calls == 1
+        assert engine.statistics.cache_misses == 2
+        np.testing.assert_array_equal(results[0], results[2])
 
-    def test_single_source_many_dedupes_even_without_cache(self, graph):
+    def test_repeated_sources_recompute_without_cache(self, graph):
         engine = QueryEngine(CountingBackend(graph), cache_size=0)
-        engine.single_source_many([4, 4, 4])
-        assert engine.backend.source_calls == 1
+        results = [engine.single_source(4) for _ in range(3)]
+        assert engine.backend.source_calls == 3
+        assert all(np.array_equal(results[0], other) for other in results[1:])
 
-    def test_single_pair_many_amortizes_hot_sources(self, engine):
-        pairs = [(0, v) for v in range(PAIR_AMORTIZE_THRESHOLD)]
-        scores = engine.single_pair_many(pairs)
-        assert scores == [1.0 / (1.0 + v) for v in range(PAIR_AMORTIZE_THRESHOLD)]
-        # One single-source computation instead of four pair calls.
+    def test_hot_pair_source_is_computed_once(self, engine):
+        pairs = [(0, v) for v in range(1, PAIR_AMORTIZE_THRESHOLD + 3)]
+        scores = [engine.single_pair(u, v) for u, v in pairs]
+        assert scores == [1.0 / (1.0 + v) for _, v in pairs]
+        # Probes below the threshold go pairwise; the crossing probe admits
+        # the source's vector and every later pair reads it.
         assert engine.backend.source_calls == 1
-        assert engine.backend.pair_calls == 0
+        assert engine.backend.pair_calls == PAIR_AMORTIZE_THRESHOLD - 1
+        assert engine.cached_nodes() == [0]
 
-    def test_single_pair_many_cold_sources_stay_pairwise(self, engine):
-        scores = engine.single_pair_many([(0, 1), (2, 3), (4, 5)])
+    def test_cold_pair_sources_stay_pairwise(self, engine):
+        scores = [engine.single_pair(u, v) for u, v in ((0, 1), (2, 3), (4, 5))]
         assert engine.backend.pair_calls == 3
         assert engine.backend.source_calls == 0
         assert scores == [0.5, 0.5, 0.5]
 
-    def test_single_pair_many_amortizes_even_without_cache(self, graph):
-        engine = QueryEngine(CountingBackend(graph), cache_size=0)
-        pairs = [(0, v) for v in range(PAIR_AMORTIZE_THRESHOLD + 2)]
-        engine.single_pair_many(pairs)
-        # The hot-source vector must be computed once per batch, not per pair.
-        assert engine.backend.source_calls == 1
-        assert engine.backend.pair_calls == 0
+    def test_pair_scores_agree_with_source_vectors(self, engine, graph):
+        n = graph.num_nodes
+        for u in range(n):
+            row = engine.single_source(u)
+            for v in range(n):
+                assert engine.single_pair(u, v) == row[v]
 
-    def test_single_pair_many_amortize_false_forces_pairwise(self, engine):
-        pairs = [(0, v) for v in range(PAIR_AMORTIZE_THRESHOLD + 2)]
-        engine.single_pair_many(pairs, amortize=False)
-        assert engine.backend.pair_calls == len(pairs)
-        assert engine.backend.source_calls == 0
-
-    def test_top_k_many_shares_cached_vectors(self, engine):
-        engine.top_k_many([1, 2, 1, 2], k=3)
+    def test_repeated_top_k_shares_cached_vectors(self, engine):
+        for node in (1, 2, 1, 2):
+            engine.top_k(node, 3)
         assert engine.backend.source_calls == 2
         assert engine.statistics.top_k_queries == 4
+        assert engine.statistics.cache_hits == 2
 
-    def test_top_k_many_counts_as_one_batch_call(self, engine):
-        engine.top_k_many([1, 2, 1], k=3)
-        assert engine.statistics.batch_calls == 1
-
-    def test_top_k_many_dedupes_even_without_cache(self, graph):
+    def test_repeated_top_k_recomputes_without_cache(self, graph):
         engine = QueryEngine(CountingBackend(graph), cache_size=0)
-        results = engine.top_k_many([4, 4, 4], k=3)
-        assert engine.backend.source_calls == 1
+        results = [engine.top_k(4, 3) for _ in range(3)]
+        assert engine.backend.source_calls == 3
         assert results[0] == results[1] == results[2]
 
-    def test_top_k_many_matches_top_k(self, engine, graph):
-        batched = engine.top_k_many([3, 7], k=4)
+    def test_warm_top_k_matches_a_cold_engine(self, engine, graph):
+        for node in (3, 7):
+            engine.single_source(node)
+        warm = [engine.top_k(node, 4) for node in (3, 7)]
         fresh = QueryEngine(CountingBackend(graph), cache_size=4)
-        assert batched == [fresh.top_k(3, 4), fresh.top_k(7, 4)]
+        assert warm == [fresh.top_k(3, 4), fresh.top_k(7, 4)]
 
-    def test_top_k_many_rejects_bad_k(self, engine):
-        with pytest.raises(ParameterError):
-            engine.top_k_many([1, 2], k=0)
+    def test_top_k_is_clamped_to_the_other_nodes(self, engine, graph):
+        ranked = engine.top_k(0, 10 * graph.num_nodes)
+        assert len(ranked) == graph.num_nodes - 1
+        assert 0 not in {node for node, _ in ranked}
+
+    def test_pair_reaches_the_backend_in_canonical_order(self, graph):
+        seen = []
+
+        class RecordingBackend(CountingBackend):
+            def single_pair(self, node_u, node_v):
+                seen.append((node_u, node_v))
+                return super().single_pair(node_u, node_v)
+
+        engine = QueryEngine(
+            RecordingBackend(graph), cache_size=4, pair_admission_threshold=None
+        )
+        engine.single_pair(9, 3)
+        engine.single_pair(3, 9)
+        assert seen == [(3, 9), (3, 9)]
+
+    def test_sling_pairs_are_bitwise_symmetric_in_every_cache_state(self):
+        graph = generators.two_level_community(2, 6, seed=5)
+        engine = create_engine(
+            graph, backend="sling", config=BackendConfig(epsilon=0.1, seed=0),
+            cache_size=8, pair_admission_threshold=None,
+        )
+        pairs = [(1, 7), (2, 4), (0, 11)]
+        cold = [(engine.single_pair(u, v), engine.single_pair(v, u)) for u, v in pairs]
+        for u, _ in pairs:
+            engine.single_source(u)  # cache every canonical source
+        warm = [(engine.single_pair(u, v), engine.single_pair(v, u)) for u, v in pairs]
+        assert all(forward == backward for forward, backward in cold + warm)
+        assert engine.statistics.pair_probe_hits == 2 * len(pairs)
+
+    def test_warm_mixed_traffic_is_fully_cache_resident(self, engine):
+        for node in range(4):  # the cache holds exactly these four
+            engine.single_source(node)
+        engine.reset_statistics()
+        calls = (engine.backend.source_calls, engine.backend.pair_calls)
+        for step in range(24):
+            node = step % 4
+            engine.single_source(node)
+            engine.top_k(node, 3)
+            engine.single_pair(node, node + 5)
+        stats = engine.statistics
+        assert stats.cache_hit_rate == 1.0
+        assert stats.cache_misses == 0
+        assert (engine.backend.source_calls, engine.backend.pair_calls) == calls
 
 
 class TestStatistics:

@@ -46,6 +46,29 @@ class TestQueryExperiments:
         assert all(row.num_queries == 10 for row in rows)
         assert all(row.average_milliseconds >= 0.0 for row in rows)
 
+    def test_single_pair_experiment_times_the_backend_alone(self, monkeypatch):
+        """One backend call per pair: the engine records no query and caches
+        nothing, so the timing is the backend's own."""
+        services = []
+        make = experiments._service
+
+        def recording_service(scale, config):
+            services.append(make(scale, config))
+            return services[-1]
+
+        monkeypatch.setattr(experiments, "_service", recording_service)
+        experiments.single_pair_experiment(
+            DATASETS, methods=("SLING", "Linearize"), num_queries=10,
+            scale=SCALE, config=CONFIG,
+        )
+        (service,) = services
+        session = service.open_dataset("GrQc")
+        assert len(session.backends()) == 2
+        for backend in session.backends():
+            engine = session.engine(backend)
+            assert engine.statistics.total_queries == 0
+            assert engine.cached_nodes() == []
+
     def test_single_source_experiment_includes_both_sling_variants(self):
         rows = experiments.single_source_experiment(
             DATASETS,
@@ -113,3 +136,22 @@ class TestInfrastructureExperiments:
         assert len(rows) == 2
         # A smaller epsilon must yield a larger index.
         assert rows[1].index_megabytes > rows[0].index_megabytes
+
+    def test_epsilon_scaling_experiment_times_the_backend_alone(
+        self, monkeypatch
+    ):
+        services = []
+        make = experiments._service
+
+        def recording_service(scale, config):
+            services.append(make(scale, config))
+            return services[-1]
+
+        monkeypatch.setattr(experiments, "_service", recording_service)
+        rows = experiments.epsilon_scaling_experiment(
+            "GrQc", epsilons=(0.2,), num_queries=10, scale=SCALE, config=CONFIG
+        )
+        assert len(rows) == 1
+        engine = services[-1].open_dataset("GrQc").engine("sling")
+        assert engine.statistics.total_queries == 0
+        assert engine.cached_nodes() == []

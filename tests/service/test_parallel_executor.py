@@ -1,11 +1,11 @@
 """The :class:`ParallelExecutor` contract and the service-level stress tests.
 
-Covers the three guarantees the executor makes — deterministic ordered
-output, per-request error envelopes that never kill the pool, and values
-identical to the sequential path for any worker count — plus the
-service-layer concurrency stress test (8 threads on one session) and the
-Monte-Carlo determinism requirement (same seed ⇒ identical results across
-runs and across worker counts).
+Covers the three guarantees the executor makes — one future per request, so
+futures kept in submission order give ordered output; per-request error
+envelopes that never kill the pool; and values identical to the sequential
+path for any worker count — plus the service-layer concurrency stress test
+(8 threads on one session) and the Monte-Carlo determinism requirement (same
+seed ⇒ identical results across runs and across worker counts).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import pytest
 from repro.exceptions import ParameterError
 from repro.graphs import generators
 from repro.service import (
+    AllPairsQuery,
     ParallelExecutor,
     ServiceConfig,
     SimRankService,
@@ -24,6 +25,7 @@ from repro.service import (
     SingleSourceQuery,
     TopKQuery,
 )
+from repro.service.wire import decode_envelope
 
 DATASET = "grid"
 
@@ -53,6 +55,13 @@ def mixed_queries(n: int, count: int = 60) -> list:
     return queries
 
 
+def submit_all(executor: ParallelExecutor, requests) -> list:
+    """Submit every request, then collect the results in submission order
+    (what the connection pump does with its FIFO of futures)."""
+    futures = [executor.submit(request) for request in requests]
+    return [future.result() for future in futures]
+
+
 def essence(result) -> tuple:
     """The deterministic part of an envelope (latency and cache-hit flags
     legitimately vary between runs and worker counts)."""
@@ -68,22 +77,35 @@ class TestOrderedOutput:
         sequential = [essence(service.execute(query)) for query in queries]
         for workers in (1, 2, 4, 8):
             with ParallelExecutor(service, workers=workers) as executor:
-                results = executor.run(queries)
+                results = submit_all(executor, queries)
             assert [essence(result) for result in results] == sequential, workers
 
-    def test_empty_batch(self):
+    @pytest.mark.parametrize("workers", (1, 4))
+    def test_all_pairs_alongside_sources_matches_sequential(self, workers):
+        """``all_pairs`` sweeps the engine's single-source path while other
+        workers query the same sources."""
         service = make_service()
-        with ParallelExecutor(service, workers=4) as executor:
-            assert executor.run([]) == []
+        n = service.open_dataset(DATASET).num_nodes
+        requests = [AllPairsQuery(DATASET)] + [
+            SingleSourceQuery(DATASET, node=node) for node in range(0, n, 3)
+        ] + [AllPairsQuery(DATASET)]
+        reference = make_service()
+        sequential = [essence(reference.execute(query)) for query in requests]
+        with ParallelExecutor(service, workers=workers) as executor:
+            results = submit_all(executor, requests)
+        assert [essence(result) for result in results] == sequential
+        assert len(results[0].value) == n
 
-    def test_wire_payloads_and_typed_queries_mix(self):
+    def test_decoded_envelopes_and_typed_queries_mix(self):
         service = make_service()
         requests = [
             TopKQuery(DATASET, node=1, k=3),
-            {"kind": "single_pair", "dataset": DATASET, "node_u": 0, "node_v": 2},
+            decode_envelope(
+                {"kind": "single_pair", "dataset": DATASET, "node_u": 0, "node_v": 2}
+            ),
         ]
         with ParallelExecutor(service, workers=2) as executor:
-            results = executor.run(requests)
+            results = submit_all(executor, requests)
         assert [result.ok for result in results] == [True, True]
         assert results[0].kind == "top_k"
         assert results[1].kind == "single_pair"
@@ -95,14 +117,16 @@ class TestErrorIsolation:
         n = service.open_dataset(DATASET).num_nodes
         requests = [
             TopKQuery(DATASET, node=0, k=3),
-            {"kind": "unknown_kind"},
+            decode_envelope({"kind": "unknown_kind"}),
             TopKQuery(DATASET, node=10 * n, k=3),
-            {"kind": "top_k", "dataset": "no-such-dataset", "node": 0, "k": 3},
-            "not even a dict",
+            decode_envelope(
+                {"kind": "top_k", "dataset": "no-such-dataset", "node": 0, "k": 3}
+            ),
+            decode_envelope("not even a dict"),
             TopKQuery(DATASET, node=1, k=3),
         ]
         with ParallelExecutor(service, workers=3) as executor:
-            results = executor.run(requests)
+            results = submit_all(executor, requests)
         codes = [result.error.code if result.error else None for result in results]
         assert codes == [
             None,
@@ -120,61 +144,122 @@ class TestErrorIsolation:
         executor.close()
         with pytest.raises(ParameterError):
             executor.submit(TopKQuery(DATASET, node=0, k=3))
-        with pytest.raises(ParameterError):
-            executor.run([TopKQuery(DATASET, node=0, k=3)])
-        # The inline path (workers=1 / single chunk) must honour the same
-        # contract instead of quietly executing on a closed executor.
+        # One worker must honour the same contract instead of quietly
+        # executing on a closed executor.
         single = ParallelExecutor(service, workers=1)
         single.close()
         with pytest.raises(ParameterError):
-            single.run([TopKQuery(DATASET, node=0, k=3)])
+            single.submit(TopKQuery(DATASET, node=0, k=3))
 
 
-class TestDeduplication:
-    def test_duplicate_queries_share_one_answer(self):
-        service = make_service()
-        queries = [TopKQuery(DATASET, node=3, k=4) for _ in range(32)]
-        with ParallelExecutor(service, workers=1) as executor:
-            results = executor.run(queries)
-        # One worker means one batch-wide chunk, so every duplicate shares
-        # the single envelope object; with more workers sharing is per chunk.
-        assert len({id(result) for result in results}) == 1
-        assert len({tuple((e["node"], e["rank"]) for e in r.value) for r in results}) == 1
-
-    def test_wire_payload_duplicates_share_one_answer_too(self):
-        """Regression: dedupe must apply on the JSONL path (the only path
-        the CLI uses), not just to typed Query objects."""
-        service = make_service()
-        payloads = [
-            {"kind": "top_k", "dataset": DATASET, "node": 3, "k": 4}
-            for _ in range(32)
-        ]
-        with ParallelExecutor(service, workers=1) as executor:
-            results = executor.run(payloads)
-        assert len({id(result) for result in results}) < len(results)
-        assert all(result.ok for result in results)
-
-    def test_dedupe_does_not_leak_across_backends(self):
+class TestBackendPin:
+    def test_pinned_backend_applies_to_every_request(self):
         service = make_service()
         queries = [SinglePairQuery(DATASET, node_u=0, node_v=2)] * 4
         with ParallelExecutor(service, workers=1) as executor:
-            auto = executor.run(queries)
+            auto = submit_all(executor, queries)
         with ParallelExecutor(service, workers=1, backend="naive") as executor:
-            pinned = executor.run(queries)
+            pinned = submit_all(executor, queries)
         assert {result.backend for result in auto} == {"power"}
         assert {result.backend for result in pinned} == {"naive"}
 
+    def test_pinned_backend_keeps_its_own_cache(self):
+        service = make_service()
+        query = SingleSourceQuery(DATASET, node=3)
+        with ParallelExecutor(service, workers=1) as executor:
+            warm = submit_all(executor, [query, query])
+        with ParallelExecutor(service, workers=1, backend="naive") as executor:
+            pinned = submit_all(executor, [query, query])
+        assert [result.cache_hit for result in warm] == [False, True]
+        # The auto engine's cached vector must not answer for another backend.
+        assert [result.cache_hit for result in pinned] == [False, True]
+
 
 class TestStreaming:
-    def test_submit_preserves_caller_order(self):
+    @pytest.mark.parametrize("workers", (2, 8))
+    def test_submit_preserves_caller_order(self, workers):
+        """Each future resolves to its own request's answer, whatever order
+        the caller waits on them in."""
         service = make_service()
         n = service.open_dataset(DATASET).num_nodes
         queries = mixed_queries(n, count=40)
         sequential = [essence(service.execute(query)) for query in queries]
-        with ParallelExecutor(service, workers=4) as executor:
+        with ParallelExecutor(service, workers=workers) as executor:
             futures = [executor.submit(query) for query in queries]
-            results = [future.result() for future in futures]
+            results = [future.result() for future in reversed(futures)][::-1]
         assert [essence(result) for result in results] == sequential
+
+
+class TestDuplicates:
+    """Duplicate requests are not merged: each gets its own envelope, and the
+    engine's source cache is what they share."""
+
+    def test_duplicate_queries_each_get_their_own_answer(self):
+        service = make_service()
+        queries = [TopKQuery(DATASET, node=3, k=4) for _ in range(32)]
+        with ParallelExecutor(service, workers=1) as executor:
+            results = submit_all(executor, queries)
+        assert len({id(result) for result in results}) == len(results)
+        assert all(essence(result) == essence(results[0]) for result in results)
+        assert [result.cache_hit for result in results] == [False] + [True] * 31
+
+    @pytest.mark.parametrize("workers", (1, 4))
+    def test_decoded_duplicates_are_served_from_the_engine_cache(self, workers):
+        service = make_service()
+        payload = {"kind": "top_k", "dataset": DATASET, "node": 3, "k": 4}
+        with ParallelExecutor(service, workers=workers) as executor:
+            results = submit_all(
+                executor, [decode_envelope(dict(payload)) for _ in range(32)]
+            )
+        assert all(result.ok for result in results)
+        assert all(essence(result) == essence(results[0]) for result in results)
+        stats = service.open_dataset(DATASET).engine().statistics_snapshot()
+        assert stats.cache_hits + stats.cache_misses == 32
+        # Concurrent first requests may each miss, but no more than one per
+        # worker: after that the vector is cached.
+        assert 1 <= stats.cache_misses <= workers
+
+
+class TestEnvelopePassThrough:
+    def test_pre_failed_decode_is_returned_untouched(self):
+        service = make_service()
+        envelope = decode_envelope({"kind": "unknown_kind"})
+        with ParallelExecutor(service, workers=2) as executor:
+            result = executor.submit(envelope).result()
+        assert result is envelope.request
+        assert service.list_datasets() == [DATASET]
+
+    def test_service_exception_becomes_internal_error(self):
+        service = make_service()
+
+        class Exploding:
+            def execute(self, request, **_kwargs):
+                raise RuntimeError("boom")
+
+        with ParallelExecutor(Exploding(), workers=2) as executor:
+            failed = executor.submit(TopKQuery(DATASET, node=0, k=3)).result()
+        assert failed.error.code == "internal_error"
+        assert "RuntimeError: boom" in failed.error.message
+        with ParallelExecutor(service, workers=2) as executor:
+            assert executor.submit(TopKQuery(DATASET, node=0, k=3)).result().ok
+
+    def test_pool_survives_a_failing_request(self):
+        calls = []
+        service = make_service()
+
+        class FlakyOnce:
+            def execute(self, request, **kwargs):
+                calls.append(request)
+                if len(calls) == 1:
+                    raise ParameterError("rejected")
+                return service.execute(request, **kwargs)
+
+        queries = [TopKQuery(DATASET, node=node, k=3) for node in range(4)]
+        with ParallelExecutor(FlakyOnce(), workers=1) as executor:
+            results = submit_all(executor, queries)
+        assert results[0].error.code == "bad_request"
+        assert results[0].error.message == "rejected"
+        assert all(result.ok for result in results[1:])
 
 
 class TestServiceStress:
@@ -258,7 +343,7 @@ class TestMonteCarloDeterminism:
         n = service.open_dataset(DATASET).num_nodes
         queries = mixed_queries(n, count=45)
         with ParallelExecutor(service, workers=workers) as executor:
-            return [essence(result) for result in executor.run(queries)]
+            return [essence(result) for result in submit_all(executor, queries)]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_same_seed_same_results_across_runs(self, backend):

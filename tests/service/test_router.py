@@ -120,7 +120,7 @@ class TestRouterParity:
             percentiles = stats["totals"]["latency_percentiles"]
             assert percentiles["single_pair"]["count"] == 2
             # The fan-out merge must account for *every* engine counter —
-            # the totals used to drop cache_evictions and batch_calls.
+            # the totals used to drop cache_evictions.
             for counter in ENGINE_TOTAL_COUNTERS:
                 summed = sum(
                     engine_stats[counter]

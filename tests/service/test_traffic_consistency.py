@@ -24,6 +24,7 @@ from repro.evaluation.traffic import (
 )
 from repro.graphs import generators
 from repro.service import ParallelExecutor, ServiceConfig, SimRankService
+from repro.service.wire import decode_envelope
 
 #: Two generated datasets so the partitioned merge has shards to split.
 GRAPHS = {
@@ -59,6 +60,16 @@ def traffic_events():
     )
 
 
+def run_traffic(executor: ParallelExecutor) -> list:
+    """Submit the generated traffic as decoded wire lines and collect the
+    results in submission order."""
+    futures = [
+        executor.submit(decode_envelope(event.to_wire()))
+        for event in traffic_events()
+    ]
+    return [future.result() for future in futures]
+
+
 def engine_dicts(payload: dict) -> list[dict]:
     return [
         engine_stats
@@ -69,13 +80,11 @@ def engine_dicts(payload: dict) -> list[dict]:
 
 class TestWorkersOneVersusFour:
     def test_identical_values_and_envelopes(self):
-        events = traffic_events()
-        wire = [event.to_wire() for event in events]
         outputs = {}
         for workers in (1, 4):
             service = make_service()
             with ParallelExecutor(service, workers=workers) as executor:
-                results = executor.run(wire)
+                results = run_traffic(executor)
             assert all(result.ok for result in results)
             outputs[workers] = [
                 (result.kind, result.dataset, result.value)
@@ -87,7 +96,7 @@ class TestWorkersOneVersusFour:
     def test_totals_are_the_shared_merge_of_the_engines(self, workers):
         service = make_service()
         with ParallelExecutor(service, workers=workers) as executor:
-            executor.run([event.to_wire() for event in traffic_events()])
+            run_traffic(executor)
         payload = service.statistics()
         merged = merge_statistics_totals(engine_dicts(payload))
         totals = payload["totals"]
