@@ -187,18 +187,10 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
         type=_nonnegative_int,
         default=None,
         metavar="N",
-        help="process-wide budget of cached single-source vectors, divided "
-        "evenly across open datasets (caps --cache-size per dataset; 0 "
-        "disables caching entirely; this is what makes sharding datasets "
-        "across router workers multiply cache capacity per box)",
-    )
-    parser.add_argument(
-        "--cache-ttl",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help="expire cached single-source vectors after this many seconds "
-        "(default: never)",
+        help="process-wide budget of cached single-source vectors, split "
+        "across open datasets to sum to exactly N (caps --cache-size per "
+        "dataset; 0 disables caching entirely; this is what makes sharding "
+        "datasets across router workers multiply cache capacity per box)",
     )
     parser.add_argument(
         "--pair-admit-after",
@@ -352,15 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bound on requests queued or executing at once; submissions "
         "past it are shed immediately with an 'overloaded' envelope "
         "(default: unbounded)",
-    )
-    serve.add_argument(
-        "--degrade-pending",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="when more than N requests are pending, answer exact "
-        "single_source queries via the approximate cascade path instead, "
-        "stamped degraded:true (default: never degrade)",
     )
     serve_where = serve.add_mutually_exclusive_group()
     serve_where.add_argument(
@@ -675,7 +658,6 @@ def _service(args: argparse.Namespace) -> SimRankService:
             memory_budget_bytes=budget,
             cache_size=args.cache_size,
             cache_budget_vectors=args.cache_budget,
-            cache_ttl_seconds=args.cache_ttl,
             pair_admission_threshold=admit,
             index_dir=args.index_dir,
             wal_dir=args.wal_dir,
@@ -1003,10 +985,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         return _run_serve_socket(args)
     service = _service(args)
     with ParallelExecutor(
-        service,
-        workers=args.workers,
-        max_pending=args.max_pending,
-        degrade_pending=args.degrade_pending,
+        service, workers=args.workers, max_pending=args.max_pending
     ) as executor:
         pump = serve_stream(
             executor,
@@ -1081,7 +1060,6 @@ def _run_serve_socket(args: argparse.Namespace) -> int:
             chunk_size=args.chunk_size,
             hello=not args.no_hello,
             max_pending=args.max_pending,
-            degrade_pending=args.degrade_pending,
         )
     except OSError as exc:
         print(f"error: cannot listen on {address}: {exc}", file=sys.stderr)
@@ -1224,17 +1202,10 @@ def _run_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_router(args: argparse.Namespace) -> int:
-    """The ``router`` sub-command: multi-process sharded serving.
-
-    Spawns ``--workers`` ``repro serve --unix`` processes (each configured
-    with the forwarded service options), then routes protocol-v2 requests
-    to them by dataset: one worker owns each dataset (consistent hashing,
-    ``--pin`` to override), ``list_datasets``/``stats`` fan out and merge,
-    and dead workers are health-checked, restarted, and re-warmed — clients
-    with requests in flight get ``unavailable`` error envelopes, never a
-    hang.  Stops on a client's ``shutdown``, SIGTERM, or SIGINT.
-    """
+def _worker_serve_args(args: argparse.Namespace) -> list[str]:
+    """The ``serve`` argv a router worker needs: every shared common and
+    service option of the router's command line, plus ``--chunk-size``, with
+    ``--worker-threads`` passed on as the worker's ``--workers``."""
     serve_args = [
         "--scale", str(args.scale),
         "--epsilon", str(args.epsilon),
@@ -1248,8 +1219,6 @@ def _run_router(args: argparse.Namespace) -> int:
         serve_args += ["--memory-budget-mb", str(args.memory_budget_mb)]
     if args.cache_budget is not None:
         serve_args += ["--cache-budget", str(args.cache_budget)]
-    if args.cache_ttl is not None:
-        serve_args += ["--cache-ttl", str(args.cache_ttl)]
     if args.pair_admit_after is not None:
         serve_args += ["--pair-admit-after", str(args.pair_admit_after)]
     if args.index_dir is not None:
@@ -1258,6 +1227,21 @@ def _run_router(args: argparse.Namespace) -> int:
         serve_args += ["--wal-dir", args.wal_dir]
     if args.chunk_size is not None:
         serve_args += ["--chunk-size", str(args.chunk_size)]
+    return serve_args
+
+
+def _run_router(args: argparse.Namespace) -> int:
+    """The ``router`` sub-command: multi-process sharded serving.
+
+    Spawns ``--workers`` ``repro serve --unix`` processes (each configured
+    with the forwarded service options), then routes protocol-v2 requests
+    to them by dataset: one worker owns each dataset (consistent hashing,
+    ``--pin`` to override), ``list_datasets``/``stats`` fan out and merge,
+    and dead workers are health-checked, restarted, and re-warmed — clients
+    with requests in flight get ``unavailable`` error envelopes, never a
+    hang.  Stops on a client's ``shutdown``, SIGTERM, or SIGINT.
+    """
+    serve_args = _worker_serve_args(args)
     pins: dict[str, int] = {}
     for spec in args.pin:
         name, sep, index = spec.partition("=")

@@ -77,11 +77,6 @@ class BackendConfig:
     mc_num_walks: int = 200
     sling_reduce_space: bool = False
     sling_enhance_accuracy: bool = False
-    #: How the SLING backends answer ``top_k``: ``"exact"`` ranks a full
-    #: single-source vector; ``"bounded"`` runs the truncated cascade with
-    #: residual-mass pruning (within ε/4 of exact, typically much faster on
-    #: a warm index).
-    sling_topk_mode: str = "exact"
     #: Directory for disk-backed indexes; a temporary directory when ``None``.
     work_directory: str | None = None
     #: When ``True`` and :attr:`work_directory` already holds a saved index,
@@ -90,13 +85,6 @@ class BackendConfig:
     #: cost.  The saved index's own parameters win; only the graph shape is
     #: verified (:class:`~repro.exceptions.StorageError` on mismatch).
     reuse_saved_index: bool = False
-
-    def __post_init__(self) -> None:
-        if self.sling_topk_mode not in ("exact", "bounded"):
-            raise ParameterError(
-                f"sling_topk_mode must be 'exact' or 'bounded', "
-                f"got {self.sling_topk_mode!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -234,8 +222,6 @@ class SimilarityBackend(abc.ABC):
         The copy here is deliberate: :func:`rank_top_k` masks the source
         in-place, and the ``single_source`` protocol does not promise a fresh
         array (a subclass may legitimately return a view into its index).
-        Backends whose ``single_source`` is documented to return fresh
-        storage (the SLING adapters) override this without the copy.
         """
         if k <= 0:
             raise ParameterError(f"k must be positive, got {k}")
@@ -372,19 +358,6 @@ class SlingBackend(SimilarityBackend):
     def single_source(self, node: int, *, method: str = "local_push") -> np.ndarray:
         self._require_built()
         return self._index.single_source(node, method=method)
-
-    def top_k(self, node: int, k: int) -> list[tuple[int, float]]:
-        """Top-k honouring ``config.sling_topk_mode`` ("exact" or "bounded").
-
-        Both modes delegate to :meth:`SlingIndex.top_k`, which skips the
-        generic adapter's defensive copy — ``SlingIndex.single_source``
-        always returns fresh storage.
-        """
-        self._require_built()
-        mode = self._config.sling_topk_mode
-        return self._index.top_k(
-            node, k, method="bounded" if mode == "bounded" else "local_push"
-        )
 
     # ------------------------------------------------------------------ #
     # Mutation protocol

@@ -16,7 +16,9 @@ cached is answered from it without touching the backend.  The cache is
 shared *across* query kinds with explicit cross-kind admission — a source
 probed by enough pair queries (``pair_admission_threshold``)
 gets its vector computed and admitted so subsequent traffic of every kind
-hits — and an optional TTL (``cache_ttl_seconds``) bounds staleness.
+hits.  An entry leaves the cache by LRU eviction, by a capacity resize, or
+when a mutation of the index invalidates it (every entry is stamped with the
+index version it was computed against).
 :func:`merge_statistics_totals` is the single definition of aggregated
 cache/latency statistics used by the service layer and the router alike.
 
@@ -170,7 +172,6 @@ ENGINE_TOTAL_COUNTERS = (
     "cache_misses",
     "cache_evictions",
     "cache_admissions",
-    "cache_expirations",
     "pair_probe_hits",
     "pair_probe_misses",
     "pair_admissions",
@@ -258,8 +259,6 @@ class EngineStatistics:
     #: Cross-kind admissions: vectors computed because pair probes of their
     #: source crossed the admission threshold.
     pair_admissions: int = 0
-    #: Entries dropped because they outlived ``cache_ttl_seconds``.
-    cache_expirations: int = 0
     #: Pair queries answered from a cached source vector.  These also count
     #: into :attr:`cache_hits` — a pair served without touching the backend
     #: is cacheable work the cache absorbed.
@@ -311,7 +310,6 @@ class EngineStatistics:
             "cache_misses": self.cache_misses,
             "cache_evictions": self.cache_evictions,
             "cache_admissions": self.cache_admissions,
-            "cache_expirations": self.cache_expirations,
             "pair_probe_hits": self.pair_probe_hits,
             "pair_probe_misses": self.pair_probe_misses,
             "pair_admissions": self.pair_admissions,
@@ -375,11 +373,6 @@ class QueryEngine:
         Maximum number of single-source score vectors kept in the LRU cache;
         ``0`` disables caching (the evaluation drivers use this so figure
         timings measure the backend, not the cache).
-    cache_ttl_seconds:
-        Expire cached vectors this many seconds after they were stored
-        (``None`` — the default — never expires).  A TTL bounds staleness
-        when an operator wants the cache re-validated under drifting
-        workloads; expirations are counted separately from evictions.
     pair_admission_threshold:
         Cross-kind admission: once this many ``single_pair`` queries have
         probe-missed on the same canonical source, the next one computes
@@ -408,16 +401,11 @@ class QueryEngine:
         backend: SimilarityBackend,
         *,
         cache_size: int = 128,
-        cache_ttl_seconds: float | None = None,
         pair_admission_threshold: int | None = PAIR_AMORTIZE_THRESHOLD,
         plan=None,
     ) -> None:
         if cache_size < 0:
             raise ParameterError(f"cache_size must be >= 0, got {cache_size}")
-        if cache_ttl_seconds is not None and not cache_ttl_seconds > 0:
-            raise ParameterError(
-                f"cache_ttl_seconds must be > 0 or None, got {cache_ttl_seconds}"
-            )
         if pair_admission_threshold is not None and pair_admission_threshold < 1:
             raise ParameterError(
                 "pair_admission_threshold must be >= 1 or None, got "
@@ -427,14 +415,9 @@ class QueryEngine:
             backend.build()
         self._backend = backend
         self._cache_size = cache_size
-        self._cache_ttl = cache_ttl_seconds
         self._pair_admission_threshold = pair_admission_threshold
-        #: node -> (vector, monotonic store time, index version); the
-        #: timestamp only matters under a TTL, the version only after a
-        #: mutation, but both are cheap enough to always carry.
-        self._cache: OrderedDict[
-            int, tuple[np.ndarray, float, int]
-        ] = OrderedDict()
+        #: node -> (vector, index version the vector was computed against).
+        self._cache: OrderedDict[int, tuple[np.ndarray, int]] = OrderedDict()
         #: Monotonic version of the index the cached vectors were computed
         #: against; bumped by :meth:`invalidate_cache` when the backend's
         #: graph mutates.  A cached entry stamped with an older version can
@@ -467,11 +450,6 @@ class QueryEngine:
     def cache_size(self) -> int:
         """Capacity of the single-source LRU cache (0 = disabled)."""
         return self._cache_size
-
-    @property
-    def cache_ttl_seconds(self) -> float | None:
-        """Seconds a cached vector stays valid (``None`` = no expiry)."""
-        return self._cache_ttl
 
     @property
     def pair_admission_threshold(self) -> int | None:
@@ -513,7 +491,6 @@ class QueryEngine:
             "backend_info": self._backend.info.as_dict(),
             "plan": self.plan.as_dict() if self.plan else None,
             "cache_size": self._cache_size,
-            "cache_ttl_seconds": self._cache_ttl,
             "pair_admission_threshold": self._pair_admission_threshold,
             "cached_vectors": cached_vectors,
             "statistics": self.statistics_snapshot().as_dict(),
@@ -595,8 +572,8 @@ class QueryEngine:
                 if self._cache.pop(node, None) is not None:
                     dropped += 1
                 self._pair_counts.pop(node, None)
-            for node, (vector, stored_at, _) in self._cache.items():
-                self._cache[node] = (vector, stored_at, new_version)
+            for node, (vector, _) in self._cache.items():
+                self._cache[node] = (vector, new_version)
             self._stats.cache_invalidations += dropped
             return dropped
 
@@ -633,27 +610,20 @@ class QueryEngine:
     # Cache plumbing
     # ------------------------------------------------------------------ #
     def _cache_get_locked(self, node: int) -> np.ndarray | None:
-        """The live cached vector for ``node`` or ``None``, enforcing the
-        TTL (an expired entry is dropped and counted) and refreshing LRU
-        order on a hit.  The caller must hold the lock and do its own
+        """The live cached vector for ``node`` or ``None``, dropping an entry
+        stamped with a stale index version and refreshing LRU order on a
+        hit.  The caller must hold the lock and do its own
         hit/miss accounting — probe semantics differ by query kind."""
         entry = self._cache.get(node)
         if entry is None:
             return None
-        vector, stored_at, version = entry
+        vector, version = entry
         if version != self._index_version:
             # Defensive: invalidate_cache re-stamps survivors, so a stale
             # stamp can only appear if a store raced a version bump — drop
             # it rather than serve a pre-mutation vector.
             del self._cache[node]
             self._stats.cache_invalidations += 1
-            return None
-        if (
-            self._cache_ttl is not None
-            and time.monotonic() - stored_at > self._cache_ttl
-        ):
-            del self._cache[node]
-            self._stats.cache_expirations += 1
             return None
         self._cache.move_to_end(node)
         return vector
@@ -681,7 +651,7 @@ class QueryEngine:
         with self._lock:
             if version is None:
                 version = self._index_version
-            self._cache[node] = (vector, time.monotonic(), version)
+            self._cache[node] = (vector, version)
             self._cache.move_to_end(node)
             self._stats.cache_admissions += 1
             while len(self._cache) > self._cache_size:

@@ -9,9 +9,9 @@ serve queries?*  The policy mirrors Section 5.4 of the paper:
 * when the estimated index footprint exceeds the memory budget but the ``8n``
   bytes of correction factors still fit, the disk-backed SLING variant is
   chosen (hitting sets stay on disk, O(1) I/O per query);
-* when even that does not fit — or the caller asked for no index build at
-  all — the planner falls back to an index-free baseline: the exact power
-  method on toy graphs, Monte-Carlo √c-walks otherwise.
+* when even that does not fit, the planner falls back to an index-free
+  baseline: the exact power method on toy graphs, Monte-Carlo √c-walks
+  otherwise.
 
 :func:`create_engine` is the one-call entry point the CLI and the examples
 use: plan, build the chosen backend, and wrap it in a
@@ -102,7 +102,6 @@ def plan_backend(
     memory_budget_bytes: int | None = None,
     config: BackendConfig | None = None,
     prefer: str | None = None,
-    allow_index_build: bool = True,
 ) -> QueryPlan:
     """Choose a backend for ``graph`` under an optional memory budget.
 
@@ -116,9 +115,6 @@ def plan_backend(
         Accuracy/seed knobs used for the footprint estimate.
     prefer:
         Explicit backend name or alias; short-circuits planning.
-    allow_index_build:
-        When ``False`` the planner skips both SLING variants and routes to a
-        baseline — the "no index is built" fallback.
     """
     config = config or BackendConfig()
     if prefer is not None and prefer != "auto":
@@ -135,39 +131,36 @@ def plan_backend(
     estimate = estimate_sling_index_bytes(graph, c=config.c, epsilon=config.epsilon)
     corrections = _CORRECTION_BYTES * graph.num_nodes
 
-    if allow_index_build:
-        if memory_budget_bytes is None or estimate <= memory_budget_bytes:
-            return QueryPlan(
-                backend="sling",
-                reason=(
-                    "estimated index footprint "
-                    f"({estimate} B) fits the memory budget"
-                    if memory_budget_bytes is not None
-                    else "no memory budget given; in-memory SLING is the default"
-                ),
-                estimated_index_bytes=estimate,
-                memory_budget_bytes=memory_budget_bytes,
-            )
-        if corrections <= memory_budget_bytes:
-            return QueryPlan(
-                backend="sling-disk",
-                reason=(
-                    f"estimated index footprint ({estimate} B) exceeds the "
-                    f"budget ({memory_budget_bytes} B) but the {corrections} B "
-                    "of correction factors fit; keeping hitting sets on disk"
-                ),
-                estimated_index_bytes=estimate,
-                memory_budget_bytes=memory_budget_bytes,
-            )
+    if memory_budget_bytes is None or estimate <= memory_budget_bytes:
+        return QueryPlan(
+            backend="sling",
+            reason=(
+                "estimated index footprint "
+                f"({estimate} B) fits the memory budget"
+                if memory_budget_bytes is not None
+                else "no memory budget given; in-memory SLING is the default"
+            ),
+            estimated_index_bytes=estimate,
+            memory_budget_bytes=memory_budget_bytes,
+        )
+    if corrections <= memory_budget_bytes:
+        return QueryPlan(
+            backend="sling-disk",
+            reason=(
+                f"estimated index footprint ({estimate} B) exceeds the "
+                f"budget ({memory_budget_bytes} B) but the {corrections} B "
+                "of correction factors fit; keeping hitting sets on disk"
+            ),
+            estimated_index_bytes=estimate,
+            memory_budget_bytes=memory_budget_bytes,
+        )
 
     # Something must still answer queries; the fallback baselines have their
-    # own (unchecked) footprints, so say explicitly when the budget could not
-    # be honoured rather than silently pretending it was.
+    # own (unchecked) footprints, so say explicitly that the budget is not
+    # honoured rather than silently pretending it was.
     over_budget = (
         "; note the budget cannot hold even the correction factors and is "
         "not honoured by the fallback"
-        if memory_budget_bytes is not None
-        else ""
     )
     if graph.num_nodes <= POWER_METHOD_MAX_NODES:
         return QueryPlan(
@@ -197,14 +190,12 @@ def create_engine(
     memory_budget_bytes: int | None = None,
     config: BackendConfig | None = None,
     cache_size: int = 128,
-    cache_ttl_seconds: float | None = None,
     pair_admission_threshold: int | None = PAIR_AMORTIZE_THRESHOLD,
-    allow_index_build: bool = True,
 ) -> QueryEngine:
     """Plan, build, and wrap a backend in a ready-to-query engine.
 
     The chosen :class:`QueryPlan` is attached to the engine as ``engine.plan``;
-    ``cache_size`` / ``cache_ttl_seconds`` / ``pair_admission_threshold`` are
+    ``cache_size`` / ``pair_admission_threshold`` are
     forwarded to the engine's cache policy unchanged.
     """
     plan = plan_backend(
@@ -212,13 +203,11 @@ def create_engine(
         memory_budget_bytes=memory_budget_bytes,
         config=config,
         prefer=backend,
-        allow_index_build=allow_index_build,
     )
     built = create_backend(plan.backend, graph, config)
     return QueryEngine(
         built,
         cache_size=cache_size,
-        cache_ttl_seconds=cache_ttl_seconds,
         pair_admission_threshold=pair_admission_threshold,
         plan=plan,
     )

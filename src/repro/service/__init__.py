@@ -30,7 +30,8 @@ strictly::
 * :mod:`repro.service.service` — :class:`SimRankService`, which manages named
   dataset sessions (lazy open via the planner and memory budget, per-backend
   engines, close / list / describe / aggregate statistics) and dispatches
-  both planes through :meth:`~repro.service.service.SimRankService.execute_wire`;
+  both planes through :meth:`~repro.service.service.SimRankService.execute_request`
+  (wire dicts are decoded first by :func:`~repro.service.wire.decode_envelope`);
 * :mod:`repro.service.wire` — the JSONL wire protocol v2: versioned request
   envelopes (``v`` / client-assigned ``id`` echoed on every response /
   ``chunk_size``), the ``hello`` handshake frame, and chunked

@@ -25,9 +25,10 @@ Control requests ride the same envelope as queries — one JSON object per
 line with a ``kind`` discriminator, optionally wrapped with ``id``/``v`` —
 and come back as the same :class:`~repro.service.results.QueryResult`
 envelope (``kind`` echoes the control kind, ``value`` carries the control
-payload, failures are structured error envelopes).  Because they are
-dispatched by :meth:`~repro.service.service.SimRankService.execute_wire`,
-every consumer of the service — ``repro batch``, ``repro serve``, the
+payload, failures are structured error envelopes).  Because a line decoded
+by :func:`~repro.service.wire.decode_envelope` is dispatched by
+:meth:`~repro.service.service.SimRankService.execute_request`, every
+consumer of the service — ``repro batch``, ``repro serve``, the
 :class:`~repro.service.parallel.ParallelExecutor`, the
 :class:`~repro.service.client.SimRankClient` — speaks the control plane
 with no transport-specific code.

@@ -57,10 +57,7 @@ class SocketServer:
     max_pending:
         Bound on requests queued or executing across all connections;
         submissions past it are shed with an ``overloaded`` envelope
-        (``None`` keeps the pre-PR-10 unbounded behaviour).
-    degrade_pending:
-        Pressure threshold at which exact ``single_source`` queries degrade
-        to the cascade path (stamped ``degraded: true``); ``None`` disables.
+        (``None`` never sheds).
     """
 
     def __init__(
@@ -73,7 +70,6 @@ class SocketServer:
         hello: bool = True,
         max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
         max_pending: int | None = None,
-        degrade_pending: int | None = None,
     ) -> None:
         if max_line_bytes < 1024:
             raise ParameterError(
@@ -81,10 +77,7 @@ class SocketServer:
             )
         self._service = service
         self._executor = ParallelExecutor(
-            service,
-            workers=workers,
-            max_pending=max_pending,
-            degrade_pending=degrade_pending,
+            service, workers=workers, max_pending=max_pending
         )
         self._chunk_size = chunk_size
         self._hello = hello

@@ -64,9 +64,8 @@ class ParallelExecutor:
         the service's validation and error-envelope guarantees.
     workers:
         Worker-thread count; ``None`` or ``0`` means one per CPU.
-    backend:
-        Optional backend label forwarded to every ``execute`` call (the same
-        meaning as ``SimRankService.execute(..., backend=...)``).
+    max_pending:
+        Load-shedding bound (see :meth:`submit`); ``None`` never sheds.
 
     The executor is itself thread-safe and reusable; the pool is created
     lazily and shut down by :meth:`close` (or the context manager).
@@ -77,13 +76,10 @@ class ParallelExecutor:
         service: SimRankService,
         *,
         workers: int | None = None,
-        backend: str | None = None,
         max_pending: int | None = None,
-        degrade_pending: int | None = None,
     ) -> None:
         self._service = service
         self._workers = resolve_worker_count(workers)
-        self._backend = backend
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
         self._closed = False
@@ -91,18 +87,10 @@ class ParallelExecutor:
             raise ParameterError(
                 f"max_pending must be a positive int, got {max_pending!r}"
             )
-        if degrade_pending is not None and degrade_pending < 1:
-            raise ParameterError(
-                f"degrade_pending must be a positive int, got {degrade_pending!r}"
-            )
         #: Load-shedding bound on streaming submissions: once this many
         #: requests are queued or executing, :meth:`submit` answers
         #: ``overloaded`` immediately instead of growing the queue.
         self._max_pending = max_pending
-        #: Pressure threshold for graceful degradation: at or above this
-        #: many pending requests, exact ``single_source`` queries are
-        #: answered via the cascade path and stamped ``degraded: true``.
-        self._degrade_pending = degrade_pending
         self._pending = 0
         self._pending_lock = threading.Lock()
 
@@ -174,18 +162,7 @@ class ParallelExecutor:
                 )
             if isinstance(request, ControlRequest):
                 return self._service.execute_control(request)
-            if (
-                self._degrade_pending is not None
-                and self._pending >= self._degrade_pending
-            ):
-                return self._service.execute(
-                    request, backend=self._backend, degrade=True
-                )
-            # Only pass the degrade keyword when degrading: callers are
-            # allowed to wrap ``execute`` with the narrower pre-overload
-            # signature (the health-probe tests do), and the kwarg would
-            # break them for no behavioural difference.
-            return self._service.execute(request, backend=self._backend)
+            return self._service.execute(request)
         except ReproError as exc:  # defensive: the service should not raise
             return QueryResult.failure(ERROR_BAD_REQUEST, str(exc))
         except Exception as exc:  # noqa: BLE001 - a worker must never die
@@ -198,7 +175,11 @@ class ParallelExecutor:
     # ------------------------------------------------------------------ #
     @property
     def pending(self) -> int:
-        """Requests submitted via :meth:`submit` and not yet completed."""
+        """Requests submitted via :meth:`submit` and not yet completed.
+
+        Counted only when ``max_pending`` is set (it is always 0 otherwise);
+        ``ping`` and ``shutdown`` are never counted.
+        """
         return self._pending
 
     def _release_slot(self, _future: "Future[QueryResult]") -> None:
@@ -235,19 +216,11 @@ class ParallelExecutor:
         instead of an unbounded queue.
         """
         pool = self._ensure_pool()
-        tracked = (
-            self._max_pending is not None or self._degrade_pending is not None
-        )
-        if not tracked or self._is_exempt(request):
+        if self._max_pending is None or self._is_exempt(request):
             return pool.submit(self._execute_one, request)
         with self._pending_lock:
-            if (
-                self._max_pending is not None
-                and self._pending >= self._max_pending
-            ):
-                shed = True
-            else:
-                shed = False
+            shed = self._pending >= self._max_pending
+            if not shed:
                 self._pending += 1
         if shed:
             inner = (
@@ -272,6 +245,5 @@ class ParallelExecutor:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ParallelExecutor(workers={self._workers}, "
-            f"backend={self._backend!r}, "
             f"datasets={self._service.list_datasets()})"
         )

@@ -203,10 +203,6 @@ class QueryResult:
     #: unchanged).  Lets a client assert an answer reflects at least the
     #: version a mutation ack reported.
     index_version: int | None = None
-    #: ``True`` when overload shedding answered with the bounded/cascade
-    #: path instead of the requested exact method; the value is still within
-    #: the engine's certified accuracy, just computed the cheaper way.
-    degraded: bool = False
     error: QueryError | None = None
 
     @classmethod
@@ -221,7 +217,6 @@ class QueryResult:
         seconds: float,
         cache_hit: bool | None,
         index_version: int | None = None,
-        degraded: bool = False,
     ) -> "QueryResult":
         """A successful envelope; ``value`` must already be JSON-able (or a
         :class:`SparseScores`).
@@ -243,7 +238,6 @@ class QueryResult:
             "seconds": seconds,
             "cache_hit": cache_hit,
             "index_version": index_version,
-            "degraded": degraded,
             "error": None,
         })
         return self
@@ -305,8 +299,6 @@ class QueryResult:
             payload["cache_hit"] = self.cache_hit
             if self.index_version is not None:
                 payload["index_version"] = self.index_version
-            if self.degraded:
-                payload["degraded"] = True
         else:
             assert self.error is not None
             payload["error"] = self.error.to_wire()
@@ -342,7 +334,6 @@ def result_from_wire(payload: object) -> QueryResult:
             plan=payload.get("plan"),
             cache_hit=payload.get("cache_hit"),
             index_version=int(version) if version is not None else None,
-            degraded=bool(payload.get("degraded", False)),
             **common,
         )
     error = payload.get("error")

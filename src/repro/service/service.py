@@ -58,7 +58,7 @@ from .results import (
     QueryResult,
     SparseScores,
 )
-from .wire import PROTOCOL_VERSION, decode_envelope
+from .wire import PROTOCOL_VERSION
 
 __all__ = ["ServiceConfig", "DatasetSession", "SimRankService"]
 
@@ -79,11 +79,12 @@ class ServiceConfig:
     #: Per-engine LRU capacity for single-source vectors (0 disables).
     cache_size: int = 128
     #: Fixed per-*process* cache budget, in single-source vectors.  When set
-    #: it overrides :attr:`cache_size`: the budget is divided evenly among the
-    #: open sessions (re-divided on every open/close, shrinking engines evict
-    #: LRU-first).  This is the serving-at-scale memory model: one worker box
-    #: has a fixed amount of cache RAM, so sharding datasets across more
-    #: workers gives each dataset a larger slice of it.
+    #: it overrides :attr:`cache_size`: the budget is divided among the open
+    #: sessions, summing to exactly the budget (re-divided on every
+    #: open/close, shrinking engines evict LRU-first).  This is the
+    #: serving-at-scale memory model: one worker box has a fixed amount of
+    #: cache RAM, so sharding datasets across more workers gives each dataset
+    #: a larger slice of it.
     cache_budget_vectors: int | None = None
     #: Root directory of prebuilt indexes (one subdirectory per dataset name,
     #: as written by :func:`repro.sling.save_index`).  A session whose name
@@ -95,11 +96,6 @@ class ServiceConfig:
     scale: float = 1.0
     #: Seed for registry dataset generation.
     seed: int = 0
-    #: When ``False`` the planner must route to an index-free baseline.
-    allow_index_build: bool = True
-    #: Time-to-live for cached single-source vectors, in seconds; ``None``
-    #: means entries never expire (forwarded to every engine).
-    cache_ttl_seconds: float | None = None
     #: Standalone single-pair probes on one source before that source's
     #: vector is admitted to the cache; ``None`` disables cross-kind
     #: admission (forwarded to every engine).
@@ -211,11 +207,9 @@ class DatasetSession:
                             reuse_saved_index=True,
                         ),
                         cache_size=self._cache_capacity,
-                        cache_ttl_seconds=self._config.cache_ttl_seconds,
                         pair_admission_threshold=(
                             self._config.pair_admission_threshold
                         ),
-                        allow_index_build=True,
                     )
                 else:
                     engine = create_engine(
@@ -224,11 +218,9 @@ class DatasetSession:
                         memory_budget_bytes=self._config.memory_budget_bytes,
                         config=self._config.backend_config,
                         cache_size=self._cache_capacity,
-                        cache_ttl_seconds=self._config.cache_ttl_seconds,
                         pair_admission_threshold=(
                             self._config.pair_admission_threshold
                         ),
-                        allow_index_build=self._config.allow_index_build,
                     )
                 self._engines[key] = engine
             plan = engine.plan.as_dict() if engine.plan else None
@@ -435,7 +427,7 @@ class SimRankService:
             return closed
 
     def _apply_cache_budget(self) -> None:
-        """Re-divide ``cache_budget_vectors`` evenly among the open sessions.
+        """Re-divide ``cache_budget_vectors`` among the open sessions.
 
         Called under the service lock whenever the session set changes; a
         no-op without a budget.  Fewer sessions per process (i.e. more
@@ -444,17 +436,14 @@ class SimRankService:
         on skewed workloads.
         """
         budget = self._config.cache_budget_vectors
-        if budget is None:
+        if budget is None or not self._sessions:
             return
-        count = len(self._sessions)
-        if budget <= 0:
-            # A zero budget is the documented "caching disabled" setting; it
-            # must not round up to one vector per session.
-            share = 0
-        else:
-            share = max(1, budget // count) if count else budget
-        for session in self._sessions.values():
-            session.set_cache_capacity(share)
+        # The capacities sum to exactly the budget: every session gets the
+        # floor share and the earliest-opened ``extra`` get one more, so a
+        # budget smaller than the session count leaves some caches off (0).
+        share, extra = divmod(max(budget, 0), len(self._sessions))
+        for position, session in enumerate(self._sessions.values()):
+            session.set_cache_capacity(share + (1 if position < extra else 0))
 
     def close_all(self) -> None:
         """Drop every session."""
@@ -508,16 +497,13 @@ class SimRankService:
         query: Query,
         *,
         backend: str | None = None,
-        degrade: bool = False,
     ) -> QueryResult:
         """Answer one typed query; every failure is an error envelope.
 
         ``seconds`` on the envelope is the service-observed latency — on the
         first query of a session that includes the lazy graph load and index
-        build.  With ``degrade=True`` (the executor's overload-pressure
-        signal) an exact ``single_source`` is answered via the cheaper
-        cascade kernel when the backend supports it, and the envelope is
-        stamped ``degraded: true``.
+        build.  ``backend`` pins a backend label for this query (``None``
+        uses the session default).
         """
         start = time.perf_counter()
         kind, dataset = query.kind, query.dataset
@@ -570,7 +556,6 @@ class SimRankService:
         # staleness.
         version = session.index_version
         cache_hit: bool | None
-        degraded = False
         try:
             if kind == "single_pair":
                 if query.node_u >= n or query.node_v >= n:
@@ -579,22 +564,9 @@ class SimRankService:
             elif kind == "single_source":
                 if query.node >= n:
                     return self._out_of_range(query, session, start)
-                if degrade:
-                    try:
-                        # Shed the exact path under pressure: the cascade
-                        # kernel answers within the backend's certified
-                        # accuracy at a fraction of the cost.  Bypasses the
-                        # engine cache, so no hit attribution.
-                        vector = engine.backend.single_source(
-                            query.node, method="cascade"
-                        )
-                        degraded = True
-                    except TypeError:
-                        # Backend without a method switch: no cheaper path.
-                        vector = engine.single_source(query.node)
-                else:
-                    vector = engine.single_source(query.node)
-                value = SparseScores.from_dense(vector)
+                value = SparseScores.from_dense(
+                    engine.single_source(query.node)
+                )
             elif kind == "top_k":
                 if query.node >= n:
                     return self._out_of_range(query, session, start)
@@ -624,7 +596,7 @@ class SimRankService:
         # Attributed per calling thread — under concurrent execution the
         # aggregate counters interleave, so a counter delta would claim other
         # threads' hits as this request's.
-        if kind == "all_pairs" or degraded:
+        if kind == "all_pairs":
             cache_hit = None
         else:
             record = engine.last_query_record
@@ -641,7 +613,6 @@ class SimRankService:
             seconds=time.perf_counter() - start,
             cache_hit=cache_hit,
             index_version=version if version > 0 else None,
-            degraded=degraded,
         )
 
     @staticmethod
@@ -713,7 +684,6 @@ class SimRankService:
                     "memory_budget_bytes": self._config.memory_budget_bytes,
                     "cache_size": self._config.cache_size,
                     "cache_budget_vectors": self._config.cache_budget_vectors,
-                    "cache_ttl_seconds": self._config.cache_ttl_seconds,
                     "pair_admission_threshold": (
                         self._config.pair_admission_threshold
                     ),
@@ -721,7 +691,6 @@ class SimRankService:
                     "wal_dir": self._config.wal_dir,
                     "scale": self._config.scale,
                     "seed": self._config.seed,
-                    "allow_index_build": self._config.allow_index_build,
                 },
             }
         with self._lock:
@@ -814,7 +783,6 @@ class SimRankService:
         request: Query | ControlRequest | QueryResult,
         *,
         backend: str | None = None,
-        degrade: bool = False,
     ) -> QueryResult:
         """Answer a typed request from either plane (the union dispatch).
 
@@ -825,18 +793,7 @@ class SimRankService:
             return request
         if isinstance(request, ControlRequest):
             return self.execute_control(request)
-        return self.execute(request, backend=backend, degrade=degrade)
-
-    def execute_wire(self, payload: object) -> QueryResult:
-        """Decode one wire dict and execute it; decoding failures become
-        ``bad_request`` envelopes (the guarantee ``repro batch`` relies on).
-
-        Speaks the full v2 surface: envelope keys (``v``/``id``/
-        ``chunk_size``) are accepted and ignored here — they shape the
-        *frames*, which are the transport's concern — and control kinds
-        dispatch to :meth:`execute_control`.
-        """
-        return self.execute_request(decode_envelope(payload).request)
+        return self.execute(request, backend=backend)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

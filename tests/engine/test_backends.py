@@ -188,27 +188,21 @@ class TestAdapters:
             built_backends["power"].top_k(0, 0)
 
 
-class TestSlingTopKMode:
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ParameterError):
-            BackendConfig(sling_topk_mode="fast-ish")
+class TestSlingTopKInherited:
+    """The SLING adapters rank through the generic ``SimilarityBackend.top_k``;
+    the defensive copy it makes must not change a ranking."""
 
-    def test_exact_mode_is_default(self, built_backends):
-        backend = built_backends["sling"]
-        assert backend.config.sling_topk_mode == "exact"
-        assert backend.top_k(0, 5) == backend.index.top_k(0, 5)
+    def test_sling_backends_do_not_override_top_k(self):
+        assert "top_k" not in vars(SlingBackend)
+        assert "top_k" not in vars(DiskSlingBackend)
 
-    def test_bounded_mode_dispatches_to_bounded_top_k(self, parity_graph):
-        config = BackendConfig(
-            epsilon=EPSILON, seed=0, sling_topk_mode="bounded"
-        )
-        backend = SlingBackend(parity_graph, config).build()
-        assert backend.top_k(0, 5) == backend.index.top_k_bounded(0, 5).ranked
-
-    def test_bounded_mode_on_disk_backend(self, parity_graph):
-        config = BackendConfig(
-            epsilon=EPSILON, seed=0, sling_topk_mode="bounded"
-        )
-        backend = DiskSlingBackend(parity_graph, config).build()
-        expected = backend.index.top_k_bounded(0, 5).ranked
-        assert backend.top_k(0, 5) == expected
+    @pytest.mark.parametrize("name", ["sling", "sling-disk"])
+    def test_top_k_equals_index_local_push_bitwise(
+        self, built_backends, parity_graph, name
+    ):
+        backend = built_backends[name]
+        for node in parity_graph.nodes():
+            for k in (1, 5, parity_graph.num_nodes):
+                assert backend.top_k(node, k) == backend.index.top_k(
+                    node, k, method="local_push"
+                )

@@ -1,5 +1,6 @@
 """Cache-policy regression tests: pair-probe accounting, cross-kind
-admission, TTL expiry, and the per-kind / per-outcome statistics surface.
+admission, no time-based expiry, and the per-kind / per-outcome
+statistics surface.
 
 These pin the fixes from the cache-accounting PR: ``single_pair`` used to
 count a ``cache_miss`` on every uncached pair while never admitting
@@ -144,34 +145,15 @@ class TestCrossKindAdmission:
             )
 
 
-class TestTtlExpiry:
-    def test_entries_expire_and_are_counted(self, graph):
-        engine = QueryEngine(
-            CountingBackend(graph), cache_size=4, cache_ttl_seconds=0.05
-        )
-        engine.single_source(2)
-        assert engine.statistics.cache_hits == 0
-        engine.single_source(2)
-        assert engine.statistics.cache_hits == 1
-        time.sleep(0.06)
-        engine.single_source(2)
-        stats = engine.statistics
-        assert stats.cache_expirations == 1
-        assert stats.cache_misses == 2
-        assert engine.backend.source_calls == 2
-
-    def test_no_ttl_never_expires(self, engine):
+class TestNoTimeExpiry:
+    def test_idle_entries_stay_cached(self, engine):
+        """Entries leave the cache only by LRU eviction or an index-version
+        change, never by age."""
         engine.single_source(1)
         time.sleep(0.02)
         engine.single_source(1)
-        assert engine.statistics.cache_expirations == 0
         assert engine.statistics.cache_hits == 1
-
-    def test_invalid_ttl_rejected(self, graph):
-        with pytest.raises(ParameterError):
-            QueryEngine(
-                CountingBackend(graph), cache_size=4, cache_ttl_seconds=0.0
-            )
+        assert engine.backend.source_calls == 1
 
 
 class TestStatisticsSurface:
@@ -203,11 +185,9 @@ class TestStatisticsSurface:
         engine = QueryEngine(
             CountingBackend(graph),
             cache_size=4,
-            cache_ttl_seconds=1.5,
             pair_admission_threshold=7,
         )
         described = engine.describe()
-        assert described["cache_ttl_seconds"] == 1.5
         assert described["pair_admission_threshold"] == 7
 
     def test_merge_totals_identity_and_sum(self, engine, graph):

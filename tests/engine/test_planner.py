@@ -54,17 +54,13 @@ class TestPlanning:
         # The fallback exceeds the budget; the plan must say so.
         assert "not honoured" in plan.reason
 
-    def test_no_index_build_uses_power_on_small_graphs(self, graph):
-        plan = plan_backend(graph, allow_index_build=False)
-        assert graph.num_nodes <= POWER_METHOD_MAX_NODES
-        assert plan.backend == "power"
-
-    def test_no_index_build_uses_montecarlo_on_larger_graphs(self):
+    def test_starved_budget_uses_montecarlo_on_larger_graphs(self):
         big = generators.preferential_attachment(
             POWER_METHOD_MAX_NODES + 10, 2, seed=1
         )
-        plan = plan_backend(big, allow_index_build=False)
+        plan = plan_backend(big, memory_budget_bytes=4)
         assert plan.backend == "montecarlo_sqrtc"
+        assert "not honoured" in plan.reason
 
     def test_prefer_short_circuits_planning(self, graph):
         plan = plan_backend(graph, memory_budget_bytes=4, prefer="linearize")

@@ -7,17 +7,21 @@ base graph must answer single-source queries within float tolerance of
 the live service that executed the history.  The history ends with a
 re-freeze so both sides compare frozen stores (bitwise rebuild parity
 makes the comparison exact up to float noise rather than ``eps_stale``).
+A step that lists one edge in both ``add`` and ``remove`` is ambiguous:
+the service must reject it as a bad request and log nothing, so recovery
+still matches.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import BackendConfig
 from repro.graphs import generators
 from repro.service import (
+    ERROR_BAD_REQUEST,
     MutateRequest,
     ServiceConfig,
     SimRankService,
@@ -64,6 +68,12 @@ operations = st.lists(
 
 @settings(max_examples=8, deadline=None)
 @given(ops=operations)
+@example(
+    ops=[
+        {"add": [], "remove": [], "refreeze": False},
+        {"add": [(1, 0)], "remove": [(1, 0)], "refreeze": False},
+    ]
+)
 def test_recovered_service_matches_live(tmp_path_factory, ops):
     wal_dir = tmp_path_factory.mktemp("wal")
     service = make_service(wal_dir)
@@ -77,7 +87,11 @@ def test_recovered_service_matches_live(tmp_path_factory, ops):
                 mutation_id=f"prop-{index}",
             )
         )
-        assert result.ok, result.error
+        if set(op["add"]) & set(op["remove"]):
+            assert not result.ok
+            assert result.error.code == ERROR_BAD_REQUEST
+        else:
+            assert result.ok, result.error
     final = service.execute_control(
         MutateRequest(dataset=DATASET, refreeze=True, mutation_id="prop-final")
     )

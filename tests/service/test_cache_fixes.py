@@ -8,8 +8,8 @@ Pins the four bugfixes of the cache-accounting PR at this layer:
   ``cache_evictions``);
 * ``cache_budget_vectors=0`` disables caching instead of rounding up to
   one vector per session;
-* the ``cache_ttl_seconds`` / ``pair_admission_threshold`` config knobs
-  reach every engine a session builds.
+* the ``pair_admission_threshold`` config knob reaches every engine a
+  session builds.
 """
 
 from __future__ import annotations
@@ -152,24 +152,20 @@ class TestPolicyKnobsReachEngines:
         service = SimRankService(
             ServiceConfig(
                 scale=0.05,
-                cache_ttl_seconds=2.5,
                 pair_admission_threshold=9,
                 backend_config=BackendConfig(epsilon=0.1, seed=0),
             )
         )
         engine = service.open_dataset("GrQc").engine()
-        assert engine.cache_ttl_seconds == 2.5
         assert engine.pair_admission_threshold == 9
 
     def test_describe_reports_the_knobs(self):
         service = SimRankService(
             ServiceConfig(
                 scale=0.05,
-                cache_ttl_seconds=2.5,
                 pair_admission_threshold=9,
                 backend_config=BackendConfig(epsilon=0.1, seed=0),
             )
         )
         config = service.describe()["config"]
-        assert config["cache_ttl_seconds"] == 2.5
         assert config["pair_admission_threshold"] == 9

@@ -1,12 +1,12 @@
-"""End-to-end deadlines, overload shedding, degradation, and retry policy.
+"""End-to-end deadlines, overload shedding, and retry policy.
 
 The PR-10 robustness contract at the worker: ``deadline_ms`` on a v2
 envelope is validated at decode (a failure envelope, never an exception),
 becomes an absolute monotonic deadline that never crosses the wire, and an
 expired request is shed with ``deadline_exceeded`` before any work runs.
 Under pressure the executor sheds past ``max_pending`` with ``overloaded``
-(health probes and shutdown exempt) and degrades exact ``single_source``
-answers past ``degrade_pending``.  The client's :class:`RetryPolicy`
+(health probes and shutdown exempt); served ``single_source`` always takes
+the engine's exact path.  The client's :class:`RetryPolicy`
 retries exactly the retryable codes with bounded exponential backoff.
 """
 
@@ -17,7 +17,6 @@ import time
 
 import pytest
 
-from repro.engine import BackendConfig
 from repro.exceptions import ParameterError
 from repro.graphs import generators
 from repro.service import (
@@ -34,7 +33,6 @@ from repro.service import (
     ServiceConfig,
     SimRankService,
     SinglePairQuery,
-    SingleSourceQuery,
 )
 from repro.service.wire import RequestEnvelope, decode_envelope
 
@@ -173,54 +171,11 @@ class TestOverloadShedding:
             gate.release.set()
             assert held.result(timeout=10).ok
 
-    @pytest.mark.parametrize("field", ["max_pending", "degrade_pending"])
+    @pytest.mark.parametrize("field", ["max_pending"])
     def test_bounds_must_be_positive(self, field):
         service = make_service()
         with pytest.raises(ParameterError):
             ParallelExecutor(service, workers=1, **{field: 0})
-
-
-class TestGracefulDegradation:
-    def test_degrade_pending_alone_triggers_degraded_answers(self):
-        # Regression: pending was only tracked when max_pending was set, so
-        # degrade_pending on its own never fired.  With the threshold at 1,
-        # every submitted request sees itself pending and degrades.
-        seen: list = []
-        results = {}
-        query = SingleSourceQuery(DATASET, node=0)
-        # Degradation reroutes to the cascade kernel, which only the SLING
-        # backend exposes; two fresh services so the exact run cannot
-        # pre-warm the cache the degraded run would then answer from.
-        for label, kwargs in (("exact", {}), ("degraded", {"degrade_pending": 1})):
-            service = SimRankService(
-                ServiceConfig(
-                    scale=0.05,
-                    backend="sling",
-                    backend_config=BackendConfig(epsilon=0.1, seed=0),
-                )
-            )
-            service.open_dataset(
-                DATASET, graph=generators.small_world(16, 4, seed=3)
-            )
-            orig = service.execute
-
-            def spy(q, _orig=orig, **kw):
-                seen.append(kw.get("degrade"))
-                return _orig(q, **kw)
-
-            service.execute = spy
-            with ParallelExecutor(service, workers=1, **kwargs) as executor:
-                results[label] = executor.submit(query).result(timeout=10)
-        assert seen == [None, True]  # the kwarg only appears when degrading
-        exact, degraded = results["exact"], results["degraded"]
-        assert exact.ok and degraded.ok
-        assert exact.degraded is False
-        assert degraded.degraded is True
-        assert degraded.cache_hit is None  # bypasses the engine cache
-        # The cascade path answers within the backend's accuracy target —
-        # the values stay sane, just not bitwise equal to the exact path.
-        assert degraded.value.n == exact.value.n
-        assert all(-1e-9 <= v <= 1.0 + 1e-9 for v in degraded.value.value)
 
 
 class TestRetryPolicy:

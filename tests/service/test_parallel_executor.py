@@ -152,27 +152,19 @@ class TestErrorIsolation:
             single.submit(TopKQuery(DATASET, node=0, k=3))
 
 
-class TestBackendPin:
-    def test_pinned_backend_applies_to_every_request(self):
-        service = make_service()
-        queries = [SinglePairQuery(DATASET, node_u=0, node_v=2)] * 4
-        with ParallelExecutor(service, workers=1) as executor:
-            auto = submit_all(executor, queries)
-        with ParallelExecutor(service, workers=1, backend="naive") as executor:
-            pinned = submit_all(executor, queries)
-        assert {result.backend for result in auto} == {"power"}
-        assert {result.backend for result in pinned} == {"naive"}
-
-    def test_pinned_backend_keeps_its_own_cache(self):
+class TestSharedEngine:
+    def test_executors_share_the_service_engine_cache(self):
+        """Every executor over one service answers through the dataset's
+        one engine, so a vector cached by one is a hit for the next."""
         service = make_service()
         query = SingleSourceQuery(DATASET, node=3)
         with ParallelExecutor(service, workers=1) as executor:
-            warm = submit_all(executor, [query, query])
-        with ParallelExecutor(service, workers=1, backend="naive") as executor:
-            pinned = submit_all(executor, [query, query])
-        assert [result.cache_hit for result in warm] == [False, True]
-        # The auto engine's cached vector must not answer for another backend.
-        assert [result.cache_hit for result in pinned] == [False, True]
+            first = submit_all(executor, [query])
+        with ParallelExecutor(service, workers=2) as executor:
+            second = submit_all(executor, [query])
+        assert [result.cache_hit for result in first] == [False]
+        assert [result.cache_hit for result in second] == [True]
+        assert second[0].value.tolist() == first[0].value.tolist()
 
 
 class TestStreaming:

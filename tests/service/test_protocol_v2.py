@@ -433,8 +433,12 @@ class TestV1TranscriptReplay:
             )
         )
         expected = [
-            json.dumps(service.execute_wire(json.loads(line)).to_wire()["value"],
-                       separators=(",", ":"))
+            json.dumps(
+                service.execute_request(
+                    decode_envelope(json.loads(line)).request
+                ).to_wire()["value"],
+                separators=(",", ":"),
+            )
             for line in self.TRANSCRIPT
         ]
 

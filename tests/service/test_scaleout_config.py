@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import BackendConfig
+from repro.graphs import generators
 from repro.graphs.datasets import load_dataset
 from repro.service import ServiceConfig, SimRankService
 from repro.sling import SlingIndex, has_saved_index, save_index
@@ -36,6 +37,19 @@ class TestCacheBudget:
         service.close_dataset("AS")
         assert self.capacity(service, "GrQc") == 8  # reclaimed on close
         service.close_all()
+
+    def test_capacities_sum_to_exactly_the_budget(self):
+        # The remainder goes one vector each to the earliest-opened sessions;
+        # a budget below the session count leaves the latest ones cache-off.
+        for budget, count, expected in ((3, 4, [1, 1, 1, 0]), (8, 3, [3, 3, 2])):
+            service = self.make_service(budget)
+            names = [f"toy{i}" for i in range(count)]
+            for name in names:
+                service.open_dataset(name, graph=generators.cycle(4))
+            shares = [self.capacity(service, name) for name in names]
+            assert shares == expected
+            assert sum(shares) == budget
+            service.close_all()
 
     def test_budget_caps_engines_built_before_the_rebalance(self):
         service = self.make_service(4)

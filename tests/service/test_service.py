@@ -19,6 +19,7 @@ from repro.service import (
     SingleSourceQuery,
     SparseScores,
     TopKQuery,
+    decode_envelope,
 )
 
 #: Tiny, fast configuration shared by every test in this module.
@@ -177,6 +178,15 @@ class TestExecute:
         assert result.backend == "power"
         session = service.open_dataset("GrQc")
         assert "power" in session.backends()
+        # The pinned backend keeps its own cache: the default engine's cached
+        # vector must not answer for another backend.
+        query = SingleSourceQuery("GrQc", 3)
+        warm = [service.execute(query).cache_hit for _ in range(2)]
+        pinned = [
+            service.execute(query, backend="power").cache_hit for _ in range(2)
+        ]
+        assert warm == [False, True]
+        assert pinned == [False, True]
 
 
 class TestErrorEnvelopes:
@@ -205,17 +215,16 @@ class TestErrorEnvelopes:
         assert not result.ok
         assert result.error.code == ERROR_BAD_REQUEST
 
-    def test_execute_wire_malformed_payloads_never_raise(self, service):
+    def test_decoded_malformed_payloads_never_raise(self, service):
         for payload in (None, 17, "x", [], {}, {"kind": "nope"},
                         {"kind": "top_k", "dataset": "GrQc", "node": 0, "k": 0}):
-            result = service.execute_wire(payload)
+            result = service.execute_request(decode_envelope(payload).request)
             assert not result.ok
             assert result.error.code == ERROR_BAD_REQUEST
 
-    def test_execute_wire_good_payload(self, service):
-        result = service.execute_wire(
-            {"kind": "single_pair", "dataset": "GrQc", "node_u": 1, "node_v": 2}
-        )
+    def test_decoded_good_payload(self, service):
+        payload = {"kind": "single_pair", "dataset": "GrQc", "node_u": 1, "node_v": 2}
+        result = service.execute_request(decode_envelope(payload).request)
         assert result.ok
         assert isinstance(result.value, float)
 

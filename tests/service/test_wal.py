@@ -19,6 +19,7 @@ import pytest
 from repro.engine import BackendConfig
 from repro.graphs import generators
 from repro.service import (
+    ERROR_BAD_REQUEST,
     ERROR_UNAVAILABLE,
     FAIL_AFTER_ENV,
     MutateRequest,
@@ -246,6 +247,32 @@ class TestServiceDurability:
         # Applied exactly once: the version did not advance again.
         assert second.value["index_version"] == first.value["index_version"]
         assert second.index_version == first.index_version
+
+    def test_rejected_mutation_is_not_logged(self, tmp_path):
+        service = make_service(tmp_path)
+        wal = service.wal_for(DATASET)
+        records = wal.stats()["records"]
+        version = service.open_dataset(DATASET).index_version
+        rejected = service.execute_control(
+            MutateRequest(
+                dataset=DATASET, add=[(1, 26)], remove=[(1, 26)],
+                mutation_id="amb-1",
+            )
+        )
+        assert not rejected.ok
+        assert rejected.error.code == ERROR_BAD_REQUEST
+        assert wal.stats()["records"] == records
+        assert not wal.known("amb-1")
+        assert service.open_dataset(DATASET).index_version == version
+
+        # The id was never recorded, so a corrected retry applies for real.
+        retried = service.execute_control(
+            MutateRequest(dataset=DATASET, add=[(1, 26)], mutation_id="amb-1")
+        )
+        assert retried.ok
+        assert retried.value.get("deduplicated") is not True
+        recovered = make_service(tmp_path)
+        assert recovered.open_dataset(DATASET).graph.has_edge(1, 26)
 
     def test_disk_full_rolls_back_and_same_id_retry_lands(
         self, tmp_path, monkeypatch

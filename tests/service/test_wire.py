@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from repro.exceptions import WireFormatError
+from repro.graphs import generators
 from repro.service import (
     AllPairsQuery,
     QueryError,
     QueryResult,
+    ServiceConfig,
+    SimRankService,
     SinglePairQuery,
     SingleSourceQuery,
     SparseScores,
@@ -117,6 +120,26 @@ class TestResultLines:
     def test_malformed_result_payloads_raise(self, payload):
         with pytest.raises(WireFormatError):
             result_from_wire(payload)
+
+    def test_legacy_degraded_key_is_ignored(self):
+        # Older servers stamped ``"degraded": true`` on cascade answers under
+        # load; a client still decodes such a line, dropping the key.
+        payload = {**SUCCESS_ENVELOPES[1].to_wire(), "degraded": True}
+        decoded = result_from_wire(payload)
+        assert decoded == SUCCESS_ENVELOPES[1]
+        assert "degraded" not in decoded.to_wire()
+
+    def test_served_envelopes_never_carry_degraded(self):
+        service = SimRankService(ServiceConfig(backend="power"))
+        service.open_dataset("cycle", graph=generators.cycle(6))
+        for query in (
+            SingleSourceQuery("cycle", 0),
+            TopKQuery("cycle", node=0, k=2),
+            SinglePairQuery("cycle", 0, 3),
+        ):
+            payload = service.execute(query).to_wire()
+            assert payload["ok"] is True
+            assert "degraded" not in payload
 
     def test_single_source_wire_shape_is_its_nonzeros(self):
         payload = SUCCESS_ENVELOPES[1].to_wire()

@@ -35,6 +35,49 @@ class TestParser:
             build_parser().parse_args(["query", "--dataset", "GrQc"])
 
 
+class TestRouterForwarding:
+    def shared_dests(self) -> list[str]:
+        """Every option ``router`` shares with ``serve``."""
+        import argparse
+
+        from repro.cli import _add_common_options, _add_service_options
+
+        probe = argparse.ArgumentParser(add_help=False)
+        _add_common_options(probe)
+        _add_service_options(probe)
+        return [action.dest for action in probe._actions]
+
+    def test_worker_serve_args_round_trip_every_shared_option(self, tmp_path):
+        from repro.cli import _worker_serve_args
+
+        parser = build_parser()
+        router = parser.parse_args([
+            "router",
+            "--scale", "0.07", "--epsilon", "0.2", "--seed", "5",
+            "--mc-walks", "31", "--backend", "power",
+            "--memory-budget-mb", "3.5", "--cache-size", "7",
+            "--cache-budget", "11", "--pair-admit-after", "3",
+            "--index-dir", str(tmp_path / "indexes"),
+            "--wal-dir", str(tmp_path / "wal"),
+            "--chunk-size", "13", "--worker-threads", "4",
+        ])
+        defaults = parser.parse_args(["router"])
+        serve = parser.parse_args(["serve", *_worker_serve_args(router)])
+        for dest in self.shared_dests():
+            # A shared option this command line leaves at its default would
+            # not prove anything; a new one must be added above.
+            assert getattr(router, dest) != getattr(defaults, dest), dest
+            assert getattr(serve, dest) == getattr(router, dest), dest
+        assert serve.chunk_size == 13
+        assert serve.workers == 4
+
+    @pytest.mark.parametrize("flag", ["--cache-ttl", "--degrade-pending"])
+    def test_deleted_serving_flags_are_usage_errors(self, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", flag, "1"])
+        assert excinfo.value.code == 2
+
+
 class TestCommands:
     def test_table3(self, capsys):
         assert main(["table3", *FAST]) == 0
