@@ -9,7 +9,7 @@ and ``v`` *meet*, i.e. occupy the same node at the same step index.
 The walker here is used by
 
 * the correction-factor estimators (Algorithms 1 and 4), which sample pairs of
-  √c-walks from the in-neighbours of a node, and
+  √c-walks from the in-neighbours of a node's in-neighbours, and
 * the Monte-Carlo SimRank estimator ``estimate_simrank`` used as a sanity
   oracle in tests (the "MC + √c-walk" variant discussed at the end of
   Section 4.1).
@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..exceptions import ParameterError
+from ..exceptions import NodeNotFoundError, ParameterError
 from ..graphs import DiGraph
 
 __all__ = ["SqrtCWalker", "walks_meet"]
@@ -161,48 +161,65 @@ class SqrtCWalker:
         """Sample one √c-walk pair per ``(starts_a[i], starts_b[i])`` and count meets.
 
         Vectorised equivalent of calling :meth:`walk_pair_meets` once per pair;
-        all pairs advance in lock-step, with numpy handling the per-step
-        continuation coin flips and in-neighbour sampling.  Used by the
+        all pairs advance in lock-step straight on the in-CSR.  A pair goes on
+        only while *both* walks continue, so each step draws one survival coin
+        with probability ``√c · √c = c`` per pair and one ``(2, k)`` block of
+        uniforms that picks both walks' in-neighbours.  Used by the
         correction-factor estimators, whose sample budgets run into the
         thousands per node.
+
+        Every start is validated once on entry: an id outside ``[0, n)``
+        raises :class:`~repro.exceptions.NodeNotFoundError` whatever the coin
+        flips would have been.
         """
-        positions_a = np.asarray(starts_a, dtype=np.int64).copy()
-        positions_b = np.asarray(starts_b, dtype=np.int64).copy()
+        positions_a = np.asarray(starts_a, dtype=np.int64)
+        positions_b = np.asarray(starts_b, dtype=np.int64)
         if positions_a.shape != positions_b.shape:
             raise ParameterError(
                 "starts_a and starts_b must have the same shape, got "
                 f"{positions_a.shape} and {positions_b.shape}"
             )
-        graph = self._graph
+        num_nodes = self._graph.num_nodes
+        for positions in (positions_a, positions_b):
+            if positions.size:
+                low, high = int(positions.min()), int(positions.max())
+                if low < 0:
+                    raise NodeNotFoundError(low)
+                if high >= num_nodes:
+                    raise NodeNotFoundError(high)
+        indptr, indices = self._graph.in_csr()
         rng = self._rng
-        sqrt_c = self._sqrt_c
-        met = positions_a == positions_b
-        active = np.flatnonzero(~met)
+        c = self._c
+        apart = positions_a != positions_b
+        meets = int(positions_a.size - np.count_nonzero(apart))
+        node_a = positions_a[apart]
+        node_b = positions_b[apart]
         for _ in range(self._max_length):
-            if active.size == 0:
+            if node_a.size == 0:
                 break
-            # Both walks of a pair must survive the continuation coin flips.
-            survive = (rng.random(active.size) < sqrt_c) & (
-                rng.random(active.size) < sqrt_c
-            )
-            active = active[survive]
-            if active.size == 0:
+            # Both walks of a pair must survive their √c continuation flips.
+            survive = rng.random(node_a.size) < c
+            node_a = node_a[survive]
+            node_b = node_b[survive]
+            start_a = indptr[node_a]
+            start_b = indptr[node_b]
+            degree_a = indptr[node_a + 1] - start_a
+            degree_b = indptr[node_b + 1] - start_b
+            # A walk at a node without in-neighbours terminates.
+            alive = (degree_a > 0) & (degree_b > 0)
+            if not alive.all():
+                start_a, start_b = start_a[alive], start_b[alive]
+                degree_a, degree_b = degree_a[alive], degree_b[alive]
+            if start_a.size == 0:
                 break
-            next_a = graph.sample_in_neighbors(positions_a[active], rng)
-            next_b = graph.sample_in_neighbors(positions_b[active], rng)
-            # A walk that reached a node without in-neighbours terminates.
-            alive = (next_a >= 0) & (next_b >= 0)
-            active = active[alive]
-            if active.size == 0:
-                break
-            next_a = next_a[alive]
-            next_b = next_b[alive]
-            positions_a[active] = next_a
-            positions_b[active] = next_b
-            now_met = next_a == next_b
-            met[active[now_met]] = True
-            active = active[~now_met]
-        return int(met.sum())
+            uniforms = rng.random((2, start_a.size))
+            node_a = indices[start_a + (uniforms[0] * degree_a).astype(np.int64)]
+            node_b = indices[start_b + (uniforms[1] * degree_b).astype(np.int64)]
+            apart = node_a != node_b
+            meets += int(node_a.size - np.count_nonzero(apart))
+            node_a = node_a[apart]
+            node_b = node_b[apart]
+        return meets
 
     def meeting_step(self, start_a: int, start_b: int) -> int | None:
         """Like :meth:`walk_pair_meets` but return the meeting step (or None)."""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ParameterError
-from repro.graphs import generators
+from repro.graphs import DiGraph, generators
 from repro.sling import (
     SqrtCWalker,
     estimate_all_correction_factors,
@@ -32,20 +32,63 @@ class TestStructuralShortCircuits:
         assert estimate.num_samples == 0
 
 
-class TestSampledEstimates:
-    def test_matches_exact_on_outward_star(self, decay):
-        # The centre of an outward star: I(center) is empty -> d = 1.
-        # A node fed by two leaves of an outward star... use a custom graph:
-        # two leaves (1, 2) point at node 3; leaves have common parent 0.
-        from repro.graphs import DiGraph
+class TestExactCases:
+    """Nodes whose later meetings ``Y`` cannot happen need no trials."""
 
+    def test_shared_grandparent_is_exact(self, decay):
+        # Leaves 1 and 2 share their only in-neighbour 0, which has none:
+        # the walks from node 3 can meet at step 1 and never later.
         graph = DiGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        truth = simrank_matrix(graph, c=decay, num_iterations=40)
-        exact = exact_correction_factors(graph, truth, decay)
+        exact = exact_correction_factors(
+            graph, simrank_matrix(graph, c=decay, num_iterations=50), decay
+        )
         walker = SqrtCWalker(graph, c=decay, seed=1)
         estimate = estimate_correction_factor(walker, 3, epsilon_d=0.02, delta_d=0.01)
-        assert estimate.value == pytest.approx(exact[3], abs=0.02)
+        assert estimate.num_samples == 0
+        assert estimate.value == pytest.approx(exact[3], abs=1e-12)
 
+    def test_parents_without_parents_give_mu_zero(self, inward_star, decay):
+        walker = SqrtCWalker(inward_star, c=decay, seed=0)
+        estimate = estimate_correction_factor(walker, 0, 0.005, 0.01)
+        assert estimate.num_samples == 0
+        assert estimate.value == pytest.approx(1.0 - decay / 5, abs=1e-12)
+
+    def test_three_layer_graph_is_exact_everywhere(self, decay):
+        # Layer 2 draws parents from layer 1, layer 1 from the sources in
+        # layer 0, so every overlap term of µ₁ is exercised and Y is 0.
+        rng = np.random.default_rng(0)
+        edges = [
+            (int(parent), child)
+            for child in range(8, 20)
+            for parent in rng.choice(8, size=3, replace=False)
+        ] + [
+            (int(parent), child)
+            for child in range(20, 28)
+            for parent in rng.choice(np.arange(8, 20), size=4, replace=False)
+        ]
+        graph = DiGraph(28, edges)
+        exact = exact_correction_factors(
+            graph, simrank_matrix(graph, c=decay, num_iterations=50), decay
+        )
+        walker = SqrtCWalker(graph, c=decay, seed=0)
+        for node in graph.nodes():
+            estimate = estimate_correction_factor(walker, node, 0.005, 0.01)
+            assert estimate.num_samples == 0
+            assert estimate.value == pytest.approx(exact[node], abs=1e-12)
+
+    def test_loose_tolerance_draws_no_trials(self, decay):
+        # ε_d / c² ≥ 1: any estimate of Y in [0, 1] meets the tolerance.
+        graph = generators.complete(5)
+        exact = exact_correction_factors(
+            graph, simrank_matrix(graph, c=decay, num_iterations=50), decay
+        )
+        walker = SqrtCWalker(graph, c=decay, seed=0)
+        estimate = estimate_correction_factor(walker, 0, decay * decay, 0.01)
+        assert estimate.num_samples == 0
+        assert abs(estimate.value - exact[0]) <= decay * decay
+
+
+class TestSampledEstimates:
     def test_all_nodes_within_epsilon_of_exact(self, community_graph, decay):
         truth = simrank_matrix(community_graph, c=decay, num_iterations=40)
         exact = exact_correction_factors(community_graph, truth, decay)
@@ -124,3 +167,47 @@ class TestExactCorrectionFactors:
         graph = generators.cycle(4)
         with pytest.raises(ParameterError):
             exact_correction_factors(graph, np.eye(4), 1.5)
+
+
+#: Graph shapes of the accuracy sweep, each at n ≈ 150.
+SWEEP_GRAPHS = {
+    "preferential_attachment": lambda: generators.preferential_attachment(
+        150, 3, seed=1
+    ),
+    "small_world": lambda: generators.small_world(
+        150, 4, rewire_probability=0.2, seed=2
+    ),
+    "copying_model": lambda: generators.copying_model(150, 4, seed=3),
+    "random_dag": lambda: generators.random_dag(150, 600, seed=4),
+    "inward_star": lambda: generators.star(149, inward=True),
+    "two_level_community": lambda: generators.two_level_community(5, 30, seed=5),
+    "erdos_renyi": lambda: generators.erdos_renyi(150, 750, seed=6),
+}
+
+
+@pytest.fixture(scope="module")
+def sweep_cases(decay):
+    """Each sweep graph with its exact correction factors, built once."""
+    cases = {}
+    for name, make in SWEEP_GRAPHS.items():
+        graph = make()
+        truth = simrank_matrix(graph, c=decay, num_iterations=50)
+        cases[name] = (graph, exact_correction_factors(graph, truth, decay))
+    return cases
+
+
+class TestAccuracySweep:
+    """Every d̃_k within ε_d of the exact value, across graph shapes."""
+
+    @pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "fixed"])
+    @pytest.mark.parametrize("epsilon_d", [0.005, 0.02])
+    @pytest.mark.parametrize("shape", sorted(SWEEP_GRAPHS))
+    def test_max_error_within_epsilon_d(
+        self, sweep_cases, decay, shape, epsilon_d, adaptive
+    ):
+        graph, exact = sweep_cases[shape]
+        walker = SqrtCWalker(graph, c=decay, seed=7)
+        estimated = estimate_all_correction_factors(
+            walker, epsilon_d, 1e-3, adaptive=adaptive
+        )
+        assert np.abs(estimated - exact).max() <= epsilon_d

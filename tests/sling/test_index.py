@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines import simrank_matrix
 from repro.exceptions import IndexNotBuiltError, NodeNotFoundError, ParameterError
 from repro.graphs import DiGraph, generators
 from repro.sling import SlingIndex, SlingParameters
@@ -96,6 +97,14 @@ class TestSinglePairAccuracy:
         estimated = index.all_pairs()
         assert np.abs(estimated - truth).max() <= EPS
 
+    @pytest.mark.parametrize(("c", "epsilon"), [(0.2, 0.9), (0.1, 0.5)])
+    def test_loose_correction_tolerance_still_builds(self, c, epsilon):
+        # ε_d / c² ≥ 1 here: the correction factors need no trials at all.
+        graph = generators.complete(5)
+        truth = simrank_matrix(graph, c=c, num_iterations=50)
+        index = SlingIndex(graph, c=c, epsilon=epsilon, seed=0).build()
+        assert np.abs(index.all_pairs() - truth).max() <= epsilon
+
     def test_scores_symmetric_within_tolerance(self, community_index):
         for u, v in [(0, 5), (3, 17), (11, 29)]:
             assert community_index.single_pair(u, v) == pytest.approx(
@@ -184,7 +193,9 @@ class TestReproducibility:
         assert first.single_pair(3, 17) == second.single_pair(3, 17)
 
     def test_different_seed_changes_corrections(self):
-        graph = generators.preferential_attachment(40, 2, seed=9)
+        # Symmetrised, so later meetings are common enough that the sampled
+        # part of each d̃_k depends on the seed.
+        graph = generators.preferential_attachment(40, 2, seed=9, symmetrize=True)
         first = SlingIndex(graph, epsilon=EPS, seed=1).build()
         second = SlingIndex(graph, epsilon=EPS, seed=2).build()
         assert not np.array_equal(first.correction_factors, second.correction_factors)

@@ -140,6 +140,20 @@ class TestPairMeeting:
         walker = SqrtCWalker(graph, seed=0)
         assert walker.count_meeting_pairs(np.array([1, 2]), np.array([1, 2])) == 2
 
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize(
+        ("starts_a", "starts_b"),
+        [([0, 4], [1, 2]), ([1, 2], [3, -1]), ([4], [4]), ([-1], [-1])],
+        ids=["too-large", "negative", "too-large-equal", "negative-equal"],
+    )
+    def test_count_meeting_pairs_rejects_bad_starts_under_any_seed(
+        self, seed, starts_a, starts_b
+    ):
+        # Starts are validated on entry, not when a pair first steps.
+        walker = SqrtCWalker(generators.cycle(4), seed=seed)
+        with pytest.raises(NodeNotFoundError):
+            walker.count_meeting_pairs(np.array(starts_a), np.array(starts_b))
+
 
 class TestSimRankEstimation:
     def test_estimate_simrank_on_outward_star(self, decay):
