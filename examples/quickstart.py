@@ -2,8 +2,8 @@
 """Quickstart: answer SimRank queries through the service API.
 
 The script builds a small planted-community graph, registers it as a named
-dataset session on a :class:`~repro.service.SimRankService` (the planner picks
-a backend — the SLING index, with the paper's default decay factor), and walks
+dataset session on a :class:`~repro.service.SimRankService` (served by the
+SLING index, with the paper's default decay factor), and walks
 through the typed query kinds: single-pair, single-source, and top-k — plus
 the all-pairs sweep.  Every answer arrives as a :class:`QueryResult` envelope
 carrying the value, the chosen backend, and the observed latency.  It finishes
@@ -71,8 +71,8 @@ def main() -> None:
         )
     )
     session = service.open_dataset(DATASET, graph=graph)
-    engine = session.engine()  # builds via the planner
-    print(f"   planner chose backend {engine.plan.backend!r}: {engine.plan.reason}")
+    engine = session.engine()  # builds the default backend's index
+    print(f"   backend: {engine.backend.name!r}")
     print(f"   {engine.backend.index.build_statistics.summary()}")
     print(f"   index size: {engine.backend.index_size_bytes() / 1024:.1f} KiB")
 

@@ -15,8 +15,8 @@ The package is organised as:
 * :mod:`repro.evaluation` — metrics, workloads, and drivers that regenerate
   every figure of the paper's Section 7 and Appendix C;
 * :mod:`repro.engine` — the unified query layer: one backend protocol over
-  SLING and every baseline, batched execution with result caching, and a
-  planner that routes queries under a memory budget;
+  SLING and every baseline, and a query engine with result caching and
+  statistics;
 * :mod:`repro.service` — the serving boundary: typed request dataclasses and
   :class:`QueryResult` envelopes over named dataset sessions
   (:class:`SimRankService`), plus the JSONL wire protocol behind

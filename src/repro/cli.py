@@ -37,9 +37,10 @@ keys, responses echo the ``id``, control-plane kinds (``ping``,
 ``describe``, ``mutate``, ``shutdown``) ride alongside queries, the serve loop opens
 with a ``hello`` frame, and chunked results stream as ``partial``/``done``
 frames.  Bare v1 query lines keep working unchanged.  ``--backend``
-selects any registered backend (or ``auto`` to let the planner route from
-``--memory-budget-mb``), and ``--json`` switches ``query`` to
-machine-readable output including the query plan and engine statistics.
+selects any registered backend (``auto`` is an alias of ``sling``, the
+in-memory index; ``sling-disk`` serves it memory-mapped from disk), and
+``--json`` switches ``query`` to machine-readable output including the
+backend and engine statistics.
 """
 
 from __future__ import annotations
@@ -164,17 +165,10 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
     """Options shared by the service-backed sub-commands (query, batch)."""
     parser.add_argument(
         "--backend",
-        default="auto",
+        default="sling",
         choices=["auto", *backend_names()],
-        help="query backend; 'auto' lets the planner choose (default)",
-    )
-    parser.add_argument(
-        "--memory-budget-mb",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="memory budget steering the auto planner towards the "
-        "disk-backed index or a baseline",
+        help="query backend (default: sling, the in-memory index; 'auto' is "
+        "an alias of it, and 'sling-disk' serves it memory-mapped from disk)",
     )
     parser.add_argument(
         "--cache-size",
@@ -281,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--json",
         action="store_true",
-        help="emit machine-readable JSON (results, query plan, engine statistics)",
+        help="emit machine-readable JSON (results, backend, engine statistics)",
     )
 
     batch = subparsers.add_parser(
@@ -640,11 +634,6 @@ def _config(args: argparse.Namespace) -> MethodConfig:
 
 def _service(args: argparse.Namespace) -> SimRankService:
     """A service configured from the shared CLI options."""
-    budget = (
-        int(args.memory_budget_mb * 1024 * 1024)
-        if args.memory_budget_mb is not None
-        else None
-    )
     # --pair-admit-after: unset keeps the engine default, 0 means "never".
     if args.pair_admit_after is None:
         admit: int | None = PAIR_AMORTIZE_THRESHOLD
@@ -655,7 +644,6 @@ def _service(args: argparse.Namespace) -> SimRankService:
     return SimRankService(
         ServiceConfig(
             backend=args.backend,
-            memory_budget_bytes=budget,
             cache_size=args.cache_size,
             cache_budget_vectors=args.cache_budget,
             pair_admission_threshold=admit,
@@ -831,7 +819,7 @@ def _run_query(args: argparse.Namespace) -> int:
             "num_nodes": graph.num_nodes,
             "num_edges": graph.num_edges,
             "source": source,
-            "plan": top_result.plan,
+            "backend": top_result.backend,
             "top_k": top_result.value,
             "statistics": statistics.as_dict(),
         }
@@ -844,9 +832,7 @@ def _run_query(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
         return 0
 
-    plan = top_result.plan or {}
-    reason = plan.get("reason", "hand-built backend")
-    print(f"backend: {top_result.backend} ({reason})")
+    print(f"backend: {top_result.backend}")
     if pair_result is not None:
         print(f"s({source}, {target}) = {pair_result.value:.6f}")
     print(f"top-{args.top} nodes most similar to {source}:")
@@ -1215,8 +1201,6 @@ def _worker_serve_args(args: argparse.Namespace) -> list[str]:
         "--cache-size", str(args.cache_size),
         "--workers", str(args.worker_threads),
     ]
-    if args.memory_budget_mb is not None:
-        serve_args += ["--memory-budget-mb", str(args.memory_budget_mb)]
     if args.cache_budget is not None:
         serve_args += ["--cache-budget", str(args.cache_budget)]
     if args.pair_admit_after is not None:

@@ -9,17 +9,15 @@ repository can answer a SimRank query:
   backend) and the naive / power / Monte-Carlo / linearize baselines;
 * :mod:`repro.engine.engine` — :class:`QueryEngine`, which executes
   queries with an LRU cache of single-source score vectors and per-query /
-  aggregate statistics;
-* :mod:`repro.engine.planner` — a small router that picks the in-memory or
-  disk-backed SLING backend from a memory budget, falling back to a baseline
-  when no index can be built.
+  aggregate statistics, and :func:`create_engine`, which builds a named
+  backend and wraps it in one.
 
 This package is the *middle* layer of the serving stack::
 
     repro.service   SimRankService: typed requests -> QueryResult envelopes,
        |            named dataset sessions, JSONL wire protocol
-    repro.engine    QueryEngine: LRU cache, statistics; planner
-       |            routing under a memory budget
+    repro.engine    QueryEngine: LRU cache, statistics
+       |
     backends        SLING index, disk-backed SLING, baselines
 
 Consumers (the CLI, the experiment drivers, the examples, ``repro batch``)
@@ -52,13 +50,13 @@ from .engine import (
     EngineStatistics,
     QueryEngine,
     QueryRecord,
+    create_engine,
     hit_rate_by_kind,
     latency_percentiles_by_kind,
     latency_percentiles_by_outcome,
     latency_quantiles,
     merge_statistics_totals,
 )
-from .planner import QueryPlan, create_engine, estimate_sling_index_bytes, plan_backend
 
 __all__ = [
     "BackendConfig",
@@ -86,8 +84,5 @@ __all__ = [
     "latency_percentiles_by_outcome",
     "hit_rate_by_kind",
     "merge_statistics_totals",
-    "QueryPlan",
-    "plan_backend",
     "create_engine",
-    "estimate_sling_index_bytes",
 ]

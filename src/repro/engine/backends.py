@@ -4,8 +4,8 @@ Every way this repository can answer a SimRank query — the SLING index
 (Algorithms 3/6), in memory or memory-mapped from disk, and the baselines — is
 wrapped in a :class:`SimilarityBackend` adapter exposing the same four
 operations (``build``, ``single_pair``, ``single_source``, ``top_k``) plus
-capability/cost flags (:class:`BackendInfo`) that the planner and the engine
-use to route queries.
+capability/cost flags (:class:`BackendInfo`) that the engine and the
+``describe`` control request report.
 
 Backends are registered in a string-keyed registry; :func:`create_backend`
 instantiates one by name and :func:`resolve_backend_name` maps the paper's
@@ -89,11 +89,11 @@ class BackendConfig:
 
 @dataclass(frozen=True)
 class BackendInfo:
-    """Capability and cost flags describing a backend to the planner.
+    """Capability and cost flags describing a backend.
 
     ``build_cost`` / ``query_cost`` are coarse order-of-magnitude labels
-    ("none", "walks", "index", "matrix"), not measurements — enough for
-    routing decisions, cheap enough to declare statically.
+    ("none", "walks", "index", "matrix"), not measurements — cheap enough to
+    declare statically.
     """
 
     name: str
@@ -249,6 +249,7 @@ _REGISTRY: dict[str, type[SimilarityBackend]] = {}
 
 #: Figure labels and common spellings accepted by :func:`resolve_backend_name`.
 _ALIASES: dict[str, str] = {
+    "auto": "sling",
     "sling": "sling",
     "sling-disk": "sling-disk",
     "disk": "sling-disk",
@@ -410,8 +411,8 @@ class SlingBackend(SimilarityBackend):
         """Actual in-memory footprint of the packed columns + corrections.
 
         Unlike :meth:`index_size_bytes` (the logical 12-bytes-per-entry
-        Figure-4 accounting) this is the real allocation the planner's memory
-        budget competes with, read in O(1) off the store's array lengths.
+        Figure-4 accounting) this is the real allocation, read in O(1) off
+        the store's array lengths.
         """
         self._require_built()
         return self._index.resident_bytes()

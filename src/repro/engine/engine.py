@@ -57,11 +57,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..exceptions import ParameterError
+from ..graphs import DiGraph
 from ..ranking import rank_top_k
-from .backends import SimilarityBackend
+from .backends import BackendConfig, SimilarityBackend, create_backend
 
 __all__ = [
     "QueryEngine",
+    "create_engine",
     "EngineStatistics",
     "QueryRecord",
     "LATENCY_QUANTILES",
@@ -402,7 +404,6 @@ class QueryEngine:
         *,
         cache_size: int = 128,
         pair_admission_threshold: int | None = PAIR_AMORTIZE_THRESHOLD,
-        plan=None,
     ) -> None:
         if cache_size < 0:
             raise ParameterError(f"cache_size must be >= 0, got {cache_size}")
@@ -435,10 +436,6 @@ class QueryEngine:
             None if backend.info.thread_safe_queries else threading.Lock()
         )
         self._tls = threading.local()
-        #: The routing decision that produced this engine (set by
-        #: :func:`repro.engine.planner.create_engine`); ``None`` when the
-        #: backend was chosen by hand.
-        self.plan = plan
 
     # ------------------------------------------------------------------ #
     @property
@@ -478,10 +475,9 @@ class QueryEngine:
             )
 
     def describe(self) -> dict:
-        """One JSON-able self-description: backend capabilities, the
-        planner's routing decision, cache state, and a consistent
-        statistics snapshot — what the service's ``describe`` control
-        request reports per engine."""
+        """One JSON-able self-description: backend capabilities, cache
+        state, and a consistent statistics snapshot — what the service's
+        ``describe`` control request reports per engine."""
         with self._lock:
             cached_vectors = len(self._cache)
             index_version = self._index_version
@@ -489,7 +485,6 @@ class QueryEngine:
             "backend": self._backend.name,
             "index_version": index_version,
             "backend_info": self._backend.info.as_dict(),
-            "plan": self.plan.as_dict() if self.plan else None,
             "cache_size": self._cache_size,
             "pair_admission_threshold": self._pair_admission_threshold,
             "cached_vectors": cached_vectors,
@@ -806,3 +801,21 @@ class QueryEngine:
             f"cache={len(self._cache)}/{self._cache_size}, "
             f"queries={self._stats.total_queries})"
         )
+
+
+def create_engine(
+    graph: DiGraph,
+    *,
+    backend: str = "sling",
+    config: BackendConfig | None = None,
+    cache_size: int = 128,
+    pair_admission_threshold: int | None = PAIR_AMORTIZE_THRESHOLD,
+) -> QueryEngine:
+    """Build the ``backend`` (registry name or alias) over ``graph`` and wrap
+    it in a ready-to-query engine; ``cache_size`` and
+    ``pair_admission_threshold`` go to the engine's cache policy unchanged."""
+    return QueryEngine(
+        create_backend(backend, graph, config),
+        cache_size=cache_size,
+        pair_admission_threshold=pair_admission_threshold,
+    )

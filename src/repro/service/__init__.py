@@ -6,7 +6,7 @@ strictly::
 
     service   (typed requests -> result envelopes, named dataset sessions)
        |
-    engine    (QueryEngine: batching, LRU cache, statistics; planner routing)
+    engine    (QueryEngine: LRU cache, statistics)
        |
     backend   (SLING index, disk-backed SLING, baselines)
 
@@ -24,13 +24,13 @@ strictly::
   live session in place (incremental index repair, version-scoped engine
   cache invalidation, optional re-freeze);
 * :mod:`repro.service.results` — the :class:`QueryResult` envelope (value +
-  dataset + backend + plan + latency + cache-hit flag, or a structured
+  dataset + backend + latency + cache-hit flag, or a structured
   :class:`QueryError` — bad requests never raise across the boundary), and
   :class:`SparseScores`, the nonzeros form ``single_source`` values take;
 * :mod:`repro.service.service` — :class:`SimRankService`, which manages named
-  dataset sessions (lazy open via the planner and memory budget, per-backend
-  engines, close / list / describe / aggregate statistics) and dispatches
-  both planes through :meth:`~repro.service.service.SimRankService.execute_request`
+  dataset sessions (lazy open, one engine per backend actually used,
+  close / list / describe / aggregate statistics) and dispatches both
+  planes through :meth:`~repro.service.service.SimRankService.execute_request`
   (wire dicts are decoded first by :func:`~repro.service.wire.decode_envelope`);
 * :mod:`repro.service.wire` — the JSONL wire protocol v2: versioned request
   envelopes (``v`` / client-assigned ``id`` echoed on every response /

@@ -535,7 +535,7 @@ class SimRankClient:
         scale: float = 1.0,
         epsilon: float = 0.05,
         seed: int = 0,
-        backend: str = "auto",
+        backend: str = "sling",
         workers: int = 1,
         mc_walks: int = 200,
         extra_args: Sequence[str] = (),

@@ -14,7 +14,7 @@ operations a remote caller needs to manage a long-lived server:
   ``repro serve --stats`` dumps at shutdown, available on demand);
 * :class:`DescribeRequest` — self-description: the service (protocol
   version, backends, open sessions, config) or one open session (graph
-  size, per-engine plans, cache state, statistics);
+  size, per-engine backend info, cache state, statistics);
 * :class:`MutateRequest` — apply an edge delta (add/remove) to one open
   dataset's live index, optionally forcing a re-freeze; the ack reports the
   new ``index_version`` and the certified staleness bound;

@@ -6,7 +6,7 @@ This module is the service-side half of the dynamic-graph subsystem
 control request; :func:`apply_mutation` turns it into an in-place update of
 the named session:
 
-1. the session's mutation-capable engine is found (or built — the in-memory
+1. the session's ``sling`` engine is found (or built — the in-memory
    ``sling`` backend is the one mutable backend today, and it is promoted
    to a :class:`~repro.sling.dynamic.DynamicSlingIndex` on first mutation
    without rebuilding);
@@ -51,27 +51,6 @@ from .results import (
 
 __all__ = ["apply_mutation", "mutate_session", "recover_session"]
 
-#: Engine keys probed first when looking for a mutation-capable engine —
-#: the planner's pick and the explicit SLING pin are where one lives.
-_PREFERRED_KEYS = ("sling", "auto")
-
-
-def _mutable_engine(session):
-    """An already-built engine of ``session`` whose backend can mutate, or
-    ``None``.  Preferring an existing engine over building a new one is the
-    point of the exercise: it is the engine whose cache and statistics the
-    session's traffic is hitting."""
-    with session._lock:
-        engines = dict(session._engines)
-    for key in _PREFERRED_KEYS:
-        engine = engines.get(key)
-        if engine is not None and engine.backend.supports_mutation:
-            return engine
-    for engine in engines.values():
-        if engine.backend.supports_mutation:
-            return engine
-    return None
-
 
 def mutate_session(session, added=(), removed=(), *, refreeze=False) -> dict:
     """Apply an edge delta to one open session, in place; returns the ack.
@@ -81,15 +60,16 @@ def mutate_session(session, added=(), removed=(), *, refreeze=False) -> dict:
     shared read-only ``sling-disk`` index) and
     :class:`~repro.exceptions.GraphFormatError` for malformed deltas.
     """
-    engine = _mutable_engine(session)
-    if engine is None:
-        engine = session.engine("sling")
-        if not engine.backend.supports_mutation:
-            raise ParameterError(
-                f"dataset {session.name!r} is served by backend "
-                f"{engine.backend.info.name!r}, which does not support "
-                "graph mutation (shared on-disk indexes are read-only)"
-            )
+    # Every alias of the in-memory SLING backend shares the session's one
+    # "sling" engine, the only place a mutable backend lives — unless a
+    # prebuilt index was attached read-only under that key.
+    engine = session.engine("sling")
+    if not engine.backend.supports_mutation:
+        raise ParameterError(
+            f"dataset {session.name!r} is served by backend "
+            f"{engine.backend.info.name!r}, which does not support "
+            "graph mutation (shared on-disk indexes are read-only)"
+        )
     backend = engine.backend
     report = backend.apply_mutation(added, removed)
     refrozen = False
@@ -114,20 +94,11 @@ def mutate_session(session, added=(), removed=(), *, refreeze=False) -> dict:
     with session._lock:
         session._graph = backend.graph
         session._index_version = version
-        # The mutated engine keeps every key it already answers for and
-        # additionally becomes the session's "sling" engine; engines built
-        # against the pre-mutation graph are dropped and rebuild lazily.
-        keep: OrderedDict = OrderedDict(
-            (key, eng)
-            for key, eng in session._engines.items()
-            if eng is engine
-        )
-        keep.setdefault("sling", engine)
-        session._engines = keep
-        plan = engine.plan.as_dict() if engine.plan else None
-        session._by_label = {
-            label: (engine, plan) for label in (None, "auto", "sling")
-        }
+        # The mutated engine stays the session's "sling" engine; engines
+        # built against the pre-mutation graph are dropped and rebuild
+        # lazily, and every label resolves afresh on its next query.
+        session._engines = OrderedDict(sling=engine)
+        session._by_label = {}
     return {
         "dataset": session.name,
         "index_version": version,
@@ -232,7 +203,6 @@ def apply_mutation(service, request, start: float | None = None) -> QueryResult:
             dataset=session.name,
             value=ack,
             backend=ack.get("backend", "sling"),
-            plan=None,
             seconds=time.perf_counter() - start,
             cache_hit=None,
             index_version=ack.get("index_version"),
@@ -310,7 +280,6 @@ def apply_mutation(service, request, start: float | None = None) -> QueryResult:
         dataset=session.name,
         value=ack,
         backend=ack["backend"],
-        plan=None,
         seconds=time.perf_counter() - start,
         cache_hit=None,
         index_version=ack["index_version"],

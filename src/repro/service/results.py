@@ -1,8 +1,8 @@
 """The response envelope every service call returns.
 
 A :class:`QueryResult` is the *only* thing that crosses the service boundary:
-successful queries carry their value plus provenance (dataset, backend, the
-planner's routing decision, latency, whether the engine's cache answered);
+successful queries carry their value plus provenance (dataset, backend,
+latency, whether the engine's cache answered);
 failed ones carry a structured :class:`QueryError` instead of an exception.
 ``value`` is plain JSON-able Python (floats, lists, dicts), except for
 ``single_source``, whose :class:`SparseScores` has a JSON-able
@@ -30,6 +30,7 @@ score: at most 1.5x the dense list.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import lt
 
@@ -195,7 +196,6 @@ class QueryResult:
     dataset: str | None
     value: object = None
     backend: str | None = None
-    plan: dict | None = None
     seconds: float = 0.0
     cache_hit: bool | None = None
     #: Monotonic mutation version of the index that answered (``None`` for
@@ -213,13 +213,16 @@ class QueryResult:
         dataset: str,
         value: object,
         backend: str,
-        plan: dict | None,
         seconds: float,
         cache_hit: bool | None,
         index_version: int | None = None,
+        plan: object = None,
     ) -> "QueryResult":
         """A successful envelope; ``value`` must already be JSON-able (or a
         :class:`SparseScores`).
+
+        ``plan`` is accepted and ignored so callers written against the
+        envelope's former ``plan`` field keep working.
 
         Built by populating ``__dict__`` directly instead of the generated
         ``__init__``: the frozen dataclass assigns fields one
@@ -234,7 +237,6 @@ class QueryResult:
             "dataset": dataset,
             "value": value,
             "backend": backend,
-            "plan": plan,
             "seconds": seconds,
             "cache_hit": cache_hit,
             "index_version": index_version,
@@ -295,7 +297,6 @@ class QueryResult:
                 value.to_wire() if type(value) is SparseScores else value
             )
             payload["backend"] = self.backend
-            payload["plan"] = self.plan
             payload["cache_hit"] = self.cache_hit
             if self.index_version is not None:
                 payload["index_version"] = self.index_version
@@ -309,7 +310,10 @@ def result_from_wire(payload: object) -> QueryResult:
     """Decode one wire dict back into a :class:`QueryResult`.
 
     Used by wire-protocol clients (and the round-trip tests); raises
-    :class:`~repro.exceptions.WireFormatError` on malformed payloads.
+    :class:`~repro.exceptions.WireFormatError` on malformed payloads:
+    ``seconds`` must be a finite number, ``index_version`` an int when
+    present, and an error's ``code`` and ``message`` strings.  Keys it does
+    not know (such as the retired ``plan``) are ignored.
     """
     if not isinstance(payload, dict):
         raise WireFormatError(
@@ -317,13 +321,18 @@ def result_from_wire(payload: object) -> QueryResult:
         )
     if "ok" not in payload or not isinstance(payload["ok"], bool):
         raise WireFormatError("result payload must carry a boolean 'ok' field")
+    seconds = payload.get("seconds", 0.0)
+    if type(seconds) not in (int, float) or not math.isfinite(seconds):
+        raise WireFormatError(f"result seconds must be a finite number, got {seconds!r}")
     common = {
         "kind": payload.get("kind"),
         "dataset": payload.get("dataset"),
-        "seconds": float(payload.get("seconds", 0.0)),
+        "seconds": float(seconds),
     }
     if payload["ok"]:
         version = payload.get("index_version")
+        if version is not None and type(version) is not int:
+            raise WireFormatError(f"result index_version must be an int, got {version!r}")
         value = payload.get("value")
         if common["kind"] == "single_source":
             value = _sparse_from_wire(value)
@@ -331,20 +340,22 @@ def result_from_wire(payload: object) -> QueryResult:
             ok=True,
             value=value,
             backend=payload.get("backend"),
-            plan=payload.get("plan"),
             cache_hit=payload.get("cache_hit"),
-            index_version=int(version) if version is not None else None,
+            index_version=version,
             **common,
         )
     error = payload.get("error")
     if not isinstance(error, dict) or "code" not in error:
         raise WireFormatError("error envelope must carry an 'error' object with a code")
+    code, message = error["code"], error.get("message", "")
+    if type(code) is not str or type(message) is not str:
+        raise WireFormatError("error envelope code and message must be strings")
     detail = error.get("detail")
     return QueryResult(
         ok=False,
         error=QueryError(
-            code=str(error["code"]),
-            message=str(error.get("message", "")),
+            code=code,
+            message=message,
             detail=detail if isinstance(detail, dict) else None,
         ),
         **common,

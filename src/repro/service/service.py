@@ -2,9 +2,8 @@
 
 :class:`SimRankService` is the layer consumers talk to.  It owns a set of
 named **dataset sessions** — each one a graph plus lazily-built
-:class:`~repro.engine.QueryEngine` instances (one per backend actually used,
-routed by the planner under the service's memory budget) — and answers typed
-:class:`~repro.service.queries.Query` objects with
+:class:`~repro.engine.QueryEngine` instances, one per backend actually
+used — and answers typed :class:`~repro.service.queries.Query` objects with
 :class:`~repro.service.results.QueryResult` envelopes.
 
 The contract at this boundary is *no exceptions for bad requests*: an unknown
@@ -71,11 +70,8 @@ _CANONICAL_MEMO_LIMIT = 4096
 class ServiceConfig:
     """Service-wide policy: how sessions load graphs and build engines."""
 
-    #: Default backend label for every session; ``"auto"`` lets the planner
-    #: route from :attr:`memory_budget_bytes`.
-    backend: str = "auto"
-    #: Memory budget handed to the planner when routing ``"auto"`` queries.
-    memory_budget_bytes: int | None = None
+    #: Default backend label (registry name or alias) for every session.
+    backend: str = "sling"
     #: Per-engine LRU capacity for single-source vectors (0 disables).
     cache_size: int = 128
     #: Fixed per-*process* cache budget, in single-source vectors.  When set
@@ -113,10 +109,9 @@ class ServiceConfig:
 class DatasetSession:
     """One named dataset: its graph plus per-backend query engines.
 
-    Engines build lazily on first use and are keyed by resolved backend name
-    (``"auto"`` is its own key — the planner's pick for this graph), so a
-    session can serve the planner-routed path and explicitly-pinned backends
-    side by side without rebuilding indexes.
+    Engines build lazily on first use and are keyed by resolved backend
+    name, so every alias of a backend ("auto", "SLING", ...) shares one
+    engine and one index.
     """
 
     def __init__(self, name: str, graph: DiGraph, config: ServiceConfig) -> None:
@@ -130,9 +125,9 @@ class DatasetSession:
         #: ``mutate`` request lands (see :mod:`repro.service.mutations`).
         self._index_version = 0
         self._engines: OrderedDict[str, QueryEngine] = OrderedDict()
-        #: Requested label (or ``None`` = service default) -> (engine, cached
-        #: wire-form plan).  One dict lookup on the per-query hot path.
-        self._by_label: dict[str | None, tuple[QueryEngine, dict | None]] = {}
+        #: Requested label (or ``None`` = service default) -> engine.  One
+        #: dict lookup on the per-query hot path.
+        self._by_label: dict[str | None, QueryEngine] = {}
         # Serialises lazy engine builds: concurrent first queries on the same
         # session wait for one index build instead of racing several.
         self._lock = threading.Lock()
@@ -163,82 +158,56 @@ class DatasetSession:
 
     def engine(self, backend: str | None = None) -> QueryEngine:
         """The engine for ``backend`` (default: the service's), building it
-        on first use via the planner + memory budget."""
-        return self.engine_and_plan(backend)[0]
-
-    def engine_and_plan(
-        self, backend: str | None = None
-    ) -> tuple[QueryEngine, dict | None]:
-        """The engine for ``backend`` plus the wire form of its query plan.
+        on first use.
 
         Engines are shared across alias spellings (keyed by resolved backend
-        name); the plan dict is computed once at build time because it never
-        changes afterwards and per-query envelopes must not rebuild it.
-
-        Thread-safe: the memoised fast path is one (GIL-atomic) dict read;
-        the build path runs under the session lock, so concurrent first
-        queries on a session produce exactly one engine per backend key.
+        name).  Thread-safe: the memoised fast path is one (GIL-atomic) dict
+        read; the build path runs under the session lock, so concurrent
+        first queries on a session produce exactly one engine per backend
+        key.
         """
-        cached = self._by_label.get(backend)
-        if cached is not None:
-            return cached
+        engine = self._by_label.get(backend)
+        if engine is not None:
+            return engine
         with self._lock:
-            cached = self._by_label.get(backend)
-            if cached is not None:
-                return cached
+            engine = self._by_label.get(backend)
+            if engine is not None:
+                return engine
             label = backend if backend is not None else self._config.backend
-            key = "auto" if label == "auto" else resolve_backend_name(label)
+            key = resolve_backend_name(label)
             engine = self._engines.get(key)
             if engine is None:
-                saved = self._saved_index_dir(label)
+                name, config = key, self._config.backend_config
+                saved = self._saved_index_dir(key)
                 if saved is not None:
                     # A prebuilt index for this dataset exists: attach to it
                     # zero-copy instead of building.  Answers are bitwise
                     # identical to the index that was saved (PR 5 guarantee),
                     # so a pool of workers sharing one index directory stays
                     # in exact agreement.
-                    engine = create_engine(
-                        self._graph,
-                        backend="sling-disk",
-                        memory_budget_bytes=self._config.memory_budget_bytes,
-                        config=replace(
-                            self._config.backend_config,
-                            work_directory=str(saved),
-                            reuse_saved_index=True,
-                        ),
-                        cache_size=self._cache_capacity,
-                        pair_admission_threshold=(
-                            self._config.pair_admission_threshold
-                        ),
+                    name = "sling-disk"
+                    config = replace(
+                        config, work_directory=str(saved), reuse_saved_index=True
                     )
-                else:
-                    engine = create_engine(
-                        self._graph,
-                        backend=label,
-                        memory_budget_bytes=self._config.memory_budget_bytes,
-                        config=self._config.backend_config,
-                        cache_size=self._cache_capacity,
-                        pair_admission_threshold=(
-                            self._config.pair_admission_threshold
-                        ),
-                    )
+                engine = create_engine(
+                    self._graph,
+                    backend=name,
+                    config=config,
+                    cache_size=self._cache_capacity,
+                    pair_admission_threshold=self._config.pair_admission_threshold,
+                )
                 self._engines[key] = engine
-            plan = engine.plan.as_dict() if engine.plan else None
-            self._by_label[backend] = (engine, plan)
-            return engine, plan
+            self._by_label[backend] = engine
+            return engine
 
-    def _saved_index_dir(self, label: str) -> Path | None:
+    def _saved_index_dir(self, key: str) -> Path | None:
         """The prebuilt-index directory for this dataset, when one should be
         used: ``config.index_dir`` is set, a saved index exists under
-        ``<index_dir>/<name>``, and the requested backend is the planner
-        (``auto``) or a SLING flavour.  An explicitly pinned baseline backend
-        is honoured — the operator asked for that computation."""
+        ``<index_dir>/<name>``, and the requested backend ``key`` is a SLING
+        flavour.  An explicitly pinned baseline backend is honoured — the
+        operator asked for that computation."""
         root = self._config.index_dir
-        if root is None:
-            return None
-        if label != "auto" and resolve_backend_name(label) not in (
-            "sling", "sling-disk"
-        ):
+        if root is None or key not in ("sling", "sling-disk"):
             return None
         candidate = Path(root) / self._name
         return candidate if has_saved_index(candidate) else None
@@ -538,7 +507,7 @@ class SimRankService:
                     ERROR_INTERNAL, f"{type(exc).__name__}: {exc}", query, start
                 )
         try:
-            engine, plan = session.engine_and_plan(backend)
+            engine = session.engine(backend)
         except ParameterError as exc:
             return self._fail(ERROR_BAD_REQUEST, str(exc), query, start)
         except Exception as exc:  # noqa: BLE001 - lazy index builds can fail too
@@ -609,7 +578,6 @@ class SimRankService:
             dataset=session.name,
             value=value,
             backend=engine.backend.name,
-            plan=plan,
             seconds=time.perf_counter() - start,
             cache_hit=cache_hit,
             index_version=version if version > 0 else None,
@@ -668,7 +636,7 @@ class SimRankService:
         The service-level form carries the protocol version, backends, open
         sessions, and the session-shaping config; the session-level form
         delegates to :meth:`DatasetSession.describe` (graph size, per-engine
-        plans, cache state, statistics).  Raises
+        backend info, cache state, statistics).  Raises
         :class:`~repro.exceptions.ParameterError` for a session that is not
         open — describing must stay cheap, so it never triggers a graph
         load or index build.
@@ -681,7 +649,6 @@ class SimRankService:
                 "registry": list(datasets.dataset_names()),
                 "config": {
                     "backend": self._config.backend,
-                    "memory_budget_bytes": self._config.memory_budget_bytes,
                     "cache_size": self._config.cache_size,
                     "cache_budget_vectors": self._config.cache_budget_vectors,
                     "pair_admission_threshold": (
@@ -773,7 +740,6 @@ class SimRankService:
             dataset=dataset,
             value=value,
             backend=None,
-            plan=None,
             seconds=time.perf_counter() - start,
             cache_hit=None,
         )

@@ -9,8 +9,7 @@ with envelope keys::
 and comes back as a response envelope that echoes the id::
 
     {"v": 2, "id": 7, "ok": true, "kind": "top_k", "dataset": "GrQc",
-     "seconds": ..., "value": [...], "backend": "sling", "plan": {...},
-     "cache_hit": false}
+     "seconds": ..., "value": [...], "backend": "sling", "cache_hit": false}
 
 The envelope keys are:
 

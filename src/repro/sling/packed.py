@@ -59,7 +59,7 @@ _VALUE_DTYPE = np.float64
 _KEY_DTYPE = np.int64
 
 #: Logical bytes per packed entry (level, target, value) — the quantity the
-#: paper's Figure 4 reports and the planner budgets with.
+#: paper's Figure 4 reports.
 ENTRY_BYTES = 12
 
 #: File names of the persisted columns (shared with :mod:`repro.sling.storage`).

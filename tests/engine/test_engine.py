@@ -309,3 +309,32 @@ class TestEngineBuildsBackendIfNeeded:
         assert not backend.is_built
         engine = QueryEngine(backend)
         assert engine.backend.is_built
+
+
+class TestCreateEngine:
+    def test_engine_answers_queries(self):
+        graph = generators.two_level_community(2, 10, seed=5)
+        engine = create_engine(
+            graph, config=BackendConfig(epsilon=0.1, seed=0), cache_size=8
+        )
+        assert engine.backend.name == "sling"
+        assert 0.0 <= engine.single_pair(0, 1) <= 1.0
+        assert engine.backend.is_built
+        assert "plan" not in engine.describe()
+
+    def test_engine_respects_explicit_backend(self, graph):
+        engine = create_engine(
+            graph, backend="power", config=BackendConfig(epsilon=0.1)
+        )
+        assert engine.backend.name == "power"
+
+    @pytest.mark.parametrize("label", ["auto", "SLING", "sling"])
+    def test_auto_is_an_alias_of_sling(self, graph, label):
+        engine = create_engine(
+            graph, backend=label, config=BackendConfig(epsilon=0.1)
+        )
+        assert engine.backend.name == "sling"
+
+    def test_unknown_backend_rejected(self, graph):
+        with pytest.raises(ParameterError):
+            create_engine(graph, backend="FooBar")

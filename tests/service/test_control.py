@@ -146,12 +146,12 @@ class TestExecuteControl:
         assert result.ok
         detail = result.value
         assert detail["num_nodes"] > 0 and detail["num_edges"] > 0
-        engine = detail["engines"]["auto"]
+        engine = detail["engines"]["sling"]
         assert engine["backend"] == "sling"
         assert engine["backend_info"]["thread_safe_queries"] is True
         assert engine["cached_vectors"] == 1
         assert engine["statistics"]["single_source_queries"] == 1
-        assert engine["plan"]["backend"] == "sling"
+        assert "plan" not in engine
 
     def test_describe_unopened_session_is_an_error_not_a_build(self):
         service = fast_service()
@@ -160,9 +160,9 @@ class TestExecuteControl:
         assert result.error.code == "unknown_dataset"
         assert service.list_datasets() == []  # describing must not open
 
-    def test_control_envelopes_carry_no_backend_or_plan(self):
+    def test_control_envelopes_carry_no_backend(self):
         result = fast_service().execute_control(PingRequest())
-        assert result.backend is None and result.plan is None
+        assert result.backend is None
         assert result.cache_hit is None and result.seconds >= 0.0
 
     def test_execute_request_dispatches_both_planes(self):

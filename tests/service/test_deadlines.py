@@ -216,7 +216,7 @@ class TestRetryPolicy:
         assert not policy.should_retry(failure, attempt=3)
         ok = QueryResult.success(
             kind="ping", dataset=None, value={"pong": True}, backend=None,
-            plan=None, seconds=0.0, cache_hit=None,
+            seconds=0.0, cache_hit=None,
         )
         assert not policy.should_retry(ok, attempt=1)
 

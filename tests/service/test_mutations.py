@@ -120,6 +120,22 @@ class TestMutationFlow:
         assert service.statistics()["datasets"]["toy"]["index_version"] == 1
         assert service.describe("toy")["index_version"] == 1
 
+    @pytest.mark.parametrize("label", [None, "auto", "sling"])
+    def test_statistics_count_each_query_once_after_a_mutation(self, label):
+        # The default backend label, its "auto" alias and the explicit pin
+        # must all land on the one mutated engine, listed once.
+        service = SimRankService(
+            ServiceConfig(backend_config=BackendConfig(epsilon=0.1, seed=0))
+        )
+        service.open_dataset("toy", graph=generators.two_level_community(3, 10, seed=7))
+        for node in range(3):
+            service.execute(SingleSourceQuery("toy", node), backend=label)
+        service.execute_control(MutateRequest(dataset="toy", add=[(0, 17)]))
+        service.execute(SingleSourceQuery("toy", 4), backend=label)
+        stats = service.statistics()
+        assert list(stats["datasets"]["toy"]["engines"]) == ["sling"]
+        assert stats["totals"]["total_queries"] == 4
+
     def test_refreeze_clears_staleness(self, toy_service):
         service = toy_service
         service.execute_control(MutateRequest(dataset="toy", add=[(0, 17)]))

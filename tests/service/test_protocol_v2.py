@@ -144,7 +144,7 @@ class TestCompactEncoding:
         result = QueryResult.success(
             kind="top_k", dataset="GrQc",
             value=[{"rank": 1, "node": 4, "score": 0.9}],
-            backend="sling", plan={"backend": "sling"}, seconds=0.01,
+            backend="sling", seconds=0.01,
             cache_hit=False,
         )
         for line in (encode_result(result), encode_response(result, id=1)):
@@ -154,7 +154,7 @@ class TestCompactEncoding:
         result = QueryResult.success(
             kind="single_source", dataset="GrQc",
             value=SparseScores.from_dense(np.full(64, 0.1)),
-            backend="sling", plan=None, seconds=0.01, cache_hit=False,
+            backend="sling", seconds=0.01, cache_hit=False,
         )
         for line in response_frames(result, id=2, chunk_size=16):
             assert line == json.dumps(json.loads(line), separators=(",", ":"))
@@ -164,7 +164,7 @@ def _success_single_source(n=100):
     return QueryResult.success(
         kind="single_source", dataset="GrQc",
         value=SparseScores.from_dense(np.arange(1, n + 1) / n),
-        backend="sling", plan={"backend": "sling"}, seconds=0.5,
+        backend="sling", seconds=0.5,
         cache_hit=False,
     )
 
@@ -209,7 +209,6 @@ class TestResponseFrames:
         assert rebuilt.value == result.value
         assert rebuilt.ok and rebuilt.kind == "single_source"
         assert rebuilt.backend == result.backend
-        assert rebuilt.plan == result.plan
 
     def test_short_values_never_chunk(self):
         result = _success_single_source(8)
@@ -226,7 +225,7 @@ class TestResponseFrames:
         result = QueryResult.success(
             kind="top_k", dataset="GrQc",
             value=[{"rank": i, "node": i, "score": 0.5} for i in range(1, 50)],
-            backend="sling", plan=None, seconds=0.1, cache_hit=True,
+            backend="sling", seconds=0.1, cache_hit=True,
         )
         assert len(list(response_frames(result, id=1, chunk_size=2))) == 1
 
@@ -270,7 +269,7 @@ class TestSparseSingleSource:
         return QueryResult.success(
             kind="single_source", dataset="GrQc",
             value=SparseScores.from_dense(vector),
-            backend="sling", plan=None, seconds=0.01, cache_hit=False,
+            backend="sling", seconds=0.01, cache_hit=False,
         )
 
     def test_nonzeros_are_sent_and_densify_bitwise(self):

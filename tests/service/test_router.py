@@ -35,7 +35,7 @@ SERVE_ARGS = [
     "--epsilon", str(test_client.EPSILON),
     "--seed", str(test_client.SEED),
     "--mc-walks", str(test_client.MC_WALKS),
-    "--backend", "auto",
+    "--backend", "sling",
 ]
 
 

@@ -77,6 +77,21 @@ class TestSessions:
         assert session.engine("MC") is session.engine("montecarlo")
         assert session.backends() == ["montecarlo"]
 
+    def test_default_auto_and_sling_share_one_engine(self, service):
+        first = service.execute(SingleSourceQuery("GrQc", 3))
+        for label in ("auto", "sling", "SLING"):
+            result = service.execute(SingleSourceQuery("GrQc", 3), backend=label)
+            assert result.ok and result.cache_hit is True
+            assert result.value == first.value
+        session = service.open_dataset("GrQc")
+        assert session.backends() == ["sling"]
+        assert (
+            session.engine()
+            is session.engine("auto")
+            is session.engine("sling")
+            is session.engine("SLING")
+        )
+
     def test_close_all(self, service):
         service.open_dataset("GrQc")
         service.open_dataset("AS")
@@ -94,7 +109,6 @@ class TestExecute:
         assert result.kind == "single_pair"
         assert result.dataset == "GrQc"
         assert result.backend == "sling"
-        assert result.plan["backend"] == "sling"
         assert result.seconds >= 0.0
         assert result.error is None
 
@@ -277,7 +291,7 @@ class TestStatistics:
         assert stats["totals"]["total_seconds"] > 0.0
         grqc = stats["datasets"]["GrQc"]
         assert grqc["num_nodes"] > 0
-        assert grqc["engines"]["auto"]["single_source_queries"] == 2
+        assert grqc["engines"]["sling"]["single_source_queries"] == 2
 
     def test_session_total_queries(self, service):
         session = service.open_dataset("GrQc")

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.engine import BackendConfig
 from repro.exceptions import WireFormatError
 from repro.graphs import generators
 from repro.service import (
@@ -22,28 +23,36 @@ from repro.service import (
     decode_request,
     decode_result,
     encode_request,
+    encode_response,
     encode_result,
+    result_from_frames,
     result_from_wire,
 )
+
+#: A well-formed served ``single_pair`` line, for hostile-field variants.
+PAIR_LINE = {
+    "ok": True, "kind": "single_pair", "dataset": "GrQc", "seconds": 0.25,
+    "value": 0.5, "backend": "sling", "cache_hit": False,
+}
 
 SUCCESS_ENVELOPES = [
     QueryResult.success(
         kind="single_pair", dataset="GrQc", value=0.25, backend="sling",
-        plan={"backend": "sling", "reason": "r"}, seconds=0.001, cache_hit=True,
+        seconds=0.001, cache_hit=True,
     ),
     QueryResult.success(
         kind="single_source", dataset="GrQc",
         value=SparseScores.from_dense(np.array([0.0, 0.5, 1.0])),
-        backend="power", plan=None, seconds=0.2, cache_hit=False,
+        backend="power", seconds=0.2, cache_hit=False,
     ),
     QueryResult.success(
         kind="top_k", dataset="AS",
         value=[{"rank": 1, "node": 4, "score": 0.9}],
-        backend="sling", plan={"backend": "sling"}, seconds=0.01, cache_hit=False,
+        backend="sling", seconds=0.01, cache_hit=False,
     ),
     QueryResult.success(
         kind="all_pairs", dataset="AS", value=[[0.0, 1.0], [1.0, 0.0]],
-        backend="naive", plan=None, seconds=1.5, cache_hit=None,
+        backend="naive", seconds=1.5, cache_hit=None,
     ),
 ]
 
@@ -102,8 +111,7 @@ class TestResultLines:
         assert payload["ok"] is True
         assert "error" not in payload
         assert set(payload) == {
-            "ok", "kind", "dataset", "seconds", "value", "backend", "plan",
-            "cache_hit",
+            "ok", "kind", "dataset", "seconds", "value", "backend", "cache_hit",
         }
 
     @pytest.mark.parametrize(
@@ -121,6 +129,31 @@ class TestResultLines:
         with pytest.raises(WireFormatError):
             result_from_wire(payload)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {**PAIR_LINE, "seconds": "x"},
+            {**PAIR_LINE, "seconds": None},
+            {**PAIR_LINE, "seconds": [1]},
+            {**PAIR_LINE, "seconds": True},
+            {**PAIR_LINE, "seconds": float("nan")},
+            {**PAIR_LINE, "seconds": float("inf")},
+            {**PAIR_LINE, "index_version": "x"},
+            {**PAIR_LINE, "index_version": [1]},
+            {**PAIR_LINE, "index_version": 1.5},
+            {**PAIR_LINE, "index_version": True},
+            {"ok": False, "error": {"code": 5}},
+            {"ok": False, "error": {"code": "bad_request", "message": 7}},
+            {"ok": False, "seconds": "x", "error": {"code": "c", "message": "m"}},
+        ],
+    )
+    def test_hostile_server_frames_are_wire_format_errors(self, payload):
+        with pytest.raises(WireFormatError):
+            result_from_wire(payload)
+        # The socket client reassembles every response through this path.
+        with pytest.raises(WireFormatError):
+            result_from_frames([{"v": 2, "id": 1, **payload}])
+
     def test_legacy_degraded_key_is_ignored(self):
         # Older servers stamped ``"degraded": true`` on cascade answers under
         # load; a client still decodes such a line, dropping the key.
@@ -128,6 +161,15 @@ class TestResultLines:
         decoded = result_from_wire(payload)
         assert decoded == SUCCESS_ENVELOPES[1]
         assert "degraded" not in decoded.to_wire()
+
+    def test_legacy_plan_key_is_ignored(self):
+        # Older servers stamped the backend planner's decision on every
+        # success envelope; a client still decodes such a line, dropping it.
+        plan = {"backend": "sling", "reason": "r", "estimated_index_bytes": 1}
+        payload = {**SUCCESS_ENVELOPES[0].to_wire(), "plan": plan}
+        decoded = result_from_wire(payload)
+        assert decoded == SUCCESS_ENVELOPES[0]
+        assert "plan" not in decoded.to_wire()
 
     def test_served_envelopes_never_carry_degraded(self):
         service = SimRankService(ServiceConfig(backend="power"))
@@ -140,6 +182,18 @@ class TestResultLines:
             payload = service.execute(query).to_wire()
             assert payload["ok"] is True
             assert "degraded" not in payload
+            assert "plan" not in payload
+
+    def test_served_single_pair_line_is_compact(self):
+        service = SimRankService(
+            ServiceConfig(backend_config=BackendConfig(epsilon=0.1, seed=0))
+        )
+        service.open_dataset("GrQc", graph=generators.two_level_community(2, 8, seed=1))
+        result = service.execute(SinglePairQuery("GrQc", 0, 1))
+        assert result.ok and result.backend == "sling"
+        line = encode_response(result, id=1)
+        assert "plan" not in json.loads(line)
+        assert len(line) <= 160
 
     def test_single_source_wire_shape_is_its_nonzeros(self):
         payload = SUCCESS_ENVELOPES[1].to_wire()

@@ -55,7 +55,7 @@ class TestRouterForwarding:
             "router",
             "--scale", "0.07", "--epsilon", "0.2", "--seed", "5",
             "--mc-walks", "31", "--backend", "power",
-            "--memory-budget-mb", "3.5", "--cache-size", "7",
+            "--cache-size", "7",
             "--cache-budget", "11", "--pair-admit-after", "3",
             "--index-dir", str(tmp_path / "indexes"),
             "--wal-dir", str(tmp_path / "wal"),
@@ -71,7 +71,9 @@ class TestRouterForwarding:
         assert serve.chunk_size == 13
         assert serve.workers == 4
 
-    @pytest.mark.parametrize("flag", ["--cache-ttl", "--degrade-pending"])
+    @pytest.mark.parametrize(
+        "flag", ["--cache-ttl", "--degrade-pending", "--memory-budget-mb"]
+    )
     def test_deleted_serving_flags_are_usage_errors(self, flag):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["serve", flag, "1"])
@@ -142,7 +144,8 @@ class TestCommands:
         assert exit_code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["dataset"] == "GrQc"
-        assert payload["plan"]["backend"] == "sling"
+        assert payload["backend"] == "sling"
+        assert "plan" not in payload
         assert payload["single_pair"]["source"] == 3
         assert 0.0 <= payload["single_pair"]["score"] <= 1.0
         assert len(payload["top_k"]) == 4
@@ -158,20 +161,20 @@ class TestCommands:
         )
         assert exit_code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["plan"]["backend"] == "power"
+        assert payload["backend"] == "power"
         assert payload["statistics"]["backend"] == "power"
 
-    def test_query_memory_budget_routes_to_disk_backend(self, capsys):
+    def test_query_disk_backend_by_name(self, capsys):
         exit_code = main(
             [
                 "query", *FAST, "--dataset", "GrQc",
                 "--source", "3", "--top", "2",
-                "--memory-budget-mb", "0.01", "--json",
+                "--backend", "sling-disk", "--json",
             ]
         )
         assert exit_code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["plan"]["backend"] == "sling-disk"
+        assert payload["backend"] == "sling-disk"
 
     def test_query_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
