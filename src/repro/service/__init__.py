@@ -50,7 +50,9 @@ strictly::
   with health-checked failover.
 """
 
-from .client import RetryPolicy, ServiceError, SimRankClient
+# ``net`` before ``client``: the router imports the client, which imports
+# ``net.channel`` — entering through the client would reach the router
+# while the client is still half-built.
 from .net import (
     DEFAULT_MAX_LINE_BYTES,
     Address,
@@ -62,6 +64,7 @@ from .net import (
     WorkerPool,
     parse_address,
 )
+from .client import RetryPolicy, ServiceError, SimRankClient
 from .control import (
     CONTROL_KINDS,
     CloseDatasetRequest,

@@ -244,8 +244,9 @@ class _SocketTransport:
     """Speak v2 JSONL over TCP or a Unix-domain socket.
 
     The peer is any protocol-v2 socket endpoint — ``repro serve --listen``,
-    ``repro serve --unix``, or a ``repro router``: read the opening
-    ``hello``, then lockstep request/response lines.  When the client
+    ``repro serve --unix``, or a ``repro router`` (which reaches its own
+    workers through this transport too): read the opening ``hello``, then
+    lockstep request/response lines.  When the client
     spawned the server (``SimRankClient.connect``) the transport owns the
     child: ``close`` tears it down and a death mid-request is reaped; a
     transport pointed at a shared server (``SimRankClient(address=...)``)
@@ -260,6 +261,7 @@ class _SocketTransport:
         timeout: float | None = None,
         process: subprocess.Popen | None = None,
         run_dir: str | None = None,
+        reconnect: bool = True,
     ) -> None:
         if isinstance(address, str):
             address = parse_address(address)
@@ -274,6 +276,10 @@ class _SocketTransport:
         #: envelope and the channel is re-established — a late response on
         #: the old connection would desynchronise the lockstep protocol.
         self._timeout = timeout
+        #: Whether a timed-out channel is re-established at once (a client's
+        #: long-lived connection) or the transport closes (the router's
+        #: pooled and one-shot connections, which are discarded anyway).
+        self._reconnect = reconnect
         self._lock = threading.Lock()
         self._shut_down = False
         self._channel = self._open_channel()
@@ -361,9 +367,14 @@ class _SocketTransport:
                 # the caller gets a structured ``timeout`` envelope it may
                 # retry — never an indefinite hang.
                 self._channel.close()
-                try:
-                    self._open_channel()
-                except (ServiceError, WireFormatError):
+                reopened = False
+                if self._reconnect:
+                    try:
+                        self._open_channel()
+                        reopened = True
+                    except (ServiceError, WireFormatError):
+                        pass
+                if not reopened:
                     self._shut_down = True
                     self._teardown()
                 kind = payload.get("kind")

@@ -12,9 +12,10 @@ Layers, bottom up:
 * :mod:`~repro.service.net.spawn` — spawn a ``repro serve --unix`` child
   and wait for its hello;
 * :mod:`~repro.service.net.router` — :class:`WorkerPool` (spawn,
-  health-check, restart ``repro serve`` children) and :class:`Router`
-  (per-dataset sharding, control-plane fan-out, failover envelopes), the
-  engine behind ``repro router``.
+  health-check, restart ``repro serve`` children) and :class:`Router`, the
+  engine behind ``repro router``: a :class:`SocketServer` whose pump hands
+  requests to a routing dispatcher (per-dataset sharding, control-plane
+  fan-out, failover envelopes) instead of an executor.
 """
 
 from .channel import (

@@ -1,8 +1,9 @@
 """The one ordered connection pump behind every serve loop.
 
 ``repro serve`` over stdin/stdout, ``repro batch`` (stdin or ``--input
-FILE``) and every :class:`~repro.service.net.SocketServer` connection run
-the same :class:`Pump`; only the line reader and writer they hand it
+FILE``) and every :class:`~repro.service.net.SocketServer` connection —
+``repro router``'s included — run the same :class:`Pump`; only the line
+reader and writer they hand it, and the :class:`Dispatcher` answering,
 differ.  The pump's contract:
 
 * one response per non-blank request line — a monolithic envelope, or
@@ -11,9 +12,10 @@ differ.  The pump's contract:
   behind the head of the line (a bounded queue: a lockstep producer never
   deadlocks and a fast one cannot grow memory);
 * the whole :class:`~repro.service.wire.RequestEnvelope` goes to the
-  :class:`~repro.service.ParallelExecutor`, so ``deadline_ms`` holds on
-  every transport;
-* ``ping`` is answered on the reader thread, ahead of the executor, so a
+  :class:`Dispatcher` — a :class:`~repro.service.ParallelExecutor` in a
+  serving process, the routing dispatcher in ``repro router`` — so
+  ``deadline_ms`` holds on every transport;
+* ``ping`` is answered on the reader thread, ahead of the dispatcher, so a
   liveness probe stays responsive while every worker is deep in a query;
 * a line over the reader's byte cap is answered with ``bad_request`` and
   the stream realigns on the next newline;
@@ -38,7 +40,6 @@ from typing import Callable, Iterable, Protocol, TextIO
 
 from ...exceptions import ParameterError
 from ..control import PingRequest, ShutdownRequest
-from ..parallel import ParallelExecutor
 from ..results import ERROR_BAD_REQUEST, QueryResult
 from ..wire import RequestEnvelope, decode_envelope_line, encode_frame, response_frames
 from .channel import DEFAULT_MAX_LINE_BYTES, LineReader, OversizedLineError
@@ -46,6 +47,7 @@ from .channel import DEFAULT_MAX_LINE_BYTES, LineReader, OversizedLineError
 __all__ = [
     "POLL_SECONDS",
     "SEND_STALL_SECONDS",
+    "Dispatcher",
     "LineWriter",
     "Pump",
     "serve_stream",
@@ -59,6 +61,28 @@ POLL_SECONDS = 0.2
 #: breaking a send wedged on a peer that stopped reading, so a server's
 #: ``stop()`` is never held hostage by one hostile peer.
 SEND_STALL_SECONDS = 5.0
+
+
+class Dispatcher(Protocol):
+    """What answers a pump's requests: a
+    :class:`~repro.service.ParallelExecutor` over a service, or the
+    router's dispatcher over its worker processes."""
+
+    @property
+    def workers(self) -> int:
+        """Sizes each connection's in-flight window (``4 * workers``)."""
+
+    def submit(self, envelope: RequestEnvelope) -> "Future[QueryResult]":
+        """Answer one decoded request; the future never raises."""
+
+    def answer_ping(self, request: PingRequest) -> QueryResult:
+        """Answer a ``ping`` on the calling (reader) thread."""
+
+    def hello_payload(self) -> dict:
+        """The ``hello`` frame a socket connection opens with."""
+
+    def close(self) -> None:
+        """Release the dispatcher once no pump submits to it any more."""
 
 
 class LineWriter(Protocol):
@@ -158,8 +182,8 @@ class Pump:
     Parameters
     ----------
     executor:
-        The shared executor answering requests (its service answers
-        ``ping``); its worker count sizes the in-flight window.
+        The shared :class:`Dispatcher` answering requests; its worker
+        count sizes the in-flight window.
     reader, writer:
         The request source and the response sink.  The reader should raise
         ``TimeoutError`` now and then while idle, so a stop is noticed.
@@ -179,7 +203,7 @@ class Pump:
 
     def __init__(
         self,
-        executor: ParallelExecutor,
+        executor: Dispatcher,
         reader: LineReader,
         writer: LineWriter,
         *,
@@ -249,7 +273,6 @@ class Pump:
         )
 
     def _read_loop(self) -> None:
-        service = self._executor.service
         line_number = 0
         try:
             while not self._done_reading():
@@ -278,15 +301,15 @@ class Pump:
                         envelope = replace(envelope, request=request)
                     future = _resolved(request)
                 elif isinstance(request, PingRequest):
-                    # Answered here, not in the executor: a health probe
+                    # Answered here, not queued: a health probe
                     # must round-trip while every worker is in a long query.
-                    future = _resolved(service.execute_request(request))
+                    future = _resolved(self._executor.answer_ping(request))
                 else:
                     try:
                         # The whole envelope goes in so its deadline holds.
                         future = self._executor.submit(envelope)
                     except (ParameterError, RuntimeError):
-                        break  # the executor closed under a stopping server
+                        break  # the dispatcher closed under a stopping server
                 if not self._offer((envelope, future)):
                     break
                 if isinstance(request, ShutdownRequest) and future.result().ok:
@@ -372,7 +395,7 @@ class Pump:
 
 
 def serve_stream(
-    executor: ParallelExecutor,
+    executor: Dispatcher,
     input_stream: TextIO,
     output_stream: TextIO,
     *,

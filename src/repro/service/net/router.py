@@ -4,21 +4,36 @@ The scale-out model: ``N`` worker processes, each a ``repro serve --unix``
 child over its own Unix socket, all configured identically (same scale,
 seed, backend knobs — and ideally the same prebuilt ``--index-dir``, so
 every worker mmaps one shared packed index read-only).  The
-:class:`Router` listens on the public address, speaks the same wire
-protocol v2 as any single server, and forwards:
+:class:`Router` serves the public address through the same
+:class:`~repro.service.net.SocketServer` accept loop and
+:class:`~repro.service.net.pump.Pump` every serving process runs, so a
+router connection behaves like any other: an opening ``hello``, ordered
+pipelined responses (up to ``4 * workers`` in flight), ``id`` echo,
+``bad_request`` for garbage and over-cap lines, ``ping`` answered ahead of
+the queue (by the router itself: worker health is the pool's job).  Where a worker process hands its pump a
+:class:`~repro.service.ParallelExecutor`, the router hands it a routing
+dispatcher, which forwards
 
 * **data-plane queries** to one worker per dataset — a consistent hash over
   the (lower-cased) dataset name, optionally overridden per dataset with
   explicit pins — so each dataset's engine, index, and single-source cache
   live in exactly one process and stay hot;
 * **targeted control** (``open_dataset`` / ``close_dataset`` /
-  ``describe(dataset)``) to that same shard;
+  ``describe(dataset)`` / ``mutate``) to that same shard;
 * **fan-out control** (``list_datasets``, ``stats``) to every worker, with
   the responses merged into one envelope shaped exactly like a single
   server's (statistics totals are summed, latency percentiles recomputed
   from the merged samples);
-* ``ping`` round-robin, and ``shutdown`` broadcast — acknowledging the
-  client, stopping every worker, then the router itself.
+* ``shutdown`` as a broadcast — acknowledging the client, stopping every
+  worker, then the router itself.
+
+Requests travel to workers over the client library's socket transport, one
+lockstep request per connection from a small per-worker pool.  Each is
+re-encoded from its decoded envelope, its ``deadline_ms`` charged with the
+time it spent at the router (a spent budget is shed here with
+``deadline_exceeded``), and every reply is decoded — and so checked — back
+into a :class:`~repro.service.results.QueryResult` before the pump encodes
+it for the client.
 
 Failure semantics — the reason this layer exists: the :class:`WorkerPool`
 health-checks each worker (process liveness plus a ``ping`` with timeout
@@ -33,39 +48,58 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import json
-import math
-import socket
 import subprocess
 import tempfile
 import threading
 import time
 from collections import OrderedDict
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 from ...engine import merge_statistics_totals
-from ...exceptions import ParameterError
+from ...exceptions import ParameterError, ReproError
+from ..client import _SocketTransport
+from ..control import PingRequest
 from ..results import (
-    ERROR_BAD_REQUEST,
     ERROR_DEADLINE_EXCEEDED,
+    ERROR_INTERNAL,
     ERROR_OVERLOADED,
     ERROR_UNAVAILABLE,
     QueryResult,
 )
-from ..wire import decode_envelope_line, encode_frame, response_frames
-from .channel import DEFAULT_MAX_LINE_BYTES, Address, LineChannel, OversizedLineError
+from ..wire import PROTOCOL_VERSION, RequestEnvelope
+from .channel import DEFAULT_MAX_LINE_BYTES, Address
+from .socket_server import SocketServer
 from .spawn import spawn_serve, wait_for_hello
 
 __all__ = ["HashRing", "WorkerPool", "Router"]
 
-#: How often blocked loops wake up to notice a stop request, in seconds.
-_POLL_SECONDS = 0.2
+#: Forwarding threads per worker, and so the most requests the router has
+#: in flight to one worker at a time; also the cap on its idle transports.
+_THREADS_PER_WORKER = 16
 
-#: Worker response lines opening with this are mid-stream ``partial`` frames
-#: (the server's compact encoder emits keys in this exact order), so the
-#: router keeps forwarding until a line that is not one — the terminal frame.
-_PARTIAL_PREFIX = '{"v":2,"frame":"partial"'
+#: Budget for reaching a worker and reading its hello, in seconds.
+_CONNECT_SECONDS = 5.0
+
+
+def _exchange(address: Address, payload: dict, *, timeout: float) -> QueryResult | None:
+    """One request to a worker over a fresh connection; ``None`` when the
+    worker cannot be reached or answers with something that is not a
+    response."""
+    try:
+        transport = _SocketTransport(
+            address, connect_timeout=timeout, timeout=timeout, reconnect=False
+        )
+    except (ReproError, ValueError):
+        return None
+    try:
+        return transport.roundtrip(payload)
+    except (ReproError, ValueError):
+        return None
+    finally:
+        transport.close()
 
 
 class HashRing:
@@ -120,7 +154,7 @@ class WorkerPool:
 
     Each worker binds a stable per-index socket path under ``run_dir``, so
     a restarted worker is reachable at the same address and clients (the
-    router's connection links) simply reconnect.  Health checking is
+    router's transports) simply reconnect.  Health checking is
     two-layered: a cheap ``poll()`` catches crashed processes immediately,
     and a ``ping`` round-trip with ``ping_timeout`` / ``ping_retries``
     catches wedged-but-alive ones.  ``on_restart(index)`` fires after a
@@ -176,6 +210,16 @@ class WorkerPool:
         """The stable socket address of worker ``index``."""
         return self._workers[index].address
 
+    @property
+    def chunk_size(self) -> int | None:
+        """The workers' server-side streaming default (their
+        ``--chunk-size``), which the router's connections apply too."""
+        args = self._serve_args
+        for flag, value in zip(args, args[1:]):
+            if flag == "--chunk-size":
+                return int(value)
+        return None
+
     def restart_counts(self) -> list[int]:
         """Restarts per worker so far (observability / tests)."""
         return [worker.restarts for worker in self._workers]
@@ -214,22 +258,12 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
     def _ping(self, worker: _Worker) -> bool:
         """One ping round-trip over a fresh connection; ``True`` if healthy."""
-        try:
-            sock = worker.address.connect(timeout=self._ping_timeout)
-        except OSError:
-            return False
-        channel = LineChannel(sock)
-        try:
-            channel.settimeout(self._ping_timeout)
-            if channel.read_line() is None:  # hello
-                return False
-            channel.send_line('{"v":2,"id":"health","kind":"ping"}')
-            response = channel.read_line()
-            return bool(response) and '"pong":true' in response
-        except OSError:
-            return False
-        finally:
-            channel.close()
+        result = _exchange(
+            worker.address,
+            {"v": 2, "id": "health", "kind": "ping"},
+            timeout=self._ping_timeout,
+        )
+        return result is not None and result.ok and result.kind == "ping"
 
     def _health_loop(self) -> None:
         while not self._stopping.wait(self._health_interval):
@@ -297,18 +331,11 @@ class WorkerPool:
                 process = worker.process
                 if process is None or process.poll() is not None:
                     continue
-                try:
-                    sock = worker.address.connect(timeout=1.0)
-                    channel = LineChannel(sock)
-                    try:
-                        channel.settimeout(2.0)
-                        channel.read_line()  # hello
-                        channel.send_line('{"v":2,"id":"stop","kind":"shutdown"}')
-                        channel.read_line()  # acknowledgement
-                    finally:
-                        channel.close()
-                except OSError:
-                    pass
+                _exchange(
+                    worker.address,
+                    {"v": 2, "id": "stop", "kind": "shutdown"},
+                    timeout=2.0,
+                )
                 try:
                     process.wait(timeout=5)
                 except subprocess.TimeoutExpired:
@@ -340,10 +367,10 @@ class WorkerPool:
 class Router:
     """The wire-protocol-v2 front end over a :class:`WorkerPool`.
 
-    One listening socket; per-client-connection threads; per-connection
-    lazy links to each worker (so responses need no id remapping and one
-    slow query never blocks another client's).  See the module docstring
-    for the routing and failure semantics.
+    A :class:`~repro.service.net.SocketServer` whose connections run the
+    shared pump over a :class:`_RoutingDispatcher` instead of a
+    :class:`~repro.service.ParallelExecutor`; see the module docstring for
+    the routing and failure semantics.
     """
 
     def __init__(
@@ -365,65 +392,39 @@ class Router:
         worker's replayed datasets recover their mutations; without it the
         router stamps such datasets ``recovered_without_mutations`` in merged
         ``stats`` so clients can tell their acked writes were lost."""
-        if max_inflight is not None and max_inflight < 1:
-            raise ParameterError(
-                f"max_inflight must be >= 1, got {max_inflight}"
-            )
         self._pool = pool
-        self._ring = HashRing(pool.count)
-        self._pins = {
-            name.lower(): index for name, index in (pins or {}).items()
-        }
-        for name, index in self._pins.items():
-            if not 0 <= index < pool.count:
-                raise ParameterError(
-                    f"pin {name!r}={index} is outside the worker range "
-                    f"[0, {pool.count})"
-                )
-        self._request_timeout = request_timeout
-        self._max_line_bytes = max_line_bytes
-        self._listener = address.listen()
+        self._dispatcher = _RoutingDispatcher(
+            pool,
+            pins=pins,
+            request_timeout=request_timeout,
+            max_inflight=max_inflight,
+            durable=durable,
+            on_shutdown=self.stop,
+        )
+        self._server = SocketServer(
+            self._dispatcher,
+            address=address,
+            chunk_size=pool.chunk_size,
+            max_line_bytes=max_line_bytes,
+        )
         #: The bound endpoint (with the real port when TCP port 0 was asked).
-        self.address = address.resolved(self._listener)
-        self._hello_template: dict = {}
-        #: lower-cased name -> canonical name, in first-open order; the
-        #: source of truth for list/stat merge order, hello patching, and
-        #: restart replay.
-        self._open: "OrderedDict[str, str]" = OrderedDict()
-        self._state_lock = threading.Lock()
-        self._rr = 0
-        self._max_inflight = max_inflight
-        self._inflight = [0] * pool.count
-        self._inflight_lock = threading.Lock()
-        self._durable = durable
-        #: lower-cased names of datasets with at least one acked mutate —
-        #: the ones whose state a non-durable worker restart actually loses.
-        self._mutated: set[str] = set()
-        #: lower-cased names replayed onto a restarted worker *without* WAL
-        #: recovery after acked mutations — flagged in merged ``stats``.
-        self._lossy_recovered: set[str] = set()
-        self._stopping = threading.Event()
+        self.address = self._server.address
+        self._started = False
         self._stopped = threading.Event()
-        self._accept_thread: threading.Thread | None = None
         self._stop_lock = threading.Lock()
-        pool.on_restart = self._replay_open_datasets
+        pool.on_restart = self._dispatcher.replay_open_datasets
 
-    # ------------------------------------------------------------------ #
     def shard_for(self, dataset: str) -> int:
         """The worker index owning ``dataset`` (pins win over the ring)."""
-        lowered = dataset.lower()
-        pinned = self._pins.get(lowered)
-        return pinned if pinned is not None else self._ring.lookup(lowered)
+        return self._dispatcher.shard_for(dataset)
 
     def start(self) -> None:
         """Fetch the hello template and begin accepting connections."""
-        if self._accept_thread is not None:
+        if self._started:
             return
-        self._hello_template = self._fetch_hello()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-router-accept", daemon=True
-        )
-        self._accept_thread.start()
+        self._dispatcher.fetch_hello()
+        self._server.start()
+        self._started = True
 
     def serve_forever(self) -> None:
         """Serve until :meth:`stop` (or a client's ``shutdown``)."""
@@ -435,147 +436,18 @@ class Router:
         return self._stopped.wait(timeout)
 
     def stop(self, *, stop_pool: bool = True) -> None:
-        """Close the listener and client connections; optionally stop the
-        pool too.  Idempotent and thread-safe."""
+        """Stop the pool (unless ``stop_pool`` is false), then the socket
+        server, which drains every connection.  The pool goes first so that
+        a request in flight to a wedged worker fails once the pool kills
+        it, instead of holding the drain for its whole request timeout.
+        Idempotent and thread-safe."""
         with self._stop_lock:
             if self._stopped.is_set():
                 return
-            self._stopping.set()
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            if self._accept_thread is not None:
-                self._accept_thread.join()
             if stop_pool:
                 self._pool.stop()
+            self._server.stop()
             self._stopped.set()
-
-    def _fetch_hello(self) -> dict:
-        """Worker 0's hello frame — every worker advertises identically, so
-        one fetch at startup is the router's template (its ``datasets`` list
-        is patched per connection with the router-wide open set)."""
-        sock = self._pool.worker_address(0).connect(timeout=10.0)
-        channel = LineChannel(sock)
-        try:
-            channel.settimeout(10.0)
-            line = channel.read_line()
-        finally:
-            channel.close()
-        if not line:
-            raise RuntimeError("worker 0 closed the connection before hello")
-        payload = json.loads(line)
-        if payload.get("frame") != "hello":
-            raise RuntimeError(f"expected a hello frame from worker 0, got {line!r}")
-        return payload
-
-    def _accept_loop(self) -> None:
-        try:
-            self._listener.settimeout(_POLL_SECONDS)
-        except OSError:  # stop() closed the listener before we started
-            return
-        while not self._stopping.is_set():
-            try:
-                sock, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            threading.Thread(
-                target=self._serve_client,
-                args=(sock,),
-                name="repro-router-client",
-                daemon=True,
-            ).start()
-
-    # ------------------------------------------------------------------ #
-    # Open-dataset tracking (merge order, hello patching, restart replay)
-    # ------------------------------------------------------------------ #
-    def _record_open(self, canonical: str) -> None:
-        with self._state_lock:
-            self._open.setdefault(canonical.lower(), canonical)
-
-    def _record_close(self, name: str) -> None:
-        with self._state_lock:
-            self._open.pop(name.lower(), None)
-            self._mutated.discard(name.lower())
-            self._lossy_recovered.discard(name.lower())
-
-    def _record_mutated(self, name: str) -> None:
-        with self._state_lock:
-            self._mutated.add(name.lower())
-            # Fresh acked mutations supersede the lossy-recovery flag: the
-            # client has a new, live baseline to reason from.
-            self._lossy_recovered.discard(name.lower())
-
-    def _acquire_slot(self, worker: int) -> bool:
-        """Claim an in-flight slot on ``worker``; ``False`` means shed."""
-        if self._max_inflight is None:
-            return True
-        with self._inflight_lock:
-            if self._inflight[worker] >= self._max_inflight:
-                return False
-            self._inflight[worker] += 1
-            return True
-
-    def _release_slot(self, worker: int) -> None:
-        if self._max_inflight is None:
-            return
-        with self._inflight_lock:
-            self._inflight[worker] -= 1
-
-    def _open_datasets(self) -> list[str]:
-        with self._state_lock:
-            return list(self._open.values())
-
-    def _is_known_open(self, dataset: str) -> bool:
-        with self._state_lock:
-            return dataset.lower() in self._open
-
-    def _replay_open_datasets(self, index: int) -> None:
-        """Re-open a restarted worker's datasets so it is warm before the
-        next query lands (the pool calls this after a restart).
-
-        With durable (WAL-backed) workers, re-opening a dataset replays its
-        mutation log, so the replacement answers within the certified
-        ``eps_stale`` of the crashed worker.  Without a WAL the replacement
-        serves the *pristine* dataset — any acked mutations are gone — so
-        such datasets are flagged ``recovered_without_mutations``."""
-        for name in self._open_datasets():
-            if self.shard_for(name) != index:
-                continue
-            if not self._durable:
-                with self._state_lock:
-                    if name.lower() in self._mutated:
-                        self._mutated.discard(name.lower())
-                        self._lossy_recovered.add(name.lower())
-            try:
-                sock = self._pool.worker_address(index).connect(timeout=5.0)
-            except OSError:
-                continue  # best-effort: keep warming the remaining datasets
-            channel = LineChannel(sock)
-            try:
-                channel.settimeout(self._request_timeout)
-                channel.read_line()  # hello
-                channel.send_line(encode_frame(
-                    {"v": 2, "id": "replay", "kind": "open_dataset",
-                     "dataset": name}
-                ))
-                channel.read_line()
-            except OSError:
-                continue
-            finally:
-                channel.close()
-
-    # ------------------------------------------------------------------ #
-    # Per-client-connection serving
-    # ------------------------------------------------------------------ #
-    def _serve_client(self, sock: socket.socket) -> None:
-        session = _ClientSession(self, sock)
-        try:
-            session.run()
-        finally:
-            session.close()
 
     def __enter__(self) -> "Router":
         self.start()
@@ -591,288 +463,370 @@ class Router:
         )
 
 
-class _ClientSession:
-    """One accepted client connection: lockstep request routing with lazy
-    per-worker links (each link is this connection's private socket to one
-    worker, reconnected on demand after a failure)."""
+class _RoutingDispatcher:
+    """The router's :class:`~repro.service.net.pump.Dispatcher`: answers
+    each decoded request by forwarding it to the worker(s) that own it.
 
-    def __init__(self, router: Router, sock: socket.socket) -> None:
-        self._router = router
-        self._channel = LineChannel(sock, max_line_bytes=router._max_line_bytes)
-        self._links: dict[int, LineChannel] = {}
+    Each worker has its own forwarding threads — so a wedged worker holds
+    up only its own shard's requests — and a small pool of idle client
+    transports: lockstep connections that check the hello, gather
+    ``partial`` frames, verify the echoed ``id`` and turn a dead peer into
+    an envelope.  A request is re-encoded from its envelope, with the
+    deadline budget it has left, and the worker's reply comes back as a
+    :class:`QueryResult` for the pump to encode.
+    """
 
-    def close(self) -> None:
-        for link in self._links.values():
-            link.close()
-        self._links.clear()
-        self._channel.close()
+    def __init__(
+        self,
+        pool: WorkerPool,
+        *,
+        pins: dict[str, int] | None,
+        request_timeout: float,
+        max_inflight: int | None,
+        durable: bool,
+        on_shutdown: Callable[[], None],
+    ) -> None:
+        if max_inflight is not None and max_inflight < 1:
+            raise ParameterError(
+                f"max_inflight must be >= 1, got {max_inflight}"
+            )
+        self._pins = {
+            name.lower(): index for name, index in (pins or {}).items()
+        }
+        for name, index in self._pins.items():
+            if not 0 <= index < pool.count:
+                raise ParameterError(
+                    f"pin {name!r}={index} is outside the worker range "
+                    f"[0, {pool.count})"
+                )
+        self._pool = pool
+        self._ring = HashRing(pool.count)
+        self._request_timeout = request_timeout
+        self._max_inflight = max_inflight
+        self._durable = durable
+        self._on_shutdown = on_shutdown
+        self._hello: dict = {}
+        self._lock = threading.Lock()
+        self._inflight = [0] * pool.count
+        self._idle: list[list[_SocketTransport]] = [[] for _ in range(pool.count)]
+        self._threads = [
+            ThreadPoolExecutor(
+                max_workers=_THREADS_PER_WORKER,
+                thread_name_prefix=f"repro-route-{index}",
+            )
+            for index in range(pool.count)
+        ]
+        #: lower-cased name -> canonical name, in first-open order; the
+        #: source of truth for list/stat merge order, hello patching, and
+        #: restart replay.
+        self._open: "OrderedDict[str, str]" = OrderedDict()
+        #: lower-cased names of datasets with at least one acked mutate —
+        #: the ones whose state a non-durable worker restart actually loses.
+        self._mutated: set[str] = set()
+        #: lower-cased names replayed onto a restarted worker *without* WAL
+        #: recovery after acked mutations — flagged in merged ``stats``.
+        self._lossy_recovered: set[str] = set()
 
     # ------------------------------------------------------------------ #
-    def run(self) -> None:
-        router = self._router
-        hello = dict(router._hello_template)
-        hello["datasets"] = router._open_datasets()
-        try:
-            self._channel.send_line(encode_frame(hello))
-        except OSError:
-            return
-        self._channel.settimeout(_POLL_SECONDS)
-        while not router._stopping.is_set():
-            try:
-                line = self._channel.read_line()
-            except socket.timeout:
-                continue
-            except OversizedLineError as exc:
-                if not self._answer(QueryResult.failure(
-                    ERROR_BAD_REQUEST, str(exc)
-                ), request_id=None):
-                    return
-                continue
-            except OSError:
-                return
-            if line is None:
-                return
-            if not line.strip():
-                continue
-            try:
-                if not self._route(line):
-                    return
-            except OSError:  # the client went away mid-response
-                return
+    # The dispatcher surface the pump and the socket server use
+    # ------------------------------------------------------------------ #
+    @property
+    def workers(self) -> int:
+        return self._pool.count
 
-    def _answer(self, result: QueryResult, *, request_id: object,
-                chunk_size: int | None = None) -> bool:
-        """Send a router-generated envelope; ``False`` when the client is
-        gone."""
-        try:
-            for frame in response_frames(
-                result, id=request_id, chunk_size=chunk_size
-            ):
-                self._channel.send_line(frame)
-        except OSError:
-            return False
-        return True
+    def hello_payload(self) -> dict:
+        """Worker 0's hello, advertising the router-wide open datasets."""
+        return {**self._hello, "datasets": self.open_datasets()}
 
-    def _answer_local(self, raw_line: str) -> bool:
-        """Answer a line the router cannot (or must not) forward, shaped by
-        the same envelope decoder every server uses — so a garbage line gets
-        a byte-identical ``bad_request`` envelope from router and worker
-        alike."""
-        envelope = decode_envelope_line(raw_line)
-        request = envelope.request
-        if not isinstance(request, QueryResult):  # pragma: no cover - guard
-            request = QueryResult.failure(
-                ERROR_BAD_REQUEST, "the router cannot route this request"
-            )
-        return self._answer(
-            request, request_id=envelope.id, chunk_size=envelope.chunk_size
+    def answer_ping(self, request: PingRequest) -> QueryResult:
+        """The router answers ``ping`` itself: it probes the front door,
+        while worker health is the pool's job."""
+        return QueryResult.success(
+            kind=request.kind,
+            dataset=None,
+            value={"pong": True, "protocol": PROTOCOL_VERSION},
+            backend=None,
+            seconds=0.0,
+            cache_hit=None,
         )
 
-    def _unavailable(self, worker: int, payload: dict) -> bool:
-        kind = payload.get("kind")
-        dataset = payload.get("dataset")
-        return self._answer(
-            QueryResult.failure(
+    def submit(self, envelope: RequestEnvelope) -> "Future[QueryResult]":
+        """Queue ``envelope`` on the forwarding threads of the worker that
+        answers it (worker 0 for the fan-outs and the service-wide kinds)."""
+        request = envelope.request
+        dataset = getattr(request, "dataset", None)
+        if request.kind in ("list_datasets", "stats"):
+            handler, worker = self._fan_out, 0
+        elif request.kind == "shutdown":
+            handler, worker = self._shutdown, 0
+        elif dataset is None:
+            handler, worker = self._describe_service, 0
+        else:
+            handler, worker = self._forward, self.shard_for(dataset)
+        return self._threads[worker].submit(self._answer, handler, envelope, worker)
+
+    def close(self) -> None:
+        """Finish in-flight forwards, then close every idle transport."""
+        for threads in self._threads:
+            threads.shutdown(wait=True)
+        for index in range(self._pool.count):
+            self._drop_idle(index)
+
+    # ------------------------------------------------------------------ #
+    def shard_for(self, dataset: str) -> int:
+        lowered = dataset.lower()
+        pinned = self._pins.get(lowered)
+        return pinned if pinned is not None else self._ring.lookup(lowered)
+
+    def fetch_hello(self) -> None:
+        """Read worker 0's hello — every worker advertises identically — and
+        keep the connection as worker 0's first idle transport."""
+        try:
+            transport = self._connect(0)
+        except (ReproError, ValueError) as exc:
+            raise RuntimeError(f"worker 0 did not say hello: {exc}") from None
+        self._hello = transport.hello()
+        self._checkin(0, transport)
+
+    # ------------------------------------------------------------------ #
+    # Worker round trips
+    # ------------------------------------------------------------------ #
+    def _connect(self, worker: int) -> _SocketTransport:
+        return _SocketTransport(
+            self._pool.worker_address(worker),
+            connect_timeout=_CONNECT_SECONDS,
+            timeout=self._request_timeout,
+            reconnect=False,
+        )
+
+    def _checkin(self, worker: int, transport: _SocketTransport) -> None:
+        if not transport.closed:
+            with self._lock:
+                if len(self._idle[worker]) < _THREADS_PER_WORKER:
+                    self._idle[worker].append(transport)
+                    return
+        transport.close()
+
+    def _drop_idle(self, worker: int) -> None:
+        with self._lock:
+            idle, self._idle[worker] = self._idle[worker], []
+        for transport in idle:
+            transport.close()
+
+    def _call(self, worker: int, payload: dict, request: object) -> QueryResult:
+        """One round trip to ``worker`` over an idle (or new) transport.
+
+        Any failure of the worker — unreachable, timed out, hung up,
+        answered garbage — becomes an ``unavailable`` envelope, and the
+        worker's idle transports are dropped with the failed one: they were
+        most likely cut by the same crash."""
+        with self._lock:
+            idle = self._idle[worker]
+            transport = idle.pop() if idle else None
+        try:
+            if transport is None:
+                transport = self._connect(worker)
+            result = transport.roundtrip(payload)
+        except (ReproError, ValueError):
+            result = None
+        if result is None or not result.ok and transport.closed:
+            if transport is not None:
+                transport.close()
+            self._drop_idle(worker)
+            return QueryResult.failure(
                 ERROR_UNAVAILABLE,
                 f"worker {worker} is unavailable (the router is replacing "
                 "it); retry shortly",
-                kind=kind if isinstance(kind, str) else None,
-                dataset=dataset if isinstance(dataset, str) else None,
-            ),
-            request_id=payload.get("id"),
-        )
+                kind=getattr(request, "kind", None),
+                dataset=getattr(request, "dataset", None),
+            )
+        self._checkin(worker, transport)
+        return result
 
-    # ------------------------------------------------------------------ #
-    def _route(self, line: str) -> bool:
-        """Dispatch one request line; ``False`` when the client is gone."""
-        arrival = time.monotonic()
+    def _answer(
+        self, handler: Callable[..., QueryResult], envelope: RequestEnvelope,
+        worker: int,
+    ) -> QueryResult:
+        """Run one forwarding task: shed the request if its deadline budget
+        is spent, else hand ``handler`` the request as a worker receives
+        it.  Never raises — the pump's futures must not."""
+        request = envelope.request
         try:
-            payload = json.loads(line)
-        except json.JSONDecodeError:
-            return self._answer_local(line)
-        if not isinstance(payload, dict):
-            return self._answer_local(line)
-        kind = payload.get("kind")
-        dataset = payload.get("dataset")
-        if kind == "shutdown":
-            return self._shutdown(line, payload)
-        if kind in ("list_datasets", "stats"):
-            return self._fan_out(line, payload)
-        if kind == "ping":
-            router = self._router
-            with router._state_lock:
-                worker = router._rr % router._pool.count
-                router._rr += 1
-            return self._forward(worker, line, payload) is not _GONE
-        if kind == "describe" and dataset is None:
-            return self._describe_service(line, payload)
-        if isinstance(dataset, str) and dataset:
-            return self._forward_sharded(line, payload, dataset, arrival)
-        # No routable dataset: let the envelope decoder shape the error.
-        return self._answer_local(line)
-
-    def _restamp(
-        self, line: str, payload: dict, arrival: float
-    ) -> tuple[str, dict] | None:
-        """Charge router-side latency against the request's deadline budget.
-
-        A ``deadline_ms`` on the envelope is the *remaining* budget when the
-        hop received it, so before forwarding the router subtracts the time
-        the request spent here and re-encodes; the worker then sees only
-        what is genuinely left.  ``None`` means the budget is already spent —
-        the caller sheds locally with ``deadline_exceeded`` instead of
-        forwarding work whose answer nobody is waiting for."""
-        deadline_ms = payload.get("deadline_ms")
-        if (
-            isinstance(deadline_ms, bool)
-            or not isinstance(deadline_ms, (int, float))
-            or not math.isfinite(deadline_ms)
-            or deadline_ms <= 0
-        ):
-            return line, payload  # absent or malformed: the worker decides
-        remaining = deadline_ms - (time.monotonic() - arrival) * 1000.0
-        if remaining <= 0:
-            return None
-        payload = {**payload, "deadline_ms": remaining}
-        return encode_frame(payload), payload
-
-    def _link(self, worker: int) -> LineChannel:
-        link = self._links.get(worker)
-        if link is not None:
-            return link
-        sock = self._router._pool.worker_address(worker).connect(timeout=10.0)
-        link = LineChannel(sock)
-        link.settimeout(self._router._request_timeout)
-        try:
-            if link.read_line() is None:  # the worker's hello frame
-                raise ConnectionError(f"worker {worker} closed the connection")
-        except OSError:
-            link.close()
-            raise
-        self._links[worker] = link
-        return link
-
-    def _drop_link(self, worker: int) -> None:
-        link = self._links.pop(worker, None)
-        if link is not None:
-            link.close()
-
-    def _forward(self, worker: int, line: str, payload: dict) -> str | None:
-        """Forward ``line`` to ``worker``, relay every response frame to the
-        client, and return the terminal frame — or ``None`` after answering
-        the client with an ``unavailable`` envelope, or :data:`_GONE` when
-        the *client* went away."""
-        try:
-            link = self._link(worker)
-            link.send_line(line)
-            while True:
-                frame = link.read_line()
-                if frame is None:
-                    raise ConnectionError(f"worker {worker} hung up")
-                self._channel.send_line(frame)  # OSError -> client gone
-                if not frame.startswith(_PARTIAL_PREFIX):
-                    return frame
-        except OSError as exc:
-            self._drop_link(worker)
-            if exc.args and exc.args[0] is _CLIENT_GONE:
-                return _GONE  # pragma: no cover - defensive
-            # Distinguish "worker died" from "client died": a send to the
-            # client raises through _channel, whose failure we surface by
-            # attempting the unavailable answer — if the client is gone too,
-            # that attempt reports it.
-            if not self._unavailable(worker, payload):
-                return _GONE
-            return None
-        except ConnectionError:
-            self._drop_link(worker)
-            if not self._unavailable(worker, payload):
-                return _GONE
-            return None
-
-    def _forward_sharded(
-        self, line: str, payload: dict, dataset: str, arrival: float
-    ) -> bool:
-        router = self._router
-        worker = router.shard_for(dataset)
-        stamped = self._restamp(line, payload, arrival)
-        if stamped is None:
-            return self._answer(
-                QueryResult.failure(
+            payload = self._payload(envelope)
+            if payload is None:
+                return QueryResult.failure(
                     ERROR_DEADLINE_EXCEEDED,
                     "deadline expired at the router before forwarding",
-                    kind=payload.get("kind") if isinstance(payload.get("kind"), str) else None,
-                    dataset=dataset,
-                ),
-                request_id=payload.get("id"),
+                    kind=request.kind,
+                    dataset=getattr(request, "dataset", None),
+                )
+            return handler(request, payload, worker)
+        except Exception as exc:  # noqa: BLE001 - a forwarder must never die
+            return QueryResult.failure(
+                ERROR_INTERNAL, f"{type(exc).__name__}: {exc}"
             )
-        line, payload = stamped
-        if not router._acquire_slot(worker):
-            return self._answer(
-                QueryResult.failure(
-                    ERROR_OVERLOADED,
-                    f"worker {worker} is at its in-flight cap "
-                    f"({router._max_inflight}); back off and retry",
-                    kind=payload.get("kind") if isinstance(payload.get("kind"), str) else None,
-                    dataset=dataset,
-                ),
-                request_id=payload.get("id"),
-            )
-        try:
-            terminal = self._forward(worker, line, payload)
-        finally:
-            router._release_slot(worker)
-        if terminal is _GONE:
-            return False
-        if terminal is None:
-            return True  # unavailable envelope already sent
-        kind = payload.get("kind")
-        # Track open/close/mutate state on the cold paths only: control
-        # responses, and the first successful data-plane touch of a dataset.
-        if kind in (
-            "open_dataset", "close_dataset", "mutate"
-        ) or not router._is_known_open(
-            dataset
-        ):
-            try:
-                frame = json.loads(terminal)
-            except json.JSONDecodeError:  # pragma: no cover - worker bug
-                return True
-            if frame.get("ok") is True:
-                if kind == "close_dataset":
-                    closed = (frame.get("value") or {}).get("dataset")
-                    router._record_close(str(closed or dataset))
-                else:
-                    opened = frame.get("dataset")
-                    if kind == "open_dataset":
-                        opened = (frame.get("value") or {}).get("dataset", opened)
-                    if isinstance(opened, str):
-                        router._record_open(opened)
-                        if kind == "mutate":
-                            router._record_mutated(opened)
-        return True
+
+    @staticmethod
+    def _payload(envelope: RequestEnvelope) -> dict | None:
+        """The request re-encoded for a worker, charged with the time it
+        spent at the router: ``deadline_ms`` is what is left of the budget
+        now — ``None`` when nothing is left."""
+        payload: dict = {"v": envelope.v, "id": envelope.id}
+        if envelope.chunk_size is not None:
+            payload["chunk_size"] = envelope.chunk_size
+        if envelope.deadline is not None:
+            remaining_ms = (envelope.deadline - time.monotonic()) * 1000.0
+            if remaining_ms <= 0:
+                return None
+            payload["deadline_ms"] = remaining_ms
+        payload.update(envelope.request.to_wire())
+        return payload
 
     # ------------------------------------------------------------------ #
-    def _collect(self, line: str, payload: dict) -> list[dict] | None:
-        """Forward ``line`` to every worker *without* relaying, returning
-        the decoded single-line responses in worker order; answers the
-        client with ``unavailable`` (returning ``None``) if any worker is
-        down, and raises ``OSError`` if the client is."""
-        responses: list[dict] = []
-        for worker in range(self._router._pool.count):
-            try:
-                link = self._link(worker)
-                link.send_line(line)
-                frame = link.read_line()
-                if frame is None:
-                    raise ConnectionError(f"worker {worker} hung up")
-                responses.append(json.loads(frame))
-            except (OSError, ConnectionError, json.JSONDecodeError):
-                self._drop_link(worker)
-                if not self._unavailable(worker, payload):
-                    raise OSError(_CLIENT_GONE) from None
-                return None
-        return responses
+    # Routing
+    # ------------------------------------------------------------------ #
+    def _forward(self, request: object, payload: dict, worker: int) -> QueryResult:
+        """A dataset's request, on the worker that owns the dataset, unless
+        that worker is at its in-flight cap."""
+        with self._lock:
+            shed = self._inflight[worker] == self._max_inflight
+            if not shed:
+                self._inflight[worker] += 1
+        if shed:
+            return QueryResult.failure(
+                ERROR_OVERLOADED,
+                f"worker {worker} is at its in-flight cap "
+                f"({self._max_inflight}); back off and retry",
+                kind=request.kind,
+                dataset=request.dataset,
+            )
+        try:
+            result = self._call(worker, payload, request)
+        finally:
+            # Released before the answer is published, so a lockstep
+            # client's next request never meets its previous one's slot.
+            with self._lock:
+                self._inflight[worker] -= 1
+        if result.ok:
+            self._track(request, result)
+        return result
 
+    def _track(self, request: object, result: QueryResult) -> None:
+        """Follow open/close/mutate state on the cold paths only: control
+        responses, and the first successful touch of a dataset (a worker
+        names the dataset by its canonical spelling)."""
+        kind, dataset = request.kind, request.dataset
+        if kind == "close_dataset":
+            self._record_close(dataset)
+        elif result.dataset is not None and (
+            kind in ("open_dataset", "mutate") or not self._is_known_open(dataset)
+        ):
+            self.record_open(result.dataset)
+            if kind == "mutate":
+                self._record_mutated(result.dataset)
+
+    def _describe_service(
+        self, request: object, payload: dict, worker: int
+    ) -> QueryResult:
+        """Worker 0's self-description, listing the router-wide open set."""
+        result = self._call(worker, payload, request)
+        if result.ok:
+            result = replace(
+                result, value={**result.value, "datasets": self.open_datasets()}
+            )
+        return result
+
+    def _fan_out(self, request: object, payload: dict, _worker: int) -> QueryResult:
+        """``list_datasets`` / ``stats`` from every worker, merged into one
+        envelope shaped like a single server's.  The first worker that
+        fails or refuses answers for all, as one server would have."""
+        results = []
+        for worker in range(self._pool.count):
+            result = self._call(worker, payload, request)
+            if not result.ok:
+                return result
+            results.append(result)
+        values = [result.value for result in results]
+        if request.kind == "list_datasets":
+            merged = {
+                "datasets": self._merge_dataset_lists(
+                    [value.get("datasets", []) for value in values]
+                )
+            }
+        else:
+            merged = self._merge_stats(values)
+        return replace(results[0], value=merged)
+
+    def _shutdown(self, request: object, payload: dict, _worker: int) -> QueryResult:
+        """Broadcast ``shutdown`` to every worker, answer with the first
+        acknowledgement, and stop the router (which drains every
+        connection, so the pump still writes that answer)."""
+        results = [
+            self._call(worker, payload, request)
+            for worker in range(self._pool.count)
+        ]
+        threading.Thread(
+            target=self._on_shutdown, name="repro-router-stop", daemon=True
+        ).start()
+        return next((result for result in results if result.ok), results[0])
+
+    # ------------------------------------------------------------------ #
+    # Open-dataset tracking (merge order, hello patching, restart replay)
+    # ------------------------------------------------------------------ #
+    def record_open(self, canonical: str) -> None:
+        with self._lock:
+            self._open.setdefault(canonical.lower(), canonical)
+
+    def _record_close(self, name: str) -> None:
+        with self._lock:
+            self._open.pop(name.lower(), None)
+            self._mutated.discard(name.lower())
+            self._lossy_recovered.discard(name.lower())
+
+    def _record_mutated(self, name: str) -> None:
+        with self._lock:
+            self._mutated.add(name.lower())
+            # Fresh acked mutations supersede the lossy-recovery flag: the
+            # client has a new, live baseline to reason from.
+            self._lossy_recovered.discard(name.lower())
+
+    def open_datasets(self) -> list[str]:
+        with self._lock:
+            return list(self._open.values())
+
+    def _is_known_open(self, dataset: str) -> bool:
+        with self._lock:
+            return dataset.lower() in self._open
+
+    def replay_open_datasets(self, index: int) -> None:
+        """Re-open a restarted worker's datasets so it is warm before the
+        next query lands (the pool calls this after a restart).
+
+        With durable (WAL-backed) workers, re-opening a dataset replays its
+        mutation log, so the replacement answers within the certified
+        ``eps_stale`` of the crashed worker.  Without a WAL the replacement
+        serves the *pristine* dataset — any acked mutations are gone — so
+        such datasets are flagged ``recovered_without_mutations``.  Each
+        dataset is best-effort: one failing to open does not stop the
+        rest."""
+        self._drop_idle(index)  # connections to the process that died
+        for name in self.open_datasets():
+            if self.shard_for(name) != index:
+                continue
+            if not self._durable:
+                with self._lock:
+                    if name.lower() in self._mutated:
+                        self._mutated.discard(name.lower())
+                        self._lossy_recovered.add(name.lower())
+            _exchange(
+                self._pool.worker_address(index),
+                {"v": 2, "id": "replay", "kind": "open_dataset", "dataset": name},
+                timeout=self._request_timeout,
+            )
+
+    # ------------------------------------------------------------------ #
+    # Fan-out merges
+    # ------------------------------------------------------------------ #
     def _merge_dataset_lists(self, per_worker: list[list[str]]) -> list[str]:
         """Union of the workers' open-dataset lists, ordered by the router's
         first-open order (the same order one process would report)."""
@@ -880,44 +834,11 @@ class _ClientSession:
         for names in per_worker:
             for name in names:
                 present.setdefault(name.lower(), name)
-        ordered: list[str] = []
-        with self._router._state_lock:
-            open_order = list(self._router._open)
-        for lowered in open_order:
-            if lowered in present:
-                ordered.append(present.pop(lowered))
+        with self._lock:
+            open_order = list(self._open)
+        ordered = [present.pop(lowered) for lowered in open_order if lowered in present]
         ordered.extend(present.values())
         return ordered
-
-    def _fan_out(self, line: str, payload: dict) -> bool:
-        responses = self._collect(line, payload)
-        if responses is None:
-            return True
-        failed = next((r for r in responses if r.get("ok") is not True), None)
-        if failed is not None:
-            # A worker refused (e.g. malformed request): its envelope is the
-            # answer, identical to what one server would have said.
-            try:
-                self._channel.send_line(encode_frame(failed))
-            except OSError:
-                return False
-            return True
-        template = dict(responses[0])
-        if payload.get("kind") == "list_datasets":
-            template["value"] = {
-                "datasets": self._merge_dataset_lists(
-                    [r.get("value", {}).get("datasets", []) for r in responses]
-                )
-            }
-        else:
-            template["value"] = self._merge_stats(
-                [r.get("value", {}) for r in responses]
-            )
-        try:
-            self._channel.send_line(encode_frame(template))
-        except OSError:
-            return False
-        return True
 
     def _merge_stats(self, values: list[dict]) -> dict:
         """One ``stats`` value from many: per-dataset entries are disjoint
@@ -929,8 +850,8 @@ class _ClientSession:
             per_dataset.update(value.get("datasets", {}))
         ordered = self._merge_dataset_lists([list(per_dataset)])
         datasets = {name: per_dataset[name] for name in ordered}
-        with self._router._state_lock:
-            lossy = set(self._router._lossy_recovered)
+        with self._lock:
+            lossy = set(self._lossy_recovered)
         if lossy:
             datasets = {
                 name: (
@@ -949,65 +870,3 @@ class _ClientSession:
             "datasets": datasets,
             "totals": merge_statistics_totals(engine_dicts),
         }
-
-    def _describe_service(self, line: str, payload: dict) -> bool:
-        terminal = self._forward_collect_one(0, line, payload)
-        if terminal is None:
-            return True
-        if terminal is _GONE:
-            return False
-        if terminal.get("ok") is True and isinstance(terminal.get("value"), dict):
-            terminal = dict(terminal)
-            value = dict(terminal["value"])
-            value["datasets"] = self._router._open_datasets()
-            terminal["value"] = value
-        try:
-            self._channel.send_line(encode_frame(terminal))
-        except OSError:
-            return False
-        return True
-
-    def _forward_collect_one(
-        self, worker: int, line: str, payload: dict
-    ) -> dict | None:
-        """Round-trip one single-line request to one worker without
-        relaying; ``None`` after an ``unavailable`` answer, :data:`_GONE`
-        if the client died."""
-        try:
-            link = self._link(worker)
-            link.send_line(line)
-            frame = link.read_line()
-            if frame is None:
-                raise ConnectionError(f"worker {worker} hung up")
-            return json.loads(frame)
-        except (OSError, ConnectionError, json.JSONDecodeError):
-            self._drop_link(worker)
-            if not self._unavailable(worker, payload):
-                return _GONE
-            return None
-
-    def _shutdown(self, line: str, payload: dict) -> bool:
-        """Broadcast shutdown to every worker, acknowledge the client with
-        the first worker's envelope, then stop the router itself."""
-        router = self._router
-        acknowledgement: dict | None = None
-        for worker in range(router._pool.count):
-            response = self._forward_collect_one(worker, line, payload)
-            if response is not None and response is not _GONE:
-                acknowledgement = acknowledgement or response
-        sent = False
-        if acknowledgement is not None:
-            try:
-                self._channel.send_line(encode_frame(acknowledgement))
-                sent = True
-            except OSError:
-                sent = False
-        threading.Thread(
-            target=router.stop, name="repro-router-stop", daemon=True
-        ).start()
-        return sent and False  # the connection's work is done either way
-
-
-#: Sentinels distinguishing "client went away" from ordinary outcomes.
-_GONE = object()
-_CLIENT_GONE = "repro-router-client-gone"

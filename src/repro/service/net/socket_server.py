@@ -1,14 +1,16 @@
-"""A socket front end for :class:`~repro.service.SimRankService`.
+"""The socket front end: one accept loop for every served endpoint.
 
 :class:`SocketServer` serves wire protocol v2 over TCP or Unix-domain
 sockets.  Each accepted connection runs the shared ordered pump
 (:class:`~repro.service.net.pump.Pump`) over its socket, so it gets
 exactly the stdin/stdout serve loop's contract — an opening ``hello``
 frame, one response per request line **in arrival order**, ``id`` echo,
-deadlines, ``ping`` ahead of the executor, ``bad_request`` for oversized
-lines.  All connections share one
-:class:`~repro.service.ParallelExecutor` and therefore one warm service:
-sessions opened by one client answer every client.
+deadlines, ``ping`` ahead of the queue, ``bad_request`` for oversized
+lines.  All connections share one dispatcher: a
+:class:`~repro.service.ParallelExecutor` over one warm
+:class:`~repro.service.SimRankService` (``repro serve``; sessions opened
+by one client answer every client), or the router's dispatcher over its
+worker processes (``repro router``).
 
 Hostile peers are contained per connection: a client that sends garbage,
 oversized lines or disconnects mid-stream takes down at most its own
@@ -27,18 +29,22 @@ from ...exceptions import ParameterError
 from ..parallel import ParallelExecutor
 from ..service import SimRankService
 from .channel import DEFAULT_MAX_LINE_BYTES, Address, LineChannel
-from .pump import POLL_SECONDS, Pump
+from .pump import POLL_SECONDS, Dispatcher, Pump
 
 __all__ = ["SocketServer"]
 
 
 class SocketServer:
-    """Serve one :class:`SimRankService` over a TCP or Unix socket.
+    """Serve one :class:`SimRankService` (or the router's dispatcher) over
+    a TCP or Unix socket.
 
     Parameters
     ----------
     service:
-        The (thread-safe) service answering requests.
+        The (thread-safe) service answering requests — or a ready
+        :class:`~repro.service.net.pump.Dispatcher` in its place (the
+        router's), which ``workers`` and ``max_pending`` then do not
+        apply to.
     address:
         Where to listen.  TCP port 0 binds an ephemeral port; the resolved
         :attr:`address` tells callers what was actually bound.
@@ -62,7 +68,7 @@ class SocketServer:
 
     def __init__(
         self,
-        service: SimRankService,
+        service: SimRankService | Dispatcher,
         *,
         address: Address,
         workers: int = 1,
@@ -75,9 +81,10 @@ class SocketServer:
             raise ParameterError(
                 f"max_line_bytes must be >= 1024, got {max_line_bytes}"
             )
-        self._service = service
-        self._executor = ParallelExecutor(
-            service, workers=workers, max_pending=max_pending
+        self._executor: Dispatcher = (
+            ParallelExecutor(service, workers=workers, max_pending=max_pending)
+            if isinstance(service, SimRankService)
+            else service
         )
         self._chunk_size = chunk_size
         self._hello = hello
@@ -91,11 +98,6 @@ class SocketServer:
         self._stopped = threading.Event()
         self._accept_thread: threading.Thread | None = None
         self._stop_lock = threading.Lock()
-
-    @property
-    def service(self) -> SimRankService:
-        """The service this server fronts."""
-        return self._service
 
     # ------------------------------------------------------------------ #
     def start(self) -> None:
@@ -119,7 +121,7 @@ class SocketServer:
 
     def stop(self) -> None:
         """Stop accepting, drain in-flight requests, close every connection,
-        and shut the executor down.  Idempotent and thread-safe; returns
+        and close the dispatcher.  Idempotent and thread-safe; returns
         once the server is fully stopped."""
         with self._stop_lock:
             if self._stopped.is_set():
@@ -166,7 +168,7 @@ class SocketServer:
                 channel,
                 channel,
                 chunk_size=self._chunk_size,
-                hello=self._service.hello_payload() if self._hello else None,
+                hello=self._executor.hello_payload() if self._hello else None,
                 stopping=self._stopping.is_set,
                 on_shutdown=self._initiate_shutdown,
             )

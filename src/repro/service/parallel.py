@@ -39,7 +39,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 
 from ..exceptions import ParameterError, ReproError
 from ..sling.parallel import resolve_worker_count
-from .control import ControlRequest
+from .control import ControlRequest, PingRequest
 from .queries import Query
 from .results import (
     ERROR_BAD_REQUEST,
@@ -100,10 +100,15 @@ class ParallelExecutor:
         """Resolved worker-thread count."""
         return self._workers
 
-    @property
-    def service(self) -> SimRankService:
-        """The service this executor runs requests against."""
-        return self._service
+    def answer_ping(self, request: PingRequest) -> QueryResult:
+        """Answer a ``ping`` on the calling thread, ahead of the pool — the
+        pump's liveness path while every worker is in a long query."""
+        return self._service.execute_control(request)
+
+    def hello_payload(self) -> dict:
+        """The service's ``hello`` frame, for a socket connection to open
+        with."""
+        return self._service.hello_payload()
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         with self._pool_lock:

@@ -168,6 +168,38 @@ def _sparse_from_wire(payload: object) -> SparseScores:
     return SparseScores(n, index, value)
 
 
+def _check_type(name: str, value: object, expected: type) -> None:
+    """Raise unless ``value`` is ``None`` (absent) or an ``expected``."""
+    if value is not None and type(value) is not expected:
+        raise WireFormatError(
+            f"result {name} must be a {expected.__name__}, got {value!r}"
+        )
+
+
+def _is_finite_number(value: object) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _check_top_k(value: object) -> None:
+    """Raise unless ``value`` is a list of ``{"rank": int, "node": int,
+    "score": finite number}`` entries."""
+    if type(value) is list:
+        for entry in value:
+            if not (
+                type(entry) is dict
+                and type(entry.get("rank")) is int
+                and type(entry.get("node")) is int
+                and _is_finite_number(entry.get("score"))
+            ):
+                break
+        else:
+            return
+    raise WireFormatError(
+        "top_k value must be a list of rank/node/score entries "
+        f"(int, int, finite number), got {value!r}"
+    )
+
+
 @dataclass(frozen=True)
 class QueryError:
     """Structured failure description carried by an error envelope."""
@@ -309,11 +341,14 @@ class QueryResult:
 def result_from_wire(payload: object) -> QueryResult:
     """Decode one wire dict back into a :class:`QueryResult`.
 
-    Used by wire-protocol clients (and the round-trip tests); raises
+    Used by wire-protocol clients, the router (every worker reply crosses
+    it) and the round-trip tests; raises
     :class:`~repro.exceptions.WireFormatError` on malformed payloads:
-    ``seconds`` must be a finite number, ``index_version`` an int when
-    present, and an error's ``code`` and ``message`` strings.  Keys it does
-    not know (such as the retired ``plan``) are ignored.
+    ``seconds`` must be a finite number; ``kind``, ``dataset`` and
+    ``backend`` strings, ``cache_hit`` a bool and ``index_version`` an int
+    when present; a query value must have its kind's shape (see the table
+    above); and an error's ``code`` and ``message`` must be strings.  Keys
+    it does not know (such as the retired ``plan``) are ignored.
     """
     if not isinstance(payload, dict):
         raise WireFormatError(
@@ -324,23 +359,30 @@ def result_from_wire(payload: object) -> QueryResult:
     seconds = payload.get("seconds", 0.0)
     if type(seconds) not in (int, float) or not math.isfinite(seconds):
         raise WireFormatError(f"result seconds must be a finite number, got {seconds!r}")
-    common = {
-        "kind": payload.get("kind"),
-        "dataset": payload.get("dataset"),
-        "seconds": float(seconds),
-    }
+    kind, dataset = payload.get("kind"), payload.get("dataset")
+    _check_type("kind", kind, str)
+    _check_type("dataset", dataset, str)
+    common = {"kind": kind, "dataset": dataset, "seconds": float(seconds)}
     if payload["ok"]:
         version = payload.get("index_version")
         if version is not None and type(version) is not int:
             raise WireFormatError(f"result index_version must be an int, got {version!r}")
+        backend, cache_hit = payload.get("backend"), payload.get("cache_hit")
+        _check_type("backend", backend, str)
+        _check_type("cache_hit", cache_hit, bool)
         value = payload.get("value")
-        if common["kind"] == "single_source":
+        if kind == "single_source":
             value = _sparse_from_wire(value)
-        return QueryResult(
-            ok=True,
+        elif kind == "single_pair" and not _is_finite_number(value):
+            raise WireFormatError(
+                f"single_pair value must be a finite number, got {value!r}"
+            )
+        elif kind == "top_k":
+            _check_top_k(value)
+        return QueryResult.success(
             value=value,
-            backend=payload.get("backend"),
-            cache_hit=payload.get("cache_hit"),
+            backend=backend,
+            cache_hit=cache_hit,
             index_version=version,
             **common,
         )

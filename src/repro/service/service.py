@@ -153,18 +153,20 @@ class DatasetSession:
         return self._index_version
 
     def backends(self) -> list[str]:
-        """Engine keys built so far, in first-use order."""
+        """Backends of the engines built so far, in first-use order."""
         return list(self._engines)
 
     def engine(self, backend: str | None = None) -> QueryEngine:
         """The engine for ``backend`` (default: the service's), building it
         on first use.
 
-        Engines are shared across alias spellings (keyed by resolved backend
-        name).  Thread-safe: the memoised fast path is one (GIL-atomic) dict
-        read; the build path runs under the session lock, so concurrent
-        first queries on a session produce exactly one engine per backend
-        key.
+        Engines are keyed by the backend actually attached, so every alias
+        spelling shares one engine — and with a saved index under
+        ``index_dir``, ``"sling"`` and ``"sling-disk"`` share the one
+        ``sling-disk`` engine (one mmap, one cache).  Thread-safe: the
+        memoised fast path is one (GIL-atomic) dict read; the build path
+        runs under the session lock, so concurrent first queries on a
+        session produce exactly one engine per backend.
         """
         engine = self._by_label.get(backend)
         if engine is not None:
@@ -174,21 +176,21 @@ class DatasetSession:
             if engine is not None:
                 return engine
             label = backend if backend is not None else self._config.backend
-            key = resolve_backend_name(label)
-            engine = self._engines.get(key)
+            name = resolve_backend_name(label)
+            config = self._config.backend_config
+            saved = self._saved_index_dir(name)
+            if saved is not None:
+                # A prebuilt index for this dataset exists: attach to it
+                # zero-copy instead of building.  Answers are bitwise
+                # identical to the index that was saved, so a pool of
+                # workers sharing one index directory stays in exact
+                # agreement.
+                name = "sling-disk"
+                config = replace(
+                    config, work_directory=str(saved), reuse_saved_index=True
+                )
+            engine = self._engines.get(name)
             if engine is None:
-                name, config = key, self._config.backend_config
-                saved = self._saved_index_dir(key)
-                if saved is not None:
-                    # A prebuilt index for this dataset exists: attach to it
-                    # zero-copy instead of building.  Answers are bitwise
-                    # identical to the index that was saved (PR 5 guarantee),
-                    # so a pool of workers sharing one index directory stays
-                    # in exact agreement.
-                    name = "sling-disk"
-                    config = replace(
-                        config, work_directory=str(saved), reuse_saved_index=True
-                    )
                 engine = create_engine(
                     self._graph,
                     backend=name,
@@ -196,7 +198,7 @@ class DatasetSession:
                     cache_size=self._cache_capacity,
                     pair_admission_threshold=self._config.pair_admission_threshold,
                 )
-                self._engines[key] = engine
+                self._engines[name] = engine
             self._by_label[backend] = engine
             return engine
 

@@ -382,17 +382,6 @@ def result_from_frames(frames: Sequence[dict]) -> QueryResult:
         }
         return result_from_wire(payload)
     *partials, done = frames
-    if done.get("frame") is None and done.get("ok") is False:
-        # A stream may be cut short by a failure after partials were already
-        # sent — the serve loop never does this, but the router does when a
-        # worker dies mid-stream: the partials are discarded and the error
-        # envelope is the response.
-        payload = {
-            key: value
-            for key, value in done.items()
-            if key not in ("v", "id")
-        }
-        return result_from_wire(payload)
     if done.get("frame") != "done":
         raise WireFormatError(
             f"chunked response must end with a done frame, got {done.get('frame')!r}"

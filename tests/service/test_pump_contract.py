@@ -3,8 +3,9 @@
 The same request script — garbage JSON, an over-cap line, ``ping``, a
 chunked ``single_source``, ``shutdown`` and a line after it — goes through
 the stdin/stdout loop (:func:`~repro.service.net.pump.serve_stream`, what
-``repro serve`` and ``repro batch`` run) and through a
-:class:`~repro.service.SocketServer` connection.  Both must answer with
+``repro serve`` and ``repro batch`` run), through a
+:class:`~repro.service.SocketServer` connection and through a connection
+to a one-worker :class:`~repro.service.Router`.  All must answer with
 identical response lines, timing fields aside.
 """
 
@@ -16,7 +17,7 @@ import json
 import test_client
 from test_socket_server import make_service
 
-from repro.service import Address, ParallelExecutor, SocketServer
+from repro.service import Address, ParallelExecutor, Router, SocketServer, WorkerPool
 from repro.service.net.channel import LineChannel
 from repro.service.net.pump import serve_stream
 
@@ -57,6 +58,21 @@ def stdin_loop_responses() -> list[str]:
     return output.getvalue().splitlines()
 
 
+def converse(address: Address) -> list[str]:
+    """Send the whole script in one write; read until the peer hangs up."""
+    sock = address.connect(timeout=10.0)
+    sock.sendall(script_bytes())
+    channel = LineChannel(sock)
+    channel.settimeout(60.0)
+    try:
+        lines = []
+        while (line := channel.read_line()) is not None:
+            lines.append(line)
+    finally:
+        channel.close()
+    return lines
+
+
 def socket_responses() -> list[str]:
     server = SocketServer(
         make_service(),
@@ -66,20 +82,40 @@ def socket_responses() -> list[str]:
     )
     server.start()
     try:
-        sock = server.address.connect(timeout=10.0)
-        sock.sendall(script_bytes())
-        channel = LineChannel(sock)
-        channel.settimeout(30.0)
-        try:
-            lines = []
-            while (line := channel.read_line()) is not None:
-                lines.append(line)
-        finally:
-            channel.close()
+        lines = converse(server.address)
         # The acknowledged shutdown stopped the whole server.
         assert server.wait(timeout=30)
     finally:
         server.stop()
+    return lines
+
+
+def router_responses() -> list[str]:
+    # The worker is configured like make_service(), so values match.
+    pool = WorkerPool(
+        1,
+        serve_args=[
+            "--scale", str(test_client.SCALE),
+            "--epsilon", str(test_client.EPSILON),
+            "--seed", str(test_client.SEED),
+            "--mc-walks", str(test_client.MC_WALKS),
+        ],
+    )
+    pool.start()
+    router = Router(
+        pool,
+        address=Address(family="tcp", host="127.0.0.1", port=0),
+        max_line_bytes=MAX_LINE_BYTES,
+    )
+    try:
+        router.start()
+        worker = pool._workers[0].process
+        lines = converse(router.address)
+        # The acknowledged shutdown stopped the router and its worker.
+        assert router.wait(timeout=60)
+        assert worker.wait(timeout=30) == 0
+    finally:
+        router.stop()
     return lines
 
 
@@ -103,3 +139,8 @@ class TestOneContract:
         # after it is never read.
         assert frames[-1]["kind"] == "shutdown" and frames[-1]["ok"] is True
         assert all(f.get("id") != 4 for f in frames)
+
+    def test_router_answers_like_the_stdin_loop(self):
+        assert normalized(router_responses()) == normalized(
+            stdin_loop_responses()
+        )

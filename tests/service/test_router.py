@@ -2,7 +2,9 @@
 
 The router fronts real ``repro serve --unix`` worker processes, so these
 tests exercise the full stack: spawn, hello, per-dataset sharding,
-control-plane fan-out/merge, and — the point of the subsystem — a
+control-plane fan-out/merge, what the router decides itself (the
+per-worker in-flight cap, spent deadlines, pipelined ordering), and — the
+point of the subsystem — a
 SIGKILLed worker whose in-flight requests resolve to ``unavailable``
 error envelopes (never a hang) and whose replacement, re-warmed with the
 replayed open datasets, answers the very same client connection.
@@ -10,6 +12,7 @@ replayed open datasets, answers the very same client connection.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import threading
@@ -22,12 +25,17 @@ from repro.engine import ENGINE_TOTAL_COUNTERS
 from repro.service import (
     Address,
     HashRing,
+    ListDatasetsRequest,
+    PingRequest,
     Router,
     SimRankClient,
     SinglePairQuery,
     SingleSourceQuery,
+    StatsRequest,
+    TopKQuery,
     WorkerPool,
 )
+from repro.service.net.channel import LineChannel
 
 #: Worker processes are configured exactly like the shared parity scenario.
 SERVE_ARGS = [
@@ -45,9 +53,11 @@ def start_router(
     pins: dict | None = None,
     health_interval: float = 0.5,
     request_timeout: float = 60.0,
+    max_inflight: int | None = None,
+    serve_args: list[str] = SERVE_ARGS,
 ) -> tuple[WorkerPool, Router]:
     pool = WorkerPool(
-        workers, serve_args=SERVE_ARGS, health_interval=health_interval
+        workers, serve_args=serve_args, health_interval=health_interval
     )
     pool.start()
     router = Router(
@@ -55,9 +65,30 @@ def start_router(
         address=Address(family="tcp", host="127.0.0.1", port=0),
         pins=pins,
         request_timeout=request_timeout,
+        max_inflight=max_inflight,
     )
     router.start()
     return pool, router
+
+
+def converse(
+    router: Router, lines: list[str], responses: int, *, timeout: float = 60.0
+) -> list[dict]:
+    """Write ``lines`` in one ``sendall`` on one router connection, then
+    read the hello and ``responses`` response frames."""
+    sock = router.address.connect(timeout=10.0)
+    sock.sendall(("\n".join(lines) + "\n").encode("utf-8"))
+    channel = LineChannel(sock)
+    channel.settimeout(timeout)
+    try:
+        assert json.loads(channel.read_line())["frame"] == "hello"
+        return [json.loads(channel.read_line()) for _ in range(responses)]
+    finally:
+        channel.close()
+
+
+def request_line(request, **envelope) -> str:
+    return json.dumps({"v": 2, **envelope, **request.to_wire()})
 
 
 class TestHashRing:
@@ -135,6 +166,24 @@ class TestRouterParity:
         finally:
             router.stop()
 
+    def test_workers_streaming_default_applies_to_router_connections(self):
+        pool, router = start_router(
+            1, serve_args=[*SERVE_ARGS, "--chunk-size", "3"]
+        )
+        query = SingleSourceQuery("GrQc", 0)
+        try:
+            (streamed,) = converse(router, [request_line(query, id=1)], 1)
+            (whole,) = converse(
+                router, [request_line(query, id=2, chunk_size=50)], 1
+            )
+        finally:
+            router.stop()
+        # Without a chunk_size of its own a request streams at the workers'
+        # --chunk-size, as it would from a worker; its own chunk_size wins.
+        assert streamed["frame"] == "partial"
+        assert len(streamed["value"]["index"]) == 3
+        assert "frame" not in whole and whole["ok"] is True
+
 
 class TestFailover:
     def test_sigkilled_worker_yields_error_envelopes_then_recovers(self):
@@ -193,7 +242,7 @@ class TestFailover:
         restarted worker still gets warmed with every later dataset."""
         import test_socket_server
 
-        from repro.service.net import router as router_module
+        from repro.service import client as client_module
         from repro.service.net.channel import LineChannel
 
         service = test_socket_server.make_service()
@@ -204,6 +253,7 @@ class TestFailover:
 
         class _StubPool:
             count = 1
+            chunk_size = None
             on_restart = None
 
             def worker_address(self, index):
@@ -221,11 +271,12 @@ class TestFailover:
                     raise OSError("injected replay failure")
                 super().send_line(line)
 
-        monkeypatch.setattr(router_module, "LineChannel", FlakyChannel)
+        # The router reaches workers through the client's socket transport.
+        monkeypatch.setattr(client_module, "LineChannel", FlakyChannel)
         try:
-            router._record_open("AS")  # replay of this one fails ...
-            router._record_open("GrQc")  # ... this one must still warm
-            router._replay_open_datasets(0)
+            router._dispatcher.record_open("AS")  # replay of this one fails ...
+            router._dispatcher.record_open("GrQc")  # ... this one must still warm
+            router._dispatcher.replay_open_datasets(0)
             assert sends["count"] >= 2, "replay stopped at the first failure"
             assert service.list_datasets() == ["GrQc"]
         finally:
@@ -243,6 +294,110 @@ class TestFailover:
                 assert worker.process.poll() is not None
             for worker in pool._workers:
                 assert not os.path.exists(worker.address.path)
+        finally:
+            router.stop()
+
+
+class TestAdmission:
+    """What the router decides itself, before any worker sees a request."""
+
+    def test_a_worker_at_its_inflight_cap_sheds_with_overloaded(self):
+        pool, router = start_router(1, max_inflight=1)
+        try:
+            holder = SimRankClient(address=str(router.address))
+            holder.open_dataset("GrQc")
+            other = SimRankClient(address=str(router.address))
+            victim = pool._workers[0].process
+            held = []
+            thread = threading.Thread(
+                target=lambda: held.append(
+                    holder.execute(SinglePairQuery("GrQc", 1, 2))
+                )
+            )
+            # Freeze the worker so the first request stays in flight.
+            os.kill(victim.pid, signal.SIGSTOP)
+            try:
+                thread.start()
+                time.sleep(0.5)  # the held request now owns the only slot
+                shed = other.execute(SinglePairQuery("GrQc", 1, 2))
+            finally:
+                os.kill(victim.pid, signal.SIGCONT)
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "held request hung"
+            assert shed.ok is False
+            assert shed.error.code == "overloaded"
+            (answer,) = held
+            assert answer.ok
+            # The slot was released: the next request goes through.
+            assert other.execute(SinglePairQuery("GrQc", 1, 2)).ok
+            holder.close()
+            other.close()
+        finally:
+            router.stop()
+
+    def test_a_deadline_spent_at_the_router_is_never_forwarded(self):
+        pool, router = start_router(1)
+        try:
+            client = SimRankClient(address=str(router.address))
+            client.open_dataset("GrQc")
+            victim = pool._workers[0].process
+            # A frozen worker would hold a forwarded request for the whole
+            # 60 s request timeout; the answer must come from the router.
+            os.kill(victim.pid, signal.SIGSTOP)
+            try:
+                (late,) = converse(
+                    router,
+                    [request_line(
+                        SinglePairQuery("GrQc", 1, 2),
+                        id="late",
+                        deadline_ms=1e-6,
+                    )],
+                    1,
+                    timeout=10.0,
+                )
+            finally:
+                os.kill(victim.pid, signal.SIGCONT)
+            assert late["id"] == "late"
+            assert late["ok"] is False
+            assert late["kind"] == "single_pair"
+            assert late["dataset"] == "GrQc"
+            assert late["error"]["code"] == "deadline_exceeded"
+            assert "router" in late["error"]["message"]
+            assert client.single_pair("GrQc", 1, 2) >= 0.0
+            client.close()
+        finally:
+            router.stop()
+
+    def test_pipelined_requests_are_answered_in_order(self):
+        pool, router = start_router(2, pins={"GrQc": 0, "AS": 1})
+        try:
+            client = SimRankClient(address=str(router.address))
+            client.open_dataset("GrQc")
+            client.open_dataset("AS")
+            requests = [
+                SinglePairQuery("GrQc", 1, 2),
+                TopKQuery("AS", node=1, k=3),
+                PingRequest(),
+                SingleSourceQuery("AS", 2),
+                ListDatasetsRequest(),
+                SinglePairQuery("AS", 1, 2),
+                StatsRequest(),
+                TopKQuery("GrQc", node=2, k=2),
+                SingleSourceQuery("GrQc", 0),
+            ]
+            ids = [f"r{index}" for index in range(len(requests))]
+            frames = converse(
+                router,
+                [request_line(r, id=i) for r, i in zip(requests, ids)],
+                len(requests),
+            )
+            assert [frame["id"] for frame in frames] == ids
+            assert [frame["kind"] for frame in frames] == [
+                request.kind for request in requests
+            ]
+            assert all(frame["ok"] is True for frame in frames)
+            assert frames[4]["value"]["datasets"] == ["GrQc", "AS"]
+            client.close()
         finally:
             router.stop()
 

@@ -9,7 +9,9 @@ import pytest
 from repro.engine import BackendConfig
 from repro.graphs import generators
 from repro.graphs.datasets import load_dataset
-from repro.service import ServiceConfig, SimRankService
+from repro.exceptions import ParameterError
+from repro.service import ServiceConfig, SimRankService, SingleSourceQuery
+from repro.service.mutations import mutate_session
 from repro.sling import SlingIndex, has_saved_index, save_index
 
 SCALE, SEED = 0.05, 0
@@ -120,4 +122,34 @@ class TestPrebuiltIndexReuse:
         service = self.service(tmp_path)  # empty root: nothing saved
         engine = service.open_dataset("GrQc").engine()
         assert engine.single_pair(0, 1) >= 0.0
+        service.close_all()
+
+    def test_both_spellings_share_one_attached_engine(self, tmp_path):
+        # The default label (resolving to "sling") and an explicit
+        # "sling-disk" attach the same saved index: one engine, one mmap,
+        # one cache, whichever spelling asks first.
+        graph = generators.two_level_community(2, 8, seed=1)
+        assert graph.num_nodes == 16
+        index = SlingIndex(graph, c=0.6, epsilon=0.1, seed=SEED).build()
+        save_index(index, tmp_path / "toy")
+        service = SimRankService(
+            ServiceConfig(
+                backend="sling",
+                index_dir=str(tmp_path),
+                backend_config=BackendConfig(epsilon=0.1, seed=SEED),
+            )
+        )
+        session = service.open_dataset("toy", graph=graph)
+        query = SingleSourceQuery("toy", 3)
+        first = service.execute(query)
+        second = service.execute(query, backend="sling-disk")
+        assert first.ok and second.ok
+        assert first.backend == second.backend == "sling-disk"
+        assert first.cache_hit is False
+        assert second.cache_hit is True
+        assert session.backends() == ["sling-disk"]
+        assert session.engine() is session.engine("sling-disk")
+        # The attached index stays read-only.
+        with pytest.raises(ParameterError, match="read-only"):
+            mutate_session(session, added=[(0, 15)])
         service.close_all()

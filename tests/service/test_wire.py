@@ -25,6 +25,7 @@ from repro.service import (
     encode_request,
     encode_response,
     encode_result,
+    response_frames,
     result_from_frames,
     result_from_wire,
 )
@@ -33,6 +34,12 @@ from repro.service import (
 PAIR_LINE = {
     "ok": True, "kind": "single_pair", "dataset": "GrQc", "seconds": 0.25,
     "value": 0.5, "backend": "sling", "cache_hit": False,
+}
+
+#: A well-formed served ``top_k`` line, for hostile-value variants.
+TOP_K_LINE = {
+    **PAIR_LINE, "kind": "top_k",
+    "value": [{"rank": 1, "node": 4, "score": 0.9}],
 }
 
 SUCCESS_ENVELOPES = [
@@ -145,6 +152,25 @@ class TestResultLines:
             {"ok": False, "error": {"code": 5}},
             {"ok": False, "error": {"code": "bad_request", "message": 7}},
             {"ok": False, "seconds": "x", "error": {"code": "c", "message": "m"}},
+            {"ok": True, "kind": 5, "dataset": [1], "backend": {},
+             "cache_hit": "yes"},
+            {**PAIR_LINE, "kind": 5},
+            {**PAIR_LINE, "dataset": [1]},
+            {**PAIR_LINE, "backend": {}},
+            {**PAIR_LINE, "cache_hit": "yes"},
+            {**PAIR_LINE, "cache_hit": 1},
+            {"ok": False, "kind": ["ping"], "error": {"code": "c", "message": "m"}},
+            {**PAIR_LINE, "value": "0.5"},
+            {**PAIR_LINE, "value": None},
+            {**PAIR_LINE, "value": True},
+            {**PAIR_LINE, "value": float("nan")},
+            {**PAIR_LINE, "value": float("inf")},
+            {**TOP_K_LINE, "value": "oops"},
+            {**TOP_K_LINE, "value": ["oops"]},
+            {**TOP_K_LINE, "value": [{"rank": 1, "node": "4", "score": 0.9}]},
+            {**TOP_K_LINE, "value": [{"rank": 1.0, "node": 4, "score": 0.9}]},
+            {**TOP_K_LINE, "value": [{"rank": 1, "node": 4, "score": "0.9"}]},
+            {**TOP_K_LINE, "value": [{"rank": 1, "node": 4}]},
         ],
     )
     def test_hostile_server_frames_are_wire_format_errors(self, payload):
@@ -198,6 +224,26 @@ class TestResultLines:
     def test_single_source_wire_shape_is_its_nonzeros(self):
         payload = SUCCESS_ENVELOPES[1].to_wire()
         assert payload["value"] == {"n": 3, "index": [1, 2], "value": [0.5, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "result",
+    [
+        *SUCCESS_ENVELOPES,
+        QueryResult.failure("unknown_dataset", "no such dataset", kind="top_k",
+                            dataset="Nope", seconds=0.1),
+        QueryResult.success(kind="stats", dataset=None, value={"totals": {}},
+                            backend=None, seconds=0.02, cache_hit=None),
+    ],
+    ids=lambda r: r.kind,
+)
+@pytest.mark.parametrize("chunk_size", [None, 1])
+def test_decoded_frames_re_encode_byte_for_byte(result, chunk_size):
+    # The router decodes every worker reply and its pump encodes the result
+    # again: the client must see the worker's exact lines.
+    lines = list(response_frames(result, id="r", chunk_size=chunk_size))
+    decoded = result_from_frames([json.loads(line) for line in lines])
+    assert list(response_frames(decoded, id="r", chunk_size=chunk_size)) == lines
 
 
 def _sparse_payload(**value) -> dict:
