@@ -1040,12 +1040,12 @@ def _run_serve_socket(args: argparse.Namespace) -> int:
     address = _front_address(args)
     try:
         server = SocketServer(
-            service,
+            ParallelExecutor(
+                service, workers=args.workers, max_pending=args.max_pending
+            ),
             address=address,
-            workers=args.workers,
             chunk_size=args.chunk_size,
             hello=not args.no_hello,
-            max_pending=args.max_pending,
         )
     except OSError as exc:
         print(f"error: cannot listen on {address}: {exc}", file=sys.stderr)

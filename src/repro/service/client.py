@@ -227,13 +227,13 @@ class _TransportGone(Exception):
     """Internal: the server's stream ended where a frame was expected."""
 
 
-def _died_envelope(payload: dict, message: str) -> QueryResult:
-    """The structured ``unavailable`` envelope a dead transport answers
-    with, echoing the request's kind/dataset where they were present."""
+def _transport_failure(payload: dict, code: str, message: str) -> QueryResult:
+    """The envelope a transport answers with when no reply came, echoing
+    the request's kind/dataset where they were present."""
     kind = payload.get("kind")
     dataset = payload.get("dataset")
     return QueryResult.failure(
-        ERROR_UNAVAILABLE,
+        code,
         message,
         kind=kind if isinstance(kind, str) else None,
         dataset=dataset if isinstance(dataset, str) else None,
@@ -250,7 +250,8 @@ class _SocketTransport:
     spawned the server (``SimRankClient.connect``) the transport owns the
     child: ``close`` tears it down and a death mid-request is reaped; a
     transport pointed at a shared server (``SimRankClient(address=...)``)
-    owns only its connection.
+    owns only its connection, and after a failed request the next one opens
+    a fresh connection.
     """
 
     def __init__(
@@ -261,7 +262,6 @@ class _SocketTransport:
         timeout: float | None = None,
         process: subprocess.Popen | None = None,
         run_dir: str | None = None,
-        reconnect: bool = True,
     ) -> None:
         if isinstance(address, str):
             address = parse_address(address)
@@ -271,17 +271,16 @@ class _SocketTransport:
         self._process = process
         self._run_dir = run_dir
         self._connect_timeout = connect_timeout
-        #: Per-request read timeout; ``None`` blocks forever (pre-PR-10
-        #: behaviour).  On expiry the request resolves to a ``timeout``
-        #: envelope and the channel is re-established — a late response on
-        #: the old connection would desynchronise the lockstep protocol.
+        #: Per-request read timeout; ``None`` blocks forever.  On expiry the
+        #: request resolves to a ``timeout`` envelope and the channel is
+        #: closed — a late response on it would desynchronise the lockstep
+        #: protocol — and the next request opens a fresh one.
         self._timeout = timeout
-        #: Whether a timed-out channel is re-established at once (a client's
-        #: long-lived connection) or the transport closes (the router's
-        #: pooled and one-shot connections, which are discarded anyway).
-        self._reconnect = reconnect
         self._lock = threading.Lock()
         self._shut_down = False
+        #: Whether the channel was closed by a read timeout and must be
+        #: reopened before the next request.
+        self._stale = False
         self._channel = self._open_channel()
 
     def _open_channel(self) -> LineChannel:
@@ -320,10 +319,12 @@ class _SocketTransport:
                 )
             ) from None
         if self._hello.get("frame") != "hello":
+            channel.close()
             raise WireFormatError(
                 f"expected a hello frame from {address}, got {self._hello!r}"
             )
         channel.settimeout(self._timeout)
+        self._stale = False
         return channel
 
     @property
@@ -337,10 +338,12 @@ class _SocketTransport:
         """The server endpoint, as a string other clients can connect to."""
         return str(self._address)
 
-    def _read_frame(self) -> dict:
+    def _read_frame(self, lines: list[str] | None = None) -> dict:
         line = self._channel.read_line()
         if line is None:
             raise _TransportGone()
+        if lines is not None:
+            lines.append(line)
         payload = json.loads(line)
         if not isinstance(payload, dict):
             raise WireFormatError(f"expected a frame object, got {payload!r}")
@@ -351,77 +354,82 @@ class _SocketTransport:
 
     def roundtrip(self, payload: dict) -> QueryResult:
         with self._lock:
-            if self._shut_down:
-                raise ServiceError(
-                    QueryResult.failure("server_gone", "server has shut down")
-                )
+            failed = self.send(payload)
+            return failed if failed is not None else self.receive(payload)[0]
+
+    def send(self, payload: dict) -> QueryResult | None:
+        """Write one request without waiting for its answer: ``None`` once
+        written, else the envelope answering it (the server is gone).
+        Follow each write with one :meth:`receive`; a caller other than
+        :meth:`roundtrip` must be the transport's only user."""
+        if self._shut_down:
+            raise ServiceError(
+                QueryResult.failure("server_gone", "server has shut down")
+            )
+        if self._stale:
             try:
-                self._channel.send_line(encode_frame(payload))
-                frames = [self._read_frame()]
-                while frames[-1].get("frame") == "partial":
-                    frames.append(self._read_frame())
-            except socket.timeout:
-                # No response within the read timeout.  The lockstep channel
-                # is now ambiguous (a late response could still arrive), so
-                # it is torn down and re-established before the next request;
-                # the caller gets a structured ``timeout`` envelope it may
-                # retry — never an indefinite hang.
-                self._channel.close()
-                reopened = False
-                if self._reconnect:
-                    try:
-                        self._open_channel()
-                        reopened = True
-                    except (ServiceError, WireFormatError):
-                        pass
-                if not reopened:
-                    self._shut_down = True
-                    self._teardown()
-                kind = payload.get("kind")
-                dataset = payload.get("dataset")
-                return QueryResult.failure(
-                    ERROR_TIMEOUT,
-                    f"no response from {self._address} within "
-                    f"{self._timeout}s",
-                    kind=kind if isinstance(kind, str) else None,
-                    dataset=dataset if isinstance(dataset, str) else None,
+                self._open_channel()
+            except (ServiceError, WireFormatError):
+                return self._lost(
+                    payload, f"could not reconnect to {self._address}"
                 )
-            except (_TransportGone, OSError):
-                self._shut_down = True
-                self._teardown()
-                return _died_envelope(
-                    payload,
-                    f"the server at {self._address} went away mid-request",
-                )
-            _check_echo(frames, payload.get("id"))
-            result = result_from_frames(frames)
-            if result.ok and result.kind == "shutdown":
-                self._shut_down = True
-                self._teardown()
-            return result
+        try:
+            self._channel.send_line(encode_frame(payload))
+        except OSError:
+            return self._lost(
+                payload, f"the server at {self._address} went away mid-request"
+            )
+        return None
+
+    def receive(self, payload: dict) -> tuple[QueryResult, list[str]]:
+        """Read the answer to the request :meth:`send` wrote, with the
+        server's frame lines as they came — none when the answer is the
+        transport's own envelope (no reply arrived)."""
+        lines: list[str] = []
+        try:
+            frames = [self._read_frame(lines)]
+            while frames[-1].get("frame") == "partial":
+                frames.append(self._read_frame(lines))
+        except socket.timeout:
+            # No response within the read timeout.  The lockstep channel is
+            # now ambiguous (a late response could still arrive), so it is
+            # closed here and reopened by the next request; the caller gets
+            # a structured ``timeout`` envelope it may retry — after
+            # ``timeout``, never an indefinite hang.
+            self._channel.close()
+            self._stale = True
+            return _transport_failure(
+                payload,
+                ERROR_TIMEOUT,
+                f"no response from {self._address} within {self._timeout}s",
+            ), []
+        except (_TransportGone, OSError):
+            return self._lost(
+                payload, f"the server at {self._address} went away mid-request"
+            ), []
+        _check_echo(frames, payload.get("id"))
+        result = result_from_frames(frames)
+        if result.ok and result.kind == "shutdown":
+            self._shut_down = True
+            self._teardown()
+        return result, lines
+
+    def _lost(self, payload: dict, message: str) -> QueryResult:
+        """The connection failed.  A spawned child's death is final; a
+        shared server may be back by the next request (a restarted router
+        or worker rebinds its address), which then opens a fresh
+        connection."""
+        if self._process is None:
+            self._channel.close()
+            self._stale = True
+        else:
+            self._shut_down = True
+            self._teardown()
+        return _transport_failure(payload, ERROR_UNAVAILABLE, message)
 
     @property
     def closed(self) -> bool:
         return self._shut_down
-
-    def reconnect(self) -> bool:
-        """Try to re-establish a torn-down connection to a *shared* server.
-
-        ``False`` when this transport owns a spawned child (its death is
-        final — there is nothing to reconnect to) or the endpoint is still
-        unreachable; ``True`` restores normal service.
-        """
-        with self._lock:
-            if not self._shut_down:
-                return True
-            if self._process is not None:
-                return False
-            try:
-                self._open_channel()
-            except (ServiceError, WireFormatError):
-                return False
-            self._shut_down = False
-            return True
 
     def _teardown(self) -> None:
         self._channel.close()
@@ -676,12 +684,7 @@ class SimRankClient:
                     return result  # no budget left for another attempt
             time.sleep(delay)
             if self._transport.closed:
-                # The connection itself died (not just one request): try to
-                # re-establish it — the router (or a restarted worker) may be
-                # listening again — else surface the last envelope.
-                reconnect = getattr(self._transport, "reconnect", None)
-                if reconnect is None or not reconnect():
-                    return result
+                return result  # the server this client spawned is gone
 
     def _value(
         self,

@@ -47,6 +47,7 @@ from .channel import DEFAULT_MAX_LINE_BYTES, LineReader, OversizedLineError
 __all__ = [
     "POLL_SECONDS",
     "SEND_STALL_SECONDS",
+    "Answer",
     "Dispatcher",
     "LineWriter",
     "Pump",
@@ -63,6 +64,13 @@ POLL_SECONDS = 0.2
 SEND_STALL_SECONDS = 5.0
 
 
+class Answer(Protocol):
+    """A submitted request's pending answer (a Future, or the router's)."""
+
+    def result(self) -> QueryResult:
+        """Wait for the answer and return it; never raises."""
+
+
 class Dispatcher(Protocol):
     """What answers a pump's requests: a
     :class:`~repro.service.ParallelExecutor` over a service, or the
@@ -72,8 +80,12 @@ class Dispatcher(Protocol):
     def workers(self) -> int:
         """Sizes each connection's in-flight window (``4 * workers``)."""
 
-    def submit(self, envelope: RequestEnvelope) -> "Future[QueryResult]":
-        """Answer one decoded request; the future never raises."""
+    def submit(self, envelope: RequestEnvelope) -> Answer:
+        """Start answering one decoded request.  The pump asks every
+        answer for its result, in arrival order on its writer thread —
+        also after its peer has gone, so no answer is left unsettled.  An
+        answer may carry ``lines``, its frames already encoded for this
+        request, which the pump then writes as they are."""
 
     def answer_ping(self, request: PingRequest) -> QueryResult:
         """Answer a ``ping`` on the calling (reader) thread."""
@@ -375,11 +387,11 @@ class Pump:
             item = self._pending.get()
             if item is None:
                 return
-            if self.write_error is not None:
-                continue  # drain, so the reader never blocks on a full queue
             envelope, future = item
             result = future.result()  # pump futures never raise
-            frames = response_frames(
+            if self.write_error is not None:
+                continue  # drain unwritten, so the reader never blocks
+            frames = getattr(future, "lines", None) or response_frames(
                 result,
                 id=envelope.id,
                 chunk_size=envelope.chunk_size or self._chunk_size,

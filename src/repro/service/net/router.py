@@ -10,7 +10,8 @@ every worker mmaps one shared packed index read-only).  The
 router connection behaves like any other: an opening ``hello``, ordered
 pipelined responses (up to ``4 * workers`` in flight), ``id`` echo,
 ``bad_request`` for garbage and over-cap lines, ``ping`` answered ahead of
-the queue (by the router itself: worker health is the pool's job).  Where a worker process hands its pump a
+the queue (by the router itself: worker health is the pool's job).  Where
+a worker process hands its pump a
 :class:`~repro.service.ParallelExecutor`, the router hands it a routing
 dispatcher, which forwards
 
@@ -28,12 +29,17 @@ dispatcher, which forwards
   worker, then the router itself.
 
 Requests travel to workers over the client library's socket transport, one
-lockstep request per connection from a small per-worker pool.  Each is
-re-encoded from its decoded envelope, its ``deadline_ms`` charged with the
-time it spent at the router (a spent budget is shed here with
-``deadline_exceeded``), and every reply is decoded — and so checked — back
-into a :class:`~repro.service.results.QueryResult` before the pump encodes
-it for the client.
+lockstep request per connection from a per-worker pool of idle ones.  A
+dataset's request is written to its worker the moment the pump submits it
+and its reply is read when the pump is ready to write it, so no thread
+sits between the two.  Each request is re-encoded from its decoded
+envelope, its ``deadline_ms`` charged with the time it spent at the router
+(a spent budget is shed here with ``deadline_exceeded``); it then takes
+one of its worker's ``max_inflight`` slots (past the cap it is answered
+``overloaded`` without queueing).  Every reply is decoded — and so
+checked — into a :class:`~repro.service.results.QueryResult`; the pump
+relays a forwarded reply's own lines and encodes only what the router
+merged or patched.
 
 Failure semantics — the reason this layer exists: the :class:`WorkerPool`
 health-checks each worker (process liveness plus a ``ping`` with timeout
@@ -53,8 +59,8 @@ import tempfile
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -76,10 +82,6 @@ from .spawn import spawn_serve, wait_for_hello
 
 __all__ = ["HashRing", "WorkerPool", "Router"]
 
-#: Forwarding threads per worker, and so the most requests the router has
-#: in flight to one worker at a time; also the cap on its idle transports.
-_THREADS_PER_WORKER = 16
-
 #: Budget for reaching a worker and reading its hello, in seconds.
 _CONNECT_SECONDS = 5.0
 
@@ -90,16 +92,14 @@ def _exchange(address: Address, payload: dict, *, timeout: float) -> QueryResult
     response."""
     try:
         transport = _SocketTransport(
-            address, connect_timeout=timeout, timeout=timeout, reconnect=False
+            address, connect_timeout=timeout, timeout=timeout
         )
+        try:
+            return transport.roundtrip(payload)
+        finally:
+            transport.close()
     except (ReproError, ValueError):
         return None
-    try:
-        return transport.roundtrip(payload)
-    except (ReproError, ValueError):
-        return None
-    finally:
-        transport.close()
 
 
 class HashRing:
@@ -409,7 +409,6 @@ class Router:
         )
         #: The bound endpoint (with the real port when TCP port 0 was asked).
         self.address = self._server.address
-        self._started = False
         self._stopped = threading.Event()
         self._stop_lock = threading.Lock()
         pool.on_restart = self._dispatcher.replay_open_datasets
@@ -420,11 +419,8 @@ class Router:
 
     def start(self) -> None:
         """Fetch the hello template and begin accepting connections."""
-        if self._started:
-            return
         self._dispatcher.fetch_hello()
         self._server.start()
-        self._started = True
 
     def serve_forever(self) -> None:
         """Serve until :meth:`stop` (or a client's ``shutdown``)."""
@@ -463,17 +459,54 @@ class Router:
         )
 
 
+#: An answer and the worker's lines it arrived as (none if the router's own).
+_Outcome = tuple[QueryResult, list[str]]
+
+
+class _Answer:
+    """The router's answer to one request, as the pump's future: ``compute``
+    runs on the first :meth:`result` call — the pump's writer, in arrival
+    order — and its outcome is kept.  Never raises.
+
+    An answer that is a worker's reply keeps the worker's frame lines in
+    :attr:`lines`, and the pump relays them as they are: the worker was
+    sent this request's ``id`` and chunking, so they are the very lines
+    the pump would encode."""
+
+    def __init__(self, compute: Callable[[], _Outcome]) -> None:
+        self._compute: Callable[[], _Outcome] | None = compute
+        self._result: QueryResult | None = None
+        self.lines: list[str] | None = None
+        self._lock = threading.Lock()
+
+    def result(self) -> QueryResult:
+        with self._lock:
+            if self._compute is not None:
+                try:
+                    self._result, lines = self._compute()
+                    self.lines = lines or None
+                except Exception as exc:  # noqa: BLE001 - pump futures must not raise
+                    self._result = QueryResult.failure(
+                        ERROR_INTERNAL, f"{type(exc).__name__}: {exc}"
+                    )
+                self._compute = None
+            return self._result
+
+
 class _RoutingDispatcher:
     """The router's :class:`~repro.service.net.pump.Dispatcher`: answers
     each decoded request by forwarding it to the worker(s) that own it.
 
-    Each worker has its own forwarding threads — so a wedged worker holds
-    up only its own shard's requests — and a small pool of idle client
+    A dataset's request is written to its worker as soon as the pump
+    submits it, and the reply is read when the pump asks for the answer —
+    so a connection's pipelined requests overlap on the workers, no thread
+    sits between the pump and a worker, and a wedged worker holds up only
+    the connections waiting on it.  Each worker has a pool of idle client
     transports: lockstep connections that check the hello, gather
     ``partial`` frames, verify the echoed ``id`` and turn a dead peer into
     an envelope.  A request is re-encoded from its envelope, with the
-    deadline budget it has left, and the worker's reply comes back as a
-    :class:`QueryResult` for the pump to encode.
+    deadline budget it has left, and the worker's reply comes back checked,
+    as a :class:`QueryResult` with the lines it arrived as.
     """
 
     def __init__(
@@ -509,13 +542,6 @@ class _RoutingDispatcher:
         self._lock = threading.Lock()
         self._inflight = [0] * pool.count
         self._idle: list[list[_SocketTransport]] = [[] for _ in range(pool.count)]
-        self._threads = [
-            ThreadPoolExecutor(
-                max_workers=_THREADS_PER_WORKER,
-                thread_name_prefix=f"repro-route-{index}",
-            )
-            for index in range(pool.count)
-        ]
         #: lower-cased name -> canonical name, in first-open order; the
         #: source of truth for list/stat merge order, hello patching, and
         #: restart replay.
@@ -550,25 +576,24 @@ class _RoutingDispatcher:
             cache_hit=None,
         )
 
-    def submit(self, envelope: RequestEnvelope) -> "Future[QueryResult]":
-        """Queue ``envelope`` on the forwarding threads of the worker that
-        answers it (worker 0 for the fan-outs and the service-wide kinds)."""
+    def submit(self, envelope: RequestEnvelope) -> _Answer:
+        """Forward a dataset's request now; the fan-outs and the
+        service-wide kinds (answered by worker 0) run when their answer is
+        asked for."""
         request = envelope.request
         dataset = getattr(request, "dataset", None)
         if request.kind in ("list_datasets", "stats"):
-            handler, worker = self._fan_out, 0
+            handler = self._fan_out
         elif request.kind == "shutdown":
-            handler, worker = self._shutdown, 0
+            handler = self._shutdown
         elif dataset is None:
-            handler, worker = self._describe_service, 0
+            handler = self._describe_service
         else:
-            handler, worker = self._forward, self.shard_for(dataset)
-        return self._threads[worker].submit(self._answer, handler, envelope, worker)
+            return self._forward(envelope, self.shard_for(dataset))
+        return _Answer(partial(self._control, handler, envelope))
 
     def close(self) -> None:
-        """Finish in-flight forwards, then close every idle transport."""
-        for threads in self._threads:
-            threads.shutdown(wait=True)
+        """Close every idle transport (the pumps have settled every answer)."""
         for index in range(self._pool.count):
             self._drop_idle(index)
 
@@ -596,16 +621,13 @@ class _RoutingDispatcher:
             self._pool.worker_address(worker),
             connect_timeout=_CONNECT_SECONDS,
             timeout=self._request_timeout,
-            reconnect=False,
         )
 
     def _checkin(self, worker: int, transport: _SocketTransport) -> None:
-        if not transport.closed:
-            with self._lock:
-                if len(self._idle[worker]) < _THREADS_PER_WORKER:
-                    self._idle[worker].append(transport)
-                    return
-        transport.close()
+        if transport.closed:
+            return
+        with self._lock:
+            self._idle[worker].append(transport)
 
     def _drop_idle(self, worker: int) -> None:
         with self._lock:
@@ -613,58 +635,63 @@ class _RoutingDispatcher:
         for transport in idle:
             transport.close()
 
-    def _call(self, worker: int, payload: dict, request: object) -> QueryResult:
-        """One round trip to ``worker`` over an idle (or new) transport.
+    def _unavailable(
+        self, worker: int, transport: _SocketTransport | None, request: object
+    ) -> QueryResult:
+        """Any failure of a worker — unreachable, timed out, hung up,
+        answered garbage — is answered ``unavailable``.  The failed
+        transport is closed with the worker's idle ones: they were most
+        likely cut by the same crash."""
+        if transport is not None:
+            transport.close()
+        self._drop_idle(worker)
+        return QueryResult.failure(
+            ERROR_UNAVAILABLE,
+            f"worker {worker} is unavailable (the router is replacing it); "
+            "retry shortly",
+            kind=getattr(request, "kind", None),
+            dataset=getattr(request, "dataset", None),
+        )
 
-        Any failure of the worker — unreachable, timed out, hung up,
-        answered garbage — becomes an ``unavailable`` envelope, and the
-        worker's idle transports are dropped with the failed one: they were
-        most likely cut by the same crash."""
+    def _send(
+        self, worker: int, payload: dict, request: object
+    ) -> tuple[_SocketTransport | None, QueryResult | None]:
+        """Write ``payload`` to ``worker`` over an idle (or new) transport:
+        the transport to read the reply from, or the failure answering
+        the request."""
         with self._lock:
             idle = self._idle[worker]
             transport = idle.pop() if idle else None
         try:
             if transport is None:
                 transport = self._connect(worker)
-            result = transport.roundtrip(payload)
+            if transport.send(payload) is None:
+                return transport, None
         except (ReproError, ValueError):
-            result = None
-        if result is None or not result.ok and transport.closed:
-            if transport is not None:
-                transport.close()
-            self._drop_idle(worker)
-            return QueryResult.failure(
-                ERROR_UNAVAILABLE,
-                f"worker {worker} is unavailable (the router is replacing "
-                "it); retry shortly",
-                kind=getattr(request, "kind", None),
-                dataset=getattr(request, "dataset", None),
-            )
-        self._checkin(worker, transport)
-        return result
+            pass
+        return None, self._unavailable(worker, transport, request)
 
-    def _answer(
-        self, handler: Callable[..., QueryResult], envelope: RequestEnvelope,
-        worker: int,
-    ) -> QueryResult:
-        """Run one forwarding task: shed the request if its deadline budget
-        is spent, else hand ``handler`` the request as a worker receives
-        it.  Never raises — the pump's futures must not."""
-        request = envelope.request
+    def _receive(
+        self, worker: int, transport: _SocketTransport, payload: dict,
+        request: object,
+    ) -> _Outcome:
+        """Read the reply to what :meth:`_send` wrote — checked, and with
+        its lines — and give the transport back to the idle pool."""
         try:
-            payload = self._payload(envelope)
-            if payload is None:
-                return QueryResult.failure(
-                    ERROR_DEADLINE_EXCEEDED,
-                    "deadline expired at the router before forwarding",
-                    kind=request.kind,
-                    dataset=getattr(request, "dataset", None),
-                )
-            return handler(request, payload, worker)
-        except Exception as exc:  # noqa: BLE001 - a forwarder must never die
-            return QueryResult.failure(
-                ERROR_INTERNAL, f"{type(exc).__name__}: {exc}"
-            )
+            result, lines = transport.receive(payload)
+        except (ReproError, ValueError):  # a reply that is not a response
+            result, lines = None, []
+        if not lines:  # no reply: the worker is gone or timed out
+            return self._unavailable(worker, transport, request), []
+        self._checkin(worker, transport)
+        return result, lines
+
+    def _call(self, worker: int, payload: dict, request: object) -> QueryResult:
+        """One round trip to ``worker``."""
+        transport, failure = self._send(worker, payload, request)
+        if failure is not None:
+            return failure
+        return self._receive(worker, transport, payload, request)[0]
 
     @staticmethod
     def _payload(envelope: RequestEnvelope) -> dict | None:
@@ -682,34 +709,73 @@ class _RoutingDispatcher:
         payload.update(envelope.request.to_wire())
         return payload
 
+    @staticmethod
+    def _expired(request: object) -> QueryResult:
+        return QueryResult.failure(
+            ERROR_DEADLINE_EXCEEDED,
+            "deadline expired at the router before forwarding",
+            kind=request.kind,
+            dataset=getattr(request, "dataset", None),
+        )
+
     # ------------------------------------------------------------------ #
     # Routing
     # ------------------------------------------------------------------ #
-    def _forward(self, request: object, payload: dict, worker: int) -> QueryResult:
-        """A dataset's request, on the worker that owns the dataset, unless
-        that worker is at its in-flight cap."""
+    def _forward(self, envelope: RequestEnvelope, worker: int) -> _Answer:
+        """Send a dataset's request to the worker that owns the dataset,
+        unless its deadline is spent or that worker is at its in-flight
+        cap; the slot it takes is given back once the reply is read, before
+        the answer is published."""
+        request = envelope.request
+        payload = self._payload(envelope)
+        if payload is None:
+            return _Answer(lambda: (self._expired(request), []))
         with self._lock:
             shed = self._inflight[worker] == self._max_inflight
             if not shed:
                 self._inflight[worker] += 1
         if shed:
-            return QueryResult.failure(
+            overloaded = QueryResult.failure(
                 ERROR_OVERLOADED,
                 f"worker {worker} is at its in-flight cap "
                 f"({self._max_inflight}); back off and retry",
                 kind=request.kind,
                 dataset=request.dataset,
             )
+            return _Answer(lambda: (overloaded, []))
+        transport, failure = self._send(worker, payload, request)
+        if failure is not None:
+            self._release(worker)
+            return _Answer(lambda: (failure, []))
+        return _Answer(
+            partial(self._settle, worker, transport, payload, request)
+        )
+
+    def _settle(
+        self, worker: int, transport: _SocketTransport, payload: dict,
+        request: object,
+    ) -> _Outcome:
         try:
-            result = self._call(worker, payload, request)
+            outcome = self._receive(worker, transport, payload, request)
         finally:
-            # Released before the answer is published, so a lockstep
-            # client's next request never meets its previous one's slot.
-            with self._lock:
-                self._inflight[worker] -= 1
-        if result.ok:
-            self._track(request, result)
-        return result
+            self._release(worker)
+        if outcome[0].ok:
+            self._track(request, outcome[0])
+        return outcome
+
+    def _release(self, worker: int) -> None:
+        with self._lock:
+            self._inflight[worker] -= 1
+
+    def _control(
+        self, handler: Callable[..., QueryResult], envelope: RequestEnvelope
+    ) -> _Outcome:
+        """Run a fan-out or service-wide request, unless its deadline budget
+        is spent; the pump encodes its (merged or patched) answer."""
+        payload = self._payload(envelope)
+        if payload is None:
+            return self._expired(envelope.request), []
+        return handler(envelope.request, payload), []
 
     def _track(self, request: object, result: QueryResult) -> None:
         """Follow open/close/mutate state on the cold paths only: control
@@ -725,18 +791,16 @@ class _RoutingDispatcher:
             if kind == "mutate":
                 self._record_mutated(result.dataset)
 
-    def _describe_service(
-        self, request: object, payload: dict, worker: int
-    ) -> QueryResult:
+    def _describe_service(self, request: object, payload: dict) -> QueryResult:
         """Worker 0's self-description, listing the router-wide open set."""
-        result = self._call(worker, payload, request)
+        result = self._call(0, payload, request)
         if result.ok:
             result = replace(
                 result, value={**result.value, "datasets": self.open_datasets()}
             )
         return result
 
-    def _fan_out(self, request: object, payload: dict, _worker: int) -> QueryResult:
+    def _fan_out(self, request: object, payload: dict) -> QueryResult:
         """``list_datasets`` / ``stats`` from every worker, merged into one
         envelope shaped like a single server's.  The first worker that
         fails or refuses answers for all, as one server would have."""
@@ -757,7 +821,7 @@ class _RoutingDispatcher:
             merged = self._merge_stats(values)
         return replace(results[0], value=merged)
 
-    def _shutdown(self, request: object, payload: dict, _worker: int) -> QueryResult:
+    def _shutdown(self, request: object, payload: dict) -> QueryResult:
         """Broadcast ``shutdown`` to every worker, answer with the first
         acknowledgement, and stop the router (which drains every
         connection, so the pump still writes that answer)."""

@@ -26,8 +26,6 @@ import socket
 import threading
 
 from ...exceptions import ParameterError
-from ..parallel import ParallelExecutor
-from ..service import SimRankService
 from .channel import DEFAULT_MAX_LINE_BYTES, Address, LineChannel
 from .pump import POLL_SECONDS, Dispatcher, Pump
 
@@ -35,22 +33,19 @@ __all__ = ["SocketServer"]
 
 
 class SocketServer:
-    """Serve one :class:`SimRankService` (or the router's dispatcher) over
-    a TCP or Unix socket.
+    """Serve one :class:`~repro.service.net.pump.Dispatcher` over a TCP or
+    Unix socket.
 
     Parameters
     ----------
-    service:
-        The (thread-safe) service answering requests — or a ready
-        :class:`~repro.service.net.pump.Dispatcher` in its place (the
-        router's), which ``workers`` and ``max_pending`` then do not
-        apply to.
+    dispatcher:
+        What answers every connection's requests: a
+        :class:`~repro.service.ParallelExecutor` over a service, or the
+        router's dispatcher.  Its ``workers`` sizes each connection's
+        in-flight window (``4 * workers``); :meth:`stop` closes it.
     address:
         Where to listen.  TCP port 0 binds an ephemeral port; the resolved
         :attr:`address` tells callers what was actually bound.
-    workers:
-        Threads in the shared executor pool (the per-connection in-flight
-        window is ``4 * workers``).
     chunk_size:
         Server-side default for streaming large ``single_source`` /
         ``all_pairs`` values; a request's own ``chunk_size`` wins.
@@ -60,32 +55,22 @@ class SocketServer:
     max_line_bytes:
         Per-line inbound byte cap; oversized lines are answered with
         ``bad_request`` envelopes instead of growing the buffer unboundedly.
-    max_pending:
-        Bound on requests queued or executing across all connections;
-        submissions past it are shed with an ``overloaded`` envelope
-        (``None`` never sheds).
     """
 
     def __init__(
         self,
-        service: SimRankService | Dispatcher,
+        dispatcher: Dispatcher,
         *,
         address: Address,
-        workers: int = 1,
         chunk_size: int | None = None,
         hello: bool = True,
         max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
-        max_pending: int | None = None,
     ) -> None:
         if max_line_bytes < 1024:
             raise ParameterError(
                 f"max_line_bytes must be >= 1024, got {max_line_bytes}"
             )
-        self._executor: Dispatcher = (
-            ParallelExecutor(service, workers=workers, max_pending=max_pending)
-            if isinstance(service, SimRankService)
-            else service
-        )
+        self._dispatcher = dispatcher
         self._chunk_size = chunk_size
         self._hello = hello
         self._max_line_bytes = max_line_bytes
@@ -137,7 +122,7 @@ class SocketServer:
                 connections = list(self._connections)
             for pump in connections:
                 pump.join()
-            self._executor.close()
+            self._dispatcher.close()
             self._stopped.set()
 
     def _initiate_shutdown(self) -> None:
@@ -164,11 +149,11 @@ class SocketServer:
             channel = LineChannel(sock, max_line_bytes=self._max_line_bytes)
             channel.settimeout(POLL_SECONDS)
             pump = Pump(
-                self._executor,
+                self._dispatcher,
                 channel,
                 channel,
                 chunk_size=self._chunk_size,
-                hello=self._executor.hello_payload() if self._hello else None,
+                hello=self._dispatcher.hello_payload() if self._hello else None,
                 stopping=self._stopping.is_set,
                 on_shutdown=self._initiate_shutdown,
             )

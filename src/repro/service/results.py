@@ -183,21 +183,17 @@ def _is_finite_number(value: object) -> bool:
 def _check_top_k(value: object) -> None:
     """Raise unless ``value`` is a list of ``{"rank": int, "node": int,
     "score": finite number}`` entries."""
-    if type(value) is list:
-        for entry in value:
-            if not (
-                type(entry) is dict
-                and type(entry.get("rank")) is int
-                and type(entry.get("node")) is int
-                and _is_finite_number(entry.get("score"))
-            ):
-                break
-        else:
-            return
-    raise WireFormatError(
-        "top_k value must be a list of rank/node/score entries "
-        f"(int, int, finite number), got {value!r}"
-    )
+    if type(value) is not list or not all(
+        type(entry) is dict
+        and type(entry.get("rank")) is int
+        and type(entry.get("node")) is int
+        and _is_finite_number(entry.get("score"))
+        for entry in value
+    ):
+        raise WireFormatError(
+            "top_k value must be a list of rank/node/score entries "
+            f"(int, int, finite number), got {value!r}"
+        )
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ retryable, so a transient stall is ridden out invisibly; client-level
 
 from __future__ import annotations
 
+import os
+import signal
 import threading
 import time
 
@@ -21,6 +23,7 @@ from repro.exceptions import ParameterError
 from repro.service import (
     ERROR_TIMEOUT,
     Address,
+    ParallelExecutor,
     RetryPolicy,
     ServiceConfig,
     SimRankClient,
@@ -74,9 +77,8 @@ def stalled():
     stall = _Stall(service, seconds=1.5)
     service.execute = stall
     server = SocketServer(
-        service,
+        ParallelExecutor(service, workers=2),
         address=Address(family="tcp", host="127.0.0.1", port=0),
-        workers=2,
     )
     server.start()
     yield server, stall
@@ -120,9 +122,8 @@ class TestClientTimeout:
         stall = _Stall(service, seconds=1.5, count=10_000)
         service.execute = stall
         server = SocketServer(
-            service,
+            ParallelExecutor(service, workers=4),
             address=Address(family="tcp", host="127.0.0.1", port=0),
-            workers=4,
         )
         server.start()
         try:
@@ -144,6 +145,30 @@ class TestClientTimeout:
         finally:
             service.execute = stall._orig
             server.stop()
+
+    def test_a_wedged_server_times_out_after_timeout_alone(self):
+        """The read timeout bounds the request by itself: the channel is
+        reopened by the *next* request, not by waiting out the connect
+        budget for a frozen server's hello, and once the server thaws the
+        same client works again."""
+        process, address = test_client.spawn_tcp_server()
+        try:
+            client = SimRankClient(address=address, timeout=0.5, connect_timeout=3.0)
+            client.open_dataset(DATASET)
+            os.kill(process.pid, signal.SIGSTOP)
+            try:
+                started = time.monotonic()
+                result = client.execute(SinglePairQuery(DATASET, node_u=1, node_v=2))
+                elapsed = time.monotonic() - started
+            finally:
+                os.kill(process.pid, signal.SIGCONT)
+            assert result.error.code == ERROR_TIMEOUT
+            assert elapsed < 2.0  # not timeout + connect_timeout (3.5 s)
+            follow_up = client.execute(SinglePairQuery(DATASET, node_u=1, node_v=2))
+            assert follow_up.ok, follow_up.error
+            client.close()
+        finally:
+            test_client.stop_server(process)
 
     def test_non_positive_timeout_is_rejected(self, stalled):
         server, _ = stalled

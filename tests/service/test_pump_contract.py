@@ -75,9 +75,8 @@ def converse(address: Address) -> list[str]:
 
 def socket_responses() -> list[str]:
     server = SocketServer(
-        make_service(),
+        ParallelExecutor(make_service(), workers=2),
         address=Address(family="tcp", host="127.0.0.1", port=0),
-        workers=2,
         max_line_bytes=MAX_LINE_BYTES,
     )
     server.start()

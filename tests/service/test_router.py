@@ -26,6 +26,7 @@ from repro.service import (
     Address,
     HashRing,
     ListDatasetsRequest,
+    ParallelExecutor,
     PingRequest,
     Router,
     SimRankClient,
@@ -247,7 +248,8 @@ class TestFailover:
 
         service = test_socket_server.make_service()
         worker = test_socket_server.SocketServer(
-            service, address=Address(family="tcp", host="127.0.0.1", port=0)
+            ParallelExecutor(service, workers=1),
+            address=Address(family="tcp", host="127.0.0.1", port=0),
         )
         worker.start()
 
@@ -333,6 +335,45 @@ class TestAdmission:
             holder.close()
             other.close()
         finally:
+            router.stop()
+
+    def test_a_cap_above_one_is_reached_and_sheds(self):
+        """Every request a connection has read takes its slot at once, so
+        the cap is reached however many are held — 17 here, one per
+        connection — and the next request is shed, not queued."""
+        cap = 17
+        pool, router = start_router(1, max_inflight=cap)
+        held = []
+        try:
+            SimRankClient(address=str(router.address)).open_dataset("GrQc")
+            victim = pool._workers[0].process
+            line = request_line(SinglePairQuery("GrQc", 1, 2), id="held")
+            os.kill(victim.pid, signal.SIGSTOP)
+            try:
+                for _ in range(cap):
+                    sock = router.address.connect(timeout=10.0)
+                    sock.sendall((line + "\n").encode("utf-8"))
+                    held.append(LineChannel(sock))
+                time.sleep(0.5)  # every held request now owns a slot
+                (shed,) = converse(
+                    router,
+                    [request_line(SinglePairQuery("GrQc", 1, 2), id="probe")],
+                    1,
+                    timeout=10.0,
+                )
+            finally:
+                os.kill(victim.pid, signal.SIGCONT)
+            assert shed["id"] == "probe"
+            assert shed["ok"] is False
+            assert shed["error"]["code"] == "overloaded"
+            assert f"({cap})" in shed["error"]["message"]
+            for channel in held:  # each held request is answered, no hang
+                channel.settimeout(60.0)
+                assert json.loads(channel.read_line())["frame"] == "hello"
+                assert json.loads(channel.read_line())["id"] == "held"
+        finally:
+            for channel in held:
+                channel.close()
             router.stop()
 
     def test_a_deadline_spent_at_the_router_is_never_forwarded(self):

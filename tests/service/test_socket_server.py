@@ -20,6 +20,7 @@ import test_client
 from repro.engine import BackendConfig
 from repro.service import (
     Address,
+    ParallelExecutor,
     ServiceConfig,
     ServiceError,
     SimRankClient,
@@ -46,9 +47,8 @@ def make_service() -> SimRankService:
 @pytest.fixture
 def server():
     instance = SocketServer(
-        make_service(),
+        ParallelExecutor(make_service(), workers=2),
         address=Address(family="tcp", host="127.0.0.1", port=0),
-        workers=2,
     )
     instance.start()
     yield instance
@@ -131,7 +131,7 @@ class TestHostilePeers:
 
     def test_oversized_line_is_bounded_and_answered(self):
         server = SocketServer(
-            make_service(),
+            ParallelExecutor(make_service(), workers=1),
             address=Address(family="tcp", host="127.0.0.1", port=0),
             max_line_bytes=4096,
         )
@@ -219,9 +219,8 @@ class TestPingStaysResponsive:
 
         service.execute = slow_execute
         server = SocketServer(
-            service,
+            ParallelExecutor(service, workers=1),
             address=Address(family="tcp", host="127.0.0.1", port=0),
-            workers=1,
         )
         server.start()
         try:
