@@ -23,8 +23,9 @@ same ``cache_hits`` / ``cache_misses`` definition the engine, service,
 and router all share.
 
 ``identical_values`` asserts the cache never changes answers: the
-JSON-normalised value of every timed query is byte-identical across the
-three local cache configurations, and ``router_identical_values``
+normalised value of every timed query (``bench_serving._normalise``: a
+``single_source`` answer as its densified float64 bytes, the rest as
+JSON) is byte-identical across the three local cache configurations, and ``router_identical_values``
 extends that to the router run.  The stream keeps ``single_pair``
 queries **cold** (canonical nodes outside the source region) and the
 service runs with cross-kind admission disabled, because on the sling

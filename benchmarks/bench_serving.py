@@ -27,16 +27,21 @@ then for each worker count in (1, 2, 4) starts a ``WorkerPool`` of real
   agree only within the accuracy target, so parity requires the cache
   state at each pair query to be configuration-independent.
 
-``identical_values`` asserts exactly that: the JSON-normalised result of
-every timed query is byte-identical across the three configurations
-(all workers attach the same saved index files, so any divergence means
-the workload leaked cache state into values).  The recorded target is
+``identical_values`` asserts exactly that: the normalised result of every
+timed query (a ``single_source`` answer as the bytes of its densified
+float64 vector, anything else as sorted-key JSON) is byte-identical across
+the three configurations (all workers attach the same saved index files,
+so any divergence means the workload leaked cache state into values).  The recorded target is
 ``workers_4`` throughput at least ``--target`` (default 2.5x) the
 single-worker configuration.
 
 Results are emitted as JSON on stdout::
 
     PYTHONPATH=src python benchmarks/bench_serving.py --smoke
+
+``--smoke`` times 48 queries per worker count: it checks the payload's
+schema and ``identical_values``, and its throughput cannot compare builds
+(four smoke runs of one build read 153–283 queries/s at one worker).
 
 ``benchmarks/record.py`` records the payload as ``BENCH_serving.json``.
 """
@@ -137,9 +142,11 @@ def build_workload(
 
 
 def _normalise(value: object) -> str:
-    """Canonical JSON form of a result value, for cross-config comparison."""
+    """Canonical form of a result value, for cross-config comparison: a
+    ``single_source`` answer as the hex of its densified float64 bytes (so
+    equal means bitwise equal), anything else as sorted-key JSON."""
     if isinstance(value, SparseScores):
-        value = value.to_wire()
+        return value.to_dense().tobytes().hex()
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
@@ -317,7 +324,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--target", type=float, default=DEFAULT_TARGET_SPEEDUP)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="tiny fast configuration for CI schema checks",
+        help=(
+            "tiny fast configuration for CI schema checks; its 48 timed "
+            "queries per worker count are too few for its throughput to "
+            "compare builds"
+        ),
     )
     args = parser.parse_args(argv)
     overrides = dict(SMOKE_OVERRIDES) if args.smoke else {}

@@ -217,15 +217,10 @@ class SimilarityBackend(abc.ABC):
 
     # ------------------------------------------------------------------ #
     def top_k(self, node: int, k: int) -> list[tuple[int, float]]:
-        """The ``k`` nodes most similar to ``node`` (excluding itself).
-
-        The copy here is deliberate: :func:`rank_top_k` masks the source
-        in-place, and the ``single_source`` protocol does not promise a fresh
-        array (a subclass may legitimately return a view into its index).
-        """
+        """The ``k`` nodes most similar to ``node`` (excluding itself)."""
         if k <= 0:
             raise ParameterError(f"k must be positive, got {k}")
-        scores = np.array(self.single_source(node), dtype=np.float64, copy=True)
+        scores = np.asarray(self.single_source(node), dtype=np.float64)
         return rank_top_k(scores, int(node), k)
 
     def all_pairs(self) -> np.ndarray:

@@ -766,7 +766,7 @@ class QueryEngine:
             raise ParameterError(f"k must be positive, got {k}")
         start = time.perf_counter()
         vector, hit = self._source_vector(node)
-        ranked = rank_top_k(vector.copy(), int(node), k)
+        ranked = rank_top_k(vector, int(node), k)
         self._finish("top_k", start, cache_hit=hit)
         return ranked
 

@@ -13,33 +13,58 @@ import numpy as np
 __all__ = ["rank_top_k"]
 
 
+def _best(
+    nodes: np.ndarray, scores: np.ndarray, k: int
+) -> list[tuple[int, float]]:
+    """The ``k`` best ``(node, score)`` pairs of ``nodes`` (increasing ids)
+    and their ``scores``, ranked by score then id."""
+    if nodes.size > k:
+        # The k-th largest score is the cut; of the nodes tied at it, the
+        # smallest ids go in.  This honours the tie-break contract at the
+        # cut itself and makes top_k(·, k) a prefix of top_k(·, k + j).
+        boundary = np.partition(scores, nodes.size - k)[nodes.size - k]
+        above = np.flatnonzero(scores > boundary)
+        tied = np.flatnonzero(scores == boundary)[: k - above.size]
+        chosen = np.concatenate([above, tied])
+        nodes, scores = nodes[chosen], scores[chosen]
+    return sorted(
+        zip(nodes.tolist(), scores.tolist()),
+        key=lambda item: (-item[1], item[0]),
+    )
+
+
 def rank_top_k(scores: np.ndarray, source: int, k: int) -> list[tuple[int, float]]:
     """Rank a single-source score vector into a top-k list, excluding ``source``.
 
-    The caller must pass a vector it is willing to have mutated (the source
-    entry is masked in place).  ``k`` is clamped to ``n - 1``.
+    Only the nonzeros are ranked: the positive scores first; if fewer than
+    ``k`` nodes have one, the list is filled with the smallest-id
+    zero-score nodes (a ``-0.0`` is a zero, reported as stored), then with
+    the best negative scores.  ``scores`` must be finite and is not
+    modified.  ``k`` is clamped to ``n - 1``.
 
-    Caller audit (kept current when adding call sites): the SLING query
-    core (``SlingQueries.top_k`` and ``top_k_bounded``, the bounded
-    cascade) ranks vectors its single-source kernels freshly allocated, so
-    it passes them straight in with no copy; only the generic
-    ``SimilarityBackend.top_k`` copies first, because its ``single_source``
-    protocol allows subclasses to return views into index storage.
+    Caller audit (kept current when adding call sites): no caller copies.
+    The SLING query core (``SlingQueries.top_k`` and ``top_k_bounded``)
+    ranks vectors its kernels freshly allocated, the engine ranks its
+    cached vector, and ``SimilarityBackend.top_k`` ranks whatever its
+    ``single_source`` returns, views into index storage included.
     """
-    scores[source] = -np.inf
     k = min(k, scores.shape[0] - 1)
     if k <= 0:
         return []
-    top_indices = np.argpartition(-scores, k - 1)[:k]
-    # argpartition selects an arbitrary subset of the entries tied at the
-    # k-th score; re-select deterministically so boundary ties go to the
-    # smallest node ids.  This honours the tie-break contract at the cut
-    # itself and makes top_k(·, k) a prefix of top_k(·, k + j).
-    boundary = scores[top_indices].min()
-    above = np.flatnonzero(scores > boundary)
-    tied = np.flatnonzero(scores == boundary)
-    chosen = np.concatenate([above, tied[: k - above.size]])
-    return sorted(
-        ((int(i), float(scores[i])) for i in chosen),
-        key=lambda item: (-item[1], item[0]),
-    )
+    nonzero = np.flatnonzero(scores)
+    nonzero = nonzero[nonzero != source]
+    values = scores[nonzero]
+    positive = values > 0
+    ranked = _best(nonzero[positive], values[positive], k)
+    short = k - len(ranked)
+    if short:
+        # The first ``short + nonzero.size + 1`` ids hold at least ``short``
+        # zero-score nodes other than the source, when that many exist.
+        window = scores[: short + nonzero.size + 1]
+        zeros = np.flatnonzero(window == 0)
+        zeros = zeros[zeros != source][:short]
+        ranked += zip(zeros.tolist(), window[zeros].tolist())
+        short = k - len(ranked)
+    if short:
+        ranked += _best(nonzero[~positive], values[~positive], short)
+    return ranked

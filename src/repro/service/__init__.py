@@ -26,7 +26,8 @@ strictly::
 * :mod:`repro.service.results` — the :class:`QueryResult` envelope (value +
   dataset + backend + latency + cache-hit flag, or a structured
   :class:`QueryError` — bad requests never raise across the boundary), and
-  :class:`SparseScores`, the nonzeros form ``single_source`` values take;
+  :class:`SparseScores`, the nonzeros form ``single_source`` values take
+  (NumPy columns in process, base64 columns on the wire);
 * :mod:`repro.service.service` — :class:`SimRankService`, which manages named
   dataset sessions (lazy open, one engine per backend actually used,
   close / list / describe / aggregate statistics) and dispatches both

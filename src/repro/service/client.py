@@ -19,7 +19,8 @@ Typical use::
     from repro.service import SimRankClient
 
     with SimRankClient.in_process(scale=0.1) as client:
-        # single_source answers its nonzeros; np.asarray densifies them.
+        # single_source answers its nonzeros as read-only NumPy columns
+        # (.index int32 ids, .value float64 scores); np.asarray densifies.
         scores = np.asarray(client.single_source("GrQc", 3, chunk_size=512))
         top = client.top_k("GrQc", 3, k=5)
         print(client.list_datasets(), client.stats()["totals"])
@@ -708,7 +709,9 @@ class SimRankClient:
         self, dataset: str, node: int, *, chunk_size: int | None = None
     ) -> SparseScores:
         """SimRank from ``node`` to every node (optionally streamed), as
-        its nonzeros; ``np.asarray`` of the answer is the dense vector."""
+        its nonzeros: the wire's base64 columns decoded straight into
+        read-only ``int32``/``float64`` arrays, with no decimal text in
+        between.  ``np.asarray`` of the answer is the dense vector."""
         return self._value(
             SingleSourceQuery(dataset, node), chunk_size=chunk_size
         )

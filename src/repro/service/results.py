@@ -13,26 +13,29 @@ Value shapes by kind (in-process type, then wire form):
 
 =============== ==========================================================
 ``single_pair``   ``float``
-``single_source`` :class:`SparseScores`; on the wire its nonzeros,
-                  ``{"n": int, "index": [int, ...], "value": [float, ...]}``
-                  with strictly increasing node ids.  ``np.asarray`` of it
-                  is the dense length-``n`` vector (index = node id).
+``single_source`` :class:`SparseScores`; on the wire its nonzeros as two
+                  binary columns, ``{"n": int, "index": "<base64>",
+                  "value": "<base64>"}``: little-endian int32 node ids,
+                  strictly increasing, and little-endian float64 scores.
+                  ``np.asarray`` of it is the dense length-``n`` vector
+                  (index = node id).
 ``top_k``         ``list[{"rank": int, "node": int, "score": float}]``
 ``all_pairs``     ``list[list[float]]`` (row = source node)
 =============== ==========================================================
 
 A SimRank single-source vector is mostly zeros on sparse graphs: on the
 6,000-node Google stand-in (epsilon 0.025) the median answer has ~14
-nonzeros, and its response line is ~650 B instead of ~24.5 KB dense.  The
-worst case, a vector with no zero at all, adds one id per full-precision
-score: at most 1.5x the dense list.
+nonzeros.  Each nonzero costs 12 bytes, 16 characters once base64-encoded,
+about what one full-precision decimal score costs in a dense list; and the
+columns are bit-exact by construction, encoded and decoded without a
+decimal conversion.
 """
 
 from __future__ import annotations
 
+import binascii
 import math
 from dataclasses import dataclass
-from operator import lt
 
 import numpy as np
 
@@ -82,14 +85,43 @@ RETRYABLE_ERROR_CODES = frozenset(
 )
 
 
-@dataclass(frozen=True)
+#: The wire dtypes of the two columns: little-endian int32 ids and float64
+#: scores, whatever the host's byte order.
+_INDEX_DTYPE = np.dtype("<i4")
+_VALUE_DTYPE = np.dtype("<f8")
+
+#: Node ids travel as int32, so a vector may have at most this many nodes.
+_MAX_NODES = 2**31
+
+
+def _frozen(data: object, dtype: type) -> np.ndarray:
+    """A read-only 1-D ``dtype`` array over ``data`` (a view, never the
+    caller's array itself, so its flags are left alone)."""
+    array = np.asarray(data, dtype=dtype).view()
+    if array.ndim != 1:
+        raise ValueError(f"expected a 1-D column, got shape {array.shape}")
+    array.flags.writeable = False
+    return array
+
+
+def _b64(column: np.ndarray, dtype: np.dtype) -> str:
+    """Base64 of a column's little-endian bytes (no copy on a
+    little-endian host)."""
+    data = np.ascontiguousarray(column, dtype=dtype)
+    return binascii.b2a_base64(data, newline=False).decode("ascii")
+
+
+@dataclass(frozen=True, eq=False)
 class SparseScores:
     """A ``single_source`` answer kept as its nonzeros.
 
     ``index`` holds the node ids with a nonzero score, strictly increasing,
     and ``value`` their scores; every other of the ``n`` nodes scores 0.
-    ``np.asarray(scores)`` (or :meth:`to_dense`) rebuilds the length-``n``
-    vector bit for bit — a ``-0.0`` counts as nonzero and is kept.
+    Both are read-only NumPy columns (``int32`` and ``float64``); lists
+    passed to the constructor are converted.  ``np.asarray(scores)`` (or
+    :meth:`to_dense`) rebuilds the length-``n`` vector bit for bit — a
+    ``-0.0`` counts as nonzero and is kept.  Two answers are ``==`` when
+    ``n`` matches and both columns are bitwise equal.
 
     Deliberately not a sequence (no ``len``, iteration or indexing): code
     that zipped the old dense list against another vector would silently
@@ -97,20 +129,88 @@ class SparseScores:
     """
 
     n: int
-    index: list[int]
-    value: list[float]
+    index: np.ndarray
+    value: np.ndarray
+
+    def __post_init__(self) -> None:
+        if type(self.n) is not int or not 0 <= self.n < _MAX_NODES:
+            raise ValueError(
+                f"n must be an int in [0, 2**31), got {self.n!r}"
+            )
+        index = _frozen(self.index, np.int32)
+        value = _frozen(self.value, np.float64)
+        if index.size != value.size:
+            raise ValueError(
+                f"{index.size} indexes but {value.size} values"
+            )
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "value", value)
+
+    @classmethod
+    def _adopt(cls, n: int, index: np.ndarray, value: np.ndarray) -> "SparseScores":
+        """Wrap ``int32``/``float64`` arrays no caller holds (made here, or
+        views of immutable bytes) without the constructor's conversions,
+        which on a small answer cost as much as all the wire checks."""
+        index.flags.writeable = False
+        value.flags.writeable = False
+        self = object.__new__(cls)
+        object.__setattr__(self, "__dict__", {"n": n, "index": index, "value": value})
+        return self
 
     @classmethod
     def from_dense(cls, vector: np.ndarray) -> "SparseScores":
         """The nonzeros of a dense float vector (index = node id)."""
         vector = np.ascontiguousarray(vector, dtype=np.float64)
+        n = vector.shape[0]
+        if n >= _MAX_NODES:
+            raise ValueError(f"{n} nodes do not fit int32 node ids")
         # Nonzero by bit pattern, so ``-0.0`` survives the round trip.
         index = np.flatnonzero(vector.view(np.int64))
-        return cls(vector.shape[0], index.tolist(), vector[index].tolist())
+        return cls._adopt(n, index.astype(np.int32), vector[index])
+
+    @classmethod
+    def from_columns(cls, n: object, index: bytes, value: bytes) -> "SparseScores":
+        """Validate the column bytes of a wire answer, as
+        :func:`decode_columns` returns them (joined, for a chunked one).
+
+        The arrays are views of the bytes (no copy on a little-endian
+        host).  Raises :class:`~repro.exceptions.WireFormatError` unless
+        ``n`` is an int in ``[0, 2**31)``, the ids strictly increase within
+        ``[0, n)``, and every score is finite.
+        """
+        if type(n) is not int or not 0 <= n < _MAX_NODES:
+            raise WireFormatError(
+                f"single_source n must be an int in [0, 2**31), got {n!r}"
+            )
+        ids = np.frombuffer(index, dtype=_INDEX_DTYPE)
+        scores = np.frombuffer(value, dtype=_VALUE_DTYPE)
+        if ids.size:
+            if not (ids[1:] > ids[:-1]).all():
+                raise WireFormatError(
+                    "single_source indexes must be strictly increasing"
+                )
+            if ids[0] < 0 or ids[-1] >= n:
+                raise WireFormatError(
+                    f"single_source index out of range [0, {n}): "
+                    f"{ids[0] if ids[0] < 0 else ids[-1]}"
+                )
+            if not np.isfinite(scores).all():
+                raise WireFormatError("single_source scores must be finite")
+        return cls._adopt(
+            n, ids.astype(np.int32, copy=False), scores.astype(np.float64, copy=False)
+        )
+
+    def columns(self, start: int = 0, stop: int | None = None) -> dict:
+        """The wire columns of pairs ``[start, stop)``: base64 of the
+        little-endian int32 ids and float64 scores."""
+        return {
+            "index": _b64(self.index[start:stop], _INDEX_DTYPE),
+            "value": _b64(self.value[start:stop], _VALUE_DTYPE),
+        }
 
     def to_wire(self) -> dict:
         """The JSON-able ``{"n", "index", "value"}`` form."""
-        return {"n": self.n, "index": self.index, "value": self.value}
+        return {"n": self.n, **self.columns()}
 
     def to_dense(self) -> np.ndarray:
         """The dense length-``n`` float64 vector."""
@@ -126,46 +226,61 @@ class SparseScores:
         dense = self.to_dense()
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SparseScores:
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.index.tobytes() == other.index.tobytes()
+            and self.value.tobytes() == other.value.tobytes()
+        )
 
-def _sparse_from_wire(payload: object) -> SparseScores:
-    """Decode and validate the wire form of a :class:`SparseScores`.
+    __hash__ = None  # type: ignore[assignment]
 
-    Raises :class:`~repro.exceptions.WireFormatError` unless ``n`` is a
-    non-negative int, ``index``/``value`` are equal-length lists, every id
-    is an int in ``[0, n)`` and the ids strictly increase, and every score
-    is a number.
+
+def _decode_column(text: object, name: str) -> bytes:
+    """The bytes of one base64 wire column (strict: no stray characters,
+    exact padding)."""
+    if type(text) is not str:
+        raise WireFormatError(
+            f"single_source {name} must be a base64 string, got "
+            f"{type(text).__name__}"
+        )
+    try:
+        return binascii.a2b_base64(text, strict_mode=True)
+    except (binascii.Error, ValueError) as exc:
+        raise WireFormatError(f"single_source {name} is not base64: {exc}") from exc
+
+
+def decode_columns(payload: object) -> tuple[bytes, bytes, int]:
+    """The id bytes, score bytes and pair count of a wire
+    ``{"index", "value"}`` object: a whole ``single_source`` value or one
+    ``partial`` frame's chunk of it.
+
+    Raises :class:`~repro.exceptions.WireFormatError` unless both columns
+    are strict base64 of whole int32 ids and float64 scores, equally many;
+    :meth:`SparseScores.from_columns` checks the ids and scores themselves.
     """
     if not isinstance(payload, dict):
         raise WireFormatError(
-            "single_source value must be an object with n/index/value, "
-            f"got {type(payload).__name__}"
+            "single_source value must be an object with index and value "
+            f"columns, got {type(payload).__name__}"
         )
-    n, index, value = payload.get("n"), payload.get("index"), payload.get("value")
-    if type(n) is not int or n < 0:
-        raise WireFormatError(f"single_source n must be a non-negative int, got {n!r}")
-    if type(index) is not list or type(value) is not list:
-        raise WireFormatError("single_source index and value must be lists")
-    if len(index) != len(value):
+    index = _decode_column(payload.get("index"), "index")
+    value = _decode_column(payload.get("value"), "value")
+    pairs, stray = divmod(len(index), _INDEX_DTYPE.itemsize)
+    if stray or len(value) != pairs * _VALUE_DTYPE.itemsize:
         raise WireFormatError(
-            f"single_source has {len(index)} indexes but {len(value)} values"
+            f"single_source columns of {len(index)} and {len(value)} bytes "
+            "are not equally many int32 ids and float64 scores"
         )
-    if index:
-        # Whole-list checks in C (type sets, pairwise ``<``) instead of a
-        # Python loop: this runs once per decoded answer.
-        if not set(map(type, index)) <= {int}:
-            raise WireFormatError("single_source indexes must be ints")
-        if not set(map(type, value)) <= {float, int}:
-            raise WireFormatError("single_source values must be numbers")
-        if index[0] < 0 or index[-1] >= n:
-            raise WireFormatError(
-                f"single_source index out of range [0, {n}): "
-                f"{index[0] if index[0] < 0 else index[-1]}"
-            )
-        if not all(map(lt, index, index[1:])):
-            raise WireFormatError(
-                "single_source indexes must be strictly increasing"
-            )
-    return SparseScores(n, index, value)
+    return index, value, pairs
+
+
+def _sparse_from_wire(payload: object) -> SparseScores:
+    """Decode and validate the wire form of a :class:`SparseScores`."""
+    index, value, _ = decode_columns(payload)
+    return SparseScores.from_columns(payload.get("n"), index, value)
 
 
 def _check_type(name: str, value: object, expected: type) -> None:
@@ -367,7 +482,9 @@ def result_from_wire(payload: object) -> QueryResult:
         _check_type("backend", backend, str)
         _check_type("cache_hit", cache_hit, bool)
         value = payload.get("value")
-        if kind == "single_source":
+        if kind == "single_source" and type(value) is not SparseScores:
+            # A chunked response arrives here already reassembled and
+            # checked by :func:`~repro.service.wire.result_from_frames`.
             value = _sparse_from_wire(value)
         elif kind == "single_pair" and not _is_finite_number(value):
             raise WireFormatError(

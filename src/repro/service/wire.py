@@ -28,15 +28,16 @@ The envelope keys are:
        "seq":0,"offset":0,"value":[...at most chunk_size rows...]}
       {"v":2,"frame":"done","id":7,"ok":true, ..., "chunks":4,"total":2048}
 
-  ``single_source`` values travel as their nonzeros
-  (``{"n":..,"index":[..],"value":[..]}``, see
+  ``single_source`` values travel as their nonzeros, two base64 columns
+  of little-endian int32 ids and float64 scores
+  (``{"n":..,"index":"<base64>","value":"<base64>"}``, see
   :class:`~repro.service.results.SparseScores`), so they are chunked by
-  nonzeros: each partial carries at most ``chunk_size`` ``(index, value)``
-  pairs, ``offset`` counts the nonzeros already sent, and the ``done``
-  frame adds ``n`` while ``total`` counts the nonzeros::
+  nonzeros: each partial carries the columns of at most ``chunk_size``
+  ``(index, value)`` pairs, ``offset`` counts the pairs already sent, and
+  the ``done`` frame adds ``n`` while ``total`` counts the pairs::
 
       {"v":2,"frame":"partial","id":7,"kind":"single_source", ...,
-       "seq":0,"offset":0,"value":{"index":[...],"value":[...]}}
+       "seq":0,"offset":0,"value":{"index":"AQAAAA...","value":"AAAA..."}}
       {"v":2,"frame":"done","id":7,"ok":true, ..., "n":6000,
        "chunks":2,"total":300}
 
@@ -70,7 +71,13 @@ from typing import Iterator, Sequence
 from ..exceptions import ParameterError, WireFormatError
 from .control import ControlRequest, request_from_wire
 from .queries import Query, query_from_wire
-from .results import ERROR_BAD_REQUEST, QueryResult, SparseScores, result_from_wire
+from .results import (
+    ERROR_BAD_REQUEST,
+    QueryResult,
+    SparseScores,
+    decode_columns,
+    result_from_wire,
+)
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -325,8 +332,10 @@ def response_frames(
     """
     value = result.value
     sparse = type(value) is SparseScores
-    items = value.index if sparse else value
-    total = len(items) if isinstance(items, list) else 0
+    if sparse:
+        total = value.index.size
+    else:
+        total = len(value) if isinstance(value, list) else 0
     if (
         not chunk_size
         or not result.ok
@@ -349,9 +358,7 @@ def response_frames(
                 "seq": seq,
                 "offset": offset,
                 "value": (
-                    {"index": items[offset:stop], "value": value.value[offset:stop]}
-                    if sparse
-                    else items[offset:stop]
+                    value.columns(offset, stop) if sparse else value[offset:stop]
                 ),
             }
         )
@@ -388,7 +395,9 @@ def result_from_frames(frames: Sequence[dict]) -> QueryResult:
         )
     sparse = done.get("kind") == "single_source"
     items: list = []
-    scores: list = []
+    indexes: list[bytes] = []
+    scores: list[bytes] = []
+    received = 0
     for seq, frame in enumerate(partials):
         if frame.get("frame") != "partial":
             raise WireFormatError(
@@ -399,34 +408,28 @@ def result_from_frames(frames: Sequence[dict]) -> QueryResult:
                 f"partial frames out of order: expected seq {seq}, "
                 f"got {frame.get('seq')!r}"
             )
-        if frame.get("offset") != len(items):
+        if frame.get("offset") != received:
             raise WireFormatError(
                 f"partial frame offset {frame.get('offset')!r} does not match "
-                f"{len(items)} items received"
+                f"{received} items received"
             )
         chunk = frame.get("value")
         if sparse:
-            index = chunk.get("index") if isinstance(chunk, dict) else None
-            value = chunk.get("value") if isinstance(chunk, dict) else None
-            if not (
-                isinstance(index, list)
-                and isinstance(value, list)
-                and len(index) == len(value)
-            ):
-                raise WireFormatError(
-                    "single_source partial frame value must be an object "
-                    "with equal-length index and value lists"
-                )
-            items.extend(index)
-            scores.extend(value)
+            # Ids, their order (across partials too) and the scores are
+            # checked once, on the joined columns below.
+            index, value, pairs = decode_columns(chunk)
+            indexes.append(index)
+            scores.append(value)
+            received += pairs
         else:
             if not isinstance(chunk, list):
                 raise WireFormatError("partial frame value must be a list")
             items.extend(chunk)
+            received += len(chunk)
     expected = done.get("total")
-    if expected is not None and expected != len(items):
+    if expected is not None and expected != received:
         raise WireFormatError(
-            f"done frame claims {expected} items, received {len(items)}"
+            f"done frame claims {expected} items, received {received}"
         )
     payload = {
         key: val
@@ -434,6 +437,10 @@ def result_from_frames(frames: Sequence[dict]) -> QueryResult:
         if key not in ("v", "id", "frame", "chunks", "total", "n")
     }
     payload["value"] = (
-        {"n": done.get("n"), "index": items, "value": scores} if sparse else items
+        SparseScores.from_columns(
+            done.get("n"), b"".join(indexes), b"".join(scores)
+        )
+        if sparse
+        else items
     )
     return result_from_wire(payload)

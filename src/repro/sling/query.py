@@ -258,8 +258,7 @@ class SlingQueries:
 
         ``method`` accepts every :meth:`single_source` method plus
         ``"bounded"``, the pruned path of :meth:`top_k_bounded` (``budget``
-        is only meaningful there).  Every single-source kernel returns a
-        fresh array, so the ranking consumes it with no defensive copy.
+        is only meaningful there).
         """
         if method == "bounded":
             return self.top_k_bounded(node, k, budget=budget).ranked

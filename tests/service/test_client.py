@@ -38,6 +38,7 @@ from repro.service import (
     ServiceError,
     SimRankClient,
     SingleSourceQuery,
+    SparseScores,
     TopKQuery,
     WorkerPool,
 )
@@ -254,6 +255,10 @@ class TestSingleSourceParity:
             )
             assert unchunked.ok and chunked.ok
             assert chunked.value == unchunked.value
+            # ``==`` across transports: every one decodes the same columns.
+            assert unchunked.value == SparseScores.from_dense(
+                reference.single_source(node)
+            )
             dense = np.asarray(unchunked.value, dtype=np.float64)
             assert np.array_equal(dense.view(np.int64), expected), node
             nonzeros.append(len(unchunked.value.index))

@@ -9,8 +9,10 @@ sparse ``single_source`` encoding (nonzero chunking, exact densification).
 
 from __future__ import annotations
 
+import base64
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from repro.service import (
     QueryResult,
     ServiceConfig,
     ShutdownRequest,
+    SimRankClient,
     SimRankService,
     SinglePairQuery,
     SingleSourceQuery,
@@ -189,7 +192,10 @@ class TestResponseFrames:
         assert all(f["frame"] == "partial" for f in partials)
         assert [f["seq"] for f in partials] == list(range(7))
         assert [f["offset"] for f in partials] == [16 * i for i in range(7)]
-        assert all(len(f["value"]["index"]) <= 16 for f in partials)
+        assert all(
+            len(base64.b64decode(f["value"]["index"])) <= 16 * 4
+            for f in partials
+        )
         assert all(f["id"] == 7 for f in frames)
         assert done["frame"] == "done"
         assert done["chunks"] == 7 and done["total"] == 100
@@ -258,6 +264,26 @@ def _bits(vector) -> np.ndarray:
     return np.asarray(vector, dtype=np.float64).view(np.int64)
 
 
+def _ids(*ids: int) -> str:
+    """Base64 of little-endian int32 ids, built with the standard library."""
+    return base64.b64encode(struct.pack(f"<{len(ids)}i", *ids)).decode()
+
+
+def _scores(*scores: float) -> str:
+    """Base64 of little-endian float64 scores."""
+    return base64.b64encode(struct.pack(f"<{len(scores)}d", *scores)).decode()
+
+
+def _with_chunk(frames: list[dict], seq: int, **columns) -> list[dict]:
+    """``frames`` with partial ``seq``'s value columns replaced."""
+    frame = frames[seq]
+    return [
+        *frames[:seq],
+        {**frame, "value": {**frame["value"], **columns}},
+        *frames[seq + 1:],
+    ]
+
+
 class TestSparseSingleSource:
     """``single_source`` travels as its nonzeros and densifies bit for bit."""
 
@@ -277,8 +303,8 @@ class TestSparseSingleSource:
         (monolithic,) = _frames(result)
         assert monolithic["value"] == {
             "n": 10,
-            "index": [1, 4, 5, 7, 9],
-            "value": [0.5, 1e-300, -0.0, 0.25, 1.0 / 3],
+            "index": _ids(1, 4, 5, 7, 9),
+            "value": _scores(0.5, 1e-300, -0.0, 0.25, 1.0 / 3),
         }
         rebuilt = result_from_frames([monolithic])
         assert np.array_equal(_bits(rebuilt.value), _bits(self.DENSE))
@@ -287,7 +313,9 @@ class TestSparseSingleSource:
         vector = np.zeros(50)
         vector[17] = 1.0
         result = self._result(vector)
-        assert result.value.to_wire() == {"n": 50, "index": [17], "value": [1.0]}
+        assert result.value.to_wire() == {
+            "n": 50, "index": _ids(17), "value": _scores(1.0),
+        }
         for chunk_size in (None, 1):
             rebuilt = result_from_frames(_frames(result, chunk_size=chunk_size))
             assert rebuilt.value == result.value
@@ -307,7 +335,9 @@ class TestSparseSingleSource:
         frames = _frames(result, chunk_size=2)
         partials, done = frames[:-1], frames[-1]
         assert [f["offset"] for f in partials] == [0, 2, 4]
-        assert [f["value"]["index"] for f in partials] == [[1, 4], [5, 7], [9]]
+        assert [f["value"]["index"] for f in partials] == [
+            _ids(1, 4), _ids(5, 7), _ids(9),
+        ]
         assert done["frame"] == "done"
         assert done["n"] == 10 and done["total"] == 5 and done["chunks"] == 3
         chunked = result_from_frames(frames)
@@ -323,10 +353,26 @@ class TestSparseSingleSource:
         "mutate",
         [
             lambda frames: [{**frames[0], "value": [0.5, 0.0]}, *frames[1:]],
-            lambda frames: [
-                {**frames[0], "value": {"index": [1, 4], "value": [0.5]}},
-                *frames[1:],
-            ],
+            lambda frames: _with_chunk(frames, 0, value=_scores(0.5)),
+            lambda frames: _with_chunk(
+                frames, 0, index=_ids(1, 4, 5), value=_scores(0.5, 1.0, 1.0)
+            ),
+            lambda frames: _with_chunk(frames, 0, index=[1, 4]),
+            lambda frames: _with_chunk(frames, 1, value=[-0.0, 0.25]),
+            lambda frames: _with_chunk(frames, 1, index="BQAAAAcAAA=!"),
+            lambda frames: _with_chunk(frames, 1, index=_ids(5, 7)[:-1]),
+            lambda frames: _with_chunk(
+                frames, 1, index=base64.b64encode(b"\0" * 6).decode()
+            ),
+            lambda frames: _with_chunk(frames, 1, index=_ids(4, 7)),
+            lambda frames: _with_chunk(frames, 1, index=_ids(3, 7)),
+            lambda frames: _with_chunk(frames, 2, index=_ids(10)),
+            lambda frames: _with_chunk(frames, 0, index=_ids(-1, 4)),
+            lambda frames: _with_chunk(
+                frames, 1, value=_scores(float("nan"), 0.25)
+            ),
+            lambda frames: _with_chunk(frames, 2, value=_scores(float("inf"))),
+            lambda frames: [*frames[:-1], {**frames[-1], "n": True}],
             lambda frames: [
                 {**frames[0], "value": {**frames[1]["value"]}},
                 {**frames[1], "value": {**frames[0]["value"]}},
@@ -339,14 +385,27 @@ class TestSparseSingleSource:
             ],
         ],
         ids=[
-            "dense-partial", "ragged-partial", "swapped-payloads",
-            "n-too-small", "n-missing",
+            "dense-partial", "ragged-partial", "over-long-partial",
+            "index-list", "value-list", "bad-base64-character",
+            "wrong-padding", "index-not-whole-ids",
+            "repeated-id-across-chunks", "descending-id-across-chunks",
+            "index-at-n", "index-negative", "nan-score", "inf-score",
+            "n-bool", "swapped-payloads", "n-too-small", "n-missing",
         ],
     )
     def test_corrupt_sparse_frames_raise(self, mutate):
         frames = _frames(self._result(self.DENSE), chunk_size=2)
         with pytest.raises(WireFormatError):
             result_from_frames(mutate(frames))
+
+    def test_non_finite_scores_raise_monolithic_too(self):
+        (frame,) = _frames(self._result(self.DENSE))
+        for score in (float("nan"), float("inf"), float("-inf")):
+            hostile = {**frame, "value": {**frame["value"], "value": _scores(
+                0.5, 1e-300, score, 0.25, 1.0 / 3
+            )}}
+            with pytest.raises(WireFormatError):
+                result_from_frames([hostile])
 
     def test_value_is_not_a_sequence(self):
         value = SparseScores.from_dense(self.DENSE)
@@ -399,6 +458,41 @@ class TestServeV2:
         assert streamed[-1]["frame"] == "done"
         rebuilt = result_from_frames(streamed)
         assert rebuilt.value.to_wire() == monolithic["value"]
+
+    def test_standard_library_reads_a_served_line(self, capsys):
+        # The columns need no NumPy: ``base64`` and ``array`` decode a raw
+        # served line (README's "Sparse single-source values" recipe), and
+        # the vector is the one ``SimRankClient`` returns.
+        import array
+        import sys
+
+        from repro.engine import BackendConfig
+
+        _, frames, _ = run_serve_frames(
+            capsys, ['{"kind":"single_source","dataset":"GrQc","node":0}']
+        )
+        (reply,) = [f for f in frames if "frame" not in f]
+
+        # The five lines README shows, verbatim.
+        index = array.array("i", base64.b64decode(reply["value"]["index"]))
+        value = array.array("d", base64.b64decode(reply["value"]["value"]))
+        if sys.byteorder == "big":
+            index.byteswap(), value.byteswap()
+        scores = dict(zip(index, value))  # node id -> score; absent ids score 0
+
+        dense = [scores.get(node, 0.0) for node in range(reply["value"]["n"])]
+        client = SimRankClient.in_process(
+            config=ServiceConfig(
+                scale=0.05, seed=0,
+                backend_config=BackendConfig(epsilon=0.1, seed=0, mc_num_walks=30),
+            )
+        )
+        try:
+            expected = client.single_source("GrQc", 0)
+        finally:
+            client.close()
+        assert len(index) > 1
+        assert _bits(dense).tolist() == _bits(expected).tolist()
 
     def test_server_side_chunk_size_default(self, capsys):
         lines = ['{"v":2,"id":1,"kind":"single_source","dataset":"GrQc","node":0}']

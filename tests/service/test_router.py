@@ -12,6 +12,7 @@ replayed open datasets, answers the very same client connection.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import signal
@@ -182,7 +183,8 @@ class TestRouterParity:
         # Without a chunk_size of its own a request streams at the workers'
         # --chunk-size, as it would from a worker; its own chunk_size wins.
         assert streamed["frame"] == "partial"
-        assert len(streamed["value"]["index"]) == 3
+        # Three int32 ids: 12 bytes, 16 base64 characters.
+        assert len(base64.b64decode(streamed["value"]["index"])) == 3 * 4
         assert "frame" not in whole and whole["ok"] is True
 
 

@@ -118,8 +118,9 @@ class TestExecute:
         value = result.value
         assert isinstance(value, SparseScores)
         assert value.n == service.open_dataset("GrQc").num_nodes
-        assert all(type(node) is int for node in value.index)
-        assert all(type(score) is float and score != 0.0 for score in value.value)
+        assert value.index.dtype == np.int32 and value.value.dtype == np.float64
+        assert not value.index.flags.writeable and not value.value.flags.writeable
+        assert np.all(value.value != 0.0)
         dense = np.asarray(value, dtype=np.float64)
         assert dense.shape == (value.n,)
         assert value.tolist() == dense.tolist()
@@ -127,7 +128,9 @@ class TestExecute:
     def test_single_source_value_matches_engine(self, service):
         expected = service.open_dataset("GrQc").engine().single_source(4)
         result = service.execute(SingleSourceQuery("GrQc", 4))
-        assert np.asarray(result.value).tolist() == expected.tolist()
+        assert np.array_equal(
+            np.asarray(result.value).view(np.int64), expected.view(np.int64)
+        )
 
     def test_top_k_value_shape(self, service):
         result = service.execute(TopKQuery("GrQc", node=0, k=4))

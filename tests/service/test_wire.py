@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import base64
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -223,7 +225,9 @@ class TestResultLines:
 
     def test_single_source_wire_shape_is_its_nonzeros(self):
         payload = SUCCESS_ENVELOPES[1].to_wire()
-        assert payload["value"] == {"n": 3, "index": [1, 2], "value": [0.5, 1.0]}
+        assert payload["value"] == {
+            "n": 3, "index": _ids(1, 2), "value": _scores(0.5, 1.0),
+        }
 
 
 @pytest.mark.parametrize(
@@ -246,10 +250,52 @@ def test_decoded_frames_re_encode_byte_for_byte(result, chunk_size):
     assert list(response_frames(decoded, id="r", chunk_size=chunk_size)) == lines
 
 
+def _ids(*ids: int) -> str:
+    """Base64 of little-endian int32 ids, built with the standard library."""
+    return base64.b64encode(struct.pack(f"<{len(ids)}i", *ids)).decode()
+
+
+def _scores(*scores: float) -> str:
+    """Base64 of little-endian float64 scores."""
+    return base64.b64encode(struct.pack(f"<{len(scores)}d", *scores)).decode()
+
+
 def _sparse_payload(**value) -> dict:
-    base = {"n": 4, "index": [0, 2], "value": [1.0, 0.25]}
+    base = {"n": 4, "index": _ids(0, 2), "value": _scores(1.0, 0.25)}
     return {"ok": True, "kind": "single_source", "dataset": "GrQc",
             "value": {**base, **value}}
+
+
+#: Hostile ``single_source`` values, each a :class:`WireFormatError`.
+HOSTILE_SPARSE_VALUES = {
+    "n-negative": {"n": -1},
+    "n-string": {"n": "4"},
+    "n-float": {"n": 4.0},
+    "n-bool": {"n": True},
+    "n-null": {"n": None},
+    "n-too-large-for-int32-ids": {"n": 2**31},
+    "index-list": {"index": [0, 2]},
+    "value-list": {"value": [1.0, 0.25]},
+    "index-object": {"index": {"0": 1}},
+    "value-null": {"value": None},
+    "index-bad-character": {"index": _ids(0, 2)[:-2] + "!="},
+    "value-space": {"value": " " + _scores(1.0, 0.25)},
+    "index-non-ascii": {"index": "AAAAAAIAAAé="},
+    "index-missing-padding": {"index": _ids(0, 2).rstrip("=")},
+    "value-extra-padding": {"value": _scores(1.0, 0.25) + "=="},
+    "index-not-whole-ids": {"index": base64.b64encode(b"\0" * 6).decode()},
+    "value-not-whole-scores": {"value": base64.b64encode(b"\0" * 12).decode()},
+    "counts-short": {"index": _ids(0)},
+    "counts-long": {"value": _scores(1.0, 0.25, 0.5)},
+    "index-at-n": {"index": _ids(0, 4)},
+    "index-above-n": {"index": _ids(0, 2**31 - 1)},
+    "index-negative": {"index": _ids(-1, 2)},
+    "index-descending": {"index": _ids(2, 0)},
+    "index-repeated": {"index": _ids(2, 2)},
+    "value-nan": {"value": _scores(1.0, float("nan"))},
+    "value-inf": {"value": _scores(float("inf"), 0.25)},
+    "value-minus-inf": {"value": _scores(1.0, float("-inf"))},
+}
 
 
 class TestHostileSparseValues:
@@ -258,43 +304,19 @@ class TestHostileSparseValues:
     def test_well_formed_payload_decodes(self):
         result = result_from_wire(_sparse_payload())
         assert result.value == SparseScores(4, [0, 2], [1.0, 0.25])
+        assert result.value.index.dtype == np.int32
+        assert result.value.value.dtype == np.float64
+        assert not result.value.index.flags.writeable
+        assert not result.value.value.flags.writeable
         assert np.asarray(result.value).tolist() == [1.0, 0.0, 0.25, 0.0]
 
     def test_empty_vector_decodes(self):
-        result = result_from_wire(_sparse_payload(n=0, index=[], value=[]))
+        result = result_from_wire(_sparse_payload(n=0, index="", value=""))
         assert np.asarray(result.value).shape == (0,)
 
     @pytest.mark.parametrize(
-        "value",
-        [
-            {"n": -1},
-            {"n": "4"},
-            {"n": 4.0},
-            {"n": True},
-            {"n": None},
-            {"index": "0,2"},
-            {"index": {"0": 1}},
-            {"value": "1.0,0.25"},
-            {"value": None},
-            {"index": [0]},
-            {"value": [1.0, 0.25, 0.5]},
-            {"index": [0, 4]},
-            {"index": [-1, 2]},
-            {"index": [2, 0]},
-            {"index": [2, 2]},
-            {"index": [0, 2.0]},
-            {"index": [False, 2]},
-            {"value": [1.0, "0.25"]},
-            {"value": [1.0, None]},
-            {"value": [True, 0.25]},
-        ],
-        ids=[
-            "n-negative", "n-string", "n-float", "n-bool", "n-null",
-            "index-string", "index-object", "value-string-list", "value-null",
-            "length-short", "length-long", "index-at-n", "index-negative",
-            "index-unsorted", "index-duplicate", "index-float", "index-bool",
-            "value-string", "value-null-item", "value-bool",
-        ],
+        "value", list(HOSTILE_SPARSE_VALUES.values()),
+        ids=list(HOSTILE_SPARSE_VALUES),
     )
     def test_malformed_sparse_value_raises_wire_format_error(self, value):
         payload = _sparse_payload(**value)
@@ -310,3 +332,48 @@ class TestHostileSparseValues:
         payload = {**_sparse_payload(), "value": value}
         with pytest.raises(WireFormatError):
             result_from_wire(payload)
+
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "-Infinity", "1e999"]
+    )
+    def test_decimal_score_lists_are_refused(self, literal):
+        # The decimal list form is gone: a score list, finite or not (the
+        # JSON literals Python reads as NaN and infinities), is refused.
+        line = json.dumps(_sparse_payload(index=[0], value=[0.0])).replace(
+            "[0.0]", f"[{literal}]"
+        )
+        with pytest.raises(WireFormatError):
+            decode_result(line)
+
+
+class TestSparseScoresValue:
+    """The in-process value: read-only columns, bitwise equality."""
+
+    def test_from_dense_keeps_arrays_not_lists(self):
+        value = SparseScores.from_dense(np.array([0.0, 0.5, -0.0, 0.0, 1.0]))
+        assert value.index.dtype == np.int32 and value.index.tolist() == [1, 2, 4]
+        assert value.value.dtype == np.float64
+        with pytest.raises(ValueError):
+            value.value[0] = 2.0
+
+    def test_constructor_leaves_the_callers_array_writeable(self):
+        index = np.array([1, 3], dtype=np.int32)
+        SparseScores(4, index, [0.5, 0.5])
+        assert index.flags.writeable
+
+    def test_equality_is_bitwise(self):
+        value = SparseScores(3, [1], [0.0])
+        assert value == SparseScores(3, np.array([1]), np.array([0.0]))
+        assert value != SparseScores(3, [1], [-0.0])  # different bits
+        assert value != SparseScores(4, [1], [0.0])
+        assert value != SparseScores(3, [2], [0.0])
+        assert value != [0.0, 0.0, 0.0]
+        nan = SparseScores(2, [0], [float("nan")])
+        assert nan == SparseScores(2, [0], [float("nan")])  # same bits
+
+    def test_refuses_ids_beyond_int32(self):
+        with pytest.raises(ValueError):
+            SparseScores(2**31, [], [])
+        with pytest.raises(ValueError):
+            SparseScores(4, [0, 1], [0.5])
+
