@@ -85,7 +85,9 @@ class Dispatcher(Protocol):
         answer for its result, in arrival order on its writer thread —
         also after its peer has gone, so no answer is left unsettled.  An
         answer may carry ``lines``, its frames already encoded for this
-        request, which the pump then writes as they are."""
+        request, which the pump then writes as they are; the envelope
+        carries the pump's default ``chunk_size`` when the request set
+        none."""
 
     def answer_ping(self, request: PingRequest) -> QueryResult:
         """Answer a ``ping`` on the calling (reader) thread."""
@@ -306,6 +308,10 @@ class Pump:
                     if not line.strip():
                         continue
                     envelope = decode_envelope_line(line)
+                if envelope.chunk_size is None and self._chunk_size:
+                    # The default chunking goes in with the request, so a
+                    # dispatcher that encodes the frames chunks alike.
+                    envelope = replace(envelope, chunk_size=self._chunk_size)
                 request = envelope.request
                 if isinstance(request, QueryResult):
                     if self._number_lines:
@@ -394,7 +400,7 @@ class Pump:
             frames = getattr(future, "lines", None) or response_frames(
                 result,
                 id=envelope.id,
-                chunk_size=envelope.chunk_size or self._chunk_size,
+                chunk_size=envelope.chunk_size,
             )
             if not self._send(frames):
                 continue

@@ -28,7 +28,9 @@ Locking hierarchy (acquired strictly top-down, so no cycles):
 :meth:`~ParallelExecutor.submit` is the interface behind every serve loop —
 the shared connection pump (:mod:`repro.service.net.pump`) keeps a FIFO of
 futures to write responses in arrival order while up to ``workers``
-requests execute behind the head of the line.
+requests execute behind the head of the line.  The pool thread that
+answers an envelope also encodes its frames, so the pump's writer only
+sends them.
 """
 
 from __future__ import annotations
@@ -49,9 +51,17 @@ from .results import (
     QueryResult,
 )
 from .service import SimRankService
-from .wire import RequestEnvelope
+from .wire import RequestEnvelope, response_frames
 
 __all__ = ["ParallelExecutor"]
+
+
+class _EncodedAnswer(Future):
+    """A submitted envelope's future, with the response frames its pool
+    thread encoded (``None`` until then, or if encoding failed)."""
+
+    lines: list[str] | None = None
+
 
 class ParallelExecutor:
     """Execute service requests concurrently with ordered, enveloped output.
@@ -214,7 +224,9 @@ class ParallelExecutor:
         :class:`~repro.service.wire.RequestEnvelope` (see
         :func:`~repro.service.wire.decode_envelope`), which carries the
         request's deadline into the pool.  Wire dicts are decoded by the
-        caller, not here.
+        caller, not here.  An envelope's answer carries its response
+        frames, encoded for the envelope's ``id`` and ``chunk_size``, in
+        ``lines``.
 
         With ``max_pending`` set, a submission past the bound resolves
         immediately to an ``overloaded`` envelope — explicit load shedding
@@ -222,7 +234,7 @@ class ParallelExecutor:
         """
         pool = self._ensure_pool()
         if self._max_pending is None or self._is_exempt(request):
-            return pool.submit(self._execute_one, request)
+            return self._schedule(pool, request)
         with self._pending_lock:
             shed = self._pending >= self._max_pending
             if not shed:
@@ -243,9 +255,37 @@ class ParallelExecutor:
             future: Future[QueryResult] = Future()
             future.set_result(failure)
             return future
-        future = pool.submit(self._execute_one, request)
+        future = self._schedule(pool, request)
         future.add_done_callback(self._release_slot)
         return future
+
+    def _schedule(
+        self, pool: ThreadPoolExecutor, request: Query | ControlRequest | RequestEnvelope
+    ) -> "Future[QueryResult]":
+        """Run ``request`` on ``pool``.  An envelope's answer also carries
+        its response frames in ``lines``, encoded by the pool thread that
+        computed it before that thread takes the next request: the pump's
+        writer then only sends them, so a finished answer's encoding never
+        queues for the interpreter lock behind the next request's work."""
+        if not isinstance(request, RequestEnvelope):
+            return pool.submit(self._execute_one, request)
+        answer = _EncodedAnswer()
+
+        def run() -> None:
+            result = self._execute_one(request)
+            try:
+                answer.lines = list(
+                    response_frames(
+                        result, id=request.id, chunk_size=request.chunk_size
+                    )
+                )
+            finally:
+                # Unencodable, the answer still resolves; the pump's writer
+                # encodes it again and reports the failure itself.
+                answer.set_result(result)
+
+        pool.submit(run)
+        return answer
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

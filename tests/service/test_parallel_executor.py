@@ -25,7 +25,7 @@ from repro.service import (
     SingleSourceQuery,
     TopKQuery,
 )
-from repro.service.wire import decode_envelope
+from repro.service.wire import decode_envelope, response_frames
 
 DATASET = "grid"
 
@@ -253,6 +253,48 @@ class TestEnvelopePassThrough:
         assert results[0].error.message == "rejected"
         assert all(result.ok for result in results[1:])
 
+
+
+class TestEncodedAnswers:
+    """An envelope's answer arrives with its response lines, encoded on the
+    pool thread, exactly as the pump would have encoded them."""
+
+    @pytest.mark.parametrize("chunk_size", [None, 5])
+    def test_envelope_answers_carry_their_frames(self, chunk_size):
+        service = make_service()
+        bodies = [q.to_wire() for q in mixed_queries(33, count=9)]
+        bodies.append({"kind": "unknown_kind"})
+        extra = {"chunk_size": chunk_size} if chunk_size else {}
+        envelopes = [
+            decode_envelope({**body, "id": position, **extra})
+            for position, body in enumerate(bodies)
+        ]
+        with ParallelExecutor(service, workers=2) as executor:
+            answers = [executor.submit(envelope) for envelope in envelopes]
+            for envelope, answer in zip(envelopes, answers):
+                result = answer.result()
+                assert answer.lines == list(response_frames(
+                    result, id=envelope.id, chunk_size=envelope.chunk_size
+                ))
+            if chunk_size:
+                assert any(len(answer.lines) > 1 for answer in answers)
+
+    def test_typed_queries_leave_encoding_to_the_caller(self):
+        with ParallelExecutor(make_service(), workers=1) as executor:
+            answer = executor.submit(TopKQuery(DATASET, node=0, k=3))
+            assert answer.result().ok
+        assert getattr(answer, "lines", None) is None
+
+    def test_an_answer_that_fails_to_encode_still_resolves(self, monkeypatch):
+        def unencodable(*_args, **_kwargs):
+            raise TypeError("not serialisable")
+
+        monkeypatch.setattr("repro.service.parallel.response_frames", unencodable)
+        envelope = decode_envelope({**TopKQuery(DATASET, node=0, k=3).to_wire(), "id": 1})
+        with ParallelExecutor(make_service(), workers=1) as executor:
+            answer = executor.submit(envelope)
+            assert answer.result().ok
+        assert answer.lines is None
 
 class TestServiceStress:
     """Satellite: hammer one service session from 8 threads, 50 iterations."""
