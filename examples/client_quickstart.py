@@ -11,10 +11,9 @@ One client surface, two transports.  The script runs the same tour twice:
    id-correlated requests, chunked ``partial``/``done`` streaming, and a
    clean ``shutdown``.
 
-The tour exercises both planes: the four query kinds (single-pair,
-single-source — once monolithic, once streamed in chunks — top-k, and
-all-pairs) and the control operations (ping, open/list/close datasets,
-stats, describe).  At the end it checks the two transports returned
+The tour exercises both planes: the three query kinds (single-pair,
+single-source — once monolithic, once streamed in chunks — and top-k) and
+the control operations (ping, open/list/close datasets, stats, describe).  At the end it checks the two transports returned
 identical values, which is the client library's core promise.
 
 Run with:
@@ -55,9 +54,6 @@ def tour(client: SimRankClient, label: str) -> dict:
     print("top-5 for node 3: "
           + ", ".join(f"{e['node']}:{e['score']:.4f}" for e in top))
 
-    matrix = client.all_pairs("GrQc", chunk_size=16)
-    print(f"all_pairs: {len(matrix)}x{len(matrix[0])} matrix, streamed row-wise")
-
     print(f"open sessions: {client.list_datasets()}")
     described = client.describe("GrQc")
     for key, engine in described["engines"].items():
@@ -68,8 +64,7 @@ def tour(client: SimRankClient, label: str) -> dict:
     print(f"stats: {totals['total_queries']} queries, "
           f"{totals['cache_hits']} cache hits")
     print(f"close_dataset: {client.close_dataset('GrQc')}")
-    return {"pair": pair, "single_source": monolithic, "top": top,
-            "matrix": matrix}
+    return {"pair": pair, "single_source": monolithic, "top": top}
 
 
 def main() -> int:

@@ -52,7 +52,6 @@ from .engine import (
     create_engine,
 )
 from .service import (
-    AllPairsQuery,
     QueryResult,
     ServiceConfig,
     SimRankService,
@@ -89,5 +88,4 @@ __all__ = [
     "SinglePairQuery",
     "SingleSourceQuery",
     "TopKQuery",
-    "AllPairsQuery",
 ]

@@ -35,8 +35,9 @@ requests may wrap the v1 body with ``v``/``id``/``chunk_size`` envelope
 keys, responses echo the ``id``, control-plane kinds (``ping``,
 ``open_dataset``, ``close_dataset``, ``list_datasets``, ``stats``,
 ``describe``, ``mutate``, ``shutdown``) ride alongside queries, the serve loop opens
-with a ``hello`` frame, and chunked results stream as ``partial``/``done``
-frames.  Bare v1 query lines keep working unchanged.  ``--backend``
+with a ``hello`` frame, ``single_source`` and ``top_k`` values travel as
+base64 columns, and chunked ``single_source`` results stream as
+``partial``/``done`` frames.  Bare v1 query lines keep working unchanged.  ``--backend``
 selects any registered backend (``auto`` is an alias of ``sling``, the
 in-memory index; ``sling-disk`` serves it memory-mapped from disk), and
 ``--json`` switches ``query`` to machine-readable output including the
@@ -321,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         metavar="N",
-        help="stream single_source/all_pairs results longer than N as "
+        help="stream single_source results with more than N nonzeros as "
         "bounded partial frames when the request does not pick its own "
         "chunk_size (default: unchunked)",
     )
@@ -956,9 +957,9 @@ def _run_serve(args: argparse.Namespace) -> int:
     Requests then stream in one JSONL line at a time — bare v1 query lines
     or v2 envelopes, data plane and control plane alike; every request gets
     exactly one response, **in arrival order**, flushed as soon as it is
-    ready, echoing the request's ``id``.  Large ``single_source`` /
-    ``all_pairs`` answers stream as bounded ``partial``/``done`` frames
-    when the request (or ``--chunk-size``) asks for it.  Up to ``--workers``
+    ready, echoing the request's ``id``.  Large ``single_source`` answers
+    stream as bounded ``partial``/``done`` frames when the request (or
+    ``--chunk-size``) asks for it.  Up to ``--workers``
     requests execute concurrently behind the head of the line, and every
     dataset session touched stays open for the life of the process, so
     requests against different datasets interleave freely on one warm

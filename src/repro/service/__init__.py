@@ -12,7 +12,7 @@ strictly::
 
 * :mod:`repro.service.queries` — frozen, validated **data-plane** request
   dataclasses (:class:`SinglePairQuery`, :class:`SingleSourceQuery`,
-  :class:`TopKQuery`, :class:`AllPairsQuery`);
+  :class:`TopKQuery`);
 * :mod:`repro.service.control` — frozen **control-plane** request
   dataclasses (:class:`PingRequest`, :class:`OpenDatasetRequest`,
   :class:`CloseDatasetRequest`, :class:`ListDatasetsRequest`,
@@ -27,7 +27,8 @@ strictly::
   dataset + backend + latency + cache-hit flag, or a structured
   :class:`QueryError` — bad requests never raise across the boundary), and
   :class:`SparseScores`, the nonzeros form ``single_source`` values take
-  (NumPy columns in process, base64 columns on the wire);
+  (NumPy columns in process, base64 columns on the wire, as ``top_k``
+  lists also travel);
 * :mod:`repro.service.service` — :class:`SimRankService`, which manages named
   dataset sessions (lazy open, one engine per backend actually used,
   close / list / describe / aggregate statistics) and dispatches both
@@ -84,7 +85,6 @@ from .mutations import apply_mutation, mutate_session, recover_session
 from .parallel import ParallelExecutor
 from .queries import (
     QUERY_KINDS,
-    AllPairsQuery,
     Query,
     SinglePairQuery,
     SingleSourceQuery,
@@ -113,12 +113,8 @@ from .wire import (
     RequestEnvelope,
     decode_envelope,
     decode_envelope_line,
-    decode_request,
-    decode_result,
     encode_frame,
-    encode_request,
     encode_response,
-    encode_result,
     response_frames,
     result_from_frames,
 )
@@ -128,7 +124,6 @@ __all__ = [
     "SinglePairQuery",
     "SingleSourceQuery",
     "TopKQuery",
-    "AllPairsQuery",
     "QUERY_KINDS",
     "query_from_wire",
     "ControlRequest",
@@ -179,10 +174,6 @@ __all__ = [
     "RetryPolicy",
     "PROTOCOL_VERSION",
     "RequestEnvelope",
-    "encode_request",
-    "decode_request",
-    "encode_result",
-    "decode_result",
     "encode_frame",
     "encode_response",
     "decode_envelope",

@@ -72,7 +72,6 @@ from .control import (
     StatsRequest,
 )
 from .queries import (
-    AllPairsQuery,
     Query,
     SinglePairQuery,
     SingleSourceQuery,
@@ -633,8 +632,8 @@ class SimRankClient:
         """Answer one typed request; returns the full result envelope.
 
         ``chunk_size`` asks the server to stream a large ``single_source``
-        / ``all_pairs`` value as bounded frames; the client reassembles
-        them, so the returned envelope's ``value`` is always complete.
+        value as bounded frames; the client reassembles them, so the
+        returned envelope's ``value`` is always complete.
 
         ``deadline_ms`` (or the client-level default) stamps an end-to-end
         budget on the envelope; hops along the way decrement it and shed
@@ -717,12 +716,10 @@ class SimRankClient:
         )
 
     def top_k(self, dataset: str, node: int, k: int) -> list:
-        """The ``k`` nodes most similar to ``node``, ranked."""
+        """The ``k`` nodes most similar to ``node``, ranked: a list of
+        ``{"rank", "node", "score"}`` dicts (``int`` rank from 1, ``int``
+        node, ``float`` score), decoded from the wire's two columns."""
         return self._value(TopKQuery(dataset, node=node, k=k))
-
-    def all_pairs(self, dataset: str, *, chunk_size: int | None = None) -> list:
-        """The full score matrix (optionally streamed row-wise)."""
-        return self._value(AllPairsQuery(dataset), chunk_size=chunk_size)
 
     # ------------------------------------------------------------------ #
     # Control plane

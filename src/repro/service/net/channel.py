@@ -31,8 +31,9 @@ __all__ = [
 
 #: Hard cap on one inbound line.  Requests are tiny (a few hundred bytes);
 #: the cap only exists so a peer streaming garbage without a newline is
-#: bounded.  Responses can legitimately be large (all_pairs), so outbound
-#: lines are never limited.
+#: bounded.  Responses can legitimately be large (an unchunked
+#: single_source answer on a big graph), so outbound lines are never
+#: limited.
 DEFAULT_MAX_LINE_BYTES = 64 * 1024 * 1024
 
 

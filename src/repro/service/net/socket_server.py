@@ -47,8 +47,8 @@ class SocketServer:
         Where to listen.  TCP port 0 binds an ephemeral port; the resolved
         :attr:`address` tells callers what was actually bound.
     chunk_size:
-        Server-side default for streaming large ``single_source`` /
-        ``all_pairs`` values; a request's own ``chunk_size`` wins.
+        Server-side default for streaming large ``single_source`` values;
+        a request's own ``chunk_size`` wins.
     hello:
         Whether connections open with a ``hello`` frame (on by default;
         strictly-v1 consumers can turn it off).

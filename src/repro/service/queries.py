@@ -5,9 +5,10 @@ name of the dataset session it targets plus its kind-specific arguments:
 
 * :class:`SinglePairQuery` — SimRank of one ``(node_u, node_v)`` pair;
 * :class:`SingleSourceQuery` — SimRank from ``node`` to every node;
-* :class:`TopKQuery` — the ``k`` nodes most similar to ``node``;
-* :class:`AllPairsQuery` — the full score matrix (one single-source sweep per
-  node, so only sensible on small sessions).
+* :class:`TopKQuery` — the ``k`` nodes most similar to ``node``.
+
+The full all-pairs matrix is not served (it is O(n²)); compute it in
+process with :meth:`repro.sling.SlingIndex.all_pairs`.
 
 Construction validates everything that can be checked without a graph (types,
 signs, a non-empty dataset name) and raises
@@ -32,7 +33,6 @@ __all__ = [
     "SinglePairQuery",
     "SingleSourceQuery",
     "TopKQuery",
-    "AllPairsQuery",
     "QUERY_KINDS",
     "query_from_wire",
     "fields_from_wire",
@@ -113,17 +113,9 @@ class TopKQuery(Query):
             raise ParameterError(f"k must be a positive int, got {self.k!r}")
 
 
-@dataclass(frozen=True)
-class AllPairsQuery(Query):
-    """The full all-pairs score matrix of the dataset."""
-
-    kind: ClassVar[str] = "all_pairs"
-
-
 #: Wire discriminator -> query class, for :func:`query_from_wire`.
 QUERY_KINDS: dict[str, type[Query]] = {
-    cls.kind: cls
-    for cls in (SinglePairQuery, SingleSourceQuery, TopKQuery, AllPairsQuery)
+    cls.kind: cls for cls in (SinglePairQuery, SingleSourceQuery, TopKQuery)
 }
 
 

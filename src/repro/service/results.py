@@ -4,10 +4,10 @@ A :class:`QueryResult` is the *only* thing that crosses the service boundary:
 successful queries carry their value plus provenance (dataset, backend,
 latency, whether the engine's cache answered);
 failed ones carry a structured :class:`QueryError` instead of an exception.
-``value`` is plain JSON-able Python (floats, lists, dicts), except for
-``single_source``, whose :class:`SparseScores` has a JSON-able
-:meth:`~SparseScores.to_wire` form; :meth:`QueryResult.to_wire` applies it,
-so the envelope still serialises to one JSONL line.
+``value`` is plain JSON-able Python (floats, lists, dicts); the
+vector-valued kinds travel as binary columns, which
+:meth:`QueryResult.to_wire` encodes, so the envelope still serialises to
+one JSONL line.
 
 Value shapes by kind (in-process type, then wire form):
 
@@ -19,22 +19,26 @@ Value shapes by kind (in-process type, then wire form):
                   strictly increasing, and little-endian float64 scores.
                   ``np.asarray`` of it is the dense length-``n`` vector
                   (index = node id).
-``top_k``         ``list[{"rank": int, "node": int, "score": float}]``
-``all_pairs``     ``list[list[float]]`` (row = source node)
+``top_k``         ``list[{"rank": int, "node": int, "score": float}]``; on
+                  the wire the same two columns without ``n``,
+                  ``{"index": "<base64>", "value": "<base64>"}``: the node
+                  ids (distinct, non-negative) and their scores
+                  (non-increasing) in rank order, so rank is the position.
 =============== ==========================================================
 
 A SimRank single-source vector is mostly zeros on sparse graphs: on the
 6,000-node Google stand-in (epsilon 0.025) the median answer has ~14
-nonzeros.  Each nonzero costs 12 bytes, 16 characters once base64-encoded,
-about what one full-precision decimal score costs in a dense list; and the
-columns are bit-exact by construction, encoded and decoded without a
-decimal conversion.
+nonzeros.  Each nonzero (or top-k entry) costs 12 bytes, 16 characters
+once base64-encoded, about what one full-precision decimal score costs in
+a JSON list; and the columns are bit-exact by construction, encoded and
+decoded without a decimal conversion.
 """
 
 from __future__ import annotations
 
 import binascii
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,10 +108,8 @@ def _frozen(data: object, dtype: type) -> np.ndarray:
     return array
 
 
-def _b64(column: np.ndarray, dtype: np.dtype) -> str:
-    """Base64 of a column's little-endian bytes (no copy on a
-    little-endian host)."""
-    data = np.ascontiguousarray(column, dtype=dtype)
+def _b64(data: object) -> str:
+    """Base64 of a bytes-like column."""
     return binascii.b2a_base64(data, newline=False).decode("ascii")
 
 
@@ -202,10 +204,11 @@ class SparseScores:
 
     def columns(self, start: int = 0, stop: int | None = None) -> dict:
         """The wire columns of pairs ``[start, stop)``: base64 of the
-        little-endian int32 ids and float64 scores."""
+        little-endian int32 ids and float64 scores (no copy on a
+        little-endian host)."""
         return {
-            "index": _b64(self.index[start:stop], _INDEX_DTYPE),
-            "value": _b64(self.value[start:stop], _VALUE_DTYPE),
+            "index": _b64(np.ascontiguousarray(self.index[start:stop], _INDEX_DTYPE)),
+            "value": _b64(np.ascontiguousarray(self.value[start:stop], _VALUE_DTYPE)),
         }
 
     def to_wire(self) -> dict:
@@ -238,40 +241,44 @@ class SparseScores:
     __hash__ = None  # type: ignore[assignment]
 
 
-def _decode_column(text: object, name: str) -> bytes:
+def _decode_column(text: object, kind: str, name: str) -> bytes:
     """The bytes of one base64 wire column (strict: no stray characters,
     exact padding)."""
     if type(text) is not str:
         raise WireFormatError(
-            f"single_source {name} must be a base64 string, got "
-            f"{type(text).__name__}"
+            f"{kind} {name} must be a base64 string, got {type(text).__name__}"
         )
     try:
-        return binascii.a2b_base64(text, strict_mode=True)
+        data = binascii.a2b_base64(text, strict_mode=True)
     except (binascii.Error, ValueError) as exc:
-        raise WireFormatError(f"single_source {name} is not base64: {exc}") from exc
+        raise WireFormatError(f"{kind} {name} is not base64: {exc}") from exc
+    # Strict mode still takes padding after a whole final quantum
+    # ("AAAA=="); only the canonical length re-encodes to the same line.
+    if len(text) != -(-len(data) // 3) * 4:
+        raise WireFormatError(f"{kind} {name} is not canonical base64")
+    return data
 
 
-def decode_columns(payload: object) -> tuple[bytes, bytes, int]:
+def decode_columns(payload: object, kind: str) -> tuple[bytes, bytes, int]:
     """The id bytes, score bytes and pair count of a wire
-    ``{"index", "value"}`` object: a whole ``single_source`` value or one
-    ``partial`` frame's chunk of it.
+    ``{"index", "value"}`` object: a whole ``single_source`` or ``top_k``
+    value, or one ``partial`` frame's chunk of a ``single_source`` one.
 
-    Raises :class:`~repro.exceptions.WireFormatError` unless both columns
-    are strict base64 of whole int32 ids and float64 scores, equally many;
-    :meth:`SparseScores.from_columns` checks the ids and scores themselves.
+    Raises :class:`~repro.exceptions.WireFormatError`, naming ``kind``,
+    unless both columns are strict base64 of whole int32 ids and float64
+    scores, equally many; the callers check the ids and scores themselves.
     """
     if not isinstance(payload, dict):
         raise WireFormatError(
-            "single_source value must be an object with index and value "
+            f"{kind} value must be an object with index and value "
             f"columns, got {type(payload).__name__}"
         )
-    index = _decode_column(payload.get("index"), "index")
-    value = _decode_column(payload.get("value"), "value")
+    index = _decode_column(payload.get("index"), kind, "index")
+    value = _decode_column(payload.get("value"), kind, "value")
     pairs, stray = divmod(len(index), _INDEX_DTYPE.itemsize)
     if stray or len(value) != pairs * _VALUE_DTYPE.itemsize:
         raise WireFormatError(
-            f"single_source columns of {len(index)} and {len(value)} bytes "
+            f"{kind} columns of {len(index)} and {len(value)} bytes "
             "are not equally many int32 ids and float64 scores"
         )
     return index, value, pairs
@@ -279,8 +286,37 @@ def decode_columns(payload: object) -> tuple[bytes, bytes, int]:
 
 def _sparse_from_wire(payload: object) -> SparseScores:
     """Decode and validate the wire form of a :class:`SparseScores`."""
-    index, value, _ = decode_columns(payload)
+    index, value, _ = decode_columns(payload, "single_source")
     return SparseScores.from_columns(payload.get("n"), index, value)
+
+
+def _top_k_columns(entries: list) -> dict:
+    """The wire form of a ``top_k`` list: its node ids and scores as
+    little-endian int32 and float64 columns, in rank order."""
+    count = len(entries)
+    return {
+        "index": _b64(struct.pack(f"<{count}i", *[e["node"] for e in entries])),
+        "value": _b64(struct.pack(f"<{count}d", *[e["score"] for e in entries])),
+    }
+
+
+def _top_k_from_wire(payload: object) -> list[dict]:
+    """Decode and validate the wire form of a ``top_k`` list: the ids must
+    be distinct and non-negative, the scores finite and non-increasing."""
+    index, value, count = decode_columns(payload, "top_k")
+    nodes = struct.unpack(f"<{count}i", index)
+    scores = struct.unpack(f"<{count}d", value)
+    if count:
+        if min(nodes) < 0 or len(set(nodes)) != count:
+            raise WireFormatError("top_k node ids must be distinct and non-negative")
+        if not all(map(math.isfinite, scores)):
+            raise WireFormatError("top_k scores must be finite")
+        if scores != tuple(sorted(scores, reverse=True)):
+            raise WireFormatError("top_k scores must not increase with rank")
+    return [
+        {"rank": rank, "node": node, "score": score}
+        for rank, (node, score) in enumerate(zip(nodes, scores), start=1)
+    ]
 
 
 def _check_type(name: str, value: object, expected: type) -> None:
@@ -293,22 +329,6 @@ def _check_type(name: str, value: object, expected: type) -> None:
 
 def _is_finite_number(value: object) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
-
-
-def _check_top_k(value: object) -> None:
-    """Raise unless ``value`` is a list of ``{"rank": int, "node": int,
-    "score": finite number}`` entries."""
-    if type(value) is not list or not all(
-        type(entry) is dict
-        and type(entry.get("rank")) is int
-        and type(entry.get("node")) is int
-        and _is_finite_number(entry.get("score"))
-        for entry in value
-    ):
-        raise WireFormatError(
-            "top_k value must be a list of rank/node/score entries "
-            f"(int, int, finite number), got {value!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -436,9 +456,11 @@ class QueryResult:
         }
         if self.ok:
             value = self.value
-            payload["value"] = (
-                value.to_wire() if type(value) is SparseScores else value
-            )
+            if type(value) is SparseScores:
+                value = value.to_wire()
+            elif self.kind == "top_k":
+                value = _top_k_columns(value)
+            payload["value"] = value
             payload["backend"] = self.backend
             payload["cache_hit"] = self.cache_hit
             if self.index_version is not None:
@@ -458,8 +480,9 @@ def result_from_wire(payload: object) -> QueryResult:
     ``seconds`` must be a finite number; ``kind``, ``dataset`` and
     ``backend`` strings, ``cache_hit`` a bool and ``index_version`` an int
     when present; a query value must have its kind's shape (see the table
-    above); and an error's ``code`` and ``message`` must be strings.  Keys
-    it does not know (such as the retired ``plan``) are ignored.
+    above), any other kind's an object; and an error's ``code`` and
+    ``message`` must be strings.  Keys it does not know (such as the
+    retired ``plan``) are ignored.
     """
     if not isinstance(payload, dict):
         raise WireFormatError(
@@ -482,16 +505,24 @@ def result_from_wire(payload: object) -> QueryResult:
         _check_type("backend", backend, str)
         _check_type("cache_hit", cache_hit, bool)
         value = payload.get("value")
-        if kind == "single_source" and type(value) is not SparseScores:
+        if kind == "single_source":
             # A chunked response arrives here already reassembled and
             # checked by :func:`~repro.service.wire.result_from_frames`.
-            value = _sparse_from_wire(value)
-        elif kind == "single_pair" and not _is_finite_number(value):
-            raise WireFormatError(
-                f"single_pair value must be a finite number, got {value!r}"
-            )
+            if type(value) is not SparseScores:
+                value = _sparse_from_wire(value)
         elif kind == "top_k":
-            _check_top_k(value)
+            value = _top_k_from_wire(value)
+        elif kind == "single_pair":
+            if not _is_finite_number(value):
+                raise WireFormatError(
+                    f"single_pair value must be a finite number, got {value!r}"
+                )
+        elif type(value) is not dict:
+            # Every control answer is an object; anything else (such as
+            # the row lists of the retired served ``all_pairs``) is refused.
+            raise WireFormatError(
+                f"{kind} value must be an object, got {type(value).__name__}"
+            )
         return QueryResult.success(
             value=value,
             backend=backend,

@@ -526,7 +526,6 @@ class SimRankService:
         # defeat the ``index_version`` echo clients use to reason about
         # staleness.
         version = session.index_version
-        cache_hit: bool | None
         try:
             if kind == "single_pair":
                 if query.node_u >= n or query.node_v >= n:
@@ -547,11 +546,6 @@ class SimRankService:
                         engine.top_k(query.node, query.k), start=1
                     )
                 ]
-            elif kind == "all_pairs":
-                value = [
-                    engine.single_source(node).tolist()
-                    for node in session.graph.nodes()
-                ]
             else:
                 return self._fail(
                     ERROR_BAD_REQUEST, f"unsupported query kind {kind!r}",
@@ -567,11 +561,8 @@ class SimRankService:
         # Attributed per calling thread — under concurrent execution the
         # aggregate counters interleave, so a counter delta would claim other
         # threads' hits as this request's.
-        if kind == "all_pairs":
-            cache_hit = None
-        else:
-            record = engine.last_query_record
-            cache_hit = record.cache_hit if record is not None else None
+        record = engine.last_query_record
+        cache_hit = record.cache_hit if record is not None else None
         # Only mutated sessions stamp a version, so the wire form of a
         # static service is byte-for-byte what it was before mutations
         # existed.

@@ -9,7 +9,13 @@ with envelope keys::
 and comes back as a response envelope that echoes the id::
 
     {"v": 2, "id": 7, "ok": true, "kind": "top_k", "dataset": "GrQc",
-     "seconds": ..., "value": [...], "backend": "sling", "cache_hit": false}
+     "seconds": ..., "value": {"index": "<base64>", "value": "<base64>"},
+     "backend": "sling", "cache_hit": false}
+
+Vector-valued answers travel as two base64 columns of little-endian int32
+node ids and float64 scores (see :mod:`repro.service.results`): a
+``top_k`` value is its ranked ids and scores, a ``single_source`` value
+its nonzeros plus ``n``.
 
 The envelope keys are:
 
@@ -19,19 +25,11 @@ The envelope keys are:
 * ``v`` — the protocol version the client speaks (``1`` or ``2``).  Bare
   v1 lines (no envelope keys at all) keep working: they decode as v2 with
   ``id: null`` and are answered unchunked.
-* ``chunk_size`` — ask for a large result (``single_source``,
-  ``all_pairs``) to be streamed as bounded ``partial`` frames followed by a
-  terminal ``done`` frame instead of one giant line.  ``all_pairs`` is
-  chunked by rows::
-
-      {"v":2,"frame":"partial","id":7,"kind":"all_pairs", ...,
-       "seq":0,"offset":0,"value":[...at most chunk_size rows...]}
-      {"v":2,"frame":"done","id":7,"ok":true, ..., "chunks":4,"total":2048}
-
-  ``single_source`` values travel as their nonzeros, two base64 columns
-  of little-endian int32 ids and float64 scores
+* ``chunk_size`` — ask for a large ``single_source`` result to be
+  streamed as bounded ``partial`` frames followed by a terminal ``done``
+  frame instead of one giant line.  Its value travels as its nonzeros
   (``{"n":..,"index":"<base64>","value":"<base64>"}``, see
-  :class:`~repro.service.results.SparseScores`), so they are chunked by
+  :class:`~repro.service.results.SparseScores`), so it is chunked by
   nonzeros: each partial carries the columns of at most ``chunk_size``
   ``(index, value)`` pairs, ``offset`` counts the pairs already sent, and
   the ``done`` frame adds ``n`` while ``total`` counts the pairs::
@@ -44,7 +42,8 @@ The envelope keys are:
   The ``done`` frame carries everything a monolithic response does except
   ``value``; concatenating the partials in ``seq`` order reconstructs the
   value exactly (:func:`result_from_frames`).  A result with at most
-  ``chunk_size`` rows or nonzeros goes out as one monolithic line.
+  ``chunk_size`` nonzeros, and every other kind, goes out as one
+  monolithic line.
 
 A serve loop additionally opens with a ``hello`` frame (``{"v":2,
 "frame":"hello","protocol":2,...}``) advertising the protocol version,
@@ -53,8 +52,8 @@ available backends, and open datasets — see
 
 Malformed lines never raise across the boundary — they decode into error
 envelopes (``ok: false`` with a structured ``error`` object), which is what
-``repro batch`` emits for them.  This module owns the string-level layer
-and the envelope codec; the dict-level body codecs live with the
+``repro batch`` emits for them.  This module owns the envelope and frame
+codecs; the dict-level body codecs live with the
 dataclasses (:func:`~repro.service.queries.query_from_wire`,
 :func:`~repro.service.control.request_from_wire`,
 :func:`~repro.service.results.result_from_wire`).
@@ -70,7 +69,7 @@ from typing import Iterator, Sequence
 
 from ..exceptions import ParameterError, WireFormatError
 from .control import ControlRequest, request_from_wire
-from .queries import Query, query_from_wire
+from .queries import Query
 from .results import (
     ERROR_BAD_REQUEST,
     QueryResult,
@@ -83,12 +82,8 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ENVELOPE_KEYS",
     "RequestEnvelope",
-    "encode_request",
-    "decode_request",
     "decode_envelope",
     "decode_envelope_line",
-    "encode_result",
-    "decode_result",
     "encode_frame",
     "encode_response",
     "response_frames",
@@ -104,34 +99,9 @@ _SEPARATORS = (",", ":")
 #: Request-envelope keys, stripped before the body is decoded.
 ENVELOPE_KEYS = frozenset({"v", "id", "chunk_size", "deadline_ms"})
 
-#: Result kinds whose list values may be chunked into ``partial`` frames.
-CHUNKABLE_KINDS = frozenset({"single_source", "all_pairs"})
-
 
 def _dumps(payload: dict) -> str:
     return json.dumps(payload, separators=_SEPARATORS)
-
-
-# --------------------------------------------------------------------- #
-# v1 string-level codec (kept verbatim for embedders and the tests)
-# --------------------------------------------------------------------- #
-def encode_request(query: Query | ControlRequest) -> str:
-    """One JSONL line for ``query`` (bare body, no envelope keys)."""
-    return _dumps(query.to_wire())
-
-
-def decode_request(line: str) -> Query:
-    """Parse one JSONL request line into a typed query.
-
-    Raises :class:`~repro.exceptions.WireFormatError` when the line is not
-    valid JSON or not a well-formed request (callers that must not raise —
-    the batch runner — catch it and emit an error envelope instead).
-    """
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise WireFormatError(f"invalid JSON: {exc}") from exc
-    return query_from_wire(payload)
 
 
 def _decode_failure(payload: object, exc: Exception) -> QueryResult:
@@ -279,31 +249,6 @@ def decode_envelope_line(line: str) -> RequestEnvelope:
 # --------------------------------------------------------------------- #
 # Response encoding
 # --------------------------------------------------------------------- #
-def encode_result(result: QueryResult) -> str:
-    """One bare v1 JSONL line for ``result`` (no envelope keys)."""
-    return _dumps(result.to_wire())
-
-
-def decode_result(line: str) -> QueryResult:
-    """Parse one JSONL result line back into a :class:`QueryResult`.
-
-    Envelope keys (``v``/``id``/``frame`` metadata) are ignored, so v1 and
-    v2 monolithic response lines both decode; chunked responses go through
-    :func:`result_from_frames` instead.
-    """
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise WireFormatError(f"invalid JSON: {exc}") from exc
-    if isinstance(payload, dict):
-        payload = {
-            key: value
-            for key, value in payload.items()
-            if key not in ("v", "id")
-        }
-    return result_from_wire(payload)
-
-
 def encode_frame(payload: dict) -> str:
     """One compact JSONL line for an already-shaped frame dict."""
     return _dumps(payload)
@@ -322,32 +267,25 @@ def response_frames(
 ) -> Iterator[str]:
     """The encoded frame lines answering one request.
 
-    Without ``chunk_size`` (or for error envelopes and non-chunkable
-    kinds) this is exactly one monolithic line from :func:`encode_response`.
-    With it, an ``all_pairs`` result with more than ``chunk_size`` rows, or
-    a ``single_source`` result with more than ``chunk_size`` nonzeros,
-    streams as ``partial`` frames of at most ``chunk_size`` rows (or
-    ``(index, value)`` pairs) each, then a terminal ``done`` frame — so the
-    peak line size is bounded by the chunk, not the graph.
+    Exactly one monolithic line from :func:`encode_response`, unless
+    ``chunk_size`` is set and the result is a ``single_source`` answer with
+    more than ``chunk_size`` nonzeros: that streams as ``partial`` frames
+    of at most ``chunk_size`` ``(index, value)`` pairs each, then a
+    terminal ``done`` frame — so the peak line size is bounded by the
+    chunk, not the graph.
     """
     value = result.value
-    sparse = type(value) is SparseScores
-    if sparse:
-        total = value.index.size
-    else:
-        total = len(value) if isinstance(value, list) else 0
     if (
         not chunk_size
-        or not result.ok
-        or result.kind not in CHUNKABLE_KINDS
-        or total <= chunk_size
+        or type(value) is not SparseScores
+        or value.index.size <= chunk_size
     ):
         yield encode_response(result, id=id)
         return
+    total = value.index.size
     chunks = (total + chunk_size - 1) // chunk_size
     for seq in range(chunks):
         offset = seq * chunk_size
-        stop = offset + chunk_size
         yield _dumps(
             {
                 "v": PROTOCOL_VERSION,
@@ -357,15 +295,12 @@ def response_frames(
                 "dataset": result.dataset,
                 "seq": seq,
                 "offset": offset,
-                "value": (
-                    value.columns(offset, stop) if sparse else value[offset:stop]
-                ),
+                "value": value.columns(offset, offset + chunk_size),
             }
         )
     done = {"v": PROTOCOL_VERSION, "frame": "done", "id": id, **result.to_wire()}
     del done["value"]
-    if sparse:
-        done["n"] = value.n
+    done["n"] = value.n
     done["chunks"] = chunks
     done["total"] = total
     yield _dumps(done)
@@ -375,9 +310,11 @@ def result_from_frames(frames: Sequence[dict]) -> QueryResult:
     """Reassemble one response from its decoded frame payloads.
 
     Accepts either a single monolithic response payload or a full
-    ``partial``... ``done`` sequence; the concatenated value is exactly the
-    unchunked answer.  Raises :class:`~repro.exceptions.WireFormatError`
-    on gaps, misordered partials, or a length mismatch with ``done``.
+    ``partial``... ``done`` sequence of a ``single_source`` answer; the
+    joined value is exactly the unchunked answer.  Raises
+    :class:`~repro.exceptions.WireFormatError` on gaps, misordered
+    partials, a length mismatch with ``done``, or a chunked answer of
+    any other kind.
     """
     if not frames:
         raise WireFormatError("no frames to reassemble")
@@ -393,8 +330,10 @@ def result_from_frames(frames: Sequence[dict]) -> QueryResult:
         raise WireFormatError(
             f"chunked response must end with a done frame, got {done.get('frame')!r}"
         )
-    sparse = done.get("kind") == "single_source"
-    items: list = []
+    if done.get("kind") != "single_source":
+        raise WireFormatError(
+            f"only single_source answers are chunked, got {done.get('kind')!r}"
+        )
     indexes: list[bytes] = []
     scores: list[bytes] = []
     received = 0
@@ -413,19 +352,12 @@ def result_from_frames(frames: Sequence[dict]) -> QueryResult:
                 f"partial frame offset {frame.get('offset')!r} does not match "
                 f"{received} items received"
             )
-        chunk = frame.get("value")
-        if sparse:
-            # Ids, their order (across partials too) and the scores are
-            # checked once, on the joined columns below.
-            index, value, pairs = decode_columns(chunk)
-            indexes.append(index)
-            scores.append(value)
-            received += pairs
-        else:
-            if not isinstance(chunk, list):
-                raise WireFormatError("partial frame value must be a list")
-            items.extend(chunk)
-            received += len(chunk)
+        # Ids, their order (across partials too) and the scores are
+        # checked once, on the joined columns below.
+        index, value, pairs = decode_columns(frame.get("value"), "single_source")
+        indexes.append(index)
+        scores.append(value)
+        received += pairs
     expected = done.get("total")
     if expected is not None and expected != received:
         raise WireFormatError(
@@ -436,11 +368,7 @@ def result_from_frames(frames: Sequence[dict]) -> QueryResult:
         for key, val in done.items()
         if key not in ("v", "id", "frame", "chunks", "total", "n")
     }
-    payload["value"] = (
-        SparseScores.from_columns(
-            done.get("n"), b"".join(indexes), b"".join(scores)
-        )
-        if sparse
-        else items
+    payload["value"] = SparseScores.from_columns(
+        done.get("n"), b"".join(indexes), b"".join(scores)
     )
     return result_from_wire(payload)

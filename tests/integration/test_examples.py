@@ -82,6 +82,16 @@ class TestExampleScripts:
             in result.stdout
         assert "eps_stale=0.000" in result.stdout
 
+    def test_client_quickstart(self):
+        result = run_example("client_quickstart.py", "--scale", "0.05")
+        assert result.returncode == 0, result.stderr
+        assert "parity holds" in result.stdout
+
+    def test_serving_quickstart(self):
+        result = run_example("serving_quickstart.py", "--scale", "0.05")
+        assert result.returncode == 0, result.stderr
+        assert "serving tour complete" in result.stdout
+
     def test_accuracy_study(self):
         result = run_example(
             "accuracy_study.py", "--dataset", "GrQc", "--scale", "0.08", "--epsilon", "0.05"

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import base64
 import io
 import json
 
 import pytest
 
 from repro.cli import main
+from repro.service import result_from_frames
 
 #: Fast settings shared by every batch invocation.
 FAST = ["--scale", "0.05", "--epsilon", "0.1", "--mc-walks", "30"]
@@ -41,8 +43,10 @@ class TestBatchHappyPath:
         assert envelope["ok"] is True
         assert envelope["kind"] == "top_k"
         assert envelope["dataset"] == "GrQc"
-        assert len(envelope["value"]) == 5
-        assert envelope["value"][0]["rank"] == 1
+        # Five ranked node ids and scores, as two base64 columns.
+        assert len(base64.b64decode(envelope["value"]["index"])) == 5 * 4
+        assert len(base64.b64decode(envelope["value"]["value"])) == 5 * 8
+        assert result_from_frames([envelope]).value[0]["rank"] == 1
         assert envelope["backend"] == "sling"
         assert "plan" not in envelope
         assert envelope["seconds"] > 0.0
@@ -56,12 +60,11 @@ class TestBatchHappyPath:
                 "",
                 '{"kind":"single_source","dataset":"GrQc","node":1}',
                 '{"kind":"top_k","dataset":"GrQc","node":1,"k":3}',
-                '{"kind":"all_pairs","dataset":"GrQc"}',
             ],
         )
         assert exit_code == 0
         assert [envelope["kind"] for envelope in envelopes] == [
-            "single_pair", "single_source", "top_k", "all_pairs",
+            "single_pair", "single_source", "top_k",
         ]
         assert all(envelope["ok"] for envelope in envelopes)
 
@@ -139,7 +142,7 @@ class TestBatchFiles:
 
     def test_unwritable_output_fails_cleanly(self, capsys, tmp_path):
         requests = tmp_path / "requests.jsonl"
-        requests.write_text('{"kind":"all_pairs","dataset":"GrQc"}\n')
+        requests.write_text('{"kind":"top_k","dataset":"GrQc","node":3,"k":2}\n')
         exit_code = main(
             ["batch", *FAST, "--input", str(requests),
              "--output", str(tmp_path / "missing-dir" / "out.jsonl")]

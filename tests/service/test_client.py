@@ -145,6 +145,17 @@ def normalize(value):
     return value
 
 
+def assert_top_k_shape(top) -> None:
+    """The decoded ``top_k`` value every transport hands back: a list of
+    ``{"rank", "node", "score"}`` dicts, ranked from 1, with ``int`` nodes
+    and ``float`` scores (the shape ``perfbench/gate.py`` reads)."""
+    assert type(top) is list and top
+    for position, entry in enumerate(top):
+        assert set(entry) == {"rank", "node", "score"}
+        assert entry["rank"] == position + 1 and type(entry["rank"]) is int
+        assert type(entry["node"]) is int and type(entry["score"]) is float
+
+
 def run_scenario(client: SimRankClient) -> list:
     """Every query kind and every control operation, in a fixed order."""
     record = []
@@ -162,8 +173,9 @@ def run_scenario(client: SimRankClient) -> list:
     assert chunked == unchunked  # chunking must not change the answer
     step("single_source", unchunked)
     step("single_source-chunked", chunked)
-    step("top_k", client.top_k("GrQc", 3, 5))
-    step("all_pairs", client.all_pairs("GrQc", chunk_size=11))
+    top = client.top_k("GrQc", 3, 5)
+    assert_top_k_shape(top)
+    step("top_k", top)
     step("list", client.list_datasets())
     step("describe-service", client.describe())
     step("describe-dataset", client.describe("GrQc"))
@@ -200,9 +212,40 @@ class TestTransportParity:
     def test_scenario_covers_every_kind(self):
         with make_client("in_process") as client:
             labels = {label for label, _ in run_scenario(client)}
-        assert {"single_pair", "single_source", "top_k", "all_pairs"} <= labels
+        assert {"single_pair", "single_source", "top_k"} <= labels
         assert {"ping", "open", "close", "list", "stats", "describe-service",
                 "describe-dataset", "shutdown"} <= labels
+
+
+@pytest.fixture(params=["in_process", "socket", "tcp", "router"])
+def transport(request):
+    """A client on every transport, a two-worker router included."""
+    if request.param != "router":
+        with open_client(request.param) as client:
+            yield client
+        return
+    pool = WorkerPool(
+        2,
+        serve_args=[
+            "--scale", str(SCALE), "--epsilon", str(EPSILON),
+            "--seed", str(SEED), "--mc-walks", str(MC_WALKS),
+        ],
+    )
+    pool.start()
+    router = Router(pool, address=Address(family="tcp", host="127.0.0.1", port=0))
+    router.start()
+    client = SimRankClient(address=str(router.address))
+    try:
+        yield client
+    finally:
+        client.close()
+        router.stop()
+
+
+def reference_index(dataset: str) -> SlingIndex:
+    """The index every transport's workers build for ``dataset``."""
+    graph = datasets.load_dataset(dataset, scale=SCALE, seed=SEED)
+    return SlingIndex(graph, c=BackendConfig().c, epsilon=EPSILON, seed=SEED).build()
 
 
 class TestSingleSourceParity:
@@ -215,33 +258,7 @@ class TestSingleSourceParity:
 
     @pytest.fixture(scope="class")
     def reference(self):
-        graph = datasets.load_dataset(self.DATASET, scale=SCALE, seed=SEED)
-        return SlingIndex(
-            graph, c=BackendConfig().c, epsilon=EPSILON, seed=SEED
-        ).build()
-
-    @pytest.fixture(params=["in_process", "socket", "tcp", "router"])
-    def transport(self, request):
-        if request.param != "router":
-            with open_client(request.param) as client:
-                yield client
-            return
-        pool = WorkerPool(
-            2,
-            serve_args=[
-                "--scale", str(SCALE), "--epsilon", str(EPSILON),
-                "--seed", str(SEED), "--mc-walks", str(MC_WALKS),
-            ],
-        )
-        pool.start()
-        router = Router(pool, address=Address(family="tcp", host="127.0.0.1", port=0))
-        router.start()
-        client = SimRankClient(address=str(router.address))
-        try:
-            yield client
-        finally:
-            client.close()
-            router.stop()
+        return reference_index(self.DATASET)
 
     def test_densified_values_are_bitwise_the_index(self, transport, reference):
         nonzeros = []
@@ -264,6 +281,25 @@ class TestSingleSourceParity:
             nonzeros.append(len(unchunked.value.index))
         assert min(nonzeros) == 1  # a self-only vector is in the sample
         assert max(nonzeros) > 16  # and some answers really were chunked
+
+
+class TestTopKParity:
+    """Every transport decodes a ``top_k`` answer's two columns into the
+    same ranked entries, bitwise those ``SlingIndex.top_k`` ranks."""
+
+    DATASET = "GrQc"
+    K = 10
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return reference_index(self.DATASET)
+
+    def test_top_k_entries_are_the_index_ranking(self, transport, reference):
+        for node in range(0, reference.graph.num_nodes, 25):
+            top = transport.top_k(self.DATASET, node, self.K)
+            assert_top_k_shape(top)
+            expected = reference.top_k(node, self.K)
+            assert [(e["node"], e["score"]) for e in top] == expected, node
 
 
 def assert_records_identical(local_record, remote_record):

@@ -17,7 +17,6 @@ import pytest
 from repro.exceptions import ParameterError
 from repro.graphs import generators
 from repro.service import (
-    AllPairsQuery,
     ParallelExecutor,
     ServiceConfig,
     SimRankService,
@@ -81,20 +80,21 @@ class TestOrderedOutput:
             assert [essence(result) for result in results] == sequential, workers
 
     @pytest.mark.parametrize("workers", (1, 4))
-    def test_all_pairs_alongside_sources_matches_sequential(self, workers):
-        """``all_pairs`` sweeps the engine's single-source path while other
-        workers query the same sources."""
+    def test_source_sweeps_alongside_sources_match_sequential(self, workers):
+        """A sweep over every source runs the engine's single-source path
+        while other workers query the same sources."""
         service = make_service()
         n = service.open_dataset(DATASET).num_nodes
-        requests = [AllPairsQuery(DATASET)] + [
+        sweep = [SingleSourceQuery(DATASET, node=node) for node in range(n)]
+        requests = sweep + [
             SingleSourceQuery(DATASET, node=node) for node in range(0, n, 3)
-        ] + [AllPairsQuery(DATASET)]
+        ] + sweep
         reference = make_service()
         sequential = [essence(reference.execute(query)) for query in requests]
         with ParallelExecutor(service, workers=workers) as executor:
             results = submit_all(executor, requests)
         assert [essence(result) for result in results] == sequential
-        assert len(results[0].value) == n
+        assert all(result.value.n == n for result in results)
 
     def test_decoded_envelopes_and_typed_queries_mix(self):
         service = make_service()

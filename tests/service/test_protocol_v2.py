@@ -32,10 +32,8 @@ from repro.service import (
     TopKQuery,
     decode_envelope,
     decode_envelope_line,
-    decode_result,
-    encode_request,
+    encode_frame,
     encode_response,
-    encode_result,
     response_frames,
     result_from_frames,
 )
@@ -140,7 +138,7 @@ class TestCompactEncoding:
     """Satellite: wire lines carry no padded whitespace."""
 
     def test_requests_encode_compactly(self):
-        line = encode_request(TopKQuery("GrQc", node=3, k=5))
+        line = encode_frame(TopKQuery("GrQc", node=3, k=5).to_wire())
         assert line == json.dumps(json.loads(line), separators=(",", ":"))
 
     def test_results_encode_compactly(self):
@@ -150,7 +148,7 @@ class TestCompactEncoding:
             backend="sling", seconds=0.01,
             cache_hit=False,
         )
-        for line in (encode_result(result), encode_response(result, id=1)):
+        for line in (encode_response(result), encode_response(result, id=1)):
             assert line == json.dumps(json.loads(line), separators=(",", ":"))
 
     def test_frames_encode_compactly(self):
@@ -419,6 +417,70 @@ class TestSparseSingleSource:
         assert np.asarray(value, dtype=np.float32).dtype == np.float32
 
 
+class TestTopKColumns:
+    """``top_k`` travels as the same two columns as ``single_source``,
+    in rank order, and is never chunked."""
+
+    ENTRIES = [(12, 0.75), (3, 0.5), (8, 0.5), (0, 1e-300), (5, 0.0)]
+
+    def _result(self, entries=ENTRIES):
+        return QueryResult.success(
+            kind="top_k", dataset="GrQc",
+            value=[
+                {"rank": rank, "node": node, "score": score}
+                for rank, (node, score) in enumerate(entries, start=1)
+            ],
+            backend="sling", seconds=0.01, cache_hit=False,
+        )
+
+    def test_value_is_ids_and_scores_in_rank_order(self):
+        (frame,) = _frames(self._result(), chunk_size=1)
+        nodes, scores = zip(*self.ENTRIES)
+        assert frame["value"] == {"index": _ids(*nodes), "value": _scores(*scores)}
+        assert result_from_frames([frame]) == self._result()
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [{"rank": 1, "node": 12, "score": 0.75}],
+            {"index": _ids(12, 3, 8, 0, 5)},
+            {"index": [12, 3, 8, 0, 5], "value": _scores(0.75, 0.5, 0.5, 0.0, 0.0)},
+            {"index": _ids(12, 3), "value": [0.75, 0.5]},
+            {"index": _ids(12, 3)[:-2] + "!=", "value": _scores(0.75, 0.5)},
+            {"index": _ids(12, 3).rstrip("="), "value": _scores(0.75, 0.5)},
+            {"index": base64.b64encode(b"\0" * 7).decode(), "value": _scores(0.5)},
+            {"index": _ids(12), "value": base64.b64encode(b"\0" * 9).decode()},
+            {"index": _ids(12, 3), "value": _scores(0.75)},
+            {"index": _ids(12, -3), "value": _scores(0.75, 0.5)},
+            {"index": _ids(12, 12), "value": _scores(0.75, 0.5)},
+            {"index": _ids(12, 3), "value": _scores(0.5, 0.75)},
+            {"index": _ids(12, 3), "value": _scores(0.75, float("nan"))},
+            {"index": _ids(12), "value": _scores(float("inf"))},
+        ],
+        ids=[
+            "entry-list", "value-missing", "index-list", "value-list",
+            "bad-base64-character", "wrong-padding", "index-not-whole-ids",
+            "value-not-whole-scores", "unequal-counts", "node-negative",
+            "node-repeated", "scores-rising", "nan-score", "inf-score",
+        ],
+    )
+    def test_hostile_top_k_frames_raise(self, value):
+        (frame,) = _frames(self._result())
+        assert set(frame["value"]) == {"index", "value"}  # the columns it replaces
+        with pytest.raises(WireFormatError):
+            result_from_frames([{**frame, "value": value}])
+
+    def test_chunked_top_k_frames_raise(self):
+        # Only single_source answers are chunked; a top_k "stream" is hostile.
+        (frame,) = _frames(self._result())
+        partial = {"v": 2, "frame": "partial", "id": 1, "kind": "top_k",
+                   "seq": 0, "offset": 0, "value": frame["value"]}
+        done = {key: value for key, value in frame.items() if key != "value"}
+        done.update(frame="done", chunks=1, total=5)
+        with pytest.raises(WireFormatError):
+            result_from_frames([partial, done])
+
+
 class TestServeV2:
     """The serve loop end of the protocol: hello, id echo, chunking."""
 
@@ -494,6 +556,49 @@ class TestServeV2:
         assert len(index) > 1
         assert _bits(dense).tolist() == _bits(expected).tolist()
 
+    def test_standard_library_reads_a_served_top_k_line(self, capsys):
+        # README's recipe again: a top_k value is the same two columns, in
+        # rank order, and decodes into what ``SimRankClient.top_k`` returns.
+        import array
+        import sys
+
+        from repro.engine import BackendConfig
+
+        _, frames, _ = run_serve_frames(
+            capsys, ['{"kind":"top_k","dataset":"GrQc","node":3,"k":5}']
+        )
+        (reply,) = [f for f in frames if "frame" not in f]
+
+        index = array.array("i", base64.b64decode(reply["value"]["index"]))
+        value = array.array("d", base64.b64decode(reply["value"]["value"]))
+        if sys.byteorder == "big":
+            index.byteswap(), value.byteswap()
+        top = [
+            {"rank": rank, "node": node, "score": score}
+            for rank, (node, score) in enumerate(zip(index, value), start=1)
+        ]
+
+        client = SimRankClient.in_process(
+            config=ServiceConfig(
+                scale=0.05, seed=0,
+                backend_config=BackendConfig(epsilon=0.1, seed=0, mc_num_walks=30),
+            )
+        )
+        try:
+            expected = client.top_k("GrQc", 3, 5)
+        finally:
+            client.close()
+        assert len(top) == 5
+        assert top == expected
+
+    def test_retired_all_pairs_is_a_bad_request(self, capsys):
+        lines = ['{"v":2,"id":1,"kind":"all_pairs","dataset":"GrQc"}']
+        _, frames, _ = run_serve_frames(capsys, lines)
+        (reply,) = [f for f in frames if "frame" not in f]
+        assert reply["id"] == 1 and reply["ok"] is False
+        assert reply["error"]["code"] == "bad_request"
+        assert "unknown request kind 'all_pairs'" in reply["error"]["message"]
+
     def test_server_side_chunk_size_default(self, capsys):
         lines = ['{"v":2,"id":1,"kind":"single_source","dataset":"GrQc","node":0}']
         _, frames, _ = run_serve_frames(capsys, lines, "--chunk-size", "7")
@@ -511,7 +616,6 @@ class TestV1TranscriptReplay:
         '{"kind":"single_pair","dataset":"GrQc","node_u":1,"node_v":2}',
         '{"kind":"single_source","dataset":"GrQc","node":0}',
         '{"kind":"single_pair","dataset":"GrQc","node_u":2,"node_v":1}',
-        '{"kind":"all_pairs","dataset":"GrQc"}',
     ]
 
     def test_values_are_byte_equivalent(self, capsys):
@@ -549,9 +653,9 @@ class TestV1TranscriptReplay:
         for line in self.TRANSCRIPT:
             assert decode_envelope_line(line).id is None
 
-    def test_v2_response_lines_decode_with_decode_result(self):
+    def test_v2_response_lines_decode_with_result_from_frames(self):
         result = _success_single_source(4)
-        decoded = decode_result(encode_response(result, id=3))
+        decoded = result_from_frames([json.loads(encode_response(result, id=3))])
         assert decoded == result
 
 

@@ -7,7 +7,6 @@ import pytest
 from repro.exceptions import ParameterError, WireFormatError
 from repro.service import (
     QUERY_KINDS,
-    AllPairsQuery,
     SinglePairQuery,
     SingleSourceQuery,
     TopKQuery,
@@ -18,15 +17,12 @@ ALL_QUERIES = [
     SinglePairQuery("GrQc", 3, 5),
     SingleSourceQuery("GrQc", 3),
     TopKQuery("GrQc", node=3, k=5),
-    AllPairsQuery("GrQc"),
 ]
 
 
 class TestValidation:
     def test_kinds_registry_covers_every_query(self):
-        assert set(QUERY_KINDS) == {
-            "single_pair", "single_source", "top_k", "all_pairs",
-        }
+        assert set(QUERY_KINDS) == {"single_pair", "single_source", "top_k"}
 
     @pytest.mark.parametrize("dataset", ["", "   ", None, 7])
     def test_rejects_bad_dataset(self, dataset):
@@ -76,7 +72,7 @@ class TestWireRoundTrip:
             {"dataset": "GrQc", "node": 3},  # no kind
             {"kind": "top_k", "dataset": "GrQc", "node": 3},  # missing k
             {"kind": "top_k", "dataset": "GrQc", "node": 3, "k": 5, "x": 1},
-            {"kind": "all_pairs"},  # missing dataset
+            {"kind": "all_pairs", "dataset": "GrQc"},  # retired kind
         ],
     )
     def test_malformed_payloads_raise_wire_errors(self, payload):

@@ -188,6 +188,19 @@ class TestRouterParity:
         assert "frame" not in whole and whole["ok"] is True
 
 
+    def test_retired_all_pairs_is_a_bad_request(self):
+        pool, router = start_router(1)
+        try:
+            (reply,) = converse(
+                router, ['{"v":2,"id":1,"kind":"all_pairs","dataset":"GrQc"}'], 1
+            )
+        finally:
+            router.stop()
+        assert reply["id"] == 1 and reply["ok"] is False
+        assert reply["error"]["code"] == "bad_request"
+        assert "unknown request kind 'all_pairs'" in reply["error"]["message"]
+
+
 class TestFailover:
     def test_sigkilled_worker_yields_error_envelopes_then_recovers(self):
         pool, router = start_router(2, pins={"GrQc": 0, "AS": 1})

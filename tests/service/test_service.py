@@ -12,7 +12,6 @@ from repro.service import (
     ERROR_BAD_REQUEST,
     ERROR_NODE_OUT_OF_RANGE,
     ERROR_UNKNOWN_DATASET,
-    AllPairsQuery,
     ServiceConfig,
     SimRankService,
     SinglePairQuery,
@@ -138,50 +137,12 @@ class TestExecute:
         assert [entry["rank"] for entry in result.value] == [1, 2, 3, 4]
         assert all(set(entry) == {"rank", "node", "score"} for entry in result.value)
 
-    def test_all_pairs_square_matrix(self, service):
-        graph = generators.cycle(6)
-        service.open_dataset("cycle", graph=graph)
-        result = service.execute(AllPairsQuery("cycle"))
-        assert result.ok
-        matrix = np.asarray(result.value)
-        assert matrix.shape == (6, 6)
-        assert result.cache_hit is None  # not meaningful for a full sweep
-
     def test_top_k_value_matches_engine(self, service):
         expected = service.open_dataset("GrQc").engine().top_k(2, 5)
         result = service.execute(TopKQuery("GrQc", node=2, k=5))
         assert [(entry["node"], entry["score"]) for entry in result.value] == [
             (node, pytest.approx(score)) for node, score in expected
         ]
-
-    @pytest.mark.parametrize("backend", ("sling", "power"))
-    def test_all_pairs_rows_are_single_source_vectors(self, service, backend):
-        graph = generators.two_level_community(2, 5, seed=3)
-        service.open_dataset("toy", graph=graph)
-        result = service.execute(AllPairsQuery("toy"), backend=backend)
-        assert result.ok and result.backend == backend
-        rows = [
-            np.asarray(
-                service.execute(SingleSourceQuery("toy", node), backend=backend).value
-            ).tolist()
-            for node in range(graph.num_nodes)
-        ]
-        assert result.value == rows
-
-    def test_all_pairs_counts_one_single_source_per_node(self, service):
-        graph = generators.cycle(6)
-        session = service.open_dataset("cycle", graph=graph)
-        service.execute(AllPairsQuery("cycle"))
-        stats = session.engine().statistics
-        assert stats.single_source_queries == 6
-        assert stats.total_queries == 6
-
-    def test_all_pairs_warms_the_source_cache(self, service):
-        graph = generators.cycle(6)
-        service.open_dataset("cycle", graph=graph)
-        service.execute(AllPairsQuery("cycle"))
-        repeat = service.execute(SingleSourceQuery("cycle", 4))
-        assert repeat.cache_hit is True
 
     def test_cache_hit_flag_flips_on_repeat(self, service):
         first = service.execute(SingleSourceQuery("GrQc", 2))

@@ -156,7 +156,8 @@ class TestHostilePeers:
     def test_disconnect_mid_stream_takes_down_only_that_connection(self, server):
         channel = raw_connection(server)
         channel.send_line(
-            '{"v":2,"id":1,"kind":"all_pairs","dataset":"GrQc","chunk_size":3}'
+            '{"v":2,"id":1,"kind":"single_source","dataset":"GrQc","node":0,'
+            '"chunk_size":1}'
         )
         first = channel.read_line()
         assert first is not None and '"frame":"partial"' in first
@@ -164,6 +165,17 @@ class TestHostilePeers:
         client = SimRankClient(address=str(server.address))
         assert client.single_pair("GrQc", 1, 2) >= 0.0
         client.close()
+
+    def test_retired_all_pairs_is_a_bad_request(self, server):
+        channel = raw_connection(server)
+        try:
+            channel.send_line('{"v":2,"id":4,"kind":"all_pairs","dataset":"GrQc"}')
+            frame = json.loads(channel.read_line())
+            assert frame["id"] == 4 and frame["ok"] is False
+            assert frame["error"]["code"] == "bad_request"
+            assert "unknown request kind 'all_pairs'" in frame["error"]["message"]
+        finally:
+            channel.close()
 
     def test_blank_lines_are_ignored(self, server):
         channel = raw_connection(server)

@@ -13,7 +13,6 @@ from repro.engine import BackendConfig
 from repro.exceptions import WireFormatError
 from repro.graphs import generators
 from repro.service import (
-    AllPairsQuery,
     QueryError,
     QueryResult,
     ServiceConfig,
@@ -22,11 +21,9 @@ from repro.service import (
     SingleSourceQuery,
     SparseScores,
     TopKQuery,
-    decode_request,
-    decode_result,
-    encode_request,
+    decode_envelope_line,
+    encode_frame,
     encode_response,
-    encode_result,
     response_frames,
     result_from_frames,
     result_from_wire,
@@ -38,11 +35,6 @@ PAIR_LINE = {
     "value": 0.5, "backend": "sling", "cache_hit": False,
 }
 
-#: A well-formed served ``top_k`` line, for hostile-value variants.
-TOP_K_LINE = {
-    **PAIR_LINE, "kind": "top_k",
-    "value": [{"rank": 1, "node": 4, "score": 0.9}],
-}
 
 SUCCESS_ENVELOPES = [
     QueryResult.success(
@@ -60,10 +52,25 @@ SUCCESS_ENVELOPES = [
         backend="sling", seconds=0.01, cache_hit=False,
     ),
     QueryResult.success(
-        kind="all_pairs", dataset="AS", value=[[0.0, 1.0], [1.0, 0.0]],
-        backend="naive", seconds=1.5, cache_hit=None,
+        kind="top_k", dataset="HepTh",
+        value=[
+            {"rank": rank, "node": node, "score": score}
+            for rank, (node, score) in enumerate(
+                [(17, 1.0), (3, 0.25), (40, 0.25), (2, 0.0), (9, -0.0)], start=1
+            )
+        ],
+        backend="sling", seconds=0.01, cache_hit=True,
+    ),
+    QueryResult.success(
+        kind="top_k", dataset="AS", value=[], backend="sling", seconds=0.01,
+        cache_hit=False,
     ),
 ]
+
+
+def decode_line(line: str) -> QueryResult:
+    """One monolithic response line back into a result, as clients do."""
+    return result_from_frames([json.loads(line)])
 
 
 class TestRequestLines:
@@ -73,38 +80,42 @@ class TestRequestLines:
             SinglePairQuery("GrQc", 3, 5),
             SingleSourceQuery("GrQc", 3),
             TopKQuery("GrQc", node=3, k=5),
-            AllPairsQuery("GrQc"),
         ],
         ids=lambda q: q.kind,
     )
     def test_encode_decode_round_trip(self, query):
-        line = encode_request(query)
+        line = encode_frame(query.to_wire())
         assert json.loads(line)["kind"] == query.kind  # one JSON object per line
         assert "\n" not in line
-        assert decode_request(line) == query
+        envelope = decode_envelope_line(line)
+        assert envelope.request == query and envelope.id is None
 
-    def test_decode_rejects_invalid_json(self):
-        with pytest.raises(WireFormatError):
-            decode_request("{not json")
+    @pytest.mark.parametrize("line", ["{not json", "[1, 2, 3]"])
+    def test_undecodable_lines_are_bad_request_envelopes(self, line):
+        request = decode_envelope_line(line).request
+        assert isinstance(request, QueryResult)
+        assert request.error.code == "bad_request"
 
-    def test_decode_rejects_non_object_lines(self):
-        with pytest.raises(WireFormatError):
-            decode_request("[1, 2, 3]")
+    def test_retired_all_pairs_kind_is_a_bad_request(self):
+        request = decode_envelope_line('{"kind":"all_pairs","dataset":"GrQc"}').request
+        assert isinstance(request, QueryResult)
+        assert request.error.code == "bad_request"
+        assert "unknown request kind 'all_pairs'" in request.error.message
 
 
 class TestResultLines:
     @pytest.mark.parametrize("result", SUCCESS_ENVELOPES, ids=lambda r: r.kind)
     def test_success_round_trip_every_kind(self, result):
-        line = encode_result(result)
+        line = encode_response(result, id=1)
         assert "\n" not in line
-        assert decode_result(line) == result
+        assert decode_line(line) == result
 
     def test_error_round_trip(self):
         result = QueryResult.failure(
             "unknown_dataset", "no such dataset", kind="top_k",
             dataset="Nope", seconds=0.1,
         )
-        decoded = decode_result(encode_result(result))
+        decoded = decode_line(encode_response(result))
         assert decoded == result
         assert decoded.error == QueryError("unknown_dataset", "no such dataset")
         assert not decoded.ok
@@ -167,12 +178,6 @@ class TestResultLines:
             {**PAIR_LINE, "value": True},
             {**PAIR_LINE, "value": float("nan")},
             {**PAIR_LINE, "value": float("inf")},
-            {**TOP_K_LINE, "value": "oops"},
-            {**TOP_K_LINE, "value": ["oops"]},
-            {**TOP_K_LINE, "value": [{"rank": 1, "node": "4", "score": 0.9}]},
-            {**TOP_K_LINE, "value": [{"rank": 1.0, "node": 4, "score": 0.9}]},
-            {**TOP_K_LINE, "value": [{"rank": 1, "node": 4, "score": "0.9"}]},
-            {**TOP_K_LINE, "value": [{"rank": 1, "node": 4}]},
         ],
     )
     def test_hostile_server_frames_are_wire_format_errors(self, payload):
@@ -283,6 +288,9 @@ HOSTILE_SPARSE_VALUES = {
     "index-non-ascii": {"index": "AAAAAAIAAAé="},
     "index-missing-padding": {"index": _ids(0, 2).rstrip("=")},
     "value-extra-padding": {"value": _scores(1.0, 0.25) + "=="},
+    "value-padding-after-whole-quantum": {
+        "index": _ids(0, 1, 2), "value": _scores(1.0, 0.5, 0.25) + "==",
+    },
     "index-not-whole-ids": {"index": base64.b64encode(b"\0" * 6).decode()},
     "value-not-whole-scores": {"value": base64.b64encode(b"\0" * 12).decode()},
     "counts-short": {"index": _ids(0)},
@@ -325,7 +333,7 @@ class TestHostileSparseValues:
         # The same payload arriving as a JSON line fails the same way.
         line = json.dumps(payload)
         with pytest.raises(WireFormatError):
-            decode_result(line)
+            decode_line(line)
 
     @pytest.mark.parametrize("value", [[1.0, 0.0, 0.25, 0.0], "dense", None])
     def test_non_object_value_raises(self, value):
@@ -343,7 +351,108 @@ class TestHostileSparseValues:
             "[0.0]", f"[{literal}]"
         )
         with pytest.raises(WireFormatError):
-            decode_result(line)
+            decode_line(line)
+
+
+def _top_k_payload(**value) -> dict:
+    base = {"index": _ids(4, 0, 7), "value": _scores(0.9, 0.5, 0.5)}
+    return {**PAIR_LINE, "kind": "top_k", "value": {**base, **value}}
+
+
+def _entries(*pairs) -> list:
+    """The pre-column ``top_k`` wire form: a list of rank/node/score dicts."""
+    return [
+        {"rank": rank, "node": node, "score": score}
+        for rank, node, score in pairs
+    ]
+
+
+#: Hostile ``top_k`` values, each a :class:`WireFormatError`.  The list
+#: ones are the retired decimal form, which used to decode even with
+#: negative or repeated nodes, ranks out of order and rising scores.
+HOSTILE_TOP_K_VALUES = {
+    "entries": _entries((1, 4, 0.9)),
+    "entries-negative-node": _entries((1, -3, 0.9)),
+    "entries-repeated-node": _entries((1, 4, 0.9), (2, 4, 0.5)),
+    "entries-ranks-out-of-order": _entries((5, 4, 0.9), (1, 0, 0.5)),
+    "entries-rising-scores": _entries((1, 4, 0.5), (2, 0, 0.9)),
+    "string": "oops",
+    "null": None,
+    "index-list": {"index": [4, 0, 7]},
+    "value-list": {"value": [0.9, 0.5, 0.5]},
+    "index-missing": {"index": None},
+    "index-bad-character": {"index": _ids(4, 0, 7)[:-1] + "!"},
+    "value-space": {"value": " " + _scores(0.9, 0.5, 0.5)},
+    "index-missing-padding": {"index": _ids(4, 0).rstrip("="),
+                              "value": _scores(0.9, 0.5)},
+    "value-extra-padding": {"value": _scores(0.9, 0.5, 0.5) + "=="},
+    "index-not-whole-ids": {"index": base64.b64encode(b"\0" * 10).decode()},
+    "value-not-whole-scores": {"value": base64.b64encode(b"\0" * 20).decode()},
+    "counts-short": {"index": _ids(4, 0)},
+    "counts-long": {"value": _scores(0.9, 0.5, 0.5, 0.1)},
+    "node-negative": {"index": _ids(4, -1, 7)},
+    "node-repeated": {"index": _ids(4, 0, 4)},
+    "scores-rising": {"value": _scores(0.5, 0.9, 0.5)},
+    "score-nan": {"value": _scores(0.9, float("nan"), 0.5)},
+    "score-inf": {"value": _scores(float("inf"), 0.5, 0.5)},
+    "score-minus-inf": {"value": _scores(0.9, 0.5, float("-inf"))},
+}
+
+
+class TestHostileTopKValues:
+    """A ``top_k`` value travels as ``single_source``'s two columns, and a
+    malformed one is a typed decode failure."""
+
+    def test_well_formed_payload_decodes_to_ranked_entries(self):
+        result = result_from_wire(_top_k_payload())
+        assert result.value == _entries((1, 4, 0.9), (2, 0, 0.5), (3, 7, 0.5))
+        for entry in result.value:
+            assert type(entry["rank"]) is int and type(entry["node"]) is int
+            assert type(entry["score"]) is float
+
+    def test_empty_list_decodes(self):
+        assert result_from_wire(_top_k_payload(index="", value="")).value == []
+
+    def test_wire_shape_is_two_columns(self):
+        result = next(r for r in SUCCESS_ENVELOPES if r.kind == "top_k")
+        assert result.to_wire()["value"] == {"index": _ids(4), "value": _scores(0.9)}
+
+    @pytest.mark.parametrize(
+        "value", list(HOSTILE_TOP_K_VALUES.values()),
+        ids=list(HOSTILE_TOP_K_VALUES),
+    )
+    def test_malformed_top_k_value_raises_wire_format_error(self, value):
+        result_from_wire(_top_k_payload())  # the frame it is a variant of
+        payload = (
+            _top_k_payload(**value) if type(value) is dict
+            else {**_top_k_payload(), "value": value}
+        )
+        with pytest.raises(WireFormatError, match="top_k"):
+            result_from_wire(payload)
+        with pytest.raises(WireFormatError):
+            decode_line(json.dumps(payload))
+
+
+class TestRetiredAllPairsValues:
+    """Served ``all_pairs`` is gone: neither its rows nor its row chunks
+    decode any more."""
+
+    @pytest.mark.parametrize("value", ["garbage", [[0.0, 1.0], [1.0, 0.0]], None])
+    def test_monolithic_value_raises(self, value):
+        payload = {**PAIR_LINE, "kind": "all_pairs", "value": value}
+        with pytest.raises(WireFormatError):
+            result_from_wire(payload)
+
+    def test_row_chunks_raise(self):
+        line = (
+            '{"v":2,"frame":"partial","id":1,"kind":"all_pairs","seq":0,'
+            '"offset":0,"value":[[1e999],"x"]}'
+        )
+        done = {**PAIR_LINE, "v": 2, "frame": "done", "id": 1,
+                "kind": "all_pairs", "chunks": 1, "total": 2}
+        del done["value"]
+        with pytest.raises(WireFormatError):
+            result_from_frames([json.loads(line), done])
 
 
 class TestSparseScoresValue:
