@@ -13,7 +13,7 @@ from .correction import (
     exact_correction_factors,
 )
 from .hitting import (
-    HittingProbabilitySet,
+    HittingRecords,
     build_hitting_sets,
     concatenated_ranges,
     exact_near_hops,
@@ -61,7 +61,7 @@ __all__ = [
     "estimate_all_correction_factors",
     "estimate_correction_factor",
     "exact_correction_factors",
-    "HittingProbabilitySet",
+    "HittingRecords",
     "build_hitting_sets",
     "concatenated_ranges",
     "exact_near_hops",

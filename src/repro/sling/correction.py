@@ -52,6 +52,12 @@ grandparents then stop where they are and never meet).  Then ``µ = µ₁``
 exactly, and ``µ = 0`` when no in-neighbour of ``v_k`` has an in-neighbour
 at all.
 
+**Seeding.**  The trials for ``d̃_k`` draw from node ``k``'s own stream,
+``default_rng(SeedSequence(seed, spawn_key=(k,)))``
+(:func:`~repro.sling.walks.node_stream`).  The sequential, parallel and
+out-of-core builds, a dynamic repair and a re-freeze therefore compute the
+same ``d̃_k`` bitwise, for any worker count and any subset of nodes.
+
 This module provides
 
 * :func:`estimate_correction_factor` — the per-node estimator above,
@@ -125,7 +131,9 @@ def estimate_correction_factor(
     Parameters
     ----------
     walker:
-        √c-walk sampler over the input graph (also fixes the decay ``c``).
+        √c-walk sampler over the input graph; it fixes the decay ``c`` and
+        the seed of the node's own stream (:meth:`SqrtCWalker.for_node`), so
+        the estimate depends on ``(graph, seed, node)`` alone.
     node:
         The node ``v_k``.
     epsilon_d:
@@ -187,7 +195,10 @@ def estimate_correction_factor(
         value = _correction_from_mu(c, in_degree, mu_first)
         return CorrectionEstimate(node, value, 0, False)
 
-    rng = walker._rng  # shared generator keeps the whole build reproducible
+    # Every trial of node k draws from k's own stream, so d̃_k is the same
+    # on every build path and in every repair.
+    node_walker = walker.for_node(node)
+    rng = node_walker.rng
 
     def sample_later_meets(count: int) -> int:
         """``count`` Bernoulli trials of ``Y``: distinct in-neighbours ``i, j``,
@@ -198,7 +209,7 @@ def estimate_correction_factor(
         offsets = (uniforms * parent_degrees[picks]).astype(np.int64)
         starts_a, starts_b = indices[parent_starts[picks] + offsets]
         apart = starts_a != starts_b
-        return walker.count_meeting_pairs(starts_a[apart], starts_b[apart])
+        return node_walker.count_meeting_pairs(starts_a[apart], starts_b[apart])
 
     estimate: BernoulliEstimate
     if adaptive:
@@ -228,7 +239,8 @@ def estimate_all_correction_factors(
 
     Returns an ``(n,)`` float array indexed by node id; entries for nodes not
     in ``nodes`` (when a subset is given) are left as ``NaN`` so that partial
-    results from parallel workers can be merged safely.
+    results from parallel workers can be merged safely.  Each node draws from
+    its own stream, so a subset's values equal the full run's bitwise.
     """
     graph = walker.graph
     values = np.full(graph.num_nodes, np.nan, dtype=np.float64)

@@ -28,8 +28,9 @@ mutation batch in three local steps:
    stored values are always ``> θ > 0``, so ``0.0`` unambiguously means
    "deleted", contributes nothing to a dot product, and pushes no mass).
    Correction factors are re-estimated only for the heads (whose
-   ``c/|I(k)|`` term changed discretely), each with its own deterministic
-   per-node RNG stream.
+   ``c/|I(k)|`` term changed discretely).  ``d̃_k`` draws from node ``k``'s
+   own stream, seeded by ``(seed, k)`` alone, so a repaired head's factor is
+   bitwise the one a rebuild on the new graph computes.
 
 3. **Bounded-staleness serving.**  Queries read an immutable *generation*
    — a :class:`~repro.sling.query.ServingState` ``(graph, store,
@@ -48,9 +49,9 @@ mutation batch in three local steps:
 
 **Re-freeze** compacts the overlay into a fresh
 :class:`~repro.sling.packed.PackedHittingStore` and re-estimates *all*
-correction factors with the exact build recipe (one shared sequential
-walker seeded like :meth:`SlingIndex.build`), so a re-frozen index is
-**bitwise identical** — columns, corrections, and therefore answers — to a
+correction factors with the build's seeding rule (node ``k``'s stream from
+``(seed, k)``, the seed :meth:`SlingIndex.build` used), so a re-frozen index
+is **bitwise identical** — columns, corrections, and therefore answers — to a
 from-scratch build on the mutated graph.  The compaction runs outside the
 mutation lock and installs its generation only if no mutation landed
 meanwhile (compare-and-swap on the generation object, retried a bounded
@@ -137,7 +138,6 @@ class DynamicSlingIndex(SlingQueries):
             adaptive_correction=adaptive_correction,
             parameters=parameters,
         )
-        self._seed = seed
         self._adaptive = adaptive_correction
         self._mutex = threading.Lock()
         self._state: ServingState | None = None
@@ -162,7 +162,6 @@ class DynamicSlingIndex(SlingQueries):
             )
         dynamic = cls.__new__(cls)
         dynamic._base = index
-        dynamic._seed = getattr(index, "_seed", None)
         dynamic._adaptive = getattr(index, "_adaptive_correction", True)
         dynamic._mutex = threading.Lock()
         dynamic._state = index._state
@@ -349,12 +348,9 @@ class DynamicSlingIndex(SlingQueries):
 
             patches: dict[int, dict[tuple[int, int], float]] = {}
             affected_sources: set[int] = set()
-            scratch = np.zeros(new_graph.num_nodes, dtype=np.float64)
             for target in sorted(affected_targets):
                 old_entries = old_by_target[target]
-                new_push = reverse_push(
-                    new_graph, target, sqrt_c, theta, scratch=scratch
-                )
+                new_push = reverse_push(new_graph, target, sqrt_c, theta)
                 seen: set[tuple[int, int]] = set()
                 for level, frontier in new_push.items():
                     level = int(level)
@@ -373,11 +369,15 @@ class DynamicSlingIndex(SlingQueries):
                         patches.setdefault(source, {})[(level, target)] = 0.0
 
             corrections = np.array(gen.corrections, dtype=np.float64, copy=True)
-            new_version = gen.version + 1
+            walker = self._walker(new_graph)
             for head in sorted(heads):
-                corrections[head] = self._estimate_one_correction(
-                    new_graph, head, new_version
-                )
+                corrections[head] = estimate_correction_factor(
+                    walker,
+                    head,
+                    params.epsilon_d,
+                    params.delta_d,
+                    adaptive=self._adaptive,
+                ).value
             corrections.flags.writeable = False
 
             overlay = dict(gen.overlay)
@@ -386,6 +386,7 @@ class DynamicSlingIndex(SlingQueries):
                 merged.update(entries)
                 overlay[source] = merged
 
+            new_version = gen.version + 1
             self._state = ServingState(
                 new_graph,
                 params,
@@ -406,31 +407,13 @@ class DynamicSlingIndex(SlingQueries):
                 seconds=time.perf_counter() - start,
             )
 
-    def _estimate_one_correction(
-        self, graph: DiGraph, node: int, version: int
-    ) -> float:
-        """Re-estimate one ``d̃_k`` with a deterministic per-node stream.
+    def _walker(self, graph: DiGraph) -> SqrtCWalker:
+        """A walker on ``graph`` seeded like the base build.
 
-        The full build shares one sequential RNG across all nodes, so a
-        subset re-estimation cannot reuse that stream; each repaired node
-        instead gets its own generator derived from (seed, version, node) —
-        deterministic for tests, independent across repairs.
+        ``d̃_k`` draws from the stream of ``(seed, k)`` alone, so a repaired
+        or re-frozen factor equals the one a rebuild on ``graph`` computes.
         """
-        params = self._base.parameters
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                (0 if self._seed is None else int(self._seed), version, node)
-            )
-        )
-        walker = SqrtCWalker(graph, params.c, seed=rng)
-        estimate = estimate_correction_factor(
-            walker,
-            node,
-            params.epsilon_d,
-            params.delta_d,
-            adaptive=self._adaptive,
-        )
-        return float(estimate.value)
+        return SqrtCWalker(graph, self._base.parameters.c, seed=self._base._seed)
 
     # ------------------------------------------------------------------ #
     # Re-freeze
@@ -455,9 +438,8 @@ class DynamicSlingIndex(SlingQueries):
                 return True
             params = self._base.parameters
             store = self._merge_store(snapshot)
-            walker = SqrtCWalker(snapshot.graph, params.c, seed=self._seed)
             corrections = estimate_all_correction_factors(
-                walker,
+                self._walker(snapshot.graph),
                 params.epsilon_d,
                 params.delta_d,
                 adaptive=self._adaptive,

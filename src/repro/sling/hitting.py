@@ -7,20 +7,22 @@ from ``v_i`` occupies ``v_k`` at step ``ℓ``.  SLING stores, for every node
 
 This module provides
 
-* :class:`HittingProbabilitySet` — the per-node container used by the index,
 * :func:`reverse_push` — the per-target local-update traversal that is the
   body of Algorithm 2 (and is reused, slightly modified, by the single-source
   Algorithm 6),
 * :func:`build_hitting_sets` — Algorithm 2 proper: run the reverse push from
-  every node and transpose the results into per-source sets ``H(v_i)``,
+  every node and emit every kept entry as a flat
+  ``(source, level, target, value)`` record (:class:`HittingRecords`); the
+  in-memory, parallel and out-of-core builders all push through it, and
+  :meth:`~repro.sling.packed.PackedHittingStore.from_hitting_sets` groups the
+  records into the per-source sets ``H(v_i)``,
 * :func:`exact_near_hops` — Algorithm 5: exact step-1 / step-2 hitting
   probabilities computed on the fly (used by the Section 5.2 space reduction).
 """
 
 from __future__ import annotations
 
-import sys
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from ..exceptions import ParameterError
 from ..graphs import DiGraph
 
 __all__ = [
-    "HittingProbabilitySet",
+    "HittingRecords",
     "concatenated_ranges",
     "push_frontier",
     "reverse_push",
@@ -40,113 +42,47 @@ __all__ = [
 _LevelMap = dict[int, dict[int, float]]
 
 
-class HittingProbabilitySet:
-    """The set ``H(v)`` of approximate hitting probabilities of one node.
+class HittingRecords(NamedTuple):
+    """Hitting probabilities as flat, aligned record columns.
 
-    Entries are stored grouped by step: ``levels[ℓ][v_k] = h̃^(ℓ)(v, v_k)``.
-    The container is the unit of storage of the SLING index — it is what the
-    out-of-core store serialises per node and what both query algorithms
-    consume.
+    Record ``i`` states ``h̃^(levels[i])(sources[i], targets[i]) = values[i]``.
+    This is what the reverse pushes emit and what
+    :meth:`~repro.sling.packed.PackedHittingStore.from_hitting_sets` packs;
+    records are in push order (by target), and the packing sorts them into
+    per-source segments.
     """
 
-    __slots__ = ("_levels",)
+    num_nodes: int
+    sources: np.ndarray
+    levels: np.ndarray
+    targets: np.ndarray
+    values: np.ndarray
 
-    def __init__(self, levels: Mapping[int, Mapping[int, float]] | None = None) -> None:
-        self._levels: _LevelMap = {}
-        if levels:
-            for level, entries in levels.items():
-                if entries:
-                    self._levels[int(level)] = {
-                        int(node): float(value) for node, value in entries.items()
-                    }
-
-    # ------------------------------------------------------------------ #
-    # Mutation (used only during index construction)
-    # ------------------------------------------------------------------ #
-    def add(self, level: int, target: int, value: float) -> None:
-        """Insert or accumulate one hitting probability."""
-        bucket = self._levels.setdefault(int(level), {})
-        bucket[int(target)] = bucket.get(int(target), 0.0) + float(value)
-
-    def set(self, level: int, target: int, value: float) -> None:
-        """Insert or overwrite one hitting probability."""
-        self._levels.setdefault(int(level), {})[int(target)] = float(value)
-
-    def drop_levels(self, levels: Iterable[int]) -> None:
-        """Remove whole levels (used by the Section 5.2 space reduction)."""
-        for level in list(levels):
-            self._levels.pop(int(level), None)
-
-    # ------------------------------------------------------------------ #
-    # Read access
-    # ------------------------------------------------------------------ #
     @property
-    def levels(self) -> _LevelMap:
-        """The underlying ``{level: {target: value}}`` mapping (do not mutate)."""
-        return self._levels
+    def num_records(self) -> int:
+        """Number of records."""
+        return int(self.values.shape[0])
 
-    def get(self, level: int, target: int, default: float = 0.0) -> float:
-        """Return ``h̃^(level)(v, target)`` or ``default`` when absent."""
-        return self._levels.get(int(level), {}).get(int(target), default)
-
-    def items(self) -> Iterator[tuple[int, int, float]]:
-        """Iterate over ``(level, target, value)`` triples."""
-        for level, entries in self._levels.items():
-            for target, value in entries.items():
-                yield level, target, value
-
-    def level_items(self, level: int) -> dict[int, float]:
-        """The entries of one level (empty dict when the level is absent)."""
-        return self._levels.get(int(level), {})
-
-    def max_level(self) -> int:
-        """The largest step index present (``-1`` for an empty set)."""
-        return max(self._levels, default=-1)
-
-    def __len__(self) -> int:
-        return sum(len(entries) for entries in self._levels.values())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HittingProbabilitySet):
-            return NotImplemented
-        return self._levels == other._levels
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"HittingProbabilitySet(num_entries={len(self)})"
-
-    def total_mass(self, level: int) -> float:
-        """Sum of stored probabilities at ``level`` (≤ (√c)^level by Lemma 7)."""
-        return float(sum(self._levels.get(int(level), {}).values()))
-
-    def size_bytes(self) -> int:
-        """Approximate serialized size: 12 bytes per entry (level, node, value).
-
-        This matches the packed on-disk layout of
-        :mod:`repro.sling.storage` and is what the space benchmarks report,
-        rather than the (much larger) CPython dict overhead.
-        """
-        return 12 * len(self)
-
-    def deep_size_bytes(self) -> int:
-        """In-memory footprint including Python object overhead."""
-        total = sys.getsizeof(self._levels)
-        for level, entries in self._levels.items():
-            total += sys.getsizeof(level) + sys.getsizeof(entries)
-            total += sum(sys.getsizeof(k) + sys.getsizeof(v) for k, v in entries.items())
-        return total
-
-    def copy(self) -> "HittingProbabilitySet":
-        """Deep copy (levels and entries)."""
-        return HittingProbabilitySet(
-            {level: dict(entries) for level, entries in self._levels.items()}
+    def take(self, selection) -> "HittingRecords":
+        """The records picked by ``selection`` (a boolean mask or a slice)."""
+        return HittingRecords(
+            self.num_nodes,
+            self.sources[selection],
+            self.levels[selection],
+            self.targets[selection],
+            self.values[selection],
         )
 
-    def merged_with(self, other: "HittingProbabilitySet") -> "HittingProbabilitySet":
-        """Return a new set whose entries are ``self`` overridden by ``other``."""
-        merged = self.copy()
-        for level, target, value in other.items():
-            merged.set(level, target, value)
-        return merged
+    @classmethod
+    def concatenate(cls, parts: Sequence["HittingRecords"]) -> "HittingRecords":
+        """The records of ``parts`` (at least one), one after the other."""
+        return cls(
+            parts[0].num_nodes,
+            np.concatenate([part.sources for part in parts]),
+            np.concatenate([part.levels for part in parts]),
+            np.concatenate([part.targets for part in parts]),
+            np.concatenate([part.values for part in parts]),
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -183,7 +119,6 @@ def push_frontier(
     frontier_nodes: "np.ndarray",
     frontier_values: "np.ndarray",
     sqrt_c: float,
-    scratch: "np.ndarray | None" = None,
 ) -> tuple["np.ndarray", "np.ndarray"]:
     """Push a weighted frontier one step along out-edges.
 
@@ -197,18 +132,10 @@ def push_frontier(
     The scatter is ``np.bincount(successors, weights=..., minlength=n)``,
     which accumulates weights in input order exactly like the
     ``np.add.at`` it replaced — results are bitwise identical — but without
-    ufunc-dispatch overhead per element.  ``bincount`` allocates its own
-    output, so ``scratch`` (the reusable buffer of the previous
-    implementation) is no longer used; the parameter is kept so existing
-    callers and stored call sites keep working, and is still validated when
-    passed (it must be an all-zeros ``(n,)`` buffer, which it is returned as).
+    ufunc-dispatch overhead per element.
 
     Returns the new frontier as ``(nodes, values)`` arrays (possibly empty).
     """
-    if scratch is not None and scratch.shape != (graph.num_nodes,):
-        raise ParameterError(
-            f"scratch must have shape ({graph.num_nodes},), got {scratch.shape}"
-        )
     out_indptr, out_indices = graph.out_csr()
     in_degrees = graph.in_degrees()
     starts = out_indptr[frontier_nodes]
@@ -230,6 +157,45 @@ def push_frontier(
 # --------------------------------------------------------------------------- #
 # Algorithm 2: reverse local push
 # --------------------------------------------------------------------------- #
+def _pushed_levels(
+    graph: DiGraph,
+    target: int,
+    sqrt_c: float,
+    theta: float,
+    max_levels: int | None = None,
+) -> Iterator[tuple[int, "np.ndarray", "np.ndarray"]]:
+    """Yield ``(ℓ, sources, values)`` per level of the push from ``target``.
+
+    ``sources`` are ascending and every value exceeds ``theta``; this is the
+    one traversal behind :func:`reverse_push` and :func:`build_hitting_sets`.
+    """
+    if theta <= 0.0:
+        raise ParameterError(f"theta must be positive, got {theta}")
+    if not 0.0 < sqrt_c < 1.0:
+        raise ParameterError(f"sqrt_c must be in (0, 1), got {sqrt_c}")
+    graph.in_degree(target)  # validates the node id
+
+    # The frontier is kept as (node ids, values); propagation scatters the
+    # contributions into a dense buffer, which keeps the per-level work fully
+    # vectorised (the bulk of Algorithm 2's O(m/θ) cost).
+    frontier_nodes = np.array([int(target)], dtype=np.int64)
+    frontier_values = np.array([1.0], dtype=np.float64)
+    level = 0
+    while frontier_nodes.size:
+        if max_levels is not None and level >= max_levels:
+            break
+        keep = frontier_values > theta
+        kept_nodes = frontier_nodes[keep]
+        kept_values = frontier_values[keep]
+        if kept_nodes.size == 0:
+            break
+        yield level, kept_nodes, kept_values
+        frontier_nodes, frontier_values = push_frontier(
+            graph, kept_nodes, kept_values, sqrt_c
+        )
+        level += 1
+
+
 def reverse_push(
     graph: DiGraph,
     target: int,
@@ -237,7 +203,6 @@ def reverse_push(
     theta: float,
     *,
     max_levels: int | None = None,
-    scratch: "np.ndarray | None" = None,
 ) -> _LevelMap:
     """Reverse local-push traversal from ``target`` (the body of Algorithm 2).
 
@@ -259,42 +224,13 @@ def reverse_push(
     max_levels:
         Optional hard cap on the number of levels (used by tests; the natural
         geometric decay of the residuals terminates the loop on its own).
-    scratch:
-        Optional reusable all-zeros ``(n,)`` buffer threaded through
-        :func:`push_frontier`; one is allocated per call when absent, so the
-        per-level allocation of the original implementation is gone either
-        way.  Keep it per-thread when sharing across calls.
     """
-    if theta <= 0.0:
-        raise ParameterError(f"theta must be positive, got {theta}")
-    if not 0.0 < sqrt_c < 1.0:
-        raise ParameterError(f"sqrt_c must be in (0, 1), got {sqrt_c}")
-    graph.in_degree(target)  # validates the node id
-    if scratch is None:
-        scratch = np.zeros(graph.num_nodes, dtype=np.float64)
-
-    result: _LevelMap = {}
-
-    # The frontier is kept as (node ids, values); propagation scatters the
-    # contributions into a dense buffer, which keeps the per-level work fully
-    # vectorised (the bulk of Algorithm 2's O(m/θ) cost).
-    frontier_nodes = np.array([int(target)], dtype=np.int64)
-    frontier_values = np.array([1.0], dtype=np.float64)
-    level = 0
-    while frontier_nodes.size:
-        if max_levels is not None and level >= max_levels:
-            break
-        keep = frontier_values > theta
-        kept_nodes = frontier_nodes[keep]
-        kept_values = frontier_values[keep]
-        if kept_nodes.size == 0:
-            break
-        result[level] = dict(zip(kept_nodes.tolist(), kept_values.tolist()))
-        frontier_nodes, frontier_values = push_frontier(
-            graph, kept_nodes, kept_values, sqrt_c, scratch=scratch
+    return {
+        level: dict(zip(nodes.tolist(), values.tolist()))
+        for level, nodes, values in _pushed_levels(
+            graph, target, sqrt_c, theta, max_levels
         )
-        level += 1
-    return result
+    }
 
 
 def build_hitting_sets(
@@ -303,28 +239,50 @@ def build_hitting_sets(
     theta: float,
     *,
     targets: Iterable[int] | None = None,
-) -> list[HittingProbabilitySet]:
-    """Algorithm 2: build ``H(v_i)`` for every node of the graph.
+) -> HittingRecords:
+    """Algorithm 2: the hitting probabilities of every node, as records.
 
-    Runs :func:`reverse_push` from every target node ``v_k`` and transposes
-    the per-target results into per-source sets: an entry
-    ``h̃^(ℓ)(v_x, v_k)`` produced by the push from ``v_k`` is inserted into
-    ``H(v_x)``.
+    Runs the reverse push from every target node ``v_k`` and emits each kept
+    ``h̃^(ℓ)(v_x, v_k)`` as the record ``(v_x, ℓ, v_k, value)``; the sets
+    ``H(v_x)`` are the records grouped by source, which is what
+    :meth:`~repro.sling.packed.PackedHittingStore.from_hitting_sets` does.
 
-    ``targets`` restricts the set of push sources (used by the parallel
-    builder to split work); the returned list still has one entry per graph
-    node, with nodes never reached left empty.
+    ``targets`` restricts the push sources (the parallel and out-of-core
+    builders split the work this way); sources still range over the whole
+    graph.
     """
-    hitting_sets = [HittingProbabilitySet() for _ in range(graph.num_nodes)]
+    num_nodes = graph.num_nodes
     target_iter = graph.nodes() if targets is None else targets
-    # One scratch buffer serves every push of this (single-threaded) build.
-    scratch = np.zeros(graph.num_nodes, dtype=np.float64)
+    sources: list[np.ndarray] = []
+    values: list[np.ndarray] = []
+    run_levels: list[int] = []
+    run_targets: list[int] = []
     for target in target_iter:
-        per_level = reverse_push(graph, int(target), sqrt_c, theta, scratch=scratch)
-        for level, entries in per_level.items():
-            for source, value in entries.items():
-                hitting_sets[source].set(level, int(target), value)
-    return hitting_sets
+        for level, nodes, level_values in _pushed_levels(
+            graph, int(target), sqrt_c, theta
+        ):
+            sources.append(nodes)
+            values.append(level_values)
+            run_levels.append(level)
+            run_targets.append(int(target))
+    if not sources:
+        return HittingRecords(
+            num_nodes,
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int32),
+            np.empty(0, dtype=np.int32),
+            np.empty(0, dtype=np.float64),
+        )
+    run_lengths = np.fromiter(
+        (nodes.shape[0] for nodes in sources), dtype=np.int64, count=len(sources)
+    )
+    return HittingRecords(
+        num_nodes,
+        np.concatenate(sources),
+        np.repeat(np.asarray(run_levels, dtype=np.int32), run_lengths),
+        np.repeat(np.asarray(run_targets, dtype=np.int32), run_lengths),
+        np.concatenate(values),
+    )
 
 
 # --------------------------------------------------------------------------- #

@@ -5,7 +5,8 @@
 * correction factors ``d̃_k`` estimated by √c-walk sampling
   (:mod:`repro.sling.correction`, Algorithms 1 / 4),
 * per-node hitting-probability sets ``H(v)`` built by reverse local push
-  (:mod:`repro.sling.hitting`, Algorithm 2),
+  (:mod:`repro.sling.hitting`, Algorithm 2) and packed into columns
+  (:mod:`repro.sling.packed`),
 * the optional space-reduction and accuracy-enhancement optimizations
   (:mod:`repro.sling.optimizations`, Sections 5.2 / 5.3),
 
@@ -35,7 +36,7 @@ from .optimizations import AccuracyEnhancer, SpaceReduction
 from .packed import PackedHittingStore
 from .parameters import SlingParameters
 from .query import ServingState, SlingQueries
-from .walks import SqrtCWalker
+from .walks import SqrtCWalker, resolve_entropy
 
 __all__ = ["SlingIndex", "BuildStatistics"]
 
@@ -83,7 +84,9 @@ class SlingIndex(SlingQueries):
         paper's experiments.
     seed:
         Seed for the √c-walk sampling used by the correction-factor
-        estimators.
+        estimators; ``d̃_k`` draws from the stream derived from
+        ``(seed, k)``.  ``None`` draws fresh entropy once per index, and a
+        dynamic index's repairs and re-freezes reuse it.
     adaptive_correction:
         Use Algorithm 4 (adaptive sampling, default) instead of Algorithm 1.
     reduce_space:
@@ -133,7 +136,7 @@ class SlingIndex(SlingQueries):
                 error_split=error_split,
             )
         self._params = parameters
-        self._seed = seed
+        self._seed = resolve_entropy(seed)
         self._adaptive_correction = adaptive_correction
         self._reduce_space = reduce_space
         self._enhance_accuracy = enhance_accuracy
@@ -175,9 +178,10 @@ class SlingIndex(SlingQueries):
         """Build the index: correction factors, hitting sets, optimizations.
 
         ``workers > 1`` parallelises both preprocessing phases over node
-        ranges with a process pool (Section 5.4); results are identical to a
-        sequential build up to the per-node sampling randomness.
-        Returns ``self`` so construction can be chained.
+        ranges with a process pool (Section 5.4); the result is bitwise
+        identical for any worker count, because every ``d̃_k`` draws from
+        node ``k``'s own stream and the push records are packed by one
+        constructor.  Returns ``self`` so construction can be chained.
         """
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
@@ -196,14 +200,12 @@ class SlingIndex(SlingQueries):
             correction_seconds = time.perf_counter() - start
 
             start = time.perf_counter()
-            hitting_sets = build_hitting_sets(
-                self._graph, params.sqrt_c, params.theta
-            )
+            records = build_hitting_sets(self._graph, params.sqrt_c, params.theta)
             hitting_seconds = time.perf_counter() - start
         else:
             from .parallel import parallel_build
 
-            corrections, hitting_sets, correction_seconds, hitting_seconds = (
+            corrections, records, correction_seconds, hitting_seconds = (
                 parallel_build(
                     self._graph,
                     params,
@@ -217,14 +219,15 @@ class SlingIndex(SlingQueries):
         reduced = None
         num_reduced = 0
         if self._reduce_space:
-            reduced = SpaceReduction(theta=params.theta).apply(self._graph, hitting_sets)
+            reduced, records = SpaceReduction(theta=params.theta).apply(
+                self._graph, records
+            )
             num_reduced = int(reduced.sum())
 
-        # Freeze the mutable build-time dicts into the packed columnar store;
-        # everything downstream (queries, persistence, size accounting) reads
-        # the flat arrays.
+        # Pack the push records into the columnar store; everything
+        # downstream (queries, persistence, size accounting) reads its arrays.
         start_pack = time.perf_counter()
-        store = PackedHittingStore.from_hitting_sets(hitting_sets)
+        store = PackedHittingStore.from_hitting_sets(records)
         pack_seconds = time.perf_counter() - start_pack
 
         self._attach(corrections, store, reduced)

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..exceptions import ParameterError
 from ..graphs import DiGraph
-from .hitting import HittingProbabilitySet, neighborhood_weight
+from .hitting import HittingRecords, neighborhood_weight
 
 __all__ = ["SpaceReduction", "AccuracyEnhancer", "DEFAULT_GAMMA"]
 
@@ -72,20 +72,22 @@ class SpaceReduction:
         return neighborhood_weight(graph, node) <= self.weight_budget
 
     def apply(
-        self, graph: DiGraph, hitting_sets: list[HittingProbabilitySet]
-    ) -> np.ndarray:
-        """Drop step-1/2 entries in place for every reducible node.
+        self, graph: DiGraph, records: HittingRecords
+    ) -> tuple[np.ndarray, HittingRecords]:
+        """Mask out the step-1/2 records of every reducible source node.
 
-        Returns a boolean array marking which nodes were reduced; the index
-        keeps it so queries know when to overlay
-        :func:`~repro.sling.hitting.exact_near_hops`.
+        Returns ``(reduced, kept)``: a boolean array marking which nodes were
+        reduced — the index keeps it so queries know when to overlay
+        :func:`~repro.sling.hitting.exact_near_hops` — and the records that
+        remain to be packed.
         """
-        reduced = np.zeros(graph.num_nodes, dtype=bool)
-        for node in graph.nodes():
-            if self.is_reducible(graph, node):
-                hitting_sets[node].drop_levels(_REDUCIBLE_LEVELS)
-                reduced[node] = True
-        return reduced
+        reduced = np.fromiter(
+            (self.is_reducible(graph, node) for node in graph.nodes()),
+            dtype=bool,
+            count=graph.num_nodes,
+        )
+        near = np.isin(records.levels, _REDUCIBLE_LEVELS)
+        return reduced, records.take(~(near & reduced[records.sources]))
 
 
 class AccuracyEnhancer:

@@ -1,11 +1,9 @@
 """Packed columnar hitting-set store: the query-time representation of SLING.
 
-The dict-of-dicts :class:`~repro.sling.hitting.HittingProbabilitySet` is the
-natural *build-time* container — reverse pushes insert entries one at a time —
-but it is a poor *query-time* one: Algorithm 3 degenerates into a Python loop
-with two hash probes per entry, and Algorithm 6 rebuilds numpy frontiers with
-``np.fromiter`` on every query.  This module provides the frozen columnar
-layout both query algorithms actually want:
+Reverse pushes emit hitting probabilities as flat records in push order
+(grouped by *target*); both query algorithms want them grouped by *source*,
+sorted, and sliceable without a Python loop.  This module provides that
+frozen columnar layout:
 
 * :class:`PackedHittingStore` — all hitting sets of an index as four flat
   arrays: per-node ``offsets`` into ``(levels, targets, values)`` columns,
@@ -21,19 +19,20 @@ layout both query algorithms actually want:
   combined keys) followed by a single dot product with
   ``corrections[targets]``.
 
-Dict-based sets exist only at build time: :meth:`PackedHittingStore.from_hitting_sets`
-freezes them, and every query reads the columns.
+Every build path — in memory, parallel, out of core — packs its records with
+:meth:`PackedHittingStore.from_hitting_sets`, and every query reads the
+columns.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from ..exceptions import StorageError
-from .hitting import HittingProbabilitySet
+from .hitting import HittingRecords
 
 __all__ = [
     "LEVEL_SHIFT",
@@ -269,28 +268,25 @@ class PackedHittingStore:
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_hitting_sets(
-        cls, hitting_sets: Sequence[HittingProbabilitySet]
-    ) -> "PackedHittingStore":
-        """Freeze build-time dict sets into the packed columnar layout."""
-        num_nodes = len(hitting_sets)
-        counts = np.fromiter(
-            (len(hs) for hs in hitting_sets), dtype=_OFFSET_DTYPE, count=num_nodes
-        )
-        offsets = np.zeros(num_nodes + 1, dtype=_OFFSET_DTYPE)
+    def from_hitting_sets(cls, records: HittingRecords) -> "PackedHittingStore":
+        """Pack flat ``(source, level, target, value)`` records into a store.
+
+        The one packing step of every build path: records in any order
+        (push order from :func:`~repro.sling.hitting.build_hitting_sets`,
+        concatenated worker chunks, spilled runs read back) are grouped by
+        source and each segment sorted by the combined key, with one global
+        lexsort and no Python loop.
+        """
+        sources = np.asarray(records.sources)
+        counts = np.bincount(sources, minlength=records.num_nodes)
+        offsets = np.zeros(records.num_nodes + 1, dtype=_OFFSET_DTYPE)
         np.cumsum(counts, out=offsets[1:])
-        total = int(offsets[-1])
-        levels = np.empty(total, dtype=_LEVEL_DTYPE)
-        targets = np.empty(total, dtype=_TARGET_DTYPE)
-        values = np.empty(total, dtype=_VALUE_DTYPE)
-        cursor = 0
-        for hitting_set in hitting_sets:
-            for level, target, value in hitting_set.items():
-                levels[cursor] = level
-                targets[cursor] = target
-                values[cursor] = value
-                cursor += 1
-        return cls.from_columns(offsets, levels, targets, values)
+        levels = np.asarray(records.levels, dtype=_LEVEL_DTYPE)
+        targets = np.asarray(records.targets, dtype=_TARGET_DTYPE)
+        values = np.asarray(records.values, dtype=_VALUE_DTYPE)
+        keys = pack_keys(levels, targets)
+        order = np.lexsort((keys, sources))
+        return cls(offsets, levels[order], targets[order], values[order], keys[order])
 
     @classmethod
     def from_columns(
@@ -300,47 +296,13 @@ class PackedHittingStore:
         targets: np.ndarray,
         values: np.ndarray,
     ) -> "PackedHittingStore":
-        """Build a store from node-grouped columns in arbitrary entry order.
-
-        Entries must already be grouped per node according to ``offsets``;
-        this sorts each node's segment by the combined key (one global stable
-        lexsort, no Python loop).
-        """
+        """Pack node-grouped columns (segments per ``offsets``, any entry order)."""
         offsets = np.asarray(offsets, dtype=_OFFSET_DTYPE)
-        levels = np.asarray(levels, dtype=_LEVEL_DTYPE)
-        targets = np.asarray(targets, dtype=_TARGET_DTYPE)
-        values = np.asarray(values, dtype=_VALUE_DTYPE)
-        keys = pack_keys(levels, targets)
-        node_ids = np.repeat(
-            np.arange(offsets.shape[0] - 1, dtype=np.int64), np.diff(offsets)
+        num_nodes = offsets.shape[0] - 1
+        sources = np.repeat(np.arange(num_nodes, dtype=np.int64), np.diff(offsets))
+        return cls.from_hitting_sets(
+            HittingRecords(num_nodes, sources, levels, targets, values)
         )
-        order = np.lexsort((keys, node_ids))
-        return cls(offsets, levels[order], targets[order], values[order], keys[order])
-
-    @classmethod
-    def from_records(
-        cls,
-        num_nodes: int,
-        sources: np.ndarray,
-        levels: np.ndarray,
-        targets: np.ndarray,
-        values: np.ndarray,
-    ) -> "PackedHittingStore":
-        """Build a store from flat ``(source, level, target, value)`` records.
-
-        Used by the out-of-core builder: the externally merged record stream
-        becomes the packed index directly, with no dict round-trip.
-        """
-        sources = np.asarray(sources, dtype=np.int64)
-        counts = np.bincount(sources, minlength=num_nodes)
-        offsets = np.zeros(num_nodes + 1, dtype=_OFFSET_DTYPE)
-        np.cumsum(counts, out=offsets[1:])
-        levels = np.asarray(levels, dtype=_LEVEL_DTYPE)
-        targets = np.asarray(targets, dtype=_TARGET_DTYPE)
-        values = np.asarray(values, dtype=_VALUE_DTYPE)
-        keys = pack_keys(levels, targets)
-        order = np.lexsort((keys, sources))
-        return cls(offsets, levels[order], targets[order], values[order], keys[order])
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -362,8 +324,7 @@ class PackedHittingStore:
     def size_bytes(self) -> int:
         """Logical packed size: 12 bytes per (level, target, value) entry.
 
-        This is the Figure-4 accounting unit shared with
-        :meth:`~repro.sling.hitting.HittingProbabilitySet.size_bytes`.
+        This is the Figure-4 accounting unit.
         """
         return ENTRY_BYTES * self.num_entries
 

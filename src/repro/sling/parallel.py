@@ -8,10 +8,12 @@ Both preprocessing phases of SLING are embarrassingly parallel over nodes:
   touches only its forward-reachable region.
 
 ``parallel_build`` splits the node range into contiguous chunks, processes the
-chunks in a :class:`concurrent.futures.ProcessPoolExecutor`, and merges the
-partial results.  Per-chunk random seeds are derived with
-``numpy.random.SeedSequence.spawn`` so a parallel build is reproducible for a
-fixed ``(seed, workers)`` pair.
+chunks in a :class:`concurrent.futures.ProcessPoolExecutor`, and concatenates
+the partial results: each worker returns its corrections and its push records,
+which the caller packs exactly as a sequential build does.  Every ``d̃_k``
+draws from node ``k``'s own stream (:func:`~repro.sling.walks.node_stream`),
+so a parallel build is bitwise identical to a sequential one with the same
+seed, for any worker count.
 
 The module also exposes :func:`build_with_thread_count`, the measurement
 helper behind the Figure-9 "preprocessing time vs. number of threads"
@@ -29,9 +31,9 @@ import numpy as np
 from ..exceptions import ParameterError
 from ..graphs import DiGraph
 from .correction import estimate_all_correction_factors
-from .hitting import HittingProbabilitySet, build_hitting_sets
+from .hitting import HittingRecords, build_hitting_sets
 from .parameters import SlingParameters
-from .walks import SqrtCWalker
+from .walks import SqrtCWalker, resolve_entropy
 
 __all__ = [
     "parallel_build",
@@ -95,11 +97,10 @@ def _init_worker(graph: DiGraph, params: SlingParameters) -> None:
 
 
 def _correction_chunk(
-    chunk: range, seed_entropy: int, adaptive: bool
+    chunk: range, entropy: int, adaptive: bool
 ) -> tuple[range, np.ndarray]:
     assert _WORKER_GRAPH is not None and _WORKER_PARAMS is not None
-    rng = np.random.default_rng(np.random.SeedSequence(seed_entropy))
-    walker = SqrtCWalker(_WORKER_GRAPH, _WORKER_PARAMS.c, seed=rng)
+    walker = SqrtCWalker(_WORKER_GRAPH, _WORKER_PARAMS.c, seed=entropy)
     values = estimate_all_correction_factors(
         walker,
         _WORKER_PARAMS.epsilon_d,
@@ -110,19 +111,14 @@ def _correction_chunk(
     return chunk, values[chunk.start : chunk.stop]
 
 
-def _hitting_chunk(chunk: range) -> list[tuple[int, int, int, float]]:
+def _hitting_chunk(chunk: range) -> HittingRecords:
     assert _WORKER_GRAPH is not None and _WORKER_PARAMS is not None
-    partial_sets = build_hitting_sets(
+    return build_hitting_sets(
         _WORKER_GRAPH,
         _WORKER_PARAMS.sqrt_c,
         _WORKER_PARAMS.theta,
         targets=chunk,
     )
-    records: list[tuple[int, int, int, float]] = []
-    for source, hitting_set in enumerate(partial_sets):
-        for level, target, value in hitting_set.items():
-            records.append((source, level, target, value))
-    return records
 
 
 def parallel_build(
@@ -132,20 +128,18 @@ def parallel_build(
     workers: int,
     seed: int | None = None,
     adaptive_correction: bool = True,
-) -> tuple[np.ndarray, list[HittingProbabilitySet], float, float]:
-    """Build corrections and hitting sets with ``workers`` processes.
+) -> tuple[np.ndarray, HittingRecords, float, float]:
+    """Build corrections and push records with ``workers`` processes.
 
-    Returns ``(corrections, hitting_sets, correction_seconds, hitting_seconds)``
-    so the caller (:meth:`SlingIndex.build`) can fill its build statistics.
+    Returns ``(corrections, records, correction_seconds, hitting_seconds)``
+    so the caller (:meth:`SlingIndex.build`) can pack the records and fill
+    its build statistics.
     """
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     chunks = node_chunks(graph.num_nodes, workers * 4)
-    seed_sequence = np.random.SeedSequence(seed)
-    chunk_seeds = [int(child.entropy) for child in seed_sequence.spawn(len(chunks))]
-
+    entropy = resolve_entropy(seed)
     corrections = np.full(graph.num_nodes, np.nan, dtype=np.float64)
-    hitting_sets = [HittingProbabilitySet() for _ in range(graph.num_nodes)]
 
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(graph, params)
@@ -154,7 +148,7 @@ def parallel_build(
         correction_results = pool.map(
             _correction_chunk,
             chunks,
-            chunk_seeds,
+            [entropy] * len(chunks),
             [adaptive_correction] * len(chunks),
         )
         for chunk, values in correction_results:
@@ -162,12 +156,10 @@ def parallel_build(
         correction_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        for records in pool.map(_hitting_chunk, chunks):
-            for source, level, target, value in records:
-                hitting_sets[source].set(level, target, value)
+        records = HittingRecords.concatenate(list(pool.map(_hitting_chunk, chunks)))
         hitting_seconds = time.perf_counter() - start
 
-    return corrections, hitting_sets, correction_seconds, hitting_seconds
+    return corrections, records, correction_seconds, hitting_seconds
 
 
 def build_with_thread_count(

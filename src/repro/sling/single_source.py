@@ -64,8 +64,6 @@ def single_source_local_push(
     corrections: np.ndarray,
     sqrt_c: float,
     theta: float,
-    *,
-    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Algorithm 6: SimRank from the query node to every node.
 
@@ -89,9 +87,6 @@ def single_source_local_push(
         The ``(n,)`` array of correction factors ``d̃_k``.
     sqrt_c, theta:
         The index parameters ``√c`` and ``θ``.
-    scratch:
-        Retained for backward compatibility (the ``bincount`` scatter
-        allocates its own output); validated when passed, otherwise unused.
 
     Returns
     -------
@@ -113,7 +108,7 @@ def single_source_local_push(
             if frontier_nodes.size == 0:
                 break
             frontier_nodes, frontier_values = push_frontier(
-                graph, frontier_nodes, frontier_values, sqrt_c, scratch=scratch
+                graph, frontier_nodes, frontier_values, sqrt_c
             )
         if frontier_nodes.size:
             delivered_nodes.append(frontier_nodes)

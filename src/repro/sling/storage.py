@@ -18,9 +18,9 @@ This module implements both sides on top of the packed columnar store of
   overlays included, and a pair query slices exactly two node segments out
   of the mapped columns,
 * :func:`out_of_core_build` — Algorithm 2 with a bounded in-memory buffer:
-  records are spilled to sorted run files and merged straight into the packed
-  store, mimicking the Figure-10 experiment where the memory buffer is varied
-  from 256 MB down.
+  push records are spilled to run files and packed straight into the store
+  by the in-memory build's own constructor, mimicking the Figure-10
+  experiment where the memory buffer is varied from 256 MB down.
 
 Directories written in any other format version are rejected with a
 :class:`~repro.exceptions.StorageError`; re-save them with this version.
@@ -28,9 +28,7 @@ Directories written in any other format version are rejected with a
 
 from __future__ import annotations
 
-import heapq
 import json
-import struct
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,7 +38,7 @@ import numpy as np
 from ..exceptions import ParameterError, StorageError
 from ..graphs import DiGraph
 from .correction import estimate_all_correction_factors
-from .hitting import reverse_push
+from .hitting import HittingRecords, build_hitting_sets
 from .index import SlingIndex
 from .packed import PackedHittingStore
 from .parameters import SlingParameters
@@ -59,9 +57,12 @@ _CORRECTIONS_FILE = "sling_corrections.npy"
 _REDUCED_FILE = "sling_reduced.npy"
 #: Current on-disk format: per-column ``.npy`` files, memory-mappable.
 FORMAT_VERSION = 2
-#: On-disk size of one hitting-probability record: source, level, target, value.
-_RECORD_STRUCT = struct.Struct("<iiif")
-RECORD_BYTES = _RECORD_STRUCT.size
+#: One spilled hitting-probability record: source, level, target, value.  The
+#: value keeps all 64 bits, so the packed store matches an in-memory build.
+_RECORD_DTYPE = np.dtype(
+    [("source", "<i4"), ("level", "<i4"), ("target", "<i4"), ("value", "<f8")]
+)
+RECORD_BYTES = _RECORD_DTYPE.itemsize
 
 
 # --------------------------------------------------------------------------- #
@@ -211,21 +212,24 @@ class OutOfCoreBuildReport:
     merge_seconds: float
 
 
-def _spill_run(records: list[tuple[int, int, int, float]], run_path: Path) -> None:
-    """Sort a buffer by source node and write it as a binary run file."""
-    records.sort(key=lambda record: record[0])
-    with open(run_path, "wb") as handle:
-        for record in records:
-            handle.write(_RECORD_STRUCT.pack(*record))
+def _spill_run(records: HittingRecords, run_path: Path) -> None:
+    """Write a buffer of records as a binary run file."""
+    rows = np.empty(records.num_records, dtype=_RECORD_DTYPE)
+    rows["source"] = records.sources
+    rows["level"] = records.levels
+    rows["target"] = records.targets
+    rows["value"] = records.values
+    rows.tofile(run_path)
 
 
-def _iter_run(run_path: Path):
-    with open(run_path, "rb") as handle:
-        while True:
-            chunk = handle.read(RECORD_BYTES)
-            if not chunk:
-                break
-            yield _RECORD_STRUCT.unpack(chunk)
+def _read_runs(num_nodes: int, run_paths: list[Path]) -> HittingRecords:
+    """The records of every run file, in spill order."""
+    rows = np.concatenate(
+        [np.fromfile(path, dtype=_RECORD_DTYPE) for path in run_paths]
+    )
+    return HittingRecords(
+        num_nodes, rows["source"], rows["level"], rows["target"], rows["value"]
+    )
 
 
 def out_of_core_build(
@@ -239,11 +243,15 @@ def out_of_core_build(
     """Build a SLING index with a bounded in-memory record buffer.
 
     The correction factors are computed in memory (they need only
-    ``8n`` bytes); the hitting-probability records produced by the reverse
-    pushes are buffered, spilled to sorted run files whenever the buffer
-    exceeds ``buffer_bytes``, and finally merged with a k-way external merge
-    **directly into the packed columnar store** of :func:`save_index` — the
-    merged stream never materialises per-node dicts.
+    ``8n`` bytes); the push records of
+    :func:`~repro.sling.hitting.build_hitting_sets`, emitted one target at a
+    time, are buffered and spilled to a run file as soon as the buffer holds
+    ``buffer_bytes`` of them (a run overshoots by at most one target's
+    records), then read back and packed by the same
+    :meth:`~repro.sling.packed.PackedHittingStore.from_hitting_sets` as an
+    in-memory build, whose per-source sort is the external sort's merge.
+    The saved index is therefore bitwise identical to
+    ``SlingIndex(graph, parameters=params, seed=seed).build()``.
 
     Returns an :class:`OutOfCoreBuildReport`; the finished index can then be
     loaded (memory-mapped) with :func:`load_index`.
@@ -267,47 +275,34 @@ def out_of_core_build(
     correction_seconds = time.perf_counter() - start
 
     max_buffer_records = max(1, buffer_bytes // RECORD_BYTES)
-    buffer: list[tuple[int, int, int, float]] = []
+    buffer: list[HittingRecords] = []
+    buffered = 0
     run_paths: list[Path] = []
     num_records = 0
 
-    start = time.perf_counter()
-    scratch = np.zeros(graph.num_nodes, dtype=np.float64)
-    for target in graph.nodes():
-        per_level = reverse_push(
-            graph, target, params.sqrt_c, params.theta, scratch=scratch
-        )
-        for level, entries in per_level.items():
-            for source, value in entries.items():
-                buffer.append((source, level, target, float(value)))
-                num_records += 1
-                if len(buffer) >= max_buffer_records:
-                    run_path = runs_directory / f"run_{len(run_paths):06d}.bin"
-                    _spill_run(buffer, run_path)
-                    run_paths.append(run_path)
-                    buffer = []
-    if buffer:
+    def spill(records: HittingRecords) -> None:
         run_path = runs_directory / f"run_{len(run_paths):06d}.bin"
-        _spill_run(buffer, run_path)
+        _spill_run(records, run_path)
         run_paths.append(run_path)
-        buffer = []
+
+    start = time.perf_counter()
+    for target in graph.nodes():
+        records = build_hitting_sets(
+            graph, params.sqrt_c, params.theta, targets=(target,)
+        )
+        buffer.append(records)
+        buffered += records.num_records
+        num_records += records.num_records
+        if buffered >= max_buffer_records:
+            spill(HittingRecords.concatenate(buffer))
+            buffer, buffered = [], 0
+    if buffer:
+        spill(HittingRecords.concatenate(buffer))
     push_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    merged = heapq.merge(
-        *[_iter_run(path) for path in run_paths], key=lambda record: record[0]
-    )
-    sources = np.empty(num_records, dtype=np.int64)
-    levels = np.empty(num_records, dtype=np.int32)
-    targets = np.empty(num_records, dtype=np.int32)
-    values = np.empty(num_records, dtype=np.float64)
-    for cursor, (source, level, target, value) in enumerate(merged):
-        sources[cursor] = source
-        levels[cursor] = level
-        targets[cursor] = target
-        values[cursor] = value
-    store = PackedHittingStore.from_records(
-        graph.num_nodes, sources, levels, targets, values
+    store = PackedHittingStore.from_hitting_sets(
+        _read_runs(graph.num_nodes, run_paths)
     )
     merge_seconds = time.perf_counter() - start
 

@@ -17,6 +17,7 @@ The walker here is used by
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Sequence
 
@@ -25,7 +26,28 @@ import numpy as np
 from ..exceptions import NodeNotFoundError, ParameterError
 from ..graphs import DiGraph
 
-__all__ = ["SqrtCWalker", "walks_meet"]
+__all__ = ["SqrtCWalker", "walks_meet", "resolve_entropy", "node_stream"]
+
+
+def resolve_entropy(seed: int | None) -> int:
+    """The root entropy that every per-node stream derives from.
+
+    An integer seed is its own entropy; ``None`` draws fresh entropy from the
+    OS, which the caller keeps so that later estimates reuse it.
+    """
+    return int(np.random.SeedSequence(seed).entropy)
+
+
+def node_stream(entropy: int, node: int) -> np.random.Generator:
+    """Node ``node``'s own random stream: the seeding rule of every ``d̃_k``.
+
+    The stream depends on ``(entropy, node)`` alone — it is the ``node``-th
+    child of ``SeedSequence(entropy)`` — so a node's correction factor is the
+    same whichever builder, worker, repair or re-freeze estimates it.
+    """
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy, spawn_key=(int(node),))
+    )
 
 
 def walks_meet(walk_a: Sequence[int], walk_b: Sequence[int]) -> bool:
@@ -50,7 +72,8 @@ class SqrtCWalker:
     c:
         SimRank decay factor, ``0 < c < 1`` (the paper uses ``c = 0.6``).
     seed:
-        Seed (or :class:`numpy.random.Generator`) for reproducible sampling.
+        Seed for reproducible sampling (see :func:`resolve_entropy`); the
+        walker's own stream and every :meth:`for_node` stream derive from it.
     max_length:
         Hard cap on walk length, purely a safety valve: a √c-walk terminates
         naturally with probability ``1 - √c`` per step, so the cap is
@@ -62,7 +85,7 @@ class SqrtCWalker:
         graph: DiGraph,
         c: float = 0.6,
         *,
-        seed: int | np.random.Generator | None = None,
+        seed: int | None = None,
         max_length: int | None = None,
     ) -> None:
         if not 0.0 < c < 1.0:
@@ -70,10 +93,8 @@ class SqrtCWalker:
         self._graph = graph
         self._c = float(c)
         self._sqrt_c = math.sqrt(c)
-        if isinstance(seed, np.random.Generator):
-            self._rng = seed
-        else:
-            self._rng = np.random.default_rng(seed)
+        self._entropy = resolve_entropy(seed)
+        self._rng = np.random.default_rng(self._entropy)
         if max_length is None:
             max_length = max(64, int(16.0 / (1.0 - self._sqrt_c)))
         if max_length < 1:
@@ -100,6 +121,22 @@ class SqrtCWalker:
     def expected_length(self) -> float:
         """Expected number of steps after step 0, ``√c / (1 - √c)``."""
         return self._sqrt_c / (1.0 - self._sqrt_c)
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The generator this walker draws from."""
+        return self._rng
+
+    def for_node(self, node: int) -> "SqrtCWalker":
+        """A walker on the same graph that draws from ``node``'s own stream.
+
+        The correction-factor estimator samples ``d̃_k`` through
+        ``for_node(k)``, so the estimate depends only on the graph, the
+        walker's seed and ``k`` (see :func:`node_stream`).
+        """
+        walker = copy.copy(self)
+        walker._rng = node_stream(self._entropy, node)
+        return walker
 
     # ------------------------------------------------------------------ #
     def walk(self, start: int) -> list[int]:

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs import DiGraph
-from repro.sling import build_hitting_sets, exact_near_hops, reverse_push
+from repro.sling import PackedHittingStore, build_hitting_sets, exact_near_hops, reverse_push
 from repro.sling.hitting import theoretical_error_bound
 
 SQRT_C = math.sqrt(0.6)
@@ -76,10 +76,10 @@ def test_reverse_push_error_within_lemma7_bound(graph, theta):
 @settings(max_examples=30, deadline=None)
 @given(small_graphs(), thetas)
 def test_hitting_set_level_mass_bounded(graph, theta):
-    hitting_sets = build_hitting_sets(graph, SQRT_C, theta)
-    for hitting_set in hitting_sets:
-        for level in hitting_set.levels:
-            assert hitting_set.total_mass(level) <= SQRT_C**level + 1e-9
+    store = PackedHittingStore.from_hitting_sets(build_hitting_sets(graph, SQRT_C, theta))
+    _, levels, totals, _ = store.level_stats()
+    assert levels.size > 0
+    assert np.all(totals <= SQRT_C**levels + 1e-9)
 
 
 @settings(max_examples=30, deadline=None)
@@ -99,4 +99,4 @@ def test_exact_near_hops_match_matrix_computation(graph):
 def test_smaller_theta_never_shrinks_hitting_sets(graph, theta):
     coarse = build_hitting_sets(graph, SQRT_C, theta)
     fine = build_hitting_sets(graph, SQRT_C, theta / 4)
-    assert sum(len(hs) for hs in fine) >= sum(len(hs) for hs in coarse)
+    assert fine.num_records >= coarse.num_records

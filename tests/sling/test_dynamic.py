@@ -156,6 +156,24 @@ class TestMutate:
         assert report.edges_added == 2
 
 
+class TestRepairedCorrections:
+    def test_repaired_correction_equals_rebuild(self, community_dynamic):
+        index = community_dynamic
+        index.mutate(added=[(0, 17), (3, 28)])
+        fresh = rebuilt(index.graph)
+        for head in (17, 28):
+            assert index.correction_factors[head] == fresh.correction_factors[head]
+
+    def test_unseeded_repair_matches_its_refreeze(self):
+        index = DynamicSlingIndex(
+            generators.two_level_community(3, 10, seed=7), epsilon=EPS
+        ).build()
+        index.mutate(added=[(0, 17)])
+        repaired = index.correction_factors[17]
+        assert index.refreeze()
+        assert index.correction_factors[17] == repaired
+
+
 class TestRefreeze:
     def test_refreeze_restores_bitwise_rebuild_parity(self, community_dynamic):
         index = community_dynamic

@@ -1,4 +1,4 @@
-"""Unit tests for hitting probabilities: Algorithm 2, Algorithm 5, containers."""
+"""Unit tests for hitting probabilities: Algorithm 2, Algorithm 5, push records."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import pytest
 from repro.exceptions import ParameterError
 from repro.graphs import DiGraph, generators
 from repro.sling import (
-    HittingProbabilitySet,
+    HittingRecords,
     build_hitting_sets,
     exact_near_hops,
     neighborhood_weight,
@@ -32,74 +32,6 @@ def exact_hitting_probabilities(graph: DiGraph, sqrt_c: float, max_level: int) -
         # In matrix form: H_{l+1}[i, k] = sum_x R[x, i] H_l[x, k] = (R^T H_l)[i, k]
         levels.append(scaled.T @ levels[-1])
     return levels
-
-
-class TestHittingProbabilitySet:
-    def test_add_accumulates(self):
-        hitting_set = HittingProbabilitySet()
-        hitting_set.add(1, 4, 0.2)
-        hitting_set.add(1, 4, 0.3)
-        assert hitting_set.get(1, 4) == pytest.approx(0.5)
-
-    def test_set_overwrites(self):
-        hitting_set = HittingProbabilitySet()
-        hitting_set.add(0, 1, 0.4)
-        hitting_set.set(0, 1, 0.1)
-        assert hitting_set.get(0, 1) == pytest.approx(0.1)
-
-    def test_get_default(self):
-        hitting_set = HittingProbabilitySet()
-        assert hitting_set.get(3, 7) == 0.0
-        assert hitting_set.get(3, 7, default=-1.0) == -1.0
-
-    def test_len_and_items(self):
-        hitting_set = HittingProbabilitySet({0: {0: 1.0}, 2: {3: 0.1, 4: 0.2}})
-        assert len(hitting_set) == 3
-        assert set(hitting_set.items()) == {(0, 0, 1.0), (2, 3, 0.1), (2, 4, 0.2)}
-
-    def test_level_items_and_max_level(self):
-        hitting_set = HittingProbabilitySet({0: {0: 1.0}, 5: {1: 0.2}})
-        assert hitting_set.level_items(5) == {1: 0.2}
-        assert hitting_set.level_items(9) == {}
-        assert hitting_set.max_level() == 5
-        assert HittingProbabilitySet().max_level() == -1
-
-    def test_drop_levels(self):
-        hitting_set = HittingProbabilitySet({0: {0: 1.0}, 1: {1: 0.3}, 2: {2: 0.1}})
-        hitting_set.drop_levels([1, 2])
-        assert len(hitting_set) == 1
-        assert hitting_set.get(0, 0) == 1.0
-
-    def test_equality_and_copy(self):
-        original = HittingProbabilitySet({0: {0: 1.0}, 1: {2: 0.5}})
-        duplicate = original.copy()
-        assert original == duplicate
-        duplicate.set(1, 2, 0.9)
-        assert original != duplicate
-        assert original.get(1, 2) == 0.5
-
-    def test_merged_with_prefers_other(self):
-        base = HittingProbabilitySet({1: {0: 0.1}})
-        overlay = HittingProbabilitySet({1: {0: 0.7}, 2: {5: 0.2}})
-        merged = base.merged_with(overlay)
-        assert merged.get(1, 0) == 0.7
-        assert merged.get(2, 5) == 0.2
-        assert base.get(1, 0) == 0.1  # unchanged
-
-    def test_total_mass(self):
-        hitting_set = HittingProbabilitySet({1: {0: 0.2, 3: 0.3}})
-        assert hitting_set.total_mass(1) == pytest.approx(0.5)
-        assert hitting_set.total_mass(9) == 0.0
-
-    def test_size_accounting(self):
-        hitting_set = HittingProbabilitySet({0: {0: 1.0}, 1: {2: 0.5}})
-        assert hitting_set.size_bytes() == 24
-        assert hitting_set.deep_size_bytes() > hitting_set.size_bytes()
-
-    def test_empty_levels_are_dropped_at_construction(self):
-        hitting_set = HittingProbabilitySet({0: {}, 1: {2: 0.5}})
-        assert 0 not in hitting_set.levels
-        assert len(hitting_set) == 1
 
 
 class TestReversePush:
@@ -188,39 +120,63 @@ class TestReversePush:
 class TestBuildHittingSets:
     def test_every_node_has_level_zero_self_entry(self):
         graph = generators.preferential_attachment(30, 2, seed=4)
-        hitting_sets = build_hitting_sets(graph, SQRT_C, theta=0.01)
-        for node, hitting_set in enumerate(hitting_sets):
-            assert hitting_set.get(0, node) == pytest.approx(1.0)
+        records = build_hitting_sets(graph, SQRT_C, theta=0.01)
+        level_zero = records.take(records.levels == 0)
+        assert sorted(level_zero.sources.tolist()) == list(range(30))
+        assert np.array_equal(level_zero.sources, level_zero.targets)
+        assert np.all(level_zero.values == 1.0)
 
-    def test_transposition_is_consistent_with_reverse_push(self):
+    def test_records_are_the_reverse_pushes(self):
         graph = generators.two_level_community(2, 6, seed=1)
         theta = 0.01
-        hitting_sets = build_hitting_sets(graph, SQRT_C, theta)
-        for target in graph.nodes():
-            pushed = reverse_push(graph, target, SQRT_C, theta)
-            for level, entries in pushed.items():
-                for source, value in entries.items():
-                    assert hitting_sets[source].get(level, target) == pytest.approx(
-                        value
-                    )
+        records = build_hitting_sets(graph, SQRT_C, theta)
+        assert records.num_nodes == graph.num_nodes
+        emitted = {
+            (int(source), int(level), int(target)): float(value)
+            for source, level, target, value in zip(*records[1:])
+        }
+        assert len(emitted) == records.num_records  # no duplicate positions
+        expected = {
+            (source, level, target): value
+            for target in graph.nodes()
+            for level, entries in reverse_push(graph, target, SQRT_C, theta).items()
+            for source, value in entries.items()
+        }
+        assert emitted == expected
 
     def test_restricting_targets_limits_entries(self):
         graph = generators.cycle(6)
-        hitting_sets = build_hitting_sets(graph, SQRT_C, theta=0.01, targets=[0])
-        total_entries = sum(len(hs) for hs in hitting_sets)
-        assert total_entries == len(reverse_push(graph, 0, SQRT_C, 0.01)[0]) + sum(
-            len(entries)
-            for level, entries in reverse_push(graph, 0, SQRT_C, 0.01).items()
-            if level > 0
+        records = build_hitting_sets(graph, SQRT_C, theta=0.01, targets=[0])
+        assert set(records.targets.tolist()) == {0}
+        assert records.num_records == sum(
+            len(entries) for entries in reverse_push(graph, 0, SQRT_C, 0.01).values()
         )
+
+    def test_no_targets_gives_no_records(self):
+        records = build_hitting_sets(generators.cycle(4), SQRT_C, 0.01, targets=[])
+        assert records.num_records == 0
+        assert records.num_nodes == 4
 
     def test_set_sizes_respect_observation1_bound(self):
         graph = generators.preferential_attachment(60, 3, seed=5)
         theta = 0.01
-        hitting_sets = build_hitting_sets(graph, SQRT_C, theta)
+        records = build_hitting_sets(graph, SQRT_C, theta)
         bound = expected_set_size_bound(SQRT_C, theta)
-        for hitting_set in hitting_sets:
-            assert len(hitting_set) <= bound + 1
+        assert np.bincount(records.sources).max() <= bound + 1
+
+    def test_concatenate_and_take(self):
+        graph = generators.cycle(5)
+        whole = build_hitting_sets(graph, SQRT_C, 0.01)
+        parts = [
+            build_hitting_sets(graph, SQRT_C, 0.01, targets=chunk)
+            for chunk in (range(0, 2), range(2, 5))
+        ]
+        joined = HittingRecords.concatenate(parts)
+        for column in range(1, 5):
+            assert np.array_equal(joined[column], whole[column])
+        head = whole.take(slice(0, 3))
+        assert head.num_records == 3
+        assert np.array_equal(head.values, whole.values[:3])
 
 
 class TestExactNearHops:

@@ -22,21 +22,34 @@ EPS = 0.05
 SQRT_C = 0.6**0.5
 
 
-def marked_enhancer(graph, hitting_sets) -> AccuracyEnhancer:
-    """An enhancer with every node's marks selected from ``hitting_sets``."""
+def packed(graph, theta) -> PackedHittingStore:
+    """The store a plain build with threshold ``theta`` packs."""
+    return PackedHittingStore.from_hitting_sets(build_hitting_sets(graph, SQRT_C, theta))
+
+
+def marked_enhancer(graph, store) -> AccuracyEnhancer:
+    """An enhancer with every node's marks selected from ``store``."""
     enhancer = AccuracyEnhancer(graph, epsilon=EPS, sqrt_c=SQRT_C)
-    enhancer.mark_all_packed(PackedHittingStore.from_hitting_sets(hitting_sets))
+    enhancer.mark_all_packed(store)
     return enhancer
 
 
-def enhanced_set(enhancer, node, hitting_set):
+def stored_entries(store, node) -> dict[tuple[int, int], float]:
+    """``H(node)`` as ``{(level, target): value}``."""
+    return {
+        (int(level), int(target)): float(value)
+        for level, target, value in zip(*store.node_entries(node))
+    }
+
+
+def enhanced_set(enhancer, node, store) -> dict[tuple[int, int], float]:
     """``H*(node)``: the stored set plus the generated entries."""
-    generated = enhancer.generated_entries(
-        node, lambda level, target: hitting_set.get(level, target) > 0.0
+    enhanced = stored_entries(store, node)
+    enhanced.update(
+        enhancer.generated_entries(
+            node, lambda level, target: enhanced.get((level, target), 0.0) > 0.0
+        )
     )
-    enhanced = hitting_set.copy()
-    for (level, target), value in generated.items():
-        enhanced.set(level, target, value)
     return enhanced
 
 
@@ -68,19 +81,28 @@ class TestSpaceReduction:
             assert reduction.is_reducible(graph, node) == expected
 
     def test_apply_drops_levels_one_and_two(self, graph):
-        hitting_sets = build_hitting_sets(graph, SQRT_C, theta=0.01)
+        records = build_hitting_sets(graph, SQRT_C, theta=0.01)
         reduction = SpaceReduction(theta=0.01, gamma=1e9)  # everything reducible
-        reduced = reduction.apply(graph, hitting_sets)
+        reduced, kept = reduction.apply(graph, records)
         assert reduced.all()
-        for hitting_set in hitting_sets:
-            assert not hitting_set.level_items(1)
-            assert not hitting_set.level_items(2)
+        assert not np.isin(kept.levels, (1, 2)).any()
+        assert kept.num_records == np.count_nonzero(~np.isin(records.levels, (1, 2)))
+
+    def test_apply_masks_only_reducible_sources(self, graph):
+        records = build_hitting_sets(graph, SQRT_C, theta=0.01)
+        reduction = SpaceReduction(theta=0.04, gamma=1.0)  # budget = 25
+        reduced, kept = reduction.apply(graph, records)
+        assert 0 < reduced.sum() < graph.num_nodes
+        dropped = reduced[records.sources] & np.isin(records.levels, (1, 2))
+        assert kept.num_records == records.num_records - dropped.sum()
+        assert np.array_equal(kept.values, records.values[~dropped])
+        for node in graph.nodes():
+            assert reduced[node] == reduction.is_reducible(graph, node)
 
     def test_apply_reduces_total_size(self, graph):
-        baseline = build_hitting_sets(graph, SQRT_C, theta=0.01)
-        reduced_sets = build_hitting_sets(graph, SQRT_C, theta=0.01)
-        SpaceReduction(theta=0.01, gamma=1e9).apply(graph, reduced_sets)
-        assert sum(len(hs) for hs in reduced_sets) < sum(len(hs) for hs in baseline)
+        records = build_hitting_sets(graph, SQRT_C, theta=0.01)
+        _, kept = SpaceReduction(theta=0.01, gamma=1e9).apply(graph, records)
+        assert kept.num_records < records.num_records
 
     def test_reconstruct_restores_exact_near_hops(self, graph):
         # A reduced node's stored set lacks levels 1-2; the view a query
@@ -129,8 +151,7 @@ class TestAccuracyEnhancer:
         assert enhancer.mark_budget == 5
 
     def test_marks_respect_budget_and_degree_cutoff(self, graph):
-        hitting_sets = build_hitting_sets(graph, SQRT_C, theta=0.01)
-        enhancer = marked_enhancer(graph, hitting_sets)
+        enhancer = marked_enhancer(graph, packed(graph, theta=0.01))
         in_degrees = graph.in_degrees()
         for node in graph.nodes():
             marks = enhancer.marks_for(node)
@@ -139,28 +160,29 @@ class TestAccuracyEnhancer:
                 assert in_degrees[target] <= enhancer.mark_budget
 
     def test_enhanced_set_is_superset(self, graph):
-        hitting_sets = build_hitting_sets(graph, SQRT_C, theta=0.01)
-        enhancer = marked_enhancer(graph, hitting_sets)
+        store = packed(graph, theta=0.01)
+        enhancer = marked_enhancer(graph, store)
         node = 4
-        enhanced = enhanced_set(enhancer, node, hitting_sets[node])
-        assert len(enhanced) >= len(hitting_sets[node])
-        for level, target, value in hitting_sets[node].items():
-            assert enhanced.get(level, target) == pytest.approx(value)
+        stored = stored_entries(store, node)
+        enhanced = enhanced_set(enhancer, node, store)
+        assert len(enhanced) >= len(stored)
+        for position, value in stored.items():
+            assert enhanced[position] == pytest.approx(value)
 
     def test_generated_values_never_exceed_exact(self, graph):
         # Section 5.3 argues the generated approximations stay below the true
         # hitting probabilities; verify against the exact matrix values.
-        theta = 0.02
-        hitting_sets = build_hitting_sets(graph, SQRT_C, theta)
-        enhancer = marked_enhancer(graph, hitting_sets)
+        store = packed(graph, theta=0.02)
+        enhancer = marked_enhancer(graph, store)
         scaled_transition = graph.transition_matrix().toarray() * SQRT_C
         node = 7
-        enhanced = enhanced_set(enhancer, node, hitting_sets[node])
+        enhanced = enhanced_set(enhancer, node, store)
         # h^(l)(node, k) = (R^l e_node)[k] with R = sqrt(c) P  (Lemma 5).
         exact_level = np.eye(graph.num_nodes)[node]
-        for level in range(enhanced.max_level() + 1):
-            for target, value in enhanced.level_items(level).items():
-                assert value <= exact_level[target] + 1e-9
+        for level in range(max(level for level, _ in enhanced) + 1):
+            for (at_level, target), value in enhanced.items():
+                if at_level == level:
+                    assert value <= exact_level[target] + 1e-9
             exact_level = scaled_transition @ exact_level
 
     def test_enhancement_does_not_hurt_accuracy(self, graph, truth):

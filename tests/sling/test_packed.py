@@ -2,7 +2,7 @@
 
 The query core (packed store slices plus copy-on-write overlays) must agree
 *bitwise* with a test-local reference that composes each query's hitting set
-with dicts — ``build_hitting_sets`` + ``exact_near_hops`` +
+with dicts — a transpose of ``reverse_push`` + ``exact_near_hops`` +
 ``AccuracyEnhancer.generated_entries`` — and runs the same kernels on it: any
 difference means the packed columns or the per-query overlays disagree with
 the paper's definition of the set a query reads.
@@ -13,13 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import ParameterError
 from repro.graphs import generators
 from repro.ranking import rank_top_k
 from repro.engine import BackendConfig, create_backend
 from repro.sling import (
     AccuracyEnhancer,
-    HittingProbabilitySet,
+    HittingRecords,
     PackedHittingStore,
     QueryView,
     SlingIndex,
@@ -29,10 +28,10 @@ from repro.sling import (
     intersect_views,
     load_index,
     pack_keys,
+    reverse_push,
     save_index,
     single_source_local_push,
 )
-from repro.sling.hitting import push_frontier
 
 EPS = 0.1
 
@@ -69,9 +68,45 @@ def index_cache(graph):
     return build
 
 
-def as_view(hitting_set: HittingProbabilitySet) -> QueryView:
+#: One node's hitting set as ``{level: {target: value}}``.
+LevelDict = dict[int, dict[int, float]]
+
+
+def transposed_pushes(graph, sqrt_c: float, theta: float) -> list[LevelDict]:
+    """``H(v)`` of every node: the reverse pushes transposed by source."""
+    sets: list[LevelDict] = [{} for _ in graph.nodes()]
+    for target in graph.nodes():
+        for level, entries in reverse_push(graph, target, sqrt_c, theta).items():
+            for source, value in entries.items():
+                sets[source].setdefault(level, {})[target] = value
+    return sets
+
+
+def entries_of(hitting_set: LevelDict) -> list[tuple[int, int, float]]:
+    """A dict set's ``(level, target, value)`` entries."""
+    return [
+        (level, target, value)
+        for level, entries in hitting_set.items()
+        for target, value in entries.items()
+    ]
+
+
+def pack_sets(sets: list[LevelDict]) -> PackedHittingStore:
+    """Dict sets packed with ``from_columns`` (node-grouped columns)."""
+    rows = [entries_of(hitting_set) for hitting_set in sets]
+    offsets = np.concatenate(([0], np.cumsum([len(entries) for entries in rows])))
+    flat = [entry for entries in rows for entry in entries]
+    return PackedHittingStore.from_columns(
+        offsets,
+        np.array([entry[0] for entry in flat], dtype=np.int32),
+        np.array([entry[1] for entry in flat], dtype=np.int32),
+        np.array([entry[2] for entry in flat], dtype=np.float64),
+    )
+
+
+def as_view(hitting_set: LevelDict) -> QueryView:
     """A dict-based set as a canonical (key-sorted) packed view."""
-    return PackedHittingStore.from_hitting_sets([hitting_set]).node_view(0)
+    return pack_sets([hitting_set]).node_view(0)
 
 
 def view_entries(view: QueryView) -> dict[tuple[int, int], float]:
@@ -85,39 +120,45 @@ def view_entries(view: QueryView) -> dict[tuple[int, int], float]:
 class DictReference:
     """Each query's hitting set, composed with dicts from the build-time sets.
 
-    The stored sets come from ``build_hitting_sets`` (with the Section-5.2
-    reduction applied when enabled); a query from a reduced node overwrites
-    them with the exact ``exact_near_hops`` values, then adds the Section-5.3
+    The stored sets are the transposed reverse pushes, with levels 1-2 of
+    every reducible node dropped when the Section-5.2 reduction is enabled; a
+    query from a reduced node overwrites them with the exact
+    ``exact_near_hops`` values, then adds the Section-5.3
     ``generated_entries`` — the definition the packed overlays implement.
     """
 
     def __init__(self, index: SlingIndex, reduce_space: bool, enhance_accuracy: bool):
         graph, params = index.graph, index.parameters
         self.index = index
-        self.stored = build_hitting_sets(graph, params.sqrt_c, params.theta)
-        self.reduced = np.zeros(graph.num_nodes, dtype=bool)
-        if reduce_space:
-            self.reduced = SpaceReduction(theta=params.theta).apply(graph, self.stored)
+        self.stored = transposed_pushes(graph, params.sqrt_c, params.theta)
+        reduction = SpaceReduction(theta=params.theta)
+        self.reduced = np.array(
+            [reduce_space and reduction.is_reducible(graph, node) for node in graph.nodes()]
+        )
+        for node in np.flatnonzero(self.reduced):
+            self.stored[node] = {
+                level: entries
+                for level, entries in self.stored[node].items()
+                if level not in (1, 2)
+            }
         self.enhancer = None
         if enhance_accuracy:
             self.enhancer = AccuracyEnhancer(graph, params.epsilon, params.sqrt_c)
-            self.enhancer.mark_all_packed(
-                PackedHittingStore.from_hitting_sets(self.stored)
-            )
+            self.enhancer.mark_all_packed(pack_sets(self.stored))
 
-    def hitting_set(self, node: int) -> HittingProbabilitySet:
+    def hitting_set(self, node: int) -> LevelDict:
         graph, sqrt_c = self.index.graph, self.index.parameters.sqrt_c
-        composed = self.stored[node].copy()
+        composed = {level: dict(entries) for level, entries in self.stored[node].items()}
         if self.reduced[node]:
             for level, entries in exact_near_hops(graph, node, sqrt_c).items():
-                for target, value in entries.items():
-                    composed.set(level, target, value)
+                composed.setdefault(level, {}).update(entries)
         if self.enhancer is not None:
             generated = self.enhancer.generated_entries(
-                node, lambda level, target: composed.get(level, target) > 0.0
+                node,
+                lambda level, target: composed.get(level, {}).get(target, 0.0) > 0.0,
             )
             for (level, target), value in generated.items():
-                composed.set(level, target, value)
+                composed.setdefault(level, {})[target] = value
         return composed
 
     def single_pair(self, node_u: int, node_v: int) -> float:
@@ -153,13 +194,11 @@ def reference_cache(index_cache):
     return build
 
 
-def legacy_intersect(
-    set_u: HittingProbabilitySet, set_v: HittingProbabilitySet, corrections
-) -> float:
+def legacy_intersect(set_u: LevelDict, set_v: LevelDict, corrections) -> float:
     """The pre-packed dict-of-dicts intersection loop (sanity oracle)."""
     score = 0.0
-    for level, entries_u in set_u.levels.items():
-        entries_v = set_v.levels.get(level)
+    for level, entries_u in set_u.items():
+        entries_v = set_v.get(level)
         if not entries_v:
             continue
         if len(entries_v) < len(entries_u):
@@ -305,10 +344,12 @@ class TestStoreInvariants:
         store = index_cache(False, False).packed_store
         stored = reference_cache(False, False).stored
         for node, hitting_set in enumerate(stored):
-            expected = {(level, target): value for level, target, value in hitting_set.items()}
+            expected = {
+                (level, target): value for level, target, value in entries_of(hitting_set)
+            }
             assert view_entries(store.node_view(node)) == expected
-            assert store.entry_counts()[node] == len(hitting_set)
-        assert store.num_entries == sum(len(hs) for hs in stored)
+            assert store.entry_counts()[node] == len(expected)
+        assert store.num_entries == sum(len(entries_of(hs)) for hs in stored)
 
     def test_size_accounting_is_o1_and_matches_dicts(self, index_cache):
         index = index_cache(False, False)
@@ -319,7 +360,7 @@ class TestStoreInvariants:
         assert index.average_set_size() == store.num_entries / store.num_nodes
         assert index.resident_bytes() > store.size_bytes()
 
-    def test_from_records_equals_from_hitting_sets(self, index_cache):
+    def test_from_hitting_sets_packs_records_in_any_order(self, index_cache):
         index = index_cache(False, False)
         store = index.packed_store
         sources = np.repeat(
@@ -327,16 +368,41 @@ class TestStoreInvariants:
         )
         rng = np.random.default_rng(3)
         shuffle = rng.permutation(store.num_entries)
-        rebuilt = PackedHittingStore.from_records(
-            store.num_nodes,
-            sources[shuffle],
-            np.asarray(store.levels)[shuffle],
-            np.asarray(store.targets)[shuffle],
-            np.asarray(store.values)[shuffle],
+        rebuilt = PackedHittingStore.from_hitting_sets(
+            HittingRecords(
+                store.num_nodes,
+                sources[shuffle],
+                np.asarray(store.levels)[shuffle],
+                np.asarray(store.targets)[shuffle],
+                np.asarray(store.values)[shuffle],
+            )
         )
         assert np.array_equal(rebuilt.offsets, store.offsets)
         assert np.array_equal(rebuilt.keys, store.keys)
         assert np.array_equal(rebuilt.values, store.values)
+
+    @pytest.mark.parametrize("reduce_space", [False, True], ids=["plain", "reduced"])
+    def test_packed_records_equal_transposed_reference(
+        self, graph, index_cache, reference_cache, reduce_space
+    ):
+        # The build's store — push records, the space-reduction mask, one
+        # packing constructor — equals the transposed reverse pushes packed
+        # with from_columns, column for column.
+        index = index_cache(reduce_space, False)
+        params = index.parameters
+        records = build_hitting_sets(graph, params.sqrt_c, params.theta)
+        reduced = np.zeros(graph.num_nodes, dtype=bool)
+        if reduce_space:
+            reduced, records = SpaceReduction(theta=params.theta).apply(graph, records)
+        packed = PackedHittingStore.from_hitting_sets(records)
+        reference = reference_cache(reduce_space, False)
+        expected = pack_sets(reference.stored)
+        assert np.array_equal(reduced, reference.reduced)
+        for column in ("offsets", "levels", "targets", "values", "keys"):
+            assert np.array_equal(getattr(packed, column), getattr(expected, column))
+            assert np.array_equal(
+                getattr(packed, column), getattr(index.packed_store, column)
+            )
 
 
 # --------------------------------------------------------------------------- #
@@ -344,7 +410,7 @@ class TestStoreInvariants:
 # --------------------------------------------------------------------------- #
 class TestQueryView:
     def test_override_replaces_and_inserts_in_key_order(self):
-        base = as_view(HittingProbabilitySet({0: {4: 1.0}, 2: {1: 0.25, 6: 0.5}}))
+        base = as_view({0: {4: 1.0}, 2: {1: 0.25, 6: 0.5}})
         composed = base.override([(2, 6, 0.75), (1, 3, 0.125), (2, 9, 0.0625)])
         assert composed.num_entries == 5
         assert np.all(np.diff(composed.keys) > 0)
@@ -357,15 +423,13 @@ class TestQueryView:
         assert view_entries(base)[(2, 6)] == 0.5
 
     def test_override_on_empty_view(self):
-        empty = as_view(HittingProbabilitySet())
+        empty = as_view({})
         composed = empty.override([(0, 2, 1.0)])
         assert composed.num_entries == 1
         assert composed.contains(0, 2)
 
     def test_contains_and_iter_levels(self):
-        view = as_view(
-            HittingProbabilitySet({1: {5: 0.5, 2: 0.25}, 3: {0: 0.125}})
-        )
+        view = as_view({1: {5: 0.5, 2: 0.25}, 3: {0: 0.125}})
         assert view.contains(1, 5)
         assert not view.contains(1, 4)
         assert not view.contains(2, 5)
@@ -376,8 +440,8 @@ class TestQueryView:
         assert observed == [(1, [2, 5], [0.25, 0.5]), (3, [0], [0.125])]
 
     def test_intersect_empty_views(self):
-        empty = as_view(HittingProbabilitySet())
-        other = as_view(HittingProbabilitySet({0: {0: 1.0}}))
+        empty = as_view({})
+        other = as_view({0: {0: 1.0}})
         corrections = np.ones(4)
         assert intersect_views(empty, other, corrections) == 0.0
         assert intersect_views(other, empty, corrections) == 0.0
@@ -467,54 +531,6 @@ class TestRoundTrip:
 
 
 # --------------------------------------------------------------------------- #
-# Scratch-buffer reuse
-# --------------------------------------------------------------------------- #
-class TestScratchBuffer:
-    def test_push_frontier_scratch_matches_fresh_allocation(self, graph):
-        nodes = np.array([0, 3, 13], dtype=np.int64)
-        values = np.array([1.0, 0.5, 0.25])
-        fresh = push_frontier(graph, nodes, values, 0.7)
-        scratch = np.zeros(graph.num_nodes)
-        reused = push_frontier(graph, nodes, values, 0.7, scratch=scratch)
-        assert np.array_equal(fresh[0], reused[0])
-        assert np.array_equal(fresh[1], reused[1])
-        # the all-zeros invariant is restored for the next level
-        assert not scratch.any()
-
-    def test_push_frontier_rejects_misshapen_scratch(self, graph):
-        nodes = np.array([0], dtype=np.int64)
-        values = np.array([1.0])
-        with pytest.raises(ParameterError):
-            push_frontier(graph, nodes, values, 0.7, scratch=np.zeros(3))
-
-    def test_reverse_push_scratch_matches_fresh_allocation(self, graph):
-        from repro.sling import reverse_push
-
-        scratch = np.zeros(graph.num_nodes)
-        for target in (0, 7, 20):
-            with_scratch = reverse_push(graph, target, 0.77, 0.01, scratch=scratch)
-            without = reverse_push(graph, target, 0.77, 0.01)
-            assert with_scratch == without
-            assert not scratch.any()
-
-    def test_single_source_scratch_matches_fresh_allocation(self, graph, index_cache):
-        index = index_cache(False, False)
-        params = index.parameters
-        scratch = np.zeros(graph.num_nodes)
-        for node in (1, 12):
-            view = index.packed_store.node_view(node)
-            reused = single_source_local_push(
-                graph, view, index.correction_factors, params.sqrt_c, params.theta,
-                scratch=scratch,
-            )
-            fresh = single_source_local_push(
-                graph, view, index.correction_factors, params.sqrt_c, params.theta
-            )
-            assert np.array_equal(reused, fresh)
-            assert not scratch.any()
-
-
-# --------------------------------------------------------------------------- #
 # QueryView type sanity
 # --------------------------------------------------------------------------- #
 def test_node_view_is_zero_copy(index_cache):
@@ -543,7 +559,7 @@ class TestLevelSegments:
                 assert np.array_equal(view.values[starts[idx] : stops[idx]], values)
 
     def test_empty_view(self):
-        view = as_view(HittingProbabilitySet())
+        view = as_view({})
         levels, starts, stops = view.level_segments()
         assert levels.size == starts.size == stops.size == 0
 
@@ -554,7 +570,7 @@ class TestLevelStats:
         stored = reference_cache(False, False).stored
         for node in (0, 5, 17, 23):
             levels, totals, maxima = store.node_level_stats(node)
-            expected = stored[node].levels
+            expected = stored[node]
             present = sorted(level for level, entries in expected.items() if entries)
             assert [int(level) for level in levels] == present
             for level, total, maximum in zip(levels, totals, maxima):

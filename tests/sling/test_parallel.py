@@ -7,10 +7,28 @@ import pytest
 
 from repro.exceptions import ParameterError
 from repro.graphs import generators
-from repro.sling import SlingIndex, SlingParameters, build_hitting_sets, parallel_build
+from repro.sling import (
+    SlingIndex,
+    SlingParameters,
+    build_hitting_sets,
+    load_index,
+    out_of_core_build,
+    parallel_build,
+)
 from repro.sling.parallel import build_with_thread_count, node_chunks
 
 EPS = 0.1
+
+COLUMNS = ("offsets", "levels", "targets", "values", "keys")
+
+
+def assert_same_index(index, other) -> None:
+    """Equal corrections and equal store columns, bitwise."""
+    assert np.array_equal(index.correction_factors, other.correction_factors)
+    for column in COLUMNS:
+        assert np.array_equal(
+            getattr(index.packed_store, column), getattr(other.packed_store, column)
+        ), column
 
 
 class TestNodeChunks:
@@ -49,14 +67,13 @@ class TestParallelBuild:
             num_nodes=graph.num_nodes, epsilon=EPS
         )
 
-    def test_parallel_matches_sequential_hitting_sets(self, graph, params):
-        corrections, hitting_sets, _, _ = parallel_build(
-            graph, params, workers=2, seed=0
-        )
+    def test_parallel_matches_sequential_records(self, graph, params):
+        corrections, records, _, _ = parallel_build(graph, params, workers=2, seed=0)
         sequential = build_hitting_sets(graph, params.sqrt_c, params.theta)
-        # The hitting-set construction is deterministic, so parallel and
-        # sequential results must be identical.
-        assert hitting_sets == sequential
+        # The chunks are contiguous target ranges concatenated in order, so
+        # the parallel records are the sequential ones, in the same order.
+        for column in range(1, 5):
+            assert np.array_equal(records[column], sequential[column])
         assert not np.isnan(corrections).any()
 
     def test_parallel_corrections_within_epsilon_of_exact(
@@ -84,3 +101,37 @@ class TestParallelBuild:
         elapsed_double = build_with_thread_count(graph, params, 2, seed=0)
         assert elapsed_single > 0.0
         assert elapsed_double > 0.0
+
+
+class TestBuildParity:
+    """Every build path computes the same index: one push, one packing
+    constructor, and each ``d̃_k`` from node ``k``'s own stream."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return generators.two_level_community(2, 12, seed=17)
+
+    @pytest.fixture(scope="class")
+    def sequential(self, graph):
+        return SlingIndex(graph, epsilon=0.05, seed=3).build()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_build_is_bitwise_equal_for_any_worker_count(
+        self, graph, sequential, workers
+    ):
+        parallel = SlingIndex(graph, epsilon=0.05, seed=3).build(workers=workers)
+        assert_same_index(parallel, sequential)
+
+    def test_out_of_core_build_equals_in_memory_build(
+        self, graph, sequential, tmp_path
+    ):
+        report = out_of_core_build(
+            graph, sequential.parameters, tmp_path / "ooc", buffer_bytes=4096, seed=3
+        )
+        assert report.num_spill_runs > 1
+        assert_same_index(load_index(report.directory, graph), sequential)
+
+    def test_unseeded_build_keeps_its_entropy(self, graph):
+        index = SlingIndex(graph, epsilon=0.05)
+        first = index.build().correction_factors.copy()
+        assert np.array_equal(index.build(workers=2).correction_factors, first)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.exceptions import ParameterError
 from repro.graphs import generators
-from repro.sling import HittingProbabilitySet, PackedHittingStore, SlingIndex
+from repro.sling import PackedHittingStore, SlingIndex
 from repro.sling.single_source import single_source_local_push
 
 EPS = 0.05
@@ -15,7 +15,8 @@ EPS = 0.05
 
 def empty_view():
     """A query view with no stored entries."""
-    return PackedHittingStore.from_hitting_sets([HittingProbabilitySet()]).node_view(0)
+    empty = np.empty(0)
+    return PackedHittingStore.from_columns([0, 0], empty, empty, empty).node_view(0)
 
 
 @pytest.fixture(scope="module")

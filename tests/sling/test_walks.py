@@ -10,6 +10,7 @@ import pytest
 from repro.exceptions import NodeNotFoundError, ParameterError
 from repro.graphs import generators
 from repro.sling import SqrtCWalker, walks_meet
+from repro.sling.walks import node_stream, resolve_entropy
 
 
 class TestWalksMeet:
@@ -192,3 +193,34 @@ class TestSimRankEstimation:
             value for (level, _), value in frequencies.items() if level == 1
         )
         assert level_one_mass <= math.sqrt(0.6) + 0.03
+
+
+class TestNodeStreams:
+    def test_integer_seed_is_its_own_entropy(self):
+        assert resolve_entropy(42) == 42
+        assert resolve_entropy(None) != resolve_entropy(None)
+
+    def test_node_stream_is_the_spawned_child(self):
+        child = np.random.SeedSequence(7).spawn(4)[3]
+        expected = np.random.default_rng(child).random(5)
+        assert np.array_equal(node_stream(7, 3).random(5), expected)
+
+    def test_for_node_depends_on_seed_and_node_only(self):
+        graph = generators.preferential_attachment(20, 2, seed=1)
+        walker = SqrtCWalker(graph, seed=9)
+        walker.walk(0)  # the walker's own stream has moved on
+        first = walker.for_node(5).rng.random(4)
+        again = SqrtCWalker(graph, seed=9).for_node(5).rng.random(4)
+        other = walker.for_node(6).rng.random(4)
+        assert np.array_equal(first, again)
+        assert not np.array_equal(first, other)
+
+    def test_for_node_leaves_the_walker_stream_alone(self):
+        graph = generators.preferential_attachment(20, 2, seed=1)
+        walker = SqrtCWalker(graph, seed=4)
+        node_walker = walker.for_node(2)
+        node_walker.count_meeting_pairs(np.array([0, 1]), np.array([3, 4]))
+        assert node_walker.graph is graph and node_walker.c == walker.c
+        assert np.array_equal(
+            walker.rng.random(3), SqrtCWalker(graph, seed=4).rng.random(3)
+        )
