@@ -21,12 +21,15 @@ Three questions, one payload:
   ``index_version`` acknowledged by the most recent mutation — a stale
   cached vector passed off under a newer version would break the echo.
 
-* **Is the staleness certificate honest?**  Before compaction the maximum
-  deviation of every single-source vector from a from-scratch rebuild on
-  the mutated graph must stay within the certified ``ε_stale``
-  (``eps_stale_ok``); after :meth:`~repro.sling.DynamicSlingIndex.refreeze`
-  the correction factors and a node sample of store columns and answers
-  must be **bitwise** rebuild-identical (``rebuild_parity_ok``).
+* **Is the staleness certificate honest?**  Before the re-freeze the
+  store columns of a node sample must already be **bitwise** those of a
+  from-scratch rebuild on the mutated graph (``dirty_store_parity_ok``:
+  every mutation re-packs its targets' records), and the maximum deviation
+  of every sampled single-source vector from the rebuild must stay within
+  the certified ``ε_stale`` (``eps_stale_ok``); after
+  :meth:`~repro.sling.DynamicSlingIndex.refreeze` the correction factors
+  and the sample's store columns and answers must be **bitwise**
+  rebuild-identical (``rebuild_parity_ok``).
 
     PYTHONPATH=src python benchmarks/bench_dynamic.py --smoke
 
@@ -99,10 +102,21 @@ def time_incremental_vs_rebuild(
     return cell, index
 
 
+def _same_entries(index, fresh, node: int) -> bool:
+    """Whether ``node``'s packed segment (keys included) is the rebuild's."""
+    mine = index.packed_store.node_view(node)
+    theirs = fresh.packed_store.node_view(node)
+    return all(
+        np.array_equal(getattr(mine, column), getattr(theirs, column))
+        for column in ("keys", "levels", "targets", "values")
+    )
+
+
 def check_staleness_and_parity(
     index: DynamicSlingIndex, *, epsilon: float, seed: int, sample: int
-) -> tuple[bool, bool, dict]:
-    """``(eps_stale_ok, rebuild_parity_ok, detail)`` for the dirty index."""
+) -> tuple[bool, bool, bool, dict]:
+    """``(eps_stale_ok, dirty_store_parity_ok, rebuild_parity_ok, detail)``
+    for the dirty index."""
     bound = index.staleness_bound()
     fresh = SlingIndex(index.graph, epsilon=epsilon, seed=seed).build()
     rng = np.random.default_rng(seed + 1)
@@ -115,6 +129,11 @@ def check_staleness_and_parity(
         for n in nodes
     )
     eps_stale_ok = bool(index.is_dirty and max_deviation <= bound)
+    dirty_store_parity_ok = bool(
+        index.is_dirty
+        and index.packed_store.num_entries == fresh.packed_store.num_entries
+        and all(_same_entries(index, fresh, int(n)) for n in nodes)
+    )
 
     index.refreeze()
     parity = bool(
@@ -127,9 +146,7 @@ def check_staleness_and_parity(
         if not np.array_equal(index.single_source(n), fresh.single_source(n)):
             parity = False
             break
-        mine = index.packed_store.node_entries(n)
-        theirs = fresh.packed_store.node_entries(n)
-        if not all(np.array_equal(a, b) for a, b in zip(mine, theirs)):
+        if not _same_entries(index, fresh, n):
             parity = False
             break
     detail = {
@@ -137,7 +154,7 @@ def check_staleness_and_parity(
         "max_deviation_while_dirty": max_deviation,
         "parity_sample_nodes": len(nodes),
     }
-    return eps_stale_ok, parity, detail
+    return eps_stale_ok, dirty_store_parity_ok, parity, detail
 
 
 def run_mutation_storm(
@@ -227,8 +244,10 @@ def run_benchmark(
     cell, index = time_incremental_vs_rebuild(
         graph, epsilon=epsilon, seed=seed, num_batches=num_batches
     )
-    eps_stale_ok, rebuild_parity_ok, guard_detail = check_staleness_and_parity(
-        index, epsilon=epsilon, seed=seed, sample=parity_sample
+    eps_stale_ok, dirty_store_parity_ok, rebuild_parity_ok, guard_detail = (
+        check_staleness_and_parity(
+            index, epsilon=epsilon, seed=seed, sample=parity_sample
+        )
     )
     storm_cell, version_echo_ok = run_mutation_storm(
         dataset,
@@ -256,6 +275,7 @@ def run_benchmark(
         },
         "guards": guard_detail,
         "eps_stale_ok": eps_stale_ok,
+        "dirty_store_parity_ok": dirty_store_parity_ok,
         "rebuild_parity_ok": rebuild_parity_ok,
         "version_echo_ok": version_echo_ok,
     }

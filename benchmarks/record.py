@@ -152,6 +152,7 @@ RECORDED_BENCHMARKS = {
             "meets_targets",
             "guards",
             "eps_stale_ok",
+            "dirty_store_parity_ok",
             "rebuild_parity_ok",
             "version_echo_ok",
         ),
@@ -161,6 +162,7 @@ RECORDED_BENCHMARKS = {
         "cell_fields": ("seconds",),
         "required_true": (
             "eps_stale_ok",
+            "dirty_store_parity_ok",
             "rebuild_parity_ok",
             "version_echo_ok",
         ),

@@ -2,12 +2,13 @@
 """Dynamic graphs: mutate a live index while queries keep flowing.
 
 The dynamic-graph subsystem keeps a SLING index serving while the graph
-underneath it changes.  Edge deltas repair only the affected hitting-set
-entries and correction factors; every answer in the staleness window
-carries the monotonic ``index_version`` it was computed against and a
-certified bound ``ε_stale`` on how far it can drift from a from-scratch
-rebuild; a ``refreeze`` compacts the outstanding deltas back into a
-frozen store with bitwise rebuild-parity answers.
+underneath it changes.  Edge deltas re-push only the affected targets and
+re-pack the store, and re-sample only the changed heads' correction
+factors; every answer in the staleness window carries the monotonic
+``index_version`` it was computed against and a certified bound
+``ε_stale`` on how far it can drift from a from-scratch rebuild; a
+``refreeze`` re-estimates every correction factor, after which answers
+have bitwise rebuild parity.
 
 This example generates one mutation-bearing traffic stream (the same one
 ``repro workload --mutations`` emits) and replays it through a

@@ -479,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mutate.add_argument(
         "--refreeze", action="store_true",
-        help="compact all outstanding deltas into a fresh frozen store "
-        "after applying the delta (restores bitwise rebuild parity)",
+        help="re-estimate every correction factor after applying the "
+        "delta (restores bitwise rebuild parity)",
     )
 
     router = subparsers.add_parser(

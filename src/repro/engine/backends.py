@@ -200,7 +200,7 @@ class SimilarityBackend(abc.ABC):
         )
 
     def refreeze(self) -> bool:
-        """Compact accumulated mutation deltas back to a frozen index.
+        """Return a mutated index to a clean, rebuild-parity generation.
 
         A no-op (``True``) for static backends: they have no deltas.
         """

@@ -538,7 +538,7 @@ def _verify_wal(
         reference.close_all()
     # Both sides are re-frozen stores over (what must be) the same graph
     # and seed, so agreement is essentially bitwise; the certified bound
-    # ``eps_stale`` would only apply had compaction been skipped.
+    # ``eps_stale`` would only apply had the re-freeze been skipped.
     tolerance = 1e-6
     recovery_match = {
         "probes": compared,

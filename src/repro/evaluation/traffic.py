@@ -142,8 +142,8 @@ class TrafficPattern:
     mutation_fraction: float = 0.0
     #: Edges per mutation event.
     mutation_batch: int = 1
-    #: Every Nth mutation event also requests a re-freeze (compaction back
-    #: to a frozen store); 0 never re-freezes mid-stream.
+    #: Every Nth mutation event also requests a re-freeze (back to a clean,
+    #: rebuild-parity generation); 0 never re-freezes mid-stream.
     mutation_refreeze_every: int = 0
     #: End-to-end deadline stamped on every emitted envelope, in
     #: milliseconds; ``None`` (the default) emits byte-identical streams to

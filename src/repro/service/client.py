@@ -761,8 +761,8 @@ class SimRankClient:
         """Apply an edge delta to ``dataset``'s live index; returns the ack
         (``index_version``, ``epsilon_stale``, affected-set sizes, ...).
 
-        ``refreeze=True`` compacts all outstanding deltas before the ack,
-        restoring bitwise rebuild-parity answers (``epsilon_stale`` 0.0).
+        ``refreeze=True`` re-estimates every correction factor before the
+        ack, restoring bitwise rebuild-parity answers (``epsilon_stale`` 0.0).
 
         ``mutation_id`` is the idempotency token a WAL-backed worker
         deduplicates retries by; with a :class:`RetryPolicy` configured one

@@ -171,8 +171,8 @@ class MutateRequest(ControlRequest):
     """Apply an edge delta to one open dataset's live index.
 
     ``add``/``remove`` are lists of ``[u, v]`` node-id pairs; ``refreeze``
-    additionally compacts all accumulated deltas into a fresh frozen store
-    (restoring rebuild-parity answers) before acknowledging.  The ack
+    additionally re-estimates every correction factor (restoring
+    rebuild-parity answers) before acknowledging.  The ack
     carries the new monotonic ``index_version``, the certified staleness
     bound ``epsilon_stale``, and the affected-set sizes.
     """

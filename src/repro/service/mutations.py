@@ -23,10 +23,10 @@ the named session:
 5. the ack reports the new monotonic ``index_version`` and the certified
    staleness bound ``ε_stale`` so clients can reason about what they read.
 
-``refreeze=True`` additionally compacts all outstanding deltas into a fresh
-frozen store (restoring bitwise rebuild-parity answers) before
-acknowledging; because a re-freeze resamples every correction factor, it
-clears the whole cache rather than an affected subset.
+``refreeze=True`` additionally re-estimates every correction factor
+(restoring bitwise rebuild-parity answers) before acknowledging; because
+that resamples every ``d̃_k``, it clears the whole cache rather than an
+affected subset.
 
 Everything here is duck-typed against :class:`SimRankService` /
 :class:`DatasetSession` rather than importing them, so the service module
@@ -118,11 +118,12 @@ def recover_session(session, wal) -> dict:
     """Replay a WAL (checkpoint + tail) into a freshly opened session.
 
     The checkpoint is applied as one ``refreeze=True`` mutation — its net
-    delta fully describes the compacted generation, and the re-freeze's
-    bitwise rebuild parity makes the result reproduce the frozen store the
+    delta fully describes the re-frozen generation, and the re-freeze's
+    bitwise rebuild parity makes the result reproduce the generation the
     crashed worker was serving.  The tail records then replay in append
-    order, restoring the overlay.  Post-recovery answers therefore match
-    the pre-crash dynamic index within the certified ``eps_stale`` bound.
+    order; each re-packs the store a rebuild would, and re-estimates the
+    same heads' ``d̃``.  Post-recovery answers therefore match the
+    pre-crash dynamic index within the certified ``eps_stale`` bound.
     """
     replayed = 0
     checkpoint = wal.checkpoint_payload

@@ -37,9 +37,9 @@ collapse into one *net* edge delta (an add cancels a pending remove of the
 same edge and vice versa) written to ``<dataset>.ckpt.json`` via a tmp
 file + ``os.replace`` (atomic — a crash mid-checkpoint leaves the previous
 checkpoint and full log intact), after which the log is truncated.
-Because PR 9's re-freeze rebuilds a packed generation with bitwise rebuild
-parity, replaying the checkpoint as a single ``refreeze=True`` mutation
-reproduces the compacted store exactly.
+Because a re-freeze leaves a generation with bitwise rebuild parity,
+replaying the checkpoint as a single ``refreeze=True`` mutation reproduces
+the re-frozen generation exactly.
 
 Fault injection: set ``REPRO_WAL_FAIL_AFTER_BYTES=<n>`` to make appends
 fail with ``ENOSPC`` once the log would exceed ``n`` bytes — the
@@ -280,7 +280,7 @@ class MutationWAL:
     def checkpoint(self, *, version: int) -> None:
         """Fold the log into ``<dataset>.ckpt.json`` and truncate it.
 
-        Called after a successful re-freeze: the compacted generation is
+        Called after a successful re-freeze: the re-frozen generation is
         fully described by the net delta, so recovery replays it as one
         ``refreeze=True`` mutation (bitwise rebuild parity makes that
         reproduce the frozen store exactly) and the tail starts empty.

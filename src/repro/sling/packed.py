@@ -275,18 +275,32 @@ class PackedHittingStore:
         (push order from :func:`~repro.sling.hitting.build_hitting_sets`,
         concatenated worker chunks, spilled runs read back) are grouped by
         source and each segment sorted by the combined key, with one global
-        lexsort and no Python loop.
+        sort and no Python loop.
+
+        Each record's ``(source, level, target)`` is unique, so one unstable
+        sort of the int64 position ``(source · L + level) · T + target``
+        (``L`` levels, ``T`` the target range) orders the records exactly as
+        a lexicographic sort on ``(source, key)`` would, and faster.
         """
-        sources = np.asarray(records.sources)
-        counts = np.bincount(sources, minlength=records.num_nodes)
-        offsets = np.zeros(records.num_nodes + 1, dtype=_OFFSET_DTYPE)
-        np.cumsum(counts, out=offsets[1:])
+        num_nodes = records.num_nodes
         levels = np.asarray(records.levels, dtype=_LEVEL_DTYPE)
         targets = np.asarray(records.targets, dtype=_TARGET_DTYPE)
+        num_levels = int(levels.max(initial=-1)) + 1
+        target_range = int(targets.max(initial=-1)) + 1
+        if num_nodes * num_levels * target_range >= 2**63:
+            raise StorageError(
+                f"cannot pack {num_nodes} nodes x {num_levels} levels x "
+                f"{target_range} targets: record positions overflow int64"
+            )
+        sources = np.asarray(records.sources, dtype=np.int64)
+        counts = np.bincount(sources, minlength=num_nodes)
+        offsets = np.zeros(num_nodes + 1, dtype=_OFFSET_DTYPE)
+        np.cumsum(counts, out=offsets[1:])
         values = np.asarray(records.values, dtype=_VALUE_DTYPE)
-        keys = pack_keys(levels, targets)
-        order = np.lexsort((keys, sources))
-        return cls(offsets, levels[order], targets[order], values[order], keys[order])
+        order = np.argsort((sources * num_levels + levels) * target_range + targets)
+        levels = levels[order]
+        targets = targets[order]
+        return cls(offsets, levels, targets, values[order])
 
     @classmethod
     def from_columns(
@@ -359,6 +373,19 @@ class PackedHittingStore:
             self.levels[start:stop],
             self.targets[start:stop],
             self.values[start:stop],
+        )
+
+    def records(self) -> HittingRecords:
+        """Every stored entry as a flat record, in column order.
+
+        The inverse of :meth:`from_hitting_sets`: packing the result again
+        reproduces the store column for column.
+        """
+        sources = np.repeat(
+            np.arange(self.num_nodes, dtype=np.int64), self.entry_counts()
+        )
+        return HittingRecords(
+            self.num_nodes, sources, self.levels, self.targets, self.values
         )
 
     def node_view(self, node: int) -> QueryView:

@@ -7,12 +7,12 @@ query actually reads:
 
 * the Section-5.2 reconstruction (exact step-0/1/2 values of Algorithm 5) for
   space-reduced nodes,
-* the Section-5.3 accuracy enhancement ``H*(v)``,
-* a dynamic index's copy-on-write mutation patches.
+* the Section-5.3 accuracy enhancement ``H*(v)``.
 
 Three kinds of index serve through it: an in-memory build, an index loaded
 with ``load_index(..., mmap_mode="r")`` (the same state over memory-mapped
-columns) and each generation of a :class:`~repro.sling.dynamic.DynamicSlingIndex`.
+columns) and each generation of a :class:`~repro.sling.dynamic.DynamicSlingIndex`,
+whose mutations re-pack a complete store per generation.
 :class:`SlingQueries` holds the query methods themselves: method dispatch,
 node and ``k`` validation and the store-derived pruning bounds of bounded
 top-k all live here, and a query reads the state once, so a pair query never
@@ -20,8 +20,6 @@ mixes two generations.
 """
 
 from __future__ import annotations
-
-from typing import Mapping
 
 import numpy as np
 
@@ -40,10 +38,6 @@ from .single_source import (
 )
 
 __all__ = ["ServingState", "SlingQueries"]
-
-#: Mutation patches map ``source -> {(level, target): value}``; a value of
-#: exactly ``0.0`` is a tombstone (stored values are always ``> θ > 0``).
-Overlay = Mapping[int, Mapping[tuple[int, int], float]]
 
 _KERNELS = {
     "local_push": single_source_local_push,
@@ -67,7 +61,6 @@ class ServingState:
         "store",
         "reduced",
         "enhancer",
-        "overlay",
         "version",
         "dirty",
         "_correction_max",
@@ -82,7 +75,6 @@ class ServingState:
         *,
         reduced: np.ndarray | None = None,
         enhancer: AccuracyEnhancer | None = None,
-        overlay: Overlay | None = None,
         version: int = 0,
         dirty: bool = False,
     ) -> None:
@@ -93,24 +85,19 @@ class ServingState:
         #: Which nodes had their step-1/2 entries dropped (Section 5.2).
         self.reduced = reduced
         self.enhancer = enhancer
-        self.overlay = {} if overlay is None else overlay
         self.version = version
-        #: Whether a mutation landed since the last (re-)freeze — set even
-        #: when a batch produced an empty overlay (only a ``d̃`` changed).
+        #: Whether a mutation landed since the last (re-)freeze: the store
+        #: equals a rebuild's on ``graph``, but only the changed heads'
+        #: ``d̃`` were re-estimated.
         self.dirty = dirty
         self._correction_max: float | None = None
-
-    @property
-    def overlay_entries(self) -> int:
-        """Number of patched positions (tombstones included)."""
-        return sum(len(patch) for patch in self.overlay.values())
 
     def query_view(self, node: int) -> QueryView:
         """The packed view a query from ``node`` reads.
 
         Starts from a zero-copy slice of the store and composes, in order,
-        the space-reduction reconstruction, the accuracy enhancement and the
-        mutation patch as copy-on-write overlays.  Validates ``node``.
+        the space-reduction reconstruction and the accuracy enhancement as
+        copy-on-write overlays.  Validates ``node``.
         """
         node = int(node)
         self.graph.in_degree(node)  # validates the node id
@@ -129,26 +116,17 @@ class ServingState:
                     (level, target, value)
                     for (level, target), value in generated.items()
                 )
-        patch = self.overlay.get(node)
-        if patch:
-            view = view.override(
-                (level, target, value) for (level, target), value in patch.items()
-            )
         return view
 
-    def level_bounds(self, node: int) -> dict[int, float] | None:
+    def level_bounds(self, node: int) -> dict[int, float]:
         """Per-level residual-mass bounds from the store's metadata.
 
         ``B_ℓ = (√c)^ℓ · max_k h̃^(ℓ)(node, k) · max_j d̃_j`` — an upper bound
         on the per-query corrected frontier maximum that needs no column
         reads at query time.  Only consulted for levels above the overlay
         floor of :func:`bounded_top_k`, where the raw store values are
-        authoritative for every optimization flag.  ``None`` while the state
-        is dirty: the store's statistics then describe the frozen columns,
-        not the patched entries.
+        authoritative for every optimization flag.
         """
-        if self.dirty:
-            return None
         if self._correction_max is None:
             self._correction_max = float(np.asarray(self.corrections).max(initial=0.0))
         sqrt_c = self.parameters.sqrt_c
@@ -219,7 +197,7 @@ class SlingQueries:
 
     @property
     def packed_store(self) -> PackedHittingStore:
-        """The frozen columnar store queries read (overlays not applied)."""
+        """The columnar store queries read (Section-5.2/5.3 overlays not applied)."""
         return self._serving().store
 
     # ------------------------------------------------------------------ #
@@ -278,33 +256,21 @@ class SlingQueries:
         ``tail_bound ≤ budget ≤ ε`` of the full cascade's values, so the
         Theorem-1 additive guarantee degrades by at most the budget.
         ``budget`` defaults to ``ε/4``.
-
-        When the state has no store bounds (a dirty dynamic generation) the
-        answer is the exact local-push ranking, reported as an untruncated
-        full-depth result.
         """
         _check_k(k)
         state = self._serving()
         params = state.parameters
-        view = state.query_view(node)
         source = int(node)
-        bounds = state.level_bounds(source)
-        if bounds is None:
-            scores = single_source_local_push(
-                state.graph, view, state.corrections, params.sqrt_c, params.theta
-            )
-            depth = int(view.levels[-1]) if view.num_entries else -1
-            return BoundedTopK(rank_top_k(scores, source, k), 0.0, depth, False)
         return bounded_top_k(
             state.graph,
-            view,
+            state.query_view(source),
             state.corrections,
             params.sqrt_c,
             params.theta,
             source,
             k,
             budget=params.epsilon / 4.0 if budget is None else budget,
-            level_bounds=bounds,
+            level_bounds=state.level_bounds(source),
         )
 
     def all_pairs(self, *, method: str = "local_push") -> np.ndarray:
@@ -326,30 +292,20 @@ class SlingQueries:
 
         Matches the packed on-disk layout of :mod:`repro.sling.storage`
         (8 bytes per correction factor, 12 bytes per hitting-probability
-        entry, patched positions included), which is the quantity Figure 4
-        of the paper reports.  O(1) for a frozen index.
+        entry), which is the quantity Figure 4 of the paper reports.  O(1).
         """
         state = self._serving()
-        return (
-            8 * state.graph.num_nodes
-            + state.store.size_bytes()
-            + 12 * state.overlay_entries
-        )
+        return 8 * state.graph.num_nodes + state.store.size_bytes()
 
     def resident_bytes(self) -> int:
         """Actual in-memory footprint of the serving arrays.
 
         Correction factors plus every packed column (including the combined
         keys column); for an index loaded with ``mmap_mode`` this counts the
-        mapped extent, not resident pages.  Mutation patches are dicts and
-        are counted at a floor of ~3 pointers per entry.
+        mapped extent, not resident pages.
         """
         state = self._serving()
-        return int(
-            np.asarray(state.corrections).nbytes
-            + state.store.nbytes
-            + 24 * state.overlay_entries
-        )
+        return int(np.asarray(state.corrections).nbytes + state.store.nbytes)
 
     def average_set_size(self) -> float:
         """Average stored hitting probabilities per node (Table-1 accounting)."""

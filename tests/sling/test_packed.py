@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.exceptions import StorageError
 from repro.graphs import generators
 from repro.ranking import rank_top_k
 from repro.engine import BackendConfig, create_backend
@@ -403,6 +404,40 @@ class TestStoreInvariants:
             assert np.array_equal(
                 getattr(packed, column), getattr(index.packed_store, column)
             )
+
+    def test_packing_shuffled_records_matches_lexsort_reference(self, graph):
+        params = SlingIndex(graph, epsilon=EPS).parameters
+        records = build_hitting_sets(graph, params.sqrt_c, params.theta)
+        shuffled = records.take(
+            np.random.default_rng(3).permutation(records.num_records)
+        )
+        packed = PackedHittingStore.from_hitting_sets(shuffled)
+        keys = pack_keys(shuffled.levels, shuffled.targets)
+        order = np.lexsort((keys, shuffled.sources))
+        for column, expected in (
+            ("levels", shuffled.levels[order]),
+            ("targets", shuffled.targets[order]),
+            ("values", shuffled.values[order]),
+            ("keys", keys[order]),
+        ):
+            assert np.array_equal(getattr(packed, column), expected)
+
+    def test_records_round_trip(self, index_cache):
+        store = index_cache(False, False).packed_store
+        repacked = PackedHittingStore.from_hitting_sets(store.records())
+        for column in ("offsets", "levels", "targets", "values", "keys"):
+            assert np.array_equal(getattr(repacked, column), getattr(store, column))
+
+    def test_packing_rejects_positions_overflowing_int64(self):
+        records = HittingRecords(
+            2**31 - 1,
+            np.zeros(1, dtype=np.int64),
+            np.full(1, 3, dtype=np.int32),
+            np.full(1, 2**31 - 2, dtype=np.int32),
+            np.ones(1),
+        )
+        with pytest.raises(StorageError):
+            PackedHittingStore.from_hitting_sets(records)
 
 
 # --------------------------------------------------------------------------- #
