@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 
+from repro.engine import latency_quantiles
 from repro.evaluation.experiments import MethodConfig
 from repro.graphs import datasets
 
@@ -39,3 +40,18 @@ MC_WALKS = 100
 
 TIMING_CONFIG = MethodConfig(epsilon=BENCH_EPSILON, seed=0, mc_num_walks=MC_WALKS)
 ACCURACY_CONFIG = MethodConfig(epsilon=ACCURACY_EPSILON, seed=0, mc_num_walks=400)
+
+
+def latency_ms_by_kind(samples: list[tuple[str, float]]) -> dict[str, dict]:
+    """Nearest-rank quantiles of ``(kind, seconds)`` client-side samples,
+    per kind, in milliseconds (``count`` stays a count)."""
+    by_kind: dict[str, list[float]] = {}
+    for kind, seconds in samples:
+        by_kind.setdefault(kind, []).append(seconds)
+    return {
+        kind: {
+            key: (value if key == "count" else 1e3 * value)
+            for key, value in latency_quantiles(sample).items()
+        }
+        for kind, sample in sorted(by_kind.items())
+    }

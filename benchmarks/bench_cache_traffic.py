@@ -54,7 +54,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.engine import latency_percentiles_by_kind, latency_quantiles
+from _config import latency_ms_by_kind
+from repro.engine import latency_quantiles
 from repro.evaluation.traffic import (
     TrafficPattern,
     generate_traffic,
@@ -173,13 +174,7 @@ def _cell(label: str, cache_size: int, outcome: dict, delta: dict) -> dict:
         "p99_ms": 1e3 * overall["p99"],
         "cacheable_p50_ms": 1e3 * cacheable["p50"],
         "cacheable_p99_ms": 1e3 * cacheable["p99"],
-        "latency_ms_by_kind": {
-            kind: {
-                key: (1e3 * value if key.startswith("p") else value)
-                for key, value in stats.items()
-            }
-            for kind, stats in latency_percentiles_by_kind(samples).items()
-        },
+        "latency_ms_by_kind": latency_ms_by_kind(samples),
     }
 
 

@@ -56,7 +56,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.engine import latency_percentiles_by_kind, latency_quantiles
+from _config import latency_ms_by_kind
+from repro.engine import latency_quantiles
 from repro.graphs import datasets as graph_datasets
 from repro.service import (
     Address,
@@ -206,13 +207,7 @@ def run_config(
         "overall_p50_ms": 1e3 * overall["p50"],
         "overall_p95_ms": 1e3 * overall["p95"],
         "overall_p99_ms": 1e3 * overall["p99"],
-        "latency_ms_by_kind": {
-            kind: {
-                key: (1e3 * value if key.startswith("p") else value)
-                for key, value in stats.items()
-            }
-            for kind, stats in latency_percentiles_by_kind(samples).items()
-        },
+        "latency_ms_by_kind": latency_ms_by_kind(samples),
     }
     return {"cell": cell, "values": values}
 

@@ -8,9 +8,11 @@ repository can answer a SimRank query:
   (built in memory, or saved and memory-mapped back by the ``sling-disk``
   backend) and the naive / power / Monte-Carlo / linearize baselines;
 * :mod:`repro.engine.engine` — :class:`QueryEngine`, which executes
-  queries with an LRU cache of single-source score vectors and per-query /
-  aggregate statistics, and :func:`create_engine`, which builds a named
-  backend and wraps it in one.
+  queries with an LRU cache of single-source score vectors, aggregate
+  counters and a fixed-bucket latency histogram per query kind × cache
+  outcome (constant-size, merged exactly by
+  :func:`merge_statistics_totals`), and :func:`create_engine`, which builds
+  a named backend and wraps it in one.
 
 This package is the *middle* layer of the serving stack::
 
@@ -46,14 +48,15 @@ from .backends import (
 )
 from .engine import (
     ENGINE_TOTAL_COUNTERS,
+    LATENCY_BUCKET_EDGES,
     PAIR_AMORTIZE_THRESHOLD,
     EngineStatistics,
     QueryEngine,
     QueryRecord,
     create_engine,
     hit_rate_by_kind,
-    latency_percentiles_by_kind,
-    latency_percentiles_by_outcome,
+    histogram_quantiles,
+    latency_bucket,
     latency_quantiles,
     merge_statistics_totals,
 )
@@ -79,9 +82,10 @@ __all__ = [
     "QueryRecord",
     "ENGINE_TOTAL_COUNTERS",
     "PAIR_AMORTIZE_THRESHOLD",
+    "LATENCY_BUCKET_EDGES",
     "latency_quantiles",
-    "latency_percentiles_by_kind",
-    "latency_percentiles_by_outcome",
+    "latency_bucket",
+    "histogram_quantiles",
     "hit_rate_by_kind",
     "merge_statistics_totals",
     "create_engine",

@@ -28,7 +28,6 @@ from ..baselines import (
     MonteCarloIndex,
     PowerMethod,
     SqrtCMonteCarloIndex,
-    iterations_for_error,
     naive_simrank,
 )
 from ..exceptions import IndexNotBuiltError, ParameterError
@@ -107,14 +106,6 @@ class BackendInfo:
     build_cost: str = "index"
     #: Coarse per-query cost class: "constant" | "linear" | "matrix-row".
     query_cost: str = "constant"
-    #: Whether queries on a *built* backend are safe to run concurrently.
-    #: Every bundled backend is read-only after ``build`` (walk fingerprints,
-    #: score matrices, hitting sets, and the disk index's packed arrays are
-    #: never mutated by a query), so they all declare ``True``; a backend that
-    #: mutates per-query state (query-time RNG, unlocked memoisation, a shared
-    #: file handle) must declare ``False`` and the engine will serialise its
-    #: queries behind a lock instead of running them in parallel.
-    thread_safe_queries: bool = True
 
     def as_dict(self) -> dict:
         """Plain-dict form for the ``describe`` control response."""
@@ -654,8 +645,3 @@ class LinearizeBackend(_MethodBackend):
     def _make_method(self) -> LinearizeIndex:
         cfg = self._config
         return LinearizeIndex(self._graph, c=cfg.c, seed=cfg.seed)
-
-
-def naive_iteration_count(config: BackendConfig) -> int:
-    """Iterations :class:`NaiveBackend` will run for its configured accuracy."""
-    return iterations_for_error(config.c, config.epsilon)

@@ -6,9 +6,10 @@ things no individual backend provides:
 * **an LRU cache** of single-source score vectors, so repeated and
   overlapping workloads (top-k dashboards, all-pairs sweeps, skewed query
   mixes) skip recomputation entirely;
-* **statistics** — per-query latency records plus aggregate counters
-  (queries by kind, cache hit rate, evictions, total time, backend used)
-  exposed as plain dictionaries for the CLI's ``--json`` mode.
+* **statistics** — aggregate counters (queries by kind, cache hit rate,
+  evictions, total time, backend used) and a fixed-bucket latency
+  histogram per query kind × cache outcome, over the engine's lifetime (or
+  since a reset), as plain dictionaries for the CLI's ``--json`` mode.
 
 Derived queries route through the cache: ``top_k`` ranks a cached
 single-source vector, and a ``single_pair`` whose source vector is already
@@ -20,7 +21,8 @@ hits.  An entry leaves the cache by LRU eviction, by a capacity resize, or
 when a mutation of the index invalidates it (every entry is stamped with the
 index version it was computed against).
 :func:`merge_statistics_totals` is the single definition of aggregated
-cache/latency statistics used by the service layer and the router alike.
+cache/latency statistics used by the service layer and the router alike;
+histograms merge exactly, by adding bucket counts.
 
 Thread safety
 -------------
@@ -28,16 +30,14 @@ An engine may be shared by concurrent query threads (the
 :class:`~repro.service.ParallelExecutor` and ``repro serve`` do exactly
 that).  The contract is:
 
-* every public query method is safe to call from any number of threads;
+* every public query method is safe to call from any number of threads,
+  and backend queries run concurrently (every backend is read-only after
+  ``build``);
 * the LRU cache and the aggregate statistics are guarded by one internal
   lock, so counters never lose updates and evictions never corrupt the
   ordered dict — backend computation happens *outside* the lock, so cache
   misses execute concurrently (two threads missing on the same source may
   both compute it; the stores are idempotent);
-* backends whose :class:`~repro.engine.backends.BackendInfo` declares
-  ``thread_safe_queries=False`` are serialised behind a dedicated backend
-  lock, so a backend that mutates internal state per query is still safe
-  (merely not parallel);
 * :attr:`statistics` is the live, mutating object — read it for cheap
   monitoring; use :meth:`statistics_snapshot` for a consistent copy;
 * :attr:`last_query_record` is **per-thread**: it describes the most recent
@@ -50,13 +50,15 @@ from __future__ import annotations
 import math
 import threading
 import time
+from bisect import bisect_left
 from collections import OrderedDict
+from itertools import accumulate
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..exceptions import ParameterError
+from ..exceptions import ParameterError, WireFormatError
 from ..graphs import DiGraph
 from ..ranking import rank_top_k
 from .backends import BackendConfig, SimilarityBackend, create_backend
@@ -67,11 +69,12 @@ __all__ = [
     "EngineStatistics",
     "QueryRecord",
     "LATENCY_QUANTILES",
+    "LATENCY_BUCKET_EDGES",
     "ENGINE_TOTAL_COUNTERS",
     "PAIR_AMORTIZE_THRESHOLD",
     "latency_quantiles",
-    "latency_percentiles_by_kind",
-    "latency_percentiles_by_outcome",
+    "latency_bucket",
+    "histogram_quantiles",
     "hit_rate_by_kind",
     "merge_statistics_totals",
 ]
@@ -86,9 +89,6 @@ PAIR_AMORTIZE_THRESHOLD = 4
 #: (admission pressure); oldest entries are dropped beyond this.
 _PAIR_COUNT_LIMIT = 4096
 
-#: How many per-query latency records to retain (aggregates are unbounded).
-MAX_QUERY_RECORDS = 1024
-
 #: The latency quantiles reported by :func:`latency_quantiles` — the tail
 #: percentiles a serving operator watches (p50 for the typical query, p95/p99
 #: for the tail that dominates user-perceived latency at scale).
@@ -99,11 +99,11 @@ def latency_quantiles(seconds: Sequence[float]) -> dict:
     """Nearest-rank p50/p95/p99 over a sample of latencies, plus the count.
 
     Nearest-rank (the ceil-of-q*n order statistic) rather than interpolation:
-    every reported value is a latency that actually occurred, and the
-    definition is stable under aggregation across workers (the router and
-    the service totals both recompute from merged samples).  Empty samples
+    every reported value is a latency that actually occurred.  Empty samples
     yield ``count: 0`` with no quantile keys, so a kind that has never been
-    queried does not fabricate a 0.0 latency.
+    queried does not fabricate a 0.0 latency.  Engine statistics apply the
+    same rule to a histogram (:func:`histogram_quantiles`); this one serves
+    client-side samples (benchmarks, the chaos report).
     """
     sample = sorted(float(value) for value in seconds)
     out: dict = {"count": len(sample)}
@@ -117,33 +117,84 @@ def latency_quantiles(seconds: Sequence[float]) -> dict:
     return out
 
 
-def latency_percentiles_by_kind(
-    records: Iterable[tuple[str, float]],
-) -> dict[str, dict]:
-    """Group ``(kind, seconds)`` samples by kind and summarise each with
-    :func:`latency_quantiles`.  Shared by :meth:`EngineStatistics.as_dict`,
-    the service's ``stats`` totals, and the router's fan-out merge, so all
-    three report the same definition of "p99 top_k latency"."""
-    by_kind: dict[str, list[float]] = {}
-    for kind, seconds in records:
-        by_kind.setdefault(kind, []).append(seconds)
+#: Upper edges of the latency histogram's buckets, in seconds: bucket ``b``
+#: holds latencies in ``(edge[b-1], edge[b]]``, ``edge[b] = 1 µs · 2^(b/8)``.
+#: 8 buckets per octave bound a reported quantile's overstatement at
+#: 2^(1/8) ≈ 9%.  Bucket 0 also holds anything faster than 1 µs, the last
+#: (2^30 µs ≈ 18 min) anything slower.  Fixed, so every histogram merges.
+LATENCY_BUCKET_EDGES = tuple(1e-6 * 2.0 ** (b / 8) for b in range(8 * 30 + 1))
+_BUCKETS = len(LATENCY_BUCKET_EDGES)
+
+
+def latency_bucket(seconds: float) -> int:
+    """The histogram bucket a latency of ``seconds`` is counted in."""
+    return min(bisect_left(LATENCY_BUCKET_EDGES, seconds), _BUCKETS - 1)
+
+
+def histogram_quantiles(counts: Sequence[int]) -> dict:
+    """:func:`latency_quantiles` over per-bucket ``counts``: each quantile is
+    the upper edge of the bucket holding the nearest-rank sample, so within
+    the histogram's range it lies in [sample, sample · 2^(1/8)]."""
+    cumulative = list(accumulate(counts))
+    n = cumulative[-1]
+    out: dict = {"count": n}
+    if n:
+        for name, q in LATENCY_QUANTILES:
+            rank = max(1, math.ceil(q * n))
+            out[name] = LATENCY_BUCKET_EDGES[bisect_left(cumulative, rank)]
+    return out
+
+
+def _latency_fields(histogram: dict) -> dict:
+    """A kind → ``"hit"``/``"miss"`` → per-bucket counts histogram as shipped:
+    ``latency_histogram`` as sparse ``[bucket, count]`` pairs (bounded by the
+    bucket count whatever the traffic), ``latency_percentiles`` per kind, and
+    ``latency_percentiles_by_outcome`` — hit vs miss over every kind, the two
+    latency worlds a cache operator compares."""
+    pairs: dict[str, dict] = {}
+    of_kind: dict[str, dict] = {}
+    of_outcome = {"hit": [0] * _BUCKETS, "miss": [0] * _BUCKETS}
+    for kind in sorted(histogram):
+        summed = [0] * _BUCKETS
+        for outcome, counts in sorted(histogram[kind].items()):
+            pairs.setdefault(kind, {})[outcome] = [[b, c] for b, c in enumerate(counts) if c]
+            summed = [a + b for a, b in zip(summed, counts)]
+            of_outcome[outcome] = [a + b for a, b in zip(of_outcome[outcome], counts)]
+        of_kind[kind] = histogram_quantiles(summed)
     return {
-        kind: latency_quantiles(sample)
-        for kind, sample in sorted(by_kind.items())
+        "latency_histogram": pairs,
+        "latency_percentiles": of_kind,
+        "latency_percentiles_by_outcome": {
+            outcome: histogram_quantiles(counts) for outcome, counts in of_outcome.items()
+        },
     }
 
 
-def latency_percentiles_by_outcome(
-    records: Iterable[tuple[bool, float]],
-) -> dict[str, dict]:
-    """Split ``(cache_hit, seconds)`` samples into hit / miss populations and
-    summarise each with :func:`latency_quantiles` — the two latency worlds a
-    cache operator compares (a hit reads an array; a miss pays the backend)."""
-    hit: list[float] = []
-    miss: list[float] = []
-    for cache_hit, seconds in records:
-        (hit if cache_hit else miss).append(seconds)
-    return {"hit": latency_quantiles(hit), "miss": latency_quantiles(miss)}
+def _merge_latency_histogram(histogram: dict, shipped: object) -> None:
+    """Add a shipped ``latency_histogram`` into ``histogram``.  The router
+    decodes it off a worker's reply, so what no engine sends — a non-integer
+    or out-of-range bucket, a negative count, an unknown outcome — raises
+    :class:`WireFormatError` rather than index out of range or be summed."""
+    if not isinstance(shipped, dict) or not all(
+        isinstance(by_outcome, dict)
+        and set(by_outcome) <= {"hit", "miss"}
+        and all(isinstance(pairs, list) for pairs in by_outcome.values())
+        for by_outcome in shipped.values()
+    ):
+        raise WireFormatError("latency_histogram must map kinds to hit/miss pair lists")
+    for kind, by_outcome in shipped.items():
+        for outcome, pairs in by_outcome.items():
+            counts = histogram.setdefault(kind, {}).setdefault(outcome, [0] * _BUCKETS)
+            for pair in pairs:
+                if not (
+                    isinstance(pair, list)
+                    and len(pair) == 2
+                    and all(type(value) is int for value in pair)
+                    and 0 <= pair[0] < _BUCKETS
+                    and pair[1] >= 0
+                ):
+                    raise WireFormatError(f"latency_histogram pair {pair!r} is malformed")
+                counts[pair[0]] += pair[1]
 
 
 def hit_rate_by_kind(
@@ -188,20 +239,21 @@ def merge_statistics_totals(engine_dicts: Iterable[dict]) -> dict:
     This is *the* definition of service-wide totals: counters are summed,
     per-kind hit/miss tallies merge by key, the overall and per-kind hit
     rates are recomputed from the summed counters (rates cannot be summed),
-    and latency percentiles are recomputed from the merged recent-query
-    samples with the same nearest-rank definition the per-engine dicts use.
+    latency histograms merge by adding bucket counts, and the latency
+    percentiles are recomputed from the merged histogram with the same
+    nearest-rank definition the per-engine dicts use.  Totals carry the
+    merged ``latency_histogram`` too, so totals merge again like engines.
     Both :meth:`SimRankService.statistics` and the router's ``stats``
     fan-out merge call this one function, so an engine, a single server, and
     a sharded pool can never disagree about what a hit rate or a p99 means.
     Missing keys count as zero, so dicts recorded by older servers merge
-    cleanly.
+    cleanly; a malformed histogram raises :class:`WireFormatError`.
     """
     totals: dict = dict.fromkeys(ENGINE_TOTAL_COUNTERS, 0)
     totals["total_seconds"] = 0.0
     hits: dict[str, int] = {}
     misses: dict[str, int] = {}
-    samples: list[tuple[str, float]] = []
-    outcomes: list[tuple[bool, float]] = []
+    histogram: dict = {}
     for stats in engine_dicts:
         for key in ENGINE_TOTAL_COUNTERS:
             totals[key] += int(stats.get(key, 0))
@@ -210,38 +262,24 @@ def merge_statistics_totals(engine_dicts: Iterable[dict]) -> dict:
             hits[kind] = hits.get(kind, 0) + int(count)
         for kind, count in stats.get("misses_by_kind", {}).items():
             misses[kind] = misses.get(kind, 0) + int(count)
-        for record in stats.get("recent_queries", []):
-            samples.append((record["kind"], record["seconds"]))
-            outcomes.append((bool(record.get("cache_hit")), record["seconds"]))
+        _merge_latency_histogram(histogram, stats.get("latency_histogram", {}))
     lookups = totals["cache_hits"] + totals["cache_misses"]
     totals["cache_hit_rate"] = totals["cache_hits"] / lookups if lookups else 0.0
     totals["hits_by_kind"] = {kind: hits[kind] for kind in sorted(hits)}
     totals["misses_by_kind"] = {kind: misses[kind] for kind in sorted(misses)}
     totals["hit_rate_by_kind"] = hit_rate_by_kind(hits, misses)
-    totals["latency_percentiles"] = latency_percentiles_by_kind(samples)
-    totals["latency_percentiles_by_outcome"] = latency_percentiles_by_outcome(
-        outcomes
-    )
-    return totals
+    return {**totals, **_latency_fields(histogram)}
 
 
 @dataclass(frozen=True)
 class QueryRecord:
-    """Latency and provenance of one executed query."""
+    """Latency and provenance of one executed query: what
+    :attr:`QueryEngine.last_query_record` reports to the calling thread."""
 
     kind: str
     backend: str
     seconds: float
     cache_hit: bool
-
-    def as_dict(self) -> dict:
-        """Plain-dict form for JSON output."""
-        return {
-            "kind": self.kind,
-            "backend": self.backend,
-            "seconds": self.seconds,
-            "cache_hit": self.cache_hit,
-        }
 
 
 @dataclass
@@ -283,7 +321,9 @@ class EngineStatistics:
     hits_by_kind: dict = field(default_factory=dict)
     misses_by_kind: dict = field(default_factory=dict)
     total_seconds: float = 0.0
-    recent_queries: list[QueryRecord] = field(default_factory=list)
+    #: Query kind -> ``"hit"``/``"miss"`` -> per-bucket query counts over
+    #: :data:`LATENCY_BUCKET_EDGES`.
+    latency_histogram: dict = field(default_factory=dict)
 
     @property
     def total_queries(self) -> int:
@@ -325,21 +365,7 @@ class EngineStatistics:
                 self.hits_by_kind, self.misses_by_kind
             ),
             "total_seconds": self.total_seconds,
-            # Computed over the bounded recent-query window (the last
-            # MAX_QUERY_RECORDS queries), which is what a serving dashboard
-            # wants: current tail behaviour, not lifetime averages.
-            "latency_percentiles": latency_percentiles_by_kind(
-                (record.kind, record.seconds) for record in self.recent_queries
-            ),
-            # Hit vs miss tail latency over the same window — the spread a
-            # cache-sizing decision is trying to close.
-            "latency_percentiles_by_outcome": latency_percentiles_by_outcome(
-                (record.cache_hit, record.seconds)
-                for record in self.recent_queries
-            ),
-            # Bounded at MAX_QUERY_RECORDS; exposes per-query latencies to
-            # ``repro query --json`` and the service envelopes.
-            "recent_queries": [record.as_dict() for record in self.recent_queries],
+            **_latency_fields(self.latency_histogram),
         }
 
     def summary(self) -> str:
@@ -359,9 +385,10 @@ class EngineStatistics:
 
     def _record(self, record: QueryRecord) -> None:
         self.total_seconds += record.seconds
-        self.recent_queries.append(record)
-        if len(self.recent_queries) > MAX_QUERY_RECORDS:
-            del self.recent_queries[: -MAX_QUERY_RECORDS]
+        counts = self.latency_histogram.setdefault(record.kind, {}).setdefault(
+            "hit" if record.cache_hit else "miss", [0] * _BUCKETS
+        )
+        counts[latency_bucket(record.seconds)] += 1
 
 
 class QueryEngine:
@@ -431,10 +458,6 @@ class QueryEngine:
         # Guards the cache and the statistics; never held across a backend
         # computation, so concurrent misses overlap.
         self._lock = threading.RLock()
-        # Serialises queries against backends that mutate per-query state.
-        self._backend_lock: threading.Lock | None = (
-            None if backend.info.thread_safe_queries else threading.Lock()
-        )
         self._tls = threading.local()
 
     # ------------------------------------------------------------------ #
@@ -469,7 +492,10 @@ class QueryEngine:
         with self._lock:
             return replace(
                 self._stats,
-                recent_queries=list(self._stats.recent_queries),
+                latency_histogram={
+                    kind: {outcome: list(c) for outcome, c in by_outcome.items()}
+                    for kind, by_outcome in self._stats.latency_histogram.items()
+                },
                 hits_by_kind=dict(self._stats.hits_by_kind),
                 misses_by_kind=dict(self._stats.misses_by_kind),
             )
@@ -587,21 +613,6 @@ class QueryEngine:
                 self._stats.cache_evictions += 1
 
     # ------------------------------------------------------------------ #
-    # Backend access (serialised when the backend is not thread-safe)
-    # ------------------------------------------------------------------ #
-    def _backend_single_source(self, node: int) -> np.ndarray:
-        if self._backend_lock is None:
-            return np.asarray(self._backend.single_source(node), dtype=np.float64)
-        with self._backend_lock:
-            return np.asarray(self._backend.single_source(node), dtype=np.float64)
-
-    def _backend_single_pair(self, node_u: int, node_v: int) -> float:
-        if self._backend_lock is None:
-            return float(self._backend.single_pair(node_u, node_v))
-        with self._backend_lock:
-            return float(self._backend.single_pair(node_u, node_v))
-
-    # ------------------------------------------------------------------ #
     # Cache plumbing
     # ------------------------------------------------------------------ #
     def _cache_get_locked(self, node: int) -> np.ndarray | None:
@@ -669,11 +680,17 @@ class QueryEngine:
         vector = self._cache_lookup(node)
         if vector is not None:
             return vector, True
+        return self._compute_and_store(node), False
+
+    def _compute_and_store(self, node: int) -> np.ndarray:
+        """Compute ``node``'s vector outside the lock and admit it, stamped
+        with the index version read before computing; the store is
+        idempotent under concurrent misses on one source."""
         with self._lock:
             version = self._index_version
-        vector = self._backend_single_source(node)
+        vector = np.asarray(self._backend.single_source(node), dtype=np.float64)
         self._cache_store(node, vector, version)
-        return vector, False
+        return vector
 
     # ------------------------------------------------------------------ #
     # Single queries
@@ -724,15 +741,9 @@ class QueryEngine:
                         admit = True
         if score is None:
             if admit:
-                # Computed outside the lock like any other miss; the store
-                # is idempotent under concurrent admission of one source.
-                with self._lock:
-                    version = self._index_version
-                vector = self._backend_single_source(node_u)
-                self._cache_store(node_u, vector, version)
-                score = float(vector[node_v])
+                score = float(self._compute_and_store(node_u)[node_v])
             else:
-                score = self._backend_single_pair(node_u, node_v)
+                score = float(self._backend.single_pair(node_u, node_v))
         self._finish("single_pair", start, cache_hit=hit)
         return score
 

@@ -54,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..engine import BackendConfig
+from ..engine import BackendConfig, latency_quantiles
 from ..exceptions import ParameterError
 from ..graphs import datasets
 from ..service import ServiceConfig, SimRankService
@@ -170,21 +170,16 @@ def _storm_pattern(profile: ChaosProfile) -> TrafficPattern:
     )
 
 
-def _percentile(sorted_values: list[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(q * (len(sorted_values) - 1)))
-    return sorted_values[index]
-
-
 def _latency_summary(seconds: list[float]) -> dict:
-    ordered = sorted(seconds)
+    """Nearest-rank quantiles (:func:`~repro.engine.latency_quantiles`, the
+    one sample-quantile rule) in milliseconds, plus the mean and the max."""
+    quantiles = latency_quantiles(seconds)
+    count = quantiles.pop("count")
     return {
-        "count": len(ordered),
-        "mean_ms": (sum(ordered) / len(ordered) * 1000.0) if ordered else 0.0,
-        "p50_ms": _percentile(ordered, 0.50) * 1000.0,
-        "p99_ms": _percentile(ordered, 0.99) * 1000.0,
-        "max_ms": _percentile(ordered, 1.0) * 1000.0,
+        "count": count,
+        "mean_ms": sum(seconds) / count * 1000.0 if count else 0.0,
+        **{f"{name}_ms": value * 1000.0 for name, value in quantiles.items()},
+        "max_ms": max(seconds, default=0.0) * 1000.0,
     }
 
 

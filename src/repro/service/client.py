@@ -613,11 +613,6 @@ class SimRankClient:
         return self._transport.hello()
 
     @property
-    def protocol_version(self) -> int:
-        """The protocol version this client speaks."""
-        return PROTOCOL_VERSION
-
-    @property
     def closed(self) -> bool:
         """Whether the transport has been shut down."""
         return self._transport.closed

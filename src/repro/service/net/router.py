@@ -23,8 +23,8 @@ dispatcher, which forwards
   ``describe(dataset)`` / ``mutate``) to that same shard;
 * **fan-out control** (``list_datasets``, ``stats``) to every worker, with
   the responses merged into one envelope shaped exactly like a single
-  server's (statistics totals are summed, latency percentiles recomputed
-  from the merged samples);
+  server's (statistics totals and latency histograms are summed, latency
+  percentiles recomputed from the merged histogram);
 * ``shutdown`` as a broadcast — acknowledging the client, stopping every
   worker, then the router itself.
 
@@ -65,7 +65,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from ...engine import merge_statistics_totals
-from ...exceptions import ParameterError, ReproError
+from ...exceptions import ParameterError, ReproError, WireFormatError
 from ..client import _SocketTransport
 from ..control import PingRequest
 from ..results import (
@@ -314,10 +314,6 @@ class WorkerPool:
                 self.on_restart(worker.index)
             except Exception:  # noqa: BLE001 - replay is best-effort warming
                 pass
-
-    def restart_worker(self, index: int) -> None:
-        """Restart one worker now (the health loop's path, callable in tests)."""
-        self._restart(self._workers[index])
 
     # ------------------------------------------------------------------ #
     def stop(self) -> None:
@@ -818,7 +814,14 @@ class _RoutingDispatcher:
                 )
             }
         else:
-            merged = self._merge_stats(values)
+            try:
+                merged = self._merge_stats(values)
+            except WireFormatError as exc:  # a worker's stats are malformed
+                return QueryResult.failure(
+                    ERROR_UNAVAILABLE,
+                    f"a worker answered malformed statistics: {exc}",
+                    kind=request.kind,
+                )
         return replace(results[0], value=merged)
 
     def _shutdown(self, request: object, payload: dict) -> QueryResult:

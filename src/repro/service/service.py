@@ -454,9 +454,9 @@ class SimRankService:
             per_dataset[name] = detail
             engine_dicts.extend(detail["engines"].values())
         # One definition of "service-wide totals", shared with the router's
-        # fan-out merge: every engine counter summed, hit rates and latency
-        # percentiles recomputed from the merged windows (quantiles cannot
-        # be summed).
+        # fan-out merge: every engine counter and latency histogram bucket
+        # summed, hit rates and latency percentiles recomputed from the sums
+        # (rates and quantiles cannot be summed).
         totals = merge_statistics_totals(engine_dicts)
         return {"datasets": per_dataset, "totals": totals}
 

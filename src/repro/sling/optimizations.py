@@ -123,11 +123,6 @@ class AccuracyEnhancer:
         """The marked ``(level, target, value)`` entries of ``node``."""
         return self._marks.get(int(node), [])
 
-    @property
-    def has_marks(self) -> bool:
-        """Whether any node has marked entries."""
-        return bool(self._marks)
-
     # ------------------------------------------------------------------ #
     def mark_all_packed(self, store) -> None:
         """Select the marked entries of every node (once, at build or load).

@@ -200,7 +200,17 @@ class TestStatisticsSurface:
         merged = merge_statistics_totals([a, b])
         for counter in ENGINE_TOTAL_COUNTERS:
             assert merged[counter] == a[counter] + b[counter], counter
-        # Merging one engine's stats reproduces its own counters exactly.
+        assert merged["latency_histogram"] == {
+            **a["latency_histogram"], **b["latency_histogram"]
+        }  # disjoint kinds: the merge is the union
+        # Merging one engine's stats reproduces its own counters and
+        # latency view exactly.
         alone = merge_statistics_totals([a])
         for counter in ENGINE_TOTAL_COUNTERS:
             assert alone[counter] == a[counter]
+        for key in (
+            "latency_histogram",
+            "latency_percentiles",
+            "latency_percentiles_by_outcome",
+        ):
+            assert alone[key] == a[key]

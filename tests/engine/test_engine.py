@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.engine import (
+    LATENCY_BUCKET_EDGES,
     PAIR_AMORTIZE_THRESHOLD,
     BackendConfig,
     BackendInfo,
@@ -264,30 +265,35 @@ class TestStatistics:
         assert payload["backend"] == "counting"
         assert 0.0 <= payload["cache_hit_rate"] <= 1.0
 
-    def test_as_dict_exposes_recent_queries(self, engine):
+    def test_as_dict_exposes_latency_histogram(self, engine):
         engine.single_source(0)
         engine.single_source(0)
         payload = json.loads(json.dumps(engine.statistics.as_dict()))
-        records = payload["recent_queries"]
-        assert [record["cache_hit"] for record in records] == [False, True]
-        assert all(record["kind"] == "single_source" for record in records)
-        assert all(record["seconds"] >= 0.0 for record in records)
+        histogram = payload["latency_histogram"]
+        assert list(histogram) == ["single_source"]
+        for outcome in ("hit", "miss"):
+            [[bucket, count]] = histogram["single_source"][outcome]
+            assert count == 1
+            assert 0 <= bucket < len(LATENCY_BUCKET_EDGES)
+        assert "recent_queries" not in payload
 
-    def test_as_dict_recent_queries_stay_bounded(self, engine):
-        from repro.engine.engine import MAX_QUERY_RECORDS
-
-        for _ in range(MAX_QUERY_RECORDS + 10):
+    def test_as_dict_histogram_stays_bounded(self, engine):
+        for _ in range(2000):
             engine.single_pair(0, 1)
         payload = engine.statistics.as_dict()
-        assert len(payload["recent_queries"]) == MAX_QUERY_RECORDS
+        by_outcome = payload["latency_histogram"]["single_pair"]
+        assert sum(c for pairs in by_outcome.values() for _, c in pairs) == 2000
+        assert all(len(pairs) <= len(LATENCY_BUCKET_EDGES) for pairs in by_outcome.values())
 
-    def test_recent_queries_record_latency_and_provenance(self, engine):
+    def test_last_query_record_holds_latency_and_provenance(self, engine):
         engine.single_source(0)
+        assert engine.last_query_record.cache_hit is False
         engine.single_source(0)
-        records = engine.statistics.recent_queries
-        assert [r.cache_hit for r in records] == [False, True]
-        assert all(r.backend == "counting" for r in records)
-        assert all(r.seconds >= 0.0 for r in records)
+        record = engine.last_query_record
+        assert record.cache_hit is True
+        assert record.backend == "counting"
+        assert record.kind == "single_source"
+        assert record.seconds >= 0.0
 
     def test_reset_statistics_keeps_cache(self, engine):
         engine.single_source(0)

@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import (
+    LATENCY_BUCKET_EDGES,
     create_engine,
-    latency_percentiles_by_kind,
+    histogram_quantiles,
+    latency_bucket,
     latency_quantiles,
 )
 from repro.exceptions import ParameterError
@@ -36,20 +38,32 @@ class TestLatencyQuantiles:
     def test_empty_sample_reports_count_only(self):
         assert latency_quantiles([]) == {"count": 0}
 
-    def test_grouping_by_kind(self):
-        records = [("single_pair", 0.1), ("top_k", 0.3), ("single_pair", 0.2)]
-        grouped = latency_percentiles_by_kind(records)
-        assert sorted(grouped) == ["single_pair", "top_k"]
-        assert grouped["single_pair"]["count"] == 2
-        assert grouped["top_k"]["p50"] == 0.3
+    def test_histogram_quantiles_report_bucket_upper_edges(self):
+        counts = [0] * len(LATENCY_BUCKET_EDGES)
+        for seconds in (0.1, 0.2, 0.3):
+            counts[latency_bucket(seconds)] += 1
+        out = histogram_quantiles(counts)
+        assert out["count"] == 3
+        assert out["p50"] == LATENCY_BUCKET_EDGES[latency_bucket(0.2)]
+        assert 0.2 <= out["p50"] <= 0.2 * 2 ** (1 / 8)
+        assert out["p99"] == LATENCY_BUCKET_EDGES[latency_bucket(0.3)]
 
-    def test_engine_statistics_expose_percentiles(self, graph):
+    def test_empty_histogram_reports_count_only(self):
+        assert histogram_quantiles([0] * len(LATENCY_BUCKET_EDGES)) == {
+            "count": 0
+        }
+
+    def test_engine_statistics_expose_percentiles_by_kind(self, graph):
         engine = create_engine(graph, backend="montecarlo", cache_size=8)
         engine.single_pair(0, 1)
+        engine.single_pair(1, 2)
         engine.top_k(0, 3)
         stats = engine.statistics.as_dict()
-        assert stats["latency_percentiles"]["single_pair"]["count"] == 1
-        assert stats["latency_percentiles"]["top_k"]["p99"] >= 0.0
+        percentiles = stats["latency_percentiles"]
+        assert list(percentiles) == ["single_pair", "top_k"]
+        assert percentiles["single_pair"]["count"] == 2
+        assert percentiles["top_k"]["count"] == 1
+        assert percentiles["top_k"]["p99"] > 0.0
 
 
 class TestResizeCache:

@@ -11,14 +11,14 @@ what an unlocked ``+= 1`` or a racy eviction loop would break.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.engine import BackendConfig, QueryEngine, create_backend
-from repro.engine.backends import BackendInfo, PowerBackend
+from repro.engine import QueryEngine, create_backend
 from repro.graphs import generators
 
 NUM_THREADS = 8
@@ -131,6 +131,47 @@ class TestWarmStress:
         assert stats.cache_evictions > 0
         assert len(engine.cached_nodes()) <= cache_size
 
+    def test_latency_histogram_counts_every_query(self, graph):
+        """8 threads record into one histogram per kind × outcome; its
+        bucket counts must add up to the query counters exactly."""
+        engine = QueryEngine(create_backend("power", graph), cache_size=6)
+        n = graph.num_nodes
+
+        def worker(slot: int) -> None:
+            for step in range(60):
+                node = (slot * 7 + step) % n
+                if step % 2:
+                    engine.single_source(node)
+                else:
+                    engine.top_k(node, 3)
+                engine.single_pair(node, (node + 1) % n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: lost updates show
+        try:
+            _run_in_threads(worker)
+        finally:
+            sys.setswitchinterval(interval)
+
+        stats = engine.statistics_snapshot()
+        assert stats.total_queries == NUM_THREADS * 120
+        histogram = stats.as_dict()["latency_histogram"]
+        by_kind = {
+            kind: sum(count for pairs in by_outcome.values() for _, count in pairs)
+            for kind, by_outcome in histogram.items()
+        }
+        assert sum(by_kind.values()) == stats.total_queries
+        assert by_kind == {
+            "single_pair": stats.single_pair_queries,
+            "single_source": stats.single_source_queries,
+            "top_k": stats.top_k_queries,
+        }
+        hits = sum(
+            count for by_outcome in histogram.values()
+            for _, count in by_outcome.get("hit", [])
+        )
+        assert hits == sum(stats.hits_by_kind.values())
+
     def test_concurrent_cold_misses_compute_correct_vectors(self, graph):
         """Threads missing on the same source concurrently must all get the
         correct vector (double computation is allowed, corruption is not)."""
@@ -204,72 +245,3 @@ class TestPerThreadAttribution:
             stop.set()
             for thread in threads:
                 thread.join()
-
-
-class _SerialOnlyBackend(PowerBackend):
-    """A backend declaring its queries unsafe to run concurrently.
-
-    ``single_source`` detects overlapping entries; with the engine's
-    backend lock in place the overlap count must stay at zero.
-    """
-
-    info = BackendInfo(
-        name="power",  # reuse the power method, only the flag differs
-        exact=True,
-        scalable=False,
-        build_cost="matrix",
-        query_cost="matrix-row",
-        thread_safe_queries=False,
-    )
-
-    def __init__(self, graph, config=None) -> None:
-        super().__init__(graph, config)
-        self.entered = 0
-        self.overlaps = 0
-
-    def single_source(self, node):
-        self.entered += 1
-        if self.entered > 1:
-            self.overlaps += 1
-        time.sleep(0.001)  # widen the race window
-        result = super().single_source(node)
-        self.entered -= 1
-        return result
-
-
-class TestNonThreadSafeBackendGuard:
-    def test_flagged_backend_queries_are_serialised(self, graph):
-        backend = _SerialOnlyBackend(graph, BackendConfig()).build()
-        engine = QueryEngine(backend, cache_size=0)  # every query hits the backend
-
-        def worker(slot: int) -> None:
-            for node in range(6):
-                engine.single_source(node)
-
-        _run_in_threads(worker)
-        assert backend.overlaps == 0
-
-    def test_unflagged_backend_queries_do_overlap(self, graph):
-        """Sanity check for the test itself: without the flag, the same
-        detector does observe concurrent entries (otherwise the zero-overlap
-        assertion above proves nothing)."""
-
-        class _ParallelBackend(_SerialOnlyBackend):
-            info = BackendInfo(
-                name="power",
-                exact=True,
-                scalable=False,
-                build_cost="matrix",
-                query_cost="matrix-row",
-                thread_safe_queries=True,
-            )
-
-        backend = _ParallelBackend(graph, BackendConfig()).build()
-        engine = QueryEngine(backend, cache_size=0)
-
-        def worker(slot: int) -> None:
-            for node in range(6):
-                engine.single_source(node)
-
-        _run_in_threads(worker)
-        assert backend.overlaps > 0

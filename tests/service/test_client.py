@@ -53,7 +53,7 @@ SCALE, EPSILON, SEED, MC_WALKS = 0.05, 0.1, 0, 30
 TIMING_KEYS = {
     "seconds",
     "total_seconds",
-    "recent_queries",
+    "latency_histogram",
     "latency_percentiles",
     "latency_percentiles_by_outcome",
 }

@@ -148,7 +148,6 @@ class TestExecuteControl:
         assert detail["num_nodes"] > 0 and detail["num_edges"] > 0
         engine = detail["engines"]["sling"]
         assert engine["backend"] == "sling"
-        assert engine["backend_info"]["thread_safe_queries"] is True
         assert engine["cached_vectors"] == 1
         assert engine["statistics"]["single_source_queries"] == 1
         assert "plan" not in engine

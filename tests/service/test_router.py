@@ -22,7 +22,7 @@ import time
 import pytest
 import test_client
 
-from repro.engine import ENGINE_TOTAL_COUNTERS
+from repro.engine import ENGINE_TOTAL_COUNTERS, merge_statistics_totals
 from repro.service import (
     Address,
     HashRing,
@@ -154,13 +154,34 @@ class TestRouterParity:
             assert percentiles["single_pair"]["count"] == 2
             # The fan-out merge must account for *every* engine counter —
             # the totals used to drop cache_evictions.
+            engine_dicts = [
+                engine_stats
+                for detail in stats["datasets"].values()
+                for engine_stats in detail["engines"].values()
+            ]
             for counter in ENGINE_TOTAL_COUNTERS:
-                summed = sum(
-                    engine_stats[counter]
-                    for detail in stats["datasets"].values()
-                    for engine_stats in detail["engines"].values()
-                )
+                summed = sum(engine_stats[counter] for engine_stats in engine_dicts)
                 assert stats["totals"][counter] == summed, counter
+            # The histogram too: the totals' buckets are the sum of the
+            # workers' buckets, and the percentiles are read off that sum.
+            summed_buckets: dict = {}
+            for engine_stats in engine_dicts:
+                for kind, by_outcome in engine_stats["latency_histogram"].items():
+                    for outcome, pairs in by_outcome.items():
+                        for bucket, count in pairs:
+                            key = (kind, outcome, bucket)
+                            summed_buckets[key] = summed_buckets.get(key, 0) + count
+            totals_buckets = {
+                (kind, outcome, bucket): count
+                for kind, by_outcome in stats["totals"]["latency_histogram"].items()
+                for outcome, pairs in by_outcome.items()
+                for bucket, count in pairs
+            }
+            assert totals_buckets == summed_buckets
+            assert sum(summed_buckets.values()) == 2
+            merged = merge_statistics_totals(engine_dicts)
+            for view in ("latency_percentiles", "latency_percentiles_by_outcome"):
+                assert stats["totals"][view] == merged[view]
             assert client.describe()["datasets"] == ["GrQc", "AS"]
             client.close_dataset("AS")
             assert client.list_datasets() == ["GrQc"]

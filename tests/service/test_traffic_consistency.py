@@ -107,6 +107,7 @@ class TestWorkersOneVersusFour:
         assert lookups > 0  # the pattern actually exercised the cache
         assert totals["cache_hit_rate"] == totals["cache_hits"] / lookups
         assert totals["hit_rate_by_kind"] == merged["hit_rate_by_kind"]
+        assert totals["latency_histogram"] == merged["latency_histogram"]
 
 
 class TestPartitionedMerge:
@@ -130,3 +131,10 @@ class TestPartitionedMerge:
         assert combined["misses_by_kind"] == flat["misses_by_kind"]
         assert combined["hit_rate_by_kind"] == flat["hit_rate_by_kind"]
         assert combined["total_seconds"] == pytest.approx(flat["total_seconds"])
+        # Histograms merge exactly, so the sharded latency view is the flat one.
+        for key in (
+            "latency_histogram",
+            "latency_percentiles",
+            "latency_percentiles_by_outcome",
+        ):
+            assert combined[key] == flat[key], key
