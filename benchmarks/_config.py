@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import os
 
-from repro.engine import latency_quantiles
-from repro.evaluation.experiments import MethodConfig
+from repro.engine import BackendConfig, latency_quantiles
 from repro.graphs import datasets
 
 #: Scale applied to every dataset stand-in (relative to DESIGN.md defaults).
@@ -38,8 +37,8 @@ LARGE_DATASETS = ("Google", "In-2004")
 #: far below the paper-exact budget).
 MC_WALKS = 100
 
-TIMING_CONFIG = MethodConfig(epsilon=BENCH_EPSILON, seed=0, mc_num_walks=MC_WALKS)
-ACCURACY_CONFIG = MethodConfig(epsilon=ACCURACY_EPSILON, seed=0, mc_num_walks=400)
+TIMING_CONFIG = BackendConfig(epsilon=BENCH_EPSILON, seed=0, mc_num_walks=MC_WALKS)
+ACCURACY_CONFIG = BackendConfig(epsilon=ACCURACY_EPSILON, seed=0, mc_num_walks=400)
 
 
 def latency_ms_by_kind(samples: list[tuple[str, float]]) -> dict[str, dict]:

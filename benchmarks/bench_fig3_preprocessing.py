@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.evaluation.experiments import build_method
+from repro.engine import create_backend
 
 from _config import ALL_DATASETS, TIMING_CONFIG
 
@@ -23,7 +23,7 @@ def bench_preprocessing(benchmark, graph_cache, dataset, method_name):
     """Index construction time of one method on one dataset (Figure 3)."""
     graph = graph_cache(dataset)
     method = benchmark.pedantic(
-        lambda: build_method(method_name, graph, TIMING_CONFIG),
+        lambda: create_backend(method_name, graph, TIMING_CONFIG),
         rounds=1,
         iterations=1,
     )

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine import BackendConfig, create_backend
 from repro.evaluation import random_pairs
-from repro.evaluation.experiments import MethodConfig, build_method
 
 from _config import BENCH_SCALE
 
@@ -25,19 +25,20 @@ PAIRS_PER_BATCH = 50
 def bench_query_time_vs_epsilon(benchmark, graph_cache, epsilon):
     """Single-pair query batch time at a given accuracy target."""
     graph = graph_cache(DATASET, BENCH_SCALE)
-    config = MethodConfig(epsilon=epsilon, seed=0)
-    index = build_method("SLING", graph, config)
+    backend = create_backend("SLING", graph, BackendConfig(epsilon=epsilon, seed=0))
     pairs = random_pairs(graph, PAIRS_PER_BATCH, seed=3)
 
     def run_batch() -> None:
         for node_u, node_v in pairs:
-            index.single_pair(node_u, node_v)
+            backend.single_pair(node_u, node_v)
 
     benchmark(run_batch)
     benchmark.extra_info["table"] = "1"
     benchmark.extra_info["dataset"] = DATASET
     benchmark.extra_info["epsilon"] = epsilon
     benchmark.extra_info["index_megabytes"] = round(
-        index.index_size_bytes() / (1024.0 * 1024.0), 4
+        backend.index_size_bytes() / (1024.0 * 1024.0), 4
     )
-    benchmark.extra_info["avg_hitting_set_size"] = round(index.average_set_size(), 2)
+    benchmark.extra_info["avg_hitting_set_size"] = round(
+        backend.index.average_set_size(), 2
+    )

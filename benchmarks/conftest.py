@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.evaluation.experiments import MethodConfig, build_method
+from repro.engine import BackendConfig, create_backend
 from repro.graphs import datasets
 
 from _config import BENCH_SCALE
@@ -42,13 +42,13 @@ def method_cache(graph_cache):
     def build(
         dataset: str,
         method: str,
-        config: MethodConfig,
+        config: BackendConfig,
         scale: float = BENCH_SCALE,
     ):
         key = (dataset, method, config.epsilon, scale)
         if key not in cache:
             graph = graph_cache(dataset, scale)
-            cache[key] = build_method(method, graph, config)
+            cache[key] = create_backend(method, graph, config)
         return cache[key]
 
     return build

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import argparse
 
+from repro.engine import BackendConfig, create_backend
 from repro.evaluation import (
     GroundTruthCache,
     grouped_errors,
     max_error,
     top_k_precision,
 )
-from repro.evaluation.experiments import MethodConfig, build_method
 from repro.graphs import datasets
 
 
@@ -37,7 +37,7 @@ def parse_args() -> argparse.Namespace:
 
 def main() -> None:
     args = parse_args()
-    config = MethodConfig(epsilon=args.epsilon, seed=args.seed, mc_num_walks=400)
+    config = BackendConfig(epsilon=args.epsilon, seed=args.seed, mc_num_walks=400)
 
     print(f"Loading the {args.dataset} stand-in (scale = {args.scale}) ...")
     graph = datasets.load_dataset(args.dataset, scale=args.scale, seed=args.seed)
@@ -54,7 +54,7 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for method_name in ("SLING", "Linearize", "MC"):
-        method = build_method(method_name, graph, config)
+        method = create_backend(method_name, graph, config)
         estimated = method.all_pairs()
         groups = grouped_errors(estimated, truth).as_dict()
         print(

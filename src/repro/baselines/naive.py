@@ -4,28 +4,18 @@ This is the textbook Jeh & Widom fixed-point iteration written with no numpy
 and no cleverness whatsoever.  It is far too slow for anything but toy graphs,
 which is exactly the point: it serves as an independent oracle for testing the
 power method, the SLING index, and the other baselines against each other.
+:class:`NaiveSimRank` serves its scores like the power method's matrix.
 """
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from ..exceptions import ParameterError
 from ..graphs import DiGraph
+from .power import PowerMethod, iterations_for_error
 
-__all__ = ["naive_simrank", "naive_simrank_pair", "iterations_for_error"]
-
-
-def iterations_for_error(c: float, epsilon: float) -> int:
-    """Number of iterations guaranteeing ``epsilon`` worst-case error (Lemma 1).
-
-    Lemma 1 (Lizorkin et al.): ``t ≥ log_c(ε (1 - c)) - 1`` suffices.
-    """
-    if not 0.0 < c < 1.0:
-        raise ParameterError(f"decay factor c must be in (0, 1), got {c}")
-    if not 0.0 < epsilon < 1.0:
-        raise ParameterError(f"epsilon must be in (0, 1), got {epsilon}")
-    return max(1, math.ceil(math.log(epsilon * (1.0 - c)) / math.log(c) - 1.0))
+__all__ = ["NaiveSimRank", "naive_simrank", "naive_simrank_pair"]
 
 
 def naive_simrank(
@@ -85,3 +75,25 @@ def naive_simrank_pair(
     """SimRank of one pair via the all-pairs naive iteration (tiny graphs only)."""
     scores = naive_simrank(graph, c=c, epsilon=epsilon)
     return scores[(int(node_u), int(node_v))]
+
+
+class NaiveSimRank(PowerMethod):
+    """:func:`naive_simrank` as a :class:`SimRankMethod`.
+
+    Only the build differs from :class:`PowerMethod`: the score matrix is
+    filled from the dictionary iteration (same Lemma-1 iteration count), and
+    queries read it with the power method's node checks.
+    """
+
+    name = "Naive"
+
+    def build(self) -> "NaiveSimRank":
+        """Run the dictionary iteration and cache its scores as a matrix."""
+        scores = naive_simrank(self._graph, c=self._c, num_iterations=self._num_iterations)
+        n = self._graph.num_nodes
+        matrix = np.zeros((n, n), dtype=np.float64)
+        for (node_u, node_v), value in scores.items():
+            matrix[node_u, node_v] = value
+        self._matrix = matrix
+        self._built = True
+        return self

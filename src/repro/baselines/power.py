@@ -12,17 +12,35 @@ accuracy experiments of Figures 5-7 (worst-case error below 1e-11).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..exceptions import ParameterError
 from ..graphs import DiGraph
 from .base import SimRankMethod
-from .naive import iterations_for_error
 
-__all__ = ["PowerMethod", "simrank_matrix", "GROUND_TRUTH_ITERATIONS"]
+__all__ = [
+    "PowerMethod",
+    "simrank_matrix",
+    "iterations_for_error",
+    "GROUND_TRUTH_ITERATIONS",
+]
 
 #: Iteration count the paper uses when computing ground truth (Section 7.2).
 GROUND_TRUTH_ITERATIONS = 50
+
+
+def iterations_for_error(c: float, epsilon: float) -> int:
+    """Number of iterations guaranteeing ``epsilon`` worst-case error (Lemma 1).
+
+    Lemma 1 (Lizorkin et al.): ``t ≥ log_c(ε (1 - c)) - 1`` suffices.
+    """
+    if not 0.0 < c < 1.0:
+        raise ParameterError(f"decay factor c must be in (0, 1), got {c}")
+    if not 0.0 < epsilon < 1.0:
+        raise ParameterError(f"epsilon must be in (0, 1), got {epsilon}")
+    return max(1, math.ceil(math.log(epsilon * (1.0 - c)) / math.log(c) - 1.0))
 
 
 def simrank_matrix(

@@ -56,7 +56,6 @@ from typing import Sequence
 
 from .engine import PAIR_AMORTIZE_THRESHOLD, BackendConfig, backend_names
 from .evaluation import experiments, reporting
-from .evaluation.experiments import MethodConfig
 from .evaluation.traffic import (
     CHAOS_TRAFFIC_PROFILES,
     TrafficPattern,
@@ -627,8 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> MethodConfig:
-    return MethodConfig(
+def _config(args: argparse.Namespace) -> BackendConfig:
+    return BackendConfig(
         epsilon=args.epsilon, seed=args.seed, mc_num_walks=args.mc_walks
     )
 
@@ -652,9 +651,7 @@ def _service(args: argparse.Namespace) -> SimRankService:
             wal_dir=args.wal_dir,
             scale=args.scale,
             seed=args.seed,
-            backend_config=BackendConfig(
-                epsilon=args.epsilon, seed=args.seed, mc_num_walks=args.mc_walks
-            ),
+            backend_config=_config(args),
         )
     )
 

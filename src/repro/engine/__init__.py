@@ -4,9 +4,11 @@ This package puts one execution surface in front of all the ways the
 repository can answer a SimRank query:
 
 * :mod:`repro.engine.backends` — the :class:`SimilarityBackend` protocol, a
-  string-keyed registry, and adapter classes wrapping :class:`SlingIndex`
-  (built in memory, or saved and memory-mapped back by the ``sling-disk``
-  backend) and the naive / power / Monte-Carlo / linearize baselines;
+  name -> factory registry, :class:`SlingBackend` over :class:`SlingIndex`
+  (and :class:`DiskSlingBackend`, which saves and memory-maps it back), and
+  one :class:`MethodBackend` that serves every
+  :class:`~repro.baselines.SimRankMethod` baseline (naive / power /
+  Monte-Carlo / linearize);
 * :mod:`repro.engine.engine` — :class:`QueryEngine`, which executes
   queries with an LRU cache of single-source score vectors, aggregate
   counters and a fixed-bucket latency histogram per query kind × cache
@@ -33,17 +35,11 @@ from .backends import (
     BackendConfig,
     BackendInfo,
     DiskSlingBackend,
-    LinearizeBackend,
-    MonteCarloBackend,
-    NaiveBackend,
-    PowerBackend,
+    MethodBackend,
     SimilarityBackend,
     SlingBackend,
-    SqrtCMonteCarloBackend,
     backend_names,
     create_backend,
-    get_backend_class,
-    register_backend,
     resolve_backend_name,
 )
 from .engine import (
@@ -67,15 +63,9 @@ __all__ = [
     "SimilarityBackend",
     "SlingBackend",
     "DiskSlingBackend",
-    "NaiveBackend",
-    "PowerBackend",
-    "MonteCarloBackend",
-    "SqrtCMonteCarloBackend",
-    "LinearizeBackend",
+    "MethodBackend",
     "backend_names",
     "create_backend",
-    "get_backend_class",
-    "register_backend",
     "resolve_backend_name",
     "QueryEngine",
     "EngineStatistics",

@@ -1,16 +1,23 @@
 """Similarity backends: one protocol, many SimRank computation strategies.
 
-Every way this repository can answer a SimRank query — the SLING index
-(Algorithms 3/6), in memory or memory-mapped from disk, and the baselines — is
-wrapped in a :class:`SimilarityBackend` adapter exposing the same four
-operations (``build``, ``single_pair``, ``single_source``, ``top_k``) plus
+Every way this repository can answer a SimRank query is a
+:class:`SimilarityBackend` exposing the same operations (``build``,
+``single_pair``, ``single_source``, ``index_size_bytes``, ``all_pairs``) plus
 capability/cost flags (:class:`BackendInfo`) that the engine and the
-``describe`` control request report.
+``describe`` control request report.  Ranking lives one layer up, in
+:meth:`QueryEngine.top_k <repro.engine.QueryEngine.top_k>`.
 
-Backends are registered in a string-keyed registry; :func:`create_backend`
+There are three backend classes: :class:`SlingBackend` (the SLING index of
+Algorithms 3/6 in memory, and the only one that mutates),
+:class:`DiskSlingBackend` (the same index saved and memory-mapped back), and
+:class:`MethodBackend`, which serves any
+:class:`~repro.baselines.SimRankMethod` — naive, power, Monte Carlo (c-walks
+and √c-walks) and linearization.
+
+The registry is one dict from name to factory; :func:`create_backend`
 instantiates one by name and :func:`resolve_backend_name` maps the paper's
 figure labels ("SLING", "MC", "MC-sqrtc", "Linearize", ...) onto registry
-keys so the evaluation drivers and the CLI can share one dispatch path.
+keys so the evaluation drivers and the CLI share one dispatch path.
 """
 
 from __future__ import annotations
@@ -19,20 +26,22 @@ import abc
 import dataclasses
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from ..baselines import (
     LinearizeIndex,
     MonteCarloIndex,
+    NaiveSimRank,
     PowerMethod,
+    SimRankMethod,
     SqrtCMonteCarloIndex,
-    naive_simrank,
 )
 from ..exceptions import IndexNotBuiltError, ParameterError
 from ..graphs import DiGraph
-from ..ranking import rank_top_k
 from ..sling import (
     DynamicSlingIndex,
     MutationReport,
@@ -48,14 +57,8 @@ __all__ = [
     "SimilarityBackend",
     "SlingBackend",
     "DiskSlingBackend",
-    "NaiveBackend",
-    "PowerBackend",
-    "MonteCarloBackend",
-    "SqrtCMonteCarloBackend",
-    "LinearizeBackend",
-    "register_backend",
+    "MethodBackend",
     "backend_names",
-    "get_backend_class",
     "create_backend",
     "resolve_backend_name",
 ]
@@ -65,14 +68,18 @@ __all__ = [
 class BackendConfig:
     """Construction knobs shared by every backend.
 
-    The engine layer sits below :mod:`repro.evaluation`, so this mirrors (but
-    does not import) ``MethodConfig``; the evaluation drivers translate one
-    into the other.
+    The one settable configuration of a backend: the service, the CLI and
+    the evaluation drivers all build backends from it.  Each backend reads
+    the fields it needs (``mc_num_walks`` only the Monte-Carlo methods, the
+    ``sling_*`` flags and the two disk fields only SLING).
     """
 
     c: float = 0.6
     epsilon: float = 0.025
     seed: int = 0
+    #: Monte-Carlo walks per node.  The paper-exact budget (Section 3.2) is
+    #: hundreds of thousands per node and does not fit in memory; this
+    #: scaled-down budget keeps the method representable.
     mc_num_walks: int = 200
     sling_reduce_space: bool = False
     sling_enhance_accuracy: bool = False
@@ -115,10 +122,9 @@ class BackendInfo:
 class SimilarityBackend(abc.ABC):
     """Uniform adapter over one SimRank computation strategy.
 
-    Subclasses declare their :class:`BackendInfo` as the class attribute
-    ``info`` and implement ``build`` / ``single_pair`` / ``single_source`` /
-    ``index_size_bytes``; ``top_k`` and ``all_pairs`` have generic
-    implementations on top of ``single_source``.
+    Subclasses declare their :class:`BackendInfo` as ``info`` and implement
+    ``build`` / ``single_pair`` / ``single_source`` / ``index_size_bytes``;
+    ``all_pairs`` has a generic implementation on top of ``single_source``.
     """
 
     info: BackendInfo = BackendInfo(name="abstract")
@@ -207,13 +213,6 @@ class SimilarityBackend(abc.ABC):
         return 0.0
 
     # ------------------------------------------------------------------ #
-    def top_k(self, node: int, k: int) -> list[tuple[int, float]]:
-        """The ``k`` nodes most similar to ``node`` (excluding itself)."""
-        if k <= 0:
-            raise ParameterError(f"k must be positive, got {k}")
-        scores = np.asarray(self.single_source(node), dtype=np.float64)
-        return rank_top_k(scores, int(node), k)
-
     def all_pairs(self) -> np.ndarray:
         """All-pairs scores via one single-source query per node."""
         self._require_built()
@@ -229,75 +228,8 @@ class SimilarityBackend(abc.ABC):
 
 
 # --------------------------------------------------------------------------- #
-# Registry
-# --------------------------------------------------------------------------- #
-_REGISTRY: dict[str, type[SimilarityBackend]] = {}
-
-#: Figure labels and common spellings accepted by :func:`resolve_backend_name`.
-_ALIASES: dict[str, str] = {
-    "auto": "sling",
-    "sling": "sling",
-    "sling-disk": "sling-disk",
-    "disk": "sling-disk",
-    "disksling": "sling-disk",
-    "naive": "naive",
-    "power": "power",
-    "mc": "montecarlo",
-    "montecarlo": "montecarlo",
-    "monte-carlo": "montecarlo",
-    "mc-sqrtc": "montecarlo_sqrtc",
-    "montecarlo_sqrtc": "montecarlo_sqrtc",
-    "linearize": "linearize",
-}
-
-
-def register_backend(cls: type[SimilarityBackend]) -> type[SimilarityBackend]:
-    """Class decorator adding a backend to the registry under ``cls.info.name``."""
-    name = cls.info.name
-    if name in _REGISTRY:
-        raise ParameterError(f"backend {name!r} is already registered")
-    _REGISTRY[name] = cls
-    return cls
-
-
-def backend_names() -> list[str]:
-    """All registered backend names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def resolve_backend_name(label: str) -> str:
-    """Map a figure label or alias ("SLING", "MC-sqrtc", ...) to a registry key."""
-    key = _ALIASES.get(label.strip().lower())
-    if key is None or key not in _REGISTRY:
-        raise ParameterError(
-            f"unknown backend {label!r}; known backends: {', '.join(backend_names())}"
-        )
-    return key
-
-
-def get_backend_class(name: str) -> type[SimilarityBackend]:
-    """Look up a backend class by registry key or alias."""
-    return _REGISTRY[resolve_backend_name(name)]
-
-
-def create_backend(
-    name: str,
-    graph: DiGraph,
-    config: BackendConfig | None = None,
-    *,
-    build: bool = True,
-) -> SimilarityBackend:
-    """Instantiate (and by default build) a backend by registry name or alias."""
-    backend = get_backend_class(name)(graph, config)
-    if build:
-        backend.build()
-    return backend
-
-
-# --------------------------------------------------------------------------- #
 # SLING adapters
 # --------------------------------------------------------------------------- #
-@register_backend
 class SlingBackend(SimilarityBackend):
     """In-memory :class:`SlingIndex` behind the backend protocol."""
 
@@ -326,12 +258,6 @@ class SlingBackend(SimilarityBackend):
     def index(self) -> SlingIndex:
         """The wrapped SLING index (build statistics, parameters, ...)."""
         return self._index
-
-    @property
-    def packed_store(self):
-        """The frozen columnar store the index answers queries from."""
-        self._require_built()
-        return self._index.packed_store
 
     def build(self) -> "SlingBackend":
         self._index.build()
@@ -393,23 +319,8 @@ class SlingBackend(SimilarityBackend):
         self._require_built()
         return self._index.index_size_bytes()
 
-    def resident_bytes(self) -> int:
-        """Actual in-memory footprint of the packed columns + corrections.
-
-        Unlike :meth:`index_size_bytes` (the logical 12-bytes-per-entry
-        Figure-4 accounting) this is the real allocation, read in O(1) off
-        the store's array lengths.
-        """
-        self._require_built()
-        return self._index.resident_bytes()
-
-    def average_set_size(self) -> float:
-        """Average stored hitting probabilities per node (Table-1 accounting)."""
-        self._require_built()
-        return self._index.average_set_size()
 
 
-@register_backend
 class DiskSlingBackend(SlingBackend):
     """SLING served from a saved, memory-mapped index.
 
@@ -446,202 +357,137 @@ class DiskSlingBackend(SlingBackend):
         self._built = True
         return self
 
-    def resident_bytes(self) -> int:
-        """Main-memory footprint: only the ``8n`` bytes of correction factors.
-
-        The packed columns are memory-mapped, so their pages live in the
-        kernel's cache, not this process's budget.
-        """
-        self._require_built()
-        return 8 * self._graph.num_nodes
-
 
 # --------------------------------------------------------------------------- #
-# Baseline adapters
+# Baselines
 # --------------------------------------------------------------------------- #
-@register_backend
-class NaiveBackend(SimilarityBackend):
-    """The textbook all-pairs fixed-point iteration (testing oracle).
+class MethodBackend(SimilarityBackend):
+    """Any :class:`~repro.baselines.SimRankMethod` behind the backend protocol.
 
-    ``build`` materialises the full score matrix, so this is only usable on
-    toy graphs — which is exactly its role as an independent oracle.
+    ``make(graph, config)`` constructs the method; every query forwards to
+    it, and the method's own checks (node range, built state) apply.
     """
 
-    info = BackendInfo(
-        name="naive",
-        exact=True,
-        in_memory=True,
-        scalable=False,
-        build_cost="matrix",
-        query_cost="matrix-row",
-    )
-
-    def __init__(self, graph: DiGraph, config: BackendConfig | None = None) -> None:
+    def __init__(
+        self,
+        graph: DiGraph,
+        config: BackendConfig | None = None,
+        *,
+        info: BackendInfo,
+        make: Callable[[DiGraph, BackendConfig], SimRankMethod],
+    ) -> None:
         super().__init__(graph, config)
-        self._matrix: np.ndarray | None = None
+        self.info = info
+        self._method = make(graph, self._config)
 
-    def build(self) -> "NaiveBackend":
-        cfg = self._config
-        scores = naive_simrank(self._graph, c=cfg.c, epsilon=cfg.epsilon)
-        n = self._graph.num_nodes
-        matrix = np.zeros((n, n), dtype=np.float64)
-        for (node_u, node_v), value in scores.items():
-            matrix[node_u, node_v] = value
-        self._matrix = matrix
-        self._built = True
-        return self
-
-    def single_pair(self, node_u: int, node_v: int) -> float:
-        self._require_built()
-        assert self._matrix is not None
-        return float(self._matrix[int(node_u), int(node_v)])
-
-    def single_source(self, node: int) -> np.ndarray:
-        self._require_built()
-        assert self._matrix is not None
-        return self._matrix[int(node)].copy()
-
-    def index_size_bytes(self) -> int:
-        self._require_built()
-        assert self._matrix is not None
-        return int(self._matrix.nbytes)
-
-
-@register_backend
-class PowerBackend(SimilarityBackend):
-    """The power method (Section 3.1) behind the backend protocol."""
-
-    info = BackendInfo(
-        name="power",
-        exact=True,
-        in_memory=True,
-        scalable=False,
-        build_cost="matrix",
-        query_cost="matrix-row",
-    )
-
-    def __init__(self, graph: DiGraph, config: BackendConfig | None = None) -> None:
-        super().__init__(graph, config)
-        cfg = self._config
-        self._method = PowerMethod(graph, c=cfg.c, epsilon=cfg.epsilon)
-
-    @property
-    def method(self) -> PowerMethod:
-        """The wrapped power-method instance."""
-        return self._method
-
-    def build(self) -> "PowerBackend":
+    def build(self) -> "MethodBackend":
         self._method.build()
         self._built = True
         return self
 
     def single_pair(self, node_u: int, node_v: int) -> float:
-        self._require_built()
         return self._method.single_pair(node_u, node_v)
 
     def single_source(self, node: int) -> np.ndarray:
-        self._require_built()
         return self._method.single_source(node)
 
     def index_size_bytes(self) -> int:
-        self._require_built()
         return self._method.index_size_bytes()
 
 
-class _MethodBackend(SimilarityBackend):
-    """Shared plumbing for adapters over a built :class:`SimRankMethod`."""
-
-    def __init__(self, graph: DiGraph, config: BackendConfig | None = None) -> None:
-        super().__init__(graph, config)
-        self._method = self._make_method()
-
-    def _make_method(self):
-        raise NotImplementedError
-
-    @property
-    def method(self):
-        """The wrapped :class:`SimRankMethod` instance."""
-        return self._method
-
-    def build(self) -> "_MethodBackend":
-        self._method.build()
-        self._built = True
-        return self
-
-    def single_pair(self, node_u: int, node_v: int) -> float:
-        self._require_built()
-        return self._method.single_pair(node_u, node_v)
-
-    def single_source(self, node: int) -> np.ndarray:
-        self._require_built()
-        return self._method.single_source(node)
-
-    def index_size_bytes(self) -> int:
-        self._require_built()
-        return self._method.index_size_bytes()
-
-
-@register_backend
-class MonteCarloBackend(_MethodBackend):
-    """The Fogaras & Rácz Monte-Carlo method (c-walks)."""
-
-    info = BackendInfo(
-        name="montecarlo",
-        exact=False,
-        in_memory=True,
-        scalable=True,
-        build_cost="walks",
-        query_cost="linear",
+def _walks(method: type[SimRankMethod]) -> Callable:
+    """Factory for a Monte-Carlo method: both walk variants take one shape."""
+    return lambda graph, cfg: method(
+        graph, c=cfg.c, epsilon=cfg.epsilon, num_walks=cfg.mc_num_walks, seed=cfg.seed
     )
 
-    def _make_method(self) -> MonteCarloIndex:
-        cfg = self._config
-        return MonteCarloIndex(
-            self._graph,
-            c=cfg.c,
-            epsilon=cfg.epsilon,
-            num_walks=cfg.mc_num_walks,
-            seed=cfg.seed,
+
+#: Each baseline's capability flags and its ``make(graph, config)`` factory.
+_BASELINES = (
+    (
+        BackendInfo(
+            name="naive", exact=True, scalable=False,
+            build_cost="matrix", query_cost="matrix-row",
+        ),
+        lambda graph, cfg: NaiveSimRank(graph, c=cfg.c, epsilon=cfg.epsilon),
+    ),
+    (
+        BackendInfo(
+            name="power", exact=True, scalable=False,
+            build_cost="matrix", query_cost="matrix-row",
+        ),
+        lambda graph, cfg: PowerMethod(graph, c=cfg.c, epsilon=cfg.epsilon),
+    ),
+    (
+        BackendInfo(name="montecarlo", build_cost="walks", query_cost="linear"),
+        _walks(MonteCarloIndex),
+    ),
+    (
+        BackendInfo(name="montecarlo_sqrtc", build_cost="walks", query_cost="linear"),
+        _walks(SqrtCMonteCarloIndex),
+    ),
+    (
+        BackendInfo(name="linearize", build_cost="index", query_cost="linear"),
+        lambda graph, cfg: LinearizeIndex(graph, c=cfg.c, seed=cfg.seed),
+    ),
+)
+
+
+# --------------------------------------------------------------------------- #
+# Registry
+# --------------------------------------------------------------------------- #
+#: Backend name -> factory ``(graph, config) -> SimilarityBackend``.
+_REGISTRY: dict[str, Callable[..., SimilarityBackend]] = {
+    "sling": SlingBackend,
+    "sling-disk": DiskSlingBackend,
+    **{
+        info.name: partial(MethodBackend, info=info, make=make)
+        for info, make in _BASELINES
+    },
+}
+
+#: Figure labels and common spellings accepted by :func:`resolve_backend_name`.
+_ALIASES: dict[str, str] = {
+    "auto": "sling",
+    "sling": "sling",
+    "sling-disk": "sling-disk",
+    "disk": "sling-disk",
+    "disksling": "sling-disk",
+    "naive": "naive",
+    "power": "power",
+    "mc": "montecarlo",
+    "montecarlo": "montecarlo",
+    "monte-carlo": "montecarlo",
+    "mc-sqrtc": "montecarlo_sqrtc",
+    "montecarlo_sqrtc": "montecarlo_sqrtc",
+    "linearize": "linearize",
+}
+
+
+def backend_names() -> list[str]:
+    """All registered backend names, sorted."""
+    return sorted(_REGISTRY)
+
+
+def resolve_backend_name(label: str) -> str:
+    """Map a figure label or alias ("SLING", "MC-sqrtc", ...) to a registry key."""
+    key = _ALIASES.get(label.strip().lower())
+    if key is None:
+        raise ParameterError(
+            f"unknown backend {label!r}; known backends: {', '.join(backend_names())}"
         )
+    return key
 
 
-@register_backend
-class SqrtCMonteCarloBackend(_MethodBackend):
-    """The √c-walk Monte-Carlo variant (Section 4.1)."""
-
-    info = BackendInfo(
-        name="montecarlo_sqrtc",
-        exact=False,
-        in_memory=True,
-        scalable=True,
-        build_cost="walks",
-        query_cost="linear",
-    )
-
-    def _make_method(self) -> SqrtCMonteCarloIndex:
-        cfg = self._config
-        return SqrtCMonteCarloIndex(
-            self._graph,
-            c=cfg.c,
-            epsilon=cfg.epsilon,
-            num_walks=cfg.mc_num_walks,
-            seed=cfg.seed,
-        )
-
-
-@register_backend
-class LinearizeBackend(_MethodBackend):
-    """The linearization method of Maehara et al."""
-
-    info = BackendInfo(
-        name="linearize",
-        exact=False,
-        in_memory=True,
-        scalable=True,
-        build_cost="index",
-        query_cost="linear",
-    )
-
-    def _make_method(self) -> LinearizeIndex:
-        cfg = self._config
-        return LinearizeIndex(self._graph, c=cfg.c, seed=cfg.seed)
+def create_backend(
+    name: str,
+    graph: DiGraph,
+    config: BackendConfig | None = None,
+    *,
+    build: bool = True,
+) -> SimilarityBackend:
+    """Instantiate (and by default build) a backend by registry name or alias."""
+    backend = _REGISTRY[resolve_backend_name(name)](graph, config)
+    if build:
+        backend.build()
+    return backend

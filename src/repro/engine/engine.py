@@ -232,6 +232,14 @@ ENGINE_TOTAL_COUNTERS = (
 )
 
 
+def _shipped_count(value: object, what: str) -> int:
+    """A counter off a worker's reply: a non-bool int >= 0, or
+    :class:`WireFormatError`."""
+    if type(value) is not int or value < 0:
+        raise WireFormatError(f"{what} {value!r} is not a non-negative integer")
+    return value
+
+
 def merge_statistics_totals(engine_dicts: Iterable[dict]) -> dict:
     """Roll per-engine statistics dicts (:meth:`EngineStatistics.as_dict`
     form, or the same shape off the wire) into one totals dict.
@@ -247,7 +255,11 @@ def merge_statistics_totals(engine_dicts: Iterable[dict]) -> dict:
     fan-out merge call this one function, so an engine, a single server, and
     a sharded pool can never disagree about what a hit rate or a p99 means.
     Missing keys count as zero, so dicts recorded by older servers merge
-    cleanly; a malformed histogram raises :class:`WireFormatError`.
+    cleanly.  What no engine sends — a counter that is not a non-negative
+    int (a string, a bool, a fraction), a ``total_seconds`` that is not a
+    finite number >= 0, a per-kind tally that is not a dict of such
+    counters, or a malformed histogram — raises :class:`WireFormatError`
+    rather than be coerced and summed.
     """
     totals: dict = dict.fromkeys(ENGINE_TOTAL_COUNTERS, 0)
     totals["total_seconds"] = 0.0
@@ -256,12 +268,17 @@ def merge_statistics_totals(engine_dicts: Iterable[dict]) -> dict:
     histogram: dict = {}
     for stats in engine_dicts:
         for key in ENGINE_TOTAL_COUNTERS:
-            totals[key] += int(stats.get(key, 0))
-        totals["total_seconds"] += float(stats.get("total_seconds", 0.0))
-        for kind, count in stats.get("hits_by_kind", {}).items():
-            hits[kind] = hits.get(kind, 0) + int(count)
-        for kind, count in stats.get("misses_by_kind", {}).items():
-            misses[kind] = misses.get(kind, 0) + int(count)
+            totals[key] += _shipped_count(stats.get(key, 0), key)
+        seconds = stats.get("total_seconds", 0.0)
+        if type(seconds) not in (int, float) or not 0.0 <= seconds < math.inf:
+            raise WireFormatError(f"total_seconds {seconds!r} is not a finite number >= 0")
+        totals["total_seconds"] += seconds
+        for key, tally in (("hits_by_kind", hits), ("misses_by_kind", misses)):
+            by_kind = stats.get(key, {})
+            if not isinstance(by_kind, dict):
+                raise WireFormatError(f"{key} must map kinds to counts")
+            for kind, count in by_kind.items():
+                tally[kind] = tally.get(kind, 0) + _shipped_count(count, f"{key}[{kind!r}]")
         _merge_latency_histogram(histogram, stats.get("latency_histogram", {}))
     lookups = totals["cache_hits"] + totals["cache_misses"]
     totals["cache_hit_rate"] = totals["cache_hits"] / lookups if lookups else 0.0

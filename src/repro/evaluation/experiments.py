@@ -7,6 +7,11 @@ The benchmark harness under ``benchmarks/`` is a thin wrapper around these
 functions, so the same code path backs both ``pytest --benchmark-only`` runs
 and ad-hoc exploration from the examples.
 
+Every driver takes one :class:`~repro.engine.BackendConfig` and reaches each
+method through the engine's backend registry (:func:`~repro.engine.create_backend`
+or a service session), so the paper's figure labels ("SLING", "Linearize",
+"MC", "MC-sqrtc") name the same backends the CLI and the server serve.
+
 Scaling note
 ------------
 The paper's numbers come from a C++ implementation on multi-million-node
@@ -18,18 +23,11 @@ factor, and where the trends cross — is what these drivers reproduce.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
-import numpy as np
-
-from ..engine import (
-    BackendConfig,
-    SimilarityBackend,
-    SlingBackend,
-    create_backend,
-)
-from ..graphs import DiGraph, datasets
+from ..engine import BackendConfig, SlingBackend, create_backend
+from ..graphs import datasets
 from ..service import ServiceConfig, SimRankService
 from ..sling import SlingParameters, build_with_thread_count, out_of_core_build
 from .ground_truth import GroundTruthCache
@@ -38,7 +36,6 @@ from .timing import time_callable
 from .workloads import random_pairs, random_sources
 
 __all__ = [
-    "MethodConfig",
     "QueryCostRow",
     "PreprocessingRow",
     "SpaceRow",
@@ -48,7 +45,6 @@ __all__ = [
     "ParallelRow",
     "OutOfCoreRow",
     "ScalingRow",
-    "build_method",
     "single_pair_experiment",
     "single_source_experiment",
     "preprocessing_experiment",
@@ -65,51 +61,8 @@ __all__ = [
 #: Default graph scale for experiments that must stay quick (tests, examples).
 DEFAULT_SMALL_SCALE = 0.25
 
-#: Monte-Carlo walk budget used by the experiments.  The paper-exact budget
-#: (Section 3.2) is hundreds of thousands of walks per node and does not fit
-#: in memory even for the original authors; this scaled-down budget keeps the
-#: method representable, as documented in DESIGN.md / EXPERIMENTS.md.
-MC_EXPERIMENT_WALKS = 200
 
-
-@dataclass(frozen=True)
-class MethodConfig:
-    """Configuration knobs shared by every experiment."""
-
-    c: float = 0.6
-    epsilon: float = 0.025
-    seed: int = 0
-    mc_num_walks: int = MC_EXPERIMENT_WALKS
-    sling_reduce_space: bool = False
-    sling_enhance_accuracy: bool = False
-
-
-def _backend_config(config: MethodConfig) -> BackendConfig:
-    """Translate the experiment-level knobs into engine-level ones."""
-    return BackendConfig(
-        c=config.c,
-        epsilon=config.epsilon,
-        seed=config.seed,
-        mc_num_walks=config.mc_num_walks,
-        sling_reduce_space=config.sling_reduce_space,
-        sling_enhance_accuracy=config.sling_enhance_accuracy,
-    )
-
-
-def build_method(
-    name: str, graph: DiGraph, config: MethodConfig = MethodConfig()
-) -> SimilarityBackend:
-    """Instantiate and build one method by its figure label.
-
-    Dispatch goes through the :mod:`repro.engine` backend registry, so every
-    registered backend is reachable; the paper's figure labels (``"SLING"``,
-    ``"Linearize"``, ``"MC"``, ``"MC-sqrtc"``) are accepted as aliases.
-    Unknown names raise :class:`~repro.exceptions.ParameterError`.
-    """
-    return create_backend(name, graph, _backend_config(config))
-
-
-def _service(scale: float, config: MethodConfig) -> SimRankService:
+def _service(scale: float, config: BackendConfig) -> SimRankService:
     """A service whose dataset sessions carry cache-disabled engines, so the
     figure timings measure the backend itself rather than the engine's cache.
 
@@ -122,7 +75,7 @@ def _service(scale: float, config: MethodConfig) -> SimRankService:
             cache_size=0,
             scale=scale,
             seed=config.seed,
-            backend_config=_backend_config(config),
+            backend_config=config,
         )
     )
 
@@ -146,7 +99,7 @@ def single_pair_experiment(
     methods: Sequence[str] = ("SLING", "Linearize", "MC"),
     num_queries: int = 100,
     scale: float = DEFAULT_SMALL_SCALE,
-    config: MethodConfig = MethodConfig(),
+    config: BackendConfig = BackendConfig(),
 ) -> list[QueryCostRow]:
     """Figure 1: average single-pair query time per dataset and method."""
     service = _service(scale, config)
@@ -180,7 +133,7 @@ def single_source_experiment(
     methods: Sequence[str] = ("SLING", "SLING (Alg. 3)", "Linearize", "MC"),
     num_queries: int = 20,
     scale: float = DEFAULT_SMALL_SCALE,
-    config: MethodConfig = MethodConfig(),
+    config: BackendConfig = BackendConfig(),
 ) -> list[QueryCostRow]:
     """Figure 2: average single-source query time per dataset and method.
 
@@ -244,7 +197,7 @@ def preprocessing_experiment(
     *,
     methods: Sequence[str] = ("SLING", "Linearize", "MC"),
     scale: float = DEFAULT_SMALL_SCALE,
-    config: MethodConfig = MethodConfig(),
+    config: BackendConfig = BackendConfig(),
 ) -> list[PreprocessingRow]:
     """Figure 3: preprocessing (index construction) time of each method."""
     service = _service(scale, config)
@@ -254,7 +207,7 @@ def preprocessing_experiment(
         # session's graph instead of reusing its lazily-built engines.
         graph = service.open_dataset(dataset).graph
         for method_name in methods:
-            timing = time_callable(lambda: build_method(method_name, graph, config))
+            timing = time_callable(lambda: create_backend(method_name, graph, config))
             rows.append(
                 PreprocessingRow(
                     dataset=dataset,
@@ -270,7 +223,7 @@ def space_experiment(
     *,
     methods: Sequence[str] = ("SLING", "Linearize", "MC"),
     scale: float = DEFAULT_SMALL_SCALE,
-    config: MethodConfig = MethodConfig(),
+    config: BackendConfig = BackendConfig(),
 ) -> list[SpaceRow]:
     """Figure 4: index size of each method."""
     service = _service(scale, config)
@@ -321,17 +274,13 @@ class TopKRow:
     precision: float
 
 
-def _all_pairs_matrix(method: SimilarityBackend) -> np.ndarray:
-    return method.all_pairs()
-
-
 def accuracy_experiment(
     dataset_names: Sequence[str] = datasets.SMALL_DATASETS,
     *,
     methods: Sequence[str] = ("SLING", "Linearize", "MC"),
     num_runs: int = 3,
     scale: float = DEFAULT_SMALL_SCALE,
-    config: MethodConfig = MethodConfig(),
+    config: BackendConfig = BackendConfig(),
     cache: GroundTruthCache | None = None,
 ) -> list[AccuracyRow]:
     """Figure 5: maximum all-pairs error over repeated index builds."""
@@ -344,17 +293,10 @@ def accuracy_experiment(
         graph = service.open_dataset(dataset).graph
         truth = cache.get(graph, c=config.c)
         for run in range(num_runs):
-            run_config = MethodConfig(
-                c=config.c,
-                epsilon=config.epsilon,
-                seed=config.seed + run,
-                mc_num_walks=config.mc_num_walks,
-                sling_reduce_space=config.sling_reduce_space,
-                sling_enhance_accuracy=config.sling_enhance_accuracy,
-            )
+            run_config = replace(config, seed=config.seed + run)
             for method_name in methods:
-                method = build_method(method_name, graph, run_config)
-                estimated = _all_pairs_matrix(method)
+                method = create_backend(method_name, graph, run_config)
+                estimated = method.all_pairs()
                 rows.append(
                     AccuracyRow(
                         dataset=dataset,
@@ -371,7 +313,7 @@ def grouped_error_experiment(
     *,
     methods: Sequence[str] = ("SLING", "Linearize", "MC"),
     scale: float = DEFAULT_SMALL_SCALE,
-    config: MethodConfig = MethodConfig(),
+    config: BackendConfig = BackendConfig(),
     cache: GroundTruthCache | None = None,
 ) -> list[GroupedErrorRow]:
     """Figure 6: average error within the S1 / S2 / S3 score groups."""
@@ -383,7 +325,7 @@ def grouped_error_experiment(
         truth = cache.get(session.graph, c=config.c)
         for method_name in methods:
             method = session.engine(method_name).backend
-            estimated = _all_pairs_matrix(method)
+            estimated = method.all_pairs()
             rows.append(
                 GroupedErrorRow(
                     dataset=dataset,
@@ -400,7 +342,7 @@ def top_k_experiment(
     methods: Sequence[str] = ("SLING", "Linearize", "MC"),
     k_values: Sequence[int] = (400, 800, 1200, 1600, 2000),
     scale: float = DEFAULT_SMALL_SCALE,
-    config: MethodConfig = MethodConfig(),
+    config: BackendConfig = BackendConfig(),
     cache: GroundTruthCache | None = None,
 ) -> list[TopKRow]:
     """Figure 7: precision of the top-k node pairs returned by each method."""
@@ -412,7 +354,7 @@ def top_k_experiment(
         truth = cache.get(session.graph, c=config.c)
         for method_name in methods:
             method = session.engine(method_name).backend
-            estimated = _all_pairs_matrix(method)
+            estimated = method.all_pairs()
             for k in k_values:
                 rows.append(
                     TopKRow(
@@ -442,7 +384,7 @@ def parallel_scaling_experiment(
     *,
     worker_counts: Sequence[int] = (1, 2, 4),
     scale: float = DEFAULT_SMALL_SCALE,
-    config: MethodConfig = MethodConfig(),
+    config: BackendConfig = BackendConfig(),
 ) -> list[ParallelRow]:
     """Figure 9: preprocessing time as the number of workers grows."""
     service = _service(scale, config)
@@ -479,7 +421,7 @@ def out_of_core_experiment(
     *,
     buffer_sizes: Sequence[int] = (64 * 1024, 256 * 1024, 1024 * 1024),
     scale: float = DEFAULT_SMALL_SCALE,
-    config: MethodConfig = MethodConfig(),
+    config: BackendConfig = BackendConfig(),
 ) -> list[OutOfCoreRow]:
     """Figure 10: out-of-core preprocessing time vs. memory buffer size.
 
@@ -531,19 +473,14 @@ def epsilon_scaling_experiment(
     epsilons: Sequence[float] = (0.1, 0.05, 0.025),
     num_queries: int = 100,
     scale: float = DEFAULT_SMALL_SCALE,
-    config: MethodConfig = MethodConfig(),
+    config: BackendConfig = BackendConfig(),
 ) -> list[ScalingRow]:
     """Empirical check of the Table-1 bounds: query time and space vs. 1/ε."""
     graph = _service(scale, config).open_dataset(dataset).graph
     pairs = random_pairs(graph, num_queries, seed=config.seed)
     rows: list[ScalingRow] = []
     for epsilon in epsilons:
-        scaled_config = MethodConfig(
-            c=config.c,
-            epsilon=epsilon,
-            seed=config.seed,
-            mc_num_walks=config.mc_num_walks,
-        )
+        scaled_config = replace(config, epsilon=epsilon)
         # Each ε needs its own index: attach the already-loaded graph to a
         # fresh service session configured at that accuracy.
         session = _service(scale, scaled_config).open_dataset(dataset, graph=graph)

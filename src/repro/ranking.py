@@ -44,9 +44,8 @@ def rank_top_k(scores: np.ndarray, source: int, k: int) -> list[tuple[int, float
 
     Caller audit (kept current when adding call sites): no caller copies.
     The SLING query core (``SlingQueries.top_k`` and ``top_k_bounded``)
-    ranks vectors its kernels freshly allocated, the engine ranks its
-    cached vector, and ``SimilarityBackend.top_k`` ranks whatever its
-    ``single_source`` returns, views into index storage included.
+    ranks vectors its kernels freshly allocated, and the engine ranks its
+    cached vector (for every backend, views into index storage included).
     """
     k = min(k, scores.shape[0] - 1)
     if k <= 0:

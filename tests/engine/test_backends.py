@@ -1,6 +1,7 @@
 """Backend-parity tests: every registered backend answers every query kind
 on a small deterministic graph, within its epsilon of the power-method
-ground truth."""
+ground truth, rejects nodes outside the graph, and describes itself with
+the capability flags it has always reported."""
 
 from __future__ import annotations
 
@@ -13,14 +14,16 @@ from repro.baselines import simrank_matrix
 from repro.engine import (
     BackendConfig,
     DiskSlingBackend,
+    MethodBackend,
+    QueryEngine,
     SlingBackend,
     backend_names,
     create_backend,
-    get_backend_class,
     resolve_backend_name,
 )
-from repro.exceptions import IndexNotBuiltError, ParameterError
-from repro.graphs import generators
+from repro.exceptions import IndexNotBuiltError, NodeNotFoundError, ParameterError
+from repro.graphs import DiGraph, generators
+from repro.service import ServiceConfig, SimRankService
 from repro.sling import PackedHittingStore
 
 #: Accuracy target shared by every backend in these tests; with the seeded
@@ -52,6 +55,39 @@ def built_backends(parity_graph):
     }
 
 
+#: What ``describe`` reports as each backend's ``backend_info``.
+PINNED_INFO = {
+    "sling": {
+        "name": "sling", "exact": False, "in_memory": True, "scalable": True,
+        "build_cost": "index", "query_cost": "constant",
+    },
+    "sling-disk": {
+        "name": "sling-disk", "exact": False, "in_memory": False, "scalable": True,
+        "build_cost": "index", "query_cost": "constant",
+    },
+    "naive": {
+        "name": "naive", "exact": True, "in_memory": True, "scalable": False,
+        "build_cost": "matrix", "query_cost": "matrix-row",
+    },
+    "power": {
+        "name": "power", "exact": True, "in_memory": True, "scalable": False,
+        "build_cost": "matrix", "query_cost": "matrix-row",
+    },
+    "montecarlo": {
+        "name": "montecarlo", "exact": False, "in_memory": True, "scalable": True,
+        "build_cost": "walks", "query_cost": "linear",
+    },
+    "montecarlo_sqrtc": {
+        "name": "montecarlo_sqrtc", "exact": False, "in_memory": True, "scalable": True,
+        "build_cost": "walks", "query_cost": "linear",
+    },
+    "linearize": {
+        "name": "linearize", "exact": False, "in_memory": True, "scalable": True,
+        "build_cost": "index", "query_cost": "linear",
+    },
+}
+
+
 class TestRegistry:
     def test_all_strategies_registered(self):
         assert set(ALL_BACKENDS) == {
@@ -75,16 +111,29 @@ class TestRegistry:
         with pytest.raises(ParameterError):
             resolve_backend_name("FooBar")
 
-    def test_get_backend_class(self):
-        assert get_backend_class("sling") is SlingBackend
-        assert get_backend_class("disk") is DiskSlingBackend
+    def test_backend_classes(self, parity_graph):
+        def made(name):
+            return type(create_backend(name, parity_graph, CONFIG, build=False))
 
-    def test_info_flags(self):
-        assert get_backend_class("sling").info.in_memory
-        assert not get_backend_class("sling-disk").info.in_memory
-        assert get_backend_class("power").info.exact
-        assert not get_backend_class("power").info.scalable
-        assert not get_backend_class("montecarlo").info.exact
+        assert made("sling") is SlingBackend
+        assert made("disk") is DiskSlingBackend
+        for name in ("naive", "power", "MC", "MC-sqrtc", "Linearize"):
+            assert made(name) is MethodBackend
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_describe_reports_the_pinned_backend_info(self, built_backends, name):
+        assert QueryEngine(built_backends[name]).describe()["backend_info"] == (
+            PINNED_INFO[name]
+        )
+
+    def test_hello_and_describe_list_every_backend(self):
+        service = SimRankService(ServiceConfig())
+        expected = [
+            "auto", "linearize", "montecarlo", "montecarlo_sqrtc",
+            "naive", "power", "sling", "sling-disk",
+        ]
+        assert service.hello_payload()["backends"] == expected
+        assert service.describe()["backends"] == expected
 
 
 @pytest.mark.parametrize("name", ALL_BACKENDS)
@@ -108,8 +157,7 @@ class TestParity:
     def test_top_k_matches_ground_truth_ordering(
         self, built_backends, parity_truth, name
     ):
-        backend = built_backends[name]
-        ranked = backend.top_k(0, 5)
+        ranked = QueryEngine(built_backends[name], cache_size=0).top_k(0, 5)
         assert len(ranked) == 5
         assert 0 not in {node for node, _ in ranked}
         # Scores must be non-increasing and each within epsilon of the truth.
@@ -122,28 +170,37 @@ class TestParity:
         assert built_backends[name].index_size_bytes() > 0
 
     def test_queries_before_build_are_rejected(self, parity_graph, name):
-        backend = get_backend_class(name)(parity_graph, CONFIG)
+        backend = create_backend(name, parity_graph, CONFIG, build=False)
         with pytest.raises(IndexNotBuiltError):
             backend.single_pair(0, 1)
         with pytest.raises(IndexNotBuiltError):
             backend.single_source(0)
 
     def test_empty_graph_rejected(self, name):
-        from repro.graphs import DiGraph
-
         with pytest.raises(ParameterError):
-            get_backend_class(name)(DiGraph(0, []), CONFIG)
+            create_backend(name, DiGraph(0, []), CONFIG, build=False)
+
+    @pytest.mark.parametrize("node", [-1, 16], ids=["negative", "n"])
+    def test_out_of_range_nodes_rejected(self, built_backends, parity_graph, name, node):
+        assert parity_graph.num_nodes == 16
+        backend = built_backends[name]
+        with pytest.raises(NodeNotFoundError):
+            backend.single_pair(node, 0)
+        with pytest.raises(NodeNotFoundError):
+            backend.single_pair(0, node)
+        with pytest.raises(NodeNotFoundError):
+            backend.single_source(node)
 
 
 class TestAdapters:
     def test_sling_backend_exposes_index(self, built_backends):
         backend = built_backends["sling"]
         assert backend.index.is_built
-        assert backend.average_set_size() > 0
+        assert backend.index.average_set_size() > 0
 
     def test_disk_backend_reads_sets_from_disk(self, built_backends, monkeypatch):
         backend = built_backends["sling-disk"]
-        assert isinstance(backend.packed_store.values, np.memmap)
+        assert isinstance(backend.index.packed_store.values, np.memmap)
         sliced = []
         node_view = PackedHittingStore.node_view
         monkeypatch.setattr(
@@ -152,10 +209,12 @@ class TestAdapters:
         )
         backend.single_pair(0, 1)
         assert sliced == [0, 1]  # exactly two node segments per pair query
-        # Resident footprint is just the correction factors; the full packed
-        # index (reported like every other backend) is strictly larger.
-        assert backend.resident_bytes() == 8 * backend.graph.num_nodes
-        assert backend.index_size_bytes() > backend.resident_bytes()
+        # Only the 8n bytes of correction factors are read into memory; the
+        # full packed index (reported like every other backend's) is larger.
+        corrections = backend.index.correction_factors
+        assert not isinstance(corrections, np.memmap)
+        assert corrections.nbytes == 8 * backend.graph.num_nodes
+        assert backend.index_size_bytes() > corrections.nbytes
 
     def test_disk_and_memory_sling_agree(self, built_backends):
         memory = built_backends["sling"]
@@ -177,32 +236,26 @@ class TestAdapters:
         )
         with pytest.raises(IndexNotBuiltError):
             reattached.index.build_statistics  # attached, not rebuilt
-        store = memory.packed_store
+        store = memory.index.packed_store
         expected = 8 * parity_graph.num_nodes + 12 * store.num_entries
         assert memory.index_size_bytes() == expected
         assert fresh.index_size_bytes() == expected
         assert reattached.index_size_bytes() == expected
 
-    def test_top_k_rejects_nonpositive_k(self, built_backends):
-        with pytest.raises(ParameterError):
-            built_backends["power"].top_k(0, 0)
 
 
-class TestSlingTopKInherited:
-    """The SLING adapters rank through the generic ``SimilarityBackend.top_k``;
-    the defensive copy it makes must not change a ranking."""
-
-    def test_sling_backends_do_not_override_top_k(self):
-        assert "top_k" not in vars(SlingBackend)
-        assert "top_k" not in vars(DiskSlingBackend)
+class TestSlingTopK:
+    """The engine ranks a SLING backend's single-source vector; the copy it
+    makes must not change a ranking."""
 
     @pytest.mark.parametrize("name", ["sling", "sling-disk"])
     def test_top_k_equals_index_local_push_bitwise(
         self, built_backends, parity_graph, name
     ):
         backend = built_backends[name]
+        engine = QueryEngine(backend, cache_size=0)
         for node in parity_graph.nodes():
             for k in (1, 5, parity_graph.num_nodes):
-                assert backend.top_k(node, k) == backend.index.top_k(
+                assert engine.top_k(node, k) == backend.index.top_k(
                     node, k, method="local_push"
                 )

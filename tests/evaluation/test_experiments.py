@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine import BackendConfig, create_backend
 from repro.evaluation import experiments
-from repro.evaluation.experiments import MethodConfig
 from repro.exceptions import ParameterError
 
 #: Tiny configuration shared by all driver tests.
-CONFIG = MethodConfig(epsilon=0.1, seed=0, mc_num_walks=50)
+CONFIG = BackendConfig(epsilon=0.1, seed=0, mc_num_walks=50)
 SCALE = 0.05
 DATASETS = ("GrQc",)
 
@@ -22,17 +22,20 @@ def _load_graph():
     return experiments._service(SCALE, CONFIG).open_dataset("GrQc").graph
 
 
-class TestBuildMethod:
+class TestFigureLabels:
+    """The drivers name methods by the paper's figure labels, which the
+    engine's registry resolves to backends."""
+
     def test_known_methods(self):
         graph = _load_graph()
-        for name in ("SLING", "Linearize", "MC"):
-            method = experiments.build_method(name, graph, CONFIG)
+        for name in ("SLING", "Linearize", "MC", "MC-sqrtc"):
+            method = create_backend(name, graph, CONFIG)
             assert 0.0 <= method.single_pair(0, 1) <= 1.0
 
     def test_unknown_method_rejected(self):
         graph = _load_graph()
         with pytest.raises(ParameterError):
-            experiments.build_method("FooBar", graph, CONFIG)
+            create_backend("FooBar", graph, CONFIG)
 
 
 class TestQueryExperiments:

@@ -10,8 +10,10 @@ bucket counts; it is the one merge behind an engine's dict, the service's
   the whole sample, so totals never depend on how traffic was sharded;
 * a reported quantile is the upper edge of the nearest-rank sample's
   bucket, so it lies within a factor 2^(1/8) above the exact value;
-* bucket pairs decoded off the wire are checked: a hostile pair raises
-  :class:`WireFormatError`, and the router answers ``unavailable``;
+* bucket pairs and counters decoded off the wire are checked: a hostile
+  pair, a counter that is not a non-negative int, or a ``total_seconds``
+  that is not a finite number >= 0 raises :class:`WireFormatError`, and
+  the router answers ``unavailable``;
 * ``stats`` and ``describe`` do not grow with the number of queries.
 """
 
@@ -157,6 +159,30 @@ def hostile(pair) -> dict:
     return {"total_queries": 1, "latency_histogram": {"top_k": {"miss": [pair]}}}
 
 
+#: Engine dicts whose counters no engine ever sends: each used to be
+#: coerced (``"7"`` summed as 7, ``2.9`` as 2, ``True`` as 1, ``-5`` as -5,
+#: ``"nan"`` as NaN) or to raise something other than WireFormatError.
+HOSTILE_COUNTERS = {
+    "string counter": {"total_queries": "7"},
+    "unparsable counter": {"total_queries": "x"},
+    "float counter": {"cache_hits": 2.9},
+    "bool counter": {"cache_hits": True},
+    "negative counter": {"cache_misses": -5},
+    "string seconds": {"total_seconds": "nan"},
+    "negative seconds": {"total_seconds": -1.0},
+    "by-kind not an object": {"hits_by_kind": [1]},
+    "string by-kind count": {"misses_by_kind": {"top_k": "1"}},
+    "negative by-kind count": {"hits_by_kind": {"top_k": -1}},
+    "bool by-kind count": {"misses_by_kind": {"top_k": False}},
+}
+
+#: Every hostile engine dict: bad histogram pairs and bad counters.
+HOSTILE_ENGINE_DICTS = {
+    **{name: hostile(pair) for name, pair in HOSTILE_PAIRS.items()},
+    **HOSTILE_COUNTERS,
+}
+
+
 class TestHostileInput:
     @pytest.mark.parametrize("pair", HOSTILE_PAIRS.values(), ids=HOSTILE_PAIRS)
     def test_merge_refuses_a_hostile_pair(self, pair):
@@ -172,10 +198,20 @@ class TestHostileInput:
         with pytest.raises(WireFormatError):
             merge_statistics_totals([{"latency_histogram": histogram}])
 
-    def test_router_answers_unavailable_for_each_hostile_pair(self, monkeypatch):
-        """A worker whose ``stats`` holds a hostile pair is answered
-        ``unavailable``, as for any malformed worker reply: not an internal
-        error, and not a total with the pair summed into it."""
+    @pytest.mark.parametrize(
+        "engine_dict",
+        [*HOSTILE_COUNTERS.values(), {"total_seconds": float("nan")},
+         {"total_seconds": float("inf")}],
+        ids=[*HOSTILE_COUNTERS, "nan seconds", "infinite seconds"],
+    )
+    def test_merge_refuses_a_hostile_counter(self, engine_dict):
+        with pytest.raises(WireFormatError):
+            merge_statistics_totals([{"total_queries": 1}, engine_dict])
+
+    def test_router_answers_unavailable_for_each_hostile_engine_dict(self, monkeypatch):
+        """A worker whose ``stats`` holds a hostile pair or counter is
+        answered ``unavailable``, as for any malformed worker reply: not an
+        internal error, and not a total with the value summed into it."""
         service = test_socket_server.make_service()
         worker = SocketServer(
             ParallelExecutor(service, workers=1),
@@ -206,8 +242,8 @@ class TestHostileInput:
             return answer
 
         try:
-            for name, pair in HOSTILE_PAIRS.items():
-                answer = worker_stats(hostile(pair))
+            for name, engine_dict in HOSTILE_ENGINE_DICTS.items():
+                answer = worker_stats(engine_dict)
                 assert answer["ok"] is False, name
                 assert answer["error"]["code"] == "unavailable", name
             # The same worker's well-formed histogram still merges.

@@ -16,7 +16,7 @@ import pytest
 from repro.exceptions import StorageError
 from repro.graphs import generators
 from repro.ranking import rank_top_k
-from repro.engine import BackendConfig, create_backend
+from repro.engine import BackendConfig, QueryEngine, create_backend
 from repro.sling import (
     AccuracyEnhancer,
     HittingRecords,
@@ -551,12 +551,13 @@ class TestRoundTrip:
                 reuse_saved_index=True,
             ),
         )
-        assert isinstance(backend.packed_store.values, np.memmap)
+        assert isinstance(backend.index.packed_store.values, np.memmap)
         for u, v in [(0, 1), (5, 18), (10, 10), (3, 22), (7, 2)]:
             assert backend.single_pair(u, v) == index.single_pair(u, v)
+        engine = QueryEngine(backend, cache_size=0)
         for node in range(graph.num_nodes):
             assert np.array_equal(backend.single_source(node), index.single_source(node))
-            assert backend.top_k(node, 5) == index.top_k(node, 5)
+            assert engine.top_k(node, 5) == index.top_k(node, 5)
         for node in (2, 17):
             assert np.array_equal(
                 backend.single_source(node, method="cascade"),
