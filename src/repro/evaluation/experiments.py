@@ -29,7 +29,6 @@ from typing import Sequence
 from ..engine import BackendConfig, SlingBackend, create_backend
 from ..graphs import datasets
 from ..service import ServiceConfig, SimRankService
-from ..sling import SlingParameters, build_with_thread_count, out_of_core_build
 from .ground_truth import GroundTruthCache
 from .metrics import GroupedErrors, grouped_errors, max_error, top_k_precision
 from .timing import time_callable
@@ -42,8 +41,6 @@ __all__ = [
     "AccuracyRow",
     "GroupedErrorRow",
     "TopKRow",
-    "ParallelRow",
-    "OutOfCoreRow",
     "ScalingRow",
     "single_pair_experiment",
     "single_source_experiment",
@@ -52,8 +49,6 @@ __all__ = [
     "accuracy_experiment",
     "grouped_error_experiment",
     "top_k_experiment",
-    "parallel_scaling_experiment",
-    "out_of_core_experiment",
     "epsilon_scaling_experiment",
     "DEFAULT_SMALL_SCALE",
 ]
@@ -364,93 +359,6 @@ def top_k_experiment(
                         precision=top_k_precision(estimated, truth, k),
                     )
                 )
-    return rows
-
-
-# --------------------------------------------------------------------------- #
-# Figure 9: parallel preprocessing scaling
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ParallelRow:
-    """Preprocessing time with a given number of worker processes (Figure 9)."""
-
-    dataset: str
-    workers: int
-    seconds: float
-
-
-def parallel_scaling_experiment(
-    dataset_names: Sequence[str] = ("Google",),
-    *,
-    worker_counts: Sequence[int] = (1, 2, 4),
-    scale: float = DEFAULT_SMALL_SCALE,
-    config: BackendConfig = BackendConfig(),
-) -> list[ParallelRow]:
-    """Figure 9: preprocessing time as the number of workers grows."""
-    service = _service(scale, config)
-    rows: list[ParallelRow] = []
-    for dataset in dataset_names:
-        graph = service.open_dataset(dataset).graph
-        params = SlingParameters.from_accuracy_target(
-            num_nodes=graph.num_nodes, c=config.c, epsilon=config.epsilon
-        )
-        for workers in worker_counts:
-            seconds = build_with_thread_count(
-                graph, params, workers, seed=config.seed
-            )
-            rows.append(ParallelRow(dataset=dataset, workers=workers, seconds=seconds))
-    return rows
-
-
-# --------------------------------------------------------------------------- #
-# Figure 10: out-of-core construction
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class OutOfCoreRow:
-    """Preprocessing time with a bounded memory buffer (Figure 10)."""
-
-    dataset: str
-    buffer_bytes: int
-    seconds: float
-    num_spill_runs: int
-
-
-def out_of_core_experiment(
-    work_directory,
-    dataset_names: Sequence[str] = ("Google",),
-    *,
-    buffer_sizes: Sequence[int] = (64 * 1024, 256 * 1024, 1024 * 1024),
-    scale: float = DEFAULT_SMALL_SCALE,
-    config: BackendConfig = BackendConfig(),
-) -> list[OutOfCoreRow]:
-    """Figure 10: out-of-core preprocessing time vs. memory buffer size.
-
-    The paper varies the buffer from 256 MB to "all"; the scaled-down graphs
-    here produce far fewer records, so proportionally smaller buffers are used
-    to exercise the same spill/merge machinery.
-    """
-    from pathlib import Path
-
-    service = _service(scale, config)
-    rows: list[OutOfCoreRow] = []
-    for dataset in dataset_names:
-        graph = service.open_dataset(dataset).graph
-        params = SlingParameters.from_accuracy_target(
-            num_nodes=graph.num_nodes, c=config.c, epsilon=config.epsilon
-        )
-        for buffer_bytes in buffer_sizes:
-            target = Path(work_directory) / f"{dataset}_{buffer_bytes}"
-            report = out_of_core_build(
-                graph, params, target, buffer_bytes=buffer_bytes, seed=config.seed
-            )
-            rows.append(
-                OutOfCoreRow(
-                    dataset=dataset,
-                    buffer_bytes=buffer_bytes,
-                    seconds=report.elapsed_seconds,
-                    num_spill_runs=report.num_spill_runs,
-                )
-            )
     return rows
 
 

@@ -14,8 +14,6 @@ from typing import Iterable, Sequence
 from .experiments import (
     AccuracyRow,
     GroupedErrorRow,
-    OutOfCoreRow,
-    ParallelRow,
     PreprocessingRow,
     QueryCostRow,
     ScalingRow,
@@ -31,8 +29,6 @@ __all__ = [
     "render_accuracy",
     "render_grouped_errors",
     "render_top_k",
-    "render_parallel",
-    "render_out_of_core",
     "render_scaling",
 ]
 
@@ -116,27 +112,6 @@ def render_top_k(rows: Iterable[TopKRow]) -> str:
         ((row.dataset, row.method, row.k, f"{row.precision:.4f}") for row in rows),
     )
     return f"Figure 7: precision of top-k SimRank pairs\n{body}"
-
-
-def render_parallel(rows: Iterable[ParallelRow]) -> str:
-    """Figure 9: preprocessing time vs. worker count."""
-    body = render_table(
-        ["dataset", "workers", "seconds"],
-        ((row.dataset, row.workers, f"{row.seconds:.3f}") for row in rows),
-    )
-    return f"Figure 9: preprocessing time vs. number of workers\n{body}"
-
-
-def render_out_of_core(rows: Iterable[OutOfCoreRow]) -> str:
-    """Figure 10: preprocessing time vs. memory buffer size."""
-    body = render_table(
-        ["dataset", "buffer bytes", "spill runs", "seconds"],
-        (
-            (row.dataset, row.buffer_bytes, row.num_spill_runs, f"{row.seconds:.3f}")
-            for row in rows
-        ),
-    )
-    return f"Figure 10: out-of-core preprocessing time vs. buffer size\n{body}"
 
 
 def render_scaling(rows: Iterable[ScalingRow]) -> str:

@@ -507,30 +507,20 @@ class DiGraph:
         """Return the column-stochastic matrix ``P`` of Equation (5).
 
         ``P[i, j] = 1 / |I(v_j)|`` when ``v_i`` is an in-neighbour of ``v_j``,
-        i.e. column ``j`` spreads unit mass uniformly over ``I(v_j)``.
-        Returned as a ``scipy.sparse.csr_matrix``.
+        i.e. column ``j`` spreads unit mass uniformly over ``I(v_j)``.  The
+        in-CSR is ``Pᵀ`` row by row, so ``P`` is its transpose, returned as a
+        ``scipy.sparse.csr_matrix`` with sorted indices.  The power method
+        and Algorithm 2's push operator ``√c · Pᵀ`` both read it.
         """
         from scipy import sparse
 
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        data: list[np.ndarray] = []
-        for j in range(self.num_nodes):
-            in_nb = self.in_neighbors(j)
-            if in_nb.shape[0] == 0:
-                continue
-            rows.append(in_nb)
-            cols.append(np.full(in_nb.shape[0], j, dtype=np.int64))
-            data.append(np.full(in_nb.shape[0], 1.0 / in_nb.shape[0]))
-        if not rows:
-            return sparse.csr_matrix((self.num_nodes, self.num_nodes))
-        return sparse.csr_matrix(
-            (
-                np.concatenate(data),
-                (np.concatenate(rows), np.concatenate(cols)),
-            ),
+        in_degrees = self.in_degrees()
+        edge_weights = 1.0 / np.repeat(in_degrees, in_degrees)
+        transposed = sparse.csr_matrix(
+            (edge_weights, self._in_indices, self._in_indptr),
             shape=(self.num_nodes, self.num_nodes),
         )
+        return transposed.T.tocsr()
 
     def memory_bytes(self) -> int:
         """Approximate in-memory footprint of the adjacency arrays."""

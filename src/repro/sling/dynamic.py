@@ -19,10 +19,14 @@ mutation batch in three local steps:
    store, and an over-approximation is harmless (re-pushing an unchanged
    target produces identical entries).
 
-2. **Local repair.**  Every ``t ∈ T`` is re-pushed on the new graph with
-   :func:`~repro.sling.hitting.build_hitting_sets`; the store's records
-   whose target is in ``T`` are dropped, the fresh records take their
-   place, and the lot is packed once with
+2. **Local repair.**  The targets ``T`` are re-pushed on the new graph
+   with :func:`~repro.sling.hitting.build_hitting_sets`: their frontiers are
+   the columns of one pruned sparse product per level, so all of ``T`` is
+   repaired in a few products.  A column's values do not depend on the
+   other columns pushed with it, so each ``t``'s fresh records are bitwise
+   a rebuild's.  The store's records whose target is in
+   ``T`` are dropped, the fresh records take their place, and the lot is
+   packed once with
    :meth:`~repro.sling.packed.PackedHittingStore.from_hitting_sets` — the
    packing step of every build path, so the repaired store is bitwise the
    one a rebuild on the new graph packs.  The sources of the dropped and
@@ -315,8 +319,7 @@ class DynamicSlingIndex(SlingQueries):
             old = store.records()
             stale = np.isin(old.targets, affected_targets)
             fresh = build_hitting_sets(
-                new_graph, params.sqrt_c, params.theta,
-                targets=affected_targets.tolist(),
+                new_graph, params.sqrt_c, params.theta, targets=affected_targets
             )
             repaired = PackedHittingStore.from_hitting_sets(
                 HittingRecords.concatenate([old.take(~stale), fresh])

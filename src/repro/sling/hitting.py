@@ -5,17 +5,42 @@ from ``v_i`` occupies ``v_k`` at step ``ℓ``.  SLING stores, for every node
 ``v_i``, the set ``H(v_i)`` of hitting probabilities larger than a threshold
 ``θ``; Observation 1 bounds ``|H(v_i)|`` by ``O(1/θ)``.
 
+Algorithm 2 pushes from every target ``v_k`` backwards along in-edges, keeps
+each level's entries above ``θ`` and propagates only those.  Here the pushes
+of many targets run together as one pruned sparse product per level: the
+targets' level-ℓ frontiers are the columns of ``H_ℓ`` (rows are sources,
+``H_0`` the target columns of the identity), and
+
+    H_{ℓ+1} = prune_θ(M · H_ℓ),    M = √c · Pᵀ,  M[y, x] = √c / |I(v_y)|
+                                                  for every edge x → y,
+
+with ``P`` the transition matrix of :meth:`~repro.graphs.DiGraph.transition_matrix`.
+The records at level ``ℓ`` are the nonzeros of ``H_ℓ``.  This is Algorithm 2's
+arithmetic summed in another order, so Lemma 7's one-sided bound holds as
+before:
+
+    0 ≥ h̃^(ℓ) - h^(ℓ) ≥ -θ (1 - (√c)^ℓ) / (1 - √c).
+
+**Column independence.**  SciPy's CSR product follows SMMP (Bank & Douglas,
+1993): entry ``(y, t)`` of ``M · H`` sums ``M[y, x] · H[x, t]`` over row ``y``
+of ``M`` in its stored column order, whatever other columns ``H`` holds.
+``M`` is built with sorted indices, so a target's column is bitwise the same
+whether it is pushed alone (:func:`reverse_push`), in a block of
+:data:`BLOCK_WIDTH` columns, or in a dynamic repair's set of affected
+targets; a repaired store therefore equals a rebuild's bitwise.
+
 This module provides
 
-* :func:`reverse_push` — the per-target local-update traversal that is the
-  body of Algorithm 2 (and is reused, slightly modified, by the single-source
-  Algorithm 6),
-* :func:`build_hitting_sets` — Algorithm 2 proper: run the reverse push from
-  every node and emit every kept entry as a flat
-  ``(source, level, target, value)`` record (:class:`HittingRecords`); the
-  in-memory, parallel and out-of-core builders all push through it, and
+* :func:`push_operator` — the push operator ``M`` (CSR, sorted indices),
+* :func:`reverse_push` — Algorithm 2 for one target, as a one-column product,
+* :func:`hitting_record_blocks` / :func:`build_hitting_sets` — Algorithm 2
+  proper: push the targets :data:`BLOCK_WIDTH` columns at a time and emit
+  every kept entry as a flat ``(source, level, target, value)`` record
+  (:class:`HittingRecords`);
   :meth:`~repro.sling.packed.PackedHittingStore.from_hitting_sets` groups the
   records into the per-source sets ``H(v_i)``,
+* :func:`push_frontier` — one scatter step of a single weighted frontier, the
+  inner loop of the single-source query kernel (Algorithm 6),
 * :func:`exact_near_hops` — Algorithm 5: exact step-1 / step-2 hitting
   probabilities computed on the fly (used by the Section 5.2 space reduction).
 """
@@ -25,21 +50,33 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+from scipy import sparse
 
-from ..exceptions import ParameterError
+from ..exceptions import NodeNotFoundError, ParameterError
 from ..graphs import DiGraph
 
 __all__ = [
+    "BLOCK_WIDTH",
     "HittingRecords",
     "concatenated_ranges",
     "push_frontier",
+    "push_operator",
     "reverse_push",
+    "hitting_record_blocks",
     "build_hitting_sets",
     "exact_near_hops",
     "neighborhood_weight",
 ]
 
 _LevelMap = dict[int, dict[int, float]]
+
+#: Targets pushed per sparse product.  One product holds a block's frontiers
+#: and records, so the width bounds the push's working memory; wider blocks
+#: run fewer, larger products (on the 6,000-node Google stand-in one
+#: full-width product pushed 3-4x faster than 512-column blocks, holding every
+#: target's frontier at once).  It must stay below 2**15: a record's column
+#: within its block is an int16 sort key.
+BLOCK_WIDTH = 512
 
 
 class HittingRecords(NamedTuple):
@@ -48,8 +85,8 @@ class HittingRecords(NamedTuple):
     Record ``i`` states ``h̃^(levels[i])(sources[i], targets[i]) = values[i]``.
     This is what the reverse pushes emit and what
     :meth:`~repro.sling.packed.PackedHittingStore.from_hitting_sets` packs;
-    records are in push order (by target), and the packing sorts them into
-    per-source segments.
+    records are in push order — by target, then level, then source — and the
+    packing sorts them into per-source segments.
     """
 
     num_nodes: int
@@ -71,6 +108,17 @@ class HittingRecords(NamedTuple):
             self.levels[selection],
             self.targets[selection],
             self.values[selection],
+        )
+
+    @classmethod
+    def empty(cls, num_nodes: int) -> "HittingRecords":
+        """No records over ``num_nodes`` nodes."""
+        return cls(
+            num_nodes,
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int32),
+            np.empty(0, dtype=np.int32),
+            np.empty(0, dtype=np.float64),
         )
 
     @classmethod
@@ -124,9 +172,8 @@ def push_frontier(
 
     For every frontier node ``v_x`` with mass ``w`` and every out-neighbour
     ``v_y`` of ``v_x``, the result accumulates ``√c · w / |I(v_y)|`` at
-    ``v_y``.  This single scatter step is the inner loop shared by
-    Algorithm 2 (reverse push), Algorithm 6 (single-source local push) and the
-    accuracy-enhancement expansion; it is fully vectorised over the frontier's
+    ``v_y``.  This single scatter step is the inner loop of the single-source
+    local push (Algorithm 6); it is fully vectorised over the frontier's
     out-edges.
 
     The scatter is ``np.bincount(successors, weights=..., minlength=n)``,
@@ -155,44 +202,52 @@ def push_frontier(
 
 
 # --------------------------------------------------------------------------- #
-# Algorithm 2: reverse local push
+# Algorithm 2: reverse local push as one pruned sparse product per level
 # --------------------------------------------------------------------------- #
-def _pushed_levels(
-    graph: DiGraph,
-    target: int,
-    sqrt_c: float,
-    theta: float,
-    max_levels: int | None = None,
-) -> Iterator[tuple[int, "np.ndarray", "np.ndarray"]]:
-    """Yield ``(ℓ, sources, values)`` per level of the push from ``target``.
-
-    ``sources`` are ascending and every value exceeds ``theta``; this is the
-    one traversal behind :func:`reverse_push` and :func:`build_hitting_sets`.
-    """
+def _check_push_parameters(sqrt_c: float, theta: float) -> None:
     if theta <= 0.0:
         raise ParameterError(f"theta must be positive, got {theta}")
     if not 0.0 < sqrt_c < 1.0:
         raise ParameterError(f"sqrt_c must be in (0, 1), got {sqrt_c}")
-    graph.in_degree(target)  # validates the node id
 
-    # The frontier is kept as (node ids, values); propagation scatters the
-    # contributions into a dense buffer, which keeps the per-level work fully
-    # vectorised (the bulk of Algorithm 2's O(m/θ) cost).
-    frontier_nodes = np.array([int(target)], dtype=np.int64)
-    frontier_values = np.array([1.0], dtype=np.float64)
+
+def push_operator(graph: DiGraph, sqrt_c: float) -> sparse.csr_matrix:
+    """The push operator ``M = √c · Pᵀ`` as CSR with sorted indices.
+
+    Row ``y`` holds ``√c / |I(v_y)|`` at every in-neighbour ``x`` of ``v_y``:
+    ``(M · H)[y, t]`` is one reverse-push step of the frontier in column
+    ``t``.  The sorted rows fix every entry's summation order (the module
+    docstring's column-independence argument).
+    """
+    operator = (sqrt_c * graph.transition_matrix().T).tocsr()
+    operator.sort_indices()
+    return operator
+
+
+def _level_products(
+    operator: sparse.csr_matrix,
+    targets: "np.ndarray",
+    theta: float,
+    max_levels: int | None = None,
+) -> Iterator[tuple[int, sparse.csr_matrix]]:
+    """Yield ``(ℓ, H_ℓ)``: the pruned frontiers of ``targets``, one per column.
+
+    ``H_ℓ`` is ``n × len(targets)`` CSR; every stored value exceeds ``theta``
+    and only those are pushed on, which is Algorithm 2's pruning.
+    """
+    width = targets.shape[0]
+    frontier = sparse.csr_matrix(
+        (np.ones(width), (targets, np.arange(width))),
+        shape=(operator.shape[0], width),
+    )
     level = 0
-    while frontier_nodes.size:
-        if max_levels is not None and level >= max_levels:
+    while max_levels is None or level < max_levels:
+        frontier.data[frontier.data <= theta] = 0.0
+        frontier.eliminate_zeros()
+        if frontier.nnz == 0:
             break
-        keep = frontier_values > theta
-        kept_nodes = frontier_nodes[keep]
-        kept_values = frontier_values[keep]
-        if kept_nodes.size == 0:
-            break
-        yield level, kept_nodes, kept_values
-        frontier_nodes, frontier_values = push_frontier(
-            graph, kept_nodes, kept_values, sqrt_c
-        )
+        yield level, frontier
+        frontier = operator @ frontier
         level += 1
 
 
@@ -204,14 +259,13 @@ def reverse_push(
     *,
     max_levels: int | None = None,
 ) -> _LevelMap:
-    """Reverse local-push traversal from ``target`` (the body of Algorithm 2).
+    """Reverse local push from ``target`` (Algorithm 2 for one target).
 
     Returns ``{ℓ: {v_x: h̃^(ℓ)(v_x, target)}}`` containing every approximate
-    hitting probability *to* ``target`` that exceeds ``theta``.  Entries at or
-    below ``theta`` are pruned and not propagated, which yields the one-sided
-    error bound of Lemma 7:
-
-        0 ≥ h̃^(ℓ) - h^(ℓ) ≥ -θ (1 - (√c)^ℓ) / (1 - √c).
+    hitting probability *to* ``target`` that exceeds ``theta``; entries at or
+    below ``theta`` are pruned and not propagated (Lemma 7).  This is the
+    one-column case of :func:`build_hitting_sets`'s product, so its values
+    are bitwise that build's records for ``target``.
 
     Parameters
     ----------
@@ -225,12 +279,78 @@ def reverse_push(
         Optional hard cap on the number of levels (used by tests; the natural
         geometric decay of the residuals terminates the loop on its own).
     """
+    _check_push_parameters(sqrt_c, theta)
+    graph.in_degree(target)  # validates the node id
+    levels = _level_products(
+        push_operator(graph, sqrt_c),
+        np.array([int(target)], dtype=np.int64),
+        theta,
+        max_levels,
+    )
+    # One column: row v holds at most one value, so data is in source order.
     return {
-        level: dict(zip(nodes.tolist(), values.tolist()))
-        for level, nodes, values in _pushed_levels(
-            graph, target, sqrt_c, theta, max_levels
+        level: dict(
+            zip(
+                np.flatnonzero(np.diff(frontier.indptr)).tolist(),
+                frontier.data.tolist(),
+            )
         )
+        for level, frontier in levels
     }
+
+
+def _block_records(
+    operator: sparse.csr_matrix, targets: "np.ndarray", theta: float
+) -> HittingRecords:
+    """The records of one block of targets, in push order."""
+    num_nodes = operator.shape[0]
+    rows = np.arange(num_nodes, dtype=np.int64)
+    sources, levels, columns, values = [], [], [], []
+    for level, frontier in _level_products(operator, targets, theta):
+        sources.append(np.repeat(rows, np.diff(frontier.indptr)))
+        levels.append(np.full(frontier.nnz, level, dtype=np.int32))
+        columns.append(frontier.indices.astype(np.int16))
+        values.append(frontier.data)
+    if not values:
+        return HittingRecords.empty(num_nodes)
+    # The records are level-major with ascending sources; a stable (radix)
+    # sort on the block column puts them in push order.
+    column = np.concatenate(columns)
+    order = np.argsort(column, kind="stable")
+    return HittingRecords(
+        num_nodes,
+        np.concatenate(sources)[order],
+        np.concatenate(levels)[order],
+        targets.astype(np.int32)[column[order]],
+        np.concatenate(values)[order],
+    )
+
+
+def hitting_record_blocks(
+    graph: DiGraph,
+    sqrt_c: float,
+    theta: float,
+    *,
+    targets: Iterable[int] | None = None,
+) -> Iterator[HittingRecords]:
+    """Algorithm 2 block by block: the records of :data:`BLOCK_WIDTH` targets
+    per item, in push order.
+
+    ``M`` is built once; the out-of-core build spills each block as it comes,
+    :func:`build_hitting_sets` concatenates them.
+    """
+    _check_push_parameters(sqrt_c, theta)
+    num_nodes = graph.num_nodes
+    if targets is None:
+        targets = np.arange(num_nodes, dtype=np.int64)
+    else:
+        targets = np.fromiter(targets, dtype=np.int64)
+        outside = (targets < 0) | (targets >= num_nodes)
+        if outside.any():
+            raise NodeNotFoundError(int(targets[outside][0]))
+    operator = push_operator(graph, sqrt_c)
+    for start in range(0, targets.shape[0], BLOCK_WIDTH):
+        yield _block_records(operator, targets[start : start + BLOCK_WIDTH], theta)
 
 
 def build_hitting_sets(
@@ -242,47 +362,20 @@ def build_hitting_sets(
 ) -> HittingRecords:
     """Algorithm 2: the hitting probabilities of every node, as records.
 
-    Runs the reverse push from every target node ``v_k`` and emits each kept
-    ``h̃^(ℓ)(v_x, v_k)`` as the record ``(v_x, ℓ, v_k, value)``; the sets
-    ``H(v_x)`` are the records grouped by source, which is what
+    Pushes every target node ``v_k`` and emits each kept ``h̃^(ℓ)(v_x, v_k)``
+    as the record ``(v_x, ℓ, v_k, value)``; the sets ``H(v_x)`` are the
+    records grouped by source, which is what
     :meth:`~repro.sling.packed.PackedHittingStore.from_hitting_sets` does.
 
-    ``targets`` restricts the push sources (the parallel and out-of-core
-    builders split the work this way); sources still range over the whole
-    graph.
+    ``targets`` restricts the pushed targets (a dynamic repair re-pushes its
+    affected targets this way); sources still range over the whole graph.
+    By column independence a target's records do not depend on which other
+    targets are pushed with it.
     """
-    num_nodes = graph.num_nodes
-    target_iter = graph.nodes() if targets is None else targets
-    sources: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    run_levels: list[int] = []
-    run_targets: list[int] = []
-    for target in target_iter:
-        for level, nodes, level_values in _pushed_levels(
-            graph, int(target), sqrt_c, theta
-        ):
-            sources.append(nodes)
-            values.append(level_values)
-            run_levels.append(level)
-            run_targets.append(int(target))
-    if not sources:
-        return HittingRecords(
-            num_nodes,
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int32),
-            np.empty(0, dtype=np.int32),
-            np.empty(0, dtype=np.float64),
-        )
-    run_lengths = np.fromiter(
-        (nodes.shape[0] for nodes in sources), dtype=np.int64, count=len(sources)
-    )
-    return HittingRecords(
-        num_nodes,
-        np.concatenate(sources),
-        np.repeat(np.asarray(run_levels, dtype=np.int32), run_lengths),
-        np.repeat(np.asarray(run_targets, dtype=np.int32), run_lengths),
-        np.concatenate(values),
-    )
+    blocks = list(hitting_record_blocks(graph, sqrt_c, theta, targets=targets))
+    if not blocks:
+        return HittingRecords.empty(graph.num_nodes)
+    return HittingRecords.concatenate(blocks)
 
 
 # --------------------------------------------------------------------------- #

@@ -177,11 +177,11 @@ class SlingIndex(SlingQueries):
     def build(self, *, workers: int = 1) -> "SlingIndex":
         """Build the index: correction factors, hitting sets, optimizations.
 
-        ``workers > 1`` parallelises both preprocessing phases over node
-        ranges with a process pool (Section 5.4); the result is bitwise
-        identical for any worker count, because every ``d̃_k`` draws from
-        node ``k``'s own stream and the push records are packed by one
-        constructor.  Returns ``self`` so construction can be chained.
+        ``workers > 1`` estimates the correction factors over node ranges
+        with a process pool (Section 5.4); the push runs in this process.
+        The result is bitwise identical for any worker count, because every
+        ``d̃_k`` draws from node ``k``'s own stream and the push is the same
+        product.  Returns ``self`` so construction can be chained.
         """
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")

@@ -1,19 +1,21 @@
 """Parallel index construction (Section 5.4).
 
-Both preprocessing phases of SLING are embarrassingly parallel over nodes:
+Both preprocessing phases of SLING are embarrassingly parallel over nodes,
+but only one of them is worth a process pool here:
 
 * each correction factor ``d̃_k`` only needs √c-walks sampled from the
-  in-neighbours of ``v_k``,
-* each reverse local push (Algorithm 2) starts from a single target node and
-  touches only its forward-reachable region.
+  in-neighbours of ``v_k``; this sampling is most of a build,
+* the reverse pushes (Algorithm 2) run as one pruned sparse product per level
+  over blocks of targets (:func:`~repro.sling.hitting.build_hitting_sets`),
+  which is a small share of a build and stays in the parent process.
 
-``parallel_build`` splits the node range into contiguous chunks, processes the
-chunks in a :class:`concurrent.futures.ProcessPoolExecutor`, and concatenates
-the partial results: each worker returns its corrections and its push records,
-which the caller packs exactly as a sequential build does.  Every ``d̃_k``
-draws from node ``k``'s own stream (:func:`~repro.sling.walks.node_stream`),
-so a parallel build is bitwise identical to a sequential one with the same
-seed, for any worker count.
+``parallel_build`` splits the node range into contiguous chunks, estimates
+the chunks' correction factors in a
+:class:`concurrent.futures.ProcessPoolExecutor`, and pushes in the parent.
+Every ``d̃_k`` draws from node ``k``'s own stream
+(:func:`~repro.sling.walks.node_stream`), and the push is the sequential
+build's, so a parallel build is bitwise identical to a sequential one with the
+same seed, for any worker count.
 
 The module also exposes :func:`build_with_thread_count`, the measurement
 helper behind the Figure-9 "preprocessing time vs. number of threads"
@@ -111,16 +113,6 @@ def _correction_chunk(
     return chunk, values[chunk.start : chunk.stop]
 
 
-def _hitting_chunk(chunk: range) -> HittingRecords:
-    assert _WORKER_GRAPH is not None and _WORKER_PARAMS is not None
-    return build_hitting_sets(
-        _WORKER_GRAPH,
-        _WORKER_PARAMS.sqrt_c,
-        _WORKER_PARAMS.theta,
-        targets=chunk,
-    )
-
-
 def parallel_build(
     graph: DiGraph,
     params: SlingParameters,
@@ -129,7 +121,7 @@ def parallel_build(
     seed: int | None = None,
     adaptive_correction: bool = True,
 ) -> tuple[np.ndarray, HittingRecords, float, float]:
-    """Build corrections and push records with ``workers`` processes.
+    """Estimate corrections with ``workers`` processes, then push.
 
     Returns ``(corrections, records, correction_seconds, hitting_seconds)``
     so the caller (:meth:`SlingIndex.build`) can pack the records and fill
@@ -155,10 +147,9 @@ def parallel_build(
             corrections[chunk.start : chunk.stop] = values
         correction_seconds = time.perf_counter() - start
 
-        start = time.perf_counter()
-        records = HittingRecords.concatenate(list(pool.map(_hitting_chunk, chunks)))
-        hitting_seconds = time.perf_counter() - start
-
+    start = time.perf_counter()
+    records = build_hitting_sets(graph, params.sqrt_c, params.theta)
+    hitting_seconds = time.perf_counter() - start
     return corrections, records, correction_seconds, hitting_seconds
 
 

@@ -18,9 +18,11 @@ This module implements both sides on top of the packed columnar store of
   overlays included, and a pair query slices exactly two node segments out
   of the mapped columns,
 * :func:`out_of_core_build` — Algorithm 2 with a bounded in-memory buffer:
-  push records are spilled to run files and packed straight into the store
-  by the in-memory build's own constructor, mimicking the Figure-10
-  experiment where the memory buffer is varied from 256 MB down.
+  the push operator is built once, the targets are pushed one column block
+  at a time, and each block's records are cut into runs of the buffer's size
+  and spilled, then packed straight into the store by the in-memory build's
+  own constructor, mimicking the Figure-10 experiment where the memory
+  buffer is varied from 256 MB down.
 
 Directories written in any other format version are rejected with a
 :class:`~repro.exceptions.StorageError`; re-save them with this version.
@@ -38,7 +40,7 @@ import numpy as np
 from ..exceptions import ParameterError, StorageError
 from ..graphs import DiGraph
 from .correction import estimate_all_correction_factors
-from .hitting import HittingRecords, build_hitting_sets
+from .hitting import HittingRecords, hitting_record_blocks
 from .index import SlingIndex
 from .packed import PackedHittingStore
 from .parameters import SlingParameters
@@ -243,11 +245,13 @@ def out_of_core_build(
     """Build a SLING index with a bounded in-memory record buffer.
 
     The correction factors are computed in memory (they need only
-    ``8n`` bytes); the push records of
-    :func:`~repro.sling.hitting.build_hitting_sets`, emitted one target at a
-    time, are buffered and spilled to a run file as soon as the buffer holds
-    ``buffer_bytes`` of them (a run overshoots by at most one target's
-    records), then read back and packed by the same
+    ``8n`` bytes).  The push records come from
+    :func:`~repro.sling.hitting.hitting_record_blocks`, one block of
+    :data:`~repro.sling.hitting.BLOCK_WIDTH` targets at a time, and are cut
+    into runs of exactly ``buffer_bytes`` worth of records (the last run may
+    be shorter), each spilled to a run file as soon as it is full.  Memory
+    therefore holds at most the buffer plus one block's records and frontiers.
+    The runs are read back and packed by the same
     :meth:`~repro.sling.packed.PackedHittingStore.from_hitting_sets` as an
     in-memory build, whose per-source sort is the external sort's merge.
     The saved index is therefore bitwise identical to
@@ -274,9 +278,7 @@ def out_of_core_build(
     )
     correction_seconds = time.perf_counter() - start
 
-    max_buffer_records = max(1, buffer_bytes // RECORD_BYTES)
-    buffer: list[HittingRecords] = []
-    buffered = 0
+    run_records = max(1, buffer_bytes // RECORD_BYTES)
     run_paths: list[Path] = []
     num_records = 0
 
@@ -286,18 +288,16 @@ def out_of_core_build(
         run_paths.append(run_path)
 
     start = time.perf_counter()
-    for target in graph.nodes():
-        records = build_hitting_sets(
-            graph, params.sqrt_c, params.theta, targets=(target,)
-        )
-        buffer.append(records)
-        buffered += records.num_records
-        num_records += records.num_records
-        if buffered >= max_buffer_records:
-            spill(HittingRecords.concatenate(buffer))
-            buffer, buffered = [], 0
-    if buffer:
-        spill(HittingRecords.concatenate(buffer))
+    held = HittingRecords.empty(graph.num_nodes)
+    for block in hitting_record_blocks(graph, params.sqrt_c, params.theta):
+        num_records += block.num_records
+        pending = HittingRecords.concatenate([held, block])
+        full = pending.num_records - pending.num_records % run_records
+        for cut in range(0, full, run_records):
+            spill(pending.take(slice(cut, cut + run_records)))
+        held = pending.take(slice(full, None))
+    if held.num_records:
+        spill(held)
     push_seconds = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -118,20 +118,6 @@ class TestAccuracyExperiments:
 
 
 class TestInfrastructureExperiments:
-    def test_parallel_scaling_experiment(self):
-        rows = experiments.parallel_scaling_experiment(
-            DATASETS, worker_counts=(1, 2), scale=SCALE, config=CONFIG
-        )
-        assert [row.workers for row in rows] == [1, 2]
-        assert all(row.seconds > 0 for row in rows)
-
-    def test_out_of_core_experiment(self, tmp_path):
-        rows = experiments.out_of_core_experiment(
-            tmp_path, DATASETS, buffer_sizes=(4096,), scale=SCALE, config=CONFIG
-        )
-        assert len(rows) == 1
-        assert rows[0].buffer_bytes == 4096
-
     def test_epsilon_scaling_experiment(self):
         rows = experiments.epsilon_scaling_experiment(
             "GrQc", epsilons=(0.2, 0.1), num_queries=10, scale=SCALE, config=CONFIG

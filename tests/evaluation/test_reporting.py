@@ -6,8 +6,6 @@ from repro.evaluation import reporting
 from repro.evaluation.experiments import (
     AccuracyRow,
     GroupedErrorRow,
-    OutOfCoreRow,
-    ParallelRow,
     PreprocessingRow,
     QueryCostRow,
     ScalingRow,
@@ -62,14 +60,6 @@ class TestFigureRenderers:
     def test_top_k(self):
         text = reporting.render_top_k([TopKRow("AS", "SLING", 400, 0.98)])
         assert "Figure 7" in text and "0.9800" in text
-
-    def test_parallel(self):
-        text = reporting.render_parallel([ParallelRow("Google", 4, 2.0)])
-        assert "Figure 9" in text and "Google" in text
-
-    def test_out_of_core(self):
-        text = reporting.render_out_of_core([OutOfCoreRow("Google", 4096, 3, 1.0)])
-        assert "Figure 10" in text and "4096" in text
 
     def test_scaling(self):
         text = reporting.render_scaling([ScalingRow(0.05, 0.2, 1.5, 33.0)])

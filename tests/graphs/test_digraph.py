@@ -203,6 +203,18 @@ class TestDerived:
         expected = (in_degrees > 0).astype(float)
         assert np.allclose(column_sums, expected)
 
+    def test_transition_matrix_entries_are_one_over_in_degree(self):
+        graph = generators.copying_model(40, 3, seed=1)
+        transition = graph.transition_matrix()
+        rows, cols = [], []
+        for node in graph.nodes():
+            rows.extend(graph.in_neighbors(node).tolist())
+            cols.extend([node] * graph.in_degree(node))
+        dense = np.zeros((40, 40))
+        dense[rows, cols] = 1.0 / graph.in_degrees()[cols]
+        assert transition.format == "csr" and transition.has_sorted_indices
+        assert np.array_equal(transition.toarray(), dense)
+
     def test_transition_matrix_empty_graph(self):
         graph = DiGraph(3, [])
         transition = graph.transition_matrix()

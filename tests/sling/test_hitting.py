@@ -7,17 +7,23 @@ import math
 import numpy as np
 import pytest
 
-from repro.exceptions import ParameterError
-from repro.graphs import DiGraph, generators
+from repro.exceptions import NodeNotFoundError, ParameterError
+from repro.graphs import DiGraph, datasets, generators
 from repro.sling import (
     HittingRecords,
     build_hitting_sets,
     exact_near_hops,
     neighborhood_weight,
+    SlingParameters,
     push_frontier,
     reverse_push,
 )
-from repro.sling.hitting import expected_set_size_bound, theoretical_error_bound
+from repro.sling.hitting import (
+    BLOCK_WIDTH,
+    expected_set_size_bound,
+    push_operator,
+    theoretical_error_bound,
+)
 
 SQRT_C = math.sqrt(0.6)
 
@@ -152,6 +158,10 @@ class TestBuildHittingSets:
             len(entries) for entries in reverse_push(graph, 0, SQRT_C, 0.01).values()
         )
 
+    def test_unknown_target_rejected(self):
+        with pytest.raises(NodeNotFoundError):
+            build_hitting_sets(generators.cycle(4), SQRT_C, 0.01, targets=[1, 4])
+
     def test_no_targets_gives_no_records(self):
         records = build_hitting_sets(generators.cycle(4), SQRT_C, 0.01, targets=[])
         assert records.num_records == 0
@@ -177,6 +187,81 @@ class TestBuildHittingSets:
         head = whole.take(slice(0, 3))
         assert head.num_records == 3
         assert np.array_equal(head.values, whole.values[:3])
+
+
+class TestColumnIndependence:
+    """A target's records do not depend on the targets pushed beside it.
+
+    Every bitwise-parity claim of the build paths rests on this: a dynamic
+    repair's dirty store equals a rebuild's, the parallel and out-of-core
+    builds equal the sequential one, and the records are the transposed
+    ``reverse_push``.  It holds because SciPy's CSR product sums row ``y`` of
+    the push operator in its stored (sorted) column order, whatever other
+    columns the frontier holds.
+    """
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        graph = datasets.load_dataset("HepTh", seed=0)
+        params = SlingParameters.from_accuracy_target(
+            num_nodes=graph.num_nodes, epsilon=0.025
+        )
+        whole = build_hitting_sets(graph, params.sqrt_c, params.theta)
+        rng = np.random.default_rng(0)
+        picked = rng.choice(graph.num_nodes, size=120, replace=False)
+        return graph, params, whole, picked
+
+    @staticmethod
+    def _columns(records, target):
+        mine = records.take(records.targets == target)
+        return mine.sources, mine.levels, mine.targets, mine.values
+
+    def test_operator_rows_are_sorted(self, setup):
+        graph, params, _, _ = setup
+        operator = push_operator(graph, params.sqrt_c)
+        assert operator.has_sorted_indices
+        starts, stops = operator.indptr[:-1], operator.indptr[1:]
+        assert all(
+            np.all(np.diff(operator.indices[a:b]) > 0) for a, b in zip(starts, stops)
+        )
+
+    def test_graph_spans_several_blocks(self, setup):
+        graph, _, whole, _ = setup
+        assert graph.num_nodes > BLOCK_WIDTH
+        assert whole.num_records > 100_000
+
+    def test_each_target_alone_equals_its_columns_of_the_full_build(self, setup):
+        graph, params, whole, picked = setup
+        for target in picked.tolist():
+            alone = build_hitting_sets(
+                graph, params.sqrt_c, params.theta, targets=[target]
+            )
+            expected = self._columns(whole, target)
+            assert alone.num_records == expected[0].shape[0] > 0
+            for got, want in zip(alone[1:], expected):
+                assert np.array_equal(got, want)
+
+    def test_shuffled_block_equals_the_full_build(self, setup):
+        graph, params, whole, picked = setup
+        block = build_hitting_sets(
+            graph, params.sqrt_c, params.theta, targets=picked[::-1]
+        )
+        for target in picked.tolist():
+            for got, want in zip(
+                self._columns(block, target), self._columns(whole, target)
+            ):
+                assert np.array_equal(got, want)
+
+    def test_reverse_push_is_the_one_column_product(self, setup):
+        graph, params, whole, picked = setup
+        for target in picked[:40].tolist():
+            sources, levels, _, values = self._columns(whole, target)
+            expected: dict[int, dict[int, float]] = {}
+            for source, level, value in zip(
+                sources.tolist(), levels.tolist(), values.tolist()
+            ):
+                expected.setdefault(level, {})[source] = value
+            assert reverse_push(graph, target, params.sqrt_c, params.theta) == expected
 
 
 class TestExactNearHops:
