@@ -33,7 +33,6 @@ True
 """
 
 from .exceptions import (
-    ConvergenceError,
     GraphFormatError,
     IndexNotBuiltError,
     NodeNotFoundError,
@@ -70,7 +69,6 @@ __all__ = [
     "ParameterError",
     "IndexNotBuiltError",
     "StorageError",
-    "ConvergenceError",
     "DiGraph",
     "SlingIndex",
     "SlingParameters",

@@ -5,7 +5,6 @@ from .metrics import (
     GroupedErrors,
     grouped_errors,
     max_error,
-    mean_error,
     top_k_pairs,
     top_k_precision,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "GroupedErrors",
     "grouped_errors",
     "max_error",
-    "mean_error",
     "top_k_pairs",
     "top_k_precision",
     "Timer",

@@ -41,7 +41,6 @@ __all__ = [
     "AccuracyRow",
     "GroupedErrorRow",
     "TopKRow",
-    "ScalingRow",
     "single_pair_experiment",
     "single_source_experiment",
     "preprocessing_experiment",
@@ -49,7 +48,6 @@ __all__ = [
     "accuracy_experiment",
     "grouped_error_experiment",
     "top_k_experiment",
-    "epsilon_scaling_experiment",
     "DEFAULT_SMALL_SCALE",
 ]
 
@@ -359,51 +357,4 @@ def top_k_experiment(
                         precision=top_k_precision(estimated, truth, k),
                     )
                 )
-    return rows
-
-
-# --------------------------------------------------------------------------- #
-# Table 1: empirical scaling of query time with 1/epsilon
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ScalingRow:
-    """Query cost and index size of SLING at one accuracy level."""
-
-    epsilon: float
-    average_query_milliseconds: float
-    index_megabytes: float
-    average_set_size: float
-
-
-def epsilon_scaling_experiment(
-    dataset: str = "GrQc",
-    *,
-    epsilons: Sequence[float] = (0.1, 0.05, 0.025),
-    num_queries: int = 100,
-    scale: float = DEFAULT_SMALL_SCALE,
-    config: BackendConfig = BackendConfig(),
-) -> list[ScalingRow]:
-    """Empirical check of the Table-1 bounds: query time and space vs. 1/ε."""
-    graph = _service(scale, config).open_dataset(dataset).graph
-    pairs = random_pairs(graph, num_queries, seed=config.seed)
-    rows: list[ScalingRow] = []
-    for epsilon in epsilons:
-        scaled_config = replace(config, epsilon=epsilon)
-        # Each ε needs its own index: attach the already-loaded graph to a
-        # fresh service session configured at that accuracy.
-        session = _service(scale, scaled_config).open_dataset(dataset, graph=graph)
-        backend = session.engine("sling").backend
-        assert isinstance(backend, SlingBackend)
-        start = time.perf_counter()
-        for node_u, node_v in pairs:
-            backend.single_pair(node_u, node_v)
-        elapsed = time.perf_counter() - start
-        rows.append(
-            ScalingRow(
-                epsilon=epsilon,
-                average_query_milliseconds=1000.0 * elapsed / max(1, len(pairs)),
-                index_megabytes=backend.index_size_bytes() / (1024.0 * 1024.0),
-                average_set_size=backend.index.average_set_size(),
-            )
-        )
     return rows

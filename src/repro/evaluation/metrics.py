@@ -22,7 +22,6 @@ from ..exceptions import ParameterError
 __all__ = [
     "GroupedErrors",
     "max_error",
-    "mean_error",
     "grouped_errors",
     "top_k_pairs",
     "top_k_precision",
@@ -61,15 +60,6 @@ def max_error(estimated: np.ndarray, truth: np.ndarray) -> float:
     if not mask.any():
         return 0.0
     return float(np.abs(estimated - truth)[mask].max())
-
-
-def mean_error(estimated: np.ndarray, truth: np.ndarray) -> float:
-    """Mean absolute error over all non-identical node pairs."""
-    _validate_matrices(estimated, truth)
-    mask = _off_diagonal_mask(truth.shape[0])
-    if not mask.any():
-        return 0.0
-    return float(np.abs(estimated - truth)[mask].mean())
 
 
 @dataclass(frozen=True)

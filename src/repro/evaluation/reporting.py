@@ -16,7 +16,6 @@ from .experiments import (
     GroupedErrorRow,
     PreprocessingRow,
     QueryCostRow,
-    ScalingRow,
     SpaceRow,
     TopKRow,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "render_accuracy",
     "render_grouped_errors",
     "render_top_k",
-    "render_scaling",
 ]
 
 
@@ -112,20 +110,3 @@ def render_top_k(rows: Iterable[TopKRow]) -> str:
         ((row.dataset, row.method, row.k, f"{row.precision:.4f}") for row in rows),
     )
     return f"Figure 7: precision of top-k SimRank pairs\n{body}"
-
-
-def render_scaling(rows: Iterable[ScalingRow]) -> str:
-    """Table-1 empirical check: SLING cost as ε shrinks."""
-    body = render_table(
-        ["epsilon", "avg ms/query", "index MB", "avg |H(v)|"],
-        (
-            (
-                f"{row.epsilon:g}",
-                f"{row.average_query_milliseconds:.3f}",
-                f"{row.index_megabytes:.3f}",
-                f"{row.average_set_size:.1f}",
-            )
-            for row in rows
-        ),
-    )
-    return f"Table 1 (empirical): SLING cost vs. accuracy target\n{body}"

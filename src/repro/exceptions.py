@@ -44,7 +44,3 @@ class StorageError(ReproError, IOError):
 class WireFormatError(ReproError, ValueError):
     """Raised when a wire-protocol payload cannot be decoded into a request
     or result (unknown kind, missing or mistyped fields, unexpected keys)."""
-
-
-class ConvergenceError(ReproError, RuntimeError):
-    """Raised when an iterative solver fails to converge within its budget."""

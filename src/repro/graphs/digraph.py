@@ -559,31 +559,3 @@ class DiGraph:
         for label, idx in label_to_id.items():
             labels[idx] = label
         return cls(len(label_to_id), int_edges, labels=labels)
-
-    @classmethod
-    def from_networkx(cls, nx_graph) -> "DiGraph":
-        """Convert a ``networkx`` (Di)Graph; undirected graphs are symmetrized."""
-        import networkx as nx
-
-        directed = nx_graph.is_directed()
-        nodes = list(nx_graph.nodes())
-        label_to_id = {label: idx for idx, label in enumerate(nodes)}
-        edges: list[tuple[int, int]] = []
-        for u_label, v_label in nx_graph.edges():
-            u, v = label_to_id[u_label], label_to_id[v_label]
-            edges.append((u, v))
-            if not directed:
-                edges.append((v, u))
-        del nx
-        return cls(len(nodes), edges, labels=nodes)
-
-    def to_networkx(self):
-        """Convert to a ``networkx.DiGraph`` with original labels."""
-        import networkx as nx
-
-        nx_graph = nx.DiGraph()
-        for node in self.nodes():
-            nx_graph.add_node(self.label_of(node))
-        for u, v in self.edges():
-            nx_graph.add_edge(self.label_of(u), self.label_of(v))
-        return nx_graph

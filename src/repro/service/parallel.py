@@ -35,12 +35,12 @@ sends them.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 
 from ..exceptions import ParameterError, ReproError
-from ..sling.parallel import resolve_worker_count
 from .control import ControlRequest, PingRequest
 from .queries import Query
 from .results import (
@@ -54,6 +54,19 @@ from .service import SimRankService
 from .wire import RequestEnvelope, response_frames
 
 __all__ = ["ParallelExecutor"]
+
+
+def resolve_worker_count(workers: int | None) -> int:
+    """Normalise a worker-count option: ``None`` or ``0`` means "one per CPU".
+
+    Negative counts are rejected; the result is always >= 1 (also on
+    platforms where the CPU count cannot be determined).
+    """
+    if workers is None or workers == 0:
+        return max(1, os.cpu_count() or 1)
+    if workers < 0:
+        raise ParameterError(f"workers must be >= 1 (or 0 for auto), got {workers}")
+    return int(workers)
 
 
 class _EncodedAnswer(Future):

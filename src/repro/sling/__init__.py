@@ -1,6 +1,6 @@
 """SLING: the paper's primary contribution — a near-optimal SimRank index."""
 
-from .walks import SqrtCWalker, walks_meet
+from .walks import SqrtCWalker
 from .sampling import (
     BernoulliEstimate,
     estimate_bernoulli_mean_adaptive,
@@ -44,16 +44,9 @@ from .storage import (
     out_of_core_build,
     save_index,
 )
-from .parallel import (
-    build_with_thread_count,
-    even_chunks,
-    parallel_build,
-    resolve_worker_count,
-)
 
 __all__ = [
     "SqrtCWalker",
-    "walks_meet",
     "BernoulliEstimate",
     "estimate_bernoulli_mean_adaptive",
     "estimate_bernoulli_mean_fixed",
@@ -89,8 +82,4 @@ __all__ = [
     "load_index",
     "out_of_core_build",
     "save_index",
-    "build_with_thread_count",
-    "parallel_build",
-    "even_chunks",
-    "resolve_worker_count",
 ]

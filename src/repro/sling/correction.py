@@ -54,23 +54,30 @@ at all.
 
 **Seeding.**  The trials for ``d̃_k`` draw from node ``k``'s own stream,
 ``default_rng(SeedSequence(seed, spawn_key=(k,)))``
-(:func:`~repro.sling.walks.node_stream`).  The sequential, parallel and
-out-of-core builds, a dynamic repair and a re-freeze therefore compute the
-same ``d̃_k`` bitwise, for any worker count and any subset of nodes.
+(:func:`~repro.sling.walks.node_stream`).  Every d̃ pass — an in-memory
+build with any worker count, the out-of-core build and a re-freeze — runs
+through the one driver :func:`estimate_all_correction_factors`, and a
+dynamic repair calls the per-node estimator for its heads; all of them
+therefore compute the same ``d̃_k`` bitwise, for any worker count and any
+subset of nodes.
 
 This module provides
 
 * :func:`estimate_correction_factor` — the per-node estimator above,
   either with the fixed budget of Algorithm 1 or the adaptive budget of
   Algorithm 4 (the default),
-* :func:`estimate_all_correction_factors` — the driver used by the index
-  builder, and
+* :func:`estimate_all_correction_factors` — the driver of the d̃ pass
+  (Algorithm 4 on every node), inline or over a process pool (Section 5.4),
+  and
 * :func:`exact_correction_factors` — an exact computation from a ground-truth
   SimRank matrix, used by tests and by the "exact D" mode of the
   linearization baseline.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ProcessPoolExecutor
+from typing import Sequence
 
 import numpy as np
 
@@ -227,28 +234,79 @@ def estimate_correction_factor(
     )
 
 
+#: The walker of a pool process, installed once by :func:`_install_walker`
+#: so the (possibly large) graph is not pickled with every chunk.
+_POOL_WALKER: SqrtCWalker | None = None
+
+
+def _install_walker(walker: SqrtCWalker) -> None:
+    global _POOL_WALKER
+    _POOL_WALKER = walker
+
+
+def _estimate_chunk(
+    nodes: np.ndarray, epsilon_d: float, delta_d: float
+) -> np.ndarray:
+    assert _POOL_WALKER is not None
+    return _estimate_nodes(_POOL_WALKER, nodes, epsilon_d, delta_d)
+
+
+def _estimate_nodes(
+    walker: SqrtCWalker, nodes: np.ndarray, epsilon_d: float, delta_d: float
+) -> np.ndarray:
+    return np.array(
+        [
+            estimate_correction_factor(walker, int(node), epsilon_d, delta_d).value
+            for node in nodes
+        ],
+        dtype=np.float64,
+    )
+
+
 def estimate_all_correction_factors(
     walker: SqrtCWalker,
     epsilon_d: float,
     delta_d: float,
     *,
-    adaptive: bool = True,
-    nodes: "np.ndarray | list[int] | None" = None,
+    nodes: "np.ndarray | Sequence[int] | None" = None,
+    workers: int = 1,
 ) -> np.ndarray:
-    """Estimate ``d_k`` for every node (or the given subset).
+    """Estimate ``d_k`` with Algorithm 4 for every node (or the given subset).
 
     Returns an ``(n,)`` float array indexed by node id; entries for nodes not
-    in ``nodes`` (when a subset is given) are left as ``NaN`` so that partial
-    results from parallel workers can be merged safely.  Each node draws from
+    in ``nodes`` (when a subset is given) are ``NaN``.  Each node draws from
     its own stream, so a subset's values equal the full run's bitwise.
+
+    ``workers == 1`` estimates inline.  Otherwise the nodes are cut into
+    contiguous chunks that a :class:`~concurrent.futures.ProcessPoolExecutor`
+    of ``workers`` processes estimates (Section 5.4); the walker, and with it
+    the graph, reaches each process once through the pool initializer.  The
+    values are bitwise the inline run's for any worker count.
     """
-    graph = walker.graph
-    values = np.full(graph.num_nodes, np.nan, dtype=np.float64)
-    node_iter = graph.nodes() if nodes is None else nodes
-    for node in node_iter:
-        values[int(node)] = estimate_correction_factor(
-            walker, int(node), epsilon_d, delta_d, adaptive=adaptive
-        ).value
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+    values = np.full(walker.graph.num_nodes, np.nan, dtype=np.float64)
+    node_ids = (
+        np.arange(walker.graph.num_nodes)
+        if nodes is None
+        else np.asarray(nodes, dtype=np.int64).reshape(-1)
+    )
+    if workers == 1:
+        values[node_ids] = _estimate_nodes(walker, node_ids, epsilon_d, delta_d)
+        return values
+    # A few chunks per process even out the uneven per-node cost.
+    chunks = [chunk for chunk in np.array_split(node_ids, workers * 4) if chunk.size]
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_install_walker, initargs=(walker,)
+    ) as pool:
+        estimates = pool.map(
+            _estimate_chunk,
+            chunks,
+            [epsilon_d] * len(chunks),
+            [delta_d] * len(chunks),
+        )
+        for chunk, chunk_values in zip(chunks, estimates):
+            values[chunk] = chunk_values
     return values
 
 

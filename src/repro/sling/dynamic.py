@@ -54,8 +54,9 @@ mutation batch in three local steps:
    (two in-neighbours of ``k`` sharing an ancestor, one of them the head):
    only the heads' factors are re-estimated before a re-freeze.
 
-**Re-freeze** re-estimates *all* correction factors with the build's
-seeding rule (node ``k``'s stream from ``(seed, k)``, the seed
+**Re-freeze** re-estimates *all* correction factors through the build's
+d̃ driver, :func:`~repro.sling.correction.estimate_all_correction_factors`,
+with the build's seeding rule (node ``k``'s stream from ``(seed, k)``, the seed
 :meth:`SlingIndex.build` used) over the generation's store, so a re-frozen
 index is **bitwise identical** — columns, corrections, and therefore
 answers — to a from-scratch build on the mutated graph.  The estimation
@@ -127,75 +128,35 @@ class DynamicSlingIndex(SlingQueries):
 
     _kind = "dynamic SLING index"
 
-    def __init__(
-        self,
-        graph: DiGraph,
-        *,
-        c: float = 0.6,
-        epsilon: float = 0.025,
-        delta: float | None = None,
-        seed: int | None = None,
-        adaptive_correction: bool = True,
-        parameters: SlingParameters | None = None,
-    ) -> None:
-        unbuilt = SlingIndex(
-            graph,
-            c=c,
-            epsilon=epsilon,
-            delta=delta,
-            seed=seed,
-            adaptive_correction=adaptive_correction,
-            parameters=parameters,
-        )
-        self._adopt(unbuilt)
-        # Held only until :meth:`build`, so the build-time generation is
-        # retired like any other once a newer one replaces it.
-        self._unbuilt: SlingIndex | None = unbuilt
-
     @classmethod
     def from_index(cls, index: SlingIndex) -> "DynamicSlingIndex":
-        """Adopt an already-built plain :class:`SlingIndex` without rebuilding.
+        """Adopt a built plain :class:`SlingIndex` without rebuilding.
 
-        The index must have been built without ``reduce_space`` /
-        ``enhance_accuracy``: the repair re-packs raw reverse-push records,
-        which those optimizations post-process in ways a local repair
-        cannot reproduce.
+        This is the only way to make a dynamic index.  It raises
+        :class:`~repro.exceptions.IndexNotBuiltError` for an unbuilt index,
+        and :class:`~repro.exceptions.ParameterError` for one built with
+        ``reduce_space`` / ``enhance_accuracy``: the repair re-packs raw
+        reverse-push records, which those optimizations post-process in
+        ways a local repair cannot reproduce.
         """
-        if getattr(index, "_reduce_space", False) or getattr(
-            index, "_enhance_accuracy", False
-        ):
+        if index._reduce_space or index._enhance_accuracy:
             raise ParameterError(
                 "dynamic maintenance requires a plain SLING index "
                 "(reduce_space=False, enhance_accuracy=False)"
             )
         dynamic = cls.__new__(cls)
-        dynamic._adopt(index)
-        dynamic._unbuilt = None
-        dynamic._state = index._state
+        dynamic._params = index.parameters
+        dynamic._seed = index._seed
+        dynamic._mutex = threading.Lock()
+        dynamic._state = index._serving()
+        dynamic._mutation_count = 0
+        dynamic._refreeze_count = 0
+        dynamic._repushed_records = 0
         return dynamic
 
-    def _adopt(self, index: SlingIndex) -> None:
-        """Take ``index``'s parameters, resolved seed and estimator flag."""
-        self._params = index.parameters
-        self._seed = index._seed
-        self._adaptive = index._adaptive_correction
-        self._mutex = threading.Lock()
-        self._state: ServingState | None = None
-        self._mutation_count = 0
-        self._refreeze_count = 0
-        self._repushed_records = 0
-
     # ------------------------------------------------------------------ #
-    # Build / introspection
+    # Introspection
     # ------------------------------------------------------------------ #
-    def build(self, *, workers: int = 1) -> "DynamicSlingIndex":
-        """Build the base index (if needed) and open generation 0."""
-        with self._mutex:
-            if self._state is None:
-                self._state = self._unbuilt.build(workers=workers)._state
-                self._unbuilt = None
-        return self
-
     @property
     def graph(self) -> DiGraph:
         """The *current* (post-mutation) graph."""
@@ -324,17 +285,16 @@ class DynamicSlingIndex(SlingQueries):
             repaired = PackedHittingStore.from_hitting_sets(
                 HittingRecords.concatenate([old.take(~stale), fresh])
             )
-            affected_sources = np.union1d(old.sources[stale], fresh.sources)
+            touched = np.zeros(new_graph.num_nodes, dtype=bool)
+            touched[old.sources[stale]] = True
+            touched[fresh.sources] = True
+            affected_sources = np.flatnonzero(touched)
 
             corrections = np.array(gen.corrections, dtype=np.float64, copy=True)
             walker = self._walker(new_graph)
             for head in sorted(heads):
                 corrections[head] = estimate_correction_factor(
-                    walker,
-                    head,
-                    params.epsilon_d,
-                    params.delta_d,
-                    adaptive=self._adaptive,
+                    walker, head, params.epsilon_d, params.delta_d
                 ).value
             corrections.flags.writeable = False
 
@@ -391,10 +351,7 @@ class DynamicSlingIndex(SlingQueries):
                 return True
             params = self._params
             corrections = estimate_all_correction_factors(
-                self._walker(snapshot.graph),
-                params.epsilon_d,
-                params.delta_d,
-                adaptive=self._adaptive,
+                self._walker(snapshot.graph), params.epsilon_d, params.delta_d
             )
             corrections.flags.writeable = False
             with self._mutex:
@@ -414,8 +371,6 @@ class DynamicSlingIndex(SlingQueries):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         gen = self._state
-        if gen is None:
-            return "DynamicSlingIndex(not built)"
         return (
             f"DynamicSlingIndex(n={gen.graph.num_nodes}, "
             f"version={gen.version}, dirty={gen.dirty})"

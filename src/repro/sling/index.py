@@ -87,8 +87,6 @@ class SlingIndex(SlingQueries):
         estimators; ``d̃_k`` draws from the stream derived from
         ``(seed, k)``.  ``None`` draws fresh entropy once per index, and a
         dynamic index's repairs and re-freezes reuse it.
-    adaptive_correction:
-        Use Algorithm 4 (adaptive sampling, default) instead of Algorithm 1.
     reduce_space:
         Enable the Section-5.2 space reduction.
     enhance_accuracy:
@@ -118,7 +116,6 @@ class SlingIndex(SlingQueries):
         epsilon: float = 0.025,
         delta: float | None = None,
         seed: int | None = None,
-        adaptive_correction: bool = True,
         reduce_space: bool = False,
         enhance_accuracy: bool = False,
         error_split: float = 0.5,
@@ -137,7 +134,6 @@ class SlingIndex(SlingQueries):
             )
         self._params = parameters
         self._seed = resolve_entropy(seed)
-        self._adaptive_correction = adaptive_correction
         self._reduce_space = reduce_space
         self._enhance_accuracy = enhance_accuracy
 
@@ -177,43 +173,29 @@ class SlingIndex(SlingQueries):
     def build(self, *, workers: int = 1) -> "SlingIndex":
         """Build the index: correction factors, hitting sets, optimizations.
 
-        ``workers > 1`` estimates the correction factors over node ranges
-        with a process pool (Section 5.4); the push runs in this process.
-        The result is bitwise identical for any worker count, because every
-        ``d̃_k`` draws from node ``k``'s own stream and the push is the same
-        product.  Returns ``self`` so construction can be chained.
+        The d̃ pass is :func:`~repro.sling.correction.estimate_all_correction_factors`,
+        which runs inline for ``workers == 1`` and over a pool of ``workers``
+        processes otherwise (Section 5.4); the push
+        (:func:`~repro.sling.hitting.build_hitting_sets`) runs in this
+        process.  The result is bitwise identical for any worker count,
+        because every ``d̃_k`` draws from node ``k``'s own stream.  Returns
+        ``self`` so construction can be chained.
         """
-        if workers < 1:
-            raise ParameterError(f"workers must be >= 1, got {workers}")
         start_total = time.perf_counter()
         params = self._params
 
-        if workers == 1:
-            start = time.perf_counter()
-            walker = SqrtCWalker(self._graph, params.c, seed=self._seed)
-            corrections = estimate_all_correction_factors(
-                walker,
-                params.epsilon_d,
-                params.delta_d,
-                adaptive=self._adaptive_correction,
-            )
-            correction_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        corrections = estimate_all_correction_factors(
+            SqrtCWalker(self._graph, params.c, seed=self._seed),
+            params.epsilon_d,
+            params.delta_d,
+            workers=workers,
+        )
+        correction_seconds = time.perf_counter() - start
 
-            start = time.perf_counter()
-            records = build_hitting_sets(self._graph, params.sqrt_c, params.theta)
-            hitting_seconds = time.perf_counter() - start
-        else:
-            from .parallel import parallel_build
-
-            corrections, records, correction_seconds, hitting_seconds = (
-                parallel_build(
-                    self._graph,
-                    params,
-                    workers=workers,
-                    seed=self._seed,
-                    adaptive_correction=self._adaptive_correction,
-                )
-            )
+        start = time.perf_counter()
+        records = build_hitting_sets(self._graph, params.sqrt_c, params.theta)
+        hitting_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
         reduced = None

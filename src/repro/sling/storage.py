@@ -15,8 +15,8 @@ This module implements both sides on top of the packed columnar store of
   with ``np.load(..., mmap_mode="r")``: **no dict round-trip**, so loading is
   O(1)-ish in index size.  The loaded :class:`SlingIndex` is the disk-backed
   index: it answers through the same query core as an in-memory build,
-  overlays included, and a pair query slices exactly two node segments out
-  of the mapped columns,
+  and a pair query slices exactly two node segments out of the mapped
+  columns,
 * :func:`out_of_core_build` — Algorithm 2 with a bounded in-memory buffer:
   the push operator is built once, the targets are pushed one column block
   at a time, and each block's records are cut into runs of the buffer's size
@@ -272,9 +272,8 @@ def out_of_core_build(
     start_total = time.perf_counter()
 
     start = time.perf_counter()
-    walker = SqrtCWalker(graph, params.c, seed=seed)
     corrections = estimate_all_correction_factors(
-        walker, params.epsilon_d, params.delta_d, adaptive=True
+        SqrtCWalker(graph, params.c, seed=seed), params.epsilon_d, params.delta_d
     )
     correction_seconds = time.perf_counter() - start
 

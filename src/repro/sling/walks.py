@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import copy
 import math
-from typing import Sequence
 
 import numpy as np
 
 from ..exceptions import NodeNotFoundError, ParameterError
 from ..graphs import DiGraph
 
-__all__ = ["SqrtCWalker", "walks_meet", "resolve_entropy", "node_stream"]
+__all__ = ["SqrtCWalker", "resolve_entropy", "node_stream"]
 
 
 def resolve_entropy(seed: int | None) -> int:
@@ -48,18 +47,6 @@ def node_stream(entropy: int, node: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy, spawn_key=(int(node),))
     )
-
-
-def walks_meet(walk_a: Sequence[int], walk_b: Sequence[int]) -> bool:
-    """Return ``True`` when the two walks occupy the same node at some step.
-
-    Step ``ℓ`` of each walk is its ``ℓ``-th element; the walks meet when there
-    is an ``ℓ`` present in *both* walks with identical nodes.
-    """
-    for node_a, node_b in zip(walk_a, walk_b):
-        if node_a == node_b:
-            return True
-    return False
 
 
 class SqrtCWalker:
@@ -116,11 +103,6 @@ class SqrtCWalker:
     def sqrt_c(self) -> float:
         """``√c`` — the per-step continuation probability."""
         return self._sqrt_c
-
-    @property
-    def expected_length(self) -> float:
-        """Expected number of steps after step 0, ``√c / (1 - √c)``."""
-        return self._sqrt_c / (1.0 - self._sqrt_c)
 
     @property
     def rng(self) -> np.random.Generator:
@@ -258,15 +240,6 @@ class SqrtCWalker:
             node_b = node_b[apart]
         return meets
 
-    def meeting_step(self, start_a: int, start_b: int) -> int | None:
-        """Like :meth:`walk_pair_meets` but return the meeting step (or None)."""
-        walk_a = self.walk(start_a)
-        walk_b = self.walk(start_b)
-        for step, (node_a, node_b) in enumerate(zip(walk_a, walk_b)):
-            if node_a == node_b:
-                return step
-        return None
-
     # ------------------------------------------------------------------ #
     def estimate_simrank(
         self, node_a: int, node_b: int, num_samples: int
@@ -285,20 +258,3 @@ class SqrtCWalker:
             1 for _ in range(num_samples) if self.walk_pair_meets(node_a, node_b)
         )
         return meets / num_samples
-
-    def hitting_probabilities(
-        self, start: int, num_samples: int
-    ) -> dict[tuple[int, int], float]:
-        """Empirical hitting probabilities ``h^(ℓ)(start, ·)`` from samples.
-
-        Returns a mapping ``(ℓ, node) -> frequency``.  Used by tests to
-        validate the deterministic local-push construction of Algorithm 2.
-        """
-        if num_samples <= 0:
-            raise ParameterError(f"num_samples must be positive, got {num_samples}")
-        counts: dict[tuple[int, int], int] = {}
-        for _ in range(num_samples):
-            for step, node in enumerate(self.walk(start)):
-                key = (step, node)
-                counts[key] = counts.get(key, 0) + 1
-        return {key: count / num_samples for key, count in counts.items()}

@@ -115,32 +115,3 @@ class TestAccuracyExperiments:
         assert len(rows) == 2
         assert all(0.0 <= row.precision <= 1.0 for row in rows)
         assert {row.k for row in rows} == {10, 20}
-
-
-class TestInfrastructureExperiments:
-    def test_epsilon_scaling_experiment(self):
-        rows = experiments.epsilon_scaling_experiment(
-            "GrQc", epsilons=(0.2, 0.1), num_queries=10, scale=SCALE, config=CONFIG
-        )
-        assert len(rows) == 2
-        # A smaller epsilon must yield a larger index.
-        assert rows[1].index_megabytes > rows[0].index_megabytes
-
-    def test_epsilon_scaling_experiment_times_the_backend_alone(
-        self, monkeypatch
-    ):
-        services = []
-        make = experiments._service
-
-        def recording_service(scale, config):
-            services.append(make(scale, config))
-            return services[-1]
-
-        monkeypatch.setattr(experiments, "_service", recording_service)
-        rows = experiments.epsilon_scaling_experiment(
-            "GrQc", epsilons=(0.2,), num_queries=10, scale=SCALE, config=CONFIG
-        )
-        assert len(rows) == 1
-        engine = services[-1].open_dataset("GrQc").engine("sling")
-        assert engine.statistics.total_queries == 0
-        assert engine.cached_nodes() == []

@@ -8,7 +8,6 @@ import pytest
 from repro.evaluation import (
     grouped_errors,
     max_error,
-    mean_error,
     top_k_pairs,
     top_k_precision,
 )
@@ -36,21 +35,14 @@ class TestBasicErrors:
         estimated[0, 1] += 0.03
         assert max_error(estimated, truth) == pytest.approx(0.03)
 
-    def test_mean_error(self, truth):
-        estimated = truth.copy()
-        estimated[0, 1] += 0.12
-        expected = 0.12 / 12  # twelve off-diagonal entries
-        assert mean_error(estimated, truth) == pytest.approx(expected)
-
     def test_zero_error_for_identical_matrices(self, truth):
         assert max_error(truth, truth) == 0.0
-        assert mean_error(truth, truth) == 0.0
 
     def test_shape_mismatch_rejected(self, truth):
         with pytest.raises(ParameterError):
             max_error(truth[:3, :3], truth)
         with pytest.raises(ParameterError):
-            mean_error(np.ones((2, 3)), np.ones((2, 3)))
+            max_error(np.ones((2, 3)), np.ones((2, 3)))
 
     def test_single_node_matrix(self):
         assert max_error(np.ones((1, 1)), np.ones((1, 1))) == 0.0

@@ -8,7 +8,6 @@ from repro.evaluation.experiments import (
     GroupedErrorRow,
     PreprocessingRow,
     QueryCostRow,
-    ScalingRow,
     SpaceRow,
     TopKRow,
 )
@@ -60,7 +59,3 @@ class TestFigureRenderers:
     def test_top_k(self):
         text = reporting.render_top_k([TopKRow("AS", "SLING", 400, 0.98)])
         assert "Figure 7" in text and "0.9800" in text
-
-    def test_scaling(self):
-        text = reporting.render_scaling([ScalingRow(0.05, 0.2, 1.5, 33.0)])
-        assert "Table 1" in text and "0.05" in text

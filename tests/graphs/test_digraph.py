@@ -234,26 +234,6 @@ class TestDerived:
         assert graph.memory_bytes() > 0
 
 
-class TestNetworkxConversion:
-    def test_roundtrip_directed(self):
-        import networkx as nx
-
-        nx_graph = nx.DiGraph([(1, 2), (2, 3), (3, 1)])
-        graph = DiGraph.from_networkx(nx_graph)
-        assert graph.num_nodes == 3
-        assert graph.num_edges == 3
-        back = graph.to_networkx()
-        assert set(back.edges()) == set(nx_graph.edges())
-
-    def test_undirected_networkx_is_symmetrized(self):
-        import networkx as nx
-
-        nx_graph = nx.Graph([(0, 1), (1, 2)])
-        graph = DiGraph.from_networkx(nx_graph)
-        assert graph.num_edges == 4
-        assert graph.is_symmetric()
-
-
 class TestPushEdgeWeights:
     def test_matches_per_edge_definition(self):
         graph = generators.two_level_community(2, 8, seed=1)

@@ -53,9 +53,9 @@ def apply_edit(index: DynamicSlingIndex, is_add: bool, edge: tuple[int, int]):
 @given(graph_and_edits(), st.integers(min_value=0, max_value=2**31 - 1))
 def test_incremental_answers_track_rebuild_within_staleness_bound(data, seed):
     n, edges, edits = data
-    index = DynamicSlingIndex(
-        DiGraph(n, edges), c=C, epsilon=EPSILON, seed=seed
-    ).build()
+    index = DynamicSlingIndex.from_index(
+        SlingIndex(DiGraph(n, edges), c=C, epsilon=EPSILON, seed=seed).build()
+    )
     for is_add, edge in edits:
         apply_edit(index, is_add, edge)
         fresh = SlingIndex(index.graph, c=C, epsilon=EPSILON, seed=seed).build()
@@ -82,9 +82,9 @@ def test_incremental_answers_track_rebuild_within_staleness_bound(data, seed):
 @given(graph_and_edits(), st.integers(min_value=0, max_value=2**31 - 1))
 def test_refreeze_restores_bitwise_rebuild_parity(data, seed):
     n, edges, edits = data
-    index = DynamicSlingIndex(
-        DiGraph(n, edges), c=C, epsilon=EPSILON, seed=seed
-    ).build()
+    index = DynamicSlingIndex.from_index(
+        SlingIndex(DiGraph(n, edges), c=C, epsilon=EPSILON, seed=seed).build()
+    )
     for is_add, edge in edits:
         apply_edit(index, is_add, edge)
     assert index.refreeze()
@@ -105,9 +105,9 @@ def test_refreeze_restores_bitwise_rebuild_parity(data, seed):
 def test_edit_sequence_converges_to_direct_construction(data, seed):
     """The graph after any edit sequence matches building it directly."""
     n, edges, edits = data
-    index = DynamicSlingIndex(
-        DiGraph(n, edges), c=C, epsilon=EPSILON, seed=seed
-    ).build()
+    index = DynamicSlingIndex.from_index(
+        SlingIndex(DiGraph(n, edges), c=C, epsilon=EPSILON, seed=seed).build()
+    )
     reference = set(map(tuple, DiGraph(n, edges).edges()))
     for is_add, edge in edits:
         apply_edit(index, is_add, edge)

@@ -207,7 +207,12 @@ class TestAccuracySweep:
     ):
         graph, exact = sweep_cases[shape]
         walker = SqrtCWalker(graph, c=decay, seed=7)
-        estimated = estimate_all_correction_factors(
-            walker, epsilon_d, 1e-3, adaptive=adaptive
+        estimated = np.array(
+            [
+                estimate_correction_factor(
+                    walker, node, epsilon_d, 1e-3, adaptive=adaptive
+                ).value
+                for node in graph.nodes()
+            ]
         )
         assert np.abs(estimated - exact).max() <= epsilon_d

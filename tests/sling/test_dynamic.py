@@ -18,17 +18,21 @@ SEED = 13
 STORE_COLUMNS = ("offsets", "levels", "targets", "values", "keys")
 
 
-@pytest.fixture()
-def community_dynamic():
-    graph = generators.two_level_community(3, 10, seed=7)
-    return DynamicSlingIndex(graph, epsilon=EPS, seed=SEED).build()
-
-
 def rebuilt(graph, **kwargs):
     """From-scratch plain SLING index on ``graph`` with the suite's recipe."""
     kwargs.setdefault("epsilon", EPS)
     kwargs.setdefault("seed", SEED)
     return SlingIndex(graph, **kwargs).build()
+
+
+def dynamic(graph, **kwargs):
+    """A dynamic index adopted from :func:`rebuilt`'s build of ``graph``."""
+    return DynamicSlingIndex.from_index(rebuilt(graph, **kwargs))
+
+
+@pytest.fixture()
+def community_dynamic():
+    return dynamic(generators.two_level_community(3, 10, seed=7))
 
 
 def assert_same_store(store, expected):
@@ -40,16 +44,6 @@ def assert_same_store(store, expected):
 
 
 class TestLifecycle:
-    def test_query_before_build_raises(self):
-        index = DynamicSlingIndex(generators.cycle(5), epsilon=EPS)
-        assert not index.is_built
-        with pytest.raises(IndexNotBuiltError):
-            index.single_pair(0, 1)
-        with pytest.raises(IndexNotBuiltError):
-            index.mutate(added=[(0, 2)])
-        with pytest.raises(IndexNotBuiltError):
-            index.refreeze()
-
     def test_build_opens_generation_zero(self, community_dynamic):
         index = community_dynamic
         assert index.is_built
@@ -61,10 +55,6 @@ class TestLifecycle:
         assert stats["dirty"] is False
         assert stats["overlay_entries"] == 0
         assert stats["mutations"] == 0
-
-    def test_build_is_idempotent(self, community_dynamic):
-        assert community_dynamic.build() is community_dynamic
-        assert community_dynamic.version == 0
 
     def test_matches_plain_index_before_any_mutation(self, community_dynamic):
         plain = rebuilt(community_dynamic.graph)
@@ -83,6 +73,10 @@ class TestFromIndex:
         assert dynamic.version == 0
         assert dynamic.packed_store is plain.packed_store
         assert np.array_equal(dynamic.single_source(0), plain.single_source(0))
+
+    def test_rejects_unbuilt_index(self):
+        with pytest.raises(IndexNotBuiltError, match=r"build\(\)"):
+            DynamicSlingIndex.from_index(SlingIndex(generators.cycle(5), epsilon=EPS))
 
     def test_rejects_reduce_space_and_enhance_accuracy(self):
         graph = generators.two_level_community(2, 8, seed=3)
@@ -109,7 +103,25 @@ class TestMutate:
 
     def test_answers_stay_within_staleness_bound(self, community_dynamic):
         index = community_dynamic
-        index.mutate(added=[(0, 17), (5, 23)], removed=[(1, 2)])
+        old_graph, old = index.graph, index.packed_store.records()
+        added, removed = [(0, 17), (5, 23)], [(1, 2)]
+        report = index.mutate(added=added, removed=removed)
+        # The affected sources are the union of the replaced records' and
+        # the re-pushed records' sources, over the targets read off the
+        # hitting sets of the detection set D (tails, heads, heads' old
+        # in-neighbours).
+        heads = {v for _, v in added + removed}
+        detect = {u for u, _ in added + removed} | heads
+        for head in heads:
+            detect.update(old_graph.in_neighbors(head).tolist())
+        targets = np.unique(old.targets[np.isin(old.sources, sorted(detect))])
+        new = index.packed_store.records()
+        expected = np.union1d(
+            old.sources[np.isin(old.targets, targets)],
+            new.sources[np.isin(new.targets, targets)],
+        )
+        assert report.affected_targets == targets.shape[0]
+        assert report.affected_sources == tuple(expected.tolist())
         fresh = rebuilt(index.graph)
         bound = index.staleness_bound()
         for node in range(index.graph.num_nodes):
@@ -123,9 +135,7 @@ class TestMutate:
         # implicate the other component's sources.
         edges = [(u, (u + 1) % 8) for u in range(8)]
         edges += [(8 + u, 8 + (u + 1) % 8) for u in range(8)]
-        index = DynamicSlingIndex(
-            DiGraph(16, edges), epsilon=EPS, seed=SEED
-        ).build()
+        index = dynamic(DiGraph(16, edges))
         before = {
             node: index.single_source(node)
             for node in range(index.graph.num_nodes)
@@ -212,9 +222,9 @@ class TestStalenessDefect:
             (self.A, self.V1), (self.A, self.V2), (self.V1, self.K),
             (self.V2, self.K), (self.K, self.U), (self.K, self.W),
         ]
-        index = DynamicSlingIndex(
-            DiGraph(7, edges), c=0.6, epsilon=0.025, seed=seed
-        ).build()
+        index = DynamicSlingIndex.from_index(
+            SlingIndex(DiGraph(7, edges), c=0.6, epsilon=0.025, seed=seed).build()
+        )
         index.add_edges([(self.X, self.V1)])
         truth = simrank_matrix(
             index.graph, c=0.6, num_iterations=GROUND_TRUTH_ITERATIONS
@@ -232,9 +242,7 @@ class TestRepairedCorrections:
             assert index.correction_factors[head] == fresh.correction_factors[head]
 
     def test_unseeded_repair_matches_its_refreeze(self):
-        index = DynamicSlingIndex(
-            generators.two_level_community(3, 10, seed=7), epsilon=EPS
-        ).build()
+        index = dynamic(generators.two_level_community(3, 10, seed=7), seed=None)
         index.mutate(added=[(0, 17)])
         repaired = index.correction_factors[17]
         assert index.refreeze()

@@ -9,26 +9,8 @@ import pytest
 
 from repro.exceptions import NodeNotFoundError, ParameterError
 from repro.graphs import generators
-from repro.sling import SqrtCWalker, walks_meet
+from repro.sling import SqrtCWalker
 from repro.sling.walks import node_stream, resolve_entropy
-
-
-class TestWalksMeet:
-    def test_meeting_at_step_zero(self):
-        assert walks_meet([1, 2], [1, 5])
-
-    def test_meeting_at_later_step(self):
-        assert walks_meet([1, 2, 3], [4, 5, 3])
-
-    def test_no_meeting(self):
-        assert not walks_meet([1, 2, 3], [4, 5, 6])
-
-    def test_different_lengths_only_compare_shared_steps(self):
-        assert not walks_meet([1, 2, 3, 7], [4, 5])
-        assert walks_meet([1, 2], [4, 2, 9])
-
-    def test_empty_walks_never_meet(self):
-        assert not walks_meet([], [1, 2])
 
 
 class TestWalkerConstruction:
@@ -50,7 +32,6 @@ class TestWalkerConstruction:
         assert walker.c == pytest.approx(0.64)
         assert walker.sqrt_c == pytest.approx(0.8)
         assert walker.graph is graph
-        assert walker.expected_length == pytest.approx(0.8 / 0.2)
 
 
 class TestWalkSampling:
@@ -111,16 +92,6 @@ class TestPairMeeting:
         walker = SqrtCWalker(graph, seed=1)
         assert not any(walker.walk_pair_meets(0, 3) for _ in range(200))
 
-    def test_meeting_step_none_when_no_meeting(self):
-        graph = generators.cycle(6)
-        walker = SqrtCWalker(graph, seed=2)
-        assert walker.meeting_step(0, 3) is None
-
-    def test_meeting_step_zero_for_identical(self):
-        graph = generators.cycle(6)
-        walker = SqrtCWalker(graph, seed=2)
-        assert walker.meeting_step(4, 4) == 0
-
     def test_count_meeting_pairs_matches_scalar_semantics(self):
         graph = generators.star(6, inward=False)
         walker = SqrtCWalker(graph, c=0.6, seed=3)
@@ -178,21 +149,6 @@ class TestSimRankEstimation:
         walker = SqrtCWalker(graph, seed=0)
         with pytest.raises(ParameterError):
             walker.estimate_simrank(0, 1, 0)
-
-    def test_hitting_probabilities_level_zero_is_one(self):
-        graph = generators.preferential_attachment(20, 2, seed=1)
-        walker = SqrtCWalker(graph, seed=6)
-        frequencies = walker.hitting_probabilities(3, 500)
-        assert frequencies[(0, 3)] == pytest.approx(1.0)
-
-    def test_hitting_probabilities_level_mass_bounded(self):
-        graph = generators.preferential_attachment(20, 2, seed=1)
-        walker = SqrtCWalker(graph, c=0.6, seed=7)
-        frequencies = walker.hitting_probabilities(3, 3000)
-        level_one_mass = sum(
-            value for (level, _), value in frequencies.items() if level == 1
-        )
-        assert level_one_mass <= math.sqrt(0.6) + 0.03
 
 
 class TestNodeStreams:

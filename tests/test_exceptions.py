@@ -6,7 +6,6 @@ import pytest
 
 import repro
 from repro.exceptions import (
-    ConvergenceError,
     GraphFormatError,
     IndexNotBuiltError,
     NodeNotFoundError,
@@ -25,7 +24,6 @@ class TestHierarchy:
             ParameterError,
             IndexNotBuiltError,
             StorageError,
-            ConvergenceError,
         ],
     )
     def test_all_errors_derive_from_repro_error(self, exception_type):
