@@ -24,6 +24,8 @@ from repro.service import (
     SingleSourceQuery,
     TopKQuery,
 )
+from repro.service import parallel as parallel_module
+from repro.service.parallel import resolve_worker_count
 from repro.service.wire import decode_envelope, response_frames
 
 DATASET = "grid"
@@ -395,3 +397,30 @@ class TestMonteCarloDeterminism:
         assert self.run_workload("sling", workers=1) == self.run_workload(
             "sling", workers=4
         )
+
+
+class TestResolveWorkerCount:
+    """The executor's worker-count option: ``None`` or ``0`` is one worker per
+    CPU, a positive count is kept, a negative one is rejected."""
+
+    @pytest.mark.parametrize("workers", [None, 0])
+    def test_auto_means_one_worker_per_cpu(self, monkeypatch, workers):
+        monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 3)
+        assert resolve_worker_count(workers) == 3
+
+    def test_unknown_cpu_count_falls_back_to_one(self, monkeypatch):
+        monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: None)
+        assert resolve_worker_count(None) == 1
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_positive_count_is_kept(self, workers):
+        assert resolve_worker_count(workers) == workers
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ParameterError):
+            resolve_worker_count(-1)
+
+    def test_executor_resolves_its_worker_count(self, monkeypatch):
+        monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 2)
+        with ParallelExecutor(make_service(), workers=0) as executor:
+            assert executor.workers == 2

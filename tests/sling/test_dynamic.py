@@ -11,7 +11,12 @@ import pytest
 from repro.baselines.power import GROUND_TRUTH_ITERATIONS, simrank_matrix
 from repro.exceptions import GraphFormatError, IndexNotBuiltError, ParameterError
 from repro.graphs import DiGraph, generators
-from repro.sling import DynamicSlingIndex, SlingIndex
+from repro.sling import (
+    DynamicSlingIndex,
+    SlingIndex,
+    SqrtCWalker,
+    estimate_all_correction_factors,
+)
 
 EPS = 0.05
 SEED = 13
@@ -78,6 +83,30 @@ class TestFromIndex:
         with pytest.raises(IndexNotBuiltError, match=r"build\(\)"):
             DynamicSlingIndex.from_index(SlingIndex(generators.cycle(5), epsilon=EPS))
 
+    def test_adopts_parameters_and_starts_counters_at_zero(self):
+        plain = rebuilt(generators.two_level_community(2, 8, seed=3))
+        dynamic = DynamicSlingIndex.from_index(plain)
+        assert dynamic.parameters is plain.parameters
+        assert np.array_equal(dynamic.correction_factors, plain.correction_factors)
+        stats = dynamic.statistics()
+        assert stats["mutations"] == 0
+        assert stats["refreezes"] == 0
+        assert stats["overlay_entries"] == 0
+
+    def test_mutation_leaves_the_adopted_index_unchanged(self):
+        graph = generators.two_level_community(2, 8, seed=3)
+        plain = rebuilt(graph)
+        before = [plain.single_source(node).copy() for node in (0, 5, 11)]
+        edges = sorted(graph.edges())
+        dynamic = DynamicSlingIndex.from_index(plain)
+        report = dynamic.mutate(added=[(0, 15), (15, 5)], removed=[edges[0]])
+        assert report.version == 1
+        dynamic.refreeze()
+        assert plain.graph is graph
+        assert sorted(plain.graph.edges()) == edges
+        for node, expected in zip((0, 5, 11), before):
+            assert np.array_equal(plain.single_source(node), expected)
+
     def test_rejects_reduce_space_and_enhance_accuracy(self):
         graph = generators.two_level_community(2, 8, seed=3)
         for flag in ("reduce_space", "enhance_accuracy"):
@@ -129,6 +158,21 @@ class TestMutate:
                 np.abs(index.single_source(node) - fresh.single_source(node))
             )
             assert deviation <= bound
+
+    def test_affected_sources_are_sorted_unique_node_ids(self, community_dynamic):
+        index = community_dynamic
+        n = index.graph.num_nodes
+        batches = [
+            {"added": [(0, 17)]},
+            {"removed": [(0, 17)], "added": [(4, 22), (22, 9)]},
+            {"removed": [(4, 22)]},
+        ]
+        for batch in batches:
+            sources = index.mutate(**batch).affected_sources
+            assert sources
+            assert all(isinstance(node, int) for node in sources)
+            assert list(sources) == sorted(set(sources))
+            assert 0 <= sources[0] and sources[-1] < n
 
     def test_unaffected_sources_answer_bitwise_identically(self):
         # Two disconnected 8-cycles: mutating inside one component cannot
@@ -266,6 +310,19 @@ class TestRefreeze:
             assert np.array_equal(levels, f_levels)
             assert np.array_equal(targets, f_targets)
             assert np.array_equal(values, f_values)
+
+    def test_refreeze_corrections_equal_the_pooled_driver(self, community_dynamic):
+        index = community_dynamic
+        index.mutate(added=[(0, 17), (5, 23)], removed=[(1, 2)])
+        assert index.refreeze()
+        params = index.parameters
+        pooled = estimate_all_correction_factors(
+            SqrtCWalker(index.graph, params.c, seed=SEED),
+            params.epsilon_d,
+            params.delta_d,
+            workers=2,
+        )
+        assert np.array_equal(index.correction_factors, pooled)
 
     def test_refreeze_on_clean_index_is_noop(self, community_dynamic):
         version = community_dynamic.version
