@@ -208,10 +208,10 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="DIR",
         help="journal every acknowledged mutate to DIR/<dataset>.wal "
-        "(fsync'd before the ack) and replay it when the dataset reopens — "
-        "acked mutations survive a crash/restart; re-freezes fold the log "
-        "into DIR/<dataset>.ckpt.json (default: mutations are in-memory "
-        "only)",
+        "(fsync'd before the ack); each re-freeze saves the index to "
+        "DIR/<dataset>.snapshots/ and cuts the log, and a reopened dataset "
+        "loads the snapshot and replays the log, so acked mutations survive "
+        "a crash/restart (default: mutations are in-memory only)",
     )
 
 

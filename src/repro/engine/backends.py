@@ -84,13 +84,12 @@ class BackendConfig:
     sling_reduce_space: bool = False
     sling_enhance_accuracy: bool = False
     #: Directory for disk-backed indexes; a temporary directory when ``None``.
+    #: When it already holds a saved index, the disk backend mmaps it
+    #: instead of rebuilding — how a pool of worker processes shares one
+    #: prebuilt packed index at near-zero per-worker cost.  The saved
+    #: index's own parameters win; only the graph shape is verified
+    #: (:class:`~repro.exceptions.StorageError` on mismatch).
     work_directory: str | None = None
-    #: When ``True`` and :attr:`work_directory` already holds a saved index,
-    #: the disk backend mmaps it instead of rebuilding — how a pool of worker
-    #: processes shares one prebuilt packed index at near-zero per-worker
-    #: cost.  The saved index's own parameters win; only the graph shape is
-    #: verified (:class:`~repro.exceptions.StorageError` on mismatch).
-    reuse_saved_index: bool = False
 
 
 @dataclass(frozen=True)
@@ -242,10 +241,20 @@ class SlingBackend(SimilarityBackend):
         query_cost="constant",
     )
 
-    def __init__(self, graph: DiGraph, config: BackendConfig | None = None) -> None:
+    def __init__(
+        self,
+        graph: DiGraph,
+        config: BackendConfig | None = None,
+        *,
+        index: SlingIndex | DynamicSlingIndex | None = None,
+    ) -> None:
+        """``index``, when given, is an index over ``graph`` already built
+        or loaded, which the backend serves as built (how a recovered
+        generation is served without a rebuild)."""
         super().__init__(graph, config)
         cfg = self._config
-        self._index = SlingIndex(
+        self._built = index is not None
+        self._index = index if index is not None else SlingIndex(
             graph,
             c=cfg.c,
             epsilon=cfg.epsilon,
@@ -324,10 +333,9 @@ class SlingBackend(SimilarityBackend):
 class DiskSlingBackend(SlingBackend):
     """SLING served from a saved, memory-mapped index.
 
-    ``build`` saves the index and loads it back with
-    ``load_index(..., mmap_mode="r")`` — or, with
-    ``config.reuse_saved_index``, attaches to an index already saved in
-    ``config.work_directory`` — so only the correction factors stay resident.
+    ``build`` attaches to the index saved in ``config.work_directory`` with
+    ``load_index(..., mmap_mode="r")``, building and saving one first when
+    the directory holds none, so only the correction factors stay resident.
     Queries run through the same :class:`SlingIndex` as the in-memory
     backend.  Shared on-disk indexes are read-only: no mutation.
     """
@@ -349,7 +357,7 @@ class DiskSlingBackend(SlingBackend):
         else:
             self._tempdir = tempfile.TemporaryDirectory(prefix="repro-sling-disk-")
             directory = Path(self._tempdir.name)
-        if not (cfg.reuse_saved_index and has_saved_index(directory)):
+        if not has_saved_index(directory):
             save_index(self._index.build(), directory)
         # Zero-copy attach: the packed columns are memory-mapped; the only
         # per-process cost is the 8n bytes of correction factors.

@@ -28,7 +28,8 @@ Fault repertoire (each seeded, each optional via :class:`ChaosProfile`):
   half-frames followed by an abrupt disconnect, and a stalled reader that
   never sends — the router must answer typed envelopes and keep serving
   everyone else;
-* disk-full on WAL append (via the WAL's byte-budget injection hook) —
+* disk-full on WAL append (:func:`disk_full` wraps the WAL's log file
+  with a byte budget) —
   the mutation must fail *retryably*, roll back in memory, and leave the
   log replayable;
 * a slow shard (via the service's per-query stall hook) under tight
@@ -42,6 +43,7 @@ to record the latency cost of surviving them.
 
 from __future__ import annotations
 
+import errno
 import os
 import shutil
 import signal
@@ -49,6 +51,7 @@ import socket
 import tempfile
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -70,14 +73,39 @@ from ..service.results import (
     ERROR_UNAVAILABLE,
     SparseScores,
 )
-from ..service.wal import FAIL_AFTER_ENV, MutationWAL
+from ..service.wal import MutationWAL
 from .traffic import TrafficPattern, chaos_pattern_overrides, generate_traffic
 
-__all__ = ["ChaosProfile", "run_chaos", "run_storm"]
+__all__ = ["ChaosProfile", "disk_full", "run_chaos", "run_storm"]
 
 #: Environment variable the service reads as a per-query stall in
 #: milliseconds — the slow-shard injection hook.
 SLOW_SHARD_ENV = "REPRO_FAULT_SLOW_MS"
+
+
+@contextmanager
+def disk_full(wal: MutationWAL, limit: int):
+    """Within the block, appends to ``wal`` fail with ``ENOSPC`` once its
+    log would grow past ``limit`` bytes — the disk-full fault, injected by
+    wrapping the WAL's log file."""
+    log = wal.log_file
+
+    class Full:
+        def write(self, data: bytes) -> int:
+            if log.tell() + len(data) > limit:
+                raise OSError(errno.ENOSPC, "injected disk-full on WAL append")
+            return log.write(data)
+
+        def __getattr__(self, name: str):
+            return getattr(log, name)
+
+    wal.log_file = Full()
+    try:
+        yield wal
+    finally:
+        if isinstance(wal.log_file, Full):
+            wal.log_file = log
+
 
 #: Error codes a fault drill is *allowed* to produce.  Anything else —
 #: ``bad_request``, ``internal_error``, a raw exception — is a bug in the
@@ -485,7 +513,7 @@ def _verify_wal(
 ) -> tuple[dict, dict]:
     """The two durability invariants, evaluated against the WAL on disk.
 
-    (1) Every acked ``mutation_id`` is in the log (checkpoint or tail) —
+    (1) Every acked ``mutation_id`` is in the WAL (snapshot or tail) —
     the literal "no lost acked mutation".  (2) A fresh service recovered
     from that WAL answers the storm's probe queries within a hair of the
     live (re-frozen) service — recovery reproduces state, not just ids.
@@ -572,16 +600,13 @@ def run_disk_full(profile: ChaosProfile | None = None) -> dict:
         )
         report["first_mutation_ok"] = first.ok
         before = service.execute(SingleSourceQuery(dataset=dataset, node=1))
-        wal_bytes = service.wal_for(dataset).stats()["bytes"]
-        os.environ[FAIL_AFTER_ENV] = str(wal_bytes + 8)
-        try:
+        wal = service.wal_for(dataset)
+        with disk_full(wal, wal.stats()["bytes"] + 8):
             full = service.execute_control(
                 MutateRequest(
                     dataset=dataset, add=((2, 3),), mutation_id="df-2"
                 )
             )
-        finally:
-            os.environ.pop(FAIL_AFTER_ENV, None)
         report["disk_full_code"] = (
             full.error.code if full.error else ("ok" if full.ok else "unknown")
         )

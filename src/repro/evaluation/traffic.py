@@ -386,7 +386,7 @@ def generate_traffic(
 #: in a bug report pins the exact stream that provoked it.
 CHAOS_TRAFFIC_PROFILES: dict[str, dict] = {
     # Write-heavy: every third event mutates, periodically re-freezing — the
-    # stream that exercises WAL append, checkpointing, and replay hardest.
+    # stream that exercises WAL append, snapshots, and replay hardest.
     "mutation-storm": {
         "mutation_fraction": 0.34,
         "mutation_batch": 2,

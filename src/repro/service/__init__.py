@@ -107,7 +107,7 @@ from .results import (
     result_from_wire,
 )
 from .service import DatasetSession, ServiceConfig, SimRankService
-from .wal import FAIL_AFTER_ENV, MutationWAL
+from .wal import MutationWAL
 from .wire import (
     PROTOCOL_VERSION,
     RequestEnvelope,
@@ -142,7 +142,6 @@ __all__ = [
     "mutate_session",
     "recover_session",
     "MutationWAL",
-    "FAIL_AFTER_ENV",
     "QueryError",
     "QueryResult",
     "SparseScores",

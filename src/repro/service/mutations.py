@@ -36,10 +36,11 @@ can import this one without a cycle.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
+from contextlib import nullcontext
 
 from ..exceptions import ParameterError, ReproError
 from ..graphs import datasets
+from ..sling import DynamicSlingIndex
 from .results import (
     ERROR_BAD_REQUEST,
     ERROR_INTERNAL,
@@ -91,14 +92,7 @@ def mutate_session(session, added=(), removed=(), *, refreeze=False) -> dict:
             report.affected_sources, index_version=version
         )
 
-    with session._lock:
-        session._graph = backend.graph
-        session._index_version = version
-        # The mutated engine stays the session's "sling" engine; engines
-        # built against the pre-mutation graph are dropped and rebuild
-        # lazily, and every label resolves afresh on its next query.
-        session._engines = OrderedDict(sling=engine)
-        session._by_label = {}
+    session.publish_sling(engine)
     return {
         "dataset": session.name,
         "index_version": version,
@@ -114,25 +108,23 @@ def mutate_session(session, added=(), removed=(), *, refreeze=False) -> dict:
     }
 
 
-def recover_session(session, wal) -> dict:
-    """Replay a WAL (checkpoint + tail) into a freshly opened session.
+def recover_session(session, wal) -> None:
+    """Bring a freshly opened session to the state its WAL describes.
 
-    The checkpoint is applied as one ``refreeze=True`` mutation — its net
-    delta fully describes the re-frozen generation, and the re-freeze's
-    bitwise rebuild parity makes the result reproduce the generation the
-    crashed worker was serving.  The tail records then replay in append
-    order; each re-packs the store a rebuild would, and re-estimates the
-    same heads' ``d̃``.  Post-recovery answers therefore match the
-    pre-crash dynamic index within the certified ``eps_stale`` bound.
+    The snapshot the log follows, when there is one, is loaded into memory
+    and served as the session's ``sling`` engine at its saved
+    ``index_version``, with no build.  The tail records then replay in
+    append order; each re-packs the store a rebuild would and re-estimates
+    the same heads' ``d̃`` from the restored seed, and a replayed re-freeze
+    has bitwise rebuild parity.  The recovered session therefore equals
+    the pre-crash one bitwise: store columns, corrections, answers and
+    ``index_version``.
     """
-    replayed = 0
-    checkpoint = wal.checkpoint_payload
-    if checkpoint is not None:
-        added = [tuple(edge) for edge in checkpoint.get("added", ())]
-        removed = [tuple(edge) for edge in checkpoint.get("removed", ())]
-        if added or removed:
-            mutate_session(session, added, removed, refreeze=True)
-            replayed += 1
+    index = wal.load_snapshot(session.graph)
+    if index is not None:
+        session.adopt_sling(
+            DynamicSlingIndex.from_index(index, version=wal.snapshot_version)
+        )
     for record in wal.records:
         mutate_session(
             session,
@@ -140,8 +132,6 @@ def recover_session(session, wal) -> dict:
             [tuple(edge) for edge in record.get("remove", ())],
             refreeze=bool(record.get("refreeze")),
         )
-        replayed += 1
-    return {"replayed": replayed, "truncated_bytes": wal.truncated_bytes}
 
 
 def apply_mutation(service, request, start: float | None = None) -> QueryResult:
@@ -187,95 +177,62 @@ def apply_mutation(service, request, start: float | None = None) -> QueryResult:
 
     wal = service.wal_for(session.name) if hasattr(service, "wal_for") else None
     mutation_id = getattr(request, "mutation_id", None)
-    if wal is not None and mutation_id is not None and wal.known(mutation_id):
-        # A retried mutate that was already acknowledged: answer with the
-        # originally recorded ack (or a minimal synthesised one when the
-        # record was folded into a checkpoint) without applying twice.
-        ack = wal.recorded_ack(mutation_id)
-        if ack is None:
-            ack = {
+    # The WAL's lock spans apply, append and snapshot, so the log order is
+    # the apply order.
+    with wal.lock if wal is not None else nullcontext():
+        if wal is not None and mutation_id is not None and wal.known(mutation_id):
+            # A retried mutate that was already acknowledged: answer with
+            # the originally recorded ack (or a minimal synthesised one when
+            # a snapshot absorbed the record) without applying twice.
+            ack = wal.recorded_ack(mutation_id) or {
                 "dataset": session.name,
                 "index_version": session.index_version,
                 "backend": "sling",
             }
-        ack = {**ack, "deduplicated": True}
-        return QueryResult.success(
-            kind=kind,
-            dataset=session.name,
-            value=ack,
-            backend=ack.get("backend", "sling"),
-            seconds=time.perf_counter() - start,
-            cache_hit=None,
-            index_version=ack.get("index_version"),
-        )
-
-    # Snapshot the *effective* delta before applying: adding a present edge
-    # or removing an absent one is a no-op, so the requested delta is
-    # neither the inverse (for rolling back a failed WAL append) nor safe
-    # to log — the checkpoint's net-delta cancellation is only exact when
-    # every logged add/remove really changed the graph.
-    applied_add: list | None = None
-    applied_remove: list | None = None
-    if wal is not None:
-        with session._lock:
-            graph = session._graph
-        state: dict = {}
-
-        def present(edge) -> bool:
-            if edge not in state:
-                state[edge] = graph.has_edge(*edge)
-            return state[edge]
-
-        applied_add = []
-        for edge in request.add:
-            if not present(edge):
-                applied_add.append(edge)
-                state[edge] = True
-        applied_remove = []
-        for edge in request.remove:
-            if present(edge):
-                applied_remove.append(edge)
-                state[edge] = False
-
-    try:
-        ack = mutate_session(
-            session, request.add, request.remove, refreeze=request.refreeze
-        )
-    except ReproError as exc:
-        return fail(ERROR_BAD_REQUEST, str(exc))
-    except Exception as exc:  # noqa: BLE001 - the boundary must not leak
-        return fail(ERROR_INTERNAL, f"{type(exc).__name__}: {exc}")
-
-    if wal is not None:
-        try:
-            wal.append(
-                add=applied_add,
-                remove=applied_remove,
-                refreeze=request.refreeze,
-                mutation_id=mutation_id,
-                ack=ack,
-            )
-        except OSError as exc:
-            # The ack must never outrun the log: undo the in-memory apply
-            # and answer a retryable error.  The client's view stays
-            # consistent — the mutation neither happened nor was recorded.
+            ack = {**ack, "deduplicated": True}
+        else:
+            # The *effective* delta is the inverse that rolls back a failed
+            # append: adding a present edge or removing an absent one is a
+            # no-op.  (A request naming an edge on both sides is rejected.)
+            graph = session.graph
+            applied_add = [e for e in dict.fromkeys(request.add) if not graph.has_edge(*e)]
+            applied_remove = [e for e in dict.fromkeys(request.remove) if graph.has_edge(*e)]
             try:
-                mutate_session(session, applied_remove, applied_add)
-            except Exception:  # noqa: BLE001 - rollback is best-effort
-                pass
-            return fail(
-                ERROR_UNAVAILABLE,
-                f"mutation could not be made durable: {exc}",
-            )
-        if ack.get("refrozen"):
-            # The record is already durable; folding the log into a
-            # checkpoint is an optimisation, so its failure must not turn
-            # a successfully applied-and-logged mutation into an error.
-            try:
-                wal.checkpoint(version=ack["index_version"])
-            except OSError:
-                pass
-
+                ack = mutate_session(
+                    session, request.add, request.remove, refreeze=request.refreeze
+                )
+            except ReproError as exc:
+                return fail(ERROR_BAD_REQUEST, str(exc))
+            except Exception as exc:  # noqa: BLE001 - the boundary must not leak
+                return fail(ERROR_INTERNAL, f"{type(exc).__name__}: {exc}")
+            if wal is not None:
+                try:
+                    wal.append(
+                        add=applied_add,
+                        remove=applied_remove,
+                        refreeze=request.refreeze,
+                        mutation_id=mutation_id,
+                        ack=ack,
+                    )
+                except OSError as exc:
+                    # The ack must never outrun the log: undo the in-memory
+                    # apply and answer a retryable error.  The mutation
+                    # neither happened nor was recorded.
+                    try:
+                        mutate_session(session, applied_remove, applied_add)
+                    except Exception:  # noqa: BLE001 - rollback is best-effort
+                        pass
+                    return fail(
+                        ERROR_UNAVAILABLE,
+                        f"mutation could not be made durable: {exc}",
+                    )
+                if ack["refrozen"]:
+                    # The record is durable; the snapshot only shortens
+                    # recovery, so its failure must not fail the mutation.
+                    try:
+                        wal.snapshot(session.engine("sling").backend.index)
+                    except OSError:
+                        pass
     return QueryResult.success(
         kind=kind,
         dataset=session.name,

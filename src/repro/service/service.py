@@ -38,6 +38,7 @@ from ..engine import (
     PAIR_AMORTIZE_THRESHOLD,
     BackendConfig,
     QueryEngine,
+    SlingBackend,
     backend_names,
     create_engine,
     merge_statistics_totals,
@@ -45,7 +46,7 @@ from ..engine import (
 )
 from ..exceptions import ParameterError, ReproError
 from ..graphs import DiGraph, datasets
-from ..sling import has_saved_index
+from ..sling import DynamicSlingIndex, has_saved_index
 from .control import ControlRequest
 from .mutations import apply_mutation
 from .queries import Query
@@ -98,8 +99,9 @@ class ServiceConfig:
     pair_admission_threshold: int | None = PAIR_AMORTIZE_THRESHOLD
     #: Directory for per-dataset mutation write-ahead logs.  When set, every
     #: acknowledged ``mutate`` is fsync'd to ``<wal_dir>/<dataset>.wal``
-    #: before the ack, and (re)opening a dataset replays checkpoint + tail
-    #: so a restarted worker serves the pre-crash dynamic index (see
+    #: before the ack, each re-freeze saves the generation as a snapshot,
+    #: and (re)opening a dataset loads the snapshot and replays the tail, so
+    #: a restarted worker serves the pre-crash dynamic index (see
     #: :mod:`repro.service.wal`).  ``None`` keeps mutations memory-only.
     wal_dir: str | None = None
     #: Accuracy / seed knobs forwarded to backend construction.
@@ -186,9 +188,7 @@ class DatasetSession:
                 # workers sharing one index directory stays in exact
                 # agreement.
                 name = "sling-disk"
-                config = replace(
-                    config, work_directory=str(saved), reuse_saved_index=True
-                )
+                config = replace(config, work_directory=str(saved))
             engine = self._engines.get(name)
             if engine is None:
                 engine = create_engine(
@@ -201,6 +201,31 @@ class DatasetSession:
                 self._engines[name] = engine
             self._by_label[backend] = engine
             return engine
+
+    def publish_sling(self, engine: QueryEngine) -> None:
+        """Serve ``engine`` — the mutated or recovered ``sling`` engine — as
+        this session's only engine, at its backend's graph and version.
+
+        Engines built against an older graph are dropped and rebuild
+        lazily, and every label resolves afresh on its next query.
+        """
+        backend = engine.backend
+        with self._lock:
+            self._graph = backend.graph
+            self._index_version = backend.index_version
+            self._engines = OrderedDict(sling=engine)
+            self._by_label = {}
+
+    def adopt_sling(self, index: DynamicSlingIndex) -> None:
+        """Serve ``index``, a generation loaded from disk, as this session's
+        ``sling`` engine, without a build."""
+        engine = QueryEngine(
+            SlingBackend(index.graph, self._config.backend_config, index=index),
+            cache_size=self._cache_capacity,
+            pair_admission_threshold=self._config.pair_admission_threshold,
+        )
+        engine.invalidate_cache(None, index_version=index.version)
+        self.publish_sling(engine)
 
     def _saved_index_dir(self, key: str) -> Path | None:
         """The prebuilt-index directory for this dataset, when one should be
@@ -378,10 +403,9 @@ class SimRankService:
 
                 wal = MutationWAL(self._config.wal_dir, key)
                 self._wals[key] = wal
-                if wal.has_history():
-                    # Replay checkpoint + tail so the fresh session serves
-                    # the pre-crash dynamic index, not the base graph.
-                    recover_session(session, wal)
+                # Load the snapshot and replay the tail, so the fresh
+                # session serves the pre-crash dynamic index.
+                recover_session(session, wal)
             return session
 
     def close_dataset(self, name: str) -> bool:

@@ -1,18 +1,20 @@
 """Per-dataset mutation write-ahead log: durability for ``mutate`` acks.
 
-PR 9 made graphs mutable, but the deltas lived only in worker memory: a
-crashed worker came back with the pre-mutation graph and the router's
-failover silently replayed its *open datasets*, resurrecting stale answers.
-This module closes that hole.  Every acknowledged ``mutate`` is recorded in
-an append-only, checksummed, fsync'd log *before* the ack leaves the
-worker, so after a crash the worker (or its replacement) replays
-checkpoint + tail and serves answers that match the pre-crash dynamic
-index within the certified ``eps_stale`` bound.
+Every acknowledged ``mutate`` is recorded in an append-only, checksummed,
+fsync'd log *before* the ack leaves the worker, so after a crash the
+worker (or its replacement) loads the last re-frozen generation, replays
+the log's tail over it, and serves answers bitwise equal to the pre-crash
+dynamic index, at the same ``index_version``.
 
 On-disk layout, per dataset under ``wal_dir``::
 
-    <dataset>.wal        append-only record log (see framing below)
-    <dataset>.ckpt.json  net-delta checkpoint written at refreeze time
+    <dataset>.wal             append-only record log (see framing below)
+    <dataset>.snapshots/<V>/  the re-frozen generation at index_version V
+
+A snapshot directory is :func:`~repro.sling.save_index`'s layout (store
+columns, ``d̃``, the ``reduced`` mask and ``sling_meta.json``, which carries
+the build seed) plus the generation's edge list (``edges.npy``) and the
+mutation-id dedup set (``mutation_ids.json``).
 
 Record framing — one record per acknowledged mutation::
 
@@ -32,70 +34,68 @@ append) or a checksum mismatch ends replay at the last intact record; the
 corrupt suffix is truncated away on open so the log is append-clean again,
 and the number of discarded bytes is reported in :meth:`MutationWAL.stats`.
 
-``refreeze`` checkpointing keeps the log bounded: the accumulated records
-collapse into one *net* edge delta (an add cancels a pending remove of the
-same edge and vice versa) written to ``<dataset>.ckpt.json`` via a tmp
-file + ``os.replace`` (atomic — a crash mid-checkpoint leaves the previous
-checkpoint and full log intact), after which the log is truncated.
-Because a re-freeze leaves a generation with bitwise rebuild parity,
-replaying the checkpoint as a single ``refreeze=True`` mutation reproduces
-the re-frozen generation exactly.
-
-Fault injection: set ``REPRO_WAL_FAIL_AFTER_BYTES=<n>`` to make appends
-fail with ``ENOSPC`` once the log would exceed ``n`` bytes — the
-disk-full case the chaos harness (:mod:`repro.evaluation.faults`) drives.
+**Snapshots** keep the log bounded.  After a re-freeze,
+:meth:`MutationWAL.snapshot` saves the clean generation into
+``<dataset>.snapshots/<V>/``, writing ``sling_meta.json`` last, and fsyncs
+every file and both directories.  Only then is the log cut: a fresh log
+whose first record, ``{"snapshot": V}``, names the snapshot it follows
+(a log without one follows the base graph), atomically replaces the old
+one.  Older snapshots are deleted after the cut.  A crash before the cut
+leaves the old log, which still names the old snapshot and replays to
+generation ``V`` again, the new directory ignored whole or not; a crash
+after it leaves a log naming ``V``, which was durable first.
 """
 
 from __future__ import annotations
 
-import errno
 import json
 import os
+import shutil
 import struct
+import threading
 import zlib
 from pathlib import Path
 
-__all__ = ["FAIL_AFTER_ENV", "MutationWAL", "WalCorruption"]
+import numpy as np
+
+from ..graphs import DiGraph
+from ..sling import SlingIndex, has_saved_index, load_index, save_index
+
+__all__ = ["MutationWAL", "WalCorruption"]
 
 #: ``(length, crc32)`` header prepended to every record payload.
 _HEADER = struct.Struct(">II")
-
-#: Environment knob: appends fail with ``ENOSPC`` once the log file would
-#: grow past this many bytes.  Read per-append so a harness can arm and
-#: disarm it around a single mutation.
-FAIL_AFTER_ENV = "REPRO_WAL_FAIL_AFTER_BYTES"
-_FAIL_AFTER_ENV = FAIL_AFTER_ENV
+#: A snapshot's edge list, ``(m, 2)`` int64 ``(source, target)`` rows.
+_EDGES_FILE = "edges.npy"
+#: A snapshot's mutation-id dedup set, a JSON list.
+_IDS_FILE = "mutation_ids.json"
 
 
 class WalCorruption(Exception):
-    """Raised internally when a record fails its checksum; recovery treats
-    it like a torn tail (stop, truncate) rather than propagating."""
+    """The log follows a snapshot that is not on disk whole.  (A torn or
+    corrupt record is not an error: recovery stops at it.)"""
 
 
-def _fsync_dir(path: Path) -> None:
-    """Best-effort fsync of a directory so renames/creates are durable."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
+def _fsync(path: Path) -> None:
+    """fsync a file, or a directory so the entries made in it are durable."""
+    fd = os.open(path, os.O_RDONLY)
     try:
         os.fsync(fd)
-    except OSError:
-        pass
     finally:
         os.close(fd)
 
 
-def _edge_key(edge) -> tuple[int, int]:
-    u, v = edge
-    return (int(u), int(v))
+def _frame(record: dict) -> bytes:
+    payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
+    return _HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF) + payload
 
 
 class MutationWAL:
     """The write-ahead log for one dataset session.
 
-    Not thread-safe on its own: callers (``apply_mutation``) already hold
-    the session lock for the apply, and the WAL piggybacks on it.
+    :attr:`lock` serialises a mutation's apply, append and snapshot
+    (``apply_mutation`` holds it), so the log order is the apply order and
+    a snapshot saves the generation its records describe.
     """
 
     def __init__(self, directory: str | Path, dataset: str) -> None:
@@ -103,53 +103,48 @@ class MutationWAL:
         self.dataset = dataset
         safe = dataset.replace("/", "_")
         self.log_path = self.directory / f"{safe}.wal"
-        self.checkpoint_path = self.directory / f"{safe}.ckpt.json"
+        self.snapshot_root = self.directory / f"{safe}.snapshots"
         self.directory.mkdir(parents=True, exist_ok=True)
+        self.lock = threading.Lock()
 
-        #: Intact tail records (mutations since the last checkpoint), in
-        #: append order — exactly what recovery replays after the checkpoint.
+        #: The version of the snapshot the log follows (``None``: the base
+        #: graph) — read from the log's header record.
+        self.snapshot_version: int | None = None
+        #: Intact tail records (mutations since the snapshot), in append
+        #: order — exactly what recovery replays over the snapshot.
         self.records: list[dict] = []
         #: mutation_id -> recorded ack, for tail records that carried one.
         self._acks: dict[str, dict] = {}
-        #: Every mutation_id this log has ever acknowledged (checkpoint ids
+        #: Every mutation_id this log has ever acknowledged (snapshot ids
         #: included) — the dedup set.
         self._known_ids: set[str] = set()
         #: Bytes discarded from the log tail on open (torn/corrupt suffix).
         self.truncated_bytes = 0
 
-        self._checkpoint: dict | None = self._load_checkpoint()
-        if self._checkpoint is not None:
-            self._known_ids.update(self._checkpoint.get("mutation_ids", ()))
         self._load_log()
-        self._file = open(self.log_path, "ab")
+        if self.snapshot_version is not None:
+            snapshot = self.snapshot_root / str(self.snapshot_version)
+            if not has_saved_index(snapshot):
+                # The log is cut only after its snapshot is durable, so a
+                # missing one means outside interference; recovering the
+                # base graph would silently lose acked mutations.
+                raise WalCorruption(
+                    f"{self.log_path} follows snapshot {snapshot}, which is "
+                    "incomplete"
+                )
+            ids = json.loads((snapshot / _IDS_FILE).read_text(encoding="utf-8"))
+            self._known_ids.update(ids)
+        #: The open log, appended to by :meth:`append`.  Fault drills wrap
+        #: it to make writes fail.
+        self.log_file = open(self.log_path, "ab")
 
     # ----------------------------------------------------------------- #
     # Loading
     # ----------------------------------------------------------------- #
-    def _load_checkpoint(self) -> dict | None:
-        if not self.checkpoint_path.exists():
-            return None
-        try:
-            payload = json.loads(self.checkpoint_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            # A checkpoint is written atomically (tmp + os.replace), so an
-            # unreadable one means outside interference; ignoring it would
-            # silently lose acked mutations — fail loudly instead.
-            raise WalCorruption(
-                f"checkpoint {self.checkpoint_path} is unreadable"
-            ) from None
-        if not isinstance(payload, dict):
-            raise WalCorruption(f"checkpoint {self.checkpoint_path} is malformed")
-        return payload
-
     def _load_log(self) -> None:
         """Read intact records; truncate any torn/corrupt suffix in place."""
-        if not self.log_path.exists():
-            self.log_path.touch()
-            return
-        data = self.log_path.read_bytes()
+        data = self.log_path.read_bytes() if self.log_path.exists() else b""
         offset = 0
-        good = 0
         while offset + _HEADER.size <= len(data):
             length, crc = _HEADER.unpack_from(data, offset)
             start = offset + _HEADER.size
@@ -165,13 +160,15 @@ class MutationWAL:
                 break
             if not isinstance(record, dict):
                 break
-            self._admit(record)
+            if offset == 0 and "snapshot" in record:
+                self.snapshot_version = int(record["snapshot"])
+            else:
+                self._admit(record)
             offset = end
-            good = end
-        self.truncated_bytes = len(data) - good
+        self.truncated_bytes = len(data) - offset
         if self.truncated_bytes:
             with open(self.log_path, "r+b") as fh:
-                fh.truncate(good)
+                fh.truncate(offset)
                 fh.flush()
                 os.fsync(fh.fileno())
 
@@ -184,17 +181,33 @@ class MutationWAL:
             if isinstance(ack, dict):
                 self._acks[mutation_id] = ack
 
+    def load_snapshot(self, graph: DiGraph) -> SlingIndex | None:
+        """The generation the log follows, read eagerly into memory, or
+        ``None`` when it follows the base graph.
+
+        ``graph`` is the base graph; the snapshot's graph is rebuilt from
+        its saved edge list with the base graph's node labels.
+        """
+        if self.snapshot_version is None:
+            return None
+        directory = self.snapshot_root / str(self.snapshot_version)
+        labels = list(map(graph.label_of, graph.nodes())) if graph.has_labels else None
+        snapshot_graph = DiGraph(
+            graph.num_nodes, np.load(directory / _EDGES_FILE), labels=labels
+        )
+        return load_index(directory, snapshot_graph, mmap_mode=None)
+
     # ----------------------------------------------------------------- #
     # Dedup
     # ----------------------------------------------------------------- #
     def known(self, mutation_id: str) -> bool:
-        """Whether this id was ever acknowledged (tail or checkpoint)."""
+        """Whether this id was ever acknowledged (tail or snapshot)."""
         return mutation_id in self._known_ids
 
     def recorded_ack(self, mutation_id: str) -> dict | None:
         """The originally recorded ack, when the record still has it.
 
-        Ids that were folded into a checkpoint keep their dedup guarantee
+        Ids that a snapshot absorbed keep their dedup guarantee
         (:meth:`known`) but no longer carry the full ack; the caller
         synthesises a minimal one from live session state.
         """
@@ -219,122 +232,79 @@ class MutationWAL:
         so the live index never runs ahead of the log.
         """
         record = {
-            "add": [list(_edge_key(edge)) for edge in add],
-            "remove": [list(_edge_key(edge)) for edge in remove],
+            "add": [[int(u), int(v)] for u, v in add],
+            "remove": [[int(u), int(v)] for u, v in remove],
             "refreeze": bool(refreeze),
         }
         if mutation_id is not None:
             record["mutation_id"] = mutation_id
             record["ack"] = ack
-        payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
-        framed = _HEADER.pack(len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
-        framed += payload
-
-        limit = os.environ.get(_FAIL_AFTER_ENV)
-        if limit is not None:
-            try:
-                budget = int(limit)
-            except ValueError:
-                budget = 0
-            if self._file.tell() + len(framed) > budget:
-                raise OSError(errno.ENOSPC, "injected disk-full on WAL append")
-
-        self._file.write(framed)
-        self._file.flush()
-        os.fsync(self._file.fileno())
+        self.log_file.write(_frame(record))
+        self.log_file.flush()
+        os.fsync(self.log_file.fileno())
         self._admit(record)
 
     # ----------------------------------------------------------------- #
-    # Checkpointing
+    # Snapshots
     # ----------------------------------------------------------------- #
-    def net_delta(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Collapse checkpoint + tail into one ``(added, removed)`` delta.
+    def snapshot(self, index) -> None:
+        """Save ``index``'s clean generation and cut the log to follow it.
 
-        An add cancels a pending remove of the same edge and vice versa,
-        so replaying the result as a single mutation lands on the same
-        graph as replaying every record in order.
+        ``index`` is the session's re-frozen
+        :class:`~repro.sling.DynamicSlingIndex`.  A generation whose version
+        the log already follows is not saved again: no mutation changed it
+        since.  Raises ``OSError`` when the snapshot cannot be made
+        durable; the log then still follows the previous snapshot and
+        holds every record, so nothing is lost.
         """
-        added: set[tuple[int, int]] = set()
-        removed: set[tuple[int, int]] = set()
-        if self._checkpoint is not None:
-            added.update(_edge_key(e) for e in self._checkpoint.get("added", ()))
-            removed.update(_edge_key(e) for e in self._checkpoint.get("removed", ()))
-        for record in self.records:
-            for edge in record.get("add", ()):
-                key = _edge_key(edge)
-                if key in removed:
-                    removed.discard(key)
-                else:
-                    added.add(key)
-            for edge in record.get("remove", ()):
-                key = _edge_key(edge)
-                if key in added:
-                    added.discard(key)
-                else:
-                    removed.add(key)
-        return (
-            [list(edge) for edge in sorted(added)],
-            [list(edge) for edge in sorted(removed)],
+        version = index.version
+        if version == (self.snapshot_version or 0):
+            return
+        target = self.snapshot_root / str(version)
+        shutil.rmtree(target, ignore_errors=True)  # an earlier, cut-short try
+        target.mkdir(parents=True)
+        indptr, targets = index.graph.out_csr()
+        sources = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
+        np.save(target / _EDGES_FILE, np.column_stack([sources, targets]))
+        (target / _IDS_FILE).write_text(
+            json.dumps(sorted(self._known_ids)), encoding="utf-8"
         )
+        save_index(index, target)
+        for path in (*target.iterdir(), target, self.snapshot_root):
+            _fsync(path)
 
-    def checkpoint(self, *, version: int) -> None:
-        """Fold the log into ``<dataset>.ckpt.json`` and truncate it.
-
-        Called after a successful re-freeze: the re-frozen generation is
-        fully described by the net delta, so recovery replays it as one
-        ``refreeze=True`` mutation (bitwise rebuild parity makes that
-        reproduce the frozen store exactly) and the tail starts empty.
-        """
-        added, removed = self.net_delta()
-        payload = {
-            "version": int(version),
-            "added": added,
-            "removed": removed,
-            "mutation_ids": sorted(self._known_ids),
-        }
-        tmp = self.checkpoint_path.with_suffix(".ckpt.json.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, separators=(",", ":"))
+        fresh = self.log_path.with_name(self.log_path.name + ".tmp")
+        with open(fresh, "wb") as fh:
+            fh.write(_frame({"snapshot": version}))
             fh.flush()
             os.fsync(fh.fileno())
-        os.replace(tmp, self.checkpoint_path)
-        _fsync_dir(self.directory)
-
-        self._file.close()
-        self._file = open(self.log_path, "wb")
-        self._file.flush()
-        os.fsync(self._file.fileno())
-        self._checkpoint = payload
+        os.replace(fresh, self.log_path)
+        _fsync(self.directory)
+        self.log_file.close()
+        self.log_file = open(self.log_path, "ab")
+        self.snapshot_version = version
         self.records = []
         self._acks = {}
+        for stale in self.snapshot_root.iterdir():
+            if stale != target:
+                shutil.rmtree(stale, ignore_errors=True)
 
     # ----------------------------------------------------------------- #
-    # Recovery / introspection
+    # Introspection
     # ----------------------------------------------------------------- #
-    @property
-    def checkpoint_payload(self) -> dict | None:
-        """The loaded checkpoint (``None`` when never checkpointed)."""
-        return self._checkpoint
-
-    def has_history(self) -> bool:
-        """Whether there is anything to recover (checkpoint or tail)."""
-        return self._checkpoint is not None or bool(self.records)
-
     def stats(self) -> dict:
         """JSON-able health snapshot for the ``stats`` control request."""
         return {
             "records": len(self.records),
             "bytes": self.log_path.stat().st_size if self.log_path.exists() else 0,
             "truncated_bytes": self.truncated_bytes,
-            "checkpoint_version": (
-                self._checkpoint.get("version") if self._checkpoint else None
-            ),
+            "snapshot_version": self.snapshot_version,
             "known_mutation_ids": len(self._known_ids),
         }
 
     def close(self) -> None:
         try:
-            self._file.close()
+            self.log_file.close()
         except OSError:
             pass
 

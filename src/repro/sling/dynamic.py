@@ -129,10 +129,11 @@ class DynamicSlingIndex(SlingQueries):
     _kind = "dynamic SLING index"
 
     @classmethod
-    def from_index(cls, index: SlingIndex) -> "DynamicSlingIndex":
+    def from_index(cls, index: SlingIndex, *, version: int = 0) -> "DynamicSlingIndex":
         """Adopt a built plain :class:`SlingIndex` without rebuilding.
 
-        This is the only way to make a dynamic index.  It raises
+        This is the only way to make a dynamic index; it serves ``version``
+        (a generation loaded back from disk keeps its own).  It raises
         :class:`~repro.exceptions.IndexNotBuiltError` for an unbuilt index,
         and :class:`~repro.exceptions.ParameterError` for one built with
         ``reduce_space`` / ``enhance_accuracy``: the repair re-packs raw
@@ -148,7 +149,11 @@ class DynamicSlingIndex(SlingQueries):
         dynamic._params = index.parameters
         dynamic._seed = index._seed
         dynamic._mutex = threading.Lock()
-        dynamic._state = index._serving()
+        state = index._serving()
+        dynamic._state = ServingState(
+            state.graph, state.parameters, state.corrections, state.store,
+            version=version,
+        )
         dynamic._mutation_count = 0
         dynamic._refreeze_count = 0
         dynamic._repushed_records = 0

@@ -44,6 +44,7 @@ from .hitting import HittingRecords, hitting_record_blocks
 from .index import SlingIndex
 from .packed import PackedHittingStore
 from .parameters import SlingParameters
+from .query import SlingQueries
 from .walks import SqrtCWalker
 
 __all__ = [
@@ -70,12 +71,13 @@ RECORD_BYTES = _RECORD_DTYPE.itemsize
 # --------------------------------------------------------------------------- #
 # Save / load
 # --------------------------------------------------------------------------- #
-def save_index(index: SlingIndex, directory: str | Path) -> Path:
-    """Serialize a built index to ``directory`` (created if missing).
+def save_index(index: SlingQueries, directory: str | Path) -> Path:
+    """Serialize a built index (or a clean dynamic one) to ``directory``.
 
     The packed store's columns are written directly as uncompressed ``.npy``
     files — the on-disk layout *is* the query-time layout, which is what
-    makes the zero-copy ``mmap`` load possible.
+    makes the zero-copy ``mmap`` load possible.  The metadata, which records
+    the build seed, is written last: a directory without it is incomplete.
     """
     if not index.is_built:
         raise StorageError("cannot save an index that has not been built")
@@ -83,19 +85,21 @@ def save_index(index: SlingIndex, directory: str | Path) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
 
     state = index._serving()
+    graph = state.graph
     state.store.save(directory)
     np.save(directory / _CORRECTIONS_FILE, state.corrections)
     reduced = (
         state.reduced
         if state.reduced is not None
-        else np.zeros(index.graph.num_nodes, dtype=bool)
+        else np.zeros(graph.num_nodes, dtype=bool)
     )
     np.save(directory / _REDUCED_FILE, reduced)
-    params = index.parameters
+    params = state.parameters
     meta = {
         "format_version": FORMAT_VERSION,
-        "num_nodes": index.graph.num_nodes,
-        "num_edges": index.graph.num_edges,
+        "num_nodes": graph.num_nodes,
+        "num_edges": graph.num_edges,
+        "seed": index._seed,
         "c": params.c,
         "epsilon": params.epsilon,
         "delta": params.delta,
@@ -113,8 +117,8 @@ def has_saved_index(directory: str | Path) -> bool:
     """Whether ``directory`` holds a saved index (its metadata file exists).
 
     The cheap existence probe used to decide between attaching to a prebuilt
-    index (``BackendConfig.reuse_saved_index``, the worker-pool path) and
-    building one; actual loading still validates the graph shape.
+    index (the ``sling-disk`` backend, the worker-pool path) and building
+    one; actual loading still validates the graph shape.
     """
     return (Path(directory) / _META_FILE).exists()
 
@@ -174,6 +178,7 @@ def load_index(
 
     The graph must be the one the index was built on (node and edge counts are
     verified); loading against a different graph raises :class:`StorageError`.
+    The build seed is restored, so the loaded index mutates bitwise alike.
     """
     directory = Path(directory)
     meta = _read_meta(directory)
@@ -187,6 +192,7 @@ def load_index(
     index = SlingIndex(
         graph,
         parameters=_params_from_meta(meta),
+        seed=meta.get("seed"),
         reduce_space=meta["reduce_space"],
         enhance_accuracy=meta["enhance_accuracy"],
     )

@@ -230,10 +230,7 @@ class TestAdapters:
         memory = create_backend("sling", parity_graph, CONFIG)
         config = dataclasses.replace(CONFIG, work_directory=str(tmp_path))
         fresh = create_backend("sling-disk", parity_graph, config)
-        reattached = create_backend(
-            "sling-disk", parity_graph,
-            dataclasses.replace(config, reuse_saved_index=True),
-        )
+        reattached = create_backend("sling-disk", parity_graph, config)
         with pytest.raises(IndexNotBuiltError):
             reattached.index.build_statistics  # attached, not rebuilt
         store = memory.index.packed_store

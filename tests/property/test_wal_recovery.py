@@ -1,12 +1,12 @@
 """Property: WAL recovery reproduces the live service, for any history.
 
 For an arbitrary short mutation history — adds and removes of random
-edges (no-ops included), with occasional mid-stream re-freezes driving
-checkpoint folds — a fresh service recovered from the WAL over the same
-base graph must answer single-source queries within float tolerance of
-the live service that executed the history.  The history ends with a
-re-freeze so both sides compare frozen stores (bitwise rebuild parity
-makes the comparison exact up to float noise rather than ``eps_stale``).
+edges (no-ops included), with occasional mid-stream re-freezes, each of
+which saves a snapshot and cuts the log — a fresh service recovered from
+the WAL over the same base graph must answer single-source queries
+bitwise like the live service that executed the history, at the same
+``index_version``: recovery loads the snapshot the log follows and replays
+the tail, and both are deterministic.  The history ends with a re-freeze.
 A step that lists one edge in both ``add`` and ``remove`` is ambiguous:
 the service must reject it as a bad request and log nothing, so recovery
 still matches.
@@ -14,7 +14,6 @@ still matches.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -56,8 +55,8 @@ operations = st.lists(
         {
             "add": st.lists(edges, max_size=2),
             "remove": st.lists(edges, max_size=2),
-            # Re-freezes are rare but must occur: they are what folds the
-            # log into a checkpoint mid-history.
+            # Re-freezes are rare but must occur: they are what saves a
+            # snapshot and cuts the log mid-history.
             "refreeze": st.sampled_from([False, False, False, True]),
         }
     ),
@@ -104,8 +103,10 @@ def test_recovered_service_matches_live(tmp_path_factory, ops):
 
     recovered = make_service(wal_dir)
     session = recovered.open_dataset(DATASET)
-    assert session.graph.num_edges == service.open_dataset(DATASET).graph.num_edges
+    live_session = service.open_dataset(DATASET)
+    assert session.graph.num_edges == live_session.graph.num_edges
+    assert session.index_version == live_session.index_version
     for node in PROBES:
         replayed = recovered.execute(SingleSourceQuery(DATASET, node=node))
         assert replayed.ok
-        assert replayed.value.tolist() == pytest.approx(live[node], abs=1e-6), node
+        assert replayed.value.tolist() == live[node], node

@@ -1,12 +1,12 @@
 """Mutation WAL torture tests: durability, corruption, dedup, disk-full.
 
 The WAL's contract is *an ack on the wire implies the record is on disk*
-and *recovery replays exactly the acked history*.  These tests attack that
-contract directly: torn tails, flipped checksum bytes, duplicate
-``mutation_id`` retries, a crash between the checkpoint tmp-write and the
-rename, injected ``ENOSPC`` mid-append, and — the regression that
-motivated effective-delta logging — a no-op add of a base edge followed by
-a real remove and a checkpoint fold.
+and *recovery reproduces exactly the acked history*: the snapshot the log
+follows, loaded, plus the tail replayed.  These tests attack that contract
+directly: torn tails, flipped checksum bytes, duplicate ``mutation_id``
+retries, a crash between a snapshot and the log cut, a crash mid-snapshot,
+injected ``ENOSPC`` mid-append, and a no-op add of a base edge followed by
+a real remove and a snapshot.
 """
 
 from __future__ import annotations
@@ -14,20 +14,22 @@ from __future__ import annotations
 import errno
 import os
 
+import numpy as np
 import pytest
 
 from repro.engine import BackendConfig
+from repro.evaluation.faults import disk_full
 from repro.graphs import generators
 from repro.service import (
     ERROR_BAD_REQUEST,
     ERROR_UNAVAILABLE,
-    FAIL_AFTER_ENV,
     MutateRequest,
     MutationWAL,
     ServiceConfig,
     SimRankService,
     SingleSourceQuery,
 )
+from repro.service import wal as wal_module
 
 DATASET = "toy"
 
@@ -73,13 +75,14 @@ class TestRoundTrip:
             assert not wal.known("m-3")
             assert wal.recorded_ack("m-1") == ack(1)
             assert wal.truncated_bytes == 0
-            assert wal.has_history()
+            assert wal.snapshot_version is None
 
-    def test_fresh_log_has_no_history(self, tmp_path):
+    def test_fresh_log_follows_the_base_graph(self, tmp_path):
         with MutationWAL(tmp_path, DATASET) as wal:
-            assert not wal.has_history()
+            assert wal.records == []
             assert wal.stats()["records"] == 0
-            assert wal.stats()["checkpoint_version"] is None
+            assert wal.stats()["snapshot_version"] is None
+            assert wal.load_snapshot(toy_graph()) is None
 
     def test_dataset_names_with_slashes_stay_in_directory(self, tmp_path):
         with MutationWAL(tmp_path, "a/b") as wal:
@@ -142,69 +145,15 @@ class TestCorruption:
         assert log.stat().st_size == 0
 
 
-class TestCheckpoint:
-    def test_fold_truncates_log_and_keeps_dedup_ids(self, tmp_path):
-        with MutationWAL(tmp_path, DATASET) as wal:
-            append(wal, add=[(0, 25)], mutation_id="m-1")
-            append(wal, add=[(1, 25)], mutation_id="m-2", refreeze=True)
-            wal.checkpoint(version=2)
-            assert wal.records == []
-            assert wal.stats()["bytes"] == 0
-            assert wal.stats()["checkpoint_version"] == 2
-            # Dedup outlives the fold; the full ack does not.
-            assert wal.known("m-1") and wal.known("m-2")
-            assert wal.recorded_ack("m-1") is None
-        with MutationWAL(tmp_path, DATASET) as wal:
-            assert wal.has_history()
-            payload = wal.checkpoint_payload
-            assert payload["added"] == [[0, 25], [1, 25]]
-            assert payload["removed"] == []
-            assert sorted(payload["mutation_ids"]) == ["m-1", "m-2"]
-
-    def test_net_delta_cancellation(self, tmp_path):
-        with MutationWAL(tmp_path, DATASET) as wal:
-            append(wal, add=[(0, 25)])
-            append(wal, remove=[(0, 25)])
-            append(wal, remove=[(0, 2)])
-            append(wal, add=[(0, 2)])
-            append(wal, add=[(3, 25)])
-            added, removed = wal.net_delta()
-            assert added == [[3, 25]]
-            assert removed == []
-
-    def test_net_delta_cancels_across_a_checkpoint(self, tmp_path):
-        with MutationWAL(tmp_path, DATASET) as wal:
-            append(wal, add=[(5, 25)], mutation_id="m-1")
-            wal.checkpoint(version=1)
-            append(wal, remove=[(5, 25)], mutation_id="m-2")
-            assert wal.net_delta() == ([], [])
-
-    def test_stale_tmp_from_interrupted_checkpoint_is_harmless(self, tmp_path):
-        with MutationWAL(tmp_path, DATASET) as wal:
-            append(wal, add=[(0, 25)], mutation_id="m-1")
-            # A crash after the tmp write but before os.replace leaves this
-            # file behind; it must neither be loaded nor block the next fold.
-            stale = wal.checkpoint_path.with_suffix(".ckpt.json.tmp")
-            stale.write_text("{ not json", encoding="utf-8")
-        with MutationWAL(tmp_path, DATASET) as wal:
-            assert len(wal.records) == 1
-            assert wal.checkpoint_payload is None
-            wal.checkpoint(version=1)
-        with MutationWAL(tmp_path, DATASET) as wal:
-            assert wal.checkpoint_payload["version"] == 1
-            assert wal.known("m-1")
-
-
 class TestDiskFull:
-    def test_append_raises_enospc_when_armed(self, tmp_path, monkeypatch):
+    def test_append_raises_enospc_when_armed(self, tmp_path):
         with MutationWAL(tmp_path, DATASET) as wal:
-            monkeypatch.setenv(FAIL_AFTER_ENV, "1")
-            with pytest.raises(OSError) as excinfo:
-                append(wal, add=[(0, 25)], mutation_id="m-1")
+            with disk_full(wal, 1):
+                with pytest.raises(OSError) as excinfo:
+                    append(wal, add=[(0, 25)], mutation_id="m-1")
             assert excinfo.value.errno == errno.ENOSPC
             assert wal.records == []
             assert not wal.known("m-1")
-            monkeypatch.delenv(FAIL_AFTER_ENV)
             append(wal, add=[(0, 25)], mutation_id="m-1")
             assert wal.known("m-1")
 
@@ -231,7 +180,7 @@ class TestServiceDurability:
         recovered = make_service(tmp_path)
         session = recovered.open_dataset(DATASET)
         assert session.graph.has_edge(0, 25)
-        assert self.probe(recovered) == pytest.approx(live, abs=1e-6)
+        assert self.probe(recovered) == live
 
     def test_duplicate_mutation_id_applies_once(self, tmp_path):
         service = make_service(tmp_path)
@@ -274,20 +223,18 @@ class TestServiceDurability:
         recovered = make_service(tmp_path)
         assert recovered.open_dataset(DATASET).graph.has_edge(1, 26)
 
-    def test_disk_full_rolls_back_and_same_id_retry_lands(
-        self, tmp_path, monkeypatch
-    ):
+    def test_disk_full_rolls_back_and_same_id_retry_lands(self, tmp_path):
         service = make_service(tmp_path)
         assert service.execute_control(
             MutateRequest(dataset=DATASET, add=[(0, 25)], mutation_id="df-1")
         ).ok
         baseline = self.probe(service)
 
-        wal_bytes = service.wal_for(DATASET).stats()["bytes"]
-        monkeypatch.setenv(FAIL_AFTER_ENV, str(wal_bytes))
-        failed = service.execute_control(
-            MutateRequest(dataset=DATASET, add=[(1, 26)], mutation_id="df-2")
-        )
+        wal = service.wal_for(DATASET)
+        with disk_full(wal, wal.stats()["bytes"]):
+            failed = service.execute_control(
+                MutateRequest(dataset=DATASET, add=[(1, 26)], mutation_id="df-2")
+            )
         assert not failed.ok
         assert failed.error.code == ERROR_UNAVAILABLE
         # The ack never outran the log: the apply was rolled back, reads
@@ -296,7 +243,6 @@ class TestServiceDurability:
         assert not session.graph.has_edge(1, 26)
         assert self.probe(service) == pytest.approx(baseline, abs=1e-6)
 
-        monkeypatch.delenv(FAIL_AFTER_ENV)
         retried = service.execute_control(
             MutateRequest(dataset=DATASET, add=[(1, 26)], mutation_id="df-2")
         )
@@ -310,32 +256,200 @@ class TestServiceDurability:
         assert session.graph.has_edge(0, 25)
         assert session.graph.has_edge(1, 26)
 
-    def test_noop_add_does_not_cancel_a_real_remove_across_checkpoint(
+    def test_noop_add_then_real_remove_recovers_across_a_snapshot(
         self, tmp_path
     ):
-        """Regression: effective-delta logging.
-
-        A ``mutate`` that adds an edge the base graph already has is a
-        no-op — logging the *requested* delta would make ``net_delta``'s
-        cancellation wrongly erase a later real remove of that edge, so
-        the checkpoint fold would resurrect it on recovery.
-        """
+        """A ``mutate`` that adds an edge the base graph already has is a
+        no-op; a later real remove of that edge and a re-freeze must
+        recover as removed."""
         base_edge = (0, 2)
         assert toy_graph().has_edge(*base_edge)
 
         service = make_service(tmp_path)
-        assert service.execute_control(
-            MutateRequest(dataset=DATASET, add=[base_edge], mutation_id="n-1")
-        ).ok
-        assert service.execute_control(
-            MutateRequest(dataset=DATASET, remove=[base_edge], mutation_id="n-2")
-        ).ok
-        assert service.execute_control(
-            MutateRequest(dataset=DATASET, refreeze=True, mutation_id="n-3")
-        ).ok
-        live = self.probe(service)
+        for mutation_id, request in (
+            ("n-1", {"add": [base_edge]}),
+            ("n-2", {"remove": [base_edge]}),
+            ("n-3", {"refreeze": True}),
+        ):
+            assert service.execute_control(
+                MutateRequest(dataset=DATASET, mutation_id=mutation_id, **request)
+            ).ok
+        live = probe_all(service)
 
         recovered = make_service(tmp_path)
         session = recovered.open_dataset(DATASET)
         assert not session.graph.has_edge(*base_edge)
-        assert self.probe(recovered) == pytest.approx(live, abs=1e-6)
+        assert probe_all(recovered) == live
+
+
+#: Four mutates, the third re-freezing; the fourth leaves the index dirty or
+#: re-freezes too.
+HISTORIES = {
+    "ends-dirty": [
+        {"add": [(0, 25)]},
+        {"remove": [(0, 2)]},
+        {"add": [(1, 26)], "refreeze": True},
+        {"add": [(2, 27)]},
+    ],
+    "ends-refrozen": [
+        {"add": [(0, 25)]},
+        {"remove": [(0, 2)]},
+        {"add": [(1, 26)], "refreeze": True},
+        {"add": [(2, 27)], "refreeze": True},
+    ],
+}
+
+
+STORE_COLUMNS = ("offsets", "levels", "targets", "values", "keys")
+
+
+def probe_all(service: SimRankService) -> list:
+    """Every node's single-source answer (bitwise-comparable columns)."""
+    answers = []
+    for node in range(toy_graph().num_nodes):
+        result = service.execute(SingleSourceQuery(DATASET, node=node))
+        assert result.ok, result.error
+        answers.append(result.value)
+    return answers
+
+
+def run_history(service: SimRankService, history: list[dict]) -> None:
+    for step, request in enumerate(history):
+        result = service.execute_control(
+            MutateRequest(dataset=DATASET, mutation_id=f"h-{step}", **request)
+        )
+        assert result.ok, result.error
+
+
+def live_state(service: SimRankService) -> tuple:
+    """What recovery must reproduce: version, store, d̃ and every answer."""
+    session = service.open_dataset(DATASET)
+    index = session.engine("sling").backend.index
+    store = index.packed_store
+    return (
+        session.index_version,
+        [np.array(getattr(store, column)) for column in STORE_COLUMNS],
+        np.asarray(index.correction_factors),
+        probe_all(service),
+    )
+
+
+def assert_recovers(tmp_path, expected: tuple) -> SimRankService:
+    version, columns, corrections, answers = expected
+    recovered = make_service(tmp_path)
+    session = recovered.open_dataset(DATASET)
+    index = session.engine("sling").backend.index
+    assert session.index_version == version
+    store = index.packed_store
+    for column, expected_column in zip(STORE_COLUMNS, columns):
+        assert np.array_equal(getattr(store, column), expected_column), column
+    assert np.array_equal(np.asarray(index.correction_factors), corrections)
+    assert probe_all(recovered) == answers
+    return recovered
+
+
+class TestRecovery:
+    """Recovery loads the snapshot and replays the tail: the recovered
+    session equals the live one bitwise, ``index_version`` included."""
+
+    @pytest.mark.parametrize("history", sorted(HISTORIES))
+    def test_index_version_survives_recovery(self, tmp_path, history):
+        service = make_service(tmp_path)
+        run_history(service, HISTORIES[history])
+        expected = live_state(service)
+        assert expected[0] == (5 if history == "ends-dirty" else 6)
+        service.close_all()
+
+        recovered = assert_recovers(tmp_path, expected)
+        follow_up = recovered.execute_control(
+            MutateRequest(dataset=DATASET, add=[(3, 28)], mutation_id="next")
+        )
+        assert follow_up.ok
+        assert follow_up.value["index_version"] > expected[0]
+
+    def test_snapshot_cuts_the_log_and_keeps_dedup_ids(self, tmp_path):
+        service = make_service(tmp_path)
+        run_history(service, HISTORIES["ends-refrozen"])
+        wal = service.wal_for(DATASET)
+        assert wal.records == []
+        assert wal.stats()["snapshot_version"] == 6
+        # Only the committed snapshot is kept.
+        assert sorted(os.listdir(wal.snapshot_root)) == ["6"]
+        # Dedup outlives the cut; the full ack does not.
+        assert all(wal.known(f"h-{step}") for step in range(4))
+        assert wal.recorded_ack("h-0") is None
+        retried = service.execute_control(
+            MutateRequest(dataset=DATASET, add=[(0, 25)], mutation_id="h-0")
+        )
+        assert retried.value["deduplicated"] is True
+        assert retried.value["index_version"] == 6
+        service.close_all()
+        with MutationWAL(tmp_path, DATASET) as reopened:
+            assert reopened.snapshot_version == 6
+            assert all(reopened.known(f"h-{step}") for step in range(4))
+
+    def test_snapshot_written_before_the_log_cut(self, tmp_path, monkeypatch):
+        """A crash after the snapshot commits but before the log is cut:
+        the log still follows the base graph and holds every record, so
+        recovery replays them and ignores the newer snapshot."""
+        service = make_service(tmp_path)
+
+        replace = os.replace
+
+        def crash(source, target):
+            if str(target).endswith(".wal"):
+                raise OSError(errno.EIO, "crash before the log cut")
+            replace(source, target)
+
+        monkeypatch.setattr(wal_module.os, "replace", crash)
+        run_history(service, HISTORIES["ends-dirty"])
+        monkeypatch.undo()
+        wal = service.wal_for(DATASET)
+        assert wal.snapshot_version is None
+        assert len(wal.records) == 4
+        assert (wal.snapshot_root / "4" / "sling_meta.json").exists()
+        expected = live_state(service)
+        service.close_all()
+
+        recovered = assert_recovers(tmp_path, expected)
+        # The next re-freeze commits a snapshot and drops the stale one.
+        assert recovered.execute_control(
+            MutateRequest(dataset=DATASET, refreeze=True, mutation_id="rf")
+        ).ok
+        assert sorted(os.listdir(wal.snapshot_root)) == ["6"]
+
+    def test_snapshot_directory_without_meta_is_ignored(
+        self, tmp_path, monkeypatch
+    ):
+        """A crash mid-snapshot leaves a directory without its meta file:
+        recovery ignores it and loads the snapshot the log follows."""
+        service = make_service(tmp_path)
+        run_history(service, HISTORIES["ends-dirty"][:3])
+
+        def torn_save(index, directory):
+            (directory / "sling_corrections.npy").write_bytes(b"torn")
+            raise OSError(errno.ENOSPC, "disk full mid-snapshot")
+
+        monkeypatch.setattr(wal_module, "save_index", torn_save)
+        assert service.execute_control(
+            MutateRequest(
+                dataset=DATASET, add=[(2, 27)], refreeze=True, mutation_id="t"
+            )
+        ).ok
+        monkeypatch.undo()
+        wal = service.wal_for(DATASET)
+        assert wal.snapshot_version == 4
+        assert not (wal.snapshot_root / "6" / "sling_meta.json").exists()
+        assert (wal.snapshot_root / "6").is_dir()
+        expected = live_state(service)
+        service.close_all()
+
+        assert_recovers(tmp_path, expected)
+
+    def test_log_following_a_missing_snapshot_is_corrupt(self, tmp_path):
+        service = make_service(tmp_path)
+        run_history(service, HISTORIES["ends-dirty"])
+        service.close_all()
+        (tmp_path / f"{DATASET}.snapshots" / "4" / "sling_meta.json").unlink()
+        with pytest.raises(wal_module.WalCorruption):
+            MutationWAL(tmp_path, DATASET)

@@ -546,10 +546,7 @@ class TestRoundTrip:
         backend = create_backend(
             "sling-disk",
             graph,
-            BackendConfig(
-                epsilon=EPS, seed=5, work_directory=str(directory),
-                reuse_saved_index=True,
-            ),
+            BackendConfig(epsilon=EPS, seed=5, work_directory=str(directory)),
         )
         assert isinstance(backend.index.packed_store.values, np.memmap)
         for u, v in [(0, 1), (5, 18), (10, 10), (3, 22), (7, 2)]:

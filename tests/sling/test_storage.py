@@ -8,6 +8,7 @@ import pytest
 from repro.exceptions import ParameterError, StorageError
 from repro.graphs import generators
 from repro.sling import (
+    DynamicSlingIndex,
     PackedHittingStore,
     SlingIndex,
     SlingParameters,
@@ -46,6 +47,25 @@ class TestSaveLoad:
         directory = save_index(built_index, tmp_path / "index")
         loaded = load_index(directory, graph)
         assert loaded.parameters == built_index.parameters
+
+    @pytest.mark.parametrize("seed", [5, None])
+    def test_roundtrip_restores_the_seed(self, graph, tmp_path, seed):
+        # A mutation re-estimates its heads' d̃ from the build seed's
+        # streams, so a loaded index must mutate bitwise like the saved one.
+        index = SlingIndex(graph, epsilon=EPS, seed=seed).build()
+        loaded = load_index(save_index(index, tmp_path / "index"), graph)
+        live = DynamicSlingIndex.from_index(index)
+        reloaded = DynamicSlingIndex.from_index(loaded)
+        removed = next(iter(graph.edges()))
+        for dynamic in (live, reloaded):
+            dynamic.mutate(added=[(0, 20), (21, 3)], removed=[removed])
+        assert np.array_equal(
+            reloaded.correction_factors, live.correction_factors
+        )
+        for node in graph.nodes():
+            assert np.array_equal(
+                reloaded.single_source(node), live.single_source(node)
+            )
 
     def test_saving_unbuilt_index_rejected(self, graph, tmp_path):
         with pytest.raises(StorageError):
