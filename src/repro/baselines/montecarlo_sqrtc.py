@@ -101,13 +101,6 @@ class SqrtCMonteCarloIndex(SimRankMethod):
         """Number of stored √c-walks per node."""
         return self._num_walks
 
-    @property
-    def stored_walk_length(self) -> int:
-        """Number of stored steps per walk (excluding the starting node)."""
-        self._require_built()
-        assert self._fingerprints is not None
-        return int(self._fingerprints.shape[2])
-
     # ------------------------------------------------------------------ #
     def build(self) -> "SqrtCMonteCarloIndex":
         """Sample ``num_walks`` √c-walks per node and store their steps.

@@ -56,6 +56,7 @@ from typing import Sequence
 
 from .engine import PAIR_AMORTIZE_THRESHOLD, BackendConfig, backend_names
 from .evaluation import experiments, reporting
+from .evaluation.faults import slow_shard
 from .evaluation.traffic import (
     CHAOS_TRAFFIC_PROFILES,
     TrafficPattern,
@@ -641,7 +642,7 @@ def _service(args: argparse.Namespace) -> SimRankService:
         admit = None
     else:
         admit = args.pair_admit_after
-    return SimRankService(
+    service = SimRankService(
         ServiceConfig(
             backend=args.backend,
             cache_size=args.cache_size,
@@ -654,6 +655,8 @@ def _service(args: argparse.Namespace) -> SimRankService:
             backend_config=_config(args),
         )
     )
+    # Armed only by the fault drills' environment (REPRO_FAULT_SLOW_MS).
+    return slow_shard(service)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -70,8 +70,8 @@ class BackendConfig:
 
     The one settable configuration of a backend: the service, the CLI and
     the evaluation drivers all build backends from it.  Each backend reads
-    the fields it needs (``mc_num_walks`` only the Monte-Carlo methods, the
-    ``sling_*`` flags and the two disk fields only SLING).
+    the fields it needs (``mc_num_walks`` only the Monte-Carlo methods,
+    ``work_directory`` only the disk-backed SLING index).
     """
 
     c: float = 0.6
@@ -81,8 +81,6 @@ class BackendConfig:
     #: hundreds of thousands per node and does not fit in memory; this
     #: scaled-down budget keeps the method representable.
     mc_num_walks: int = 200
-    sling_reduce_space: bool = False
-    sling_enhance_accuracy: bool = False
     #: Directory for disk-backed indexes; a temporary directory when ``None``.
     #: When it already holds a saved index, the disk backend mmaps it
     #: instead of rebuilding — how a pool of worker processes shares one
@@ -215,15 +213,15 @@ class SimilarityBackend(abc.ABC):
     def all_pairs(self) -> np.ndarray:
         """All-pairs scores via one single-source query per node."""
         self._require_built()
-        n = self._graph.num_nodes
-        matrix = np.zeros((n, n), dtype=np.float64)
-        for node in self._graph.nodes():
+        graph = self.graph
+        matrix = np.zeros((graph.num_nodes, graph.num_nodes), dtype=np.float64)
+        for node in graph.nodes():
             matrix[node] = self.single_source(node)
         return matrix
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "built" if self._built else "not built"
-        return f"{type(self).__name__}(n={self._graph.num_nodes}, {status})"
+        return f"{type(self).__name__}(n={self.graph.num_nodes}, {status})"
 
 
 # --------------------------------------------------------------------------- #
@@ -255,18 +253,18 @@ class SlingBackend(SimilarityBackend):
         cfg = self._config
         self._built = index is not None
         self._index = index if index is not None else SlingIndex(
-            graph,
-            c=cfg.c,
-            epsilon=cfg.epsilon,
-            seed=cfg.seed,
-            reduce_space=cfg.sling_reduce_space,
-            enhance_accuracy=cfg.sling_enhance_accuracy,
+            graph, c=cfg.c, epsilon=cfg.epsilon, seed=cfg.seed
         )
 
     @property
     def index(self) -> SlingIndex:
         """The wrapped SLING index (build statistics, parameters, ...)."""
         return self._index
+
+    @property
+    def graph(self) -> DiGraph:
+        """The graph of the generation the index serves now."""
+        return self._index.graph
 
     def build(self) -> "SlingBackend":
         self._index.build()
@@ -294,18 +292,15 @@ class SlingBackend(SimilarityBackend):
         rebuild, so the backend object — and any :class:`QueryEngine`
         fronting it — survives the mutation with its cache and statistics
         intact; the engine is told what changed via the returned report's
-        ``affected_sources`` and ``version``.
+        ``affected_sources``.  The index's serving generation is the one
+        owner of :attr:`graph` and :attr:`index_version`: both read it.
         """
         if not self.supports_mutation:
             return super().apply_mutation(added, removed)
         self._require_built()
         if not isinstance(self._index, DynamicSlingIndex):
             self._index = DynamicSlingIndex.from_index(self._index)
-        report = self._index.mutate(added=added, removed=removed)
-        # Keep the backend's graph handle (degrees, bounds checks, repr)
-        # pointing at the post-mutation graph.
-        self._graph = self._index.graph
-        return report
+        return self._index.mutate(added=added, removed=removed)
 
     def refreeze(self) -> bool:
         self._require_built()
@@ -315,9 +310,7 @@ class SlingBackend(SimilarityBackend):
 
     @property
     def index_version(self) -> int:
-        if isinstance(self._index, DynamicSlingIndex):
-            return self._index.version
-        return 0
+        return self._index.version
 
     def staleness_bound(self) -> float:
         if isinstance(self._index, DynamicSlingIndex):

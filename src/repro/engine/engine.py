@@ -18,8 +18,12 @@ shared *across* query kinds with explicit cross-kind admission — a source
 probed by enough pair queries (``pair_admission_threshold``)
 gets its vector computed and admitted so subsequent traffic of every kind
 hits.  An entry leaves the cache by LRU eviction, by a capacity resize, or
-when a mutation of the index invalidates it (every entry is stamped with the
-index version it was computed against).
+when a mutation of the index invalidates it.  The backend's serving
+generation owns the index version: every entry is stamped with the version
+the backend served when its computation started, and a lookup drops an entry
+whose stamp differs from the version the backend serves now, so a vector is
+served only by the generation it was computed on, or one that
+:meth:`QueryEngine.invalidate_cache` certified it unchanged for.
 :func:`merge_statistics_totals` is the single definition of aggregated
 cache/latency statistics used by the service layer and the router alike;
 histograms merge exactly, by adding bucket counts.
@@ -321,9 +325,9 @@ class EngineStatistics:
     #: is cacheable work the cache absorbed.
     pair_probe_hits: int = 0
     #: Cached vectors dropped because the index they were computed against
-    #: was mutated (see :meth:`QueryEngine.invalidate_cache`) — either
-    #: explicitly named as affected, or caught by the defensive version
-    #: check on lookup.
+    #: was mutated — either named as affected by
+    #: :meth:`QueryEngine.invalidate_cache`, or found on lookup stamped with
+    #: a version the backend no longer serves.
     cache_invalidations: int = 0
     #: Pair queries whose canonical source was not cached.  These deliberately
     #: do NOT count into :attr:`cache_misses`: the scalar read-through never
@@ -461,13 +465,9 @@ class QueryEngine:
         self._backend = backend
         self._cache_size = cache_size
         self._pair_admission_threshold = pair_admission_threshold
-        #: node -> (vector, index version the vector was computed against).
+        #: node -> (vector, backend index version the vector was computed
+        #: against); served only while the backend serves that version.
         self._cache: OrderedDict[int, tuple[np.ndarray, int]] = OrderedDict()
-        #: Monotonic version of the index the cached vectors were computed
-        #: against; bumped by :meth:`invalidate_cache` when the backend's
-        #: graph mutates.  A cached entry stamped with an older version can
-        #: never be served (defensive check in :meth:`_cache_get_locked`).
-        self._index_version = 0
         #: Admission pressure: canonical source -> pair probe
         #: misses so far (bounded; reset when the source is admitted).
         self._pair_counts: OrderedDict[int, int] = OrderedDict()
@@ -523,10 +523,9 @@ class QueryEngine:
         ``describe`` control request reports per engine."""
         with self._lock:
             cached_vectors = len(self._cache)
-            index_version = self._index_version
         return {
             "backend": self._backend.name,
-            "index_version": index_version,
+            "index_version": self._backend.index_version,
             "backend_info": self._backend.info.as_dict(),
             "cache_size": self._cache_size,
             "pair_admission_threshold": self._pair_admission_threshold,
@@ -551,15 +550,10 @@ class QueryEngine:
 
     @property
     def index_version(self) -> int:
-        """Monotonic version of the index this engine's cache is scoped to.
-
-        ``0`` for a static index; bumped by :meth:`invalidate_cache` each
-        time the backend's graph mutates.  Cached vectors are stamped with
-        the version current when they were stored and are never served
-        across a version boundary.
-        """
-        with self._lock:
-            return self._index_version
+        """The version of the index the backend serves now: ``0`` for a
+        static index, bumped by every mutation and re-freeze of a dynamic
+        one.  Cached vectors are never served across a version boundary."""
+        return self._backend.index_version
 
     def clear_cache(self) -> None:
         """Drop every cached single-source vector (and admission pressure)."""
@@ -567,38 +561,23 @@ class QueryEngine:
             self._cache.clear()
             self._pair_counts.clear()
 
-    def invalidate_cache(
-        self,
-        affected: Iterable[int] | None = None,
-        *,
-        index_version: int | None = None,
-    ) -> int:
-        """Scope the cache to a new index version after a mutation.
+    def invalidate_cache(self, affected: Iterable[int] | None = None) -> int:
+        """Scope the cache to the backend's current version after a mutation.
 
         ``affected`` names the source nodes whose single-source vectors may
         have changed (the mutation's affected-source set): their cached
         vectors and admission pressure are dropped and counted as
         ``cache_invalidations``; every *surviving* entry is re-stamped with
-        the new version — the mutation certified it unchanged, so it keeps
-        serving.  ``affected=None`` means "everything may have changed"
-        (e.g. a re-freeze that resampled correction factors): the whole
-        cache is dropped and counted.
-
-        ``index_version`` sets the new version explicitly (it must not go
-        backwards); by default the version is bumped by one.  Returns the
+        the version the backend now serves — the mutation certified it
+        unchanged, so it keeps serving.  ``affected=None`` means "everything
+        may have changed" (e.g. a re-freeze that resampled correction
+        factors): the whole cache is dropped and counted.  Returns the
         number of entries invalidated.
+
+        Until this runs, a lookup already drops any entry whose stamp
+        differs from the backend's version, survivors included.
         """
         with self._lock:
-            if index_version is None:
-                new_version = self._index_version + 1
-            else:
-                new_version = int(index_version)
-                if new_version < self._index_version:
-                    raise ParameterError(
-                        "index_version must be monotonic: "
-                        f"{new_version} < {self._index_version}"
-                    )
-            self._index_version = new_version
             if affected is None:
                 dropped = len(self._cache)
                 self._cache.clear()
@@ -610,8 +589,9 @@ class QueryEngine:
                 if self._cache.pop(node, None) is not None:
                     dropped += 1
                 self._pair_counts.pop(node, None)
+            version = self._backend.index_version
             for node, (vector, _) in self._cache.items():
-                self._cache[node] = (vector, new_version)
+                self._cache[node] = (vector, version)
             self._stats.cache_invalidations += dropped
             return dropped
 
@@ -634,17 +614,16 @@ class QueryEngine:
     # ------------------------------------------------------------------ #
     def _cache_get_locked(self, node: int) -> np.ndarray | None:
         """The live cached vector for ``node`` or ``None``, dropping an entry
-        stamped with a stale index version and refreshing LRU order on a
-        hit.  The caller must hold the lock and do its own
+        stamped with a version the backend no longer serves and refreshing
+        LRU order on a hit.  The caller must hold the lock and do its own
         hit/miss accounting — probe semantics differ by query kind."""
         entry = self._cache.get(node)
         if entry is None:
             return None
         vector, version = entry
-        if version != self._index_version:
-            # Defensive: invalidate_cache re-stamps survivors, so a stale
-            # stamp can only appear if a store raced a version bump — drop
-            # it rather than serve a pre-mutation vector.
+        if version != self._backend.index_version:
+            # The generation moved since this vector was computed (or since
+            # invalidate_cache last certified it): never serve it.
             del self._cache[node]
             self._stats.cache_invalidations += 1
             return None
@@ -662,18 +641,17 @@ class QueryEngine:
             self._stats.cache_misses += 1
             return None
 
-    def _cache_store(
-        self, node: int, vector: np.ndarray, version: int | None = None
-    ) -> None:
-        """Admit ``vector``, stamped with ``version`` — the index version the
-        caller read *before* computing it.  If a mutation bumped the version
-        mid-computation the stamp is stale and the entry is dropped on its
-        first lookup instead of serving a pre-mutation vector."""
+    def _cache_store(self, node: int, vector: np.ndarray, version: int) -> None:
+        """Admit ``vector``, stamped with ``version`` — the backend's index
+        version the caller read *before* computing it — unless the version
+        moved mid-computation: that mutation may already have invalidated
+        the source, and a later one would certify the stale vector as a
+        survivor."""
         if self._cache_size == 0:
             return
         with self._lock:
-            if version is None:
-                version = self._index_version
+            if version != self._backend.index_version:
+                return
             self._cache[node] = (vector, version)
             self._cache.move_to_end(node)
             self._stats.cache_admissions += 1
@@ -701,10 +679,9 @@ class QueryEngine:
 
     def _compute_and_store(self, node: int) -> np.ndarray:
         """Compute ``node``'s vector outside the lock and admit it, stamped
-        with the index version read before computing; the store is
-        idempotent under concurrent misses on one source."""
-        with self._lock:
-            version = self._index_version
+        with the backend's index version read before computing; the store
+        is idempotent under concurrent misses on one source."""
+        version = self._backend.index_version
         vector = np.asarray(self._backend.single_source(node), dtype=np.float64)
         self._cache_store(node, vector, version)
         return vector

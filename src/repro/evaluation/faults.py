@@ -32,8 +32,8 @@ Fault repertoire (each seeded, each optional via :class:`ChaosProfile`):
   with a byte budget) —
   the mutation must fail *retryably*, roll back in memory, and leave the
   log replayable;
-* a slow shard (via the service's per-query stall hook) under tight
-  deadlines and a bounded executor — queued work must shed with
+* a slow shard (:func:`slow_shard` stalls the service's data plane)
+  under tight deadlines and a bounded executor — queued work must shed with
   ``deadline_exceeded`` / ``overloaded`` instead of queueing unboundedly.
 
 ``repro chaos`` is the CLI face of :func:`run_chaos`;
@@ -76,11 +76,34 @@ from ..service.results import (
 from ..service.wal import MutationWAL
 from .traffic import TrafficPattern, chaos_pattern_overrides, generate_traffic
 
-__all__ = ["ChaosProfile", "disk_full", "run_chaos", "run_storm"]
+__all__ = ["ChaosProfile", "disk_full", "run_chaos", "run_storm", "slow_shard"]
 
-#: Environment variable the service reads as a per-query stall in
-#: milliseconds — the slow-shard injection hook.
+#: Environment variable that arms :func:`slow_shard` with a per-query stall
+#: in milliseconds.  The CLI reads it when it builds a service (``repro
+#: serve``, ``repro batch``, ...), so a drill arms a spawned worker through
+#: its environment.
 SLOW_SHARD_ENV = "REPRO_FAULT_SLOW_MS"
+
+
+def slow_shard(service: SimRankService) -> SimRankService:
+    """Make ``service`` a slow shard when :data:`SLOW_SHARD_ENV` is set:
+    every data-plane query (``execute``) stalls that many milliseconds
+    before it runs.  The control plane (``execute_control``: ``ping``,
+    ``stats``, ``mutate``) is untouched, so the router's health checks stay
+    honest.  Returns ``service``."""
+    try:
+        stall = float(os.environ.get(SLOW_SHARD_ENV, 0)) / 1000.0
+    except ValueError:
+        stall = 0.0
+    if stall > 0:
+        execute = service.execute
+
+        def stalled(query, **kwargs):
+            time.sleep(stall)
+            return execute(query, **kwargs)
+
+        service.execute = stalled
+    return service
 
 
 @contextmanager

@@ -212,13 +212,6 @@ class TrafficPattern:
                 f"{self.mutation_refreeze_every}"
             )
 
-    @property
-    def single_pair_fraction(self) -> float:
-        """The remainder of the kind mix: pair traffic."""
-        return max(
-            0.0, 1.0 - self.top_k_fraction - self.single_source_fraction
-        )
-
     def as_dict(self) -> dict:
         """Plain-dict form for JSON output (benchmark records embed it)."""
         return {spec.name: getattr(self, spec.name) for spec in fields(self)}

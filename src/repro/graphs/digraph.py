@@ -38,13 +38,6 @@ class GraphStatistics:
     max_out_degree: int
     mean_degree: float
 
-    def as_table_row(self, name: str = "graph") -> str:
-        """Render the statistics as a row matching Table 3 of the paper."""
-        kind = "undirected" if self.is_symmetric else "directed"
-        return (
-            f"{name:<16} {kind:<12} {self.num_nodes:>10,} {self.num_edges:>12,}"
-        )
-
 
 class DiGraph:
     """A directed, unweighted graph over dense integer node ids.
@@ -74,7 +67,6 @@ class DiGraph:
         "_out_indptr",
         "_out_indices",
         "_labels",
-        "_label_to_id",
         "_push_weight_cache",
     )
 
@@ -103,15 +95,9 @@ class DiGraph:
                 raise GraphFormatError(
                     f"expected {self._num_nodes} labels, got {len(labels)}"
                 )
-            self._labels: list[Hashable] | None = labels
-            self._label_to_id: dict[Hashable, int] | None = {
-                label: idx for idx, label in enumerate(labels)
-            }
-            if len(self._label_to_id) != self._num_nodes:
+            if len(set(labels)) != self._num_nodes:
                 raise GraphFormatError("node labels must be unique")
-        else:
-            self._labels = None
-            self._label_to_id = None
+        self._labels: list[Hashable] | None = labels
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -386,7 +372,6 @@ class DiGraph:
             self._merge_flat_keys(in_keys, add_keys_in, rem_keys_in), n
         )
         clone._labels = self._labels
-        clone._label_to_id = self._label_to_id
         clone._push_weight_cache = {}
         return clone
 
@@ -440,17 +425,6 @@ class DiGraph:
         if self._labels is None:
             return node
         return self._labels[node]
-
-    def node_of(self, label: Hashable) -> int:
-        """Return the integer id of an external ``label``."""
-        if self._label_to_id is None:
-            if isinstance(label, (int, np.integer)) and label in self:
-                return int(label)
-            raise NodeNotFoundError(label)
-        try:
-            return self._label_to_id[label]
-        except KeyError as exc:
-            raise NodeNotFoundError(label) from exc
 
     # ------------------------------------------------------------------ #
     # Derived structures

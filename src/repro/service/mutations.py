@@ -12,14 +12,16 @@ the named session:
    without rebuilding);
 2. the edge delta is applied incrementally, yielding a
    :class:`~repro.sling.dynamic.MutationReport` with the exact set of
-   source nodes whose answers may have changed;
-3. the *same* :class:`~repro.engine.QueryEngine` object keeps serving — its
-   single-source LRU is scoped to the new ``index_version`` via
-   :meth:`~repro.engine.QueryEngine.invalidate_cache`, dropping only the
-   affected sources' vectors (unaffected entries survive and keep hitting);
-4. the session's graph handle is swapped to the mutated graph and every
-   *other* engine (built against the pre-mutation graph) is dropped, to be
-   rebuilt lazily on next use;
+   source nodes whose answers may have changed.  The index publishes a new
+   serving generation, which alone owns the graph and ``index_version``
+   the backend, the engine and the session report;
+3. the *same* :class:`~repro.engine.QueryEngine` object keeps serving —
+   :meth:`~repro.engine.QueryEngine.invalidate_cache` drops the affected
+   sources' vectors and re-stamps the survivors with the new version, so
+   unaffected entries keep hitting (until then a lookup drops any entry
+   stamped with an older version);
+4. every *other* engine of the session (built against the pre-mutation
+   graph) is dropped, to be rebuilt lazily on next use;
 5. the ack reports the new monotonic ``index_version`` and the certified
    staleness bound ``ε_stale`` so clients can reason about what they read.
 
@@ -73,29 +75,16 @@ def mutate_session(session, added=(), removed=(), *, refreeze=False) -> dict:
         )
     backend = engine.backend
     report = backend.apply_mutation(added, removed)
-    refrozen = False
-    if refreeze:
-        refrozen = backend.refreeze()
-    version = backend.index_version
-
-    # Invalidate (bumping the engine's version) *before* publishing the
-    # session version: the engine's version must never trail the session's,
-    # or a query could serve a pre-mutation cached vector stamped with the
-    # new version.  The benign direction — a fresher answer under the old
-    # stamp — is the one mid-mutation races are allowed to produce.
-    if refrozen and refreeze:
-        # The re-freeze resampled every correction factor: all vectors are
-        # stale, not just the mutation's affected set.
-        invalidated = engine.invalidate_cache(None, index_version=version)
-    else:
-        invalidated = engine.invalidate_cache(
-            report.affected_sources, index_version=version
-        )
-
+    refrozen = bool(refreeze) and backend.refreeze()
+    # A re-freeze resampled every correction factor: all vectors are stale,
+    # not just the mutation's affected set.
+    invalidated = engine.invalidate_cache(
+        None if refrozen else report.affected_sources
+    )
     session.publish_sling(engine)
     return {
         "dataset": session.name,
-        "index_version": version,
+        "index_version": backend.index_version,
         "epsilon_stale": backend.staleness_bound(),
         "edges_added": report.edges_added,
         "edges_removed": report.edges_removed,

@@ -133,10 +133,6 @@ class HashRing:
         position = bisect.bisect_right(self._hashes, self._hash(key.lower()))
         return self._owners[position % len(self._owners)]
 
-    def assignments(self, keys: Sequence[str]) -> dict[str, int]:
-        """Owner per key — handy for capacity planning and the benchmarks."""
-        return {key: self.lookup(key) for key in keys}
-
 
 class _Worker:
     """One pool slot: its stable Unix-socket address and current process."""

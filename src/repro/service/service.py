@@ -27,7 +27,6 @@ explicitly — including over caller-supplied graphs::
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -114,18 +113,23 @@ class DatasetSession:
     Engines build lazily on first use and are keyed by resolved backend
     name, so every alias of a backend ("auto", "SLING", ...) shares one
     engine and one index.
+
+    The session keeps no copy of which graph and index version it serves:
+    once a ``"sling"`` engine exists, :attr:`graph` and
+    :attr:`index_version` read its backend, whose serving generation is
+    their one owner; before that they are the graph the session opened
+    over and ``0``.
     """
 
     def __init__(self, name: str, graph: DiGraph, config: ServiceConfig) -> None:
         self._name = name
-        self._graph = graph
+        #: The graph the session opened over; a mutated ``"sling"``
+        #: engine's backend serves the current one (see :attr:`graph`).
+        self._base_graph = graph
         self._config = config
         #: Effective per-engine LRU capacity; the service re-divides a
         #: ``cache_budget_vectors`` budget into this as sessions come and go.
         self._cache_capacity = config.cache_size
-        #: Monotonic mutation version of the session's index; 0 until a
-        #: ``mutate`` request lands (see :mod:`repro.service.mutations`).
-        self._index_version = 0
         self._engines: OrderedDict[str, QueryEngine] = OrderedDict()
         #: Requested label (or ``None`` = service default) -> engine.  One
         #: dict lookup on the per-query hot path.
@@ -141,18 +145,22 @@ class DatasetSession:
 
     @property
     def graph(self) -> DiGraph:
-        """The graph this session answers queries on."""
-        return self._graph
+        """The graph this session answers queries on: the ``"sling"``
+        engine's current one, else the graph the session opened over."""
+        engine = self._engines.get("sling")
+        return engine.backend.graph if engine is not None else self._base_graph
 
     @property
     def num_nodes(self) -> int:
-        """Node count of the session's graph."""
-        return self._graph.num_nodes
+        """Node count of the session's graph (mutations keep it)."""
+        return self._base_graph.num_nodes
 
     @property
     def index_version(self) -> int:
-        """Monotonic mutation version (0 = the graph was never mutated)."""
-        return self._index_version
+        """The index version the ``"sling"`` engine's backend serves (0 when
+        there is none, or the graph was never mutated)."""
+        engine = self._engines.get("sling")
+        return engine.backend.index_version if engine is not None else 0
 
     def backends(self) -> list[str]:
         """Backends of the engines built so far, in first-use order."""
@@ -192,7 +200,7 @@ class DatasetSession:
             engine = self._engines.get(name)
             if engine is None:
                 engine = create_engine(
-                    self._graph,
+                    self.graph,
                     backend=name,
                     config=config,
                     cache_size=self._cache_capacity,
@@ -204,15 +212,13 @@ class DatasetSession:
 
     def publish_sling(self, engine: QueryEngine) -> None:
         """Serve ``engine`` — the mutated or recovered ``sling`` engine — as
-        this session's only engine, at its backend's graph and version.
+        this session's only engine; its backend then owns the session's
+        graph and index version.
 
         Engines built against an older graph are dropped and rebuild
         lazily, and every label resolves afresh on its next query.
         """
-        backend = engine.backend
         with self._lock:
-            self._graph = backend.graph
-            self._index_version = backend.index_version
             self._engines = OrderedDict(sling=engine)
             self._by_label = {}
 
@@ -224,7 +230,6 @@ class DatasetSession:
             cache_size=self._cache_capacity,
             pair_admission_threshold=self._config.pair_admission_threshold,
         )
-        engine.invalidate_cache(None, index_version=index.version)
         self.publish_sling(engine)
 
     def _saved_index_dir(self, key: str) -> Path | None:
@@ -256,9 +261,9 @@ class DatasetSession:
         """
         return {
             "dataset": self._name,
-            "num_nodes": self._graph.num_nodes,
-            "num_edges": self._graph.num_edges,
-            "index_version": self._index_version,
+            "num_nodes": self.num_nodes,
+            "num_edges": self.graph.num_edges,
+            "index_version": self.index_version,
             "engines": {
                 key: engine.statistics_snapshot().as_dict()
                 for key, engine in list(self._engines.items())
@@ -271,9 +276,9 @@ class DatasetSession:
         per engine built so far."""
         return {
             "dataset": self._name,
-            "num_nodes": self._graph.num_nodes,
-            "num_edges": self._graph.num_edges,
-            "index_version": self._index_version,
+            "num_nodes": self.num_nodes,
+            "num_edges": self.graph.num_edges,
+            "index_version": self.index_version,
             "engines": {
                 key: engine.describe()
                 for key, engine in list(self._engines.items())
@@ -286,7 +291,7 @@ class DatasetSession:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"DatasetSession({self._name!r}, n={self._graph.num_nodes}, "
+            f"DatasetSession({self._name!r}, n={self.num_nodes}, "
             f"engines={list(self._engines)})"
         )
 
@@ -313,14 +318,6 @@ class SimRankService:
         #: Session key -> its open :class:`~repro.service.wal.MutationWAL`
         #: (only when :attr:`ServiceConfig.wal_dir` is set).
         self._wals: dict[str, object] = {}
-        # Chaos-harness knob: a per-query stall, in milliseconds, simulating
-        # a slow shard.  Read once at construction so a worker subprocess is
-        # armed by its environment; the control plane (ping) is unaffected,
-        # keeping the router's health checks honest.
-        try:
-            self._slow_query_ms = float(os.environ.get("REPRO_FAULT_SLOW_MS", 0))
-        except ValueError:
-            self._slow_query_ms = 0.0
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------ #
@@ -502,8 +499,6 @@ class SimRankService:
         """
         start = time.perf_counter()
         kind, dataset = query.kind, query.dataset
-        if self._slow_query_ms > 0:
-            time.sleep(self._slow_query_ms / 1000.0)
 
         # Steady-state fast path: the session exists and its engine is memoized,
         # so reaching the engine costs two dict lookups.  Case-variant
@@ -543,12 +538,11 @@ class SimRankService:
 
         n = session.num_nodes
         # Captured *before* the engine call: a mutation landing mid-query may
-        # make the answer fresher than this stamp, never staler — the engine
-        # cache refuses entries whose stamp trails its own version, and
-        # ``mutate_session`` bumps the engine before publishing the session
-        # version.  Claiming a version newer than the served value would
-        # defeat the ``index_version`` echo clients use to reason about
-        # staleness.
+        # make the answer fresher than this stamp, never staler — the
+        # backend's generation owns the version, and the engine cache serves
+        # only entries stamped with the version that generation serves now.
+        # Claiming a version newer than the served value would defeat the
+        # ``index_version`` echo clients use to reason about staleness.
         version = session.index_version
         try:
             if kind == "single_pair":

@@ -173,12 +173,6 @@ class DynamicSlingIndex(SlingQueries):
         return self._params
 
     @property
-    def version(self) -> int:
-        """Monotonically increasing index version; bumped per mutation
-        batch and per re-freeze."""
-        return self._serving().version
-
-    @property
     def is_dirty(self) -> bool:
         """Whether a mutation landed since the last (re-)freeze."""
         return self._serving().dirty

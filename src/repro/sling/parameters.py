@@ -11,8 +11,7 @@ additive error at most ``ε`` provided
 the internal knobs ``(ε_d, θ, δ_d)`` by splitting the error budget, and
 validates that the resulting configuration indeed satisfies the inequality.
 The split mirrors the paper's experimental setting: with ``c = 0.6``,
-``ε = 0.025``, ``ε_d = 0.005`` and ``θ = 0.000725`` the bound holds, and those
-are exactly the values :func:`SlingParameters.paper_defaults` reproduces.
+``ε = 0.025``, ``ε_d = 0.005`` and ``θ = 0.000725`` the bound holds.
 """
 
 from __future__ import annotations
@@ -144,25 +143,6 @@ class SlingParameters:
             epsilon_d=epsilon_d,
             theta=theta,
             delta_d=delta_d,
-        )
-
-    @classmethod
-    def paper_defaults(cls, num_nodes: int) -> "SlingParameters":
-        """The exact experimental setting of Section 7.1.
-
-        ``c = 0.6``, ``ε = 0.025``, ``ε_d = 0.005``, ``θ = 0.000725`` and
-        ``δ_d = 1/n²``.
-        """
-        if num_nodes <= 0:
-            raise ParameterError(f"num_nodes must be positive, got {num_nodes}")
-        n = max(2, num_nodes)
-        return cls(
-            c=0.6,
-            epsilon=0.025,
-            delta=1.0 / n,
-            epsilon_d=0.005,
-            theta=0.000725,
-            delta_d=1.0 / (n * n),
         )
 
     def scaled(self, *, epsilon: float) -> "SlingParameters":

@@ -191,6 +191,14 @@ class SlingQueries:
         return self._state is not None
 
     @property
+    def version(self) -> int:
+        """Version of the serving generation: 0 for a frozen index (and
+        before a build); a dynamic index bumps it per mutation batch and
+        per re-freeze."""
+        state = self._state
+        return state.version if state is not None else 0
+
+    @property
     def correction_factors(self) -> np.ndarray:
         """The correction factors ``d̃_k`` as an ``(n,)`` array."""
         return self._serving().corrections

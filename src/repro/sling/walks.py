@@ -6,13 +6,9 @@ random in-neighbour of the current node.  Lemma 3 shows that the SimRank score
 ``s(u, v)`` equals the probability that two independent √c-walks from ``u``
 and ``v`` *meet*, i.e. occupy the same node at the same step index.
 
-The walker here is used by
-
-* the correction-factor estimators (Algorithms 1 and 4), which sample pairs of
-  √c-walks from the in-neighbours of a node's in-neighbours, and
-* the Monte-Carlo SimRank estimator ``estimate_simrank`` used as a sanity
-  oracle in tests (the "MC + √c-walk" variant discussed at the end of
-  Section 4.1).
+The walker here is used by the correction-factor estimators (Algorithms 1
+and 4), which sample pairs of √c-walks from the in-neighbours of a node's
+in-neighbours.
 """
 
 from __future__ import annotations
@@ -121,28 +117,6 @@ class SqrtCWalker:
         return walker
 
     # ------------------------------------------------------------------ #
-    def walk(self, start: int) -> list[int]:
-        """Sample one √c-walk; element ``ℓ`` is the node at step ``ℓ``.
-
-        The walk always contains at least the starting node (its 0-th step)
-        and stops early at nodes with no in-neighbours.
-        """
-        graph = self._graph
-        rng = self._rng
-        sqrt_c = self._sqrt_c
-        current = int(start)
-        graph.in_degree(current)  # raises NodeNotFoundError for bad input
-        steps = [current]
-        while len(steps) < self._max_length:
-            if rng.random() >= sqrt_c:
-                break
-            in_nb = graph.in_neighbors(current)
-            if in_nb.shape[0] == 0:
-                break
-            current = int(in_nb[int(rng.integers(0, in_nb.shape[0]))])
-            steps.append(current)
-        return steps
-
     def walk_pair_meets(self, start_a: int, start_b: int) -> bool:
         """Sample two independent √c-walks and report whether they meet.
 
@@ -239,22 +213,3 @@ class SqrtCWalker:
             node_a = node_a[apart]
             node_b = node_b[apart]
         return meets
-
-    # ------------------------------------------------------------------ #
-    def estimate_simrank(
-        self, node_a: int, node_b: int, num_samples: int
-    ) -> float:
-        """Monte-Carlo estimate of ``s(node_a, node_b)`` via Lemma 3.
-
-        This is the "Monte Carlo with √c-walks" estimator sketched at the end
-        of Section 4.1.  It is not part of the SLING index itself but serves
-        as an unbiased reference in tests and examples.
-        """
-        if num_samples <= 0:
-            raise ParameterError(f"num_samples must be positive, got {num_samples}")
-        if int(node_a) == int(node_b):
-            return 1.0
-        meets = sum(
-            1 for _ in range(num_samples) if self.walk_pair_meets(node_a, node_b)
-        )
-        return meets / num_samples

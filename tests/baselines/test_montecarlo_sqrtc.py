@@ -83,9 +83,13 @@ class TestQueries:
             assert scores[node] == pytest.approx(method.single_pair(2, node))
 
     def test_walks_terminate_without_truncation_parameter(self, method):
-        # sqrt(c)-walks stop on their own; the stored length should be far
-        # below the safety cap of 16/(1 - sqrt(c)) ~ 71.
-        assert method.stored_walk_length < 60
+        # sqrt(c)-walks stop on their own; the stored length (4 bytes per
+        # step of every walk of every node) should be far below the safety
+        # cap of 16/(1 - sqrt(c)) ~ 71.
+        stored_steps = method.index_size_bytes() // (
+            4 * method.graph.num_nodes * method.num_walks
+        )
+        assert stored_steps < 60
 
     def test_average_walk_length_matches_geometric_expectation(
         self, community_graph, decay

@@ -25,7 +25,10 @@ NODE_COUNTS = {"GrQc": 120, "HepTh": 80}
 class TestTrafficPattern:
     def test_defaults_validate(self):
         pattern = TrafficPattern()
-        assert pattern.single_pair_fraction == pytest.approx(0.20)
+        # The kind mix leaves 20% of the traffic to pair queries.
+        assert 1.0 - pattern.top_k_fraction - pattern.single_source_fraction == (
+            pytest.approx(0.20)
+        )
 
     def test_as_dict_round_trips(self):
         pattern = TrafficPattern(seed=5, pair_mode="cold", source_span=16)

@@ -10,16 +10,20 @@ path, and the full error mapping — including the read-only shared
 from __future__ import annotations
 
 import json
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.engine import BackendConfig
+from repro.evaluation.faults import disk_full
 from repro.exceptions import ParameterError
 from repro.graphs import generators
 from repro.service import (
     ERROR_BAD_REQUEST,
     ERROR_NODE_OUT_OF_RANGE,
+    ERROR_UNAVAILABLE,
     ERROR_UNKNOWN_DATASET,
     MutateRequest,
     ServiceConfig,
@@ -153,6 +157,107 @@ class TestMutationFlow:
             ack = client.mutate("toy", add=[(0, 17)])
             assert ack["index_version"] == 1
             assert ack["edges_added"] == 1
+
+
+class TestServingGenerationOwnsTheVersion:
+    """The SLING index's serving generation is the one owner of a session's
+    ``index_version`` and graph: the session, the engine, the backend, the
+    ack and the next answer's echo read it and never disagree."""
+
+    SOURCES = 8
+
+    @staticmethod
+    def open_toy(wal_dir) -> SimRankService:
+        service = SimRankService(replace(CONFIG, wal_dir=str(wal_dir)))
+        service.open_dataset("toy", graph=generators.two_level_community(3, 10, seed=7))
+        return service
+
+    def assert_one_version(self, service, version):
+        session = service.open_dataset("toy")
+        engine = session.engine("sling")
+        answer = service.execute(SingleSourceQuery("toy", 3))
+        assert answer.ok, answer.error
+        assert session.index_version == version
+        assert engine.index_version == version
+        assert engine.backend.index_version == version
+        assert (answer.index_version or 0) == version
+        assert service.statistics()["datasets"]["toy"]["index_version"] == version
+        assert service.describe("toy")["engines"]["sling"]["index_version"] == version
+        assert session.graph is engine.backend.graph
+        # Quiesced, every cached vector is the one the generation computes.
+        for node in range(self.SOURCES):
+            assert np.array_equal(
+                engine.single_source(node), engine.backend.single_source(node)
+            )
+
+    def test_one_version_under_readers_a_writer_a_rollback_and_recovery(
+        self, tmp_path
+    ):
+        service = self.open_toy(tmp_path)
+        stop = threading.Event()
+        echoed: list[list[int]] = [[] for _ in range(4)]
+        failures: list[object] = []
+
+        def reader(slot: int) -> None:
+            rng = np.random.default_rng(slot)
+            while not stop.is_set():
+                node = int(rng.integers(0, self.SOURCES))
+                result = service.execute(SingleSourceQuery("toy", node))
+                if result.ok:
+                    echoed[slot].append(result.index_version or 0)
+                else:
+                    failures.append(result.error)
+
+        readers = [threading.Thread(target=reader, args=(slot,)) for slot in range(4)]
+        for thread in readers:
+            thread.start()
+        acks = []
+        try:
+            for step in range(6):
+                result = service.execute_control(
+                    MutateRequest(
+                        dataset="toy",
+                        add=[(step, 17 + step)],
+                        refreeze=step % 3 == 2,
+                        mutation_id=f"m-{step}",
+                    )
+                )
+                assert result.ok, result.error
+                assert result.index_version == result.value["index_version"]
+                acks.append(result.value["index_version"])
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join()
+        assert not failures
+        for versions in echoed:
+            assert versions, "a reader answered nothing"
+            assert versions == sorted(versions), "an echoed version went back"
+        assert acks == [1, 2, 4, 5, 6, 8]
+        assert service.open_dataset("toy").engine("sling").statistics.cache_hits > 0
+        self.assert_one_version(service, 8)
+
+        wal = service.wal_for("toy")
+        with disk_full(wal, wal.stats()["bytes"]):
+            failed = service.execute_control(
+                MutateRequest(dataset="toy", add=[(6, 23)], mutation_id="df")
+            )
+        assert failed.error.code == ERROR_UNAVAILABLE
+        # The apply and its rollback are two generations.
+        self.assert_one_version(service, 10)
+        retried = service.execute_control(
+            MutateRequest(dataset="toy", add=[(6, 23)], mutation_id="df")
+        )
+        assert retried.ok, retried.error
+        self.assert_one_version(service, retried.value["index_version"])
+
+        recovered = self.open_toy(tmp_path)
+        session = recovered.open_dataset("toy")
+        assert session.graph.has_edge(6, 23)
+        self.assert_one_version(recovered, session.index_version)
+        ack = recovered.execute_control(MutateRequest(dataset="toy", add=[(7, 24)]))
+        assert ack.ok, ack.error
+        self.assert_one_version(recovered, ack.value["index_version"])
 
 
 class TestErrorMapping:

@@ -65,12 +65,12 @@ class TestFromAccuracyTarget:
 
 class TestExplicitConstruction:
     def test_paper_defaults(self):
-        params = SlingParameters.paper_defaults(num_nodes=10_000)
-        assert params.c == 0.6
-        assert params.epsilon == 0.025
-        assert params.epsilon_d == 0.005
-        assert params.theta == 0.000725
-        assert params.delta_d == pytest.approx(1e-8)
+        # The experimental setting of Section 7.1 satisfies Theorem 1.
+        params = SlingParameters(
+            c=0.6, epsilon=0.025, delta=1e-4, epsilon_d=0.005, theta=0.000725,
+            delta_d=1e-8,
+        )
+        assert params.guaranteed_error <= 0.025
 
     def test_violating_theorem1_is_rejected(self):
         with pytest.raises(ParameterError):
@@ -101,6 +101,6 @@ class TestExplicitConstruction:
         assert relaxed.guaranteed_error <= 0.1 + 1e-12
 
     def test_frozen_dataclass(self):
-        params = SlingParameters.paper_defaults(num_nodes=100)
+        params = SlingParameters.from_accuracy_target(num_nodes=100)
         with pytest.raises(AttributeError):
             params.epsilon = 0.5  # type: ignore[misc]

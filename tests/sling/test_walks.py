@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -34,51 +32,6 @@ class TestWalkerConstruction:
         assert walker.graph is graph
 
 
-class TestWalkSampling:
-    def test_walk_starts_at_start_node(self):
-        graph = generators.cycle(5)
-        walker = SqrtCWalker(graph, seed=1)
-        for start in graph.nodes():
-            assert walker.walk(start)[0] == start
-
-    def test_walk_follows_in_edges(self):
-        graph = generators.cycle(5)
-        walker = SqrtCWalker(graph, seed=2)
-        for _ in range(50):
-            walk = walker.walk(0)
-            for step, node in enumerate(walk[1:], start=1):
-                previous = walk[step - 1]
-                assert graph.has_edge(node, previous)
-
-    def test_walk_stops_at_zero_indegree_node(self):
-        graph = generators.path(4)  # 0 -> 1 -> 2 -> 3; node 0 has no in-edges
-        walker = SqrtCWalker(graph, seed=3)
-        for _ in range(50):
-            walk = walker.walk(0)
-            assert walk == [0]
-
-    def test_walk_length_distribution_matches_geometric(self):
-        # On a cycle every node has an in-neighbour, so length after step 0 is
-        # geometric with success probability 1 - sqrt(c).
-        graph = generators.cycle(8)
-        walker = SqrtCWalker(graph, c=0.6, seed=4)
-        lengths = [len(walker.walk(0)) - 1 for _ in range(4000)]
-        expected = math.sqrt(0.6) / (1.0 - math.sqrt(0.6))
-        assert np.mean(lengths) == pytest.approx(expected, rel=0.1)
-
-    def test_unknown_start_raises(self):
-        graph = generators.cycle(3)
-        walker = SqrtCWalker(graph, seed=0)
-        with pytest.raises(NodeNotFoundError):
-            walker.walk(10)
-
-    def test_seeded_walks_are_reproducible(self):
-        graph = generators.preferential_attachment(30, 2, seed=1)
-        first = SqrtCWalker(graph, seed=42)
-        second = SqrtCWalker(graph, seed=42)
-        assert [first.walk(5) for _ in range(10)] == [second.walk(5) for _ in range(10)]
-
-
 class TestPairMeeting:
     def test_identical_starts_always_meet(self):
         graph = generators.cycle(5)
@@ -91,6 +44,13 @@ class TestPairMeeting:
         graph = generators.cycle(6)
         walker = SqrtCWalker(graph, seed=1)
         assert not any(walker.walk_pair_meets(0, 3) for _ in range(200))
+
+    def test_pair_meeting_frequency_on_outward_star(self, decay):
+        # Leaves of an outward star meet with probability c (Lemma 3).
+        graph = generators.star(5, inward=False)
+        walker = SqrtCWalker(graph, c=decay, seed=5)
+        meets = sum(walker.walk_pair_meets(1, 2) for _ in range(4000))
+        assert meets / 4000 == pytest.approx(decay, abs=0.04)
 
     def test_count_meeting_pairs_matches_scalar_semantics(self):
         graph = generators.star(6, inward=False)
@@ -127,30 +87,6 @@ class TestPairMeeting:
             walker.count_meeting_pairs(np.array(starts_a), np.array(starts_b))
 
 
-class TestSimRankEstimation:
-    def test_estimate_simrank_on_outward_star(self, decay):
-        graph = generators.star(5, inward=False)
-        walker = SqrtCWalker(graph, c=decay, seed=5)
-        estimate = walker.estimate_simrank(1, 2, 4000)
-        assert estimate == pytest.approx(decay, abs=0.04)
-
-    def test_estimate_simrank_identical_nodes(self):
-        graph = generators.cycle(4)
-        walker = SqrtCWalker(graph, seed=0)
-        assert walker.estimate_simrank(2, 2, 10) == 1.0
-
-    def test_estimate_simrank_zero_on_cycle(self):
-        graph = generators.cycle(5)
-        walker = SqrtCWalker(graph, seed=0)
-        assert walker.estimate_simrank(0, 2, 500) == 0.0
-
-    def test_estimate_simrank_invalid_samples(self):
-        graph = generators.cycle(4)
-        walker = SqrtCWalker(graph, seed=0)
-        with pytest.raises(ParameterError):
-            walker.estimate_simrank(0, 1, 0)
-
-
 class TestNodeStreams:
     def test_integer_seed_is_its_own_entropy(self):
         assert resolve_entropy(42) == 42
@@ -164,7 +100,7 @@ class TestNodeStreams:
     def test_for_node_depends_on_seed_and_node_only(self):
         graph = generators.preferential_attachment(20, 2, seed=1)
         walker = SqrtCWalker(graph, seed=9)
-        walker.walk(0)  # the walker's own stream has moved on
+        walker.rng.random(3)  # the walker's own stream has moved on
         first = walker.for_node(5).rng.random(4)
         again = SqrtCWalker(graph, seed=9).for_node(5).rng.random(4)
         other = walker.for_node(6).rng.random(4)
