@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines import simrank_matrix
 from repro.graphs import DiGraph
 from repro.sling import SqrtCWalker
 from repro.sling.sampling import (
@@ -33,6 +34,21 @@ def small_graphs(max_nodes: int = 8, max_edges: int = 24):
         )
         .map(lambda data: DiGraph(data[0], data[1]))
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs(), st.integers(min_value=0, max_value=2**31 - 1))
+def test_walks_always_follow_in_edges(graph, seed):
+    # Two walks that follow in-edges can meet only at a common ancestor at
+    # the same distance from both starts, which is where SimRank is positive.
+    # A pair walk first meets within n² steps if it can meet at all, so n²
+    # power iterations leave exactly the never-meeting pairs at zero.
+    n = graph.num_nodes
+    truth = simrank_matrix(graph, c=C, num_iterations=n * n)
+    walker = SqrtCWalker(graph, c=C, seed=seed)
+    for node_a, node_b in zip(*np.nonzero(truth == 0.0)):
+        assert not any(walker.walk_pair_meets(node_a, node_b) for _ in range(10))
+        assert walker.count_meeting_pairs(np.full(10, node_a), np.full(10, node_b)) == 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import NodeNotFoundError, ParameterError
-from repro.graphs import generators
+from repro.graphs import DiGraph, generators
 from repro.sling import SqrtCWalker
 from repro.sling.walks import node_stream, resolve_entropy
 
@@ -30,6 +30,75 @@ class TestWalkerConstruction:
         assert walker.c == pytest.approx(0.64)
         assert walker.sqrt_c == pytest.approx(0.8)
         assert walker.graph is graph
+
+
+class TestWalkSampling:
+    def test_walk_starts_at_start_node(self):
+        # Step 0 of a walk is its start, so a pair started at one node meets
+        # before any coin is flipped, even where the walk cannot move on.
+        graph = generators.path(4)  # node 0 has no in-neighbours
+        walker = SqrtCWalker(graph, seed=1)
+        for start in graph.nodes():
+            assert walker.walk_pair_meets(start, start)
+        starts = np.array(list(graph.nodes()) * 5)
+        assert walker.count_meeting_pairs(starts, starts) == starts.size
+
+    def test_walk_follows_in_edges(self):
+        # Leaves of an inward star share an out-neighbour but no in-neighbour:
+        # walks along out-edges would meet at the centre, √c-walks never do.
+        graph = generators.star(5, inward=True)
+        walker = SqrtCWalker(graph, seed=2)
+        assert not any(walker.walk_pair_meets(1, 2) for _ in range(200))
+        assert walker.count_meeting_pairs(np.full(500, 1), np.full(500, 2)) == 0
+
+    def test_walk_stops_at_zero_indegree_node(self):
+        # 0 -> 1: the walk from 1 steps to 0 while the walk from 0, which has
+        # no in-neighbours, must stop rather than stay put and be met there.
+        graph = generators.path(2)
+        walker = SqrtCWalker(graph, seed=3)
+        assert not any(walker.walk_pair_meets(0, 1) for _ in range(200))
+        assert walker.count_meeting_pairs(np.full(500, 0), np.full(500, 1)) == 0
+
+    def test_walk_length_distribution_matches_geometric(self):
+        # Two in-chains of equal length from one root: the only meeting is at
+        # the root after ``length`` steps, so its frequency is the chance that
+        # both walks continue that long, (√c · √c)^length = c^length.
+        samples = 20000
+        for length in (1, 2, 3):
+            edges = [(0, 1), (0, length + 1)]
+            for step in range(1, length):
+                edges += [(step, step + 1), (length + step, length + step + 1)]
+            graph = DiGraph(2 * length + 1, edges)
+            walker = SqrtCWalker(graph, c=0.6, seed=4)
+            expected = 0.6**length
+            meets = walker.count_meeting_pairs(
+                np.full(samples, length), np.full(samples, 2 * length)
+            )
+            assert meets / samples == pytest.approx(expected, abs=0.02)
+            scalar = sum(
+                walker.walk_pair_meets(length, 2 * length) for _ in range(4000)
+            )
+            assert scalar / 4000 == pytest.approx(expected, abs=0.03)
+
+    def test_unknown_start_raises(self):
+        graph = generators.cycle(3)
+        walker = SqrtCWalker(graph, seed=0)
+        with pytest.raises(NodeNotFoundError):
+            walker.walk_pair_meets(10, 0)
+        with pytest.raises(NodeNotFoundError):
+            walker.walk_pair_meets(0, 10)
+
+    def test_seeded_walks_are_reproducible(self):
+        graph = generators.preferential_attachment(30, 2, seed=1)
+        first = SqrtCWalker(graph, seed=42)
+        second = SqrtCWalker(graph, seed=42)
+        assert [first.walk_pair_meets(5, 7) for _ in range(50)] == [
+            second.walk_pair_meets(5, 7) for _ in range(50)
+        ]
+        starts = np.random.default_rng(0).integers(0, 30, size=(2, 400))
+        assert first.count_meeting_pairs(*starts) == second.count_meeting_pairs(
+            *starts
+        )
 
 
 class TestPairMeeting:
